@@ -213,6 +213,23 @@ let experiment_tests =
              ~original_sim:(Platform.Lambda_sim.create (Lazy.force tiny))
              ~now_s:0.0 ())) ]
 
+(* Files and directories the kernels leave on disk, removed at exit. *)
+let scratch_paths = ref []
+
+let scratch path =
+  scratch_paths := path :: !scratch_paths;
+  path
+
+let rec rm_rf path =
+  if Sys.file_exists path then
+    if Sys.is_directory path then begin
+      Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
+      Sys.rmdir path
+    end
+    else Sys.remove path
+
+let () = at_exit (fun () -> List.iter rm_rf !scratch_paths)
+
 (* Kernels for the caching substrate: content-addressed parse cache,
    copy-on-write image overlays, and the oracle observation memo. The
    cold/cached parse pair over a Table-1 app image is the headline number —
@@ -326,7 +343,9 @@ let cache_tests =
                  then "/dev/shm"
                  else Filename.get_temp_dir_name ()
                in
-               let dir = Filename.concat parent "ltrim-bench-journal" in
+               let dir =
+                 scratch (Filename.concat parent "ltrim-bench-journal")
+               in
                Trim.Journal.mkdir_p dir;
                dir)
           in
@@ -356,12 +375,9 @@ let fleet_bench_config =
            (Fleet.Scenario.fallback ~rate:0.01 ~seed:7
               ~original:{ profile with Fleet.Router.func_init_s = 1.6 } ()) })
 
-(* Heap vs calendar-queue backends on one 100k-event schedule: push all,
-   then drain. The calendar is sized for the schedule's horizon — the
-   regime trace-replay selects it for. Pop order is bit-identical, so this
-   pair isolates pure queue cost. *)
-let event_queue_drain kind () =
-  let q = Fleet.Events.create ~kind () in
+(* The event heap on one 100k-event schedule: push all, then drain. *)
+let event_queue_drain () =
+  let q = Fleet.Events.create () in
   for i = 0 to 99_999 do
     Fleet.Events.push q
       ~time:(float_of_int ((i * 7919) mod 100_000))
@@ -530,13 +546,7 @@ let extension_tests =
              | Some _ -> drain (n + 1)
            in
            drain 0));
-    Test.make ~name:"fleet.event_heap_100k"
-      (Staged.stage (event_queue_drain Fleet.Events.Heap));
-    Test.make ~name:"fleet.event_wheel_100k"
-      (Staged.stage
-         (event_queue_drain
-            (Fleet.Events.calendar ~horizon_s:100_000.0
-               ~expected_events:100_000)));
+    Test.make ~name:"fleet.event_heap_100k" (Staged.stage event_queue_drain);
     Test.make ~name:"fleet.router_poisson_10k"
       (Staged.stage
          (let trace =
@@ -683,37 +693,45 @@ let host_domains = Domain.recommended_domain_count ()
 
 let dd_pool_domains = [ 1; 2; 4; 8 ]
 
+(* every kernel or timing that runs a pool, with the domains it needs *)
+let pool_kernels =
+  [ ("par.pool_overhead", 4); ("par.pipeline_fig9_jobs4", 4);
+    ("e2e_parallel_timings", 4) ]
+  @ List.map
+      (fun d -> (Printf.sprintf "par.dd_oracle_%ddomains" d, d))
+      dd_pool_domains
+
 let skipped_kernels =
   List.filter_map
-    (fun d ->
-       if d > host_domains then
-         Some (Printf.sprintf "par.dd_oracle_%ddomains" d)
-       else None)
-    dd_pool_domains
+    (fun (k, d) -> if d > host_domains then Some k else None)
+    pool_kernels
+
+let runs kernel = not (List.mem kernel skipped_kernels)
 
 let parallel_tests =
-  [ Test.make ~name:"par.pool_overhead"
-      (Staged.stage
-         (* submit/collect cost of 64 no-op tasks: the fixed price every
-            parallel DD batch pays on top of its oracle work *)
-         (let pool = bench_pool 4 in
-          let xs = List.init 64 Fun.id in
-          fun () -> Parallel.Pool.map (Lazy.force pool) Fun.id xs)) ]
-  @ List.filter_map
-      (fun d -> if d <= host_domains then Some (dd_pool_kernel d) else None)
-      dd_pool_domains
-  @ [ Test.make ~name:"par.pipeline_fig9_jobs4"
-      (Staged.stage (fun () ->
-           (* the full fig9 experiment through the jobs=4 fan-out; global
-              caches stay warm, so this isolates orchestration overhead *)
-           Experiments.Common.reset_cache ();
-           Parallel.Pool.configure ~jobs:4;
-           Fun.protect
-             ~finally:(fun () -> Parallel.Pool.configure ~jobs:1)
-             (fun () ->
-                match Experiments.Registry.find "fig9" with
-                | Some e -> ignore (e.Experiments.Registry.print ())
-                | None -> ()))) ]
+  List.filter
+    (fun t -> runs (Test.name t))
+    ([ Test.make ~name:"par.pool_overhead"
+         (Staged.stage
+            (* submit/collect cost of 64 no-op tasks: the fixed price every
+               parallel DD batch pays on top of its oracle work *)
+            (let pool = bench_pool 4 in
+             let xs = List.init 64 Fun.id in
+             fun () -> Parallel.Pool.map (Lazy.force pool) Fun.id xs)) ]
+     @ List.map dd_pool_kernel dd_pool_domains
+     @ [ Test.make ~name:"par.pipeline_fig9_jobs4"
+           (Staged.stage (fun () ->
+                (* the full fig9 experiment through the jobs=4 fan-out;
+                   global caches stay warm, so this isolates orchestration
+                   overhead *)
+                Experiments.Common.reset_cache ();
+                Parallel.Pool.configure ~jobs:4;
+                Fun.protect
+                  ~finally:(fun () -> Parallel.Pool.configure ~jobs:1)
+                  (fun () ->
+                     match Experiments.Registry.find "fig9" with
+                     | Some e -> ignore (e.Experiments.Registry.print ())
+                     | None -> ()))) ])
 
 (* Incremental re-debloating kernels: the same app debloated from scratch
    vs replayed against its own manifest. Private memo per run, jobs pinned
@@ -721,7 +739,9 @@ let parallel_tests =
 let redebloat_setup =
   lazy
     (let d = Workloads.Suite.deployment_of "markdown" in
-     let path = Filename.temp_file "ltrim-bench-redebloat" ".manifest" in
+     let path =
+       scratch (Filename.temp_file "ltrim-bench-redebloat" ".manifest")
+     in
      ignore
        (Trim.Pipeline.run
           ~options:{ Trim.Pipeline.default_options with
@@ -751,7 +771,7 @@ let redebloat_tests =
    warm after a one-module edit (deterministic counters, not wall-clock). *)
 let incremental_query_counts () =
   let d, _ = Lazy.force redebloat_setup in
-  let path = Filename.temp_file "ltrim-bench-incr" ".manifest" in
+  let path = scratch (Filename.temp_file "ltrim-bench-incr" ".manifest") in
   ignore
     (Trim.Pipeline.run
        ~options:{ Trim.Pipeline.default_options with
@@ -870,8 +890,8 @@ let e2e_cache_timings () =
    Caches are cleared before each run so both sides do the full oracle work;
    the committed CSV is bit-identical either way — only the wall-clock (and
    hence this section of the JSON) depends on the host's core count, which
-   is recorded alongside so a 1-core container's honest ~1.0x is not read as
-   a regression. *)
+   is recorded alongside. Like the pool kernels, it is skipped on hosts with
+   fewer than 4 domains. *)
 let time_fig9 ~jobs =
   Experiments.Common.reset_cache ();
   Minipy.Parse_cache.clear Minipy.Parse_cache.global;
@@ -886,16 +906,17 @@ let time_fig9 ~jobs =
   dt
 
 let e2e_parallel_timings () =
-  let host = Domain.recommended_domain_count () in
-  let j1 = time_fig9 ~jobs:1 in
-  let j4 = time_fig9 ~jobs:4 in
-  Experiments.Common.reset_cache ();
-  Printf.printf
-    "\nfig9 end-to-end wall-clock, --jobs 1 -> --jobs 4 (host: %d core%s):\n\
-    \  %7.3f s -> %7.3f s (%.2fx)\n"
-    host (if host = 1 then "" else "s")
-    j1 j4 (if j4 > 0.0 then j1 /. j4 else 0.0);
-  (host, j1, j4)
+  if not (runs "e2e_parallel_timings") then None
+  else begin
+    let j1 = time_fig9 ~jobs:1 in
+    let j4 = time_fig9 ~jobs:4 in
+    Experiments.Common.reset_cache ();
+    Printf.printf
+      "\nfig9 end-to-end wall-clock, --jobs 1 -> --jobs 4 (host: %d cores):\n\
+      \  %7.3f s -> %7.3f s (%.2fx)\n"
+      host_domains j1 j4 (if j4 > 0.0 then j1 /. j4 else 0.0);
+    Some (j1, j4)
+  end
 
 (* --- JSON output ----------------------------------------------------------- *)
 
@@ -915,7 +936,7 @@ let ns_of rows name =
   | Some (_, Some e, _) -> Some e
   | _ -> None
 
-let write_json path rows e2e fleet_meps (par_host, par_j1, par_j4)
+let write_json path rows e2e fleet_meps par
     (stream_legacy_s, stream_record_s, stream_stream_s, stream_speedup)
     (sharded_requests, sharded_wall_s, sharded_meps)
     (incr_cold_q, incr_warm_q) =
@@ -944,12 +965,15 @@ let write_json path rows e2e fleet_meps (par_host, par_j1, par_j4)
           e2e));
   out "\n  },\n";
   out "  \"parallel_speedup\": {\n";
-  out "    \"host_domains\": %d,\n" par_host;
-  out
-    "    \"fig9\": { \"jobs1_s\": %.4f, \"jobs4_s\": %.4f, \"speedup\": %.2f }\n"
-    par_j1 par_j4
-    (if par_j4 > 0.0 then par_j1 /. par_j4 else 0.0);
-  out "  },\n";
+  out "    \"host_domains\": %d" host_domains;
+  (match par with
+   | Some (j1, j4) ->
+     out
+       ",\n    \"fig9\": { \"jobs1_s\": %.4f, \"jobs4_s\": %.4f, \
+        \"speedup\": %.2f }"
+       j1 j4 (if j4 > 0.0 then j1 /. j4 else 0.0)
+   | None -> ());
+  out "\n  },\n";
   (* headline derived metric: bytecode VM vs the reference tree-walker on
      the same kernels (micro rows above; recorded here as a ratio so the
      perf trajectory tracks the backend, not host noise) *)
@@ -999,7 +1023,7 @@ let write_json path rows e2e fleet_meps (par_host, par_j1, par_j4)
   out
     "  \"fleet_sharded\": { \"host_domains\": %d, \"shards\": %d, \
      \"requests\": %d, \"wall_s\": %.3f },\n"
-    par_host
+    host_domains
     (Fleet.Sharded.shard_count ())
     sharded_requests sharded_wall_s;
   out "  \"fleet_sharded_throughput_meps\": %.3f,\n" sharded_meps;

@@ -3,26 +3,30 @@
    keys, which keeps whole-fleet replays bit-identical across runs — the
    simulator's determinism rests here.
 
+   A caller may also [reserve] the next sequence number and push with it
+   later ([push_reserved]): the event then pops exactly where it would have
+   popped had it been pushed at reservation time. The router uses this to
+   defer a keep-alive timer until it is actually needed.
+
    Two backends share the exact same pop order:
 
    - [Heap]: array-backed binary min-heap, O(log n) per op at any schedule
-     shape. The default for small or unknown horizons.
+     shape. The production backend.
    - [Calendar]: a calendar queue (Brown 1988) — [n_buckets] time slots of
      [width] seconds each, events bucketed by [floor(time / width)] modulo
-     the bucket count and kept key-sorted within a bucket. With events
-     spread over the horizon (the dense-trace case the sharded replay
-     hits), push and pop are O(1) amortised. Pop scans forward from the
-     slot of the last popped event, persisting its progress across pops so
-     empty stretches are swept once per run; if a full wrap finds nothing
-     (events a whole wrap ahead, clamped slots) an authoritative min-scan
-     over all bucket heads takes over, so ordering never depends on the
-     slot arithmetic being exact.
+     the bucket count and kept key-sorted within a bucket. Pop scans forward
+     from the slot of the last popped event, persisting its progress across
+     pops so empty stretches are swept once per run; if a full wrap finds
+     nothing (events a whole wrap ahead, clamped slots) an authoritative
+     min-scan over all bucket heads takes over, so ordering never depends
+     on the slot arithmetic being exact. Kept as an independent reference
+     implementation: [test_fleet_stream]'s heap ≡ calendar QCheck
+     properties pin the heap's pop order against it.
 
    Slot membership is decided by [slot_of] alone (never by recomputing
    boundaries as [slot * width], which can disagree with float division by
    an ulp), so the scan accepts a bucket head exactly when its own slot has
-   been reached — the property that makes the two backends bit-identical,
-   and what [test_fleet]'s heap ≡ calendar QCheck property pins down. *)
+   been reached — the property that makes the two backends bit-identical. *)
 
 type 'a entry = {
   e_time : float;
@@ -77,11 +81,10 @@ let heap_ensure_capacity q entry =
     q.heap <- grown
   end
 
-let heap_push q ~time ~rank payload =
+let heap_push q ~time ~rank ~seq payload =
   let entry =
-    { e_time = time; e_rank = rank; e_seq = q.hseq; e_payload = payload }
+    { e_time = time; e_rank = rank; e_seq = seq; e_payload = payload }
   in
-  q.hseq <- q.hseq + 1;
   heap_ensure_capacity q entry;
   (* sift up *)
   let i = ref q.hsize in
@@ -172,11 +175,10 @@ let rec sorted_insert e = function
   | x :: _ as l when precedes e x -> e :: l
   | x :: rest -> x :: sorted_insert e rest
 
-let cal_push cal ~time ~rank payload =
+let cal_push cal ~time ~rank ~seq payload =
   let e =
-    { e_time = time; e_rank = rank; e_seq = cal.cseq; e_payload = payload }
+    { e_time = time; e_rank = rank; e_seq = seq; e_payload = payload }
   in
-  cal.cseq <- cal.cseq + 1;
   let slot = slot_of cal time in
   let b = slot land cal.mask in
   cal.buckets.(b) <- sorted_insert e cal.buckets.(b);
@@ -239,41 +241,9 @@ let cal_pop cal =
     scan cal.cur_slot n
   end
 
-let cal_peek cal =
-  if cal.csize = 0 then None
-  else
-    match cal_min_scan cal with
-    | _, Some e -> Some e.e_time
-    | _, None -> assert false
-
 (* --- unified front -------------------------------------------------------- *)
 
 type 'a t = H of 'a heap_q | C of 'a cal_q
-
-let calendar ~horizon_s ~expected_events =
-  let expected = max 1 expected_events in
-  (* ~1 expected event per bucket: keeping buckets near-singleton makes the
-     sorted insert O(1), and the persistent pop scan makes the resulting
-     empty-slot stretches free; 2^21 * one word caps the table at ~16 MB *)
-  let n_buckets = max 256 (min (1 lsl 21) expected) in
-  let horizon =
-    if Float.is_finite horizon_s && horizon_s > 0.0 then horizon_s else 1.0
-  in
-  Calendar { width = horizon /. float_of_int n_buckets; n_buckets }
-
-(* Calendar queues win when many events spread across the horizon (the
-   dense-trace replay case); for small schedules the heap's constant
-   factor wins and nothing is at stake. Both orders are identical, so the
-   choice can never change simulation output. *)
-let auto ~horizon_s ~expected_events =
-  if
-    expected_events >= 4096
-    && Float.is_finite horizon_s
-    && horizon_s > 0.0
-  then calendar ~horizon_s ~expected_events
-  else Heap
-
-let kind_name = function Heap -> "heap" | Calendar _ -> "calendar"
 
 let create ?(kind = Heap) () =
   match kind with
@@ -281,16 +251,25 @@ let create ?(kind = Heap) () =
   | Calendar { width; n_buckets } -> C (cal_create ~width ~n_buckets)
 
 let length = function H q -> q.hsize | C q -> q.csize
-let is_empty q = length q = 0
+
+let reserve = function
+  | H h ->
+    let seq = h.hseq in
+    h.hseq <- seq + 1;
+    seq
+  | C c ->
+    let seq = c.cseq in
+    c.cseq <- seq + 1;
+    seq
+
+let push_reserved q ~time ~rank ~seq payload =
+  match q with
+  | H h -> heap_push h ~time ~rank ~seq payload
+  | C c -> cal_push c ~time ~rank ~seq payload
 
 let push q ~time ?(rank = 0) payload =
-  match q with
-  | H h -> heap_push h ~time ~rank payload
-  | C c -> cal_push c ~time ~rank payload
-
-let peek_time = function
-  | H q -> if q.hsize = 0 then None else Some q.heap.(0).e_time
-  | C c -> cal_peek c
+  let seq = reserve q in
+  push_reserved q ~time ~rank ~seq payload
 
 let pop = function H q -> heap_pop q | C c -> cal_pop c
 

@@ -8,10 +8,9 @@
     reproducible and is property-tested in [test_fleet.ml].
 
     Two backends implement the same contract with bit-identical pop order:
-    a binary min-heap (default) and a calendar queue sized for a known
-    horizon, which is O(1) amortised when events are spread densely over
-    the horizon — the trace-replay regime. Because the order is identical,
-    backend choice can never change simulation output. *)
+    a binary min-heap (the default, and the only one the simulator uses) and
+    a calendar queue, kept as an independent reference the heap's pop order
+    is property-tested against. *)
 
 type 'a t
 
@@ -21,29 +20,25 @@ type kind =
   | Heap
   | Calendar of { width : float; n_buckets : int }
 
-(** Calendar sized for [expected_events] spread over [horizon_s]
-    (~1 event per slot, slot table capped at 2^21). *)
-val calendar : horizon_s:float -> expected_events:int -> kind
-
-(** [Calendar] for dense schedules (≥ 4096 events over a finite positive
-    horizon), [Heap] otherwise. *)
-val auto : horizon_s:float -> expected_events:int -> kind
-
-val kind_name : kind -> string
-
 (** [create ()] is a heap; pass [~kind] to select a backend. *)
 val create : ?kind:kind -> unit -> 'a t
 
 val length : 'a t -> int
-val is_empty : 'a t -> bool
 
 (** [push q ~time ?rank x] schedules [x] at virtual time [time]. Among
     events with equal time, lower [rank] pops first (default [0]); equal
     (time, rank) pairs pop in insertion order. *)
 val push : 'a t -> time:float -> ?rank:int -> 'a -> unit
 
-(** Earliest scheduled time, if any. *)
-val peek_time : 'a t -> float option
+(** Take the insertion sequence number the next [push] would get, without
+    pushing anything. *)
+val reserve : 'a t -> int
+
+(** [push_reserved q ~time ~rank ~seq x] schedules [x] with a sequence
+    number obtained from [reserve]: it pops exactly where it would have,
+    had it been [push]ed at reservation time. Push each reserved number at
+    most once. *)
+val push_reserved : 'a t -> time:float -> rank:int -> seq:int -> 'a -> unit
 
 (** Remove and return the earliest event as [(time, payload)]. A drained
     queue retains no popped payload except, for the heap backend, the most

@@ -23,7 +23,9 @@ type instance = {
   mutable busy_until : float;
   mutable idle_since : float;
   mutable expires_at : float;
-  mutable generation : int;
+  mutable idle_seq : int;
+  mutable timer_seq : int;
+  mutable timer_at : float;
   mutable pending_s : float;
       (* deferred lazy-init work this instance has not resolved yet
          (ARCHITECTURE §14); 0 for eager deployments *)
@@ -36,18 +38,26 @@ module Histogram = struct
   type t = {
     buckets : int array;
     mutable total : int;
+    mutable cursor : int;  (* the bucket the last query answered *)
+    mutable upto : int;    (* observations in buckets 0 .. cursor *)
   }
 
   let bucket_count = 3600
 
-  let create () = { buckets = Array.make bucket_count 0; total = 0 }
+  let create () =
+    { buckets = Array.make bucket_count 0; total = 0; cursor = 0; upto = 0 }
 
   let observe h gap_s =
     let i = min (bucket_count - 1) (max 0 (int_of_float gap_s)) in
     h.buckets.(i) <- h.buckets.(i) + 1;
-    h.total <- h.total + 1
+    h.total <- h.total + 1;
+    if i <= h.cursor then h.upto <- h.upto + 1
 
-  (* Upper edge of the bucket containing the p-th percentile observation. *)
+  (* Upper edge of the first bucket whose cumulative count reaches the p-th
+     percentile observation. The cursor walks there from the previous
+     answer instead of rescanning from bucket 0: the pool asks for one fixed
+     percentile after every few observations, so successive answers sit
+     close together and the walk is O(1) amortised. *)
   let percentile h p =
     if h.total = 0 then 0.0
     else begin
@@ -55,17 +65,16 @@ module Histogram = struct
         int_of_float (Float.ceil (p /. 100.0 *. float_of_int h.total))
       in
       let threshold = max 1 threshold in
-      let seen = ref 0 and result = ref (float_of_int bucket_count) in
-      (try
-         for i = 0 to bucket_count - 1 do
-           seen := !seen + h.buckets.(i);
-           if !seen >= threshold then begin
-             result := float_of_int (i + 1);
-             raise Exit
-           end
-         done
-       with Exit -> ());
-      !result
+      while h.cursor > 0 && h.upto - h.buckets.(h.cursor) >= threshold do
+        h.upto <- h.upto - h.buckets.(h.cursor);
+        h.cursor <- h.cursor - 1
+      done;
+      while h.upto < threshold && h.cursor < bucket_count - 1 do
+        h.cursor <- h.cursor + 1;
+        h.upto <- h.upto + h.buckets.(h.cursor)
+      done;
+      if h.upto >= threshold then float_of_int (h.cursor + 1)
+      else float_of_int bucket_count
     end
 end
 
@@ -190,7 +199,6 @@ let acquire t ~now =
        t.observations <- t.observations + 1
      | Fixed_ttl _ | Lru _ -> ());
     inst.state <- Busy;
-    inst.generation <- inst.generation + 1;
     Some inst
 
 let spawn t ~now =
@@ -201,7 +209,9 @@ let spawn t ~now =
       busy_until = now;
       idle_since = now;
       expires_at = infinity;
-      generation = 0;
+      idle_seq = -1;
+      timer_seq = -1;
+      timer_at = infinity;
       pending_s = 0.0 }
   in
   t.next_id <- t.next_id + 1;
@@ -217,7 +227,23 @@ let evict t inst ~now =
   t.evicted <- t.evicted + 1;
   t.resident <- t.resident +. (now -. inst.born_s)
 
-let release t inst ~now =
+(* Keep-alive timers, at most one outstanding per instance. An idle
+   period's expiry is keyed (expires_at, expiry rank, idle_seq): [release]
+   reserves [idle_seq] from the event queue, so the key is the one a timer
+   pushed at release time would carry, but a timer is pushed only when none
+   is due at or before the new expiry. When the registered timer fires, an
+   instance still idle in the period it was armed for is evicted, at the
+   same key; one reused and idle again is re-armed at its current key,
+   which is no earlier (the timer was due by [expires_at], and [idle_seq]
+   is newer); a busy one arms afresh on its next release. A timer displaced
+   by an earlier expiry (an adaptive keep-alive can shrink) no longer
+   matches [timer_seq] and is ignored. *)
+
+let arm inst =
+  inst.timer_seq <- inst.idle_seq;
+  inst.timer_at <- inst.expires_at
+
+let release t inst ~now ~reserve =
   inst.state <- Idle;
   inst.idle_since <- now;
   inst.expires_at <- now +. current_keep_alive_s t;
@@ -236,23 +262,32 @@ let release t inst ~now =
        | None -> ()
      end
    | Fixed_ttl _ | Adaptive _ -> push_idle t inst);
-  inst.expires_at
-
-let reclaim t inst ~now =
-  if Hashtbl.mem t.live inst.id then begin
-    (* bump the generation so any expiry check already scheduled for this
-       instance is recognized as stale *)
-    inst.generation <- inst.generation + 1;
-    evict t inst ~now
+  if inst.expires_at = infinity then false
+  else begin
+    inst.idle_seq <- reserve ();
+    let covered = inst.timer_seq >= 0 && inst.timer_at <= inst.expires_at in
+    if not covered then arm inst;
+    not covered
   end
 
-let try_expire t inst ~generation ~now =
-  match Hashtbl.find_opt t.live inst.id with
-  | Some live
-    when live == inst && inst.state = Idle && inst.generation = generation ->
-    evict t inst ~now;
-    true
-  | _ -> false
+let reclaim t inst ~now = if Hashtbl.mem t.live inst.id then evict t inst ~now
+
+let fire t inst ~seq ~now =
+  seq = inst.timer_seq
+  && begin
+    inst.timer_seq <- -1;
+    (* [evict] sets [expires_at] to neg_infinity, and an infinite
+       keep-alive never expires *)
+    if inst.state = Busy || not (Float.is_finite inst.expires_at) then false
+    else if inst.idle_seq = seq then begin
+      evict t inst ~now;
+      false
+    end
+    else begin
+      arm inst;
+      true
+    end
+  end
 
 (* --- lazy-init pending ledger (ARCHITECTURE §14) ------------------------ *)
 

@@ -34,8 +34,10 @@ type instance = {
   mutable busy_until : float;
   mutable idle_since : float;
   mutable expires_at : float;
-  mutable generation : int;
-      (** bumped on every acquire so stale expiry checks can be ignored *)
+  mutable idle_seq : int;
+      (** event-queue seq reserved by the last finite-expiry {!release} *)
+  mutable timer_seq : int;  (** the outstanding keep-alive timer; [-1]: none *)
+  mutable timer_at : float;  (** when that timer is due *)
   mutable pending_s : float;
       (** deferred lazy-init work not yet resolved on this instance
           (ARCHITECTURE §14); 0 for eager deployments *)
@@ -45,29 +47,35 @@ type t
 
 val create : policy -> t
 
-(** The MRU idle instance whose keep-alive covers [now], marked [Busy] with
-    its generation bumped; [None] if every instance is busy or expired. *)
+(** The MRU idle instance whose keep-alive covers [now], marked [Busy];
+    [None] if every instance is busy or expired. *)
 val acquire : t -> now:float -> instance option
 
 (** Cold-start a fresh instance at [now], already [Busy]. *)
 val spawn : t -> now:float -> instance
 
-(** Request completion: the instance turns [Idle] and its policy expiry is
-    computed and returned so the caller can schedule an expiry check. Under
-    [Lru] this may immediately evict the longest-idle instance. Under
-    [Adaptive] an acquire-after-release records the observed idle gap. *)
-val release : t -> instance -> now:float -> float
+(** Request completion: the instance turns [Idle] until its policy expiry
+    [expires_at]. Under [Lru] this may immediately evict the longest-idle
+    instance. Under [Adaptive] an acquire-after-release records the observed
+    idle gap. A finite expiry draws [idle_seq] from [reserve] (the caller's
+    [Events.reserve]); the result is [true] iff the caller must push a
+    keep-alive timer at [(expires_at, expiry rank, idle_seq)], because no
+    timer is due at or before the new expiry. *)
+val release : t -> instance -> now:float -> reserve:(unit -> int) -> bool
 
 (** Forced eviction regardless of state: a crashed or platform-reclaimed
     (keep-alive churn) instance leaves the pool immediately, counting as an
     eviction and charging residency up to [now]. Safe to call on an already
-    evicted instance (no-op); any scheduled expiry check becomes stale. *)
+    evicted instance (no-op); its outstanding timer is dropped when it
+    fires. *)
 val reclaim : t -> instance -> now:float -> unit
 
-(** Expiry check: evicts and returns [true] iff the instance is still live,
-    still idle, and [generation] matches (it was not reused since the check
-    was scheduled). *)
-val try_expire : t -> instance -> generation:int -> now:float -> bool
+(** The keep-alive timer [seq] fired at [now]: evicts the instance if it is
+    still idle in the period the timer was armed for. [true] iff it was
+    reused and is idle again, so the caller must push the timer anew at
+    [(expires_at, expiry rank, idle_seq)]. Busy or evicted instances and
+    displaced timers are left alone. *)
+val fire : t -> instance -> seq:int -> now:float -> bool
 
 val live_count : t -> int
 val peak_live : t -> int
@@ -81,6 +89,19 @@ val drain : t -> unit
 
 (** The TTL the policy would hand out right now (adaptive introspection). *)
 val current_keep_alive_s : t -> float
+
+(** The adaptive policy's idle-gap histogram (1 s buckets, the last one
+    absorbing every longer gap). [percentile h p] is the upper edge of the
+    first bucket whose cumulative count reaches the [p]-th percentile
+    observation: [0] when empty, [bucket_count] when none does. *)
+module Histogram : sig
+  type t
+
+  val bucket_count : int
+  val create : unit -> t
+  val observe : t -> float -> unit
+  val percentile : t -> float -> float
+end
 
 (** {1 Lazy-init pending ledger (ARCHITECTURE §14)}
 

@@ -339,9 +339,9 @@ end
 
 (* One app, streamed end to end: the router emits each record into the
    accumulator and nothing per-request survives the call. *)
-let run_stream ?pricing ?queue cfg trace =
+let run_stream ?pricing cfg trace =
   let st = Stream.create ?pricing cfg in
-  let totals = Router.run_with ?queue ~emit:(Stream.observe st) cfg trace in
+  let totals = Router.run_with ~emit:(Stream.observe st) cfg trace in
   Stream.absorb_totals st totals;
   st
 

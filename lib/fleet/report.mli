@@ -83,7 +83,6 @@ end
     never retained. Engine totals are already absorbed. *)
 val run_stream :
   ?pricing:Platform.Pricing.t ->
-  ?queue:Events.kind ->
   Router.config ->
   Platform.Trace.t ->
   Stream.t

@@ -153,8 +153,7 @@ type event =
   | Retry of req
   | Hedge of req
   | Timeout of req * int               (* attempt at scheduling time *)
-  | Expire of Pool.instance * int      (* generation at scheduling time *)
-  | Fb_expire of Pool.instance * int
+  | Expire of Pool.t * Pool.instance * int  (* keep-alive timer, its seq *)
 
 (* Trace arrivals get a rank of their own, strictly below every event the
    simulation schedules at the same instant and the same old tier (retries,
@@ -168,7 +167,7 @@ let rank = function
   | Arrival _ -> 1
   | Fb_arrival _ | Retry _ | Hedge _ -> 2
   | Timeout _ -> 3
-  | Expire _ | Fb_expire _ -> 4
+  | Expire _ -> 4
 
 let outcome_label = function
   | Served k -> "served-" ^ start_kind_name k
@@ -197,18 +196,13 @@ let run_stride = 1_000_000
 
 (* --- the simulation ------------------------------------------------------ *)
 
-(* Pick an event-queue backend for a trace: all arrivals are enqueued up
-   front, so the expected population is roughly the arrival count plus the
-   completion/expiry churn riding on it. The horizon gets headroom because
-   completions and keep-alive expiries outlive the last arrival. Backend
-   choice can never change output — both backends pop in the same order. *)
-let queue_kind_for (trace : Platform.Trace.t) =
-  Events.auto
-    ~horizon_s:(1.25 *. Platform.Trace.duration_s trace)
-    ~expected_events:(2 * Platform.Trace.length trace)
+(* Every trace runs on the heap. Arrivals are fed one at a time and each
+   instance has at most one keep-alive timer outstanding (see [Pool]), so
+   the queue holds only in-flight work and live instances' timers — a
+   population too small for a calendar queue to pay off. *)
+let queue_kind_for (_ : Platform.Trace.t) = Events.Heap
 
-let run_with ?queue ~(emit : record -> unit) cfg (trace : Platform.Trace.t) :
-  totals =
+let run_with ~(emit : record -> unit) cfg (trace : Platform.Trace.t) : totals =
   Faults.validate cfg.faults;
   Resilience.validate cfg.resilience;
   let sink = Obs.Span.installed () in
@@ -216,8 +210,6 @@ let run_with ?queue ~(emit : record -> unit) cfg (trace : Platform.Trace.t) :
   let run_base =
     if traced then run_stride * Obs.Span.fresh_track sink else 0
   in
-  let attempt_track inst = run_base + 100_000 + inst.Pool.id in
-  let fb_attempt_track inst = run_base + 200_000 + inst.Pool.id in
   let free_lanes = ref [] in
   let next_lane = ref 0 in
   let alloc_lane () =
@@ -231,11 +223,15 @@ let run_with ?queue ~(emit : record -> unit) cfg (trace : Platform.Trace.t) :
   in
   (* an attempt's extent is known the moment it is scheduled: emit the span
      immediately with both endpoints *)
-  let attempt_span ~track ~name ~start_s ~end_s ~(r : req) ~result =
+  let attempt_span ?(fb = false) inst ~kind ~start_s ~end_s ~r ~result =
     if traced then begin
+      let track, prefix =
+        if fb then (run_base + 200_000 + inst.Pool.id, "fb-attempt:")
+        else (run_base + 100_000 + inst.Pool.id, "attempt:")
+      in
       let sp =
         Obs.Span.begin_ sink ~domain:Obs.Span.domain_fleet ~track ~cat:"fleet"
-          ~name ~ts_ms:(start_s *. 1000.0)
+          ~name:(prefix ^ start_kind_name kind) ~ts_ms:(start_s *. 1000.0)
       in
       Obs.Span.end_ sp
         ~attrs:
@@ -245,11 +241,15 @@ let run_with ?queue ~(emit : record -> unit) cfg (trace : Platform.Trace.t) :
         ~ts_ms:(end_s *. 1000.0)
     end
   in
-  let queue_kind =
-    match queue with Some k -> k | None -> queue_kind_for trace
-  in
-  let q : event Events.t = Events.create ~kind:queue_kind () in
+  let q : event Events.t = Events.create () in
   let push ~time ev = Events.push q ~time ~rank:(rank ev) ev in
+  let reserve () = Events.reserve q in
+  (* push [inst]'s keep-alive timer at its idle period's expiry key *)
+  let arm pool inst =
+    let seq = inst.Pool.idle_seq in
+    let ev = Expire (pool, inst, seq) in
+    Events.push_reserved q ~time:inst.Pool.expires_at ~rank:(rank ev) ~seq ev
+  in
   let pool = Pool.create cfg.policy in
   let fb_pool =
     match cfg.fallback with
@@ -371,9 +371,7 @@ let run_with ?queue ~(emit : record -> unit) cfg (trace : Platform.Trace.t) :
       r.touch_s <- touch;
       let finish = now +. service_s cfg.profile kind +. touch in
       inst.Pool.busy_until <- finish;
-      attempt_span ~track:(attempt_track inst)
-        ~name:("attempt:" ^ start_kind_name kind) ~start_s:now ~end_s:finish
-        ~r ~result:"ok";
+      attempt_span inst ~kind ~start_s:now ~end_s:finish ~r ~result:"ok";
       push ~time:finish (Complete (r, inst))
     | Faults.Init_failure ->
       (* only drawn for cold starts: init runs to its end, fails, and the
@@ -382,8 +380,7 @@ let run_with ?queue ~(emit : record -> unit) cfg (trace : Platform.Trace.t) :
         now +. cfg.profile.instance_init_s +. cfg.profile.func_init_s
       in
       inst.Pool.busy_until <- t_fail;
-      attempt_span ~track:(attempt_track inst)
-        ~name:("attempt:" ^ start_kind_name kind) ~start_s:now ~end_s:t_fail
+      attempt_span inst ~kind ~start_s:now ~end_s:t_fail
         ~r ~result:(failure_name Init_failed);
       push ~time:t_fail
         (Fault_hit (r, attempt, inst, Init_failed,
@@ -410,8 +407,7 @@ let run_with ?queue ~(emit : record -> unit) cfg (trace : Platform.Trace.t) :
          | Warm -> 0.0)
         +. (1000.0 *. after_fraction *. cfg.profile.exec_s)
       in
-      attempt_span ~track:(attempt_track inst)
-        ~name:("attempt:" ^ start_kind_name kind) ~start_s:now ~end_s:t_crash
+      attempt_span inst ~kind ~start_s:now ~end_s:t_crash
         ~r ~result:(failure_name Crashed);
       push ~time:t_crash (Fault_hit (r, attempt, inst, Crashed, billed))
     | Faults.Transient_error ->
@@ -419,8 +415,7 @@ let run_with ?queue ~(emit : record -> unit) cfg (trace : Platform.Trace.t) :
       Pool.consume_pending inst touch;
       let finish = now +. service_s cfg.profile kind +. touch in
       inst.Pool.busy_until <- finish;
-      attempt_span ~track:(attempt_track inst)
-        ~name:("attempt:" ^ start_kind_name kind) ~start_s:now ~end_s:finish
+      attempt_span inst ~kind ~start_s:now ~end_s:finish
         ~r ~result:(failure_name Errored);
       push ~time:finish
         (Fault_hit (r, attempt, inst, Errored,
@@ -506,16 +501,14 @@ let run_with ?queue ~(emit : record -> unit) cfg (trace : Platform.Trace.t) :
          push ~time:(now +. fb.fb_setup_s) (Fb_arrival r))
   in
   (* releasing an instance back to its pool, unless churn reclaims it *)
-  let release_and_schedule pool inst ~now ~expire =
-    let expiry = Pool.release pool inst ~now in
-    if expiry < infinity then
-      push ~time:expiry (expire inst inst.Pool.generation)
+  let release_and_schedule pool inst ~now =
+    if Pool.release pool inst ~now ~reserve then arm pool inst
   in
   let release_primary (r : req) inst ~now =
     if Faults.churned cfg.faults ~fb:false ~req:r.idx ~attempt:r.attempt then
       Pool.reclaim pool inst ~now
     else
-      release_and_schedule pool inst ~now ~expire:(fun i g -> Expire (i, g))
+      release_and_schedule pool inst ~now
   in
   (* a failed attempt: consume a retry if the budget and the request's
      timeout budget allow, otherwise the failure is final *)
@@ -616,18 +609,15 @@ let run_with ?queue ~(emit : record -> unit) cfg (trace : Platform.Trace.t) :
          in
          let finish = now +. service_s fb.fb_profile kind in
          inst.Pool.busy_until <- finish;
-         attempt_span ~track:(fb_attempt_track inst)
-           ~name:("fb-attempt:" ^ start_kind_name kind) ~start_s:now
-           ~end_s:finish ~r ~result:"ok";
+         attempt_span ~fb:true inst ~kind ~start_s:now ~end_s:finish ~r
+           ~result:"ok";
          push ~time:finish (Fb_complete (r, inst, kind))
        | Fb_complete (r, inst, fb_kind) ->
          let fb = Option.get cfg.fallback in
          let fbp = Option.get fb_pool in
          if Faults.churned cfg.faults ~fb:true ~req:r.idx ~attempt:r.attempt
          then Pool.reclaim fbp inst ~now
-         else
-           release_and_schedule fbp inst ~now
-             ~expire:(fun i g -> Fb_expire (i, g));
+         else release_and_schedule fbp inst ~now;
          let fb_billed = billed_ms fb.fb_profile fb_kind in
          if r.shed then
            finalize r ~start:r.start ~finish:now ~outcome:(Shed fb_kind)
@@ -646,12 +636,15 @@ let run_with ?queue ~(emit : record -> unit) cfg (trace : Platform.Trace.t) :
            finalize r ~start:now ~finish:now ~outcome:Timed_out
              ~billed:r.acc_billed_ms ~fb_billed:0.0
          end
-       | Expire (inst, generation) ->
-         ignore (Pool.try_expire pool inst ~generation ~now);
-         drain_pending ~now
-       | Fb_expire (inst, generation) ->
-         let fbp = Option.get fb_pool in
-         ignore (Pool.try_expire fbp inst ~generation ~now));
+       | Expire (p, inst, seq) ->
+         (* A timer never drains the pending queue. Between handlers no
+            request waits while capacity is free: every event that frees
+            capacity (completion, fault) drains, and arrivals, retries and
+            hedges take free capacity before they queue. An instance idle
+            until its expiry was such free capacity, so nothing waits when
+            it is evicted — the per-release expiries these timers replace
+            drained nothing, stale or not. *)
+         if Pool.fire p inst ~seq ~now then arm p inst);
       loop ()
   in
   loop ();
@@ -670,7 +663,7 @@ let run_with ?queue ~(emit : record -> unit) cfg (trace : Platform.Trace.t) :
 (* Record mode: every arrival finalizes exactly once with [req] equal to
    its trace index, so the records slot straight into a pre-sized array —
    no accumulation list, no final sort. *)
-let run ?queue cfg (trace : Platform.Trace.t) : result =
+let run cfg (trace : Platform.Trace.t) : result =
   let n = Platform.Trace.length trace in
   let dummy =
     { req = -1; arrival_s = 0.0; start_s = 0.0; finish_s = 0.0; wait_s = 0.0;
@@ -684,7 +677,7 @@ let run ?queue cfg (trace : Platform.Trace.t) : result =
     slots.(r.req) <- r;
     incr emitted
   in
-  let t = run_with ?queue ~emit cfg trace in
+  let t = run_with ~emit cfg trace in
   assert (!emitted = n);
   { records = (if n = 0 then [] else Array.to_list slots);
     peak_instances = t.peak;

@@ -132,9 +132,8 @@ type result = {
   events_processed : int;
 }
 
-(** Event-queue backend {!run} and {!run_with} select when [?queue] is
-    omitted: a calendar queue for dense traces, a heap otherwise. Both pop
-    in the same order, so the choice never changes simulation output. *)
+(** Event-queue backend {!run} and {!run_with} use for a trace: always
+    [Events.Heap]. *)
 val queue_kind_for : Platform.Trace.t -> Events.kind
 
 (** Streaming mode: run the trace to completion, handing each finalized
@@ -147,7 +146,6 @@ val queue_kind_for : Platform.Trace.t -> Events.kind
     Raises [Invalid_argument] if the fault or resilience config is out of
     range, or if a breaker is configured without a fallback. *)
 val run_with :
-  ?queue:Events.kind ->
   emit:(record -> unit) ->
   config ->
   Platform.Trace.t ->
@@ -156,4 +154,4 @@ val run_with :
 (** Record mode: {!run_with} collecting records into a pre-sized array
     indexed by arrival, returned in arrival order. Same validation
     behaviour as {!run_with}. *)
-val run : ?queue:Events.kind -> config -> Platform.Trace.t -> result
+val run : config -> Platform.Trace.t -> result

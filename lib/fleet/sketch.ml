@@ -55,7 +55,8 @@ let add t v =
   end
   else begin
     let v = Float.max 0.0 v in
-    t.counts.(bucket_of v) <- t.counts.(bucket_of v) + 1;
+    let b = bucket_of v in
+    t.counts.(b) <- t.counts.(b) + 1;
     t.n <- t.n + 1;
     t.sum <- t.sum +. v;
     if v < t.mn then t.mn <- v;

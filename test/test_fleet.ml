@@ -1,6 +1,6 @@
-(* Fleet simulator: event-queue ordering, eviction policies, bounded queue,
-   fallback re-invocation, and parity with the analytic single-instance
-   replay. *)
+(* Fleet simulator: event-queue ordering, eviction policies, the adaptive
+   idle-gap histogram, bounded queue, fallback re-invocation, parity with
+   the analytic single-instance replay, and pinned whole-run output. *)
 
 open Fleet
 
@@ -161,6 +161,69 @@ let policies =
             (Pool.Adaptive { min_s = 5.0; max_s = 20.0; percentile = 99.0 })
         in
         Alcotest.(check (pair int int)) "all cold" (20, 0) (run_kinds cfg t)) ]
+
+(* --- adaptive idle-gap histogram ------------------------------------------ *)
+
+(* The reference: rescan the buckets from 0 on every query. *)
+let scan_percentile buckets total p =
+  if total = 0 then 0.0
+  else begin
+    let threshold =
+      max 1 (int_of_float (Float.ceil (p /. 100.0 *. float_of_int total)))
+    in
+    let n = Array.length buckets in
+    let rec go i seen =
+      if i = n then float_of_int n
+      else
+        let seen = seen + buckets.(i) in
+        if seen >= threshold then float_of_int (i + 1) else go (i + 1) seen
+    in
+    go 0 0
+  end
+
+type hist_op = Observe of float | Query of float
+
+let hist_op_gen =
+  QCheck.Gen.(
+    frequency
+      [ (3, map (fun g -> Observe g) (float_range 0.0 120.0));
+        (1, map (fun g -> Observe g) (float_range (-5.0) 3700.0));
+        (1, map (fun g -> Observe g) (float_range 3600.0 20_000.0));
+        (2, map (fun p -> Query p) (float_range 0.0 100.0));
+        (1, map (fun p -> Query p) (oneofl [ 0.0; 50.0; 99.0; 100.0 ])) ])
+
+let hist_ops_arb =
+  QCheck.make
+    ~print:
+      QCheck.Print.(
+        list (function
+          | Observe g -> Printf.sprintf "observe %g" g
+          | Query p -> Printf.sprintf "query %g" p))
+    QCheck.Gen.(list_size (int_bound 300) hist_op_gen)
+
+let histogram =
+  [ QCheck_alcotest.to_alcotest ~verbose:false
+      (QCheck.Test.make ~count:300
+         ~name:"cursor percentile = full bucket scan" hist_ops_arb
+         (fun ops ->
+            let h = Pool.Histogram.create () in
+            let buckets = Array.make Pool.Histogram.bucket_count 0 in
+            let total = ref 0 in
+            List.for_all
+              (function
+                | Observe g ->
+                  Pool.Histogram.observe h g;
+                  let i =
+                    min (Pool.Histogram.bucket_count - 1)
+                      (max 0 (int_of_float g))
+                  in
+                  buckets.(i) <- buckets.(i) + 1;
+                  incr total;
+                  true
+                | Query p ->
+                  Pool.Histogram.percentile h p
+                  = scan_percentile buckets !total p)
+              ops)) ]
 
 (* --- bounded queue and timeouts ------------------------------------------ *)
 
@@ -402,7 +465,152 @@ let report =
         Alcotest.(check (float 1e-12)) "p99 total on empty" 0.0 s.Report.p99_ms;
         Alcotest.(check (float 1e-12)) "cost" 0.0 s.Report.cost_usd) ]
 
+(* --- characterization: pinned router output ------------------------------ *)
+
+(* Digests of whole [Router.run] results on tie-heavy configs: integer
+   arrival and service times make releases, expiries, arrivals, timeouts
+   and completions land on the same instants, so any change to the
+   (time, rank, seq) order the loop resolves them in shows up here. The
+   event count is deliberately left out: it measures how much work the
+   loop does, not what it computes. *)
+
+let int_trace ~seed ~n ~span =
+  let rng = Random.State.make [| seed |] in
+  Platform.Trace.make ~name:(Printf.sprintf "int-%d" seed)
+    (List.init n (fun _ -> float_of_int (Random.State.int rng span)))
+
+let outcome_key = function
+  | Router.Served k -> "s" ^ Router.start_kind_name k
+  | Router.Fallback_served { trimmed; original } ->
+    "f" ^ Router.start_kind_name trimmed ^ Router.start_kind_name original
+  | Router.Shed k -> "x" ^ Router.start_kind_name k
+  | Router.Rejected -> "rej"
+  | Router.Timed_out -> "t/o"
+  | Router.Failed f -> "fail-" ^ Router.failure_name f
+
+let result_digest (res : Router.result) =
+  let b = Buffer.create 4096 in
+  List.iter
+    (fun (r : Router.record) ->
+       Printf.bprintf b "%d %h %h %h %h %h %s %h %h %d %b\n" r.Router.req
+         r.Router.arrival_s r.Router.start_s r.Router.finish_s r.Router.wait_s
+         r.Router.e2e_s (outcome_key r.Router.outcome) r.Router.billed_ms
+         r.Router.fb_billed_ms r.Router.attempts r.Router.hedged)
+    res.Router.records;
+  Printf.bprintf b "%d %h %d %d %h" res.Router.peak_instances
+    res.Router.resident_instance_s res.Router.evictions
+    res.Router.fb_peak_instances res.Router.fb_resident_instance_s;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let int_profile ~exec_s ~init_s =
+  { Router.exec_s; func_init_s = init_s; instance_init_s = init_s;
+    memory_mb = 256.0 }
+
+let int_fallback ~rate ~seed =
+  { (Scenario.fallback ~rate ~seed
+       ~original:(int_profile ~exec_s:2.0 ~init_s:1.0)
+       ~policy:(Pool.Fixed_ttl { keep_alive_s = 4.0 }) ())
+    with
+    Router.fb_setup_s = 1.0 }
+
+let int_faults seed =
+  { Faults.seed; init_failure_rate = 0.1; crash_rate = 0.05;
+    transient_error_rate = 0.1; churn_rate = 0.05 }
+
+let full_resilience =
+  { Resilience.retry = Some Resilience.default_retry;
+    request_timeout_s = 30.0;
+    breaker =
+      Some
+        { Resilience.Breaker.error_threshold = 0.3; window = 10;
+          min_samples = 5; cooldown_s = 20.0 };
+    hedge = Some { Resilience.hedge_delay_s = 1.0 } }
+
+(* (name, config, trace, digest of its Router.run) *)
+let characterized =
+  let dense = int_trace ~seed:1 ~n:400 ~span:200 in
+  let sparse = int_trace ~seed:2 ~n:120 ~span:600 in
+  let bursty = int_trace ~seed:3 ~n:300 ~span:60 in
+  let p ?(exec_s = 1.0) ?(init_s = 1.0) () = int_profile ~exec_s ~init_s in
+  [ ("fixed-ttl dense",
+     config ~profile:(p ()) (Pool.Fixed_ttl { keep_alive_s = 5.0 }),
+     dense, "d68ecfbbe1efc61982e672a6c394455f");
+    ("fixed-ttl zero keep-alive",
+     config ~profile:(p ~exec_s:2.0 ())
+       (Pool.Fixed_ttl { keep_alive_s = 0.0 }),
+     dense, "6517a1ef7049eab156fc84bb1c2cd132");
+    ("fixed-ttl capped, pending + timeouts",
+     config ~max_instances:2 ~max_pending:20 ~pending_timeout_s:3.0
+       ~profile:(p ~exec_s:2.0 ()) (Pool.Fixed_ttl { keep_alive_s = 3.0 }),
+     bursty, "f110f261c452e2ae8549aa065afb7bf1");
+    ("lru max_idle 0",
+     config ~profile:(p ()) (Pool.Lru { keep_alive_s = 4.0; max_idle = 0 }),
+     dense, "16a772da79c3bdadea3d1f98b6f5c661");
+    ("lru max_idle 1, capped",
+     config ~max_instances:3 ~max_pending:5 ~pending_timeout_s:6.0
+       ~profile:(p ~exec_s:2.0 ())
+       (Pool.Lru { keep_alive_s = 6.0; max_idle = 1 }),
+     bursty, "e74c5575304d02102be7e333e52374bb");
+    ("adaptive p50",
+     config ~profile:(p ())
+       (Pool.Adaptive { min_s = 1.0; max_s = 10.0; percentile = 50.0 }),
+     dense, "93a350a48e5cbc95317d2bdf1e914739");
+    ("adaptive p90 capped, timeouts, faults without retries",
+     config ~max_instances:2 ~max_pending:4 ~pending_timeout_s:5.0
+       ~faults:(int_faults 11) ~profile:(p ~exec_s:2.0 ())
+       (Pool.Adaptive { min_s = 0.0; max_s = 20.0; percentile = 90.0 }),
+     sparse, "973b50a4c0db9e17a10b4270ee441d80");
+    ("adaptive p100 with churn",
+     config ~faults:{ Faults.none with Faults.seed = 9; churn_rate = 0.2 }
+       ~profile:(p ())
+       (Pool.Adaptive { min_s = 2.0; max_s = 30.0; percentile = 100.0 }),
+     bursty, "b002d0bea9290a5e82fedea895ceefa8");
+    ("fixed-ttl faults + retry + hedge + breaker + fallback",
+     config ~fallback:(int_fallback ~rate:0.3 ~seed:4) ~faults:(int_faults 5)
+       ~resilience:full_resilience ~profile:(p ())
+       (Pool.Fixed_ttl { keep_alive_s = 5.0 }),
+     dense, "02ce17a549fbc548b2158b41f39aca10");
+    ("lru max_idle 1 faults + retries, capped",
+     config ~max_instances:3 ~max_pending:6 ~pending_timeout_s:8.0
+       ~faults:(int_faults 6)
+       ~resilience:{ Resilience.none with
+                     Resilience.retry = Some Resilience.default_retry }
+       ~profile:(p ()) (Pool.Lru { keep_alive_s = 5.0; max_idle = 1 }),
+     bursty, "0addbf25cfa851c4d2f6dbea370c7381");
+    ("adaptive faults + full resilience, capped",
+     config ~max_instances:4 ~max_pending:8 ~pending_timeout_s:6.0
+       ~fallback:(int_fallback ~rate:0.2 ~seed:7) ~faults:(int_faults 8)
+       ~resilience:full_resilience ~profile:(p ())
+       (Pool.Adaptive { min_s = 1.0; max_s = 15.0; percentile = 75.0 }),
+     dense, "00fd53e80344471b6a13998b81e74a38");
+    ("fixed-ttl lazy preload + fallback",
+     config ~fallback:(int_fallback ~rate:0.1 ~seed:10)
+       ~lazy_load:{ Router.lz_deferred_s = 3.0; lz_first_touch_s = 1.0;
+                    lz_preload = true }
+       ~profile:(p ()) (Pool.Fixed_ttl { keep_alive_s = 6.0 }),
+     sparse, "73c3919b2881477d5aa7d2bd945fa0c7") ]
+
+let characterization =
+  List.map
+    (fun (name, cfg, trace, expected) ->
+       Alcotest.test_case name `Quick (fun () ->
+           Alcotest.(check string) "result digest" expected
+             (result_digest (Router.run cfg trace))))
+    characterized
+  @ [ Alcotest.test_case "dense trace: one keep-alive timer per instance"
+        `Quick (fun () ->
+          (* pushing an expiry on every release costs one arrival, one
+             completion and one expiry per request: 1200 events on the
+             first config's 400 requests *)
+          let _, cfg, trace, _ = List.hd characterized in
+          let events = (Router.run cfg trace).Router.events_processed in
+          Alcotest.(check bool)
+            (Printf.sprintf "%d events < 1200" events)
+            true (events < 1200)) ]
+
 let suite =
   [ ("fleet.events", events); ("fleet.policies", policies);
-    ("fleet.queueing", queueing); ("fleet.fallback", fallback);
-    ("fleet.replay_parity", replay_parity); ("fleet.report", report) ]
+    ("fleet.histogram", histogram); ("fleet.queueing", queueing);
+    ("fleet.fallback", fallback); ("fleet.replay_parity", replay_parity);
+    ("fleet.report", report);
+    ("fleet.characterization", characterization) ]

@@ -391,16 +391,15 @@ let sharded =
                merged)
         in
         Alcotest.(check bool) "globally ordered" true sorted);
-    Alcotest.test_case "auto queue kind follows density" `Quick (fun () ->
-        Alcotest.(check string) "dense is calendar" "calendar"
-          (Events.kind_name
-             (Events.auto ~horizon_s:1000.0 ~expected_events:100_000));
-        Alcotest.(check string) "sparse is heap" "heap"
-          (Events.kind_name
-             (Events.auto ~horizon_s:1000.0 ~expected_events:100));
-        Alcotest.(check string) "infinite horizon is heap" "heap"
-          (Events.kind_name
-             (Events.auto ~horizon_s:infinity ~expected_events:100_000))) ]
+    Alcotest.test_case "every trace runs on the heap" `Quick (fun () ->
+        List.iter
+          (fun trace ->
+             Alcotest.(check bool) trace.Platform.Trace.trace_name true
+               (Router.queue_kind_for trace = Events.Heap))
+          [ Platform.Trace.poisson ~seed:1 ~rate_per_s:100.0
+              ~duration_s:1000.0 ~name:"dense";
+            Platform.Trace.periodic ~period_s:10.0 ~count:10 ~name:"sparse";
+            Platform.Trace.make ~name:"empty" [] ]) ]
 
 let suite =
   [ ("fleet-stream: event-queue properties", qcheck_suite);

@@ -416,7 +416,7 @@ let fleet_tests =
         Alcotest.(check (float 1e-12)) "set" 2.0 (Pool.pending_s inst);
         Pool.consume_pending inst 0.5;
         Alcotest.(check (float 1e-12)) "consume" 1.5 (Pool.pending_s inst);
-        ignore (Pool.release p inst ~now:10.0);
+        ignore (Pool.release p inst ~now:10.0 ~reserve:(fun () -> 0));
         Pool.preload_idle p inst ~now:10.9;
         Alcotest.(check (float 1e-9)) "idle gap resolved" 0.6
           (Pool.pending_s inst);
