@@ -70,25 +70,6 @@ let substrate_tests =
           fun () ->
             let t = Minipy.Interp.create (Minipy.Vfs.create ()) in
             Minipy.Interp.exec_main t (Lazy.force prog)));
-    (* same workload on the bytecode VM; the compile memo hits after the
-       first run, so this times steady-state dispatch *)
-    Test.make ~name:"interp.exec_fib_vm"
-      (Staged.stage
-         (let prog =
-            lazy
-              (Minipy.Parser.parse ~file:"<b>"
-                 "def fib(n):\n\
-                 \  if n < 2:\n\
-                 \    return n\n\
-                 \  return fib(n - 1) + fib(n - 2)\n\
-                  r = fib(12)\n")
-          in
-          fun () ->
-            let t =
-              Minipy.Backend.create ~choice:Minipy.Backend.Vm
-                (Minipy.Vfs.create ())
-            in
-            Minipy.Interp.exec_main t (Lazy.force prog)));
     Test.make ~name:"importer.cold_import"
       (Staged.stage (fun () ->
            let t =
@@ -136,20 +117,6 @@ let experiment_tests =
            Trim.Debloater.debloat_module ~oracle
              ~protected:Trim.Debloater.String_set.empty d
              ~module_name:"tinylib"));
-    (* the same DD run with every probe interpreter on the bytecode VM —
-       the oracle and its sims read the process-wide backend *)
-    Test.make ~name:"table3.debloat_module_vm"
-      (Staged.stage (fun () ->
-           Minipy.Backend.configure Minipy.Backend.Vm;
-           Fun.protect
-             ~finally:(fun () ->
-                 Minipy.Backend.configure Minipy.Backend.Treewalk)
-             (fun () ->
-                let d = Lazy.force tiny in
-                let oracle, _ = Trim.Oracle.for_reference d in
-                Trim.Debloater.debloat_module ~oracle
-                  ~protected:Trim.Debloater.String_set.empty d
-                  ~module_name:"tinylib")));
     (* Figure 10: the DD search itself at a larger component count *)
     Test.make ~name:"fig10.dd_minimize_64"
       (Staged.stage
@@ -974,30 +941,6 @@ let write_json path rows e2e fleet_meps par
        j1 j4 (if j4 > 0.0 then j1 /. j4 else 0.0)
    | None -> ());
   out "\n  },\n";
-  (* headline derived metric: bytecode VM vs the reference tree-walker on
-     the same kernels (micro rows above; recorded here as a ratio so the
-     perf trajectory tracks the backend, not host noise) *)
-  let vm_pairs =
-    List.filter_map
-      (fun (key, tw_name, vm_name) ->
-         match ns_of rows tw_name, ns_of rows vm_name with
-         | Some tw, Some vm when vm > 0.0 ->
-           Some
-             (Printf.sprintf
-                "    \"%s\": { \"treewalk_ns\": %.1f, \"vm_ns\": %.1f, \
-                 \"speedup\": %.2f }"
-                key tw vm (tw /. vm))
-         | _ -> None)
-      [ ("interp_exec_fib", "lambda-trim interp.exec_fib",
-         "lambda-trim interp.exec_fib_vm");
-        ("table3_debloat_module", "lambda-trim table3.debloat_module",
-         "lambda-trim table3.debloat_module_vm") ]
-  in
-  if vm_pairs <> [] then begin
-    out "  \"vm_speedup\": {\n";
-    out "%s" (String.concat ",\n" vm_pairs);
-    out "\n  },\n"
-  end;
   (* durability tax: journaled vs unjournaled DD on the same module with the
      observation memo off (kernels above); must stay below 5% wall *)
   (match

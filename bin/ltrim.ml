@@ -16,9 +16,13 @@ let setup_logs verbose =
   Logs.set_reporter (Logs_fmt.reporter ());
   Logs.set_level (Some (if verbose then Logs.Info else Logs.Warning))
 
+(* Application names parse against the suite, so an unknown name is a
+   usage error (exit 124) that lists the known apps. *)
+let app_conv = Arg.enum (List.map (fun n -> (n, n)) Workloads.Suite.names)
+
 let app_arg =
   let doc = "Application name (see `ltrim list`)." in
-  Arg.(required & pos 0 (some string) None & info [] ~docv:"APP" ~doc)
+  Arg.(required & pos 0 (some app_conv) None & info [] ~docv:"APP" ~doc)
 
 let verbose_flag =
   Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Verbose pipeline logging.")
@@ -61,27 +65,6 @@ let setup_shards shards =
     exit 2
   end;
   Fleet.Sharded.default_shards := shards
-
-let backend_conv =
-  let parse s =
-    match Minipy.Backend.of_string s with
-    | Some c -> Ok c
-    | None ->
-      Error (`Msg (Printf.sprintf
-                     "unknown backend %S (expected treewalk, vm, or compare)" s))
-  in
-  let print ppf c = Format.pp_print_string ppf (Minipy.Backend.to_string c) in
-  Arg.conv (parse, print)
-
-let backend_arg =
-  Arg.(value & opt backend_conv Minipy.Backend.Treewalk
-       & info [ "backend" ] ~docv:"ENGINE"
-           ~doc:"Execution engine: $(b,treewalk) (the reference evaluator), \
-                 $(b,vm) (bytecode compiler + stack VM), or $(b,compare) \
-                 (run both and fail on any divergence). Virtual-time and \
-                 byte-ledger measurements are backend-invariant: committed \
-                 results are bit-identical across engines, only wall-clock \
-                 columns change.")
 
 let optimizer_conv =
   let parse s =
@@ -194,11 +177,8 @@ let load_baseline = function
          "baseline %s is missing or invalid; running cold\n%!" path;
        None)
 
-(* Install the process-wide execution engine every interpreter construction
-   reads. Call before any work, like [setup_jobs]. *)
-let setup_backend backend = Minipy.Backend.configure backend
-
-(* Install the process-wide optimizer family, next to [setup_backend]. *)
+(* Install the process-wide optimizer family. Call before any work, like
+   [setup_jobs]. *)
 let setup_optimizer optimizer = Trim.Optimizer.configure optimizer
 
 (* Install the process-wide pool the pipeline and the experiment registry
@@ -287,8 +267,7 @@ let analyze_cmd =
 (* --- profile ------------------------------------------------------------- *)
 
 let profile_cmd =
-  let run app scoring backend =
-    setup_backend backend;
+  let run app scoring =
     let method_ = Trim.Scoring.method_of_string scoring in
     let d = Workloads.Suite.deployment_of app in
     let p = Trim.Profiler.profile d in
@@ -306,15 +285,14 @@ let profile_cmd =
   Cmd.v
     (Cmd.info "profile"
        ~doc:"Profile per-module marginal import time/memory and rank them.")
-    Term.(const run $ app_arg $ scoring_arg $ backend_arg)
+    Term.(const run $ app_arg $ scoring_arg)
 
 (* --- debloat ------------------------------------------------------------- *)
 
 let debloat_cmd =
-  let run app k scoring verbose jobs trace backend optimizer journal resume
+  let run app k scoring verbose jobs trace optimizer journal resume
       oracle_retries quarantine_report memo_dir memo_cap baseline_path
       manifest_path =
-    setup_backend backend;
     setup_optimizer optimizer;
     setup_jobs jobs;
     setup_memo memo_dir memo_cap;
@@ -381,7 +359,7 @@ let debloat_cmd =
        ~doc:"Optimize an application: run the selected $(b,--optimizer) \
              family (λ-trim DD debloating by default).")
     Term.(const run $ app_arg $ k_arg $ scoring_arg $ verbose_flag $ jobs_arg
-          $ trace_arg $ backend_arg $ optimizer_arg $ journal_arg
+          $ trace_arg $ optimizer_arg $ journal_arg
           $ resume_flag $ oracle_retries_arg $ quarantine_report_arg
           $ memo_dir_arg $ memo_cap_arg $ baseline_arg $ manifest_arg)
 
@@ -391,17 +369,6 @@ let invoke_cmd =
   let trimmed_flag =
     Arg.(value & flag & info [ "trimmed" ]
            ~doc:"Invoke the optimized application (per $(b,--optimizer)).")
-  in
-  (* the strict canonicalization compare mode diffs: every float exact *)
-  let record_strict (r : Platform.Lambda_sim.record) =
-    Printf.sprintf
-      "%s init=%.17g exec=%.17g e2e=%.17g billed=%.17g mem=%.17g cost=%.17g \
-       out=%S"
-      (Platform.Lambda_sim.start_kind_name r.Platform.Lambda_sim.kind)
-      r.Platform.Lambda_sim.init_ms r.Platform.Lambda_sim.exec_ms
-      r.Platform.Lambda_sim.e2e_ms r.Platform.Lambda_sim.billed_ms
-      r.Platform.Lambda_sim.peak_memory_mb r.Platform.Lambda_sim.cost
-      r.Platform.Lambda_sim.stdout
   in
   let print_record (r : Platform.Lambda_sim.record) =
     Printf.printf
@@ -413,8 +380,7 @@ let invoke_cmd =
       r.Platform.Lambda_sim.peak_memory_mb r.Platform.Lambda_sim.cost;
     print_string r.Platform.Lambda_sim.stdout
   in
-  let run app trimmed jobs trace backend optimizer =
-    setup_backend backend;
+  let run app trimmed jobs trace optimizer =
     setup_optimizer optimizer;
     setup_jobs jobs;
     with_trace trace @@ fun () ->
@@ -428,40 +394,14 @@ let invoke_cmd =
     let event =
       match spec.Workloads.Apps.tests with (_, e) :: _ -> e | [] -> "{}"
     in
-    let measure choice =
-      let sim = Platform.Lambda_sim.create ~backend:choice d in
-      Platform.Lambda_sim.measure_cold_and_warm ~event sim
-    in
-    match backend with
-    | Minipy.Backend.Compare ->
-      let tw_cold, tw_warm = measure Minipy.Backend.Treewalk in
-      let vm_cold, vm_warm = measure Minipy.Backend.Vm in
-      let diffs =
-        List.filter_map
-          (fun (phase, tw, vm) ->
-             let tws = record_strict tw and vms = record_strict vm in
-             if String.equal tws vms then None
-             else Some (Printf.sprintf "%s:\n  treewalk: %s\n  vm:       %s"
-                          phase tws vms))
-          [ ("cold", tw_cold, vm_cold); ("warm", tw_warm, vm_warm) ]
-      in
-      if diffs = [] then begin
-        List.iter print_record [ tw_cold; tw_warm ];
-        Printf.printf "compare: cold and warm records identical across engines\n"
-      end
-      else begin
-        Printf.eprintf "compare: engines diverge on %s\n%s\n" app
-          (String.concat "\n" diffs);
-        exit 1
-      end
-    | _ ->
-      let cold, warm = measure backend in
-      List.iter print_record [ cold; warm ]
+    let sim = Platform.Lambda_sim.create d in
+    let cold, warm = Platform.Lambda_sim.measure_cold_and_warm ~event sim in
+    List.iter print_record [ cold; warm ]
   in
   Cmd.v
     (Cmd.info "invoke" ~doc:"Invoke an application on the platform simulator.")
     Term.(const run $ app_arg $ trimmed_flag $ jobs_arg $ trace_arg
-          $ backend_arg $ optimizer_arg)
+          $ optimizer_arg)
 
 (* --- fleet ---------------------------------------------------------------- *)
 
@@ -577,9 +517,7 @@ let fleet_cmd =
   let run app rate duration policy keep_alive max_idle capacity max_pending
       timeout fb_rate seed init_failure_rate crash_rate error_rate churn_rate
       retries retry_base retry_cap request_timeout breaker_threshold
-      breaker_window breaker_cooldown hedge_delay tenants shards jobs trace
-      backend =
-    setup_backend backend;
+      breaker_window breaker_cooldown hedge_delay tenants shards jobs trace =
     setup_jobs jobs;
     setup_shards shards;
     with_trace trace @@ fun () ->
@@ -782,7 +720,7 @@ let fleet_cmd =
           $ crash_arg $ error_arg $ churn_arg $ retries_arg $ retry_base_arg
           $ retry_cap_arg $ request_timeout_arg $ breaker_threshold_arg
           $ breaker_window_arg $ breaker_cooldown_arg $ hedge_delay_arg
-          $ tenants_arg $ shards_arg $ jobs_arg $ trace_arg $ backend_arg)
+          $ tenants_arg $ shards_arg $ jobs_arg $ trace_arg)
 
 (* --- calibrate ------------------------------------------------------------ *)
 
@@ -851,9 +789,8 @@ let experiments_cmd =
              ~doc:"Write machine-readable rows to DIR/<id>.csv (experiments \
                    with structured data only).")
   in
-  let run only out csv shards jobs trace backend optimizer journal resume
+  let run only out csv shards jobs trace optimizer journal resume
       memo_dir memo_cap =
-    setup_backend backend;
     (* committed experiments that exercise the oracle memo create private
        caches; attaching a store to the global memo only accelerates
        wall-clock, so committed CSVs stay byte-identical either way *)
@@ -928,7 +865,7 @@ let experiments_cmd =
     (Cmd.info "experiments"
        ~doc:"Regenerate the paper's tables and figures on the simulator.")
     Term.(const run $ only_arg $ out_arg $ csv_arg $ shards_arg $ jobs_arg
-          $ trace_arg $ backend_arg $ optimizer_arg $ journal_arg
+          $ trace_arg $ optimizer_arg $ journal_arg
           $ resume_flag $ memo_dir_arg $ memo_cap_arg)
 
 (* --- redebloat ------------------------------------------------------------ *)
@@ -938,7 +875,7 @@ let experiments_cmd =
    changed ones, runs without one are cold and just prime the state. *)
 let redebloat_cmd =
   let apps_arg =
-    Arg.(value & pos_all string []
+    Arg.(value & pos_all app_conv []
          & info [] ~docv:"APP"
              ~doc:"Applications to re-debloat (default: every synthesized \
                    app).")
@@ -949,22 +886,12 @@ let redebloat_cmd =
              ~doc:"Manifest directory: <DIR>/<app>.manifest is read as the \
                    baseline (when present) and rewritten after each run.")
   in
-  let run apps state k scoring verbose jobs trace backend memo_dir memo_cap =
-    setup_backend backend;
+  let run apps state k scoring verbose jobs trace memo_dir memo_cap =
     setup_jobs jobs;
     setup_memo memo_dir memo_cap;
     with_trace trace @@ fun () ->
     setup_logs verbose;
-    let known = List.map (fun s -> s.Workloads.Apps.name) Workloads.Apps.all in
-    let apps = if apps = [] then known else apps in
-    List.iter
-      (fun a ->
-         if not (List.mem a known) then begin
-           Printf.eprintf "unknown application %S (known: %s)\n" a
-             (String.concat ", " known);
-           exit 2
-         end)
-      apps;
+    let apps = if apps = [] then Workloads.Suite.names else apps in
     Trim.Journal.mkdir_p state;
     let method_ = Trim.Scoring.method_of_string scoring in
     let job app =
@@ -1010,7 +937,7 @@ let redebloat_cmd =
              kept under $(b,--state), fanning the apps out over the worker \
              pool.")
     Term.(const run $ apps_arg $ state_arg $ k_arg $ scoring_arg
-          $ verbose_flag $ jobs_arg $ trace_arg $ backend_arg $ memo_dir_arg
+          $ verbose_flag $ jobs_arg $ trace_arg $ memo_dir_arg
           $ memo_cap_arg)
 
 let main =

@@ -1,41 +1,10 @@
-(* Execution-backend selection: the process-wide `--backend` knob and the
-   constructor embedders use instead of calling Interp.create directly.
+(* The engine tag, as a one-case choice. The tree-walker is minipy's only
+   engine; this module survives solely so existing readers of
+   [to_string (current ())] keep compiling. New code uses
+   [Interp.engine_tag] directly. *)
 
-   [Compare] is a differential mode owned by the layers that can run a
-   workload twice (the oracle, `ltrim invoke`): a single interpreter cannot
-   be "in compare mode", so plain [create] under Compare builds a reference
-   tree-walker and the dual-run drivers ask for each engine explicitly via
-   [?choice]. *)
+type choice = Treewalk
 
-type choice =
-  | Treewalk
-  | Vm
-  | Compare
+let to_string Treewalk = Interp.engine_tag
 
-let to_string = function
-  | Treewalk -> "treewalk"
-  | Vm -> "vm"
-  | Compare -> "compare"
-
-let of_string = function
-  | "treewalk" | "tw" -> Some Treewalk
-  | "vm" | "bytecode" -> Some Vm
-  | "compare" -> Some Compare
-  | _ -> None
-
-(* Set once at CLI startup, read by every interpreter construction —
-   mirrors Parallel.Pool.configure. Atomic so worker domains read it safely. *)
-let state = Atomic.make Treewalk
-
-let configure c = Atomic.set state c
-
-let current () = Atomic.get state
-
-let exec_backend_of = function
-  | Treewalk | Compare -> Interp.treewalk_backend
-  | Vm -> Vm.backend
-
-let create ?max_steps ?parse_cache ?obs ?choice vfs =
-  let c = match choice with Some c -> c | None -> current () in
-  Interp.create ?max_steps ?parse_cache ?obs
-    ~exec_backend:(exec_backend_of c) vfs
+let current () = Treewalk

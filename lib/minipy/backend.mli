@@ -1,31 +1,10 @@
-(** Execution-backend selection for minipy interpreters: the process-wide
-    [--backend] knob and the constructor embedders use instead of
-    {!Interp.create}. Virtual-clock and byte-ledger measurements are
-    backend-invariant (ARCHITECTURE §11); only host wall-clock changes. *)
+(** The engine tag, as a one-case choice. The tree-walker is minipy's only
+    engine; new code reads {!Interp.engine_tag} directly. *)
 
-type choice =
-  | Treewalk  (** the reference tree-walking evaluator *)
-  | Vm        (** the bytecode compiler + stack VM *)
-  | Compare
-      (** dual-run differential mode; layers that can run a workload twice
-          (the oracle, [ltrim invoke]) diff the two engines, and a plain
-          {!create} builds the reference tree-walker *)
+type choice = Treewalk
 
+(** [to_string Treewalk] is {!Interp.engine_tag}. *)
 val to_string : choice -> string
 
-(** Accepts ["treewalk"]/["tw"], ["vm"]/["bytecode"], ["compare"]. *)
-val of_string : string -> choice option
-
-(** Process-wide default, set once at CLI startup (default {!Treewalk}). *)
-val configure : choice -> unit
-
+(** Always {!Treewalk}. *)
 val current : unit -> choice
-
-(** The {!Interp.exec_backend} a choice denotes ({!Compare} maps to the
-    reference engine). *)
-val exec_backend_of : choice -> Interp.exec_backend
-
-(** {!Interp.create} with the backend for [?choice] (default: {!current}). *)
-val create :
-  ?max_steps:int -> ?parse_cache:Parse_cache.t -> ?obs:bool ->
-  ?choice:choice -> Vfs.t -> Interp.t

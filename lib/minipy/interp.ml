@@ -37,11 +37,6 @@ type t = {
   remote_store : (string, value) Hashtbl.t;  (* "service/key" -> value *)
   (* content-addressed AST store consulted on import instead of re-parsing *)
   parse_cache : Parse_cache.t;
-  (* which engine runs module bodies and function calls; the tree-walker by
-     default, the bytecode VM when the embedder opts in. Whatever the
-     backend, the virtual clock and byte ledger advance identically
-     (ARCHITECTURE §11) *)
-  mutable exec_backend : exec_backend;
   (* tracing: import spans are recorded on [obs_sink] against the virtual
      clock; [obs_offset_ms] maps this interpreter's vtime (which starts at
      0) onto the embedding timeline (e.g. a Lambda_sim invocation's
@@ -66,20 +61,6 @@ and env = {
   locals : namespace;          (* == globals at module level *)
   globals : namespace;
   global_decls : (string, unit) Hashtbl.t;  (* names declared `global` *)
-}
-
-(* An execution backend. [xb_exec_module] runs a module body in its
-   namespace environment; the [string option] is the content-addressed
-   parse-cache key of the module source when known (imports), letting a
-   compiling backend reuse code units across interpreters. [xb_call_function]
-   applies a minipy closure; it is invoked from [call_value] *after* the
-   call-cost charge, so backends only pay for argument binding and body
-   execution. *)
-and exec_backend = {
-  xb_name : string;
-  xb_exec_module : t -> env -> string option -> Ast.program -> unit;
-  xb_call_function :
-    t -> func -> value list -> (string * value) list -> value;
 }
 
 (* Cost model constants (virtual). *)
@@ -251,8 +232,7 @@ let lookup t env name =
      | None -> Hashtbl.find_opt t.builtins name)
 
 (* Bind call arguments into a fresh locals table, raising the exact
-   TypeErrors CPython would. Shared verbatim by the tree-walker and the VM's
-   dict-mode frames so binding errors and their order are backend-invariant. *)
+   TypeErrors CPython would. *)
 let bind_args (f : func) args kwargs (locals : namespace) =
   let rec bind params args =
     match params, args with
@@ -615,11 +595,6 @@ and call_value t callee args kwargs =
   | v -> py_error "TypeError" "'%s' object is not callable" (type_name v)
 
 and call_function t (f : func) args kwargs =
-  t.exec_backend.xb_call_function t f args kwargs
-
-(* The tree-walking closure application — also the reference semantics the
-   VM's dict-mode frames reproduce. *)
-and tw_call_function t (f : func) args kwargs =
   let locals = Hashtbl.create 8 in
   bind_args f args kwargs locals;
   let env = { locals; globals = f.fglobals; global_decls = Hashtbl.create 4 } in
@@ -706,8 +681,7 @@ and eval t env (e : Ast.expr) : value =
           fparams = List.map (fun p -> (p, None)) params;
           fbody = [ Ast.s (Ast.Return (Some body)) ];
           fglobals = env.globals;
-          fmodule = "<lambda>";
-          fcode = None }
+          fmodule = "<lambda>" }
     in
     charge_alloc t f; f
   | Ast.IfExp (cond, then_, else_) ->
@@ -715,7 +689,7 @@ and eval t env (e : Ast.expr) : value =
   | Ast.Slice (base, lo, hi) ->
     let obj = eval t env base in
     let eval_bound = Option.map (fun b -> eval t env b) in
-    (* bounds evaluate left to right, and the VM compiles them that way *)
+    (* bounds evaluate left to right *)
     let lo_v = eval_bound lo in
     let hi_v = eval_bound hi in
     slice t obj lo_v hi_v
@@ -869,7 +843,7 @@ and exec_stmt t env (s : Ast.stmt) =
     let f =
       Vfunc
         { fname = d.Ast.dname; fparams; fbody = d.Ast.dbody;
-          fglobals = env.globals; fmodule = "<module>"; fcode = None }
+          fglobals = env.globals; fmodule = "<module>" }
     in
     charge_alloc t f;
     Hashtbl.replace env.locals d.Ast.dname f
@@ -1040,17 +1014,8 @@ and import_one t (parts : string list) : module_obj =
             ~attrs:[ ("file", file) ]
             ~ts_ms:(t.obs_offset_ms +. t.vtime_ms)
         in
-        (* content-addressed key for the backend's compiled-code sidecar;
-           absent when the cache is off or the file vanished mid-import *)
-        let code_key =
-          if Parse_cache.enabled t.parse_cache then
-            Option.map
-              (fun digest -> Parse_cache.key ~file digest)
-              (Vfs.file_digest t.vfs file)
-          else None
-        in
         (try
-           t.exec_backend.xb_exec_module t (module_env m) code_key prog;
+           exec_block t (module_env m) prog;
            finish ()
          with e ->
            finish ();
@@ -1185,15 +1150,8 @@ and force_body t (m : module_obj) =
       ~attrs:[ ("file", file) ]
       ~ts_ms:(t.obs_offset_ms +. t.vtime_ms)
   in
-  let code_key =
-    if Parse_cache.enabled t.parse_cache then
-      Option.map
-        (fun digest -> Parse_cache.key ~file digest)
-        (Vfs.file_digest t.vfs file)
-    else None
-  in
   (try
-     t.exec_backend.xb_exec_module t (module_env m) code_key prog;
+     exec_block t (module_env m) prog;
      finish ()
    with e ->
      finish ();
@@ -1290,20 +1248,18 @@ and exec_from_import t env (clause : Ast.from_clause) names =
 
 (* --- construction ------------------------------------------------------- *)
 
-let treewalk_backend : exec_backend =
-  { xb_name = "treewalk";
-    xb_exec_module = (fun t env _key prog -> exec_block t env prog);
-    xb_call_function = tw_call_function }
-
 let default_max_steps = 5_000_000
 
+(* Part of every on-disk key (oracle memo, journal digest, manifest header);
+   it must never change, or previously written files stop matching. *)
+let engine_tag = "treewalk"
+
 let create ?(max_steps = default_max_steps) ?(parse_cache = Parse_cache.global)
-    ?(obs = false) ?(exec_backend = treewalk_backend) (vfs : Vfs.t) : t =
+    ?(obs = false) (vfs : Vfs.t) : t =
   let obs_sink = if obs then Obs.Span.installed () else Obs.Span.null in
   let t =
     { vfs;
       parse_cache;
-      exec_backend;
       obs_sink;
       obs_track = Obs.Span.fresh_track obs_sink;
       obs_offset_ms = 0.0;
@@ -1456,7 +1412,7 @@ let exec_main t (prog : Ast.program) : namespace =
   Hashtbl.replace mattrs "__name__" (Vstr "__main__");
   let m = { mname = "__main__"; mfile = "<main>"; mattrs } in
   Hashtbl.replace t.modules "__main__" m;
-  t.exec_backend.xb_exec_module t (module_env m) None prog;
+  exec_block t (module_env m) prog;
   mattrs
 
 (* Call a function defined in a namespace (the lambda handler). *)

@@ -15,6 +15,13 @@
 (** Raised when the step budget is exhausted (runaway loop). *)
 exception Timeout of string
 
+(** Stray control flow at module level escapes {!exec_main} unchanged: a
+    top-level [return], [break] or [continue] raises the matching
+    exception. *)
+exception Return_exc of Value.value
+exception Break_exc
+exception Continue_exc
+
 type import_hook = {
   on_before : string -> unit;  (** dotted module name, before body exec *)
   on_after : string -> unit;   (** after body exec (also on failure) *)
@@ -36,9 +43,6 @@ type t = {
   remote_store : (string, Value.value) Hashtbl.t;
   parse_cache : Parse_cache.t;
       (** content-addressed AST store consulted on import *)
-  mutable exec_backend : exec_backend;
-      (** the engine running module bodies and function calls; virtual
-          measurements are backend-invariant (ARCHITECTURE §11) *)
   mutable obs_sink : Obs.Span.sink;
       (** sink for import spans; embedders (Lambda_sim) may retarget it *)
   mutable obs_track : int;  (** trace lane for this interpreter's spans *)
@@ -60,34 +64,21 @@ and env = {
   global_decls : (string, unit) Hashtbl.t;
 }
 
-(** An execution backend: how module bodies and minipy closures run.
-    [xb_exec_module] receives the module's content-addressed parse-cache key
-    when one is known (imports; [None] for [__main__]), so a compiling
-    backend can reuse code units across interpreters. [xb_call_function] is
-    invoked from the shared call path {e after} the per-call cost charge. *)
-and exec_backend = {
-  xb_name : string;
-  xb_exec_module : t -> env -> string option -> Ast.program -> unit;
-  xb_call_function :
-    t -> Value.func -> Value.value list ->
-    (string * Value.value) list -> Value.value;
-}
-
-(** The reference backend: the tree-walking evaluator itself. *)
-val treewalk_backend : exec_backend
-
 val default_max_steps : int
+
+(** The engine name recorded in on-disk keys: the oracle memo key, the DD
+    journal run digest and the run-manifest header. It is ["treewalk"], the
+    name the tree-walker has always written, so existing files stay valid. *)
+val engine_tag : string
 
 (** Fresh interpreter over an image. Starts at a ~3 MB runtime footprint.
     [parse_cache] defaults to {!Parse_cache.global}: imports of unchanged
     sources reuse previously parsed ASTs (virtual measurements unaffected).
     [obs] (default [false]) records one span per executed module import on
     the installed tracer; oracle interpreters leave it off so DD's
-    thousands of probe runs do not flood the trace.
-    [exec_backend] defaults to {!treewalk_backend}. *)
+    thousands of probe runs do not flood the trace. *)
 val create :
-  ?max_steps:int -> ?parse_cache:Parse_cache.t -> ?obs:bool ->
-  ?exec_backend:exec_backend -> Vfs.t -> t
+  ?max_steps:int -> ?parse_cache:Parse_cache.t -> ?obs:bool -> Vfs.t -> t
 
 val heap_mb : t -> float
 val stdout_contents : t -> string
@@ -132,51 +123,3 @@ val exec_main : t -> Ast.program -> Value.namespace
 (** Call a function bound in a namespace (the Lambda handler entry point). *)
 val call_in_namespace :
   t -> Value.namespace -> string -> Value.value list -> Value.value
-
-(** {1 Shared runtime helpers}
-
-    The pieces of the reference semantics the VM backend reuses verbatim, so
-    every virtual-clock tick and byte-ledger charge happens in the same code
-    whichever backend runs. Raising conventions are those of the
-    tree-walker; all may raise [Value.Py_error] or {!Timeout}. *)
-
-exception Return_exc of Value.value
-exception Break_exc
-exception Continue_exc
-
-(** One interpreter step: bumps the step counter, charges the per-step cost,
-    enforces [max_steps]. *)
-val tick : t -> unit
-
-val charge_time : t -> float -> unit
-val charge_alloc : t -> Value.value -> unit
-val charge_bytes : t -> int -> unit
-
-(** locals → globals → builtins. *)
-val lookup : t -> env -> string -> Value.value option
-
-val binop_values : t -> Ast.binop -> Value.value -> Value.value -> Value.value
-val iter_values : Value.value -> Value.value list
-val getattr : t -> Value.value -> string -> Value.value
-val setattr : t -> Value.value -> string -> Value.value -> unit
-val subscript : t -> Value.value -> Value.value -> Value.value
-val store_subscript : t -> Value.value -> Value.value -> Value.value -> unit
-val slice :
-  t -> Value.value -> Value.value option -> Value.value option -> Value.value
-
-(** Charges the per-call cost, then dispatches (closures go through the
-    active backend). *)
-val call_value :
-  t -> Value.value -> Value.value list -> (string * Value.value) list ->
-  Value.value
-
-(** Bind call arguments into a fresh locals table with the reference
-    TypeErrors (used by the VM's dict-mode frames). *)
-val bind_args :
-  Value.func -> Value.value list -> (string * Value.value) list ->
-  Value.namespace -> unit
-
-(** Execute one statement / a block with the tree-walker (the VM's
-    [Sfallback] escape hatch). *)
-val exec_stmt : t -> env -> Ast.stmt -> unit
-val exec_block : t -> env -> Ast.stmt list -> unit

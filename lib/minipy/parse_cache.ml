@@ -24,26 +24,17 @@
    Obs.Metrics.global. *)
 type t = {
   store : (string, Ast.program) Hashtbl.t;
-  (* sidecar: compiled code units for the VM backend, under the same
-     (file, digest) keys — a module compiles once per content digest, no
-     matter how many interpreters import it *)
-  code_store : (string, Bytecode.code) Hashtbl.t;
   lock : Mutex.t;
   c_hits : Obs.Metrics.counter;
   c_misses : Obs.Metrics.counter;
-  c_code_hits : Obs.Metrics.counter;
-  c_code_misses : Obs.Metrics.counter;
   mutable enabled : bool;
 }
 
 let make ~registry ~prefix ~enabled =
   { store = Hashtbl.create 256;
-    code_store = Hashtbl.create 256;
     lock = Mutex.create ();
     c_hits = Obs.Metrics.counter registry (prefix ^ ".hits");
     c_misses = Obs.Metrics.counter registry (prefix ^ ".misses");
-    c_code_hits = Obs.Metrics.counter registry (prefix ^ ".code_hits");
-    c_code_misses = Obs.Metrics.counter registry (prefix ^ ".code_misses");
     enabled }
 
 let create ?(enabled = true) ?registry ?(prefix = "minipy.parse_cache") () =
@@ -74,11 +65,8 @@ let size t = locked t (fun () -> Hashtbl.length t.store)
 let clear t =
   locked t (fun () ->
       Hashtbl.reset t.store;
-      Hashtbl.reset t.code_store;
       Obs.Metrics.incr ~by:(-Obs.Metrics.value t.c_hits) t.c_hits;
-      Obs.Metrics.incr ~by:(-Obs.Metrics.value t.c_misses) t.c_misses;
-      Obs.Metrics.incr ~by:(-Obs.Metrics.value t.c_code_hits) t.c_code_hits;
-      Obs.Metrics.incr ~by:(-Obs.Metrics.value t.c_code_misses) t.c_code_misses)
+      Obs.Metrics.incr ~by:(-Obs.Metrics.value t.c_misses) t.c_misses)
 
 (* Look up [key]; on a miss run [parse ()] outside the lock and store the
    result. Concurrent misses on the same key parse twice and converge — the
@@ -104,33 +92,6 @@ let find_or_parse t key parse =
       prog
 
 let key ~file digest = file ^ ":" ^ digest
-
-(* Compiled-code sidecar: same discipline as [find_or_parse] — compile
-   outside the lock, last-write-wins on a race (code units are immutable
-   values of the same source bytes, so either copy is correct). *)
-let find_or_compile t key compile =
-  if not t.enabled then compile ()
-  else
-    let cached =
-      locked t (fun () ->
-          match Hashtbl.find_opt t.code_store key with
-          | Some code ->
-            Obs.Metrics.incr t.c_code_hits;
-            Some code
-          | None ->
-            Obs.Metrics.incr t.c_code_misses;
-            None)
-    in
-    match cached with
-    | Some code -> code
-    | None ->
-      let code = compile () in
-      locked t (fun () -> Hashtbl.replace t.code_store key code);
-      code
-
-let code_hits t = locked t (fun () -> Obs.Metrics.value t.c_code_hits)
-
-let code_misses t = locked t (fun () -> Obs.Metrics.value t.c_code_misses)
 
 let parse ?(cache = global) ~file source =
   find_or_parse cache

@@ -43,17 +43,3 @@ val parse : ?cache:t -> file:string -> string -> Ast.program
     the vfs's memoized content digest.
     @raise Invalid_argument when the path is absent. *)
 val parse_vfs : ?cache:t -> Vfs.t -> string -> Ast.program
-
-(** [key ~file digest] is the store key for a (file, content) pair — exposed
-    so the import machinery can address the compiled-code sidecar with the
-    same keys the AST store uses. *)
-val key : file:string -> string -> string
-
-(** [find_or_compile t key compile] consults the compiled-code sidecar: the
-    VM backend's code units under the same (file, digest) keys as the ASTs
-    they were compiled from. Compilation runs outside the lock; a disabled
-    cache compiles unconditionally. *)
-val find_or_compile : t -> string -> (unit -> Bytecode.code) -> Bytecode.code
-
-val code_hits : t -> int
-val code_misses : t -> int

@@ -32,15 +32,7 @@ and func = {
   fbody : Ast.stmt list;
   fglobals : namespace;                    (* defining module's namespace *)
   fmodule : string;                        (* dotted module name *)
-  mutable fcode : code_ref option;
-      (* per-closure cache of the VM backend's compiled body; [None] until
-         the VM first calls this closure. Purely an execution artifact:
-         ignored by equality, display, and the byte ledger. *)
 }
-
-(* Compiled-code handle. An extensible variant so [func] need not depend on
-   the bytecode representation (the VM layer declares the one case). *)
-and code_ref = ..
 
 and builtin = {
   bname : string;

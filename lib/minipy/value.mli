@@ -33,14 +33,7 @@ and func = {
   fbody : Ast.stmt list;
   fglobals : namespace;  (** the defining module's namespace *)
   fmodule : string;
-  mutable fcode : code_ref option;
-      (** per-closure cache of the VM backend's compiled body; an execution
-          artifact ignored by equality, display, and the byte ledger *)
 }
-
-(** Compiled-code handle — extensible so [func] need not depend on the
-    bytecode representation (the VM layer declares the one case). *)
-and code_ref = ..
 
 and builtin = {
   bname : string;

@@ -64,17 +64,13 @@ type t = {
   obs : bool;   (* emit Fig.-1 phase spans on the installed tracer; the
                    oracle's probe sims turn this off to keep DD's thousands
                    of runs out of the trace *)
-  backend : Minipy.Backend.choice;  (* engine for this sim's interpreters *)
   mutable live : instance option;   (* single-concurrency pool *)
   mutable records : record list;    (* newest first *)
 }
 
 let create ?(pricing = Pricing.aws) ?(params = default_params) ?(obs = true)
-    ?backend deployment =
-  let backend =
-    match backend with Some b -> b | None -> Minipy.Backend.current ()
-  in
-  { deployment; pricing; params; obs; backend; live = None; records = [] }
+    deployment =
+  { deployment; pricing; params; obs; live = None; records = [] }
 
 let eval_expr interp src =
   (* test-case events repeat across thousands of oracle invocations; the
@@ -94,7 +90,7 @@ let eval_expr interp src =
 let initialize ?(sink = Obs.Span.null) ?(track = 0) ?(at_ms = 0.0) t :
     instance * float =
   let interp =
-    Minipy.Backend.create ~choice:t.backend ~max_steps:t.params.max_steps
+    Minipy.Interp.create ~max_steps:t.params.max_steps
       t.deployment.Deployment.vfs
   in
   interp.Minipy.Interp.obs_sink <- sink;
@@ -142,7 +138,7 @@ let invoke ?(event = "{}") ?(context = Deployment.default_context) t ~now_s () =
           None)
        | exception Minipy.Value.Py_error e ->
          let interp =
-           Minipy.Backend.create ~choice:t.backend ~max_steps:t.params.max_steps
+           Minipy.Interp.create ~max_steps:t.params.max_steps
              t.deployment.Deployment.vfs
          in
          let inst =
@@ -189,6 +185,10 @@ let invoke ?(event = "{}") ?(context = Deployment.default_context) t ~now_s () =
       ~memory_mb:peak_memory_mb
   in
   let e2e_ms = instance_init_ms +. trans_ms +. init_ms +. exec_ms in
+  (* the trace's end of this invocation: summed in the same order as the
+     phase boundaries, so the exec phase never ends past its parent span by
+     a rounding ulp ([base_ms +. e2e_ms] can differ in the last bit) *)
+  let end_ms = exec_base_ms +. exec_ms in
   (* keep-alive timer resets after the request completes; a crashed init
      leaves no reusable instance behind *)
   (match init_error with
@@ -234,7 +234,7 @@ let invoke ?(event = "{}") ?(context = Deployment.default_context) t ~now_s () =
         ("billed_ms", Printf.sprintf "%.3f" billed_ms);
         ("cost_usd", Printf.sprintf "%.9f" cost);
         ("memory_mb", Printf.sprintf "%.2f" peak_memory_mb) ]
-    ~ts_ms:(base_ms +. e2e_ms);
+    ~ts_ms:end_ms;
   record
 
 (* Force the platform to discard the warm instance — the evaluation triggers

@@ -52,7 +52,6 @@ type t = {
   pricing : Pricing.t;
   params : params;
   obs : bool;  (** emit Fig.-1 phase spans on the installed tracer *)
-  backend : Minipy.Backend.choice;  (** engine for this sim's interpreters *)
   mutable live : instance option;
   mutable records : record list;
 }
@@ -60,14 +59,9 @@ type t = {
 (** [obs] (default [true]) records each invocation on the installed tracer:
     an [invoke] span per request on a fresh lane, with the Fig.-1 phase
     breakdown and the interpreter's import spans nested inside. The oracle's
-    probe sims pass [~obs:false].
-
-    [backend] selects the execution engine for this sim's interpreters
-    (default: the process-wide {!Minipy.Backend.current}; {!Minipy.Backend.Compare}
-    runs the reference tree-walker — dual-run diffing lives in the oracle). *)
+    probe sims pass [~obs:false]. *)
 val create :
-  ?pricing:Pricing.t -> ?params:params -> ?obs:bool ->
-  ?backend:Minipy.Backend.choice -> Deployment.t -> t
+  ?pricing:Pricing.t -> ?params:params -> ?obs:bool -> Deployment.t -> t
 
 (** Time to pull the deployment image at the configured bandwidth. *)
 val transmission_ms : t -> float

@@ -128,7 +128,7 @@ let dd_minimize ?on_step ?pool ?journal ~oracle candidates =
    the verdict stream depends on: the *base* deployment image this module
    is searched against (which differs between sequential and parallel
    pipeline folds — hence resume requires the same --jobs), the module,
-   its candidate/protected split, and the execution backend. A journal
+   its candidate/protected split, and the engine tag. A journal
    whose digest mismatches is discarded, never replayed: revision safety
    over resume speed. *)
 
@@ -154,7 +154,7 @@ let journal_run_digest (d : Platform.Deployment.t) ~module_name ~file
     (Digest.string
        (String.concat "\x00"
           ("ltrim-dd/1"
-           :: Minipy.Backend.to_string (Minipy.Backend.current ())
+           :: Minipy.Interp.engine_tag
            :: (variant_tag
                @ Platform.Deployment.image_digest d
                  :: module_name :: file
@@ -376,7 +376,7 @@ let debloat_module_seeded ?(oracle_cache = Oracle.Cache.global)
    One module's DD search is a pure function of its *reachable image*: the
    module's own library subtree (every file a query can read or rewrite),
    the handler and test cases driving the oracle, the candidate/protected
-   split, and the execution configuration (backend, lazy-stub variant).
+   split, and the execution configuration (engine tag, lazy-stub variant).
    [module_search_digest] hashes exactly that set, so across two revisions
    an equal digest means the search would replay move for move — the
    recorded keep-set can be applied without a single oracle query — while
@@ -432,8 +432,7 @@ let module_search_digest (d : Platform.Deployment.t) ~module_name ~file
   in
   let parts =
     List.concat
-      [ [ "ltrim-module/1";
-          Minipy.Backend.to_string (Minipy.Backend.current ()) ];
+      [ [ "ltrim-module/1"; Minipy.Interp.engine_tag ];
         variant_tag;
         [ module_name;
           file;

@@ -65,7 +65,7 @@ val debloat_module :
   Platform.Deployment.t * module_result
 
 (** The journal header digest for one module search: covers the DD revision,
-    execution backend, optimizer variant / stub configuration (lazy images
+    engine tag, optimizer variant / stub configuration (lazy images
     get a distinct digest, so a [--resume] of a lazy run never replays
     eager-run verdicts — eager images keep the historical digest), image
     digest, module, file, protections, and candidate order. Exposed so
@@ -115,7 +115,7 @@ val debloat_module_seeded :
     module's top-level library subtree (path + content digest of every
     file a query can read or rewrite), the handler file/name/content and
     test cases driving the oracle, the candidate/protected split, the
-    execution backend, and the optimizer variant. Equal digests across two
+    engine tag, and the optimizer variant. Equal digests across two
     revisions mean the search would replay move for move, so its recorded
     keep-set can be applied without any oracle query.
 

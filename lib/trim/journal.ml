@@ -1,7 +1,7 @@
 (* Durable DD decision journal.
 
    One journal file per module search. The header binds the file to a run
-   digest (base image digest + module + candidate list + backend), so a
+   digest (base image digest + module + candidate list + engine tag), so a
    stale journal from a different revision or job layout is discarded
    instead of replayed. Every record is an append-only line
 

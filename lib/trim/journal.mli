@@ -10,7 +10,7 @@
     {!Dd.minimize_parallel} answer queries from the table — reproducing
     the uninterrupted run's keep-set and counters bit for bit. A header
     run-digest binds the file to one search (base image, module, candidate
-    list, backend, job layout); a mismatched header discards the journal
+    list, engine tag, job layout); a mismatched header discards the journal
     rather than replaying stale verdicts.
 
     Metrics (in [Obs.Metrics.global]): [trim.journal.appended],

@@ -1,7 +1,7 @@
 (* Run manifest: the durable record of one debloat pipeline run that makes
    the next run incremental.
 
-   A manifest binds the run configuration (app, backend, optimizer variant,
+   A manifest binds the run configuration (app, engine, optimizer variant,
    scoring, k) to the ranked module list and, per module, the reachable-image
    search digest ({!Debloater.module_search_digest}), the removed attrs (the
    keep-set's complement), and the search's counters. `ltrim debloat
@@ -11,7 +11,7 @@
    Format — line-oriented like {!Journal}, one checksummed record per line:
 
      ltrim-manifest/1
-     a|<app>|<backend>|<variant>|<scoring>|<k>|<input digest>|<output digest>|<md5>
+     a|<app>|<engine>|<variant>|<scoring>|<k>|<input digest>|<output digest>|<md5>
      r|<ranked modules, comma-joined>|<md5>
      m|<module>|<file>|<digest>|<removed attrs, +-joined>|<queries>|<cache_hits>|<iterations>|<md5>
 

@@ -1,7 +1,7 @@
 (** Run manifest: the durable record of one debloat pipeline run that makes
     the next run incremental.
 
-    A manifest binds the run configuration (app, backend, optimizer
+    A manifest binds the run configuration (app, engine, optimizer
     variant, scoring, k) to the ranked module list and, per module, the
     reachable-image search digest ({!Debloater.module_search_digest}), the
     removed attributes, and the search's counters. A later run given the
@@ -26,7 +26,7 @@ type module_entry = {
 
 type t = {
   mf_app : string;
-  mf_backend : string;
+  mf_backend : string;       (** engine tag, {!Minipy.Interp.engine_tag} *)
   mf_variant : string;       (** lazy-stub tag, ["eager"] when none *)
   mf_scoring : string;
   mf_k : int;

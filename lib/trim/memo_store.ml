@@ -7,7 +7,7 @@
      o|<seq>|<key>|<escaped canonical output>|<md5 of the payload>
 
    The key is {!Oracle.test_key} — an md5 over everything the canonical
-   output can depend on (backend, optimizer variant, effective image digest,
+   output can depend on (engine tag, optimizer variant, effective image digest,
    entry point, test-case inputs) — so entries are revision-safe by
    construction and one store can be shared across applications and process
    restarts: a key either means exactly one observation or is absent.

@@ -3,7 +3,7 @@
     restarts, app revisions, and applications.
 
     Keys are {!Oracle.test_key} digests — md5 over everything a canonical
-    output can depend on (backend, optimizer variant, effective image
+    output can depend on (engine tag, optimizer variant, effective image
     digest, entry point, test-case inputs) — so a key either denotes
     exactly one observation or is absent; there is nothing to invalidate
     across revisions. The file format mirrors {!Journal}: a magic header

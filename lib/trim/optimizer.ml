@@ -1,7 +1,6 @@
 (* Optimizer-family selection: the process-wide `--optimizer` knob and the
-   dispatcher that turns a deployment into its optimized form. Mirrors
-   Minipy.Backend's configure/current shape so CLI setup and worker domains
-   interact with it the same way. *)
+   dispatcher that turns a deployment into its optimized form. The knob is
+   an atomic set once at CLI startup, so worker domains read it safely. *)
 
 type variant =
   | Dd        (* λ-trim DD attribute debloating (the default family) *)

@@ -12,8 +12,7 @@ val to_string : variant -> string
 val of_string : string -> variant option
 val all : variant list
 
-(** Process-wide selection, set once at CLI startup (default [Dd]);
-    mirrors [Minipy.Backend.configure]. *)
+(** Process-wide selection, set once at CLI startup (default [Dd]). *)
 val configure : variant -> unit
 val current : unit -> variant
 

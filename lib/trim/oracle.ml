@@ -178,65 +178,29 @@ let canonical_of_record (r : Platform.Lambda_sim.record) =
     Printf.sprintf "%sERR:%s:%s%s" r.Platform.Lambda_sim.stdout
       e.Minipy.Value.exc_class e.Minipy.Value.exc_msg calls
 
-exception
-  Divergence of { div_test : string; div_treewalk : string; div_vm : string }
-
 (* Run one test case in a fresh interpreter — the uncached path. The probe
    sim is untraced: DD issues thousands of these per module, and their
    per-invocation spans would drown the trace (the query itself is spanned
    at the DD layer, with memo traffic attached). *)
-let invoke_result ~backend ?params (d : Platform.Deployment.t)
-    (tc : Platform.Deployment.test_case) :
-  (Platform.Lambda_sim.record, string) result =
-  let sim = Platform.Lambda_sim.create ?params ~obs:false ~backend d in
+let run_test_case ?params (d : Platform.Deployment.t)
+    (tc : Platform.Deployment.test_case) : string =
+  let sim = Platform.Lambda_sim.create ?params ~obs:false d in
   match
     Platform.Lambda_sim.invoke sim ~now_s:0.0
       ~event:tc.Platform.Deployment.tc_event
       ~context:tc.Platform.Deployment.tc_context ()
   with
-  | r -> Ok r
+  | r -> canonical_of_record r
   | exception Minipy.Value.Py_error e ->
     (* initialization-time failure *)
-    Error (Printf.sprintf "INITERR:%s" e.Minipy.Value.exc_class)
-  | exception Minipy.Interp.Timeout _ -> Error "CRASH:timeout"
-  | exception Stack_overflow -> Error "CRASH:stack-overflow"
-
-let canonical_of_result = function
-  | Ok r -> canonical_of_record r
-  | Error s -> s
-
-(* Compare mode diffs the *strict* canonicalization: observable output plus
-   the exact virtual-time/byte-ledger accounting, printed with %.17g so any
-   float drift between engines is visible. *)
-let strict_of_result = function
-  | Error s -> s
-  | Ok (r : Platform.Lambda_sim.record) ->
-    Printf.sprintf "%s | init=%.17g exec=%.17g billed=%.17g mem=%.17g cost=%.17g"
-      (canonical_of_record r) r.Platform.Lambda_sim.init_ms
-      r.Platform.Lambda_sim.exec_ms r.Platform.Lambda_sim.billed_ms
-      r.Platform.Lambda_sim.peak_memory_mb r.Platform.Lambda_sim.cost
-
-let run_test_case ?params (d : Platform.Deployment.t)
-    (tc : Platform.Deployment.test_case) : string =
-  match Minipy.Backend.current () with
-  | Minipy.Backend.Compare ->
-    let tw = invoke_result ~backend:Minipy.Backend.Treewalk ?params d tc in
-    let vm = invoke_result ~backend:Minipy.Backend.Vm ?params d tc in
-    let tws = strict_of_result tw and vms = strict_of_result vm in
-    if not (String.equal tws vms) then
-      raise
-        (Divergence
-           { div_test = tc.Platform.Deployment.tc_name;
-             div_treewalk = tws;
-             div_vm = vms });
-    canonical_of_result tw
-  | backend -> canonical_of_result (invoke_result ~backend ?params d tc)
+    Printf.sprintf "INITERR:%s" e.Minipy.Value.exc_class
+  | exception Minipy.Interp.Timeout _ -> "CRASH:timeout"
+  | exception Stack_overflow -> "CRASH:stack-overflow"
 
 (* Memo key: everything the canonical output can depend on — the effective
-   image, the entry point, and the test case's inputs. The active backend is
-   included too: observations are backend-invariant by contract, but letting
-   engines share memo entries would mask exactly the divergences the compare
-   mode exists to catch. Of custom simulator params only [max_steps] can
+   image, the entry point, and the test case's inputs — plus the engine tag,
+   which keys have always carried (a constant now; keeping it keeps stored
+   memo entries valid). Of custom simulator params only [max_steps] can
    change a canonical output (it decides [CRASH:timeout]); runs with a
    custom budget key separately, default-param runs keep the historical
    key. *)
@@ -253,7 +217,7 @@ let test_key ?params ~image_digest (d : Platform.Deployment.t)
   in
   let base =
     variant_tag
-    @ [ Minipy.Backend.to_string (Minipy.Backend.current ());
+    @ [ Minipy.Interp.engine_tag;
       image_digest;
       d.Platform.Deployment.handler_file;
       d.Platform.Deployment.handler_name;

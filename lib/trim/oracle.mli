@@ -75,17 +75,9 @@ end
     then [CALLS:] when external calls were made. *)
 val canonical_of_record : Platform.Lambda_sim.record -> string
 
-(** Raised (under {!Minipy.Backend.Compare}) when the two engines disagree
-    on a test case's strict canonicalization — observable output plus exact
-    virtual-time/byte-ledger accounting. *)
-exception
-  Divergence of { div_test : string; div_treewalk : string; div_vm : string }
-
 (** Observe a deployment across its test cases, consulting [cache] (default
-    {!Cache.global}) per (backend, image digest, test case). Init-time
-    crashes appear as [INITERR:<class>]; interpreter timeouts as
-    [CRASH:timeout]. Under {!Minipy.Backend.Compare} every uncached test
-    case runs on both engines and raises {!Divergence} if they disagree.
+    {!Cache.global}) per (image digest, test case). Init-time crashes
+    appear as [INITERR:<class>]; interpreter timeouts as [CRASH:timeout].
     [params] overrides the probe simulator's parameters (e.g. a small
     [max_steps] to provoke timeouts); runs with a custom budget memoize
     under a distinct key. *)

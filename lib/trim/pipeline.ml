@@ -424,7 +424,7 @@ let run ?(options = default_options) ?jobs (app : Platform.Deployment.t) :
     else
       Some
         { Manifest.mf_app = app.Platform.Deployment.name;
-          mf_backend = Minipy.Backend.to_string (Minipy.Backend.current ());
+          mf_backend = Minipy.Interp.engine_tag;
           mf_variant =
             Minipy.Interp.lazy_config_of_vfs app.Platform.Deployment.vfs;
           mf_scoring = Scoring.method_name options.scoring;

@@ -40,7 +40,7 @@ let profile (d : Platform.Deployment.t) : result =
   (* obs: the profiler's import tree is exactly what §5.2's hooks measure,
      so it doubles as the trace's per-module import breakdown *)
   let interp =
-    Minipy.Backend.create ~max_steps:20_000_000 ~obs:true
+    Minipy.Interp.create ~max_steps:20_000_000 ~obs:true
       d.Platform.Deployment.vfs
   in
   let stack : frame list ref = ref [] in

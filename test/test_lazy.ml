@@ -1,12 +1,12 @@
 (* Profile-guided lazy loading (ARCHITECTURE §14): manifest parsing, stub
-   forcing semantics on both execution backends, the lazy ≡ eager
+   forcing semantics with pinned accounting, the lazy ≡ eager
    observational-equivalence property, optimizer-variant separation of the
    oracle memo and DD journal digests, the fleet lazy-init model with
    idle-time preloading, and the sketch NaN regression. *)
 
 open Minipy
 
-(* --- program runner (mirrors test_backend_diff) -------------------------- *)
+(* --- program runner (mirrors test_golden) --------------------------------- *)
 
 type snapshot = {
   sn_out : string;
@@ -15,9 +15,9 @@ type snapshot = {
   sn_steps : int;
 }
 
-let run_program ~choice ~vfs src =
+let run_program ~vfs src =
   let prog = Parser.parse ~file:"<lazy>" src in
-  let t = Backend.create ~choice ~max_steps:500_000 vfs in
+  let t = Interp.create ~max_steps:500_000 vfs in
   let out =
     match Interp.exec_main t prog with
     | _ -> "OK:" ^ Interp.stdout_contents t
@@ -69,20 +69,13 @@ let lib_vfs ?(manifest = "") () =
   if manifest <> "" then Vfs.add_file vfs Interp.lazy_manifest_file manifest;
   vfs
 
-let both_backends name f =
-  List.map
-    (fun choice ->
-       Alcotest.test_case
-         (Printf.sprintf "%s [%s]" name (Backend.to_string choice))
-         `Quick
-         (fun () -> f choice))
-    [ Backend.Treewalk; Backend.Vm ]
-
-let eager_vs_lazy ~choice ~manifest name src =
-  let eager = run_program ~choice ~vfs:(lib_vfs ()) src in
-  let lazy_ = run_program ~choice ~vfs:(lib_vfs ~manifest ()) src in
+(* Runs [src] eagerly and under [manifest]: the two must be equivalent, and
+   the lazy run's strict snapshot must equal the pinned [expected]. *)
+let eager_vs_lazy ~manifest name src expected =
+  let eager = run_program ~vfs:(lib_vfs ()) src in
+  let lazy_ = run_program ~vfs:(lib_vfs ~manifest ()) src in
   check_equiv name eager lazy_;
-  (eager, lazy_)
+  Alcotest.(check string) (name ^ ": strict %.17g") expected (strict lazy_)
 
 (* --- manifest ------------------------------------------------------------ *)
 
@@ -119,66 +112,126 @@ let manifest_tests =
         Alcotest.(check bool) "distinct manifests, distinct configs" false
           (String.equal l1 l2)) ]
 
-(* --- stub semantics (both backends) -------------------------------------- *)
+(* --- stub semantics -------------------------------------------------------- *)
 
 let touch_program =
   "import heavy\nprint('pre', 1)\nprint(heavy.f(5))\nprint(heavy.value)\n"
 
+let touched_expected =
+  "OK:pre 1\n19905\n19900\n | vtime=0.70080000000001164 heap=3149984 steps=831"
+
 let stub_tests =
-  both_backends "touched root: lazy equals eager" (fun choice ->
-      ignore
-        (eager_vs_lazy ~choice ~manifest:"lazy heavy\n" "touched"
-           touch_program))
-  @ both_backends "untouched root: init deferred, never paid" (fun choice ->
+  [ Alcotest.test_case "touched root: lazy equals eager" `Quick (fun () ->
+        eager_vs_lazy ~manifest:"lazy heavy\n" "touched" touch_program
+          touched_expected);
+    Alcotest.test_case "untouched root: init deferred, never paid" `Quick
+      (fun () ->
         let src = "import heavy\nprint('only', 2)\n" in
-        let eager = run_program ~choice ~vfs:(lib_vfs ()) src in
+        let eager = run_program ~vfs:(lib_vfs ()) src in
         let lazy_ =
-          run_program ~choice ~vfs:(lib_vfs ~manifest:"lazy heavy\n" ()) src
+          run_program ~vfs:(lib_vfs ~manifest:"lazy heavy\n" ()) src
         in
         Alcotest.(check string) "observable" eager.sn_out lazy_.sn_out;
         Alcotest.(check bool) "cheaper vtime" true
           (lazy_.sn_vtime < eager.sn_vtime);
         Alcotest.(check bool) "fewer steps" true
-          (lazy_.sn_steps < eager.sn_steps))
-  @ both_backends "dotted import binds stub chain" (fun choice ->
-        ignore
-          (eager_vs_lazy ~choice ~manifest:"lazy pkg\n" "dotted"
-             "import pkg.sub.leaf\n\
-              print(pkg.tag)\n\
-              print(pkg.sub.tag)\n\
-              print(pkg.sub.leaf.g(4))\n\
-              print(pkg.sub.leaf.name)\n"))
-  @ both_backends "circular imports match eager partial-init" (fun choice ->
-        ignore
-          (eager_vs_lazy ~choice ~manifest:"lazy cyc_a\nlazy cyc_b\n"
-             "circular" "import cyc_a\nprint(cyc_a.probe())\n"))
-  @ both_backends "from-import forces the stub" (fun choice ->
-        ignore
-          (eager_vs_lazy ~choice ~manifest:"lazy heavy\n" "from-import"
-             "import heavy\nfrom heavy import f\nprint(f(1))\n"))
-  @ both_backends "setattr forces before rebinding" (fun choice ->
-        ignore
-          (eager_vs_lazy ~choice ~manifest:"lazy heavy\n" "setattr"
-             "import heavy\nheavy.value = 7\nprint(heavy.f(0))\n"))
-  @ both_backends "preload lines never change semantics" (fun choice ->
-        let m = "lazy heavy\npreload heavy\n" in
-        ignore (eager_vs_lazy ~choice ~manifest:m "preload" touch_program))
-  @ [ Alcotest.test_case "lazy runs identically on both engines (strict)"
-        `Quick (fun () ->
-          let m = "lazy heavy\nlazy pkg\n" in
-          let src =
-            touch_program ^ "import pkg.sub.leaf\nprint(pkg.sub.leaf.g(3))\n"
-          in
-          let tw =
-            run_program ~choice:Backend.Treewalk ~vfs:(lib_vfs ~manifest:m ())
-              src
-          in
-          let vm =
-            run_program ~choice:Backend.Vm ~vfs:(lib_vfs ~manifest:m ()) src
-          in
-          Alcotest.(check string) "strict %.17g" (strict tw) (strict vm)) ]
+          (lazy_.sn_steps < eager.sn_steps);
+        Alcotest.(check string) "strict %.17g"
+          "OK:only 2\n | vtime=0.0060000000000000001 heap=3147128 steps=6"
+          (strict lazy_));
+    Alcotest.test_case "dotted import binds stub chain" `Quick (fun () ->
+        eager_vs_lazy ~manifest:"lazy pkg\n" "dotted"
+          "import pkg.sub.leaf\n\
+           print(pkg.tag)\n\
+           print(pkg.sub.tag)\n\
+           print(pkg.sub.leaf.g(4))\n\
+           print(pkg.sub.leaf.name)\n"
+          "OK:pkg\nsub\n40\nleaf\n | vtime=0.12719999999999992 heap=3151128 \
+           steps=39");
+    Alcotest.test_case "circular imports match eager partial-init" `Quick
+      (fun () ->
+        eager_vs_lazy ~manifest:"lazy cyc_a\nlazy cyc_b\n" "circular"
+          "import cyc_a\nprint(cyc_a.probe())\n"
+          "OK:b-done:a-start\n | vtime=0.07999999999999996 heap=3149791 \
+           steps=22");
+    Alcotest.test_case "from-import forces the stub" `Quick (fun () ->
+        eager_vs_lazy ~manifest:"lazy heavy\n" "from-import"
+          "import heavy\nfrom heavy import f\nprint(f(1))\n"
+          "OK:19901\n | vtime=0.69040000000001145 heap=3149984 steps=821");
+    Alcotest.test_case "setattr forces before rebinding" `Quick (fun () ->
+        eager_vs_lazy ~manifest:"lazy heavy\n" "setattr"
+          "import heavy\nheavy.value = 7\nprint(heavy.f(0))\n"
+          "OK:7\n | vtime=0.69280000000001152 heap=3149984 steps=824");
+    Alcotest.test_case "preload lines never change semantics" `Quick
+      (fun () ->
+        eager_vs_lazy ~manifest:"lazy heavy\npreload heavy\n" "preload"
+          touch_program touched_expected);
+    Alcotest.test_case "two lazified roots (strict)" `Quick (fun () ->
+        eager_vs_lazy ~manifest:"lazy heavy\nlazy pkg\n" "two roots"
+          (touch_program ^ "import pkg.sub.leaf\nprint(pkg.sub.leaf.g(3))\n")
+          "OK:pre 1\n19905\n19900\n30\n | vtime=0.81000000000001215 \
+           heap=3155384 steps=852");
+    Alcotest.test_case "attribute miss raises as eager does" `Quick
+      (fun () ->
+        eager_vs_lazy ~manifest:"lazy heavy\n" "attr-miss"
+          "import heavy\n\
+           try:\n\
+          \  print(heavy.nope)\n\
+           except AttributeError as e:\n\
+          \  print('miss', heavy.value)\n"
+          "OK:miss 19900\n | vtime=0.69000000000001149 heap=3149984 \
+           steps=822");
+    Alcotest.test_case "repeated import forces once" `Quick (fun () ->
+        eager_vs_lazy ~manifest:"lazy heavy\n" "reimport"
+          "import heavy\nimport heavy\nprint(heavy.value)\n\
+           import heavy\nprint(heavy.f(2))\n"
+          "OK:19900\n19902\n | vtime=0.69720000000001159 heap=3149984 \
+           steps=828");
+    Alcotest.test_case "stub passed as a value forces on use" `Quick
+      (fun () ->
+        eager_vs_lazy ~manifest:"lazy heavy\n" "as-value"
+          "import heavy\n\
+           m = heavy\n\
+           def use(mod):\n\
+          \  return mod.f(2)\n\
+           print(use(m))\n"
+          "OK:19902\n | vtime=0.69720000000001159 heap=3151184 steps=828");
+    Alcotest.test_case "closure touches the stub at call time" `Quick
+      (fun () ->
+        eager_vs_lazy ~manifest:"lazy heavy\n" "closure"
+          "import heavy\n\
+           def h():\n\
+          \  return heavy.value\n\
+           print('defined')\n\
+           print(h())\n"
+          "OK:defined\n19900\n | vtime=0.69320000000001158 heap=3151184 \
+           steps=823");
+    Alcotest.test_case "from-import of a dotted lazy chain" `Quick
+      (fun () ->
+        eager_vs_lazy ~manifest:"lazy pkg\n" "from-dotted"
+          "from pkg.sub import leaf\nprint(leaf.g(2), leaf.name)\n"
+          "OK:20 leaf\n | vtime=0.10919999999999992 heap=3151128 steps=21");
+    Alcotest.test_case "del forces before removing" `Quick (fun () ->
+        eager_vs_lazy ~manifest:"lazy heavy\n" "del"
+          "import heavy\ndel heavy.acc\nprint(heavy.value)\n"
+          "OK:19900\n | vtime=0.68600000000001138 heap=3149984 steps=817");
+    Alcotest.test_case "untouched dotted chain: init deferred" `Quick
+      (fun () ->
+        let src = "import pkg.sub.leaf\nprint('none')\n" in
+        let eager = run_program ~vfs:(lib_vfs ()) src in
+        let lazy_ =
+          run_program ~vfs:(lib_vfs ~manifest:"lazy pkg\n" ()) src
+        in
+        Alcotest.(check string) "observable" eager.sn_out lazy_.sn_out;
+        Alcotest.(check bool) "cheaper vtime" true
+          (lazy_.sn_vtime < eager.sn_vtime);
+        Alcotest.(check bool) "fewer steps" true
+          (lazy_.sn_steps < eager.sn_steps);
+        Alcotest.(check string) "strict %.17g"
+          "OK:none\n | vtime=0.0051999999999999998 heap=3149928 steps=5"
+          (strict lazy_)) ]
 
-(* --- QCheck: lazy ≡ eager across both backends --------------------------- *)
+(* --- QCheck: lazy ≡ eager --------------------------------------------------- *)
 
 (* Random library of side-effect-free modules plus a main program that
    imports all of them and touches a random subset; every module is also
@@ -231,34 +284,40 @@ let build_case ?(lazify = true) (bodies, touches) =
   (vfs, Buffer.contents b)
 
 let prop_lazy_equiv =
-  QCheck2.Test.make ~name:"lazy ≡ eager on both backends (fully forced)"
-    ~count:60 gen_case (fun case ->
-      List.for_all
-        (fun choice ->
-           let vfs_e, src = build_case ~lazify:false case in
-           let vfs_l, _ = build_case case in
-           let eager = run_program ~choice ~vfs:vfs_e src in
-           let lazy_ = run_program ~choice ~vfs:vfs_l src in
-           let tol = 1e-9 *. Float.max 1.0 (Float.abs eager.sn_vtime) in
-           String.equal eager.sn_out lazy_.sn_out
-           && eager.sn_heap = lazy_.sn_heap
-           && eager.sn_steps = lazy_.sn_steps
-           && Float.abs (eager.sn_vtime -. lazy_.sn_vtime) <= tol)
-        [ Backend.Treewalk; Backend.Vm ])
+  QCheck2.Test.make ~name:"lazy ≡ eager (fully forced)" ~count:60 gen_case
+    (fun case ->
+      let vfs_e, src = build_case ~lazify:false case in
+      let vfs_l, _ = build_case case in
+      let eager = run_program ~vfs:vfs_e src in
+      let lazy_ = run_program ~vfs:vfs_l src in
+      let tol = 1e-9 *. Float.max 1.0 (Float.abs eager.sn_vtime) in
+      String.equal eager.sn_out lazy_.sn_out
+      && eager.sn_heap = lazy_.sn_heap
+      && eager.sn_steps = lazy_.sn_steps
+      && Float.abs (eager.sn_vtime -. lazy_.sn_vtime) <= tol)
 
-let prop_lazy_backends_strict =
-  QCheck2.Test.make
-    ~name:"lazy treewalk ≡ lazy vm (strict %.17g accounting)" ~count:60
-    gen_case (fun case ->
-      let vfs_tw, src = build_case case in
-      let vfs_vm, _ = build_case case in
-      String.equal
-        (strict (run_program ~choice:Backend.Treewalk ~vfs:vfs_tw src))
-        (strict (run_program ~choice:Backend.Vm ~vfs:vfs_vm src)))
+(* 60 cases drawn under a fixed seed; one md5 over the lazy runs' strict
+   snapshots, newline-joined in draw order, pins their exact accounting. *)
+let seeded_strict_test =
+  Alcotest.test_case "60 seeded lazy cases (strict %.17g accounting)" `Quick
+    (fun () ->
+      let cases =
+        QCheck2.Gen.generate ~rand:(Random.State.make [| 2025 |]) ~n:60
+          gen_case
+      in
+      let snaps =
+        List.map
+          (fun case ->
+             let vfs, src = build_case case in
+             strict (run_program ~vfs src))
+          cases
+      in
+      Alcotest.(check string) "md5 of snapshots"
+        "ba1a43bb3a680dca1681169d9cb8745f"
+        (Digest.to_hex (Digest.string (String.concat "\n" snaps))))
 
 let property_tests =
-  List.map QCheck_alcotest.to_alcotest
-    [ prop_lazy_equiv; prop_lazy_backends_strict ]
+  QCheck_alcotest.to_alcotest prop_lazy_equiv :: [ seeded_strict_test ]
 
 (* --- optimizer: lazy loader + variant dispatch --------------------------- *)
 

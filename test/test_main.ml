@@ -10,5 +10,5 @@ let () =
      @ Test_workloads.suite
      @ Test_baselines.suite @ Test_value.suite @ Test_experiments.suite @ Test_properties.suite
      @ Test_caching.suite @ Test_obs.suite @ Test_parallel.suite
-     @ Test_backend_diff.suite @ Test_disasm.suite @ Test_durability.suite
+     @ Test_golden.suite @ Test_durability.suite
      @ Test_lazy.suite @ Test_incremental.suite)

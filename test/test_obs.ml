@@ -290,6 +290,91 @@ let qcheck_suite =
                      (fun s -> s.Obs.Span.sp_dur_ms >= 0.0)
                      spans))) ]
 
+(* Shrunk counterexample of the property above: at 32 s the exec phase's
+   end (boundaries summed phase by phase) and the invoke span's end once
+   differed by one ulp, putting the child past its parent. *)
+let sim_regression_suite =
+  [ Alcotest.test_case "invoke span ends exactly where its exec phase ends"
+      `Quick (fun () ->
+        with_recorder (fun sink ->
+            let sim = Platform.Lambda_sim.create (Workloads.Suite.tiny_app ()) in
+            List.iter
+              (fun now_s ->
+                 ignore (Platform.Lambda_sim.invoke sim ~now_s ()))
+              [ 5.0; 13.0; 32.0; 32.0 ];
+            Platform.Lambda_sim.evict sim;
+            ignore (Platform.Lambda_sim.invoke sim ~now_s:32.0 ());
+            let spans = Obs.Span.spans sink in
+            Alcotest.(check bool) "well-nested" true
+              (Obs.Span.well_nested spans);
+            let end_of s = s.Obs.Span.sp_start_ms +. s.Obs.Span.sp_dur_ms in
+            let by_name n =
+              List.filter (fun s -> s.Obs.Span.sp_name = n) spans
+              |> List.sort (fun a b -> compare a.Obs.Span.sp_track b.Obs.Span.sp_track)
+            in
+            let invokes = by_name "invoke"
+            and execs = by_name "phase:function_exec" in
+            Alcotest.(check int) "one exec phase per invoke"
+              (List.length invokes) (List.length execs);
+            List.iter2
+              (fun inv ex ->
+                 Alcotest.(check (float 0.0)) "same end" (end_of inv)
+                   (end_of ex))
+              invokes execs));
+    Alcotest.test_case "invoke span lasts the record's e2e_ms" `Quick
+      (fun () ->
+        with_recorder (fun sink ->
+            let sim = Platform.Lambda_sim.create (Workloads.Suite.tiny_app ()) in
+            let cold = Platform.Lambda_sim.invoke sim ~now_s:7.0 () in
+            let warm = Platform.Lambda_sim.invoke sim ~now_s:9.0 () in
+            let invokes =
+              List.filter
+                (fun s -> s.Obs.Span.sp_name = "invoke")
+                (Obs.Span.spans sink)
+              |> List.sort (fun a b ->
+                  compare a.Obs.Span.sp_start_ms b.Obs.Span.sp_start_ms)
+            in
+            match invokes with
+            | [ c; w ] ->
+              List.iter
+                (fun (r, s) ->
+                   Alcotest.(check (float 1e-9)) "duration"
+                     r.Platform.Lambda_sim.e2e_ms s.Obs.Span.sp_dur_ms)
+                [ (cold, c); (warm, w) ]
+            | l -> Alcotest.failf "expected 2 invoke spans, got %d"
+                     (List.length l)));
+    Alcotest.test_case "cold phases tile the invoke span back to back"
+      `Quick (fun () ->
+        with_recorder (fun sink ->
+            let sim = Platform.Lambda_sim.create (Workloads.Suite.tiny_app ()) in
+            ignore (Platform.Lambda_sim.invoke sim ~now_s:41.0 ());
+            let spans = Obs.Span.spans sink in
+            let find n =
+              match List.find_opt (fun s -> s.Obs.Span.sp_name = n) spans with
+              | Some s -> s
+              | None -> Alcotest.failf "no %s span" n
+            in
+            let end_of s = s.Obs.Span.sp_start_ms +. s.Obs.Span.sp_dur_ms in
+            let inv = find "invoke" in
+            let phases =
+              List.map find
+                [ "phase:instance_init"; "phase:transmission";
+                  "phase:function_init"; "phase:function_exec" ]
+            in
+            Alcotest.(check (float 0.0)) "first phase starts the invoke"
+              inv.Obs.Span.sp_start_ms
+              (List.hd phases).Obs.Span.sp_start_ms;
+            ignore
+              (List.fold_left
+                 (fun prev p ->
+                    Alcotest.(check (float 0.0)) p.Obs.Span.sp_name
+                      (end_of prev) p.Obs.Span.sp_start_ms;
+                    p)
+                 (List.hd phases) (List.tl phases));
+            Alcotest.(check (float 0.0)) "last phase ends the invoke"
+              (end_of inv)
+              (end_of (List.nth phases 3)))) ]
+
 (* --- measurement neutrality ----------------------------------------------- *)
 
 let neutrality_suite =
@@ -319,4 +404,5 @@ let suite =
     ("obs.metrics", metrics_suite);
     ("obs.export", export_suite);
     ("obs.properties", qcheck_suite);
+    ("obs.lambda_sim", sim_regression_suite);
     ("obs.neutrality", neutrality_suite) ]

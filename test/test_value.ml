@@ -43,7 +43,7 @@ let equality =
     Alcotest.test_case "functions compare physically" `Quick (fun () ->
         let f =
           Vfunc { fname = "f"; fparams = []; fbody = []; fglobals = Hashtbl.create 1;
-                  fmodule = "m"; fcode = None }
+                  fmodule = "m" }
         in
         Alcotest.(check bool) "same" true (equal f f)) ]
 
