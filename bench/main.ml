@@ -467,21 +467,14 @@ let print_sharded_throughput () =
 
 (* Kernels for the ablations and §9 extensions. *)
 let extension_tests =
-  [ Test.make ~name:"abl.parallel_dd_8workers"
-      (Staged.stage
-         (let items = List.init 64 Fun.id in
-          let oracle subset =
-            List.for_all (fun x -> List.mem x subset) [ 3; 31; 47 ]
-          in
-          fun () -> Trim.Dd.minimize_parallel ~workers:8 ~oracle items));
-    Test.make ~name:"abl.seeded_dd"
+  [ Test.make ~name:"abl.seeded_dd"
       (Staged.stage
          (let items = List.init 64 Fun.id in
           let oracle subset =
             List.for_all (fun x -> List.mem x subset) [ 3; 31; 47 ]
           in
           fun () ->
-            Trim.Dd.minimize_with_seed ~oracle ~seed:[ 3; 31; 47; 10 ] items));
+            Trim.Dd.minimize ~seed:[ 3; 31; 47; 10 ] ~oracle items));
     Test.make ~name:"abl.statement_dd"
       (Staged.stage (fun () ->
            let d = Lazy.force tiny in
@@ -649,7 +642,7 @@ let dd_pool_kernel domains =
           let dd_oracle subset =
             oracle (Trim.Debloater.with_restricted app ~file ~keep:subset)
           in
-          Trim.Dd.minimize_parallel ~pool:(Lazy.force pool) ~oracle:dd_oracle
+          Trim.Dd.minimize ~pool:(Lazy.force pool) ~oracle:dd_oracle
             candidates))
 
 (* Pool kernels only run at domain counts the host actually has: timing an

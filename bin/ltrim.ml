@@ -774,9 +774,15 @@ let calibrate_cmd =
 
 let experiments_cmd =
   let only_arg =
-    Arg.(value & opt_all string [] & info [ "o"; "only" ] ~docv:"ID"
-           ~doc:"Run only this experiment (repeatable). IDs: fig1 table1 fig2 \
-                 fig8 table2 fig9 table3 fig10 fig11 fig12 fig13 fig14 table4.")
+    let entries =
+      List.map
+        (fun (e : Experiments.Registry.entry) -> (e.Experiments.Registry.id, e))
+        Experiments.Registry.all
+    in
+    Arg.(value & opt_all (enum entries) []
+         & info [ "o"; "only" ] ~docv:"ID"
+             ~doc:("Run only this experiment (repeatable). IDs: "
+                   ^ String.concat " " Experiments.Registry.ids ^ "."))
   in
   let out_arg =
     Arg.(value & opt (some string) None
@@ -807,20 +813,7 @@ let experiments_cmd =
     Trim.Journal.configure ~dir:journal ~resume;
     with_chaos @@ fun () ->
     with_trace trace @@ fun () ->
-    let entries =
-      match only with
-      | [] -> Experiments.Registry.all
-      | ids ->
-        List.filter_map
-          (fun id ->
-             match Experiments.Registry.find id with
-             | Some e -> Some e
-             | None ->
-               Printf.eprintf "unknown experiment %S (known: %s)\n" id
-                 (String.concat ", " Experiments.Registry.ids);
-               None)
-          ids
-    in
+    let entries = if only = [] then Experiments.Registry.all else only in
     let ensure_dir = function
       | Some dir when not (Sys.file_exists dir) -> Unix.mkdir dir 0o755
       | _ -> ()

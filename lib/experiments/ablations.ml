@@ -144,19 +144,17 @@ let print_parallel () =
          oracle (Trim.Debloater.with_restricted app ~file ~keep:subset)
        in
        let t0 = Unix.gettimeofday () in
+       (* a 1-domain pool is no pool: the search evaluates lazily *)
        let _, s =
-         if domains = 1 then
-           Trim.Dd.minimize_parallel ~workers:1 ~oracle:dd_oracle candidates
-         else
-           Parallel.Pool.with_pool ~domains (fun pool ->
-               Trim.Dd.minimize_parallel ~pool ~oracle:dd_oracle candidates)
+         Parallel.Pool.with_pool ~domains (fun pool ->
+             Trim.Dd.minimize ~pool ~oracle:dd_oracle candidates)
        in
        let wall_ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
        if domains = 1 then base_wall := wall_ms;
        Buffer.add_string b
          (Printf.sprintf "  %-10d %10d %10d %10d %12.1f %9.2fx\n" domains
-            s.Trim.Dd.p_oracle_queries s.Trim.Dd.p_speculative
-            s.Trim.Dd.p_rounds wall_ms
+            s.Trim.Dd.oracle_queries s.Trim.Dd.speculative
+            s.Trim.Dd.rounds wall_ms
             (if wall_ms > 0.0 then !base_wall /. wall_ms else 0.0)))
     [ 1; 2; 4; 8 ];
   Buffer.contents b

@@ -26,11 +26,14 @@ type stats = {
      debloater (DD itself only sees an opaque subset oracle). *)
   mutable oracle_cache_hits : int;
   mutable oracle_cache_misses : int;
-  (* warm-start accounting ({!minimize_with_seed}): confirming queries spent
-     testing a previous keep-set, and how many of them passed (a hit skips
-     the whole coarse-granularity descent). *)
+  (* seeding pre-step: confirming queries spent testing a previous
+     keep-set, and how many of them passed (a hit skips the whole
+     coarse-granularity descent) *)
   mutable ws_queries : int;
   mutable ws_hits : int;
+  mutable speculative : int;        (* evaluations the commit walk never used *)
+  mutable rounds : int;             (* critical path in worker batches *)
+  mutable max_batch : int;          (* widest issued batch (<= workers) *)
 }
 
 type 'a step = {
@@ -77,44 +80,160 @@ let journal_keepset ~journal result =
     Journal.append_keepset j
       (String.concat "," (List.map string_of_int result))
 
-(* [minimize ~oracle items] assumes [oracle items = true] (the full program
-   passes its own test cases) and returns a 1-minimal passing subset. The
-   optional [on_step] observer receives every oracle query, enabling the
-   Figure-6-style walkthrough in the quickstart example. With [journal],
-   every verdict is recorded durably before use and a resumed run replays
-   recorded verdicts instead of re-querying — see {!Journal}. *)
-let minimize ?(on_step = fun (_ : 'a step) -> ()) ?journal ~oracle items =
+(* The one search. Algorithm 1 runs as a sequence of *phases* — the
+   candidates one granularity step tests, first pass wins — and each phase
+   is settled by a commit walk that visits its candidates in partition
+   order against a [committed] table. That table always equals the plain
+   ddmin's subset cache: a candidate the walk reaches is either a committed
+   hit ([cache_hits]) or an issue ([oracle_queries], reported to
+   [on_step]), and the walk stops at the first pass.
+
+   A pool only changes where an issued verdict comes from. Without one (or
+   with a single domain) the walk asks the oracle the moment it reaches a
+   candidate: plain ddmin. With a pool of size > 1 (§9: "multiple sets of
+   attributes of the same module in parallel"), the phase's unknown
+   candidates are first evaluated concurrently into a [speculative] table —
+   speculatively, because the walk stops at the first pass — and the walk
+   moves verdicts from there into [committed] one at a time. A verdict the
+   walk never reached stays speculative; if a later phase reaches that
+   subset, committing it counts as an issue (the sequential search would
+   have queried right there) that costs no oracle time anymore. So the
+   keep-set, [oracle_queries], [cache_hits] and [iterations] do not depend
+   on the pool or on scheduling; the surplus evaluations are [speculative],
+   the price of the wall-clock win (they also pre-warm the observation
+   memo). [rounds] models the critical path: each phase contributes
+   ⌈issued/workers⌉, workers being the pool size (1 without a pool).
+
+   With [journal], every execution (speculative included — a resumed run
+   re-speculates the same batches) is recorded durably before the search
+   observes it: lazy queries as they happen, a speculated batch in
+   submission order from the orchestrating thread, so record order — and
+   any chaos kill point — is scheduling-independent. A resumed run replays
+   recorded verdicts instead of re-querying; keep-set and every counter
+   equal the uninterrupted run's.
+
+   With [seed] (§9 continuous pipeline; Heo et al.'s learned prediction) a
+   pre-step tests the predicted keep-set: one confirming query, counted in
+   [oracle_queries] and [ws_queries] but kept out of the subset cache, so a
+   fallback walk that reaches the same subset queries it again. On a pass
+   the walk starts from the seed, skipping the coarse descent, and the
+   result is 1-minimal inside it; otherwise the walk starts from the full
+   list. A seed naming every item predicts nothing and is not tested. The
+   seed is matched against [items] by value and keeps its own order. *)
+let minimize ?(on_step = fun (_ : 'a step) -> ()) ?pool ?journal ?seed
+    ~oracle items =
+  let pool =
+    match pool with
+    | Some p when Parallel.Pool.size p > 1 -> Some p
+    | _ -> None
+  in
+  let workers = match pool with Some p -> Parallel.Pool.size p | None -> 1 in
   let stats =
     { oracle_queries = 0; cache_hits = 0; iterations = 0;
       oracle_cache_hits = 0; oracle_cache_misses = 0;
-      ws_queries = 0; ws_hits = 0 }
+      ws_queries = 0; ws_hits = 0; speculative = 0; rounds = 0;
+      max_batch = 0 }
   in
-  let arr = Array.of_list items in
-  let cache : (string, bool) Hashtbl.t = Hashtbl.create 64 in
+  let issue subset verdict =
+    stats.oracle_queries <- stats.oracle_queries + 1;
+    on_step { step_candidate = subset; step_passed = verdict }
+  in
+  let close_phase issued =
+    if issued > 0 then begin
+      stats.rounds <- stats.rounds + ((issued + workers - 1) / workers);
+      stats.max_batch <- max stats.max_batch (min issued workers)
+    end
+  in
+  let universe =
+    match seed with
+    | None -> items
+    | Some seed ->
+      if journal <> None then
+        invalid_arg "Dd.minimize: the journal digest does not cover a seed";
+      let seed = List.filter (fun x -> List.mem x items) seed in
+      if List.sort_uniq compare seed = List.sort_uniq compare items then items
+      else begin
+        let passed = oracle seed in
+        issue seed passed;
+        close_phase 1;
+        stats.ws_queries <- 1;
+        if passed then (stats.ws_hits <- 1; seed) else items
+      end
+  in
+  let arr = Array.of_list universe in
   let to_items idxs = List.map (fun i -> arr.(i)) idxs in
-  let test idxs =
-    let k = String.concat "," (List.map string_of_int idxs) in
-    match Hashtbl.find_opt cache k with
-    | Some r ->
-      stats.cache_hits <- stats.cache_hits + 1;
-      r
-    | None ->
-      stats.oracle_queries <- stats.oracle_queries + 1;
-      let subset = to_items idxs in
-      let r = journaled_query ~journal ~oracle ~key:k subset in
-      Hashtbl.replace cache k r;
-      on_step { step_candidate = subset; step_passed = r };
-      r
+  let key idxs = String.concat "," (List.map string_of_int idxs) in
+  let committed : (string, bool) Hashtbl.t = Hashtbl.create 64 in
+  let speculative : (string, bool) Hashtbl.t = Hashtbl.create 64 in
+  let speculate p phase =
+    let needed =
+      List.filter
+        (fun idxs ->
+           let k = key idxs in
+           not (Hashtbl.mem committed k || Hashtbl.mem speculative k))
+        phase
+    in
+    stats.speculative <- stats.speculative + List.length needed;
+    let replayed, fresh =
+      List.partition_map
+        (fun idxs ->
+           match Option.bind journal (fun j -> Journal.find j (key idxs)) with
+           | Some verdict -> Left (idxs, verdict)
+           | None -> Right idxs)
+        needed
+    in
+    let verdicts =
+      Parallel.Pool.map p (fun idxs -> oracle (to_items idxs)) fresh
+    in
+    (* durable before visible: journal fresh verdicts in submission order *)
+    List.iter2
+      (fun idxs verdict ->
+         let k = key idxs in
+         Option.iter (fun j -> Journal.append j ~key:k verdict) journal;
+         Hashtbl.replace speculative k verdict)
+      fresh verdicts;
+    List.iter
+      (fun (idxs, verdict) -> Hashtbl.replace speculative (key idxs) verdict)
+      replayed
+  in
+  let test_phase phase =
+    Option.iter (fun p -> speculate p phase) pool;
+    let issued = ref 0 in
+    let commit idxs =
+      let k = key idxs in
+      match Hashtbl.find_opt committed k with
+      | Some verdict ->
+        stats.cache_hits <- stats.cache_hits + 1;
+        verdict
+      | None ->
+        let subset = to_items idxs in
+        let verdict =
+          match Hashtbl.find_opt speculative k with
+          | Some verdict ->
+            Hashtbl.remove speculative k;
+            stats.speculative <- stats.speculative - 1;
+            verdict
+          | None -> journaled_query ~journal ~oracle ~key:k subset
+        in
+        Hashtbl.replace committed k verdict;
+        incr issued;
+        issue subset verdict;
+        verdict
+    in
+    let winner = List.find_opt commit phase in
+    close_phase !issued;
+    winner
   in
   let rec loop current n =
     stats.iterations <- stats.iterations + 1;
     let len = List.length current in
     (* unlike crash-minimisation, debloating admits an empty keep-set: a
        singleton is only 1-minimal if the empty set fails *)
-    if len <= 1 then (if len = 1 && test [] then [] else current)
+    if len <= 1 then
+      (if len = 1 && test_phase [ [] ] <> None then [] else current)
     else begin
       let parts = partitions current n in
-      match List.find_opt test parts with
+      match test_phase parts with
       | Some winner -> loop winner 2
       | None ->
         (* complements coincide with partitions at n = 2; skip re-testing *)
@@ -122,7 +241,7 @@ let minimize ?(on_step = fun (_ : 'a step) -> ()) ?journal ~oracle items =
           if n = 2 then []
           else List.map (fun p -> complement ~of_:current p) parts
         in
-        (match List.find_opt test complements with
+        (match test_phase complements with
          | Some winner -> loop winner (max 2 (n - 1))
          | None ->
            if n >= len then current
@@ -130,7 +249,7 @@ let minimize ?(on_step = fun (_ : 'a step) -> ()) ?journal ~oracle items =
     end
   in
   let all_idxs = List.init (Array.length arr) Fun.id in
-  let result = if items = [] then [] else loop all_idxs 2 in
+  let result = if universe = [] then [] else loop all_idxs 2 in
   journal_keepset ~journal result;
   (to_items result, stats)
 
@@ -146,206 +265,3 @@ let is_one_minimal ~oracle subset =
   && List.for_all
        (fun i -> not (oracle (List.filteri (fun j _ -> j <> i) subset)))
        (List.init (List.length subset) Fun.id)
-
-(* --- §9 extensions ------------------------------------------------------- *)
-
-type parallel_stats = {
-  p_oracle_queries : int;   (* issued queries — equals sequential minimize's *)
-  p_cache_hits : int;       (* subset-cache hits — equals sequential's *)
-  p_speculative : int;      (* extra evaluations that were never committed *)
-  p_rounds : int;           (* critical-path length in worker batches *)
-  p_max_batch : int;        (* widest issued batch (≤ workers) *)
-  p_iterations : int;       (* granularity rounds — equals sequential's *)
-}
-
-(* Intra-module parallel DD (§9: "multiple sets of attributes of the same
-   module in parallel"). Algorithm 1's candidate tests within one phase are
-   independent, so the pool evaluates a whole phase's batch concurrently —
-   *speculatively*, because the sequential algorithm stops at the first
-   passing candidate and never looks at the rest.
-
-   The committed-prefix discipline keeps the search byte-identical to
-   [minimize] anyway: verdicts live in a [speculative] table until a commit
-   walk revisits the candidates in partition order, replaying exactly the
-   sequential control flow against a [committed] table that therefore always
-   equals the sequential cache. A candidate the walk reaches is either a
-   committed-cache hit ([p_cache_hits]) or an issue ([p_oracle_queries]);
-   the walk stops at the first pass. Speculative verdicts the walk never
-   reached stay in their table: if a later phase's walk reaches that subset,
-   committing it counts as an issue — the sequential algorithm would have
-   queried the oracle right there — it just costs no oracle time anymore.
-
-   Net effect: keep-set, [p_oracle_queries], [p_cache_hits] and
-   [p_iterations] all equal the sequential run's numbers regardless of
-   [workers] or scheduling, while the oracle calls themselves run on
-   [pool]; the surplus [p_speculative] evaluations are the price of the
-   wall-clock win (and they pre-warm the observation memo). [p_rounds] is
-   the modelled critical path: each phase contributes ⌈issued/workers⌉.
-   Without a [pool], evaluation falls back to sequential execution of the
-   same batches — accounting (and result) stay identical.
-
-   With [journal], every *execution* (speculative included — the resumed
-   run re-speculates the same batches) is recorded: replayed keys skip the
-   pool, fresh keys are evaluated and then journaled sequentially in
-   submission order from the orchestrating thread, keeping record order —
-   and therefore the chaos kill point — scheduling-independent. *)
-let minimize_parallel ?workers ?pool ?journal ~oracle items =
-  let workers =
-    match (workers, pool) with
-    | Some w, _ -> w
-    | None, Some p -> Parallel.Pool.size p
-    | None, None -> 8
-  in
-  if workers < 1 then invalid_arg "Dd.minimize_parallel: workers < 1";
-  let arr = Array.of_list items in
-  let to_items idxs = List.map (fun i -> arr.(i)) idxs in
-  let key idxs = String.concat "," (List.map string_of_int idxs) in
-  let committed : (string, bool) Hashtbl.t = Hashtbl.create 64 in
-  let speculative : (string, bool) Hashtbl.t = Hashtbl.create 64 in
-  let issued = ref 0 and hits = ref 0 and evals = ref 0 in
-  let rounds = ref 0 and max_batch = ref 0 and iters = ref 0 in
-  (* concurrently evaluate every candidate of the phase not yet known *)
-  let evaluate idxs_list =
-    let needed =
-      List.filter
-        (fun idxs ->
-           let k = key idxs in
-           not (Hashtbl.mem committed k || Hashtbl.mem speculative k))
-        idxs_list
-    in
-    if needed <> [] then begin
-      evals := !evals + List.length needed;
-      let lookups =
-        List.map
-          (fun idxs ->
-             ( idxs,
-               match journal with
-               | Some j -> Journal.find j (key idxs)
-               | None -> None ))
-          needed
-      in
-      let fresh =
-        List.filter_map
-          (fun (idxs, v) -> if v = None then Some idxs else None)
-          lookups
-      in
-      let verdicts =
-        if fresh = [] then []
-        else
-          match pool with
-          | Some p when Parallel.Pool.size p > 1 ->
-            Parallel.Pool.map p (fun idxs -> oracle (to_items idxs)) fresh
-          | _ -> List.map (fun idxs -> oracle (to_items idxs)) fresh
-      in
-      (* durable before visible: journal fresh verdicts in submission order *)
-      List.iter2
-        (fun idxs verdict ->
-           (match journal with
-            | Some j -> Journal.append j ~key:(key idxs) verdict
-            | None -> ());
-           Hashtbl.replace speculative (key idxs) verdict)
-        fresh verdicts;
-      List.iter
-        (fun (idxs, v) ->
-           match v with
-           | Some verdict -> Hashtbl.replace speculative (key idxs) verdict
-           | None -> ())
-        lookups
-    end
-  in
-  (* replay the sequential walk over the batch: first pass wins; rounds are
-     counted over the candidates actually issued, not the whole batch *)
-  let commit_walk idxs_list =
-    let batch_issued = ref 0 in
-    let rec walk = function
-      | [] -> None
-      | idxs :: rest ->
-        let verdict =
-          let k = key idxs in
-          match Hashtbl.find_opt committed k with
-          | Some v ->
-            incr hits;
-            v
-          | None ->
-            let v = Hashtbl.find speculative k in
-            Hashtbl.remove speculative k;
-            Hashtbl.replace committed k v;
-            incr issued;
-            incr batch_issued;
-            v
-        in
-        if verdict then Some idxs else walk rest
-    in
-    let result = walk idxs_list in
-    if !batch_issued > 0 then begin
-      rounds := !rounds + ((!batch_issued + workers - 1) / workers);
-      max_batch := max !max_batch (min !batch_issued workers)
-    end;
-    result
-  in
-  let test_phase idxs_list =
-    evaluate idxs_list;
-    commit_walk idxs_list
-  in
-  let rec loop current n =
-    incr iters;
-    let len = List.length current in
-    if len <= 1 then begin
-      if len = 1 && test_phase [ [] ] <> None then [] else current
-    end
-    else begin
-      let parts = partitions current n in
-      match test_phase parts with
-      | Some winner -> loop winner 2
-      | None ->
-        let complements =
-          if n = 2 then []
-          else List.map (fun p -> complement ~of_:current p) parts
-        in
-        let cwinner =
-          if complements = [] then None else test_phase complements
-        in
-        (match cwinner with
-         | Some winner -> loop winner (max 2 (n - 1))
-         | None -> if n >= len then current else loop current (min (2 * n) len))
-    end
-  in
-  let all_idxs = List.init (Array.length arr) Fun.id in
-  let result = if items = [] then [] else loop all_idxs 2 in
-  journal_keepset ~journal result;
-  ( to_items result,
-    { p_oracle_queries = !issued;
-      p_cache_hits = !hits;
-      p_speculative = !evals - !issued;
-      p_rounds = !rounds;
-      p_max_batch = !max_batch;
-      p_iterations = !iters } )
-
-(* Seeded DD (§9 continuous pipeline; Heo et al.'s learned prediction): test
-   the predicted keep-set first — if it already passes, minimize inside it,
-   skipping the whole coarse-granularity descent. Falls back to plain DD when
-   the prediction is stale. The result is still 1-minimal w.r.t. the oracle
-   restricted to the seed (or the full set on fallback). *)
-let minimize_with_seed ?on_step ~oracle ~seed items =
-  let seed = List.filter (fun x -> List.mem x items) seed in
-  let seed_distinct = List.sort_uniq compare seed in
-  if seed_distinct <> List.sort_uniq compare items && oracle seed then begin
-    let kept, stats = minimize ?on_step ~oracle seed in
-    (* +1 for the seed test itself *)
-    stats.oracle_queries <- stats.oracle_queries + 1;
-    stats.ws_queries <- stats.ws_queries + 1;
-    stats.ws_hits <- stats.ws_hits + 1;
-    (kept, stats, true)
-  end
-  else begin
-    let kept, stats = minimize ?on_step ~oracle items in
-    let stats =
-      if seed_distinct <> List.sort_uniq compare items then begin
-        stats.oracle_queries <- stats.oracle_queries + 1;
-        stats.ws_queries <- stats.ws_queries + 1;
-        stats
-      end
-      else stats
-    in
-    (kept, stats, false)
-  end

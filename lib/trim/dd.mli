@@ -1,4 +1,5 @@
-(** Delta Debugging — Algorithm 1 of the paper.
+(** Delta Debugging — Algorithm 1 of the paper, with its §9 extensions
+    (parallel speculation and seeding) folded into one search.
 
     Given a list of program components and an oracle over component subsets,
     [minimize] returns a 1-minimal subset that still satisfies the oracle:
@@ -6,7 +7,9 @@
     Oracle queries are memoized across granularity changes. *)
 
 type stats = {
-  mutable oracle_queries : int;  (** distinct subsets actually tested *)
+  mutable oracle_queries : int;
+      (** issued queries: distinct subsets the search tested, plus the
+          seed's confirming query *)
   mutable cache_hits : int;      (** repeated subsets answered from cache *)
   mutable iterations : int;      (** granularity rounds of the main loop *)
   mutable oracle_cache_hits : int;
@@ -14,11 +17,20 @@ type stats = {
           of fresh interpreters; filled in by the debloater *)
   mutable oracle_cache_misses : int;
   mutable ws_queries : int;
-      (** warm-start confirmation queries issued by {!minimize_with_seed}
-          (testing a previous keep-set before searching) *)
+      (** seed confirmation queries (0 or 1): the pre-step testing a
+          previous keep-set before searching *)
   mutable ws_hits : int;
-      (** warm-start confirmations that passed, skipping the
+      (** seed confirmations that passed (0 or 1), skipping the
           coarse-granularity descent entirely *)
+  mutable speculative : int;
+      (** surplus pool evaluations the commit walk never reached; total
+          oracle executions = [oracle_queries + speculative]. 0 without a
+          pool. *)
+  mutable rounds : int;
+      (** modelled critical path: each phase contributes
+          ⌈issued/workers⌉ batches, workers being the pool size (1 without
+          a pool); cache hits are free *)
+  mutable max_batch : int;       (** widest issued batch (≤ workers) *)
 }
 
 type 'a step = {
@@ -35,18 +47,38 @@ val complement : of_:'a list -> 'a list -> 'a list
 
 (** [minimize ~oracle items] runs Algorithm 1. Assumes [oracle items = true]
     (the full program passes its own test cases — §5's precondition).
-    [on_step] observes every actual (non-cached) oracle query, enabling the
-    Figure-6 walkthrough of [examples/quickstart.ml]. Unlike crash
-    minimisation, the empty subset is a legal result: a singleton is tested
-    against [[]] before being returned.
+    Unlike crash minimisation, the empty subset is a legal result: a
+    singleton is tested against [[]] before being returned.
+
+    Each granularity phase is settled by a commit walk that replays the
+    sequential control flow, so the keep-set, [oracle_queries],
+    [cache_hits] and [iterations] are the same with or without [pool] and
+    under any scheduling. [on_step] observes every issued query in commit
+    order, with or without a pool — the Figure-6 walkthrough of
+    [examples/quickstart.ml].
+
+    With [pool] of size > 1 (§9 parallel DD), each phase's candidates are
+    first evaluated concurrently on the pool; the surplus is counted in
+    [speculative]. Otherwise candidates are evaluated lazily as the walk
+    reaches them.
 
     With [journal], every verdict is recorded durably before the search can
     observe it, and a resumed run (a journal opened with [resume] on the
     same run digest) replays recorded verdicts instead of re-querying —
-    keep-set and all counters are bit-identical to the uninterrupted run. *)
+    keep-set and all counters are bit-identical to the uninterrupted run.
+
+    With [seed] (§9 continuous pipeline), a pre-step tests the seed's
+    members of [items] (by value, in the seed's order) with one confirming
+    query that does not enter the subset cache. On a pass the search runs
+    inside the seed ([ws_hits = 1]); otherwise over all of [items]. A seed
+    naming every item is not tested.
+    @raise Invalid_argument if both [seed] and [journal] are given: the
+    journal's run digest does not cover the seed. *)
 val minimize :
   ?on_step:('a step -> unit) ->
+  ?pool:Parallel.Pool.t ->
   ?journal:Journal.t ->
+  ?seed:'a list ->
   oracle:('a list -> bool) ->
   'a list ->
   'a list * stats
@@ -54,53 +86,3 @@ val minimize :
 (** [is_one_minimal ~oracle subset]: [subset] passes and no single-element
     removal does. The property tests check [minimize]'s output with this. *)
 val is_one_minimal : oracle:('a list -> bool) -> 'a list -> bool
-
-(** {1 §9 extensions} *)
-
-type parallel_stats = {
-  p_oracle_queries : int;
-      (** issued queries — equals the sequential [minimize]'s
-          [oracle_queries] on the same input *)
-  p_cache_hits : int;      (** subset-cache hits — equals sequential's *)
-  p_speculative : int;
-      (** surplus concurrent evaluations the sequential walk never reached;
-          total oracle executions = [p_oracle_queries + p_speculative] *)
-  p_rounds : int;
-      (** modelled critical path: each phase contributes ⌈issued/workers⌉
-          batches, counted over issued queries only (cache hits are free) *)
-  p_max_batch : int;       (** widest issued batch (≤ [workers]) *)
-  p_iterations : int;      (** granularity rounds — equals sequential's *)
-}
-
-(** Intra-module parallel DD (§9): each phase's candidate batch is evaluated
-    concurrently on [pool] (sequentially when absent or of size 1), then
-    verdicts are committed in partition order replaying exactly the
-    sequential control flow — so the keep-set, [p_oracle_queries],
-    [p_cache_hits] and [p_iterations] are scheduling-independent and equal
-    [minimize]'s, whatever [workers] is. [workers] (default: the pool's
-    size, else 8) only scales the [p_rounds]/[p_max_batch] model.
-
-    With [journal], every execution (speculative included) is recorded in
-    submission order from the orchestrating thread — record order, and
-    hence any chaos kill point, is scheduling-independent — and a resumed
-    run replays recorded verdicts, reproducing keep-set and every counter
-    ([p_speculative] included).
-    @raise Invalid_argument if [workers < 1]. *)
-val minimize_parallel :
-  ?workers:int ->
-  ?pool:Parallel.Pool.t ->
-  ?journal:Journal.t ->
-  oracle:('a list -> bool) ->
-  'a list ->
-  'a list * parallel_stats
-
-(** Seeded DD for the continuous pipeline: tests the predicted keep-set
-    [seed] first; on a pass, minimises inside it (skipping the coarse
-    descent), otherwise falls back to full DD. The returned flag is [true]
-    iff the seed passed. *)
-val minimize_with_seed :
-  ?on_step:('a step -> unit) ->
-  oracle:('a list -> bool) ->
-  seed:'a list ->
-  'a list ->
-  'a list * stats * bool

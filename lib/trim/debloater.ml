@@ -30,6 +30,7 @@ type module_result = {
   dd_iterations : int;
   oracle_cache_hits : int;       (* observation-memo hits during this search *)
   oracle_cache_misses : int;
+  seed_hit : bool;               (* a seed passed its confirming query *)
 }
 
 let pp_module_result ppf r =
@@ -43,7 +44,7 @@ let empty_result module_name =
   { dm_module = module_name; dm_file = "<none>"; attrs_before = 0;
     attrs_after = 0; removed_attrs = []; protected = [];
     oracle_queries = 0; cache_hits = 0; dd_iterations = 0;
-    oracle_cache_hits = 0; oracle_cache_misses = 0 }
+    oracle_cache_hits = 0; oracle_cache_misses = 0; seed_hit = false }
 
 (* Rewrite [file] inside a copy-on-write overlay of [d] keeping exactly
    [keep]: the candidate image shares every other file with the base. *)
@@ -99,27 +100,6 @@ let traced_oracle ~module_name ~(cache : Oracle.Cache.t) dd_oracle subset =
       Obs.Span.end_ sp ~ts_ms:(wall_ms ());
       raise e
   end
-
-(* Run DD on [pool] when one of size > 1 is supplied, sequentially
-   otherwise. The parallel stats are re-expressed as the sequential [Dd.stats]
-   view — legitimate because the committed-prefix discipline makes
-   [p_oracle_queries]/[p_cache_hits]/[p_iterations] equal the sequential
-   run's numbers (see Dd.minimize_parallel). [on_step] fires only on the
-   sequential path: speculative evaluation has no sequential step order to
-   report. *)
-let dd_minimize ?on_step ?pool ?journal ~oracle candidates =
-  match pool with
-  | Some p when Parallel.Pool.size p > 1 ->
-    let kept, ps = Dd.minimize_parallel ~pool:p ?journal ~oracle candidates in
-    ( kept,
-      { Dd.oracle_queries = ps.Dd.p_oracle_queries;
-        cache_hits = ps.Dd.p_cache_hits;
-        iterations = ps.Dd.p_iterations;
-        oracle_cache_hits = 0;
-        oracle_cache_misses = 0;
-        ws_queries = 0;
-        ws_hits = 0 } )
-  | _ -> Dd.minimize ?on_step ?journal ~oracle candidates
 
 (* --- journal wiring --------------------------------------------------------
 
@@ -199,14 +179,18 @@ let result_of_stats ~module_name ~file ~all_attrs ~final_keep ~protected_list
     cache_hits = stats.Dd.cache_hits;
     dd_iterations = stats.Dd.iterations;
     oracle_cache_hits = stats.Dd.oracle_cache_hits;
-    oracle_cache_misses = stats.Dd.oracle_cache_misses }
+    oracle_cache_misses = stats.Dd.oracle_cache_misses;
+    seed_hit = stats.Dd.ws_hits > 0 }
 
 (* Debloat one module of [d]; returns the updated deployment (an overlay
    sharing no *mutable* state with the input) and the per-module report.
    [oracle] judges candidate deployments; [protected] attributes are never
-   offered to DD. *)
+   offered to DD. [seed] primes DD with a previous run's keep-set (§9
+   continuous pipeline): when the application changed little, the seed
+   passes its one confirming query and DD only re-verifies 1-minimality
+   inside it. *)
 let debloat_module ?(on_step = fun (_ : string Dd.step) -> ())
-    ?(oracle_cache = Oracle.Cache.global) ?pool ?journal
+    ?(oracle_cache = Oracle.Cache.global) ?pool ?journal ?seed
     ~(oracle : Platform.Deployment.t -> bool) ~(protected : String_set.t)
     (d : Platform.Deployment.t) ~module_name : Platform.Deployment.t * module_result
   =
@@ -238,8 +222,8 @@ let debloat_module ?(on_step = fun (_ : string Dd.step) -> ())
         (fun () ->
            obs_dd_span ~module_name (fun () ->
                with_memo_stats oracle_cache (fun () ->
-                   dd_minimize ~on_step ?pool ?journal:jnl ~oracle:dd_oracle
-                     candidates)))
+                   Dd.minimize ~on_step ?pool ?journal:jnl ?seed
+                     ~oracle:dd_oracle candidates)))
     in
     let final_keep = protected_list @ kept in
     let d' = with_restricted d ~file ~keep:final_keep in
@@ -327,49 +311,8 @@ let debloat_module_statements ?(oracle_cache = Oracle.Cache.global)
         cache_hits = stats.Dd.cache_hits;
         dd_iterations = stats.Dd.iterations;
         oracle_cache_hits = stats.Dd.oracle_cache_hits;
-        oracle_cache_misses = stats.Dd.oracle_cache_misses } )
-
-(* --- seeded variant for the continuous pipeline (§9) ---------------------- *)
-
-(* Like [debloat_module], but primes DD with the keep-set from a previous
-   run. When the application changed little, the seed passes immediately and
-   DD only has to re-verify 1-minimality inside it. *)
-let debloat_module_seeded ?(oracle_cache = Oracle.Cache.global)
-    ~(oracle : Platform.Deployment.t -> bool)
-    ~(protected : String_set.t) ~(seed_keep : string list)
-    (d : Platform.Deployment.t) ~module_name :
-  Platform.Deployment.t * module_result * bool =
-  match Minipy.Importer.init_file_of d.Platform.Deployment.vfs module_name with
-  | None -> (d, empty_result module_name, false)
-  | Some file ->
-    let source = Minipy.Vfs.read_exn d.Platform.Deployment.vfs file in
-    let prog = Minipy.Parse_cache.parse ~file source in
-    let all_attrs = Attrs.attrs_of_program prog in
-    let protected_list =
-      List.filter (fun a -> String_set.mem a protected) all_attrs
-    in
-    let candidates =
-      List.filter (fun a -> not (String_set.mem a protected)) all_attrs
-    in
-    let dd_oracle subset =
-      oracle (with_restricted d ~file ~keep:(protected_list @ subset))
-    in
-    let dd_oracle = traced_oracle ~module_name ~cache:oracle_cache dd_oracle in
-    let seed = List.filter (fun a -> List.mem a candidates) seed_keep in
-    let (kept, seed_hit), stats =
-      obs_dd_span ~module_name (fun () ->
-          with_memo_stats oracle_cache (fun () ->
-              let kept, stats, seed_hit =
-                Dd.minimize_with_seed ~oracle:dd_oracle ~seed candidates
-              in
-              ((kept, seed_hit), stats)))
-    in
-    let final_keep = protected_list @ kept in
-    let d' = with_restricted d ~file ~keep:final_keep in
-    ( d',
-      result_of_stats ~module_name ~file ~all_attrs ~final_keep
-        ~protected_list stats,
-      seed_hit )
+        oracle_cache_misses = stats.Dd.oracle_cache_misses;
+        seed_hit = false } )
 
 (* --- incremental re-debloating (digest-diffed searches) -------------------
 
@@ -493,17 +436,12 @@ let debloat_module_incremental ?(oracle_cache = Oracle.Cache.global) ?pool
        let keep = List.filter (fun a -> not (List.mem a removed)) all_attrs in
        let d' = with_restricted d ~file ~keep in
        ( d',
-         { dm_module = module_name;
+         { (empty_result module_name) with
            dm_file = file;
            attrs_before = List.length all_attrs;
            attrs_after = List.length keep;
            removed_attrs = removed;
-           protected = protected_list;
-           oracle_queries = 0;
-           cache_hits = 0;
-           dd_iterations = 0;
-           oracle_cache_hits = 0;
-           oracle_cache_misses = 0 },
+           protected = protected_list },
          Replayed,
          digest )
      | Some e ->
@@ -512,11 +450,11 @@ let debloat_module_incremental ?(oracle_cache = Oracle.Cache.global) ?pool
            (fun a -> not (List.mem a e.Manifest.me_removed))
            all_attrs
        in
-       let d', r, hit =
-         debloat_module_seeded ~oracle_cache ~oracle ~protected ~seed_keep d
+       let d', r =
+         debloat_module ~oracle_cache ~oracle ~protected ~seed:seed_keep d
            ~module_name
        in
-       (d', r, Seeded hit, digest)
+       (d', r, Seeded r.seed_hit, digest)
      | None ->
        let d', r =
          debloat_module ~oracle_cache ?pool ?journal ~oracle ~protected d

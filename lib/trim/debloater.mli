@@ -23,6 +23,9 @@ type module_result = {
   oracle_cache_hits : int;
       (** oracle queries answered by the observation memo *)
   oracle_cache_misses : int;
+  seed_hit : bool;
+      (** a seed passed its confirming query ({!Dd.stats.ws_hits}); [false]
+          for unseeded searches *)
 }
 
 val pp_module_result : Format.formatter -> module_result -> unit
@@ -40,11 +43,17 @@ val with_restricted :
     with the input deployment. Builtin (non-file-backed) modules are a
     no-op.
 
-    With [?pool] (of size > 1) the DD search runs its oracle batches
-    concurrently via {!Dd.minimize_parallel}; keep-set and query/cache-hit
-    counts are identical to the sequential search by that function's
-    committed-prefix contract. [on_step] only fires on the sequential
-    path.
+    With [?pool] (of size > 1) the DD search speculates its oracle batches
+    concurrently; keep-set and query/cache-hit counts are identical to the
+    pool-less search by {!Dd.minimize}'s committed-prefix contract.
+    [on_step] fires for every issued query in commit order, with or without
+    a pool.
+
+    With [?seed] (§9 continuous pipeline) DD first tests a previous run's
+    keep-set with one confirming query and, on a pass, searches inside it;
+    [seed_hit] reports the outcome. The pipelines pass no pool with a
+    seed, so seeded searches never speculate.
+    @raise Invalid_argument if both [seed] and [journal] are given.
 
     With [?journal], the search records every verdict in
     [<journal_dir>/<module>.journal] and — when the spec says resume — a
@@ -58,6 +67,7 @@ val debloat_module :
   ?oracle_cache:Oracle.Cache.t ->
   ?pool:Parallel.Pool.t ->
   ?journal:Journal.spec ->
+  ?seed:string list ->
   oracle:(Platform.Deployment.t -> bool) ->
   protected:String_set.t ->
   Platform.Deployment.t ->
@@ -97,17 +107,6 @@ val debloat_module_statements :
   Platform.Deployment.t ->
   module_name:string ->
   Platform.Deployment.t * module_result
-
-(** Seeded debloating for the continuous pipeline (§9): primes DD with a
-    previous run's keep-set. The flag is [true] iff the seed passed. *)
-val debloat_module_seeded :
-  ?oracle_cache:Oracle.Cache.t ->
-  oracle:(Platform.Deployment.t -> bool) ->
-  protected:String_set.t ->
-  seed_keep:string list ->
-  Platform.Deployment.t ->
-  module_name:string ->
-  Platform.Deployment.t * module_result * bool
 
 (** {1 Incremental re-debloating} *)
 

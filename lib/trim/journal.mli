@@ -6,8 +6,8 @@
     file holds every verdict the search consumed plus at most one torn
     record at the tail. Reopening with [resume] replays the valid prefix
     into a lookup table, drops any invalid suffix (repairing the file via
-    write-temp-then-rename), and lets {!Dd.minimize} /
-    {!Dd.minimize_parallel} answer queries from the table — reproducing
+    write-temp-then-rename), and lets {!Dd.minimize} (with or without a
+    pool) answer queries from the table — reproducing
     the uninterrupted run's keep-set and counters bit for bit. A header
     run-digest binds the file to one search (base image, module, candidate
     list, engine tag, job layout); a mismatched header discards the journal

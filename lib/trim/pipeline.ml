@@ -553,20 +553,19 @@ let run_continuous ?(options = default_options)
                    let protected =
                      Static_analyzer.protected_attrs analysis ~module_name
                    in
-                   let seed_keep = seed_for module_name in
-                   if seed_keep = [] then
-                     let d', r =
-                       Debloater.debloat_module ~oracle ~protected d
-                         ~module_name
-                     in
-                     (d', r :: results, hits, seeded)
-                   else
-                     let d', r, hit =
-                       Debloater.debloat_module_seeded ~oracle ~protected
-                         ~seed_keep d ~module_name
-                     in
-                     (d', r :: results, (if hit then hits + 1 else hits),
-                      seeded + 1))
+                   (* an empty previous keep-set counts as no seed *)
+                   let seed =
+                     match seed_for module_name with
+                     | [] -> None
+                     | seed_keep -> Some seed_keep
+                   in
+                   let d', r =
+                     Debloater.debloat_module ~oracle ~protected ?seed d
+                       ~module_name
+                   in
+                   ( d', r :: results,
+                     hits + Bool.to_int r.Debloater.seed_hit,
+                     seeded + Bool.to_int (seed <> None) ))
                 (app, [], 0, 0) ranked)
         in
         (analysis, profile, ranked, optimized, List.rev module_results,

@@ -8,42 +8,42 @@ let needs needed subset = List.for_all (fun x -> List.mem x subset) needed
 
 let parallel =
   [ Alcotest.test_case "parallel result equals sequential" `Quick (fun () ->
+        let pool = Dd_ref.pool 4 in
         List.iter
           (fun needed ->
              let items = List.init 40 Fun.id in
              let seq, _ = Dd.minimize ~oracle:(needs needed) items in
-             let par, _ =
-               Dd.minimize_parallel ~workers:8 ~oracle:(needs needed) items
-             in
-             Alcotest.(check (list int)) "same" (List.sort compare seq)
-               (List.sort compare par))
+             let par, _ = Dd.minimize ~pool ~oracle:(needs needed) items in
+             Alcotest.(check (list int)) "same" seq par)
           [ []; [ 0 ]; [ 7; 23 ]; [ 1; 2; 3 ]; List.init 40 Fun.id ]);
     Alcotest.test_case "rounds shrink with more workers" `Quick (fun () ->
         let items = List.init 64 Fun.id in
         let oracle = needs [ 5; 33; 60 ] in
-        let _, s1 = Dd.minimize_parallel ~workers:1 ~oracle items in
-        let _, s8 = Dd.minimize_parallel ~workers:8 ~oracle items in
+        let _, s1 = Dd.minimize ~oracle items in
+        let _, s4 = Dd.minimize ~pool:(Dd_ref.pool 4) ~oracle items in
         Alcotest.(check bool)
-          (Printf.sprintf "rounds %d (w=8) < %d (w=1)" s8.Dd.p_rounds
-             s1.Dd.p_rounds)
+          (Printf.sprintf "rounds %d (pool of 4) < %d (no pool)" s4.Dd.rounds
+             s1.Dd.rounds)
           true
-          (s8.Dd.p_rounds < s1.Dd.p_rounds);
-        Alcotest.(check int) "w=1 rounds = queries" s1.Dd.p_oracle_queries
-          s1.Dd.p_rounds);
+          (s4.Dd.rounds < s1.Dd.rounds);
+        Alcotest.(check int) "no pool: rounds = queries" s1.Dd.oracle_queries
+          s1.Dd.rounds);
     Alcotest.test_case "batch width bounded by workers" `Quick (fun () ->
         let items = List.init 32 Fun.id in
-        let _, s = Dd.minimize_parallel ~workers:4 ~oracle:(needs [ 3 ]) items in
-        Alcotest.(check bool) "max batch <= 4" true (s.Dd.p_max_batch <= 4)) ]
+        let _, s =
+          Dd.minimize ~pool:(Dd_ref.pool 4) ~oracle:(needs [ 3 ]) items
+        in
+        Alcotest.(check bool) "max batch <= 4" true (s.Dd.max_batch <= 4)) ]
 
 let seeded =
   [ Alcotest.test_case "good seed cuts queries" `Quick (fun () ->
         let items = List.init 60 Fun.id in
         let oracle = needs [ 10; 20 ] in
         let _, fresh = Dd.minimize ~oracle items in
-        let kept, with_seed, hit =
-          Dd.minimize_with_seed ~oracle ~seed:[ 10; 20; 30 ] items
+        let kept, with_seed =
+          Dd.minimize ~seed:[ 10; 20; 30 ] ~oracle items
         in
-        Alcotest.(check bool) "seed hit" true hit;
+        Alcotest.(check int) "seed hit" 1 with_seed.Dd.ws_hits;
         Alcotest.(check (list int)) "same minimal set" [ 10; 20 ]
           (List.sort compare kept);
         Alcotest.(check bool)
@@ -54,18 +54,48 @@ let seeded =
     Alcotest.test_case "stale seed falls back to full DD" `Quick (fun () ->
         let items = List.init 20 Fun.id in
         let oracle = needs [ 5 ] in
-        let kept, _, hit =
-          Dd.minimize_with_seed ~oracle ~seed:[ 1; 2 ] items
-        in
-        Alcotest.(check bool) "no hit" false hit;
+        let kept, st = Dd.minimize ~seed:[ 1; 2 ] ~oracle items in
+        Alcotest.(check int) "no hit" 0 st.Dd.ws_hits;
         Alcotest.(check (list int)) "still correct" [ 5 ] (List.sort compare kept));
     Alcotest.test_case "empty seed behaves like plain DD" `Quick (fun () ->
         let items = List.init 12 Fun.id in
         let oracle = needs [ 2 ] in
-        let kept, _, hit = Dd.minimize_with_seed ~oracle ~seed:[] items in
-        Alcotest.(check bool) "empty seed passing counts as hit" true
-          (hit = (oracle [] && true) || not hit);
-        Alcotest.(check (list int)) "correct" [ 2 ] (List.sort compare kept)) ]
+        let plain_kept, plain = Dd.minimize ~oracle items in
+        let kept, st = Dd.minimize ~seed:[] ~oracle items in
+        Alcotest.(check bool) "no hit" false (st.Dd.ws_hits > 0);
+        Alcotest.(check (list int)) "keep-set of the unseeded run" plain_kept
+          kept;
+        Alcotest.(check int) "unseeded queries + the seed's"
+          (plain.Dd.oracle_queries + 1) st.Dd.oracle_queries;
+        Alcotest.(check int) "one confirming query" 1 st.Dd.ws_queries);
+    Alcotest.test_case "passing empty seed is the whole answer" `Quick
+      (fun () ->
+        let kept, st =
+          Dd.minimize ~seed:[] ~oracle:(needs []) (List.init 12 Fun.id)
+        in
+        Alcotest.(check bool) "hit" true (st.Dd.ws_hits > 0);
+        Alcotest.(check (list int)) "empty keep-set" [] kept;
+        Alcotest.(check int) "no search" 0 st.Dd.iterations);
+    Alcotest.test_case "fallback re-tests the failed seed as a fresh query"
+      `Quick (fun () ->
+        (* the seed [0; 1] is the first partition of the fallback search:
+           its confirming verdict must not have entered the subset cache *)
+        let items = [ 0; 1; 2; 3 ] in
+        let calls = ref [] in
+        let oracle subset = calls := subset :: !calls; needs [ 2 ] subset in
+        let _, plain = Dd.minimize ~oracle items in
+        calls := [];
+        let kept, st = Dd.minimize ~seed:[ 0; 1 ] ~oracle items in
+        Alcotest.(check int) "seed queried twice" 2
+          (List.length (List.filter (( = ) [ 0; 1 ]) !calls));
+        let ref_kept, ref_st = Dd_ref.minimize ~seed:[ 0; 1 ] ~oracle items in
+        Alcotest.(check (list int)) "keep-set" ref_kept kept;
+        Alcotest.(check int) "oracle_queries" ref_st.Dd.oracle_queries
+          st.Dd.oracle_queries;
+        Alcotest.(check int) "unseeded queries + the seed's"
+          (plain.Dd.oracle_queries + 1) st.Dd.oracle_queries;
+        Alcotest.(check int) "re-test is no cache hit" plain.Dd.cache_hits
+          st.Dd.cache_hits) ]
 
 let continuous =
   [ Alcotest.test_case "re-run after no change uses far fewer queries" `Quick

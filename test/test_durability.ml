@@ -165,11 +165,6 @@ let kill_then_resume ~kill_n ~run path =
   let result = with_journal ~resume:true path (fun j -> run j) in
   (killed, result)
 
-let seq_stats_eq (a : Trim.Dd.stats) (b : Trim.Dd.stats) =
-  a.Trim.Dd.oracle_queries = b.Trim.Dd.oracle_queries
-  && a.Trim.Dd.cache_hits = b.Trim.Dd.cache_hits
-  && a.Trim.Dd.iterations = b.Trim.Dd.iterations
-
 let gen_case =
   QCheck.make
     ~print:(fun (n, important, kill_n) ->
@@ -184,62 +179,53 @@ let gen_case =
           let* kill_n = int_range 1 40 in
           return (n, List.sort_uniq compare important, kill_n)))
 
-let prop_resume_sequential =
-  QCheck.Test.make ~count:60 ~name:"kill/resume == uninterrupted (minimize)"
+
+(* Kill/resume on the one DD engine, without a pool or on a shared pool of
+   [domains] (pools are created once, not per case): the resumed run's
+   keep-set and every counter — [speculative] and [rounds] included — must
+   equal the uninterrupted run's. *)
+let prop_resume domains =
+  QCheck.Test.make ~count:(if domains = 0 then 60 else 30)
+    ~name:
+      (if domains = 0 then "kill/resume == uninterrupted (minimize)"
+       else
+         Printf.sprintf "kill/resume == uninterrupted (minimize, pool of %d)"
+           domains)
     gen_case
     (fun (n, important, kill_n) ->
        let items = List.init n Fun.id in
        let oracle = oracle_of important in
-       let keep0, s0 = Trim.Dd.minimize ~oracle items in
-       let path = Filename.concat (fresh_dir ()) "seq.journal" in
+       let pool = if domains = 0 then None else Some (Dd_ref.pool domains) in
+       let keep0, s0 = Trim.Dd.minimize ?pool ~oracle items in
+       let path = Filename.concat (fresh_dir ()) "dd.journal" in
        let _killed, (keep1, s1) =
          kill_then_resume ~kill_n path
-           ~run:(fun j -> Trim.Dd.minimize ~journal:j ~oracle items)
+           ~run:(fun j -> Trim.Dd.minimize ?pool ~journal:j ~oracle items)
        in
-       keep0 = keep1 && seq_stats_eq s0 s1)
-
-let par_stats_eq (a : Trim.Dd.parallel_stats) (b : Trim.Dd.parallel_stats) =
-  a = b   (* immutable record of ints: structural equality covers all six *)
-
-let prop_resume_parallel workers =
-  QCheck.Test.make ~count:30
-    ~name:
-      (Printf.sprintf "kill/resume == uninterrupted (minimize_parallel, %d \
-                       workers)" workers)
-    gen_case
-    (fun (n, important, kill_n) ->
-       let items = List.init n Fun.id in
-       let oracle = oracle_of important in
-       Parallel.Pool.with_pool ~domains:workers (fun pool ->
-           let keep0, s0 =
-             Trim.Dd.minimize_parallel ~workers ~pool ~oracle items
-           in
-           let path = Filename.concat (fresh_dir ()) "par.journal" in
-           let _killed, (keep1, s1) =
-             kill_then_resume ~kill_n path
-               ~run:(fun j ->
-                   Trim.Dd.minimize_parallel ~workers ~pool ~journal:j
-                     ~oracle items)
-           in
-           keep0 = keep1 && par_stats_eq s0 s1))
+       keep0 = keep1 && s0 = s1)
 
 (* A resumed-without-crash journal replays everything: zero fresh queries
-   reach the oracle on the second run. *)
+   reach the oracle on the second run, with or without a pool. *)
 let test_full_replay_hits_no_oracle () =
   let items = List.init 12 Fun.id in
   let oracle = oracle_of [ 2; 7 ] in
-  let path = Filename.concat (fresh_dir ()) "full.journal" in
-  let keep0, _ =
-    with_journal path (fun j -> Trim.Dd.minimize ~journal:j ~oracle items)
-  in
-  let fresh = ref 0 in
-  let counting subset = incr fresh; oracle subset in
-  let keep1, _ =
-    with_journal ~resume:true path (fun j ->
-        Trim.Dd.minimize ~journal:j ~oracle:counting items)
-  in
-  Alcotest.(check (list int)) "same keep-set" keep0 keep1;
-  Alcotest.(check int) "no fresh oracle executions on full replay" 0 !fresh
+  List.iter
+    (fun pool ->
+       let path = Filename.concat (fresh_dir ()) "full.journal" in
+       let keep0, _ =
+         with_journal path (fun j ->
+             Trim.Dd.minimize ?pool ~journal:j ~oracle items)
+       in
+       let fresh = Atomic.make 0 in
+       let counting subset = Atomic.incr fresh; oracle subset in
+       let keep1, _ =
+         with_journal ~resume:true path (fun j ->
+             Trim.Dd.minimize ?pool ~journal:j ~oracle:counting items)
+       in
+       Alcotest.(check (list int)) "same keep-set" keep0 keep1;
+       Alcotest.(check int) "no fresh oracle executions on full replay" 0
+         (Atomic.get fresh))
+    [ None; Some (Dd_ref.pool 2) ]
 
 let suite =
   [ ( "durability.journal",
@@ -261,5 +247,4 @@ let suite =
     ( "durability.resume",
       List.map
         (QCheck_alcotest.to_alcotest ~long:false)
-        [ prop_resume_sequential; prop_resume_parallel 1;
-          prop_resume_parallel 4 ] ) ]
+        [ prop_resume 0; prop_resume 2; prop_resume 4 ] ) ]

@@ -1,5 +1,5 @@
 (* The domain work pool and the determinism contracts built on top of it:
-   parallel DD ≡ sequential DD (keep-sets AND counters), the parallel
+   pooled DD ≡ the reference ddmin (keep-sets AND counters), the parallel
    pipeline ≡ the sequential pipeline, and the shared caches under
    multi-domain hammering. *)
 
@@ -121,7 +121,7 @@ let pool_cases =
         Alcotest.(check int) "with_pool result" 42
           (Pool.with_pool ~domains:2 (fun _ -> 42))) ]
 
-(* --- parallel DD ≡ sequential DD ------------------------------------------ *)
+(* --- the one DD engine ≡ reference ddmin -------------------------------- *)
 
 let needs needed subset = List.for_all (fun x -> List.mem x subset) needed
 
@@ -132,25 +132,64 @@ let needs needed subset = List.for_all (fun x -> List.mem x subset) needed
 let noisy_oracle ~required ~salt subset =
   needs required subset || Hashtbl.hash (salt, subset) land 7 = 0
 
-let check_equiv ?pool ~workers ~oracle items =
-  let seq, ss = Dd.minimize ~oracle items in
-  let par, ps = Dd.minimize_parallel ?pool ~workers ~oracle items in
-  Alcotest.(check (list int))
-    (Printf.sprintf "keep-set (workers=%d)" workers)
-    seq par;
-  Alcotest.(check int) "oracle_queries" ss.Dd.oracle_queries
-    ps.Dd.p_oracle_queries;
-  Alcotest.(check int) "cache_hits" ss.Dd.cache_hits ps.Dd.p_cache_hits;
-  Alcotest.(check int) "iterations" ss.Dd.iterations ps.Dd.p_iterations
+let pp_stats ppf (s : Dd.stats) =
+  Fmt.pf ppf
+    "queries=%d hits=%d iterations=%d memo=%d/%d ws=%d/%d spec=%d rounds=%d \
+     max_batch=%d"
+    s.Dd.oracle_queries s.Dd.cache_hits s.Dd.iterations s.Dd.oracle_cache_hits
+    s.Dd.oracle_cache_misses s.Dd.ws_hits s.Dd.ws_queries s.Dd.speculative
+    s.Dd.rounds s.Dd.max_batch
+
+let stats_t = Alcotest.testable pp_stats ( = )
+
+(* Run the engine (on [pool] when given) and the reference ddmin on the
+   same input: keep-set, every counter and the [on_step] sequence must
+   agree. [speculative] has no reference figure; instead the engine's
+   oracle executions must equal issued + speculative, and without a pool
+   it must not speculate at all. *)
+let check_equiv ?pool ?seed ~oracle items =
+  let workers = match pool with Some p -> Pool.size p | None -> 1 in
+  let label =
+    Printf.sprintf "workers=%d%s" workers
+      (if seed = None then "" else " seeded")
+  in
+  let ref_steps = ref [] in
+  let ref_keep, ref_stats =
+    Dd_ref.minimize ~workers ?seed
+      ~on_step:(fun c v -> ref_steps := (c, v) :: !ref_steps)
+      ~oracle items
+  in
+  let execs = Atomic.make 0 in
+  let steps = ref [] in
+  let keep, stats =
+    Dd.minimize ?pool ?seed
+      ~on_step:(fun st ->
+          steps := (st.Dd.step_candidate, st.Dd.step_passed) :: !steps)
+      ~oracle:(fun subset -> Atomic.incr execs; oracle subset)
+      items
+  in
+  Alcotest.(check (list int)) (label ^ ": keep-set") ref_keep keep;
+  Alcotest.check stats_t (label ^ ": counters") ref_stats
+    { stats with Dd.speculative = 0 };
+  Alcotest.(check int) (label ^ ": executions = issued + speculative")
+    (Atomic.get execs)
+    (stats.Dd.oracle_queries + stats.Dd.speculative);
+  if pool = None then
+    Alcotest.(check int) (label ^ ": no speculation") 0 stats.Dd.speculative;
+  Alcotest.(check (list (pair (list int) bool)))
+    (label ^ ": on_step in commit order")
+    (List.rev !ref_steps) (List.rev !steps)
 
 let dd_equiv_prop =
-  QCheck.Test.make ~count:60 ~name:"parallel DD ≡ sequential DD"
+  QCheck.Test.make ~count:60
+    ~name:"one DD engine ≡ reference ddmin (no pool, pools of 2 and 4, seeded)"
     QCheck.(
-      triple
+      quad
         (list_of_size Gen.(0 -- 25) (int_bound 12))
         (list_of_size Gen.(0 -- 6) (int_bound 30))
+        (list_of_size Gen.(0 -- 10) (int_bound 14))
         int)
-    (fun (items, req_idx, salt) ->
+    (fun (items, req_idx, seed, salt) ->
       let required =
         match items with
         | [] -> []
@@ -161,12 +200,14 @@ let dd_equiv_prop =
       in
       let oracle = noisy_oracle ~required ~salt in
       List.iter
-        (fun workers -> check_equiv ~workers ~oracle items)
-        [ 1; 2; 4; 8 ];
+        (fun pool ->
+          check_equiv ?pool ~oracle items;
+          check_equiv ?pool ~seed ~oracle items)
+        [ None; Some (Dd_ref.pool 2); Some (Dd_ref.pool 4) ];
       true)
 
 let dd_pool_cases =
-  [ Alcotest.test_case "pooled DD matches sequential at 1/2/4/8 domains"
+  [ Alcotest.test_case "pooled DD matches the reference at 1/2/4/8 domains"
       `Quick (fun () ->
         (* Real concurrent oracle evaluation, including duplicate elements,
            at every domain count the ablation reports. *)
@@ -183,7 +224,9 @@ let dd_pool_cases =
                 List.iter
                   (fun (items, required, salt) ->
                     let oracle = noisy_oracle ~required ~salt in
-                    check_equiv ~pool ~workers:domains ~oracle items)
+                    check_equiv ~pool ~oracle items;
+                    check_equiv ~pool ~seed:(required @ [ 3; 3 ]) ~oracle
+                      items)
                   scenarios))
           [ 1; 2; 4; 8 ]) ]
 
