@@ -109,3 +109,18 @@ let parse_vfs ?(cache = global) vfs path =
     | Some digest ->
       find_or_parse cache (key ~file:path digest)
         (fun () -> Parser.parse ~file:path (Vfs.read_exn vfs path))
+
+(* Print [prog] into [path] and store, under the written text's key, the AST
+   a parse of that text returns: [prog] itself up to locations (see
+   Pretty), except that [] prints as "pass". The debloater writes each DD
+   candidate this way, so the oracle's interpreters never re-parse text this
+   process just printed. Seeding counts as neither a hit nor a miss. *)
+let write_program ?(cache = global) vfs path prog =
+  Vfs.add_file vfs path (Pretty.program_to_string prog);
+  if cache.enabled then
+    match Vfs.file_digest vfs path with
+    | None -> assert false (* just written *)
+    | Some digest ->
+      let prog = if prog = [] then [ Ast.s Ast.Pass ] else prog in
+      locked cache (fun () ->
+          Hashtbl.replace cache.store (key ~file:path digest) prog)

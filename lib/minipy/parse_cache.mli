@@ -4,7 +4,8 @@
     Keys combine the file name with the content digest (AST locations embed
     the file name). ASTs are immutable shared values; the store is guarded by
     a mutex, and parsing runs outside the lock. Parse failures propagate and
-    are never cached. Hits are invisible to the virtual clock and byte
+    are never cached. {!write_program} stores the AST of text it prints
+    without parsing it. Hits are invisible to the virtual clock and byte
     ledger: the interpreter's import-resolve charge is independent of how
     the AST was obtained. *)
 
@@ -43,3 +44,10 @@ val parse : ?cache:t -> file:string -> string -> Ast.program
     the vfs's memoized content digest.
     @raise Invalid_argument when the path is absent. *)
 val parse_vfs : ?cache:t -> Vfs.t -> string -> Ast.program
+
+(** [write_program ?cache vfs path prog] writes [Pretty.program_to_string
+    prog] to [path] and seeds [cache] with the AST {!Parser.parse} returns
+    for that text: [prog] itself (equal up to locations, which only parse
+    errors read), or [[Pass]] when [prog] is empty. Seeding counts as
+    neither a hit nor a miss; a disabled cache only writes the file. *)
+val write_program : ?cache:t -> Vfs.t -> string -> Ast.program -> unit

@@ -1,8 +1,9 @@
 (* Pretty-printer emitting valid minipy source.
 
    [Parser.parse (Pretty.program_to_string p)] is structurally equal to [p]
-   (checked by property tests); the debloater relies on this round-trip when
-   writing modified __init__ files back to the virtual filesystem. *)
+   for parser output and its restrictions, with [] reparsing as [Pass] (see
+   pretty.mli); Parse_cache.write_program relies on this round-trip when
+   the debloater writes rewritten modules back to the virtual filesystem. *)
 
 open Ast
 

@@ -1,8 +1,12 @@
 (** Pretty-printer emitting valid minipy source.
 
-    [Parser.parse (program_to_string p)] is structurally equal to [p]
-    (property-tested); the debloater relies on this round-trip when writing
-    rewritten modules back to the virtual filesystem. *)
+    Round-trip: [Parser.parse (program_to_string p)] is {!Ast.program_equal}
+    to [p] for every [p] the parser returns and every attribute or statement
+    restriction of one, except that [[]] reparses as [[Pass]]. Hand-built
+    ASTs the parser never produces need not round-trip: [Cint (-5)] prints
+    as ["(-5)"] and reparses as [Unop (Neg, 5)]. {!Parse_cache.write_program}
+    relies on this to seed the parse cache; the tests check it on generated
+    programs and on restricted corpus modules. *)
 
 val binop_str : Ast.binop -> string
 val const_str : Ast.const -> string

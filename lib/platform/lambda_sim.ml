@@ -129,13 +129,13 @@ let invoke ?(event = "{}") ?(context = Deployment.default_context) t ~now_s () =
     | None ->
       (* an init-phase crash is billed for the time spent and surfaces as a
          function error, exactly as the platform reports it *)
+      let trans_ms = transmission_ms t in
       (match
          initialize t ~sink ~track
-           ~at_ms:(base_ms +. t.params.instance_init_ms +. transmission_ms t)
+           ~at_ms:(base_ms +. t.params.instance_init_ms +. trans_ms)
        with
        | inst, init_ms ->
-         (Cold, inst, t.params.instance_init_ms, transmission_ms t, init_ms,
-          None)
+         (Cold, inst, t.params.instance_init_ms, trans_ms, init_ms, None)
        | exception Minipy.Value.Py_error e ->
          let interp =
            Minipy.Interp.create ~max_steps:t.params.max_steps
@@ -145,8 +145,7 @@ let invoke ?(event = "{}") ?(context = Deployment.default_context) t ~now_s () =
            { interp; namespace = Hashtbl.create 1; init_ms_measured = 0.0;
              expires_at = 0.0 }
          in
-         (Cold, inst, t.params.instance_init_ms, transmission_ms t, 0.0,
-          Some e))
+         (Cold, inst, t.params.instance_init_ms, trans_ms, 0.0, Some e))
   in
   let interp = inst.interp in
   let stdout_before = Buffer.length interp.Minipy.Interp.stdout_buf in

@@ -79,14 +79,6 @@ let restrict (prog : Minipy.Ast.program) ~keep : Minipy.Ast.program =
        | Assert _ -> Some stmt)
     prog
 
-(* Parse a module file, restrict it, and print it back — the per-iteration
-   rewrite step of §6.3 ("a single traversal of the AST"). DD rewrites the
-   same source hundreds of times with different keep-sets; the parse cache
-   answers every parse after the first. *)
-let rewrite_source ~file source ~keep =
-  let prog = Minipy.Parse_cache.parse ~file source in
-  Minipy.Pretty.program_to_string (restrict prog ~keep)
-
 (* --- statement granularity (§6.1 comparison) ------------------------------
 
    The coarser alternative λ-trim argues against: components are whole

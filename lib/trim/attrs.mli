@@ -22,12 +22,10 @@ val attrs_of_program : Minipy.Ast.program -> string list
 (** Rewrite the module so only attributes in [keep] (plus magic names and
     non-binding statements) survive. From-import lists are filtered name by
     name; statements binding no kept name are dropped (Figure 7). Tuple
-    assignments are kept whole if any bound name is kept. *)
+    assignments are kept whole if any bound name is kept. The debloater
+    writes the result with {!Minipy.Parse_cache.write_program}, so the
+    oracle imports it without re-parsing. *)
 val restrict : Minipy.Ast.program -> keep:String_set.t -> Minipy.Ast.program
-
-(** Parse, restrict, and print back a module file — the per-iteration rewrite
-    of §6.3. *)
-val rewrite_source : file:string -> string -> keep:String_set.t -> string
 
 (** {1 Statement granularity (the §6.1 ablation)} *)
 

@@ -46,17 +46,22 @@ let empty_result module_name =
     oracle_queries = 0; cache_hits = 0; dd_iterations = 0;
     oracle_cache_hits = 0; oracle_cache_misses = 0; seed_hit = false }
 
-(* Rewrite [file] inside a copy-on-write overlay of [d] keeping exactly
-   [keep]: the candidate image shares every other file with the base. *)
-let with_restricted (d : Platform.Deployment.t) ~file ~keep =
+(* Rewrite [file] inside a copy-on-write overlay of [d] with [restrict]
+   applied to its AST — the per-iteration rewrite of §6.3, "a single
+   traversal of the AST". The candidate image shares every other file with
+   the base, and the parse cache is seeded with the restricted AST, so the
+   oracle's interpreters import the candidate without re-parsing it. *)
+let with_rewritten (d : Platform.Deployment.t) ~file restrict =
   let d' = Platform.Deployment.overlay d in
-  let source = Minipy.Vfs.read_exn d'.Platform.Deployment.vfs file in
-  let keep_set =
-    List.fold_left (fun s n -> Attrs.String_set.add n s) Attrs.String_set.empty keep
-  in
-  let rewritten = Attrs.rewrite_source ~file source ~keep:keep_set in
-  Minipy.Vfs.add_file d'.Platform.Deployment.vfs file rewritten;
+  let vfs = d'.Platform.Deployment.vfs in
+  Minipy.Parse_cache.write_program vfs file
+    (restrict (Minipy.Parse_cache.parse_vfs vfs file));
   d'
+
+(* Keep exactly the attributes [keep] of [file]. *)
+let with_restricted d ~file ~keep =
+  let keep = Attrs.String_set.of_list keep in
+  with_rewritten d ~file (fun prog -> Attrs.restrict prog ~keep)
 
 (* DD has no virtual timeline — its spans run on the host wall clock
    (Obs.Span.wall_ms, shared with the pipeline). Sequentially they share
@@ -199,8 +204,7 @@ let debloat_module ?(on_step = fun (_ : string Dd.step) -> ())
     (* not file-backed (builtin) — nothing to debloat *)
     (d, empty_result module_name)
   | Some file ->
-    let source = Minipy.Vfs.read_exn d.Platform.Deployment.vfs file in
-    let prog = Minipy.Parse_cache.parse ~file source in
+    let prog = Minipy.Parse_cache.parse_vfs d.Platform.Deployment.vfs file in
     let all_attrs = Attrs.attrs_of_program prog in
     let protected_list =
       List.filter (fun a -> String_set.mem a protected) all_attrs
@@ -242,8 +246,9 @@ let debloat_module ?(on_step = fun (_ : string Dd.step) -> ())
 let apply_result (d : Platform.Deployment.t) (r : module_result) =
   if not (Minipy.Vfs.exists d.Platform.Deployment.vfs r.dm_file) then d
   else begin
-    let source = Minipy.Vfs.read_exn d.Platform.Deployment.vfs r.dm_file in
-    let prog = Minipy.Parse_cache.parse ~file:r.dm_file source in
+    let prog =
+      Minipy.Parse_cache.parse_vfs d.Platform.Deployment.vfs r.dm_file
+    in
     let keep =
       List.filter
         (fun a -> not (List.mem a r.removed_attrs))
@@ -254,15 +259,8 @@ let apply_result (d : Platform.Deployment.t) (r : module_result) =
 
 (* --- statement-granularity variant (§6.1 ablation) ------------------------ *)
 
-let with_restricted_statements (d : Platform.Deployment.t) ~file ~keep =
-  let d' = Platform.Deployment.overlay d in
-  let source = Minipy.Vfs.read_exn d'.Platform.Deployment.vfs file in
-  let prog = Minipy.Parse_cache.parse ~file source in
-  let rewritten =
-    Minipy.Pretty.program_to_string (Attrs.restrict_statements prog ~keep)
-  in
-  Minipy.Vfs.add_file d'.Platform.Deployment.vfs file rewritten;
-  d'
+let with_restricted_statements d ~file ~keep =
+  with_rewritten d ~file (fun prog -> Attrs.restrict_statements prog ~keep)
 
 (* DD over whole statements instead of attributes. Statements binding a
    PyCG-protected name are excluded from the candidate list. *)
@@ -273,8 +271,7 @@ let debloat_module_statements ?(oracle_cache = Oracle.Cache.global)
   match Minipy.Importer.init_file_of d.Platform.Deployment.vfs module_name with
   | None -> (d, empty_result module_name)
   | Some file ->
-    let source = Minipy.Vfs.read_exn d.Platform.Deployment.vfs file in
-    let prog = Minipy.Parse_cache.parse ~file source in
+    let prog = Minipy.Parse_cache.parse_vfs d.Platform.Deployment.vfs file in
     let prog_arr = Array.of_list prog in
     let components = Attrs.statement_components prog in
     let stmt_protected i =
@@ -413,8 +410,7 @@ let debloat_module_incremental ?(oracle_cache = Oracle.Cache.global) ?pool
   match Minipy.Importer.init_file_of d.Platform.Deployment.vfs module_name with
   | None -> (d, empty_result module_name, Fresh, builtin_digest)
   | Some file ->
-    let source = Minipy.Vfs.read_exn d.Platform.Deployment.vfs file in
-    let prog = Minipy.Parse_cache.parse ~file source in
+    let prog = Minipy.Parse_cache.parse_vfs d.Platform.Deployment.vfs file in
     let all_attrs = Attrs.attrs_of_program prog in
     let protected_list =
       List.filter (fun a -> String_set.mem a protected) all_attrs

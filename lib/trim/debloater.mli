@@ -31,8 +31,10 @@ type module_result = {
 val pp_module_result : Format.formatter -> module_result -> unit
 
 (** Rewrite [file] inside a copy-on-write overlay of the deployment keeping
-    exactly [keep] (plus magic names) — O(1), not O(image files). Exposed for
-    the ablation harness and tests. *)
+    exactly [keep] (plus magic names) — O(1), not O(image files). The file
+    is written with {!Minipy.Parse_cache.write_program}, so the global parse
+    cache already holds the candidate's AST when the oracle imports it.
+    Exposed for the ablation harness and tests. *)
 val with_restricted :
   Platform.Deployment.t ->
   file:string ->

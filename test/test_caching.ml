@@ -120,7 +120,101 @@ let parse_cache_cases =
         let c = Parse_cache.create () in
         (try ignore (Parse_cache.parse ~cache:c ~file:"<t>" "def (:\n")
          with Parser.Error _ | Lexer.Error _ -> ());
-        Alcotest.(check int) "store empty" 0 (Parse_cache.size c)) ]
+        Alcotest.(check int) "store empty" 0 (Parse_cache.size c));
+    Alcotest.test_case "write_program seeds the cache without counting"
+      `Quick (fun () ->
+        let vfs = base_image () in
+        let c = Parse_cache.create () in
+        let path = "site-packages/lib/__init__.py" in
+        let prog = Parser.parse ~file:path "x = 1\ny = 2\n" in
+        Parse_cache.write_program ~cache:c vfs path prog;
+        Alcotest.(check string) "writes the printed text"
+          (Pretty.program_to_string prog) (Vfs.read_exn vfs path);
+        Alcotest.(check int) "seeding counts nothing" 0
+          (Parse_cache.hits c + Parse_cache.misses c);
+        Alcotest.(check bool) "import is a hit on the seeded AST" true
+          (Parse_cache.parse_vfs ~cache:c vfs path == prog);
+        Alcotest.(check int) "one hit" 1 (Parse_cache.hits c);
+        Parse_cache.write_program ~cache:c vfs path [];
+        Alcotest.(check string) "empty module prints as pass" "pass\n"
+          (Vfs.read_exn vfs path);
+        Alcotest.(check bool) "empty module is stored as [Pass]" true
+          (Ast.program_equal [ Ast.s Ast.Pass ]
+             (Parse_cache.parse_vfs ~cache:c vfs path));
+        Alcotest.(check int) "still no misses" 0 (Parse_cache.misses c));
+    Alcotest.test_case "disabled write_program only writes" `Quick (fun () ->
+        let vfs = base_image () in
+        let c = Parse_cache.create ~enabled:false () in
+        Parse_cache.write_program ~cache:c vfs "a.py"
+          (Parser.parse ~file:"a.py" "z = 9\n");
+        Alcotest.(check string) "written" "z = 9\n" (Vfs.read_exn vfs "a.py");
+        Alcotest.(check int) "no entries" 0 (Parse_cache.size c)) ]
+
+(* --- property: the seeded AST is the AST a parse of the written text gives *)
+
+(* Every corpus app's top-K (K = 20) file-backed modules, as (app, file)
+   pairs, profiled once. *)
+let corpus_modules =
+  lazy
+    (List.concat_map
+       (fun app ->
+          let d = Workloads.Suite.deployment_of app in
+          let options = Trim.Pipeline.default_options in
+          Trim.Scoring.top_k options.Trim.Pipeline.scoring
+            (Trim.Profiler.profile d) ~k:options.Trim.Pipeline.k
+          |> List.filter_map (fun mp ->
+              Importer.init_file_of d.Platform.Deployment.vfs
+                mp.Trim.Profiler.mp_name)
+          |> List.map (fun file -> (d, file)))
+       Workloads.Suite.names)
+
+(* Restrict module [i] of the corpus to a random subset of its attributes
+   (each kept with probability [p]; p = 0 empties what it can) through the
+   debloater's write path, and to a random subset of its statements (the
+   §6.1 ablation's granularity). For each candidate, the AST the global
+   parse cache serves must equal a fresh parse of the written text, and
+   serving it must be a hit: the entry came from the seed, not a parse. *)
+let seeded_ast_prop =
+  QCheck2.Test.make ~count:200
+    ~name:"write_program seeds the AST a parse of the written text returns"
+    QCheck2.Gen.(
+      triple (int_bound 10_000) (oneofl [ 0.0; 0.3; 0.7; 1.0 ])
+        (array_size (return 64) (float_bound_exclusive 1.0)))
+    (fun (i, p, coins) ->
+       let modules = Lazy.force corpus_modules in
+       let d, file = List.nth modules (i mod List.length modules) in
+       let prog = Parse_cache.parse_vfs d.Platform.Deployment.vfs file in
+       let attrs = Trim.Attrs.attrs_of_program prog in
+       let keep = List.filteri (fun j _ -> coins.(j mod 64) < p) attrs in
+       let stmts =
+         List.filteri (fun j _ -> coins.(j mod 64) < p)
+           (Trim.Attrs.statement_components prog)
+       in
+       let served_equals_parse d' =
+         let vfs = d'.Platform.Deployment.vfs in
+         let misses = Parse_cache.misses Parse_cache.global in
+         let served = Parse_cache.parse_vfs vfs file in
+         Parse_cache.misses Parse_cache.global = misses
+         && Ast.program_equal served
+              (Parser.parse ~file (Vfs.read_exn vfs file))
+       in
+       let by_statement = Platform.Deployment.overlay d in
+       Parse_cache.write_program by_statement.Platform.Deployment.vfs file
+         (Trim.Attrs.restrict_statements prog ~keep:stmts);
+       served_equals_parse (Trim.Debloater.with_restricted d ~file ~keep)
+       && served_equals_parse by_statement)
+
+let emptied_module_case =
+  Alcotest.test_case "some corpus module empties under the empty keep-set"
+    `Quick (fun () ->
+      Alcotest.(check bool) "restrict ~keep:{} = [] for a top-K module" true
+        (List.exists
+           (fun (d, file) ->
+              Trim.Attrs.restrict
+                (Parse_cache.parse_vfs d.Platform.Deployment.vfs file)
+                ~keep:Trim.Attrs.String_set.empty
+              = [])
+           (Lazy.force corpus_modules)))
 
 (* --- property: overlay rewrites always force a re-parse ------------------- *)
 
@@ -202,7 +296,8 @@ let oracle_cases =
 (* Run the full pipeline three ways: caches disabled, caches enabled from
    cold, caches enabled again (so the oracle memo is warm). Every virtual
    measurement and every output source must be identical; only wall-clock and
-   hit counters may differ. *)
+   hit counters may differ. [check_neutral] returns the uncached run's
+   optimized deployment. *)
 let with_caches_disabled f =
   let pc = Parse_cache.global and oc = Trim.Oracle.Cache.global in
   let pe = Parse_cache.enabled pc and oe = Trim.Oracle.Cache.enabled oc in
@@ -222,49 +317,77 @@ let cold_record (d : Platform.Deployment.t) =
   let sim = Platform.Lambda_sim.create d in
   Platform.Lambda_sim.invoke sim ~now_s:0.0 ~event:"{\"x\": 1}" ()
 
+let check_neutral ~k app =
+  let options = { Trim.Pipeline.default_options with k } in
+  let run () = Trim.Pipeline.run ~options (app ()) in
+  let plain = with_caches_disabled run in
+  let cached1 = run () in
+  let cached2 = run () in
+  Alcotest.(check int) "disabled run counts nothing" 0
+    (let c = plain.Trim.Pipeline.caches in
+     c.Trim.Pipeline.parse_hits + c.Trim.Pipeline.parse_misses
+     + c.Trim.Pipeline.oracle_hits + c.Trim.Pipeline.oracle_misses);
+  Alcotest.(check bool) "cached run reuses parses" true
+    (cached1.Trim.Pipeline.caches.Trim.Pipeline.parse_hits > 0);
+  Alcotest.(check bool) "warm run reuses observations" true
+    (cached2.Trim.Pipeline.caches.Trim.Pipeline.oracle_hits > 0);
+  List.iter
+    (fun (label, cached) ->
+       Alcotest.(check (list (pair string string)))
+         (label ^ ": identical debloated sources")
+         (sources_of plain.Trim.Pipeline.optimized)
+         (sources_of cached.Trim.Pipeline.optimized);
+       Alcotest.(check (list (list string)))
+         (label ^ ": identical removals")
+         (List.map
+            (fun m -> m.Trim.Debloater.removed_attrs)
+            plain.Trim.Pipeline.module_results)
+         (List.map
+            (fun m -> m.Trim.Debloater.removed_attrs)
+            cached.Trim.Pipeline.module_results);
+       Alcotest.(check int) (label ^ ": identical oracle query count")
+         plain.Trim.Pipeline.total_oracle_queries
+         cached.Trim.Pipeline.total_oracle_queries;
+       let rp = cold_record plain.Trim.Pipeline.optimized
+       and rc = cold_record cached.Trim.Pipeline.optimized in
+       Alcotest.(check (float 0.0)) (label ^ ": identical virtual e2e")
+         rp.Platform.Lambda_sim.e2e_ms rc.Platform.Lambda_sim.e2e_ms;
+       Alcotest.(check (float 0.0)) (label ^ ": identical virtual memory")
+         rp.Platform.Lambda_sim.peak_memory_mb
+         rc.Platform.Lambda_sim.peak_memory_mb;
+       Alcotest.(check (float 0.0)) (label ^ ": identical virtual cost")
+         rp.Platform.Lambda_sim.cost rc.Platform.Lambda_sim.cost)
+    [ ("cold", cached1); ("warm", cached2) ];
+  (* the debloater seeded the cache with every rewritten module: each entry
+     the final image is served must be the AST a parse of its text gives *)
+  let vfs = cached2.Trim.Pipeline.optimized.Platform.Deployment.vfs in
+  List.iter
+    (fun p ->
+       if Filename.check_suffix p ".py" then
+         Alcotest.(check bool) (p ^ ": served AST equals a fresh parse") true
+           (Ast.program_equal (Parse_cache.parse_vfs vfs p)
+              (Parser.parse ~file:p (Vfs.read_exn vfs p))))
+    (Vfs.paths vfs);
+  plain.Trim.Pipeline.optimized
+
 let neutrality_cases =
   [ Alcotest.test_case "caching never changes a virtual measurement" `Slow
       (fun () ->
-        let options = { Trim.Pipeline.default_options with k = 3 } in
-        let run () = Trim.Pipeline.run ~options (Workloads.Suite.tiny_app ()) in
-        let plain = with_caches_disabled run in
-        let cached1 = run () in
-        let cached2 = run () in
-        Alcotest.(check int) "disabled run counts nothing" 0
-          (let c = plain.Trim.Pipeline.caches in
-           c.Trim.Pipeline.parse_hits + c.Trim.Pipeline.parse_misses
-           + c.Trim.Pipeline.oracle_hits + c.Trim.Pipeline.oracle_misses);
-        Alcotest.(check bool) "cached run reuses parses" true
-          (cached1.Trim.Pipeline.caches.Trim.Pipeline.parse_hits > 0);
-        Alcotest.(check bool) "warm run reuses observations" true
-          (cached2.Trim.Pipeline.caches.Trim.Pipeline.oracle_hits > 0);
-        List.iter
-          (fun (label, cached) ->
-             Alcotest.(check (list (pair string string)))
-               (label ^ ": identical debloated sources")
-               (sources_of plain.Trim.Pipeline.optimized)
-               (sources_of cached.Trim.Pipeline.optimized);
-             Alcotest.(check (list (list string)))
-               (label ^ ": identical removals")
-               (List.map
-                  (fun m -> m.Trim.Debloater.removed_attrs)
-                  plain.Trim.Pipeline.module_results)
-               (List.map
-                  (fun m -> m.Trim.Debloater.removed_attrs)
-                  cached.Trim.Pipeline.module_results);
-             Alcotest.(check int) (label ^ ": identical oracle query count")
-               plain.Trim.Pipeline.total_oracle_queries
-               cached.Trim.Pipeline.total_oracle_queries;
-             let rp = cold_record plain.Trim.Pipeline.optimized
-             and rc = cold_record cached.Trim.Pipeline.optimized in
-             Alcotest.(check (float 0.0)) (label ^ ": identical virtual e2e")
-               rp.Platform.Lambda_sim.e2e_ms rc.Platform.Lambda_sim.e2e_ms;
-             Alcotest.(check (float 0.0)) (label ^ ": identical virtual memory")
-               rp.Platform.Lambda_sim.peak_memory_mb
-               rc.Platform.Lambda_sim.peak_memory_mb;
-             Alcotest.(check (float 0.0)) (label ^ ": identical virtual cost")
-               rp.Platform.Lambda_sim.cost rc.Platform.Lambda_sim.cost)
-          [ ("cold", cached1); ("warm", cached2) ]) ]
+        ignore (check_neutral ~k:3 (fun () -> Workloads.Suite.tiny_app ())));
+    (* markdown at K = 20 empties whole modules: their candidates and its
+       final image hold "pass\n", whose seeded AST must be [Pass], not [].
+       The final image never imports an emptied module (its importers lost
+       the names too), so the cold record cannot see a wrong seed there;
+       the served-AST check in [check_neutral] does. *)
+    Alcotest.test_case "neutral on a corpus app with emptied modules" `Slow
+      (fun () ->
+        let optimized =
+          check_neutral ~k:20 (fun () ->
+              Workloads.Suite.deployment_of "markdown")
+        in
+        Alcotest.(check bool) "some module was emptied" true
+          (List.exists (fun (_, src) -> src = "pass\n")
+             (sources_of optimized))) ]
 
 let suite =
   [ ("caching.overlay", overlay_cases);
@@ -272,6 +395,7 @@ let suite =
     ( "caching.properties",
       List.map
         (QCheck_alcotest.to_alcotest ~long:false)
-        [ overlay_freshness_prop ] );
+        [ overlay_freshness_prop; seeded_ast_prop ]
+      @ [ emptied_module_case ] );
     ("caching.oracle_memo", oracle_cases);
     ("caching.neutrality", neutrality_cases) ]

@@ -84,4 +84,32 @@ let escaping =
         let p2 = parse (Pretty.program_to_string p1) in
         Alcotest.(check bool) "equal" true (Ast.program_equal p1 p2)) ]
 
-let suite = [ ("pretty.roundtrip", cases); ("pretty.escaping", escaping) ]
+(* The two places where [parse (print p)] is not [p]. Neither reaches the
+   debloater's write path: [[]] is stored as [[Pass]] there, and the parser
+   never produces a negative constant. *)
+let edge_cases =
+  [ Alcotest.test_case "empty program prints as pass, reparses as [Pass]"
+      `Quick (fun () ->
+        Alcotest.(check string) "printed" "pass\n" (Pretty.program_to_string []);
+        Alcotest.(check bool) "reparsed" true
+          (Ast.program_equal [ Ast.s Ast.Pass ]
+             (parse (Pretty.program_to_string []))));
+    Alcotest.test_case "hand-built negative int reparses as a negation" `Quick
+      (fun () ->
+        let p = [ Ast.s (Ast.Expr_stmt (Ast.e (Ast.Const (Ast.Cint (-5))))) ] in
+        Alcotest.(check string) "printed" "(-5)\n" (Pretty.program_to_string p);
+        Alcotest.(check bool) "reparsed" true
+          (Ast.program_equal
+             [ Ast.s
+                 (Ast.Expr_stmt
+                    (Ast.e (Ast.Unop (Ast.Neg, Ast.e (Ast.Const (Ast.Cint 5))))))
+             ]
+             (parse (Pretty.program_to_string p)));
+        Alcotest.(check bool) "parser output of \"-5\" round-trips" true
+          (let q = parse "-5\n" in
+           Ast.program_equal q (parse (Pretty.program_to_string q)))) ]
+
+let suite =
+  [ ("pretty.roundtrip", cases);
+    ("pretty.escaping", escaping);
+    ("pretty.edge_cases", edge_cases) ]
