@@ -1,7 +1,9 @@
 (* Continuous debloating (§9): a CI-style loop where the function is updated
-   and re-debloated. The first run pays the full Delta-Debugging cost; later
-   runs seed DD with the previous keep-sets, so an unchanged or lightly-
-   edited module costs one confirmation query instead of a full search.
+   and re-debloated. The first run seeds each search with the attributes
+   its test cases read; later runs seed DD with the previous keep-sets
+   instead. Either seed costs one confirmation query and, when it passes,
+   confines the search to the seed — so on an unchanged app both runs cost
+   the same number of queries.
 
      dune exec examples/continuous_debloat.exe *)
 

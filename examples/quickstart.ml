@@ -72,7 +72,10 @@ let () =
   print_endline "=== Original torch/__init__.py (Figure 7a) ===";
   print_string torch_init;
 
-  (* Watch DD at work (Figure 6): every oracle query on torch's attributes. *)
+  (* Watch DD at work (Figure 6): every oracle query on torch's attributes.
+     Step 1 confirms the profile seed — the candidates the test case read
+     (here [simrt], read by torch's own top level) — and the search then
+     stays inside it. *)
   print_endline "\n=== Delta Debugging walkthrough (Figure 6) ===";
   let oracle, _ = Trim.Oracle.for_reference app in
   let analysis = Trim.Static_analyzer.analyze app in

@@ -19,7 +19,9 @@ let sweep_k = 3
 
 let seed = 2025
 
-let kill_points = [ 1; 5; 25; 100 ]   (* 100 > total records: never fires *)
+(* 1, 5 and 15 fire mid-run (the profile-seeded run writes 22 records);
+   100 never fires *)
+let kill_points = [ 1; 5; 15; 100 ]
 
 let flake_rates = [ 0.0; 0.01; 0.05; 0.10 ]
 

@@ -55,6 +55,10 @@ type t = {
   lazy_roots : (string, unit) Hashtbl.t;
   lazy_pending : (string, unit) Hashtbl.t;
   mutable lazy_forcing : int;
+  (* read recorder: called with (module, attribute) on every module-level
+     name read; the debloater's profile seed. Per interpreter, never
+     global, so concurrent searches cannot pollute each other's seeds. *)
+  on_read : (string -> string -> unit) option;
 }
 
 and env = {
@@ -223,12 +227,25 @@ let rec binop_values t op a b =
 let module_env (m : module_obj) =
   { locals = m.mattrs; globals = m.mattrs; global_decls = Hashtbl.create 4 }
 
+(* A hit in a module's globals is a read of that module's attribute. At
+   module level locals == globals, so a locals hit there counts too. *)
+let record_global f env name =
+  match Hashtbl.find_opt env.globals "__name__" with
+  | Some (Vstr m) -> f m name
+  | _ -> ()
+
 let lookup t env name =
   match Hashtbl.find_opt env.locals name with
-  | Some v -> Some v
+  | Some v ->
+    (match t.on_read with
+     | Some f when env.locals == env.globals -> record_global f env name
+     | _ -> ());
+    Some v
   | None ->
     (match Hashtbl.find_opt env.globals name with
-     | Some v -> Some v
+     | Some v ->
+       (match t.on_read with Some f -> record_global f env name | None -> ());
+       Some v
      | None -> Hashtbl.find_opt t.builtins name)
 
 (* Bind call arguments into a fresh locals table, raising the exact
@@ -515,6 +532,7 @@ let dict_method t (d : vdict) name =
 let rec getattr t obj name =
   match obj with
   | Vmodule m ->
+    (match t.on_read with Some f -> f m.mname name | None -> ());
     (* first attribute touch materializes a lazy stub (ARCHITECTURE §14) *)
     force_module t m;
     (match Hashtbl.find_opt m.mattrs name with
@@ -1233,6 +1251,7 @@ and exec_from_import t env (clause : Ast.from_clause) names =
   let m = import_dotted t path in
   List.iter
     (fun (name, alias) ->
+       (match t.on_read with Some f -> f m.mname name | None -> ());
        let v =
          match Hashtbl.find_opt m.mattrs name with
          | Some v -> v
@@ -1255,7 +1274,7 @@ let default_max_steps = 5_000_000
 let engine_tag = "treewalk"
 
 let create ?(max_steps = default_max_steps) ?(parse_cache = Parse_cache.global)
-    ?(obs = false) (vfs : Vfs.t) : t =
+    ?(obs = false) ?on_read (vfs : Vfs.t) : t =
   let obs_sink = if obs then Obs.Span.installed () else Obs.Span.null in
   let t =
     { vfs;
@@ -1276,7 +1295,8 @@ let create ?(max_steps = default_max_steps) ?(parse_cache = Parse_cache.global)
       remote_store = Hashtbl.create 8;
       lazy_roots = Hashtbl.create 4;
       lazy_pending = Hashtbl.create 4;
-      lazy_forcing = 0 }
+      lazy_forcing = 0;
+      on_read }
   in
   (* arm lazy loading when the image ships a manifest (ARCHITECTURE §14) *)
   (match Vfs.read vfs lazy_manifest_file with

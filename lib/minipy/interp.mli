@@ -56,6 +56,8 @@ type t = {
   mutable lazy_forcing : int;
       (** force nesting depth; imports run eagerly while a body is being
           forced, so a force replays the eager import subtree in order *)
+  on_read : (string -> string -> unit) option;
+      (** read recorder; see {!create} *)
 }
 
 and env = {
@@ -76,9 +78,18 @@ val engine_tag : string
     sources reuse previously parsed ASTs (virtual measurements unaffected).
     [obs] (default [false]) records one span per executed module import on
     the installed tracer; oracle interpreters leave it off so DD's
-    thousands of probe runs do not flood the trace. *)
+    thousands of probe runs do not flood the trace.
+
+    [on_read] (default off) is called with [(module, attribute)] at every
+    read of a module-level name: an attribute access on a module
+    ([getattr], submodules included), a [from … import] name, and a name
+    lookup that hits a module's globals — from the module's functions, or
+    from its top level, where locals are the globals. Locals, builtins and
+    class attributes are not reads. Recording charges no tick, and off it
+    costs one branch per read point. *)
 val create :
-  ?max_steps:int -> ?parse_cache:Parse_cache.t -> ?obs:bool -> Vfs.t -> t
+  ?max_steps:int -> ?parse_cache:Parse_cache.t -> ?obs:bool ->
+  ?on_read:(string -> string -> unit) -> Vfs.t -> t
 
 val heap_mb : t -> float
 val stdout_contents : t -> string

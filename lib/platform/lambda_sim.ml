@@ -64,13 +64,16 @@ type t = {
   obs : bool;   (* emit Fig.-1 phase spans on the installed tracer; the
                    oracle's probe sims turn this off to keep DD's thousands
                    of runs out of the trace *)
+  on_read : (string -> string -> unit) option;
+                (* read recorder handed to every interpreter this sim
+                   creates (Minipy.Interp.create) *)
   mutable live : instance option;   (* single-concurrency pool *)
   mutable records : record list;    (* newest first *)
 }
 
 let create ?(pricing = Pricing.aws) ?(params = default_params) ?(obs = true)
-    deployment =
-  { deployment; pricing; params; obs; live = None; records = [] }
+    ?on_read deployment =
+  { deployment; pricing; params; obs; on_read; live = None; records = [] }
 
 let eval_expr interp src =
   (* test-case events repeat across thousands of oracle invocations; the
@@ -90,7 +93,7 @@ let eval_expr interp src =
 let initialize ?(sink = Obs.Span.null) ?(track = 0) ?(at_ms = 0.0) t :
     instance * float =
   let interp =
-    Minipy.Interp.create ~max_steps:t.params.max_steps
+    Minipy.Interp.create ~max_steps:t.params.max_steps ?on_read:t.on_read
       t.deployment.Deployment.vfs
   in
   interp.Minipy.Interp.obs_sink <- sink;

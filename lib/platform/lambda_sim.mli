@@ -52,6 +52,8 @@ type t = {
   pricing : Pricing.t;
   params : params;
   obs : bool;  (** emit Fig.-1 phase spans on the installed tracer *)
+  on_read : (string -> string -> unit) option;
+      (** read recorder of the sim's interpreters ({!Minipy.Interp.create}) *)
   mutable live : instance option;
   mutable records : record list;
 }
@@ -59,9 +61,11 @@ type t = {
 (** [obs] (default [true]) records each invocation on the installed tracer:
     an [invoke] span per request on a fresh lane, with the Fig.-1 phase
     breakdown and the interpreter's import spans nested inside. The oracle's
-    probe sims pass [~obs:false]. *)
+    probe sims pass [~obs:false]. [on_read] (default off) records the
+    module-level name reads of every invocation ({!Minipy.Interp.create}). *)
 val create :
-  ?pricing:Pricing.t -> ?params:params -> ?obs:bool -> Deployment.t -> t
+  ?pricing:Pricing.t -> ?params:params -> ?obs:bool ->
+  ?on_read:(string -> string -> unit) -> Deployment.t -> t
 
 (** Time to pull the deployment image at the configured bandwidth. *)
 val transmission_ms : t -> float

@@ -119,7 +119,9 @@ let journal_keepset ~journal result =
    the walk starts from the seed, skipping the coarse descent, and the
    result is 1-minimal inside it; otherwise the walk starts from the full
    list. A seed naming every item predicts nothing and is not tested. The
-   seed is matched against [items] by value and keeps its own order. *)
+   seed is matched against [items] by value and keeps its own order. Its
+   verdict is journaled under a [seed:] key of its own, so a resumed run
+   replays it; the caller's journal run digest must cover the seed. *)
 let minimize ?(on_step = fun (_ : 'a step) -> ()) ?pool ?journal ?seed
     ~oracle items =
   let pool =
@@ -148,12 +150,15 @@ let minimize ?(on_step = fun (_ : 'a step) -> ()) ?pool ?journal ?seed
     match seed with
     | None -> items
     | Some seed ->
-      if journal <> None then
-        invalid_arg "Dd.minimize: the journal digest does not cover a seed";
       let seed = List.filter (fun x -> List.mem x items) seed in
       if List.sort_uniq compare seed = List.sort_uniq compare items then items
       else begin
-        let passed = oracle seed in
+        (* journaled under its own key: the seed's positions in [items] *)
+        let position x =
+          string_of_int (Option.get (List.find_index (( = ) x) items))
+        in
+        let key = "seed:" ^ String.concat "," (List.map position seed) in
+        let passed = journaled_query ~journal ~oracle ~key seed in
         issue seed passed;
         close_phase 1;
         stats.ws_queries <- 1;

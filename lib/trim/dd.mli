@@ -71,9 +71,10 @@ val complement : of_:'a list -> 'a list -> 'a list
     members of [items] (by value, in the seed's order) with one confirming
     query that does not enter the subset cache. On a pass the search runs
     inside the seed ([ws_hits = 1]); otherwise over all of [items]. A seed
-    naming every item is not tested.
-    @raise Invalid_argument if both [seed] and [journal] are given: the
-    journal's run digest does not cover the seed. *)
+    naming every item is not tested. With [journal] the confirming verdict
+    is recorded under a key of its own and replayed on resume; the
+    journal's run digest must cover the seed (as
+    {!Debloater.journal_run_digest} does). *)
 val minimize :
   ?on_step:('a step -> unit) ->
   ?pool:Parallel.Pool.t ->

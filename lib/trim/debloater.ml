@@ -30,7 +30,10 @@ type module_result = {
   dd_iterations : int;
   oracle_cache_hits : int;       (* observation-memo hits during this search *)
   oracle_cache_misses : int;
-  seed_hit : bool;               (* a seed passed its confirming query *)
+  seed_hit : bool;               (* the caller's seed passed its confirming
+                                    query *)
+  seed_missed : bool;            (* a seed, the caller's or the profile,
+                                    failed its confirming query *)
 }
 
 let pp_module_result ppf r =
@@ -44,7 +47,8 @@ let empty_result module_name =
   { dm_module = module_name; dm_file = "<none>"; attrs_before = 0;
     attrs_after = 0; removed_attrs = []; protected = [];
     oracle_queries = 0; cache_hits = 0; dd_iterations = 0;
-    oracle_cache_hits = 0; oracle_cache_misses = 0; seed_hit = false }
+    oracle_cache_hits = 0; oracle_cache_misses = 0; seed_hit = false;
+    seed_missed = false }
 
 (* Rewrite [file] inside a copy-on-write overlay of [d] with [restrict]
    applied to its AST — the per-iteration rewrite of §6.3, "a single
@@ -125,7 +129,7 @@ let sanitize_module_name m =
        | _ -> '_')
     m
 
-let journal_run_digest (d : Platform.Deployment.t) ~module_name ~file
+let journal_run_digest ?seed (d : Platform.Deployment.t) ~module_name ~file
     ~protected_list ~candidates =
   (* optimizer variant / stub configuration: a --resume of a lazy run must
      never replay eager-run verdicts. Eager images keep the historical
@@ -135,6 +139,9 @@ let journal_run_digest (d : Platform.Deployment.t) ~module_name ~file
     | "eager" -> []
     | lazy_cfg -> [ lazy_cfg ]
   in
+  (* the seed decides which subsets the search tests; unseeded searches
+     keep the historical digest *)
+  let seed_part = match seed with None -> [] | Some s -> "\x02" :: s in
   Digest.to_hex
     (Digest.string
        (String.concat "\x00"
@@ -143,9 +150,9 @@ let journal_run_digest (d : Platform.Deployment.t) ~module_name ~file
            :: (variant_tag
                @ Platform.Deployment.image_digest d
                  :: module_name :: file
-                 :: (protected_list @ ("\x01" :: candidates))))))
+                 :: (protected_list @ ("\x01" :: candidates) @ seed_part)))))
 
-let open_journal (spec : Journal.spec option) d ~module_name ~file
+let open_journal (spec : Journal.spec option) ?seed d ~module_name ~file
     ~protected_list ~candidates =
   match spec with
   | None -> None
@@ -154,7 +161,7 @@ let open_journal (spec : Journal.spec option) d ~module_name ~file
       Filename.concat journal_dir (sanitize_module_name module_name ^ ".journal")
     in
     let run_digest =
-      journal_run_digest d ~module_name ~file ~protected_list ~candidates
+      journal_run_digest ?seed d ~module_name ~file ~protected_list ~candidates
     in
     Some
       (Obs.Span.with_span (Obs.Span.installed ()) ~domain:Obs.Span.domain_wall
@@ -172,7 +179,7 @@ let with_memo_stats (cache : Oracle.Cache.t) (f : unit -> 'a * Dd.stats) :
   (result, stats)
 
 let result_of_stats ~module_name ~file ~all_attrs ~final_keep ~protected_list
-    (stats : Dd.stats) =
+    ~seeded (stats : Dd.stats) =
   { dm_module = module_name;
     dm_file = file;
     attrs_before = List.length all_attrs;
@@ -185,7 +192,8 @@ let result_of_stats ~module_name ~file ~all_attrs ~final_keep ~protected_list
     dd_iterations = stats.Dd.iterations;
     oracle_cache_hits = stats.Dd.oracle_cache_hits;
     oracle_cache_misses = stats.Dd.oracle_cache_misses;
-    seed_hit = stats.Dd.ws_hits > 0 }
+    seed_hit = seeded && stats.Dd.ws_hits > 0;
+    seed_missed = stats.Dd.ws_queries > stats.Dd.ws_hits }
 
 (* Debloat one module of [d]; returns the updated deployment (an overlay
    sharing no *mutable* state with the input) and the per-module report.
@@ -193,7 +201,11 @@ let result_of_stats ~module_name ~file ~all_attrs ~final_keep ~protected_list
    offered to DD. [seed] primes DD with a previous run's keep-set (§9
    continuous pipeline): when the application changed little, the seed
    passes its one confirming query and DD only re-verifies 1-minimality
-   inside it. *)
+   inside it. Without one, the seed is the profile of [d]: the candidates
+   its test cases read. Most top-K attributes are dead, and a passing
+   profile seed skips the queries that would prove them dead one partition
+   at a time. Profiling [d] rather than the input app matters: earlier
+   trims delete code that read later modules' names. *)
 let debloat_module ?(on_step = fun (_ : string Dd.step) -> ())
     ?(oracle_cache = Oracle.Cache.global) ?pool ?journal ?seed
     ~(oracle : Platform.Deployment.t -> bool) ~(protected : String_set.t)
@@ -217,8 +229,16 @@ let debloat_module ?(on_step = fun (_ : string Dd.step) -> ())
       oracle (with_restricted d ~file ~keep:(protected_list @ subset))
     in
     let dd_oracle = traced_oracle ~module_name ~cache:oracle_cache dd_oracle in
+    let dd_seed =
+      match seed, candidates with
+      | Some _, _ | None, [] -> seed
+      | None, _ ->
+        let reads = Oracle.module_reads ~cache:oracle_cache d ~module_name in
+        Some (List.filter (fun a -> List.mem a reads) candidates)
+    in
     let jnl =
-      open_journal journal d ~module_name ~file ~protected_list ~candidates
+      open_journal journal ?seed:dd_seed d ~module_name ~file ~protected_list
+        ~candidates
     in
     let kept, stats =
       Fun.protect
@@ -226,14 +246,14 @@ let debloat_module ?(on_step = fun (_ : string Dd.step) -> ())
         (fun () ->
            obs_dd_span ~module_name (fun () ->
                with_memo_stats oracle_cache (fun () ->
-                   Dd.minimize ~on_step ?pool ?journal:jnl ?seed
+                   Dd.minimize ~on_step ?pool ?journal:jnl ?seed:dd_seed
                      ~oracle:dd_oracle candidates)))
     in
     let final_keep = protected_list @ kept in
     let d' = with_restricted d ~file ~keep:final_keep in
     ( d',
       result_of_stats ~module_name ~file ~all_attrs ~final_keep
-        ~protected_list stats )
+        ~protected_list ~seeded:(seed <> None) stats )
 
 (* Re-apply a finished module search to [d]: rebuild the keep-set the
    search arrived at (everything the module has minus [removed_attrs]) and
@@ -309,7 +329,8 @@ let debloat_module_statements ?(oracle_cache = Oracle.Cache.global)
         dd_iterations = stats.Dd.iterations;
         oracle_cache_hits = stats.Dd.oracle_cache_hits;
         oracle_cache_misses = stats.Dd.oracle_cache_misses;
-        seed_hit = false } )
+        seed_hit = false;
+        seed_missed = false } )
 
 (* --- incremental re-debloating (digest-diffed searches) -------------------
 

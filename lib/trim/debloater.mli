@@ -24,8 +24,12 @@ type module_result = {
       (** oracle queries answered by the observation memo *)
   oracle_cache_misses : int;
   seed_hit : bool;
-      (** a seed passed its confirming query ({!Dd.stats.ws_hits}); [false]
-          for unseeded searches *)
+      (** a caller-supplied seed (a previous keep-set or a manifest entry)
+          passed its confirming query ({!Dd.stats.ws_hits}); [false] when
+          the caller passed no seed, profile seeds included *)
+  seed_missed : bool;
+      (** a seed — the caller's or the profile — failed its confirming
+          query, which was then one query spent for nothing *)
 }
 
 val pp_module_result : Format.formatter -> module_result -> unit
@@ -55,15 +59,24 @@ val with_restricted :
     keep-set with one confirming query and, on a pass, searches inside it;
     [seed_hit] reports the outcome. The pipelines pass no pool with a
     seed, so seeded searches never speculate.
-    @raise Invalid_argument if both [seed] and [journal] are given.
+
+    Without [?seed], the search is seeded with a profile: [d]'s test cases
+    run once in fresh interpreters with the read recorder on
+    ({!Oracle.module_reads}), and the candidates they read form the seed.
+    A passing profile seed costs one query and the search stays inside it;
+    a failing one costs one query and the full search runs. Either way the
+    result is 1-minimal. Profile seeds never set [seed_hit]. A module with
+    no candidates is not profiled. Profiles go through [oracle_cache]
+    ({!Oracle.module_reads}), so a warm memo answers them too.
 
     With [?journal], the search records every verdict in
     [<journal_dir>/<module>.journal] and — when the spec says resume — a
     compatible existing journal is replayed first, so a killed search
     continues where it crashed with bit-identical results. The journal's
     run digest covers the base deployment image this module is searched
-    against, so resume requires the same pipeline job layout ([--jobs]) as
-    the killed run; anything else safely discards the journal. *)
+    against and the seed, so resume requires the same pipeline job layout
+    ([--jobs]) as the killed run; anything else safely discards the
+    journal. *)
 val debloat_module :
   ?on_step:(string Dd.step -> unit) ->
   ?oracle_cache:Oracle.Cache.t ->
@@ -80,9 +93,10 @@ val debloat_module :
     engine tag, optimizer variant / stub configuration (lazy images
     get a distinct digest, so a [--resume] of a lazy run never replays
     eager-run verdicts — eager images keep the historical digest), image
-    digest, module, file, protections, and candidate order. Exposed so
-    tests can assert the separation. *)
+    digest, module, file, protections, candidate order, and the seed when
+    there is one. Exposed so tests can assert the separation. *)
 val journal_run_digest :
+  ?seed:string list ->
   Platform.Deployment.t ->
   module_name:string ->
   file:string ->
@@ -148,9 +162,10 @@ type search_kind =
     with an unchanged {!module_search_digest} replays its recorded
     keep-set with zero oracle traffic; a stale entry warm-starts DD with
     the recorded keep-set as seed (one confirming query, full ddmin on
-    failure); no entry runs a fresh search. Returns the current search
-    digest for the caller's new manifest. [pool]/[journal] apply to the
-    fresh path only; replayed and seeded searches are sequential. *)
+    failure); no entry runs a fresh, profile-seeded search. Returns the
+    current search digest for the caller's new manifest. [pool]/[journal]
+    apply to the fresh path only; replayed and seeded searches are
+    sequential. *)
 val debloat_module_incremental :
   ?oracle_cache:Oracle.Cache.t ->
   ?pool:Parallel.Pool.t ->

@@ -182,9 +182,9 @@ let canonical_of_record (r : Platform.Lambda_sim.record) =
    sim is untraced: DD issues thousands of these per module, and their
    per-invocation spans would drown the trace (the query itself is spanned
    at the DD layer, with memo traffic attached). *)
-let run_test_case ?params (d : Platform.Deployment.t)
+let run_test_case ?params ?on_read (d : Platform.Deployment.t)
     (tc : Platform.Deployment.test_case) : string =
-  let sim = Platform.Lambda_sim.create ?params ~obs:false d in
+  let sim = Platform.Lambda_sim.create ?params ?on_read ~obs:false d in
   match
     Platform.Lambda_sim.invoke sim ~now_s:0.0
       ~event:tc.Platform.Deployment.tc_event
@@ -233,41 +233,69 @@ let test_key ?params ~image_digest (d : Platform.Deployment.t)
   in
   Digest.to_hex (Digest.string (String.concat "\x00" parts))
 
+(* [run] each test case of [d], answering from [cache] under [key] when it
+   is enabled and storing fresh answers. *)
+let memo_per_test cache (d : Platform.Deployment.t) ~key ~run =
+  let tests = d.Platform.Deployment.test_cases in
+  if not (Cache.enabled cache) then List.map run tests
+  else begin
+    let image_digest = Platform.Deployment.image_digest d in
+    List.map
+      (fun tc ->
+         let key = key ~image_digest tc in
+         match Cache.find cache key with
+         | Some out -> out
+         | None ->
+           let out = run tc in
+           Cache.store cache key out;
+           out)
+      tests
+  end
+
 (* Observe one deployment across its test cases. Any non-Python-level crash
    (timeout, stack overflow) yields a distinguished CRASH observation. *)
 let observe ?(cache = Cache.global) ?params (d : Platform.Deployment.t) :
   observation =
-  if not (Cache.enabled cache) then
-    { per_test =
-        List.map
-          (fun (tc : Platform.Deployment.test_case) ->
-             (tc.Platform.Deployment.tc_name, run_test_case ?params d tc))
-          d.Platform.Deployment.test_cases }
-  else begin
-    let image_digest = Platform.Deployment.image_digest d in
-    let per_test =
-      List.map
-        (fun (tc : Platform.Deployment.test_case) ->
-           let key = test_key ?params ~image_digest d tc in
-           let out =
-             match Cache.find cache key with
-             | Some out -> out
-             | None ->
-               let out = run_test_case ?params d tc in
-               Cache.store cache key out;
-               out
-           in
+  let outs =
+    memo_per_test cache d ~key:(test_key ?params d)
+      ~run:(run_test_case ?params d)
+  in
+  { per_test =
+      List.map2
+        (fun (tc : Platform.Deployment.test_case) out ->
            (tc.Platform.Deployment.tc_name, out))
-        d.Platform.Deployment.test_cases
-    in
-    { per_test }
-  end
+        d.Platform.Deployment.test_cases outs }
 
 let equivalent (a : observation) (b : observation) =
   List.length a.per_test = List.length b.per_test
   && List.for_all2
        (fun (n1, o1) (n2, o2) -> String.equal n1 n2 && String.equal o1 o2)
        a.per_test b.per_test
+
+(* The attributes of [module_name] that [d]'s test cases read, recorded
+   in fresh interpreters. A profile is as deterministic as an observation,
+   so it is memoized per (observation key, module) under a tag of its own;
+   a memo hit returns exactly what a fresh run would record. *)
+let module_reads ?(cache = Cache.global) (d : Platform.Deployment.t)
+    ~module_name =
+  let key ~image_digest tc =
+    Digest.to_hex
+      (Digest.string
+         (String.concat "\x00"
+            [ "reads"; module_name; test_key ~image_digest d tc ]))
+  in
+  let run tc =
+    let reads = ref [] in
+    let on_read m a =
+      if String.equal m module_name then reads := a :: !reads
+    in
+    ignore (run_test_case ~on_read d tc);
+    String.concat " " (List.sort_uniq String.compare !reads)
+  in
+  memo_per_test cache d ~key ~run
+  |> List.concat_map (String.split_on_char ' ')
+  |> List.filter (( <> ) "")
+  |> List.sort_uniq String.compare
 
 (* Build the oracle predicate for DD: candidate deployments pass iff they
    reproduce the reference observation. The reference runs once (or is

@@ -45,7 +45,8 @@ module Cache : sig
       [<prefix>.evicted]. *)
   val evicted : t -> int
 
-  (** Number of memoized (image, test case) observations held in memory. *)
+  (** Number of memoized (image, test case) observations and read
+      profiles ({!module_reads}) held in memory. *)
   val size : t -> int
 
   (** Bound the in-memory table. [None] (the default) is unbounded; with
@@ -86,6 +87,17 @@ val observe :
   Platform.Deployment.t -> observation
 
 val equivalent : observation -> observation -> bool
+
+(** [module_reads d ~module_name] returns the attributes of [module_name]
+    that [d]'s test cases read, sorted and deduplicated: each test case
+    runs in a fresh interpreter with the read recorder on
+    ({!Minipy.Interp.create}). Profiles are memoized in [cache] (default
+    {!Cache.global}) per test case and module, under keys of their own
+    that never collide with an observation; a hit returns what a fresh
+    run would record, so the answer does not depend on cache state. A
+    disabled cache always re-runs. *)
+val module_reads :
+  ?cache:Cache.t -> Platform.Deployment.t -> module_name:string -> string list
 
 (** [for_reference d] runs [d] once and returns the DD oracle (candidates
     pass iff they reproduce the reference observation) plus the reference. *)

@@ -520,7 +520,9 @@ let run_continuous ?(options = default_options)
               let top = Scoring.top_k options.scoring profile ~k:options.k in
               (profile, List.map (fun mp -> mp.Profiler.mp_name) top))
         in
-        let oracle, _expected = Oracle.for_reference app in
+        let oracle, _expected =
+          Oracle.for_reference ?cache:options.oracle_cache app
+        in
         (* previous keep-set per module: everything it did NOT remove *)
         let seed_for module_name =
           match
@@ -560,8 +562,9 @@ let run_continuous ?(options = default_options)
                      | seed_keep -> Some seed_keep
                    in
                    let d', r =
-                     Debloater.debloat_module ~oracle ~protected ?seed d
-                       ~module_name
+                     Debloater.debloat_module
+                       ?oracle_cache:options.oracle_cache ~oracle ~protected
+                       ?seed d ~module_name
                    in
                    ( d', r :: results,
                      hits + Bool.to_int r.Debloater.seed_hit,

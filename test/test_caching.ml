@@ -289,7 +289,33 @@ let oracle_cases =
         let h0 = Trim.Oracle.Cache.hits c in
         ignore (Trim.Oracle.observe ~cache:c d');
         Alcotest.(check int) "different image, no hits" h0
-          (Trim.Oracle.Cache.hits c)) ]
+          (Trim.Oracle.Cache.hits c));
+    Alcotest.test_case "read profiles are memoized apart from observations"
+      `Quick (fun () ->
+        let tiny = Workloads.Suite.tiny_app () in
+        let fresh = Trim.Oracle.Cache.create ~enabled:false () in
+        let expected =
+          Trim.Oracle.module_reads ~cache:fresh tiny ~module_name:"tinylib"
+        in
+        Alcotest.(check bool) "tinylib is read" true (expected <> []);
+        let c = Trim.Oracle.Cache.create () in
+        ignore (Trim.Oracle.observe ~cache:c tiny);
+        let h0 = Trim.Oracle.Cache.hits c and m0 = Trim.Oracle.Cache.misses c in
+        let reads () =
+          Trim.Oracle.module_reads ~cache:c tiny ~module_name:"tinylib"
+        in
+        let cold = reads () in
+        Alcotest.(check int) "an observation never answers a profile" h0
+          (Trim.Oracle.Cache.hits c);
+        Alcotest.(check int) "one miss per test case" (m0 + 2)
+          (Trim.Oracle.Cache.misses c);
+        let warm = reads () in
+        Alcotest.(check int) "warm profile runs nothing" (m0 + 2)
+          (Trim.Oracle.Cache.misses c);
+        Alcotest.(check (list string)) "cold = fresh" expected cold;
+        Alcotest.(check (list string)) "warm = fresh" expected warm;
+        Alcotest.(check (list string)) "keyed by module" []
+          (Trim.Oracle.module_reads ~cache:c tiny ~module_name:"nosuch")) ]
 
 (* --- measurement neutrality ----------------------------------------------- *)
 

@@ -205,27 +205,69 @@ let prop_resume domains =
        keep0 = keep1 && s0 = s1)
 
 (* A resumed-without-crash journal replays everything: zero fresh queries
-   reach the oracle on the second run, with or without a pool. *)
+   reach the oracle on the second run, with or without a pool or a seed
+   (passing or failing). *)
 let test_full_replay_hits_no_oracle () =
   let items = List.init 12 Fun.id in
   let oracle = oracle_of [ 2; 7 ] in
   List.iter
-    (fun pool ->
+    (fun (pool, seed) ->
        let path = Filename.concat (fresh_dir ()) "full.journal" in
        let keep0, _ =
          with_journal path (fun j ->
-             Trim.Dd.minimize ?pool ~journal:j ~oracle items)
+             Trim.Dd.minimize ?pool ~journal:j ?seed ~oracle items)
        in
        let fresh = Atomic.make 0 in
        let counting subset = Atomic.incr fresh; oracle subset in
        let keep1, _ =
          with_journal ~resume:true path (fun j ->
-             Trim.Dd.minimize ?pool ~journal:j ~oracle:counting items)
+             Trim.Dd.minimize ?pool ~journal:j ?seed ~oracle:counting items)
        in
        Alcotest.(check (list int)) "same keep-set" keep0 keep1;
        Alcotest.(check int) "no fresh oracle executions on full replay" 0
          (Atomic.get fresh))
-    [ None; Some (Dd_ref.pool 2) ]
+    [ (None, None);
+      (Some (Dd_ref.pool 2), None);
+      (None, Some [ 2; 4; 7 ]);
+      (None, Some [ 2; 4 ]) ]
+
+(* A seeded, journaled search killed at every kill point — the seed's
+   confirmation included — resumes to the uninterrupted run's keep-set and
+   counters, for a passing and a failing seed, with or without a pool. *)
+let test_seeded_every_kill_point () =
+  let items = List.init 12 Fun.id in
+  let oracle = oracle_of [ 2; 7; 9 ] in
+  List.iter
+    (fun (seed, pool) ->
+       let run j = Trim.Dd.minimize ?pool ~journal:j ~seed ~oracle items in
+       let path0 = Filename.concat (fresh_dir ()) "seeded.journal" in
+       let keep0, s0 = with_journal path0 run in
+       let records = with_journal ~resume:true path0 Trim.Journal.records in
+       for kill_n = 1 to records do
+         let path = Filename.concat (fresh_dir ()) "seeded.journal" in
+         let killed, (keep1, s1) = kill_then_resume ~kill_n ~run path in
+         let case = Printf.sprintf "kill after %d/%d" kill_n records in
+         Alcotest.(check bool) (case ^ ": killed") true killed;
+         Alcotest.(check (list int)) (case ^ ": keep-set") keep0 keep1;
+         Alcotest.(check bool) (case ^ ": counters") true (s0 = s1)
+       done)
+    [ ([ 2; 5; 7; 9 ], None); ([ 2; 5; 7 ], None); ([ 2; 5; 7; 9 ], Some (Dd_ref.pool 2)) ]
+
+(* The run digest covers the seed: a journal written under one seed is
+   never replayed under another, or unseeded. *)
+let test_digest_covers_seed () =
+  let tiny = Workloads.Suite.tiny_app () in
+  let digest ?seed () =
+    Trim.Debloater.journal_run_digest ?seed tiny ~module_name:"tinylib"
+      ~file:"site-packages/tinylib/__init__.py" ~protected_list:[]
+      ~candidates:[ "a"; "b" ]
+  in
+  let digests =
+    [ digest (); digest ~seed:[] (); digest ~seed:[ "a" ] ();
+      digest ~seed:[ "b" ] () ]
+  in
+  Alcotest.(check int) "pairwise distinct" 4
+    (List.length (List.sort_uniq compare digests))
 
 let suite =
   [ ( "durability.journal",
@@ -243,7 +285,11 @@ let suite =
         Alcotest.test_case "reserved bytes in keys rejected" `Quick
           test_bad_key_rejected;
         Alcotest.test_case "full replay reaches the oracle zero times" `Quick
-          test_full_replay_hits_no_oracle ] );
+          test_full_replay_hits_no_oracle;
+        Alcotest.test_case "seeded search resumes from every kill point"
+          `Quick test_seeded_every_kill_point;
+        Alcotest.test_case "run digest covers the seed" `Quick
+          test_digest_covers_seed ] );
     ( "durability.resume",
       List.map
         (QCheck_alcotest.to_alcotest ~long:false)

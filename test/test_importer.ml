@@ -252,10 +252,75 @@ let relative_imports =
           (List.mem "unused" r.Trim.Debloater.removed_attrs);
         Alcotest.(check bool) "still passes" true (oracle d')) ]
 
+(* The read recorder (Interp.create ?on_read): which module-level names a
+   run reads, the debloater's profile seed. Each name of [rec] below is
+   reached through exactly one mechanism. *)
+let recorder_vfs =
+  make_vfs
+    [ ("site-packages/rec/__init__.py",
+       "a_self = 1\n\
+        b_self = a_self + 1\n\
+        c_global = 10\n\
+        def f_fn(x):\n  local = x + 1\n  return local + c_global\n\
+        class K:\n  k_attr = 5\n  k_attr2 = k_attr + 1\n\
+        \  def get(self):\n    return self.k_attr\n\
+        d_from = 3\n\
+        e_attr = 4\n\
+        never = 0\n");
+      ("site-packages/rec/sub.py", "leaf = 1\nunread = 2\n") ]
+
+let recorder_main =
+  "import rec\n\
+   from rec import d_from\n\
+   x = rec.e_attr\n\
+   y = rec.f_fn(1)\n\
+   z = rec.K().get()\n\
+   s = rec.sub.leaf\n\
+   n = len([d_from])\n\
+   print(x, y, z, s, n)\n"
+
+let run_recorded ?on_read () =
+  let t = Interp.create ?on_read recorder_vfs in
+  ignore (Interp.exec_main t (Parser.parse ~file:"<main>" recorder_main));
+  t
+
+let read_recorder =
+  [ Alcotest.test_case "module-level reads are recorded, nothing else" `Quick
+      (fun () ->
+        let reads = Hashtbl.create 16 in
+        let on_read m a = Hashtbl.replace reads (m, a) () in
+        ignore (run_recorded ~on_read ());
+        let of_module m =
+          Hashtbl.fold (fun (m', a) () acc -> if m' = m then a :: acc else acc)
+            reads []
+          |> List.sort compare
+        in
+        (* a_self: module-level self-read; c_global: global read from a
+           module function; d_from: from-import; e_attr, f_fn, K: getattr;
+           sub: submodule attribute. Not reads: locals (x, local), class
+           attributes (k_attr), builtins (len), unread names. *)
+        Alcotest.(check (list string)) "rec"
+          [ "K"; "a_self"; "c_global"; "d_from"; "e_attr"; "f_fn"; "sub" ]
+          (of_module "rec");
+        Alcotest.(check (list string)) "rec.sub" [ "leaf" ]
+          (of_module "rec.sub"));
+    Alcotest.test_case "recording moves no tick" `Quick (fun () ->
+        let off = run_recorded () in
+        let calls = ref 0 in
+        let on = run_recorded ~on_read:(fun _ _ -> incr calls) () in
+        Alcotest.(check bool) "recorder called" true (!calls > 0);
+        Alcotest.(check (float 0.0)) "vtime" off.Interp.vtime_ms
+          on.Interp.vtime_ms;
+        Alcotest.(check int) "steps" off.Interp.steps on.Interp.steps;
+        Alcotest.(check int) "heap" off.Interp.heap_bytes on.Interp.heap_bytes;
+        Alcotest.(check string) "stdout" (Interp.stdout_contents off)
+          (Interp.stdout_contents on)) ]
+
 let suite =
   [ ("importer.resolution", resolution);
     ("importer.importing", importing);
     ("importer.caching", caching);
     ("importer.hooks", hooks);
     ("importer.errors", errors);
-    ("importer.relative", relative_imports) ]
+    ("importer.relative", relative_imports);
+    ("importer.read_recorder", read_recorder) ]

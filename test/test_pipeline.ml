@@ -111,4 +111,39 @@ let real_app =
           true
           (init_impr >= 35.0 && init_impr <= 75.0)) ]
 
-let suite = [ ("pipeline.tiny", cases); ("pipeline.real", real_app) ]
+(* Profile seeds (Debloater.debloat_module without ?seed) over the whole
+   corpus at K = 20. *)
+let profile_seed =
+  [ Alcotest.test_case "every profile seed passes on every corpus app" `Slow
+      (fun () ->
+        List.iter
+          (fun name ->
+             let app = Workloads.Suite.deployment_of name in
+             let r = Pipeline.run ~jobs:1 app in
+             List.iter
+               (fun (m : Debloater.module_result) ->
+                  Alcotest.(check bool)
+                    (name ^ "/" ^ m.Debloater.dm_module ^ " seed passes")
+                    false m.Debloater.seed_missed)
+               r.Pipeline.module_results)
+          Workloads.Suite.names);
+    Alcotest.test_case "seed hits count only caller seeds" `Slow (fun () ->
+        (* run_continuous passes no seed for modules whose previous
+           keep-set was empty; their profile seeds must not count *)
+        List.iter
+          (fun name ->
+             let app = Workloads.Suite.deployment_of name in
+             let c =
+               Pipeline.run_continuous ~previous:(Pipeline.run ~jobs:1 app) app
+             in
+             Alcotest.(check bool)
+               (Printf.sprintf "%s: %d hits <= %d seeded" name
+                  c.Pipeline.seed_hits c.Pipeline.seeded_modules)
+               true
+               (c.Pipeline.seed_hits <= c.Pipeline.seeded_modules))
+          Workloads.Suite.names) ]
+
+let suite =
+  [ ("pipeline.tiny", cases);
+    ("pipeline.real", real_app);
+    ("pipeline.profile_seed", profile_seed) ]
