@@ -101,19 +101,6 @@ let resume_flag =
                killed run (the journal digest covers the job layout); \
                anything else safely discards the journal.")
 
-let oracle_retries_arg =
-  Arg.(value & opt int 0 & info [ "oracle-retries" ] ~docv:"K"
-         ~doc:"Harden the oracle: confirm fresh observations with a second \
-               execution, settle disagreements with a (2K+1)-vote quorum, \
-               and quarantine flaky tests (default 0 = off).")
-
-let quarantine_report_arg =
-  Arg.(value & opt (some string) None
-       & info [ "quarantine-report" ] ~docv:"FILE"
-           ~doc:"Write the hardened oracle's divergence-classification CSV \
-                 (test, flaky vs behavior-changed, events, executions) to \
-                 FILE.")
-
 let memo_dir_arg =
   Arg.(value & opt (some string) None
        & info [ "memo-dir" ] ~docv:"DIR"
@@ -190,8 +177,8 @@ let setup_jobs jobs =
   end;
   Parallel.Pool.configure ~jobs
 
-(* Arm the chaos harness from LTRIM_CHAOS_* and turn a chaos kill into a
-   distinct exit status the CI smoke steps assert on. Wraps outside
+(* Arm the chaos harness from LTRIM_CHAOS_KILL_AFTER and turn a chaos kill
+   into a distinct exit status the CI smoke steps assert on. Wraps outside
    [with_trace] so a killed run still exports its partial trace. *)
 let with_chaos f =
   (try Trim.Chaos.arm_from_env () with
@@ -291,16 +278,10 @@ let profile_cmd =
 
 let debloat_cmd =
   let run app k scoring verbose jobs trace optimizer journal resume
-      oracle_retries quarantine_report memo_dir memo_cap baseline_path
-      manifest_path =
+      memo_dir memo_cap baseline_path manifest_path =
     setup_optimizer optimizer;
     setup_jobs jobs;
     setup_memo memo_dir memo_cap;
-    if oracle_retries < 0 then begin
-      Printf.eprintf "--oracle-retries must be non-negative (got %d)\n"
-        oracle_retries;
-      exit 2
-    end;
     with_chaos @@ fun () ->
     with_trace trace @@ fun () ->
     setup_logs verbose;
@@ -312,7 +293,6 @@ let debloat_cmd =
         ~options:{ Trim.Pipeline.default_options with
                    k; scoring = method_; log = verbose;
                    journal_dir = journal; resume;
-                   oracle_retries; quarantine_report;
                    baseline; manifest_path }
         optimizer d
     in
@@ -330,9 +310,6 @@ let debloat_cmd =
            (List.length r.Trim.Pipeline.replayed_modules)
            (List.length r.Trim.Pipeline.module_results)
            r.Trim.Pipeline.warm_seeded r.Trim.Pipeline.warm_seed_hits;
-       if r.Trim.Pipeline.quarantined_tests > 0 then
-         Printf.printf "Quarantined tests: %d (see --quarantine-report)\n"
-           r.Trim.Pipeline.quarantined_tests;
        List.iter
          (fun m ->
             Printf.printf "  %s\n"
@@ -359,8 +336,7 @@ let debloat_cmd =
        ~doc:"Optimize an application: run the selected $(b,--optimizer) \
              family (λ-trim DD debloating by default).")
     Term.(const run $ app_arg $ k_arg $ scoring_arg $ verbose_flag $ jobs_arg
-          $ trace_arg $ optimizer_arg $ journal_arg
-          $ resume_flag $ oracle_retries_arg $ quarantine_report_arg
+          $ trace_arg $ optimizer_arg $ journal_arg $ resume_flag
           $ memo_dir_arg $ memo_cap_arg $ baseline_arg $ manifest_arg)
 
 (* --- invoke -------------------------------------------------------------- *)

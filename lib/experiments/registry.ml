@@ -48,7 +48,7 @@ let all : entry list =
       print = Resilience_exp.print; csv = Some Resilience_exp.csv };
     { id = "durability";
       description =
-        "crash/resume journal and flaky-oracle quorum sweeps";
+        "crash/resume journal sweep: kill after record N, resume, compare";
       print = Durability.print; csv = Some Durability.csv };
     { id = "incremental";
       description =

@@ -1,13 +1,6 @@
-(* Seeded fault injection for the *pipeline itself* (the fleet simulator got
-   its own fault plans in Faults; this module aims the same idioms at the
-   debloater): oracle flakiness by hash plan, a simulated crash after the
-   N-th durable journal record, and journal-record corruption helpers for
-   the recovery tests.
-
-   Draws are stateless — splitmix64 over (seed, key, attempt, tag) — so a
-   fault outcome never depends on evaluation order. That is what makes the
-   durability experiment deterministic: the same (seed, rate) always flakes
-   the same (observation key, attempt) pairs, whatever the pool schedule. *)
+(* Fault injection for the *pipeline itself* (the fleet simulator has its
+   own fault plans in Faults): a simulated crash after the N-th durable
+   journal record, and journal-record corruption for the recovery tests. *)
 
 exception Killed of { killed_after : int }
 (* simulated crash: raised after the [killed_after]-th journal record was
@@ -20,65 +13,6 @@ let () =
         (Printf.sprintf "Trim.Chaos.Killed(after %d journal records)"
            killed_after)
     | _ -> None)
-
-(* --- the hash (Faults' splitmix64, re-derived here: trim does not link
-       against the fleet library) ------------------------------------------- *)
-
-let splitmix64 z =
-  let open Int64 in
-  let z = add z 0x9E3779B97F4A7C15L in
-  let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
-  let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
-  logxor z (shift_right_logical z 31)
-
-let tag_flake = 1
-let tag_poison = 2
-
-(* Fold a string key into the stream: the observation keys the oracle draws
-   on are digests, not small ints like the fleet's request ids. *)
-let mix_string acc s =
-  let h = ref acc in
-  String.iter (fun c -> h := splitmix64 (Int64.logxor !h (Int64.of_int (Char.code c)))) s;
-  !h
-
-let hash ~seed ~key ~attempt ~tag =
-  let mix acc x = splitmix64 (Int64.logxor acc (Int64.of_int x)) in
-  mix (mix (mix_string (splitmix64 (Int64.of_int seed)) key) attempt) tag
-
-(* Uniform [0, 1): keep 53 bits, as Faults does. *)
-let uniform ~seed ~key ~attempt ~tag =
-  Int64.to_float (Int64.shift_right_logical (hash ~seed ~key ~attempt ~tag) 11)
-  *. (1.0 /. 9007199254740992.0)
-
-type injector = key:string -> attempt:int -> string -> string
-
-(* A flaky oracle: with probability [rate], replace the observation with a
-   poison string distinct per (key, attempt) — two flakes on the same key
-   never agree with each other, so a quorum can only ever be won by the
-   genuine observation (or detected as divergent). *)
-let flake ~seed ~rate : injector =
-  if not (rate >= 0.0 && rate <= 1.0) then
-    invalid_arg (Printf.sprintf "Chaos.flake: rate must be in [0, 1] (got %g)" rate);
-  fun ~key ~attempt out ->
-    if rate > 0.0 && uniform ~seed ~key ~attempt ~tag:tag_flake < rate then
-      Printf.sprintf "FLAKE:%Lx"
-        (hash ~seed ~key ~attempt ~tag:tag_poison)
-    else out
-
-(* A genuinely changed behaviour: from [attempt >= after] on, a matching key
-   deterministically produces the same *new* output on every re-execution —
-   what the quarantine classifier must tell apart from flakiness. *)
-let drift ~seed ~rate ~after : injector =
-  if not (rate >= 0.0 && rate <= 1.0) then
-    invalid_arg (Printf.sprintf "Chaos.drift: rate must be in [0, 1] (got %g)" rate);
-  fun ~key ~attempt out ->
-    if
-      rate > 0.0 && attempt >= after
-      && uniform ~seed ~key ~attempt:0 ~tag:tag_flake < rate
-    then
-      (* attempt-independent: stable across re-executions *)
-      Printf.sprintf "DRIFT:%Lx" (hash ~seed ~key ~attempt:0 ~tag:tag_poison)
-    else out
 
 (* --- kill-after-record-N -------------------------------------------------
 
@@ -135,6 +69,20 @@ let note_journal_append () =
   | Some recorded -> raise (Killed { killed_after = recorded })
   | None -> ()
 
+(* LTRIM_CHAOS_KILL_AFTER=N arms the simulated crash after N records; the
+   CLI calls this before any pipeline work. An empty value counts as unset:
+   OCaml cannot unsetenv, so a caller restoring an unset variable sets it
+   to "". *)
+let arm_from_env () =
+  match Option.map String.trim (Sys.getenv_opt "LTRIM_CHAOS_KILL_AFTER") with
+  | None | Some "" -> ()
+  | Some s ->
+    (match int_of_string_opt s with
+     | Some n when n >= 1 -> arm_kill_after n
+     | _ ->
+       invalid_arg
+         (Printf.sprintf "LTRIM_CHAOS_KILL_AFTER: expected int >= 1, got %S" s))
+
 (* --- journal corruption --------------------------------------------------- *)
 
 (* Overwrite the body of the last non-empty line with 'X's (in place, same
@@ -144,8 +92,11 @@ let corrupt_last_record path =
   let len = in_channel_length ic in
   let contents = really_input_string ic len in
   close_in ic;
-  let last = String.length contents - 1 in
-  let stop = if last >= 0 && contents.[last] = '\n' then last - 1 else last in
+  (* skip every trailing newline: a blank last line is not a record *)
+  let rec last_byte i =
+    if i >= 0 && contents.[i] = '\n' then last_byte (i - 1) else i
+  in
+  let stop = last_byte (String.length contents - 1) in
   if stop < 0 then false
   else begin
     let start =
@@ -163,38 +114,3 @@ let corrupt_last_record path =
     true
   end
 
-(* --- environment plumbing -------------------------------------------------
-
-   LTRIM_CHAOS_KILL_AFTER=N   arm the simulated crash after N records
-   LTRIM_CHAOS_FLAKE_RATE=R   flake the hardened oracle at rate R
-   LTRIM_CHAOS_SEED=S         seed for both (default 2025)
-
-   The CLI calls [arm_from_env] before pipeline work and builds the
-   hardened-oracle injector from [flake_of_env]. *)
-
-let env_seed () =
-  match Sys.getenv_opt "LTRIM_CHAOS_SEED" with
-  | Some s -> (try int_of_string (String.trim s) with _ -> 2025)
-  | None -> 2025
-
-let arm_from_env () =
-  match Sys.getenv_opt "LTRIM_CHAOS_KILL_AFTER" with
-  | None -> ()
-  | Some s ->
-    (match int_of_string_opt (String.trim s) with
-     | Some n when n >= 1 -> arm_kill_after n
-     | _ ->
-       invalid_arg
-         (Printf.sprintf "LTRIM_CHAOS_KILL_AFTER: expected int >= 1, got %S" s))
-
-let flake_of_env () =
-  match Sys.getenv_opt "LTRIM_CHAOS_FLAKE_RATE" with
-  | None -> None
-  | Some s ->
-    (match float_of_string_opt (String.trim s) with
-     | Some r when r > 0.0 && r <= 1.0 ->
-       Some (flake ~seed:(env_seed ()) ~rate:r)
-     | Some r when r = 0.0 -> None
-     | _ ->
-       invalid_arg
-         (Printf.sprintf "LTRIM_CHAOS_FLAKE_RATE: expected rate in [0, 1], got %S" s))

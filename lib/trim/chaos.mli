@@ -1,35 +1,12 @@
-(** Seeded fault injection aimed at the debloating pipeline itself: flaky
-    oracles by hash plan, a simulated crash after the N-th durable journal
-    record, and journal-corruption helpers.
-
-    Like [Fleet.Faults], every draw is stateless — splitmix64 over
-    (seed, key, attempt, tag) — so outcomes never depend on evaluation
-    order or pool scheduling. *)
+(** Fault injection aimed at the debloating pipeline itself: a simulated
+    crash after the N-th durable journal record, and a journal-corruption
+    helper. *)
 
 (** Simulated crash, raised by {!note_journal_append} once the armed budget
     is exhausted. The [killed_after]-th record is already durable on disk
     when this propagates (the crash model is power loss immediately after a
     successful write). *)
 exception Killed of { killed_after : int }
-
-(** [key]/[attempt] identify one oracle execution; the return value replaces
-    its observation. *)
-type injector = key:string -> attempt:int -> string -> string
-
-(** [flake ~seed ~rate]: with probability [rate] per (key, attempt), replace
-    the observation with a poison string distinct per (key, attempt) — two
-    flakes never agree, so a quorum is only ever won by the genuine
-    observation. @raise Invalid_argument if [rate] is outside [0, 1]. *)
-val flake : seed:int -> rate:float -> injector
-
-(** [drift ~seed ~rate ~after]: from [attempt >= after] on, a hit key
-    deterministically produces the same {e new} output on every
-    re-execution — a genuine behaviour change, not a flake. *)
-val drift : seed:int -> rate:float -> after:int -> injector
-
-(** Raw uniform [0, 1) draw over (seed, key, attempt, tag) — exposed for
-    tests that build their own injectors. *)
-val uniform : seed:int -> key:string -> attempt:int -> tag:int -> float
 
 (** {1 Simulated kill-after-record-N}
 
@@ -52,25 +29,14 @@ val armed : unit -> int option
     @raise Killed when the armed budget is exhausted. *)
 val note_journal_append : unit -> unit
 
+(** Arm the kill from [LTRIM_CHAOS_KILL_AFTER=N]; unset or empty leaves
+    the harness as it is.
+    @raise Invalid_argument on a value that is not an int [>= 1]. *)
+val arm_from_env : unit -> unit
+
 (** {1 Journal corruption} *)
 
 (** Overwrite the last non-empty line of [path] with ['X']s in place —
     a checksum-invalid record replay must drop. Returns [false] when the
     file has no line to corrupt. *)
 val corrupt_last_record : string -> bool
-
-(** {1 Environment plumbing}
-
-    [LTRIM_CHAOS_KILL_AFTER=N] arms the kill, [LTRIM_CHAOS_FLAKE_RATE=R]
-    flakes the hardened oracle, [LTRIM_CHAOS_SEED=S] seeds both
-    (default 2025). *)
-
-val env_seed : unit -> int
-
-(** Arm the kill from [LTRIM_CHAOS_KILL_AFTER], if set.
-    @raise Invalid_argument on a malformed value. *)
-val arm_from_env : unit -> unit
-
-(** An injector at [LTRIM_CHAOS_FLAKE_RATE], or [None] when unset/zero.
-    @raise Invalid_argument on a malformed value. *)
-val flake_of_env : unit -> injector option

@@ -306,314 +306,3 @@ let for_reference ?(cache = Cache.global) ?params
   let expected = observe ~cache ?params reference in
   ( (fun candidate -> equivalent (observe ~cache ?params candidate) expected),
     expected )
-
-(* --- hardened oracle (quorum + quarantine + watchdog) ---------------------
-
-   The plain oracle trusts every execution; one flaky observation silently
-   poisons the memo and with it the keep-set. The hardened wrapper defends
-   the memo at both boundaries:
-
-   - store time: a fresh key is executed twice; on agreement the value is
-     stored, on disagreement a k-of-n quorum (n = 2·retries + 1 total
-     attempts, extended while no absolute majority emerges) decides, and
-     the test is quarantined as flaky. Flaky injections produce distinct
-     outputs per attempt, so the genuine observation is the only value that
-     can accumulate votes.
-
-   - hit time: the first memo hit per key re-executes once and compares
-     against the memoized baseline. Disagreement escalates to a quorum
-     whose shape classifies the divergence — re-executions unanimous
-     against the baseline mean the behaviour genuinely changed
-     (Behavior_changed); anything unstable is Flaky. Either way the
-     memoized baseline stays authoritative, keeping the search
-     deterministic; the report tells the operator what to re-baseline.
-
-   A test already in quarantine skips the cheap dual-attempt and goes
-   straight to a full quorum on every fresh key.
-
-   The wall-clock watchdog bounds one *execution* (the virtual-step budget
-   [Interp.Timeout] remains the primary in-interpreter limit): an attempt
-   over budget observes as CRASH:watchdog-timeout, so a hung-host query
-   degrades into an ordinary failing observation instead of wedging DD.
-
-   Metrics (Obs.Metrics.global): oracle.quorum.retries counts
-   disagreement-triggered re-executions (beyond the routine confirmation /
-   verification probes — zero on a deterministic suite),
-   oracle.quorum.quarantined counts quarantined tests,
-   oracle.watchdog.trips counts over-budget executions. *)
-
-module Hardened = struct
-  type classification = Flaky | Behavior_changed
-
-  let classification_name = function
-    | Flaky -> "flaky"
-    | Behavior_changed -> "behavior-changed"
-
-  type quarantine_entry = {
-    q_test : string;
-    q_class : classification;
-    q_events : int;          (* divergent quorums observed for this test *)
-    q_executions : int;      (* executions those quorums consumed *)
-    q_outputs : string list; (* distinct outputs seen, first-seen order *)
-  }
-
-  type config = {
-    retries : int;             (* k: quorum is 2k + 1 total attempts *)
-    verify_hits : bool;        (* re-execute first memo hit per key *)
-    watchdog_ms : float option;
-    clock : unit -> float;     (* wall-clock source, injectable for tests *)
-    inject : Chaos.injector option;  (* fault injection (tests, chaos runs) *)
-  }
-
-  let default_config =
-    { retries = 1;
-      verify_hits = true;
-      watchdog_ms = None;
-      clock = Obs.Span.wall_ms;
-      inject = None }
-
-  type entry = {
-    mutable e_class : classification;
-    mutable e_events : int;
-    mutable e_executions : int;
-    mutable e_outputs : string list;  (* reversed first-seen order *)
-  }
-
-  type t = {
-    h_cache : Cache.t;
-    cfg : config;
-    attempts : (string, int) Hashtbl.t;    (* key -> next attempt index *)
-    verified : (string, unit) Hashtbl.t;   (* keys whose memo hit re-checked *)
-    quarantine : (string, entry) Hashtbl.t;  (* by test-case name *)
-    h_lock : Mutex.t;
-    c_retries : Obs.Metrics.counter;
-    c_quarantined : Obs.Metrics.counter;
-    c_watchdog : Obs.Metrics.counter;
-  }
-
-  let create ?(cache = Cache.global) cfg =
-    if cfg.retries < 0 then invalid_arg "Oracle.Hardened: retries < 0";
-    { h_cache = cache;
-      cfg;
-      attempts = Hashtbl.create 256;
-      verified = Hashtbl.create 256;
-      quarantine = Hashtbl.create 16;
-      h_lock = Mutex.create ();
-      c_retries = Obs.Metrics.counter Obs.Metrics.global "oracle.quorum.retries";
-      c_quarantined =
-        Obs.Metrics.counter Obs.Metrics.global "oracle.quorum.quarantined";
-      c_watchdog =
-        Obs.Metrics.counter Obs.Metrics.global "oracle.watchdog.trips" }
-
-  let locked t f =
-    Mutex.lock t.h_lock;
-    Fun.protect ~finally:(fun () -> Mutex.unlock t.h_lock) f
-
-  let full t = (2 * t.cfg.retries) + 1
-
-  (* One oracle execution: attempt indices per key are monotonic so the
-     (seeded, stateless) injector sees a deterministic stream. *)
-  let exec_once t ?params d tc ~key =
-    let attempt =
-      locked t (fun () ->
-          let a =
-            match Hashtbl.find_opt t.attempts key with Some a -> a | None -> 0
-          in
-          Hashtbl.replace t.attempts key (a + 1);
-          a)
-    in
-    let t0 = t.cfg.clock () in
-    let out = run_test_case ?params d tc in
-    let elapsed = t.cfg.clock () -. t0 in
-    match t.cfg.watchdog_ms with
-    | Some budget when elapsed > budget ->
-      locked t (fun () -> Obs.Metrics.incr t.c_watchdog);
-      "CRASH:watchdog-timeout"
-    | _ ->
-      (match t.cfg.inject with
-       | Some f -> f ~key ~attempt out
-       | None -> out)
-
-  (* Modal value with first-seen tie-break. *)
-  let majority outs =
-    let tbl = Hashtbl.create 8 in
-    List.iteri
-      (fun i o ->
-         match Hashtbl.find_opt tbl o with
-         | Some (c, first) -> Hashtbl.replace tbl o (c + 1, first)
-         | None -> Hashtbl.add tbl o (1, i))
-      outs;
-    let best =
-      Hashtbl.fold
-        (fun o (c, first) best ->
-           match best with
-           | Some (_, bc, bfirst) when bc > c || (bc = c && bfirst < first) ->
-             best
-           | _ -> Some (o, c, first))
-        tbl None
-    in
-    match best with
-    | Some (o, c, _) -> (o, c)
-    | None -> invalid_arg "Hardened.majority: empty"
-
-  (* Extend the quorum until an absolute majority emerges (or a hard cap —
-     all-distinct votes mean near-total corruption; first-seen then wins). *)
-  let rec settle t exec atts =
-    let value, count = majority atts in
-    let n = List.length atts in
-    if 2 * count > n || n >= full t + (2 * t.cfg.retries) then (value, atts)
-    else settle t exec (atts @ [ exec (); exec () ])
-
-  let all_equal = function
-    | [] -> true
-    | x :: rest -> List.for_all (String.equal x) rest
-
-  let distinct outs =
-    List.rev
-      (List.fold_left
-         (fun acc o -> if List.exists (String.equal o) acc then acc else o :: acc)
-         [] outs)
-
-  let note_quarantine t ~test ~cls ~outputs ~executions =
-    locked t (fun () ->
-        let outs = distinct outputs in
-        match Hashtbl.find_opt t.quarantine test with
-        | Some e ->
-          e.e_events <- e.e_events + 1;
-          e.e_executions <- e.e_executions + executions;
-          if cls = Behavior_changed then e.e_class <- Behavior_changed;
-          List.iter
-            (fun o ->
-               if not (List.exists (String.equal o) e.e_outputs) then
-                 e.e_outputs <- o :: e.e_outputs)
-            outs
-        | None ->
-          Obs.Metrics.incr t.c_quarantined;
-          Hashtbl.add t.quarantine test
-            { e_class = cls;
-              e_events = 1;
-              e_executions = executions;
-              e_outputs = List.rev outs })
-
-  let is_quarantined t test =
-    locked t (fun () -> Hashtbl.mem t.quarantine test)
-
-  let retried t ~by = locked t (fun () -> Obs.Metrics.incr ~by t.c_retries)
-
-  (* One hardened query: returns the canonical output to memoize/compare. *)
-  let query t ?params d tc ~key =
-    let test = tc.Platform.Deployment.tc_name in
-    let exec () = exec_once t ?params d tc ~key in
-    match Cache.find t.h_cache key with
-    | Some memo ->
-      let should_verify =
-        t.cfg.verify_hits && t.cfg.retries > 0
-        && locked t (fun () ->
-               if Hashtbl.mem t.verified key then false
-               else begin
-                 Hashtbl.replace t.verified key ();
-                 true
-               end)
-      in
-      if not should_verify then memo
-      else begin
-        let v0 = exec () in
-        if String.equal v0 memo then memo
-        else begin
-          (* the baseline is contested: quorum to classify, baseline kept *)
-          let n = full t - 1 in
-          retried t ~by:n;
-          let rest = List.init n (fun _ -> exec ()) in
-          let cls =
-            if rest <> [] && all_equal rest then begin
-              let r = List.hd rest in
-              if String.equal r memo then Flaky (* v0 itself was the flake *)
-              else if String.equal r v0 then Behavior_changed
-              else Flaky
-            end
-            else Flaky
-          in
-          note_quarantine t ~test ~cls
-            ~outputs:(memo :: v0 :: rest)
-            ~executions:(n + 1);
-          memo
-        end
-      end
-    | None ->
-      let out =
-        if t.cfg.retries = 0 then exec ()
-        else if is_quarantined t test then begin
-          (* no trust left: full quorum up front *)
-          let atts = List.init (full t) (fun _ -> exec ()) in
-          let value, atts = settle t exec atts in
-          retried t ~by:(List.length atts - 1);
-          if not (all_equal atts) then
-            note_quarantine t ~test ~cls:Flaky ~outputs:atts
-              ~executions:(List.length atts);
-          value
-        end
-        else begin
-          let a0 = exec () in
-          let a1 = exec () in
-          if String.equal a0 a1 then a0
-          else begin
-            let more = List.init (full t - 2) (fun _ -> exec ()) in
-            let value, atts = settle t exec (a0 :: a1 :: more) in
-            retried t ~by:(List.length atts - 2);
-            note_quarantine t ~test ~cls:Flaky ~outputs:atts
-              ~executions:(List.length atts);
-            value
-          end
-        end
-      in
-      Cache.store t.h_cache key out;
-      out
-
-  let observe t ?params (d : Platform.Deployment.t) : observation =
-    let image_digest = Platform.Deployment.image_digest d in
-    { per_test =
-        List.map
-          (fun (tc : Platform.Deployment.test_case) ->
-             let key = test_key ?params ~image_digest d tc in
-             (tc.Platform.Deployment.tc_name, query t ?params d tc ~key))
-          d.Platform.Deployment.test_cases }
-
-  let for_reference t ?params (reference : Platform.Deployment.t) :
-    (Platform.Deployment.t -> bool) * observation =
-    let expected = observe t ?params reference in
-    ( (fun candidate -> equivalent (observe t ?params candidate) expected),
-      expected )
-
-  let quarantined t = locked t (fun () -> Hashtbl.length t.quarantine)
-
-  let report t : quarantine_entry list =
-    let entries =
-      locked t (fun () ->
-          Hashtbl.fold
-            (fun test e acc ->
-               { q_test = test;
-                 q_class = e.e_class;
-                 q_events = e.e_events;
-                 q_executions = e.e_executions;
-                 q_outputs = List.rev e.e_outputs }
-               :: acc)
-            t.quarantine [])
-    in
-    List.sort (fun a b -> compare a.q_test b.q_test) entries
-
-  (* Divergence-classification report. Outputs are arbitrary interpreter
-     text, so the CSV carries their count, not their bytes; the typed
-     [report] keeps the strings. *)
-  let report_csv t =
-    let buf = Buffer.create 256 in
-    Buffer.add_string buf "test,class,events,executions,distinct_outputs\n";
-    List.iter
-      (fun q ->
-         Buffer.add_string buf
-           (Printf.sprintf "%s,%s,%d,%d,%d\n" q.q_test
-              (classification_name q.q_class)
-              q.q_events q.q_executions
-              (List.length q.q_outputs)))
-      (report t);
-    Buffer.contents buf
-end

@@ -106,68 +106,3 @@ val for_reference :
   ?params:Platform.Lambda_sim.params ->
   Platform.Deployment.t ->
   (Platform.Deployment.t -> bool) * observation
-
-(** {1 Hardened oracle}
-
-    A wrapper defending the observation memo against flaky or hung
-    executions: fresh keys are confirmed by a second execution (and decided
-    by a [2·retries + 1] quorum on disagreement), the first memo hit per
-    key is re-verified once, divergent tests land in a quarantine list
-    classified flaky vs genuinely behaviour-changing, and an optional
-    wall-clock watchdog turns an over-budget execution into an ordinary
-    [CRASH:watchdog-timeout] observation. The memoized baseline always
-    stays authoritative, so a hardened search remains deterministic; the
-    quarantine report tells the operator what diverged.
-
-    Metrics (in [Obs.Metrics.global]): [oracle.quorum.retries]
-    (disagreement-triggered re-executions — zero on a deterministic
-    suite), [oracle.quorum.quarantined], [oracle.watchdog.trips]. *)
-module Hardened : sig
-  type classification = Flaky | Behavior_changed
-
-  val classification_name : classification -> string
-
-  type quarantine_entry = {
-    q_test : string;
-    q_class : classification;
-    q_events : int;           (** divergent quorums observed *)
-    q_executions : int;       (** executions those quorums consumed *)
-    q_outputs : string list;  (** distinct outputs, first-seen order *)
-  }
-
-  type config = {
-    retries : int;            (** k: a quorum is [2k + 1] total attempts *)
-    verify_hits : bool;       (** re-execute the first memo hit per key *)
-    watchdog_ms : float option;  (** per-execution wall budget, off = None *)
-    clock : unit -> float;    (** wall-clock source (injectable in tests) *)
-    inject : Chaos.injector option;  (** fault injection for chaos runs *)
-  }
-
-  (** retries = 1, verify_hits = true, no watchdog, wall clock, no
-      injection. *)
-  val default_config : config
-
-  type t
-
-  (** @raise Invalid_argument if [retries < 0]. [retries = 0] disables
-      quorums and verification (watchdog still applies). *)
-  val create : ?cache:Cache.t -> config -> t
-
-  val observe :
-    t -> ?params:Platform.Lambda_sim.params -> Platform.Deployment.t ->
-    observation
-
-  val for_reference :
-    t -> ?params:Platform.Lambda_sim.params -> Platform.Deployment.t ->
-    (Platform.Deployment.t -> bool) * observation
-
-  (** Number of quarantined tests. *)
-  val quarantined : t -> int
-
-  (** Quarantine entries sorted by test name. *)
-  val report : t -> quarantine_entry list
-
-  (** CSV rendering of {!report}:
-      [test,class,events,executions,distinct_outputs]. *)
-  val report_csv : t -> string
-end

@@ -14,14 +14,11 @@ type options = {
   k : int;                        (* modules to debloat (§8.4: default 20) *)
   scoring : Scoring.method_;
   log : bool;
-  (* durability & oracle hardening (all off by default — the defaults keep
-     every committed CSV byte-identical to the unhardened pipeline) *)
+  (* durability (off by default — the defaults keep every committed CSV
+     byte-identical to the unjournaled pipeline) *)
   journal_dir : string option;    (* record DD verdicts under this dir *)
   resume : bool;                  (* replay compatible journals first *)
-  oracle_retries : int;           (* k of the 2k+1 quorum; 0 = unhardened *)
-  oracle_inject : Chaos.injector option;  (* fault injection (chaos runs) *)
   oracle_cache : Oracle.Cache.t option;   (* private memo; default global *)
-  quarantine_report : string option;      (* write divergence CSV here *)
   (* incremental re-debloating (both off by default — with no baseline and
      no manifest to write, stage 3 runs the exact historical code path) *)
   baseline : Manifest.t option;           (* previous run's manifest *)
@@ -34,10 +31,7 @@ let default_options =
     log = false;
     journal_dir = None;
     resume = false;
-    oracle_retries = 0;
-    oracle_inject = None;
     oracle_cache = None;
-    quarantine_report = None;
     baseline = None;
     manifest_path = None }
 
@@ -59,7 +53,7 @@ type report = {
   debloat_wall_s : float;             (* host wall-clock spent debloating *)
   total_oracle_queries : int;
   caches : cache_stats;               (* cache traffic during this run *)
-  quarantined_tests : int;            (* hardened oracle's quarantine size *)
+  quarantined_tests : int;            (* always 0: see pipeline.mli *)
   (* incremental accounting (empty/zero on non-incremental runs) *)
   manifest : Manifest.t option;       (* this run's manifest, when requested *)
   replayed_modules : string list;     (* digest-unchanged, zero queries *)
@@ -127,36 +121,6 @@ let journal_spec options (app : Platform.Deployment.t) =
     let jdir = Filename.concat dir sub in
     Journal.mkdir_p jdir;
     Some { Journal.journal_dir = jdir; journal_resume = resume }
-
-(* The DD oracle for this run — hardened (quorum + quarantine) when
-   [oracle_retries > 0], plain otherwise. A chaos flake rate from the
-   environment reaches only the hardened path: injecting faults into an
-   oracle with no defence would just corrupt results silently. *)
-let make_oracle options (app : Platform.Deployment.t) =
-  let cache =
-    match options.oracle_cache with
-    | Some c -> c
-    | None -> Oracle.Cache.global
-  in
-  if options.oracle_retries > 0 then begin
-    let inject =
-      match options.oracle_inject with
-      | Some _ as i -> i
-      | None -> Chaos.flake_of_env ()
-    in
-    let h =
-      Oracle.Hardened.create ~cache
-        { Oracle.Hardened.default_config with
-          retries = options.oracle_retries;
-          inject }
-    in
-    let oracle, _expected = Oracle.Hardened.for_reference h app in
-    (oracle, Some h)
-  end
-  else begin
-    let oracle, _expected = Oracle.for_reference ~cache app in
-    (oracle, None)
-  end
 
 (* Stage 3 of [run], parallel mode.
 
@@ -296,8 +260,7 @@ let run ?(options = default_options) ?jobs (app : Platform.Deployment.t) :
      untouched (and byte-identical) *)
   let incremental = baseline <> None || options.manifest_path <> None in
   let wall_start = Unix.gettimeofday () in
-  let (analysis, profile, ranked, optimized, entries, hardened), caches
-    =
+  let (analysis, profile, ranked, optimized, entries), caches =
     with_cache_stats (fun () ->
         obs_phase "pipeline:run" (fun () ->
         (* Stage 1: static analysis *)
@@ -326,10 +289,12 @@ let run ?(options = default_options) ?jobs (app : Platform.Deployment.t) :
            debloats the top-K sequentially). With [jobs > 1] the modules
            are searched concurrently and merged in ranking order — same
            output, see [debloat_parallel]. *)
-        let optimized, entries, hardened =
+        let optimized, entries =
           obs_phase "phase:debloat" (fun () ->
               let journal = journal_spec options app in
-              let oracle, hardened = make_oracle options app in
+              let oracle, _expected =
+                Oracle.for_reference ?cache:options.oracle_cache app
+              in
               match (incremental, jobs > 1) with
               | false, true ->
                 let optimized, module_results =
@@ -337,8 +302,8 @@ let run ?(options = default_options) ?jobs (app : Platform.Deployment.t) :
                     ?journal ~options ~analysis ~jobs ~oracle app ranked
                 in
                 ( optimized,
-                  List.map (fun r -> (r, Debloater.Fresh, "")) module_results,
-                  hardened )
+                  List.map (fun r -> (r, Debloater.Fresh, "")) module_results
+                )
               | false, false ->
                 let optimized, module_results =
                   List.fold_left
@@ -358,15 +323,15 @@ let run ?(options = default_options) ?jobs (app : Platform.Deployment.t) :
                     (app, []) ranked
                 in
                 ( optimized,
-                  List.rev_map (fun r -> (r, Debloater.Fresh, "")) module_results,
-                  hardened )
+                  List.rev_map (fun r -> (r, Debloater.Fresh, "")) module_results
+                )
               | true, true ->
                 let optimized, entries =
                   debloat_parallel_incremental
                     ?oracle_cache:options.oracle_cache ?journal ~options
                     ~analysis ~jobs ~oracle ~baseline app ranked
                 in
-                (optimized, entries, hardened)
+                (optimized, entries)
               | true, false ->
                 let optimized, entries =
                   List.fold_left
@@ -389,19 +354,10 @@ let run ?(options = default_options) ?jobs (app : Platform.Deployment.t) :
                        (d', (r, kind, digest) :: entries))
                     (app, []) ranked
                 in
-                (optimized, List.rev entries, hardened))
+                (optimized, List.rev entries))
         in
-        (analysis, profile, ranked, optimized, entries, hardened)))
+        (analysis, profile, ranked, optimized, entries)))
   in
-  (match options.quarantine_report with
-   | Some path ->
-     let contents =
-       match hardened with
-       | Some h -> Oracle.Hardened.report_csv h
-       | None -> "test,class,events,executions,distinct_outputs\n"
-     in
-     Journal.write_file_atomic ~path contents
-   | None -> ());
   let module_results = List.map (fun (r, _, _) -> r) entries in
   let replayed_modules =
     List.filter_map
@@ -459,10 +415,7 @@ let run ?(options = default_options) ?jobs (app : Platform.Deployment.t) :
       List.fold_left (fun acc r -> acc + r.Debloater.oracle_queries) 0
         module_results;
     caches;
-    quarantined_tests =
-      (match hardened with
-       | Some h -> Oracle.Hardened.quarantined h
-       | None -> 0);
+    quarantined_tests = 0;
     manifest;
     replayed_modules;
     warm_seeded;

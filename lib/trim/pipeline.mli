@@ -17,17 +17,8 @@ type options = {
       (** replay compatible existing journals before querying the oracle —
           a killed run resumed with the same options and job layout
           reproduces the uninterrupted run bit for bit *)
-  oracle_retries : int;
-      (** harden the oracle with a [2k + 1] quorum and quarantine
-          ({!Oracle.Hardened}); 0 (the default) keeps the plain oracle *)
-  oracle_inject : Chaos.injector option;
-      (** fault injection for the hardened oracle (chaos/durability runs);
-          [None] falls back to [LTRIM_CHAOS_FLAKE_RATE] when hardened *)
   oracle_cache : Oracle.Cache.t option;
-      (** private observation memo; [None] = the global memo. Fault-injected
-          runs must use a private memo so poison never reaches other runs *)
-  quarantine_report : string option;
-      (** write the divergence-classification CSV here (atomically) *)
+      (** private observation memo; [None] = the global memo *)
   baseline : Manifest.t option;
       (** a previous run's manifest: modules whose
           {!Debloater.module_search_digest} is unchanged replay their
@@ -64,7 +55,7 @@ type report = {
   total_oracle_queries : int;
   caches : cache_stats;
   quarantined_tests : int;
-      (** tests the hardened oracle quarantined; 0 when not hardened *)
+      (** always 0; kept only because e2ebench constructs this record *)
   manifest : Manifest.t option;
       (** this run's manifest — present iff a [baseline] or
           [manifest_path] was given *)

@@ -124,6 +124,97 @@ let test_chaos_corrupt_helper () =
       Alcotest.(check int) "one truncated record" 1
         (Trim.Journal.truncated j))
 
+(* A blank last line is not a record: the helper must skip every trailing
+   newline, and report [false] when only newlines remain. *)
+let test_chaos_corrupt_trailing_newlines () =
+  let path = Filename.concat (fresh_dir ()) "blank-tail" in
+  write_file path "abc\n\n";
+  Alcotest.(check bool) "found the record above the blank line" true
+    (Trim.Chaos.corrupt_last_record path);
+  Alcotest.(check string) "record overwritten, newlines kept" "XXX\n\n"
+    (read_file path);
+  write_file path "\n\n";
+  Alcotest.(check bool) "only newlines: nothing to corrupt" false
+    (Trim.Chaos.corrupt_last_record path);
+  Alcotest.(check string) "file untouched" "\n\n" (read_file path)
+
+(* An unterminated last line is a record too; an empty file has none. *)
+let test_chaos_corrupt_unterminated () =
+  let path = Filename.concat (fresh_dir ()) "no-newline" in
+  write_file path "a\nbc";
+  Alcotest.(check bool) "unterminated last line found" true
+    (Trim.Chaos.corrupt_last_record path);
+  Alcotest.(check string) "only the last line overwritten" "a\nXX"
+    (read_file path);
+  write_file path "";
+  Alcotest.(check bool) "empty file: nothing to corrupt" false
+    (Trim.Chaos.corrupt_last_record path);
+  Alcotest.(check string) "empty file untouched" "" (read_file path)
+
+(* The kill switch fires on exactly the N-th append, reports N, and
+   disarms itself; re-arming restarts the count. *)
+let test_chaos_kill_budget () =
+  Fun.protect ~finally:Trim.Chaos.disarm (fun () ->
+      Alcotest.check_raises "n = 0 rejected"
+        (Invalid_argument "Chaos.arm_kill_after: n must be >= 1") (fun () ->
+          Trim.Chaos.arm_kill_after 0);
+      Trim.Chaos.note_journal_append ();
+      Alcotest.(check (option int)) "unarmed appends are free" None
+        (Trim.Chaos.armed ());
+      List.iter
+        (fun n ->
+           Trim.Chaos.arm_kill_after n;
+           for i = 1 to n - 1 do
+             Trim.Chaos.note_journal_append ();
+             Alcotest.(check (option int))
+               (Printf.sprintf "n=%d: budget after %d" n i)
+               (Some (n - i)) (Trim.Chaos.armed ())
+           done;
+           (match Trim.Chaos.note_journal_append () with
+            | () -> Alcotest.failf "n=%d: expected Killed" n
+            | exception Trim.Chaos.Killed { killed_after } ->
+              Alcotest.(check int)
+                (Printf.sprintf "n=%d: killed after" n) n killed_after);
+           Alcotest.(check (option int))
+             (Printf.sprintf "n=%d: disarmed once fired" n) None
+             (Trim.Chaos.armed ());
+           Trim.Chaos.note_journal_append ())
+        [ 1; 3 ])
+
+let test_chaos_arm_from_env () =
+  let var = "LTRIM_CHAOS_KILL_AFTER" in
+  let saved = Sys.getenv_opt var in
+  Fun.protect
+    ~finally:(fun () ->
+        (* OCaml cannot unsetenv; [arm_from_env] reads "" as unset *)
+        Unix.putenv var (Option.value saved ~default:"");
+        Trim.Chaos.disarm ())
+    (fun () ->
+       Trim.Chaos.disarm ();
+       (* really unset unless the suite was started with it set *)
+       if saved <> None then Unix.putenv var "";
+       Trim.Chaos.arm_from_env ();
+       Alcotest.(check (option int)) "unset: disarmed" None
+         (Trim.Chaos.armed ());
+       Unix.putenv var "";
+       Trim.Chaos.arm_from_env ();
+       Alcotest.(check (option int)) "empty: disarmed" None
+         (Trim.Chaos.armed ());
+       Unix.putenv var "7";
+       Trim.Chaos.arm_from_env ();
+       Alcotest.(check (option int)) "\"7\" arms 7" (Some 7)
+         (Trim.Chaos.armed ());
+       Trim.Chaos.disarm ();
+       List.iter
+         (fun bad ->
+            Unix.putenv var bad;
+            match Trim.Chaos.arm_from_env () with
+            | () -> Alcotest.failf "%S: expected Invalid_argument" bad
+            | exception Invalid_argument _ ->
+              Alcotest.(check (option int)) (bad ^ ": stays disarmed") None
+                (Trim.Chaos.armed ()))
+         [ "0"; "-3"; "x" ])
+
 let test_digest_mismatch () =
   let path = Filename.concat (fresh_dir ()) "m.journal" in
   with_journal path (fun j -> Trim.Journal.append j ~key:"a" true);
@@ -289,7 +380,15 @@ let suite =
         Alcotest.test_case "seeded search resumes from every kill point"
           `Quick test_seeded_every_kill_point;
         Alcotest.test_case "run digest covers the seed" `Quick
-          test_digest_covers_seed ] );
+          test_digest_covers_seed;
+        Alcotest.test_case "chaos corrupt_last_record skips blank lines"
+          `Quick test_chaos_corrupt_trailing_newlines;
+        Alcotest.test_case "chaos arm_from_env parses the kill budget" `Quick
+          test_chaos_arm_from_env;
+        Alcotest.test_case "chaos corrupt_last_record without a final newline"
+          `Quick test_chaos_corrupt_unterminated;
+        Alcotest.test_case "chaos kill fires on the N-th append" `Quick
+          test_chaos_kill_budget ] );
     ( "durability.resume",
       List.map
         (QCheck_alcotest.to_alcotest ~long:false)

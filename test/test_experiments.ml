@@ -182,7 +182,26 @@ let claims =
     Alcotest.test_case "fig11 output reports tiny impact" `Slow (fun () ->
         let out = Experiments.Fig11.print () in
         Alcotest.(check bool) "mentions max impact" true
-          (contains out "Max |impact|")) ]
+          (contains out "Max |impact|"));
+    Alcotest.test_case "durability: every kill resumes identical" `Slow
+      (fun () ->
+        match String.split_on_char '\n' (Experiments.Durability.csv ()) with
+        | header :: rows ->
+          Alcotest.(check string) "header"
+            "app,kill_after,killed,replayed_records,identical" header;
+          let rows = List.filter (fun l -> l <> "") rows in
+          Alcotest.(check int) "one row per kill point" 4 (List.length rows);
+          List.iter
+            (fun row ->
+               match String.split_on_char ',' row with
+               | [ _; kill_after; killed; _; identical ] ->
+                 Alcotest.(check string) (row ^ ": identical") "1" identical;
+                 (* 100 outlasts the run; the smaller budgets fire *)
+                 Alcotest.(check string) (row ^ ": killed")
+                   (if kill_after = "100" then "0" else "1") killed
+               | _ -> Alcotest.failf "malformed row %S" row)
+            rows
+        | [] -> Alcotest.fail "empty csv") ]
 
 
 

@@ -73,129 +73,71 @@ let observations =
                 with Not_found -> false))
           o.Oracle.per_test) ]
 
-(* --- hardened oracle: quorum, quarantine, watchdog ------------------------ *)
+(* --- determinism: the premise the plain oracle rests on ------------------ *)
 
-let counter name = Obs.Metrics.counter Obs.Metrics.global name
-
-let delta c f =
-  let before = Obs.Metrics.value c in
-  let x = f () in
-  (x, Obs.Metrics.value c - before)
-
-let hardened =
-  [ Alcotest.test_case "deterministic suite: equals plain, zero retries"
+(* minipy and the simulator read no clock and no RNG, and [max_steps] turns
+   a hang into a deterministic CRASH:timeout — so an observation is a pure
+   function of the deployment. Every suite app, observed with no memo to
+   answer for it: twice in this domain, then once more in pool tasks on two
+   domains (one task per app, so deployments are not shared across
+   domains). *)
+let determinism =
+  [ Alcotest.test_case "every suite app: fresh runs and pool runs agree"
       `Quick (fun () ->
-        let h =
-          Oracle.Hardened.create ~cache:(Oracle.Cache.create ())
-            { Oracle.Hardened.default_config with retries = 2 }
+        let observe d =
+          Oracle.observe ~cache:(Oracle.Cache.create ~enabled:false ()) d
         in
-        let o, retries =
-          delta (counter "oracle.quorum.retries") (fun () ->
-              Oracle.Hardened.observe h tiny)
+        let apps =
+          List.map
+            (fun name -> (name, Workloads.Suite.deployment_of name))
+            Workloads.Suite.names
         in
-        let clean = Oracle.observe ~cache:(Oracle.Cache.create ()) tiny in
-        Alcotest.(check bool) "equals plain observe" true
-          (Oracle.equivalent o clean);
-        Alcotest.(check int) "no disagreement-triggered re-executions" 0
-          retries;
-        Alcotest.(check int) "zero false quarantines" 0
-          (Oracle.Hardened.quarantined h));
-    Alcotest.test_case "flaky executions: quorum recovers, test quarantined"
+        let twice =
+          List.map (fun (name, d) -> (name, observe d, observe d)) apps
+        in
+        let pooled =
+          Parallel.Pool.with_pool ~domains:2 (fun pool ->
+              Parallel.Pool.map pool (fun (_, d) -> observe d) apps)
+        in
+        let per_test = Alcotest.(list (pair string string)) in
+        List.iter2
+          (fun (name, o1, o2) o3 ->
+             Alcotest.(check bool) (name ^ ": has test cases") true
+               (o1.Oracle.per_test <> []);
+             Alcotest.(check bool) (name ^ ": rerun equivalent") true
+               (Oracle.equivalent o1 o2);
+             Alcotest.(check bool) (name ^ ": pool run equivalent") true
+               (Oracle.equivalent o1 o3);
+             Alcotest.check per_test (name ^ ": rerun per_test")
+               o1.Oracle.per_test o2.Oracle.per_test;
+             Alcotest.check per_test (name ^ ": pool per_test")
+               o1.Oracle.per_test o3.Oracle.per_test)
+          twice pooled);
+    Alcotest.test_case "every suite app: a warm memo answers as a fresh run"
       `Quick (fun () ->
-        let h =
-          Oracle.Hardened.create ~cache:(Oracle.Cache.create ())
-            { Oracle.Hardened.default_config with
-              retries = 2;
-              (* inside the 1-10% design envelope (scaled up so the two
-                 tiny-app keys actually draw a flake at this seed) *)
-              inject = Some (Trim.Chaos.flake ~seed:3 ~rate:0.25) }
-        in
-        let o, retries =
-          delta (counter "oracle.quorum.retries") (fun () ->
-              Oracle.Hardened.observe h tiny)
-        in
-        let clean = Oracle.observe ~cache:(Oracle.Cache.create ()) tiny in
-        Alcotest.(check bool)
-          "quorum recovers the genuine observation despite flakes" true
-          (Oracle.equivalent o clean);
-        Alcotest.(check bool) "flaky tests quarantined" true
-          (Oracle.Hardened.quarantined h >= 1);
-        Alcotest.(check bool) "disagreements were re-executed" true
-          (retries > 0);
         List.iter
-          (fun (q : Oracle.Hardened.quarantine_entry) ->
-             Alcotest.(check string) "classified flaky" "flaky"
-               (Oracle.Hardened.classification_name
-                  q.Oracle.Hardened.q_class))
-          (Oracle.Hardened.report h));
-    Alcotest.test_case
-      "genuine drift on a verified memo hit: behavior-changed, memo kept"
-      `Quick (fun () ->
-        let h =
-          Oracle.Hardened.create ~cache:(Oracle.Cache.create ())
-            { Oracle.Hardened.default_config with
-              retries = 1;
-              (* attempts 0-1 (the fresh dual execution) are genuine; every
-                 execution after that consistently disagrees — a behaviour
-                 change, not a flake *)
-              inject = Some (Trim.Chaos.drift ~seed:3 ~rate:1.0 ~after:2) }
-        in
-        let o1 = Oracle.Hardened.observe h tiny in
-        let o2 = Oracle.Hardened.observe h tiny in
-        Alcotest.(check bool) "memoized baseline stays authoritative" true
-          (Oracle.equivalent o1 o2);
-        Alcotest.(check bool) "divergence reported" true
-          (Oracle.Hardened.quarantined h >= 1);
-        Alcotest.(check bool) "classified behavior-changed" true
-          (List.exists
-             (fun (q : Oracle.Hardened.quarantine_entry) ->
-                q.Oracle.Hardened.q_class = Oracle.Hardened.Behavior_changed)
-             (Oracle.Hardened.report h));
-        let csv = Oracle.Hardened.report_csv h in
-        Alcotest.(check bool) "csv carries the class" true
-          (let re = Str.regexp_string "behavior-changed" in
-           try ignore (Str.search_forward re csv 0); true
-           with Not_found -> false));
-    Alcotest.test_case "watchdog: over-budget runs become CRASH observations"
-      `Quick (fun () ->
-        let now = ref 0.0 in
-        let clock () = now := !now +. 10.0; !now in
-        let h =
-          Oracle.Hardened.create ~cache:(Oracle.Cache.create ())
-            { Oracle.Hardened.default_config with
-              retries = 0; watchdog_ms = Some 5.0; clock }
-        in
-        let o, trips =
-          delta (counter "oracle.watchdog.trips") (fun () ->
-              Oracle.Hardened.observe h tiny)
-        in
-        Alcotest.(check int) "every execution tripped" 2 trips;
-        List.iter
-          (fun (_, out) ->
-             Alcotest.(check string) "watchdog marker"
-               "CRASH:watchdog-timeout" out)
-          o.Oracle.per_test);
-    Alcotest.test_case "retries = 0 disables quorum and verification" `Quick
-      (fun () ->
-        let h =
-          Oracle.Hardened.create ~cache:(Oracle.Cache.create ())
-            { Oracle.Hardened.default_config with retries = 0 }
-        in
-        let o, retries =
-          delta (counter "oracle.quorum.retries") (fun () ->
-              Oracle.Hardened.observe h tiny)
-        in
-        let clean = Oracle.observe ~cache:(Oracle.Cache.create ()) tiny in
-        Alcotest.(check bool) "single-execution path" true
-          (Oracle.equivalent o clean);
-        Alcotest.(check int) "no quorum traffic" 0 retries);
-    Alcotest.test_case "negative retries rejected" `Quick (fun () ->
-        Alcotest.check_raises "invalid"
-          (Invalid_argument "Oracle.Hardened: retries < 0") (fun () ->
-            ignore
-              (Oracle.Hardened.create
-                 { Oracle.Hardened.default_config with retries = -1 })))
-  ]
+          (fun name ->
+             let d = Workloads.Suite.deployment_of name in
+             let fresh =
+               Oracle.observe ~cache:(Oracle.Cache.create ~enabled:false ()) d
+             in
+             let cache = Oracle.Cache.create () in
+             let cold = Oracle.observe ~cache d in
+             let misses = Oracle.Cache.misses cache in
+             let warm = Oracle.observe ~cache d in
+             Alcotest.(check int) (name ^ ": warm run misses nothing") misses
+               (Oracle.Cache.misses cache);
+             Alcotest.(check bool) (name ^ ": warm run hits") true
+               (Oracle.Cache.hits cache > 0);
+             Alcotest.(check bool) (name ^ ": cold memo equivalent") true
+               (Oracle.equivalent fresh cold);
+             Alcotest.(check bool) (name ^ ": warm memo equivalent") true
+               (Oracle.equivalent fresh warm);
+             Alcotest.(check (list (pair string string)))
+               (name ^ ": warm per_test") fresh.Oracle.per_test
+               warm.Oracle.per_test)
+          Workloads.Suite.names) ]
 
 let suite =
-  [ ("oracle.observations", observations); ("oracle.hardened", hardened) ]
+  [ ("oracle.observations", observations);
+    ("oracle.determinism", determinism) ]
