@@ -139,6 +139,12 @@ let manifest_arg =
                  keep-sets, ranking) to FILE for a later \
                  $(b,--baseline).")
 
+(* Another ltrim process holds this memo store or journal: say so on one
+   line instead of a backtrace. *)
+let fail_locked path =
+  Printf.eprintf "ltrim: %s is locked by another process\n%!" path;
+  exit 1
+
 (* Install the persistent memo under the global observation cache, plus the
    optional in-memory bound. Call before any work, like [setup_jobs]. *)
 let setup_memo memo_dir memo_cap =
@@ -150,7 +156,10 @@ let setup_memo memo_dir memo_cap =
   match memo_dir with
   | None -> ()
   | Some dir ->
-    let store = Trim.Memo_store.open_ ~dir in
+    let store =
+      try Trim.Memo_store.open_ ~dir
+      with Trim.Durable_log.Locked path -> fail_locked path
+    in
     Trim.Oracle.Cache.attach_store Trim.Oracle.Cache.global (Some store);
     at_exit (fun () -> Trim.Memo_store.close store)
 
@@ -178,8 +187,9 @@ let setup_jobs jobs =
   Parallel.Pool.configure ~jobs
 
 (* Arm the chaos harness from LTRIM_CHAOS_KILL_AFTER and turn a chaos kill
-   into a distinct exit status the CI smoke steps assert on. Wraps outside
-   [with_trace] so a killed run still exports its partial trace. *)
+   into a distinct exit status the CI smoke steps assert on, and a journal
+   another process holds into [fail_locked]. Wraps outside [with_trace] so
+   a killed run still exports its partial trace. *)
 let with_chaos f =
   (try Trim.Chaos.arm_from_env () with
    | Invalid_argument msg ->
@@ -191,6 +201,7 @@ let with_chaos f =
       "chaos: killed after journal record %d (resume with --resume)\n%!"
       killed_after;
     exit 70
+  | Trim.Durable_log.Locked path -> fail_locked path
 
 (* Install a recording tracer around [f] and export it on the way out —
    also on failure, so a crashed run still leaves its partial trace. *)
@@ -798,7 +809,8 @@ let experiments_cmd =
     ensure_dir csv;
     let write dir name contents =
       (* atomic: a crash mid-export never leaves a torn result file *)
-      Trim.Journal.write_file_atomic ~path:(Filename.concat dir name) contents
+      Trim.Durable_log.write_file_atomic ~path:(Filename.concat dir name)
+        contents
     in
     List.iter
       (fun (e : Experiments.Registry.entry) ->
@@ -861,7 +873,7 @@ let redebloat_cmd =
     with_trace trace @@ fun () ->
     setup_logs verbose;
     let apps = if apps = [] then Workloads.Suite.names else apps in
-    Trim.Journal.mkdir_p state;
+    Trim.Durable_log.mkdir_p state;
     let method_ = Trim.Scoring.method_of_string scoring in
     let job app =
       let path = Filename.concat state (app ^ ".manifest") in

@@ -2,12 +2,11 @@
     of (subset key → oracle verdict) plus a final keep-set completion mark,
     one file per module search.
 
-    Records are flushed before control returns to DD, so after a crash the
-    file holds every verdict the search consumed plus at most one torn
-    record at the tail. Reopening with [resume] replays the valid prefix
-    into a lookup table, drops any invalid suffix (repairing the file via
-    write-temp-then-rename), and lets {!Dd.minimize} (with or without a
-    pool) answer queries from the table — reproducing
+    The file is a {!Durable_log}; its crash model and lock apply. Records
+    are flushed before control returns to DD. Reopening with [resume]
+    replays the valid prefix into a lookup table, drops any invalid
+    suffix, and lets {!Dd.minimize} (with or without a pool) answer
+    queries from the table — reproducing
     the uninterrupted run's keep-set and counters bit for bit. A header
     run-digest binds the file to one search (base image, module, candidate
     list, engine tag, job layout); a mismatched header discards the journal
@@ -20,7 +19,8 @@ type t
 
 (** [open_ ~resume ~path ~run_digest ()] opens or creates the journal.
     With [resume = false] (default) — or when the existing header does not
-    match [run_digest] — the file is atomically reset to a bare header. *)
+    match [run_digest] — the file is reset to a bare header.
+    @raise Durable_log.Locked if another process has the file open. *)
 val open_ : ?resume:bool -> path:string -> run_digest:string -> unit -> t
 
 (** Replayed verdict for a subset key, if one was recorded. *)
@@ -50,13 +50,10 @@ val records : t -> int
 
 val close : t -> unit
 
-(** {1 Atomic file helpers} *)
+(** {!Durable_log.mkdir_p} and {!Durable_log.write_file_atomic}, kept
+    for e2ebench/ and bench/, which read them here. *)
 
 val mkdir_p : string -> unit
-
-(** Write [contents] via temp-file-plus-rename in [path]'s directory: a
-    crash leaves the old file or the new one, never a torn mix. Creates
-    missing parent directories. *)
 val write_file_atomic : path:string -> string -> unit
 
 (** {1 Per-search spec and process-wide configuration} *)

@@ -8,11 +8,11 @@
     manifest as [--baseline] replays recorded results for modules whose
     digest is unchanged and warm-starts DD for the rest.
 
-    The file is line-oriented with an [ltrim-manifest/1] header and one
-    md5-checksummed record per line. Parsing is strict — any malformed or
-    corrupt line rejects the whole manifest (callers then fall back to a
-    cold run); manifests are written atomically after a completed run, so
-    unlike a {!Journal} there is no torn-tail recovery to perform. *)
+    The file is an [ltrim-manifest/1] header and one {!Durable_log.seal}ed
+    record per line. Parsing is strict — any malformed or corrupt line
+    rejects the whole manifest (callers then fall back to a cold run);
+    manifests are written atomically after a completed run, so unlike a
+    {!Journal} there is no torn-tail recovery to perform. *)
 
 type module_entry = {
   me_module : string;
@@ -35,8 +35,6 @@ type t = {
   mf_ranked : string list;   (** modules in debloat order *)
   mf_modules : module_entry list;  (** same order as [mf_ranked] *)
 }
-
-val magic : string
 
 (** Render to the on-disk text format.
     @raise Invalid_argument if any field contains ['|'] or newlines. *)

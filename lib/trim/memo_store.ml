@@ -1,28 +1,16 @@
-(* Persistent on-disk oracle memo.
-
-   One append-only file (`observations.memo`) per store directory holding
-   content-addressed oracle observations:
+(* Persistent on-disk oracle memo: one {!Durable_log} per store directory
+   holding content-addressed oracle observations:
 
      ltrim-memo/1
-     o|<seq>|<key>|<escaped canonical output>|<md5 of the payload>
+     o|<seq>|<key>|<escaped canonical output>|<md5>
 
-   The key is {!Oracle.test_key} — an md5 over everything the canonical
-   output can depend on (engine tag, optimizer variant, effective image digest,
-   entry point, test-case inputs) — so entries are revision-safe by
-   construction and one store can be shared across applications and process
-   restarts: a key either means exactly one observation or is absent.
-
-   Durability model follows {!Journal}: every record is checksummed and
-   flushed before [add] returns, and a reload keeps only the valid record
-   prefix — a torn or corrupt tail is dropped and the file repaired via
-   write-temp-then-rename, never replayed. Unlike a DD journal the file has
-   no run digest in its header: cross-revision sharing is the whole point,
-   and the per-record content addressing already provides the safety a run
-   digest buys a journal.
+   Keys are {!Oracle.test_key} digests, so entries are revision-safe by
+   construction and the header carries no run digest: one store is shared
+   across applications, revisions and process restarts.
 
    Canonical outputs are arbitrary interpreter text (newlines and '|'
    included), so values travel escaped: '\\' -> "\\\\", '\n' -> "\\n",
-   '\r' -> "\\r", '|' -> "\\p". The escaping is injective, so a checksummed
+   '\r' -> "\\r", '|' -> "\\p". The escaping is injective, so a sealed
    record decodes to exactly the stored observation or not at all.
 
    Metrics (Obs.Metrics.global): oracle.memo_store.loaded (records replayed
@@ -34,17 +22,11 @@ let magic = "ltrim-memo/1"
 
 let file_name = "observations.memo"
 
-let counters_lock = Mutex.create ()
 let c_loaded = Obs.Metrics.counter Obs.Metrics.global "oracle.memo_store.loaded"
 let c_appended =
   Obs.Metrics.counter Obs.Metrics.global "oracle.memo_store.appended"
 let c_truncated =
   Obs.Metrics.counter Obs.Metrics.global "oracle.memo_store.truncated"
-
-let count ?by c =
-  Mutex.lock counters_lock;
-  Obs.Metrics.incr ?by c;
-  Mutex.unlock counters_lock
 
 (* --- value escaping ------------------------------------------------------- *)
 
@@ -68,125 +50,51 @@ let unescape s =
   let b = Buffer.create n in
   let rec go i =
     if i >= n then Some (Buffer.contents b)
-    else if s.[i] <> '\\' then begin
-      Buffer.add_char b s.[i];
-      go (i + 1)
-    end
-    else if i + 1 >= n then None
-    else begin
-      (match s.[i + 1] with
-       | '\\' -> Buffer.add_char b '\\'
-       | 'n' -> Buffer.add_char b '\n'
-       | 'r' -> Buffer.add_char b '\r'
-       | 'p' -> Buffer.add_char b '|'
-       | _ -> Buffer.add_char b '\x00' (* poisoned below *));
-      match s.[i + 1] with
-      | '\\' | 'n' | 'r' | 'p' -> go (i + 2)
+    else if s.[i] <> '\\' then (Buffer.add_char b s.[i]; go (i + 1))
+    else
+      match if i + 1 < n then s.[i + 1] else ' ' with
+      | '\\' -> Buffer.add_char b '\\'; go (i + 2)
+      | 'n' -> Buffer.add_char b '\n'; go (i + 2)
+      | 'r' -> Buffer.add_char b '\r'; go (i + 2)
+      | 'p' -> Buffer.add_char b '|'; go (i + 2)
       | _ -> None
-    end
   in
   go 0
 
 (* --- the store ------------------------------------------------------------ *)
 
 type t = {
-  path : string;
-  mutable oc : out_channel option;
+  log : Durable_log.t;
   table : (string, string) Hashtbl.t;
-  mutable next_seq : int;
-  mutable loaded_records : int;
+  loaded_records : int;
   mutable appended_records : int;
-  mutable truncated_records : int;
-  buf : Buffer.t;
-  lock : Mutex.t;
+  lock : Mutex.t;   (* also guards the global counters *)
 }
 
-let checksum payload = Digest.to_hex (Digest.string payload)
-
-let check_key key =
-  if String.exists (fun c -> c = '|' || c = '\n' || c = '\r') key then
-    invalid_arg "Memo_store: keys must not contain '|' or newlines"
-
-let parse_line line =
-  match String.split_on_char '|' line with
-  | [ kind; seq; key; value; sum ] when kind = "o" ->
-    let payload = Printf.sprintf "%s|%s|%s|%s" kind seq key value in
-    (match (int_of_string_opt seq, unescape value) with
-     | Some s, Some v when String.equal (checksum payload) sum ->
-       Some (s, key, v)
-     | _ -> None)
-  | _ -> None
-
-let read_lines path =
-  let ic = open_in_bin path in
-  let rec go acc =
-    match input_line ic with
-    | line -> go (line :: acc)
-    | exception End_of_file -> List.rev acc
-  in
-  let lines = go [] in
-  close_in ic;
-  lines
-
 (* Open (or create) the store under [dir]. An existing file is always
-   replayed: the valid record prefix fills the table, any invalid suffix
-   (torn tail, flipped bytes, missing lines) is dropped and the file is
-   repaired atomically. A foreign or torn header starts the file over. *)
+   replayed: the valid record prefix fills the table; a foreign or torn
+   header starts the file over. *)
 let open_ ~dir =
-  Journal.mkdir_p dir;
-  let path = Filename.concat dir file_name in
+  let table = Hashtbl.create 1024 in
+  let log =
+    Durable_log.open_ ~path:(Filename.concat dir file_name) ~header:magic
+      ~invalid:"Memo_store: keys must not contain '|' or newlines" ()
+      ~replay:(fun kind fields ->
+          match (kind, fields) with
+          | "o", [ key; value ] ->
+            (match unescape value with
+             | Some v ->
+               Hashtbl.replace table key v;
+               true
+             | None -> false)
+          | _ -> false)
+  in
   let t =
-    { path;
-      oc = None;
-      table = Hashtbl.create 1024;
-      next_seq = 0;
-      loaded_records = 0;
-      appended_records = 0;
-      truncated_records = 0;
-      buf = Buffer.create 256;
-      lock = Mutex.create () }
+    { log; table; loaded_records = Durable_log.records log;
+      appended_records = 0; lock = Mutex.create () }
   in
-  let existing =
-    if Sys.file_exists path then
-      match read_lines path with
-      | first :: rest when String.equal first magic -> Some rest
-      | _ -> None
-    else None
-  in
-  (match existing with
-   | Some record_lines ->
-     let rec replay kept = function
-       | [] -> (List.rev kept, 0)
-       | line :: rest ->
-         (match parse_line line with
-          | Some (seq, key, value) when seq = t.next_seq ->
-            Hashtbl.replace t.table key value;
-            t.next_seq <- t.next_seq + 1;
-            replay (line :: kept) rest
-          | _ -> (List.rev kept, 1 + List.length rest))
-     in
-     let kept, dropped = replay [] record_lines in
-     t.loaded_records <- t.next_seq;
-     t.truncated_records <- dropped;
-     count ~by:t.loaded_records c_loaded;
-     if dropped > 0 then begin
-       count ~by:dropped c_truncated;
-       Journal.write_file_atomic ~path
-         (String.concat "\n" (magic :: kept) ^ "\n")
-     end;
-     t.oc <-
-       Some (open_out_gen [ Open_wronly; Open_append; Open_binary ] 0o644 path)
-   | None ->
-     (* fresh start (or unreadable header): a torn header reads as foreign
-        on the next open and the file starts over, losing nothing *)
-     let oc =
-       open_out_gen [ Open_wronly; Open_creat; Open_trunc; Open_binary ]
-         0o644 path
-     in
-     output_string oc magic;
-     output_char oc '\n';
-     flush oc;
-     t.oc <- Some oc);
+  Obs.Metrics.incr ~by:t.loaded_records c_loaded;
+  Obs.Metrics.incr ~by:(Durable_log.truncated log) c_truncated;
   t
 
 let locked t f =
@@ -195,53 +103,26 @@ let locked t f =
 
 let find t key = locked t (fun () -> Hashtbl.find_opt t.table key)
 
-let mem t key = locked t (fun () -> Hashtbl.mem t.table key)
-
 (* Record one observation durably (flushed before returning). Idempotent:
    a key already in the store is never re-appended — the file stays
    append-only and duplicate-free even when shared across many runs. *)
 let add t ~key value =
-  check_key key;
   locked t (fun () ->
       if not (Hashtbl.mem t.table key) then begin
-        match t.oc with
-        | None -> invalid_arg "Memo_store: already closed"
-        | Some oc ->
-          let buf = t.buf in
-          Buffer.clear buf;
-          Buffer.add_string buf "o|";
-          Buffer.add_string buf (string_of_int t.next_seq);
-          Buffer.add_char buf '|';
-          Buffer.add_string buf key;
-          Buffer.add_char buf '|';
-          Buffer.add_string buf (escape value);
-          let sum = checksum (Buffer.contents buf) in
-          Buffer.add_char buf '|';
-          Buffer.add_string buf sum;
-          Buffer.add_char buf '\n';
-          Buffer.output_buffer oc buf;
-          flush oc;
-          Hashtbl.replace t.table key value;
-          t.next_seq <- t.next_seq + 1;
-          t.appended_records <- t.appended_records + 1;
-          count c_appended
+        Durable_log.append t.log "o" [ key; escape value ];
+        Hashtbl.replace t.table key value;
+        t.appended_records <- t.appended_records + 1;
+        Obs.Metrics.incr c_appended
       end)
 
 let size t = locked t (fun () -> Hashtbl.length t.table)
 
-let loaded t = locked t (fun () -> t.loaded_records)
+let loaded t = t.loaded_records
 
 let appended t = locked t (fun () -> t.appended_records)
 
-let truncated t = locked t (fun () -> t.truncated_records)
+let truncated t = Durable_log.truncated t.log
 
-let path t = t.path
+let path t = Durable_log.path t.log
 
-let close t =
-  locked t (fun () ->
-      match t.oc with
-      | Some oc ->
-        flush oc;
-        close_out oc;
-        t.oc <- None
-      | None -> ())
+let close t = locked t (fun () -> Durable_log.close t.log)

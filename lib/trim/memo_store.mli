@@ -6,10 +6,9 @@
     output can depend on (engine tag, optimizer variant, effective image
     digest, entry point, test-case inputs) — so a key either denotes
     exactly one observation or is absent; there is nothing to invalidate
-    across revisions. The file format mirrors {!Journal}: a magic header
-    followed by flushed, checksummed records; on open only the valid
-    record prefix is replayed, and any torn or corrupt tail is discarded
-    (and the file atomically repaired), never replayed.
+    across revisions. The file is a {!Durable_log} with header
+    [ltrim-memo/1] and records [o|seq|key|escaped value|md5]: on open only
+    the valid record prefix is replayed, never a torn or corrupt tail.
 
     A store is attached beneath the in-memory {!Oracle.Cache} with
     {!Oracle.Cache.attach_store} (CLI: [--memo-dir DIR]); the cache
@@ -18,24 +17,20 @@
 
 type t
 
-(** The header line of the store file, [ltrim-memo/1]. *)
-val magic : string
-
 (** Basename of the store file inside its directory,
     [observations.memo]. *)
 val file_name : string
 
 (** [open_ ~dir] opens (creating [dir] and the file as needed) the store
-    at [dir]/[file_name]. An existing file is replayed: the valid record
-    prefix populates the table; an invalid suffix is dropped, counted in
-    {!truncated}, and repaired on disk via write-temp-then-rename. A file
-    with a foreign or torn header is started over empty. *)
+    at [dir]/[file_name] and holds its lock until {!close}. An existing
+    file is replayed: the valid record prefix populates the table; an
+    invalid suffix is dropped, counted in {!truncated}, and cut from the
+    file. A file with a foreign or torn header is started over empty.
+    @raise Durable_log.Locked if another process has the store open. *)
 val open_ : dir:string -> t
 
 (** Lookup by exact key. *)
 val find : t -> string -> string option
-
-val mem : t -> string -> bool
 
 (** [add t ~key value] durably records one observation: the record is
     checksummed and flushed before returning. Idempotent — a key already
@@ -60,8 +55,8 @@ val truncated : t -> int
 (** Full path of the backing file. *)
 val path : t -> string
 
-(** Flush and close the append channel. Reads keep working; further
-    {!add}s raise. *)
+(** Flush and close the file, releasing its lock. Reads keep working;
+    further {!add}s raise. *)
 val close : t -> unit
 
 (** Escape an observation payload for single-line storage:

@@ -119,7 +119,7 @@ let journal_spec options (app : Platform.Deployment.t) =
         options.k
     in
     let jdir = Filename.concat dir sub in
-    Journal.mkdir_p jdir;
+    Durable_log.mkdir_p jdir;
     Some { Journal.journal_dir = jdir; journal_resume = resume }
 
 (* Stage 3 of [run], parallel mode.

@@ -1,4 +1,6 @@
-(* Durability: the DD verdict journal (torn tails, corruption, digest
+(* Durability: the durable-log primitive under every on-disk format
+   (mutations of any byte or line, the manifest's strict parse, two writing
+   processes), the DD verdict journal (torn tails, corruption, digest
    mismatches) and the crash/resume bit-identity property — a run killed
    after any journal record and resumed reproduces the uninterrupted
    search's keep-set and every counter, sequentially and on a pool. *)
@@ -233,6 +235,264 @@ let test_bad_key_rejected () =
         (Invalid_argument "Journal: record keys must not contain '|' or newlines")
         (fun () -> Trim.Journal.append j ~key:"a|b" true))
 
+(* --- the durable-log primitive (QCheck) ---------------------------------- *)
+
+let log_header = "ltrim-test/1|digest"
+
+(* Open the log at [path], collecting the replayed records in order. *)
+let open_log path =
+  let seen = ref [] in
+  let log =
+    Trim.Durable_log.open_ ~path ~header:log_header ~invalid:"reserved" ()
+      ~replay:(fun kind fields ->
+          seen := (kind, fields) :: !seen;
+          true)
+  in
+  (log, List.rev !seen)
+
+type mutation =
+  | Truncate of int          (* keep this many bytes *)
+  | Flip of int * int        (* byte position, value added to it mod 256 *)
+  | Duplicate of int         (* line index, 0 = header *)
+  | Swap of int * int        (* line indices *)
+  | Garbage of string
+
+let print_mutation = function
+  | Truncate b -> Printf.sprintf "truncate %d" b
+  | Flip (q, d) -> Printf.sprintf "flip %d by %d" q d
+  | Duplicate l -> Printf.sprintf "duplicate line %d" l
+  | Swap (a, b) -> Printf.sprintf "swap lines %d %d" a b
+  | Garbage g -> Printf.sprintf "garbage %S" g
+
+(* Fields as the clients write them: escaped observations, some longer
+   than the log's 4 KiB read chunk, and DD keys. *)
+let gen_field =
+  QCheck.Gen.(
+    oneof
+      [ map Trim.Memo_store.escape (string_size ~gen:char (0 -- 20));
+        map Trim.Memo_store.escape (string_size ~gen:char (0 -- 5000));
+        map (fun l -> String.concat "," (List.map string_of_int l))
+          (list_size (0 -- 4) (0 -- 30)) ])
+
+let gen_log_case =
+  let open QCheck.Gen in
+  let record = pair (oneofl [ "o"; "k" ]) (list_size (1 -- 3) gen_field) in
+  let pos = 0 -- 100_000 in
+  let mutation =
+    oneof
+      [ map (fun b -> Truncate b) pos;
+        map2 (fun q d -> Flip (q, d)) pos (0 -- 255);
+        map (fun l -> Duplicate l) pos;
+        map2 (fun a b -> Swap (a, b)) pos pos;
+        map (fun g -> Garbage g) (string_size ~gen:char (0 -- 40)) ]
+  in
+  QCheck.make
+    ~print:(fun (records, m) ->
+        Printf.sprintf "%d records [%s], %s" (List.length records)
+          (String.concat "; "
+             (List.map (fun (k, fs) -> String.concat "|" (k :: fs)) records))
+          (print_mutation m))
+    (pair (list_size (0 -- 8) record) mutation)
+
+(* Lines as [input_line] reads them: a final unterminated piece counts. *)
+let count_lines s =
+  let nl = List.length (String.split_on_char '\n' s) - 1 in
+  if s <> "" && s.[String.length s - 1] <> '\n' then nl + 1 else nl
+
+(* Apply [m] to [lines] (header first, each written with its newline).
+   Returns the mutated text and the valid prefix it leaves, in records:
+   [None] when the header no longer reads back. *)
+let mutate lines m =
+  let n = List.length lines - 1 in
+  let text ls = String.concat "" (List.map (fun l -> l ^ "\n") ls) in
+  let full = text lines in
+  (* the line holding byte [q], its newline included *)
+  let line_of q =
+    let rec go i off = function
+      | l :: rest ->
+        let next = off + String.length l + 1 in
+        if q < next then i else go (i + 1) next rest
+      | [] -> n
+    in
+    go 0 0 lines
+  in
+  let prefix_before line = if line = 0 then None else Some (line - 1) in
+  match m with
+  | Truncate b ->
+    let b = b mod (String.length full + 1) in
+    let ends =
+      List.rev
+        (snd
+           (List.fold_left
+              (fun (off, acc) l ->
+                 let e = off + String.length l in
+                 (e + 1, e :: acc))
+              (0, []) lines))
+    in
+    (* a line is whole, newline or not, when its last byte survives *)
+    let whole = List.length (List.filter (fun e -> e <= b) ends) in
+    (String.sub full 0 b, if whole = 0 then None else Some (whole - 1))
+  | Flip (q, d) ->
+    let q = q mod String.length full in
+    let c = Char.chr ((Char.code full.[q] + d) mod 256) in
+    let flipped = String.mapi (fun i x -> if i = q then c else x) full in
+    (flipped, if d = 0 then Some n else prefix_before (line_of q))
+  | Duplicate l ->
+    let l = l mod (n + 1) in
+    let dup = List.mapi (fun i x -> if i = l then [ x; x ] else [ x ]) lines in
+    (text (List.concat dup), Some l)
+  | Swap (a, b) ->
+    let a = a mod (n + 1) and b = b mod (n + 1) in
+    let a, b = (min a b, max a b) in
+    let arr = Array.of_list lines in
+    let la = arr.(a) in
+    arr.(a) <- arr.(b);
+    arr.(b) <- la;
+    (text (Array.to_list arr), if a = b then Some n else prefix_before a)
+  | Garbage g -> (full ^ g, Some n)
+
+(* Any mutation of a log leaves exactly the records before it: the replay
+   never serves a record that was not appended at that position, counts
+   every line after the prefix as truncated, cuts the file back to header
+   plus prefix, and keeps appending where the prefix ends. *)
+let prop_log_mutation =
+  QCheck.Test.make ~count:500
+    ~name:"any byte or line mutation replays exactly the records before it"
+    gen_log_case
+    (fun (records, m) ->
+       let path = Filename.concat (fresh_dir ()) "t.log" in
+       let log, _ = open_log path in
+       List.iter (fun (k, fs) -> Trim.Durable_log.append log k fs) records;
+       Trim.Durable_log.close log;
+       let lines =
+         List.filter (( <> ) "") (String.split_on_char '\n' (read_file path))
+       in
+       let mutated, prefix = mutate lines m in
+       write_file path mutated;
+       let p = Option.value prefix ~default:0 in
+       let expected = List.filteri (fun i _ -> i < p) records in
+       let log, replayed = open_log path in
+       if replayed <> expected then
+         QCheck.Test.fail_reportf "replayed %d records, expected the first %d"
+           (List.length replayed) p;
+       let truncated =
+         match prefix with None -> 0 | Some p -> count_lines mutated - 1 - p
+       in
+       if Trim.Durable_log.truncated log <> truncated then
+         QCheck.Test.fail_reportf "truncated %d, expected %d"
+           (Trim.Durable_log.truncated log) truncated;
+       let kept = List.filteri (fun i _ -> i <= p) lines in
+       if read_file path <> String.concat "" (List.map (fun l -> l ^ "\n") kept)
+       then QCheck.Test.fail_reportf "file is not header plus prefix";
+       if Trim.Durable_log.records log <> p then
+         QCheck.Test.fail_reportf "next seq %d, expected %d"
+           (Trim.Durable_log.records log) p;
+       Trim.Durable_log.append log "k" [ "after" ];
+       Trim.Durable_log.close log;
+       let log, replayed = open_log path in
+       Trim.Durable_log.close log;
+       replayed = expected @ [ ("k", [ "after" ]) ]
+       && Trim.Durable_log.truncated log = 0)
+
+(* A manifest is parsed strictly: changing any one byte of a rendered
+   manifest to any other value rejects the whole file. *)
+let gen_manifest =
+  let open QCheck.Gen in
+  let ident =
+    string_size ~gen:(oneofl [ 'a'; 'b'; 'z'; '_'; '.'; '0'; '7' ]) (1 -- 6)
+  in
+  let entry =
+    map
+      (fun ((me_module, me_file, me_digest), (me_removed, (q, ch, it))) ->
+         { Trim.Manifest.me_module; me_file; me_digest; me_removed;
+           me_queries = q; me_cache_hits = ch; me_iterations = it })
+      (pair (triple ident ident ident)
+         (pair (list_size (0 -- 3) ident) (triple nat nat nat)))
+  in
+  map
+    (fun ((mf_app, mf_backend, mf_variant, mf_scoring), (mf_k, modules, d)) ->
+       ( { Trim.Manifest.mf_app; mf_backend; mf_variant; mf_scoring; mf_k;
+           mf_input_digest = "in" ^ mf_app; mf_output_digest = "out" ^ mf_app;
+           mf_ranked = List.map (fun e -> e.Trim.Manifest.me_module) modules;
+           mf_modules = modules },
+         d ))
+    (pair (quad ident ident ident ident)
+       (triple nat (list_size (0 -- 3) entry) (0 -- 254)))
+
+let prop_manifest_byte_change =
+  QCheck.Test.make ~count:100
+    ~name:"manifest: every single-byte change fails the parse"
+    (QCheck.make gen_manifest)
+    (fun (m, d) ->
+       let text = Trim.Manifest.render m in
+       if Trim.Manifest.parse text <> Some m then
+         QCheck.Test.fail_reportf "render/parse does not round-trip";
+       String.iteri
+         (fun q c ->
+            (* a different value at every position, spread over 1..255 *)
+            let v = Char.chr ((Char.code c + 1 + ((d + q) mod 255)) mod 256) in
+            let changed =
+              String.mapi (fun i x -> if i = q then v else x) text
+            in
+            if Trim.Manifest.parse changed <> None then
+              QCheck.Test.fail_reportf "byte %d changed to %C still parses" q v)
+         text;
+       true)
+
+(* --- two writing processes ------------------------------------------------ *)
+
+(* Run test/lock_probe.exe in a process of its own; its exit status and
+   what it printed. *)
+let probe args =
+  let exe = Filename.concat (Sys.getcwd ()) "lock_probe.exe" in
+  let out = Filename.temp_file "ltrim-probe" ".out" in
+  let fd = Unix.openfile out [ O_WRONLY; O_TRUNC; O_CREAT ] 0o644 in
+  let pid =
+    Fun.protect ~finally:(fun () -> Unix.close fd) (fun () ->
+        Unix.create_process exe (Array.of_list (exe :: args)) Unix.stdin fd
+          Unix.stderr)
+  in
+  let _, status = Unix.waitpid [] pid in
+  (status, read_file out)
+
+let check_probe what expected (status, printed) =
+  match (expected, status) with
+  | `Locked, Unix.WEXITED 3 -> ()
+  | `Opened n, Unix.WEXITED 0 -> Alcotest.(check string) what n printed
+  | _ -> Alcotest.failf "%s: unexpected probe status" what
+
+let test_memo_two_writers () =
+  let dir = fresh_dir () in
+  let s = Trim.Memo_store.open_ ~dir in
+  Trim.Memo_store.add s ~key:"ka" "1";
+  check_probe "second process while the store is open" `Locked
+    (probe [ "memo"; dir; "kb" ]);
+  Trim.Memo_store.add s ~key:"kc" "2";
+  Trim.Memo_store.close s;
+  check_probe "second process after close" (`Opened "2")
+    (probe [ "memo"; dir; "kb" ]);
+  let s = Trim.Memo_store.open_ ~dir in
+  Fun.protect ~finally:(fun () -> Trim.Memo_store.close s) (fun () ->
+      Alcotest.(check int) "every record of both writers" 3
+        (Trim.Memo_store.loaded s);
+      Alcotest.(check int) "nothing torn" 0 (Trim.Memo_store.truncated s);
+      Alcotest.(check (option string)) "the second writer's record"
+        (Some "probe") (Trim.Memo_store.find s "kb"))
+
+let test_journal_two_writers () =
+  let path = Filename.concat (fresh_dir ()) "m.journal" in
+  let j = Trim.Journal.open_ ~path ~run_digest:digest () in
+  Trim.Journal.append j ~key:"0" true;
+  check_probe "second process while the journal is open" `Locked
+    (probe [ "journal"; path; digest ]);
+  Trim.Journal.close j;
+  check_probe "second process after close" (`Opened "1")
+    (probe [ "journal"; path; digest ]);
+  with_journal ~resume:true path (fun j ->
+      Alcotest.(check int) "both records" 2 (Trim.Journal.records j);
+      Alcotest.(check (option bool)) "the second writer's verdict" (Some true)
+        (Trim.Journal.find j "probe"))
+
 (* --- kill/resume bit-identity (QCheck) ------------------------------------ *)
 
 (* A deterministic synthetic oracle: a subset passes iff it contains every
@@ -389,6 +649,13 @@ let suite =
           `Quick test_chaos_corrupt_unterminated;
         Alcotest.test_case "chaos kill fires on the N-th append" `Quick
           test_chaos_kill_budget ] );
+    ( "durability.log",
+      [ QCheck_alcotest.to_alcotest ~long:false prop_log_mutation;
+        QCheck_alcotest.to_alcotest ~long:false prop_manifest_byte_change;
+        Alcotest.test_case "a second process cannot open a held memo store"
+          `Quick test_memo_two_writers;
+        Alcotest.test_case "a second process cannot open a held journal"
+          `Quick test_journal_two_writers ] );
     ( "durability.resume",
       List.map
         (QCheck_alcotest.to_alcotest ~long:false)

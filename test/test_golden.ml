@@ -417,6 +417,51 @@ let fixture_tests =
               (Trim.Oracle.Cache.misses cache);
             Alcotest.(check bool) "memo store served hits" true
               (Trim.Oracle.Cache.store_hits cache > 0)));
+    (* `ltrim debloat markdown -k 3 --journal DIR` wrote fixtures/journal/;
+       resuming from a copy must replay every DD query from it *)
+    Alcotest.test_case "stored journals resume with zero fresh queries" `Quick
+      (fun () ->
+        let sub = "markdown-combined-k3" in
+        let src = Filename.concat "fixtures/journal" sub in
+        let dir =
+          Filename.concat (Filename.get_temp_dir_name ())
+            (Printf.sprintf "ltrim-golden-journal-%d" (Unix.getpid ()))
+        in
+        Array.iter
+          (fun f ->
+             Trim.Durable_log.write_file_atomic
+               ~path:(Filename.concat (Filename.concat dir sub) f)
+               (Trim.Durable_log.read_file (Filename.concat src f)))
+          (Sys.readdir src);
+        let run ?journal_dir () =
+          Trim.Pipeline.run ~jobs:1
+            ~options:{ Trim.Pipeline.default_options with
+                       k = 3; journal_dir; resume = true;
+                       oracle_cache = Some (Trim.Oracle.Cache.create ()) }
+            (Workloads.Suite.deployment_of "markdown")
+        in
+        let counter name = Obs.Metrics.counter Obs.Metrics.global name in
+        let value name = Obs.Metrics.value (counter name) in
+        let names =
+          [ "trim.journal.truncated"; "trim.journal.appended";
+            "trim.journal.replayed" ]
+        in
+        let before = List.map value names in
+        let r = run ~journal_dir:dir () in
+        let delta = List.map2 (fun n b -> value n - b) names before in
+        Alcotest.(check int) "DD queries of the recorded run" 19
+          r.Trim.Pipeline.total_oracle_queries;
+        Alcotest.(check (list int))
+          "truncated, appended (fresh queries), replayed"
+          [ 0; 0; r.Trim.Pipeline.total_oracle_queries ] delta;
+        let removed (r : Trim.Pipeline.report) =
+          List.map
+            (fun (m : Trim.Debloater.module_result) ->
+               (m.Trim.Debloater.dm_module, m.Trim.Debloater.removed_attrs))
+            r.Trim.Pipeline.module_results
+        in
+        Alcotest.(check (list (pair string (list string))))
+          "same keep-sets as an unjournaled run" (removed (run ())) (removed r));
     Alcotest.test_case "engine tag is the constant treewalk" `Quick
       (fun () ->
         (* memo keys, journal digests and manifest headers written by
