@@ -451,7 +451,8 @@ let print_sharded_throughput () =
   let r = Experiments.Trace_replay.run () in
   let requests =
     List.fold_left
-      (fun acc (g : Fleet.Sharded.group) -> acc + g.Fleet.Sharded.g_requests)
+      (fun acc (g : Fleet.Sharded.group) ->
+         acc + g.Fleet.Sharded.g_summary.Fleet.Report.requests)
       0 r.Experiments.Trace_replay.groups
   in
   let meps =

@@ -84,7 +84,7 @@ type run_result = {
   n_functions : int;
   horizon_s : float;
   wall_s : float;
-  events : int;
+  attempts : int;
 }
 
 let run ?(n_functions = default_n_functions)
@@ -93,13 +93,13 @@ let run ?(n_functions = default_n_functions)
   let t0 = Obs.Span.wall_ms () in
   let groups = Fleet.Sharded.run ?shards apps in
   let wall_s = (Obs.Span.wall_ms () -. t0) /. 1000.0 in
-  let events =
+  let attempts =
     List.fold_left
       (fun acc (g : Fleet.Sharded.group) ->
          acc + g.Fleet.Sharded.g_summary.Fleet.Report.attempts)
       0 groups
   in
-  { groups; n_functions; horizon_s; wall_s; events }
+  { groups; n_functions; horizon_s; wall_s; attempts }
 
 (* print and csv share one full-scale run *)
 let memo : run_result option ref = ref None
@@ -169,30 +169,22 @@ let print () =
                ~after:t.Fleet.Report.p99_ms)
             o.Fleet.Report.cold t.Fleet.Report.cold))
     policies;
-  let requests_per_variant =
-    match r.groups with
-    | g :: _ -> g.Fleet.Sharded.g_requests
-    | [] -> 0
+  let requests (g : Fleet.Sharded.group) =
+    g.Fleet.Sharded.g_summary.Fleet.Report.requests
   in
+  let requests_per_variant =
+    match r.groups with g :: _ -> requests g | [] -> 0
+  in
+  let routed = List.fold_left (fun acc g -> acc + requests g) 0 r.groups in
   Buffer.add_string b
     (Printf.sprintf
        "\n  %d requests per variant (%d routed total), %d primary attempts\n"
-       requests_per_variant
-       (List.fold_left
-          (fun acc (g : Fleet.Sharded.group) ->
-             acc + g.Fleet.Sharded.g_requests)
-          0 r.groups)
-       r.events);
+       requests_per_variant routed r.attempts);
   Buffer.add_string b
     (Printf.sprintf
        "  wall %.1f s, %.2f M requests/s aggregate (%d shard(s), %d job(s))\n"
        r.wall_s
-       (float_of_int
-          (List.fold_left
-             (fun acc (g : Fleet.Sharded.group) ->
-                acc + g.Fleet.Sharded.g_requests)
-             0 r.groups)
-        /. Float.max 1e-9 r.wall_s /. 1e6)
+       (float_of_int routed /. Float.max 1e-9 r.wall_s /. 1e6)
        (Fleet.Sharded.shard_count ())
        (Parallel.Pool.jobs ()));
   Buffer.contents b

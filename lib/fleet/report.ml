@@ -1,9 +1,14 @@
 (* Fleet-run aggregation. Latency statistics cover served requests only;
    rejected, timed-out, and failed requests are counted separately (a
    dropped request has no meaningful latency, and folding zeros in would
-   flatter the tail). Percentile helpers come from [Platform.Metrics] and
-   are total on the empty list, so a run where everything was rejected
-   still summarizes. *)
+   flatter the tail).
+
+   [Stream] is the one aggregation: it classifies outcomes, prices billed
+   durations with Eq. 1, and derives every ratio of the summary.
+   [summarize] (record mode) is that fold over the records a
+   [Router.result] holds, with p50/p95/p99 then read exactly off those
+   records by [Platform.Metrics], which is total on the empty list, so a
+   run where everything was rejected still summarizes. *)
 
 type summary = {
   label : string;
@@ -36,127 +41,22 @@ type summary = {
   retry_amplification : float;
 }
 
-let summarize ?(pricing = Platform.Pricing.aws) ~label (cfg : Router.config)
-    (res : Router.result) : summary =
-  let cold = ref 0 and warm = ref 0 in
-  let fallbacks = ref 0 and fb_cold = ref 0 in
-  let rejected = ref 0 and timed_out = ref 0 in
-  let failed = ref 0 and shed = ref 0 in
-  let attempts = ref 0 and retried = ref 0 and hedged = ref 0 in
-  let fb_invocations = ref 0 in
-  let latencies = ref [] and waits = ref [] in
-  let cost = ref 0.0 in
-  let first_arrival = ref infinity and last_finish = ref neg_infinity in
-  let count_primary = function
-    | Router.Cold -> incr cold
-    | Router.Warm -> incr warm
-  in
-  let count_served (r : Router.record) =
-    latencies := (r.Router.e2e_s *. 1000.0) :: !latencies;
-    waits := (r.Router.wait_s *. 1000.0) :: !waits
-  in
-  let fb_memory =
-    match cfg.Router.fallback with
-    | Some fb -> fb.Router.fb_profile.Router.memory_mb
-    | None -> 0.0
-  in
-  List.iter
-    (fun (r : Router.record) ->
-       attempts := !attempts + r.Router.attempts;
-       if r.Router.attempts > 1 then incr retried;
-       if r.Router.hedged then incr hedged;
-       first_arrival := Float.min !first_arrival r.Router.arrival_s;
-       (match r.Router.outcome with
-        | Router.Served kind ->
-          count_primary kind;
-          count_served r;
-          last_finish := Float.max !last_finish r.Router.finish_s
-        | Router.Fallback_served { trimmed; original } ->
-          count_primary trimmed;
-          incr fallbacks;
-          incr fb_invocations;
-          (match original with
-           | Router.Cold -> incr fb_cold
-           | Router.Warm -> ());
-          count_served r;
-          last_finish := Float.max !last_finish r.Router.finish_s
-        | Router.Shed kind ->
-          incr shed;
-          incr fb_invocations;
-          (match kind with
-           | Router.Cold -> incr fb_cold
-           | Router.Warm -> ());
-          count_served r;
-          last_finish := Float.max !last_finish r.Router.finish_s
-        | Router.Rejected -> incr rejected
-        | Router.Timed_out -> incr timed_out
-        | Router.Failed _ -> incr failed);
-       if r.Router.billed_ms > 0.0 then
-         cost :=
-           !cost
-           +. Platform.Pricing.invocation_cost pricing
-                ~duration_ms:r.Router.billed_ms
-                ~memory_mb:cfg.Router.profile.Router.memory_mb;
-       if r.Router.fb_billed_ms > 0.0 then
-         cost :=
-           !cost
-           +. Platform.Pricing.invocation_cost pricing
-                ~duration_ms:r.Router.fb_billed_ms ~memory_mb:fb_memory)
-    res.Router.records;
-  let requests = List.length res.Router.records in
-  let served = !cold + !warm + !shed in
-  let primary_starts = !cold + !warm in
-  let lat = !latencies in
-  let window = !last_finish -. !first_arrival in
-  { label;
-    requests;
-    served;
-    cold = !cold;
-    warm = !warm;
-    fallbacks = !fallbacks;
-    fb_cold = !fb_cold;
-    rejected = !rejected;
-    timed_out = !timed_out;
-    failed = !failed;
-    shed = !shed;
-    cold_fraction =
-      (if primary_starts = 0 then 0.0
-       else float_of_int !cold /. float_of_int primary_starts);
-    mean_ms = Platform.Metrics.mean lat;
-    p50_ms = Platform.Metrics.median lat;
-    p95_ms = Platform.Metrics.p95 lat;
-    p99_ms = Platform.Metrics.p99 lat;
-    max_ms = List.fold_left Float.max 0.0 lat;
-    mean_wait_ms = Platform.Metrics.mean !waits;
-    peak_instances = res.Router.peak_instances;
-    resident_instance_s =
-      res.Router.resident_instance_s +. res.Router.fb_resident_instance_s;
-    evictions = res.Router.evictions;
-    cost_usd = !cost;
-    attempts = !attempts;
-    retried = !retried;
-    hedged = !hedged;
-    availability =
-      (if requests = 0 then 1.0
-       else float_of_int served /. float_of_int requests);
-    goodput_per_s =
-      (if served = 0 || window <= 0.0 then 0.0
-       else float_of_int served /. window);
-    retry_amplification =
-      (if requests = 0 then 1.0
-       else
-         float_of_int (!attempts + !fb_invocations) /. float_of_int requests) }
+(* Served requests (primary, §7 fallback, or breaker-shed) are the latency
+   population, both for the stream's sketches and record mode's exact
+   percentiles. *)
+let served (r : Router.record) =
+  match r.Router.outcome with
+  | Router.Served _ | Router.Fallback_served _ | Router.Shed _ -> true
+  | Router.Rejected | Router.Timed_out | Router.Failed _ -> false
 
 (* --- streaming aggregation ------------------------------------------------
 
-   The record-mode pipeline above keeps every record alive and re-sorts the
-   latency population once per percentile. [Stream] folds each record away
-   the moment the router emits it: integer counters, running sums, and two
-   fixed-size [Sketch]es. Only p50/p95/p99 become approximate (bounded by
-   [Sketch.rel_error]); every other summary field is computed by the same
-   formulas as [summarize]. Merging accumulators adds integer bucket
-   counts (exact, order-independent) — merge in a canonical order anyway so
-   the float cost/sum fields are bit-reproducible at any shard layout. *)
+   [Stream] folds each record away the moment the router emits it: integer
+   counters, running sums, and two fixed-size [Sketch]es (latency, wait).
+   Only its p50/p95/p99 are approximate (bounded by [Sketch.rel_error]).
+   Merging accumulators adds integer bucket counts (exact,
+   order-independent) — merge in a canonical order anyway so the float
+   cost/sum fields are bit-reproducible at any shard layout. *)
 
 module Stream = struct
   type t = {
@@ -216,34 +116,30 @@ module Stream = struct
       | Router.Cold -> t.cold <- t.cold + 1
       | Router.Warm -> t.warm <- t.warm + 1
     in
-    let count_served () =
+    let count_original kind =
+      t.fb_invocations <- t.fb_invocations + 1;
+      match kind with
+      | Router.Cold -> t.fb_cold <- t.fb_cold + 1
+      | Router.Warm -> ()
+    in
+    (match r.Router.outcome with
+     | Router.Served kind -> count_primary kind
+     | Router.Fallback_served { trimmed; original } ->
+       count_primary trimmed;
+       t.fallbacks <- t.fallbacks + 1;
+       count_original original
+     | Router.Shed kind ->
+       t.shed <- t.shed + 1;
+       count_original kind
+     | Router.Rejected -> t.rejected <- t.rejected + 1
+     | Router.Timed_out -> t.timed_out <- t.timed_out + 1
+     | Router.Failed _ -> t.failed <- t.failed + 1);
+    if served r then begin
       Sketch.add t.lat (r.Router.e2e_s *. 1000.0);
       Sketch.add t.waits (r.Router.wait_s *. 1000.0);
       if r.Router.finish_s > t.last_finish then
         t.last_finish <- r.Router.finish_s
-    in
-    (match r.Router.outcome with
-     | Router.Served kind ->
-       count_primary kind;
-       count_served ()
-     | Router.Fallback_served { trimmed; original } ->
-       count_primary trimmed;
-       t.fallbacks <- t.fallbacks + 1;
-       t.fb_invocations <- t.fb_invocations + 1;
-       (match original with
-        | Router.Cold -> t.fb_cold <- t.fb_cold + 1
-        | Router.Warm -> ());
-       count_served ()
-     | Router.Shed kind ->
-       t.shed <- t.shed + 1;
-       t.fb_invocations <- t.fb_invocations + 1;
-       (match kind with
-        | Router.Cold -> t.fb_cold <- t.fb_cold + 1
-        | Router.Warm -> ());
-       count_served ()
-     | Router.Rejected -> t.rejected <- t.rejected + 1
-     | Router.Timed_out -> t.timed_out <- t.timed_out + 1
-     | Router.Failed _ -> t.failed <- t.failed + 1);
+    end;
     if r.Router.billed_ms > 0.0 then
       t.cost <-
         t.cost
@@ -336,6 +232,29 @@ module Stream = struct
            float_of_int (t.attempts + t.fb_invocations)
            /. float_of_int t.requests) }
 end
+
+(* Record mode: the stream fold over the kept records, in arrival order,
+   with the engine totals the result carries. The records are still in
+   hand, so the percentiles are exact rather than sketched. *)
+let summarize ?pricing ~label cfg (res : Router.result) : summary =
+  let st = Stream.create ?pricing cfg in
+  List.iter (Stream.observe st) res.Router.records;
+  Stream.absorb_totals st
+    { Router.peak = res.Router.peak_instances;
+      resident_s = res.Router.resident_instance_s;
+      evicted = res.Router.evictions;
+      fb_peak = res.Router.fb_peak_instances;
+      fb_resident_s = res.Router.fb_resident_instance_s;
+      total_events = res.Router.events_processed };
+  let lat =
+    List.filter_map
+      (fun r -> if served r then Some (r.Router.e2e_s *. 1000.0) else None)
+      res.Router.records
+  in
+  { (Stream.summary ~label st) with
+    p50_ms = Platform.Metrics.median lat;
+    p95_ms = Platform.Metrics.p95 lat;
+    p99_ms = Platform.Metrics.p99 lat }
 
 (* One app, streamed end to end: the router emits each record into the
    accumulator and nothing per-request survives the call. *)

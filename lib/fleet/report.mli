@@ -1,7 +1,9 @@
 (** Aggregation of a fleet run into the numbers the experiments plot:
     cold/warm mix, latency percentiles, concurrency, residency, total
     Eq.-1 cost, and the resilience picture — availability, goodput, and
-    retry amplification under injected faults. *)
+    retry amplification under injected faults. {!Stream} is the one
+    aggregation; record-mode {!summarize} is the same fold over the
+    records a run kept, plus exact percentiles read off those records. *)
 
 type summary = {
   label : string;
@@ -38,7 +40,11 @@ type summary = {
           exactly 1 with no faults, retries, or fallback *)
 }
 
-(** Price and summarize a run. [pricing] defaults to AWS. *)
+(** Price and summarize a record-mode run: the {!Stream} fold over
+    [res.records] in arrival order, with the result's engine totals
+    absorbed, and p50/p95/p99 then read exactly off the served records'
+    e2e latencies by [Platform.Metrics]. Every other field is the stream's.
+    [pricing] defaults to AWS. *)
 val summarize :
   ?pricing:Platform.Pricing.t ->
   label:string ->
@@ -46,11 +52,12 @@ val summarize :
   Router.result ->
   summary
 
-(** Streaming aggregation: fold records away as the router emits them —
-    integer counters, running sums, and fixed-size {!Sketch}es instead of a
-    per-request record list. All {!summary} fields are computed by the
-    same formulas as {!summarize}; only p50/p95/p99 become approximate,
-    within [Sketch.rel_error] (≈ 4.9% relative) of the exact percentiles.
+(** Streaming aggregation, the only code that classifies outcomes, prices
+    billed durations, and derives the summary's ratios: fold records away
+    as the router emits them — integer counters, running sums, and two
+    fixed-size {!Sketch}es (latency, wait) instead of a per-request record
+    list. Only p50/p95/p99 are approximate, within [Sketch.rel_error]
+    (≈ 4.9% relative) of the exact percentiles {!summarize} reports.
     Accumulators merge exactly (integer bucket counts); merge in a
     canonical order so float sums are bit-reproducible at any shard
     layout. *)

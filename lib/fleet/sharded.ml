@@ -31,7 +31,6 @@ type app = {
 type group = {
   g_label : string;
   g_apps : int;
-  g_requests : int;
   g_summary : Report.summary;
 }
 
@@ -148,49 +147,22 @@ let run ?pricing ?shards (apps : app list) : group list =
     in
     let order : string list ref = ref [] in
     let tbl : (string, Report.Stream.t) Hashtbl.t = Hashtbl.create 8 in
-    let apps_per_group : (string, int) Hashtbl.t = Hashtbl.create 8 in
     List.iter
       (fun (_, streams) ->
          List.iter
            (fun (g, st) ->
-              (match Hashtbl.find_opt tbl g with
-               | Some acc -> Report.Stream.merge_into ~into:acc st
-               | None ->
-                 order := g :: !order;
-                 Hashtbl.replace tbl g st);
-              Hashtbl.replace apps_per_group g
-                (1 + Option.value ~default:0 (Hashtbl.find_opt apps_per_group g)))
+              match Hashtbl.find_opt tbl g with
+              | Some acc -> Report.Stream.merge_into ~into:acc st
+              | None ->
+                order := g :: !order;
+                Hashtbl.replace tbl g st)
            streams)
       per_app;
     List.rev_map
       (fun g ->
          let st = Hashtbl.find tbl g in
-         let s = Report.Stream.summary ~label:g st in
          { g_label = g;
-           g_apps = Hashtbl.find apps_per_group g;
-           g_requests = s.Report.requests;
-           g_summary = s })
+           g_apps = Report.Stream.apps st;
+           g_summary = Report.Stream.summary ~label:g st })
       !order
   end
-
-(* Small-scale record mode: full per-request records of every app, k-way
-   merged by (finish time, app, request) — the merge-by-timestamp view the
-   streaming path folds away. Meant for tests and small committed CSVs;
-   materializes everything. *)
-let run_records (apps : (int * Router.config * Platform.Trace.t) list) :
-  (int * Router.record) list =
-  let per_app =
-    Parallel.Pool.map_default
-      (fun (app_id, cfg, trace) ->
-         let res = Router.run cfg trace in
-         List.map (fun r -> (app_id, r)) res.Router.records)
-      apps
-  in
-  let cmp (ida, (a : Router.record)) (idb, (b : Router.record)) =
-    let c = Float.compare a.Router.finish_s b.Router.finish_s in
-    if c <> 0 then c
-    else
-      let c = Int.compare ida idb in
-      if c <> 0 then c else Int.compare a.Router.req b.Router.req
-  in
-  List.concat per_app |> List.sort cmp

@@ -29,7 +29,6 @@ type app = {
 type group = {
   g_label : string;
   g_apps : int;       (** app runs folded into this group *)
-  g_requests : int;
   g_summary : Report.summary;
 }
 
@@ -47,11 +46,3 @@ val shard_count : ?shards:int -> unit -> int
     Feeds the [fleet.sharded.*] metrics family and, when tracing is on,
     one wall-clock span per shard. *)
 val run : ?pricing:Platform.Pricing.t -> ?shards:int -> app list -> group list
-
-(** Small-scale record mode: full per-request records of every app, k-way
-    merged by (finish time, app id, request) — the merge-by-timestamp
-    view the streaming path folds away. Materializes everything; meant for
-    tests and small committed CSVs. *)
-val run_records :
-  (int * Router.config * Platform.Trace.t) list ->
-  (int * Router.record) list

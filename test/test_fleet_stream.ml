@@ -238,57 +238,132 @@ let rich_config () =
       { Resilience.none with
         Resilience.retry = Some Resilience.default_retry } }
 
+(* One config per summary path worth pinning: (name, config, trace). *)
+let equiv_cases () =
+  let profile =
+    { Router.exec_s = 0.3; func_init_s = 0.8; instance_init_s = 0.2;
+      memory_mb = 512.0 }
+  in
+  let plain =
+    Router.default_config ~profile (Pool.Fixed_ttl { keep_alive_s = 120.0 })
+  in
+  let trace =
+    Platform.Trace.poisson ~seed:33 ~rate_per_s:2.0 ~duration_s:2000.0
+      ~name:"equiv"
+  in
+  let shedding =
+    { plain with
+      Router.fallback =
+        Some
+          (Scenario.fallback ~rate:0.3 ~seed:17
+             ~original:{ profile with Router.func_init_s = 1.6 } ());
+      resilience =
+        { Resilience.none with
+          Resilience.breaker =
+            Some
+              { Resilience.Breaker.default with
+                Resilience.Breaker.error_threshold = 0.2 } } }
+  in
+  let lazy_load =
+    { plain with
+      Router.lazy_load =
+        Some
+          { Router.lz_deferred_s = 0.5; lz_first_touch_s = 0.1;
+            lz_preload = true } }
+  in
+  let rejecting =
+    { plain with Router.max_instances = 1; max_pending = 0 }
+  in
+  [ ("fault-free", plain, trace);
+    ("rich", rich_config (), trace);
+    ("breaker-shed", shedding, trace);
+    ("lazy", lazy_load, trace);
+    ("empty", rich_config (), Platform.Trace.make ~name:"empty" []);
+    ("rejecting", rejecting, trace) ]
+
 let stream_equiv =
   [ Alcotest.test_case "stream summary matches summarize" `Quick (fun () ->
-        let trace =
-          Platform.Trace.poisson ~seed:33 ~rate_per_s:2.0 ~duration_s:2000.0
-            ~name:"equiv"
-        in
-        let cfg = rich_config () in
-        let exact =
-          Report.summarize ~label:"x" cfg (Router.run cfg trace)
-        in
-        let stream =
-          Report.Stream.summary ~label:"x" (Report.run_stream cfg trace)
-        in
-        let ints name f = Alcotest.(check int) name (f exact) (f stream) in
-        ints "requests" (fun s -> s.Report.requests);
-        ints "served" (fun s -> s.Report.served);
-        ints "cold" (fun s -> s.Report.cold);
-        ints "warm" (fun s -> s.Report.warm);
-        ints "fallbacks" (fun s -> s.Report.fallbacks);
-        ints "fb_cold" (fun s -> s.Report.fb_cold);
-        ints "rejected" (fun s -> s.Report.rejected);
-        ints "timed_out" (fun s -> s.Report.timed_out);
-        ints "failed" (fun s -> s.Report.failed);
-        ints "shed" (fun s -> s.Report.shed);
-        ints "peak" (fun s -> s.Report.peak_instances);
-        ints "evictions" (fun s -> s.Report.evictions);
-        ints "attempts" (fun s -> s.Report.attempts);
-        ints "retried" (fun s -> s.Report.retried);
-        ints "hedged" (fun s -> s.Report.hedged);
-        let floats name f tol =
-          Alcotest.(check (float tol)) name (f exact) (f stream)
-        in
-        floats "cold_fraction" (fun s -> s.Report.cold_fraction) 1e-12;
-        floats "availability" (fun s -> s.Report.availability) 1e-12;
-        floats "mean_ms" (fun s -> s.Report.mean_ms) 1e-6;
-        floats "max_ms" (fun s -> s.Report.max_ms) 1e-9;
-        floats "resident" (fun s -> s.Report.resident_instance_s) 1e-6;
-        floats "cost" (fun s -> s.Report.cost_usd) 1e-9;
-        floats "goodput" (fun s -> s.Report.goodput_per_s) 1e-9;
-        floats "amplification" (fun s -> s.Report.retry_amplification) 1e-12;
-        (* percentiles are the one approximate family *)
-        List.iter
-          (fun (name, f) ->
-             let e = f exact and a = f stream in
-             let bound = (Sketch.rel_error *. e) +. Sketch.abs_error in
-             if Float.abs (a -. e) > bound then
-               Alcotest.failf "%s: exact %g, stream %g, bound %g" name e a
-                 bound)
-          [ ("p50", (fun s -> s.Report.p50_ms));
-            ("p95", (fun s -> s.Report.p95_ms));
-            ("p99", (fun s -> s.Report.p99_ms)) ]) ]
+        List.iter (fun (case, cfg, trace) ->
+            let res = Router.run cfg trace in
+            let exact = Report.summarize ~label:"x" cfg res in
+            let stream =
+              Report.Stream.summary ~label:"x" (Report.run_stream cfg trace)
+            in
+            let name field = case ^ ": " ^ field in
+            let ints field f =
+              Alcotest.(check int) (name field) (f exact) (f stream)
+            in
+            ints "requests" (fun s -> s.Report.requests);
+            ints "served" (fun s -> s.Report.served);
+            ints "cold" (fun s -> s.Report.cold);
+            ints "warm" (fun s -> s.Report.warm);
+            ints "fallbacks" (fun s -> s.Report.fallbacks);
+            ints "fb_cold" (fun s -> s.Report.fb_cold);
+            ints "rejected" (fun s -> s.Report.rejected);
+            ints "timed_out" (fun s -> s.Report.timed_out);
+            ints "failed" (fun s -> s.Report.failed);
+            ints "shed" (fun s -> s.Report.shed);
+            ints "peak" (fun s -> s.Report.peak_instances);
+            ints "evictions" (fun s -> s.Report.evictions);
+            ints "attempts" (fun s -> s.Report.attempts);
+            ints "retried" (fun s -> s.Report.retried);
+            ints "hedged" (fun s -> s.Report.hedged);
+            let floats field f tol =
+              Alcotest.(check (float tol)) (name field) (f exact) (f stream)
+            in
+            floats "cold_fraction" (fun s -> s.Report.cold_fraction) 1e-12;
+            floats "availability" (fun s -> s.Report.availability) 1e-12;
+            floats "mean_ms" (fun s -> s.Report.mean_ms) 1e-6;
+            floats "mean_wait_ms" (fun s -> s.Report.mean_wait_ms) 1e-6;
+            floats "max_ms" (fun s -> s.Report.max_ms) 1e-9;
+            floats "resident" (fun s -> s.Report.resident_instance_s) 1e-6;
+            floats "cost" (fun s -> s.Report.cost_usd) 1e-9;
+            floats "goodput" (fun s -> s.Report.goodput_per_s) 1e-9;
+            floats "amplification"
+              (fun s -> s.Report.retry_amplification) 1e-12;
+            (* record mode's percentiles are exact: Platform.Metrics over
+               the served records' e2e latencies, bit for bit *)
+            let served_ms =
+              List.filter_map
+                (fun (r : Router.record) ->
+                   match r.Router.outcome with
+                   | Router.Served _ | Router.Fallback_served _
+                   | Router.Shed _ ->
+                     Some (r.Router.e2e_s *. 1000.0)
+                   | Router.Rejected | Router.Timed_out | Router.Failed _ ->
+                     None)
+                res.Router.records
+            in
+            List.iter
+              (fun (field, f, exact_p) ->
+                 Alcotest.(check (float 0.0)) (name field) exact_p (f exact))
+              [ ("p50 exact", (fun s -> s.Report.p50_ms),
+                 Platform.Metrics.median served_ms);
+                ("p95 exact", (fun s -> s.Report.p95_ms),
+                 Platform.Metrics.p95 served_ms);
+                ("p99 exact", (fun s -> s.Report.p99_ms),
+                 Platform.Metrics.p99 served_ms) ];
+            (* the stream's are the one approximate family *)
+            List.iter
+              (fun (field, f) ->
+                 let e = f exact and a = f stream in
+                 let bound = (Sketch.rel_error *. e) +. Sketch.abs_error in
+                 if Float.abs (a -. e) > bound then
+                   Alcotest.failf "%s: exact %g, stream %g, bound %g"
+                     (name field) e a bound)
+              [ ("p50", (fun s -> s.Report.p50_ms));
+                ("p95", (fun s -> s.Report.p95_ms));
+                ("p99", (fun s -> s.Report.p99_ms)) ];
+            (* each case must exercise the path it is named for *)
+            let holds field ok =
+              Alcotest.(check bool) (name field) true ok
+            in
+            match case with
+            | "breaker-shed" -> holds "sheds" (exact.Report.shed > 0)
+            | "rejecting" -> holds "rejects" (exact.Report.rejected > 0)
+            | "empty" -> holds "no requests" (exact.Report.requests = 0)
+            | _ -> ())
+          (equiv_cases ())) ]
 
 (* --- sharded determinism --------------------------------------------------- *)
 
@@ -324,7 +399,7 @@ let rows groups =
   List.map
     (fun (g : Sharded.group) ->
        Printf.sprintf "%s,%d,%d,%s" g.Sharded.g_label g.Sharded.g_apps
-         g.Sharded.g_requests
+         g.Sharded.g_summary.Report.requests
          (Report.csv_row g.Sharded.g_summary))
     groups
 
@@ -350,47 +425,45 @@ let sharded =
           rows r.Experiments.Trace_replay.groups
         in
         Alcotest.(check (list string)) "shards 1 = shards 4" (run 1) (run 4));
-    Alcotest.test_case "run_records merges by (finish, app, req)" `Quick
+    Alcotest.test_case "groups count every app run and request" `Quick
       (fun () ->
-        let profile =
-          { Router.exec_s = 0.1; func_init_s = 0.2; instance_init_s = 0.1;
-            memory_mb = 128.0 }
-        in
-        let cfg =
-          Router.default_config ~profile
-            (Pool.Fixed_ttl { keep_alive_s = 60.0 })
-        in
-        let jobs =
-          List.init 3 (fun i ->
-              ( i,
-                cfg,
-                Platform.Trace.poisson ~seed:(50 + i) ~rate_per_s:2.0
-                  ~duration_s:100.0
-                  ~name:(Printf.sprintf "m-%d" i) ))
-        in
-        let merged = Sharded.run_records jobs in
-        let total =
-          List.fold_left
-            (fun acc (_, _, t) -> acc + Platform.Trace.length t)
-            0 jobs
-        in
-        Alcotest.(check int) "every record present" total
-          (List.length merged);
-        let sorted =
-          List.for_all2
-            (fun a b -> a == b)
-            merged
-            (List.sort
-               (fun (a_app, (a : Router.record)) (b_app, b) ->
-                  match Float.compare a.Router.finish_s b.Router.finish_s with
-                  | 0 -> (
-                      match Int.compare a_app b_app with
-                      | 0 -> Int.compare a.Router.req b.Router.req
-                      | c -> c)
-                  | c -> c)
-               merged)
-        in
-        Alcotest.(check bool) "globally ordered" true sorted);
+        let apps = mini_apps () in
+        let groups = Sharded.run ~shards:3 apps in
+        Alcotest.(check (list string)) "groups in first-seen order"
+          [ "original"; "trimmed" ]
+          (List.map (fun (g : Sharded.group) -> g.Sharded.g_label) groups);
+        List.iter
+          (fun (g : Sharded.group) ->
+             let label = g.Sharded.g_label in
+             Alcotest.(check int) (label ^ ": apps") (List.length apps)
+               g.Sharded.g_apps;
+             (* each app's record-mode summary, summed, is the group's *)
+             let per_app =
+               List.concat_map
+                 (fun (a : Sharded.app) ->
+                    let trace = a.Sharded.app_trace () in
+                    List.filter_map
+                      (fun (v : Sharded.variant) ->
+                         if v.Sharded.v_group <> label then None
+                         else
+                           Some
+                             ( Platform.Trace.length trace,
+                               Report.summarize ~label v.Sharded.v_cfg
+                                 (Router.run v.Sharded.v_cfg trace) ))
+                      a.Sharded.app_variants)
+                 apps
+             in
+             let sum f = List.fold_left (fun acc x -> acc + f x) 0 per_app in
+             let s = g.Sharded.g_summary in
+             Alcotest.(check int) (label ^ ": requests = trace lengths")
+               (sum fst) s.Report.requests;
+             Alcotest.(check int) (label ^ ": served")
+               (sum (fun (_, r) -> r.Report.served)) s.Report.served;
+             Alcotest.(check int) (label ^ ": cold")
+               (sum (fun (_, r) -> r.Report.cold)) s.Report.cold;
+             Alcotest.(check int) (label ^ ": fallbacks")
+               (sum (fun (_, r) -> r.Report.fallbacks)) s.Report.fallbacks)
+          groups);
     Alcotest.test_case "every trace runs on the heap" `Quick (fun () ->
         List.iter
           (fun trace ->

@@ -551,7 +551,7 @@ let fleet_tests =
           List.map
             (fun (g : Sharded.group) ->
                Printf.sprintf "%s,%d,%d,%s" g.Sharded.g_label g.Sharded.g_apps
-                 g.Sharded.g_requests
+                 g.Sharded.g_summary.Report.requests
                  (Report.csv_row g.Sharded.g_summary))
             groups
         in
