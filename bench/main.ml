@@ -600,14 +600,12 @@ let extension_tests =
           fun () ->
             Minipy.Json_support.loads (Minipy.Json_support.dumps (Lazy.force v)))) ]
 
-(* Kernels for the domain work pool (§9 parallel execution). The DD kernels
-   run the same committed-prefix search against real pools of 1/2/4/8
-   domains: queries are scheduling-invariant, so only wall-clock — bounded
-   by physical cores — may differ between them. Pools are created lazily
-   and reused across runs; [reap_bench_pools] must run before any later
-   timed kernel, because in OCaml 5 every lingering idle domain joins the
-   stop-the-world barrier of every minor GC — left alive, the leaked
-   workers slow allocation-heavy single-domain kernels several-fold. *)
+(* Kernels for the domain work pool the experiment fan-out runs on. Pools
+   are created lazily and reused across runs; [reap_bench_pools] must run
+   before any later timed kernel, because in OCaml 5 every lingering idle
+   domain joins the stop-the-world barrier of every minor GC — left alive,
+   the leaked workers slow allocation-heavy single-domain kernels
+   several-fold. *)
 let bench_pools : Parallel.Pool.t list ref = ref []
 
 let bench_pool domains =
@@ -620,47 +618,16 @@ let reap_bench_pools () =
   List.iter Parallel.Pool.shutdown !bench_pools;
   bench_pools := []
 
-let dd_pool_kernel domains =
-  Test.make ~name:(Printf.sprintf "par.dd_oracle_%ddomains" domains)
-    (Staged.stage
-       (let pool = bench_pool domains in
-        let setup =
-          lazy
-            (let app = Workloads.Suite.tiny_app ~attrs:48 () in
-             let file = "site-packages/tinylib/__init__.py" in
-             let prog =
-               Minipy.Parser.parse ~file
-                 (Minipy.Vfs.read_exn app.Platform.Deployment.vfs file)
-             in
-             (app, file, Trim.Attrs.attrs_of_program prog))
-        in
-        fun () ->
-          let app, file, candidates = Lazy.force setup in
-          (* fresh memo per run — the shared global memo would answer every
-             query after the first run and leave nothing to parallelize *)
-          let cache = Trim.Oracle.Cache.create () in
-          let oracle, _ = Trim.Oracle.for_reference ~cache app in
-          let dd_oracle subset =
-            oracle (Trim.Debloater.with_restricted app ~file ~keep:subset)
-          in
-          Trim.Dd.minimize ~pool:(Lazy.force pool) ~oracle:dd_oracle
-            candidates))
-
 (* Pool kernels only run at domain counts the host actually has: timing an
    oversubscribed pool (8 domains on a 1-core container) measures scheduler
    thrash, not the search. Skipped kernels are recorded in the JSON so a
    missing row reads as "host too small", not "kernel removed". *)
 let host_domains = Domain.recommended_domain_count ()
 
-let dd_pool_domains = [ 1; 2; 4; 8 ]
-
 (* every kernel or timing that runs a pool, with the domains it needs *)
 let pool_kernels =
   [ ("par.pool_overhead", 4); ("par.pipeline_fig9_jobs4", 4);
     ("e2e_parallel_timings", 4) ]
-  @ List.map
-      (fun d -> (Printf.sprintf "par.dd_oracle_%ddomains" d, d))
-      dd_pool_domains
 
 let skipped_kernels =
   List.filter_map
@@ -675,12 +642,11 @@ let parallel_tests =
     ([ Test.make ~name:"par.pool_overhead"
          (Staged.stage
             (* submit/collect cost of 64 no-op tasks: the fixed price every
-               parallel DD batch pays on top of its oracle work *)
+               fan-out batch pays on top of its work *)
             (let pool = bench_pool 4 in
              let xs = List.init 64 Fun.id in
-             fun () -> Parallel.Pool.map (Lazy.force pool) Fun.id xs)) ]
-     @ List.map dd_pool_kernel dd_pool_domains
-     @ [ Test.make ~name:"par.pipeline_fig9_jobs4"
+             fun () -> Parallel.Pool.map (Lazy.force pool) Fun.id xs));
+       Test.make ~name:"par.pipeline_fig9_jobs4"
            (Staged.stage (fun () ->
                 (* the full fig9 experiment through the jobs=4 fan-out;
                    global caches stay warm, so this isolates orchestration

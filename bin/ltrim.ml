@@ -44,10 +44,10 @@ let trace_arg =
 let jobs_arg =
   Arg.(value & opt int (Domain.recommended_domain_count ())
        & info [ "j"; "jobs" ] ~docv:"N"
-           ~doc:"Worker domains for the debloater and the experiment runner \
-                 (default: this machine's recommended domain count). \
-                 Committed results are bit-identical at any N; only \
-                 wall-clock columns change.")
+           ~doc:"Worker domains the apps (and fleet shards) fan out over \
+                 (default: this machine's recommended domain count); each \
+                 app's pipeline runs sequentially. Committed results are \
+                 bit-identical at any N; only wall-clock columns change.")
 
 let shards_arg =
   Arg.(value & opt int 0
@@ -97,9 +97,8 @@ let journal_arg =
 let resume_flag =
   Arg.(value & flag & info [ "resume" ]
          ~doc:"Replay compatible journals found under --journal before \
-               querying the oracle. Resume requires the same --jobs as the \
-               killed run (the journal digest covers the job layout); \
-               anything else safely discards the journal.")
+               querying the oracle. A journal written for another app \
+               revision or options is safely discarded.")
 
 let memo_dir_arg =
   Arg.(value & opt (some string) None
@@ -177,8 +176,9 @@ let load_baseline = function
    [setup_jobs]. *)
 let setup_optimizer optimizer = Trim.Optimizer.configure optimizer
 
-(* Install the process-wide pool the pipeline and the experiment registry
-   fan out on. Call before any work; the pool is torn down at exit. *)
+(* Install the process-wide pool the experiment registry, redebloat and
+   the sharded fleet fan out on. Call before any work; the pool is torn
+   down at exit. *)
 let setup_jobs jobs =
   if jobs < 1 then begin
     Printf.eprintf "--jobs must be >= 1 (got %d)\n" jobs;
@@ -288,10 +288,9 @@ let profile_cmd =
 (* --- debloat ------------------------------------------------------------- *)
 
 let debloat_cmd =
-  let run app k scoring verbose jobs trace optimizer journal resume
-      memo_dir memo_cap baseline_path manifest_path =
+  let run app k scoring verbose trace optimizer journal resume memo_dir
+      memo_cap baseline_path manifest_path =
     setup_optimizer optimizer;
-    setup_jobs jobs;
     setup_memo memo_dir memo_cap;
     with_chaos @@ fun () ->
     with_trace trace @@ fun () ->
@@ -346,7 +345,7 @@ let debloat_cmd =
     (Cmd.info "debloat"
        ~doc:"Optimize an application: run the selected $(b,--optimizer) \
              family (λ-trim DD debloating by default).")
-    Term.(const run $ app_arg $ k_arg $ scoring_arg $ verbose_flag $ jobs_arg
+    Term.(const run $ app_arg $ k_arg $ scoring_arg $ verbose_flag
           $ trace_arg $ optimizer_arg $ journal_arg $ resume_flag
           $ memo_dir_arg $ memo_cap_arg $ baseline_arg $ manifest_arg)
 
@@ -367,9 +366,8 @@ let invoke_cmd =
       r.Platform.Lambda_sim.peak_memory_mb r.Platform.Lambda_sim.cost;
     print_string r.Platform.Lambda_sim.stdout
   in
-  let run app trimmed jobs trace optimizer =
+  let run app trimmed trace optimizer =
     setup_optimizer optimizer;
-    setup_jobs jobs;
     with_trace trace @@ fun () ->
     let spec = Workloads.Suite.spec_of app in
     let d = Workloads.Suite.deployment_of app in
@@ -387,8 +385,7 @@ let invoke_cmd =
   in
   Cmd.v
     (Cmd.info "invoke" ~doc:"Invoke an application on the platform simulator.")
-    Term.(const run $ app_arg $ trimmed_flag $ jobs_arg $ trace_arg
-          $ optimizer_arg)
+    Term.(const run $ app_arg $ trimmed_flag $ trace_arg $ optimizer_arg)
 
 (* --- fleet ---------------------------------------------------------------- *)
 
@@ -888,9 +885,8 @@ let redebloat_cmd =
       in
       (app, baseline <> None, r)
     in
-    (* per-app jobs fan out over the configured pool; each pipeline runs
-       its debloat stage sequentially inside its job (nested submission is
-       pool-safe, but per-app parallelism is the win here) *)
+    (* the apps fan out over the configured pool; each pipeline is one
+       sequential fold *)
     let rows = Parallel.Pool.map_default job apps in
     Printf.printf "%-18s %5s %10s %7s %10s %8s %9s\n" "app" "mode" "replayed"
       "seeded" "seed-hits" "queries" "wall-s";

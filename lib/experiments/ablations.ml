@@ -3,8 +3,6 @@
    - attribute vs statement granularity (the §6.1 design argument);
    - PyCG protection on/off (the §5.1 claim that excluding definitely-
      accessed attributes "speeds up the debloating phase");
-   - intra-module parallel DD (§9 future work): critical-path rounds vs
-     sequential queries;
    - continuous debloating (§9): oracle queries on re-run with seeds. *)
 
 module SS = Callgraph.Pycg.String_set
@@ -108,55 +106,6 @@ let print_protection () =
                ~before:(float_of_int without.Trim.Debloater.oracle_queries)
                ~after:(float_of_int with_pycg.Trim.Debloater.oracle_queries))))
     apps_small;
-  Buffer.contents b
-
-(* --- parallel DD ---------------------------------------------------------- *)
-
-let print_parallel () =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b
-    (Common.header
-       "Ablation: intra-module parallel DD (§9) — measured pool wall-clock");
-  let app = Workloads.Suite.tiny_app ~attrs:48 () in
-  let file = "site-packages/tinylib/__init__.py" in
-  let prog =
-    Minipy.Parser.parse ~file
-      (Minipy.Vfs.read_exn app.Platform.Deployment.vfs file)
-  in
-  let candidates = Trim.Attrs.attrs_of_program prog in
-  let cores = Domain.recommended_domain_count () in
-  Buffer.add_string b
-    (Printf.sprintf
-       "  queries/rounds are scheduling-invariant (committed-prefix DD);\n\
-       \  wall ms/speedup are MEASURED on real domains — this host offers \
-        %d core%s\n" cores (if cores = 1 then "" else "s"));
-  Buffer.add_string b
-    (Printf.sprintf "  %-10s %10s %10s %10s %12s %10s\n" "domains" "queries"
-       "+spec" "rounds" "wall ms" "speedup");
-  let base_wall = ref 0.0 in
-  List.iter
-    (fun domains ->
-       (* a fresh observation memo per run — the shared global memo would
-          answer every run after the first instantly and fake the speedup *)
-       let cache = Trim.Oracle.Cache.create () in
-       let oracle, _ = Trim.Oracle.for_reference ~cache app in
-       let dd_oracle subset =
-         oracle (Trim.Debloater.with_restricted app ~file ~keep:subset)
-       in
-       let t0 = Unix.gettimeofday () in
-       (* a 1-domain pool is no pool: the search evaluates lazily *)
-       let _, s =
-         Parallel.Pool.with_pool ~domains (fun pool ->
-             Trim.Dd.minimize ~pool ~oracle:dd_oracle candidates)
-       in
-       let wall_ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
-       if domains = 1 then base_wall := wall_ms;
-       Buffer.add_string b
-         (Printf.sprintf "  %-10d %10d %10d %10d %12.1f %9.2fx\n" domains
-            s.Trim.Dd.oracle_queries s.Trim.Dd.speculative
-            s.Trim.Dd.rounds wall_ms
-            (if wall_ms > 0.0 then !base_wall /. wall_ms else 0.0)))
-    [ 1; 2; 4; 8 ];
   Buffer.contents b
 
 (* --- continuous pipeline -------------------------------------------------- *)

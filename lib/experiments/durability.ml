@@ -1,10 +1,7 @@
 (* Durability experiment: a kill/resume sweep. Journal a debloating run,
    kill it after record N via the chaos harness, resume from the journal,
    and check the resumed run reproduces the uninterrupted baseline bit for
-   bit (optimized image digest, removed attrs, every DD counter).
-
-   Everything here is pinned to jobs = 1, so the CSV is byte-identical
-   across runs and machines at any `ltrim --jobs`. *)
+   bit (optimized image digest, removed attrs, every DD counter). *)
 
 let app = "markdown"
 
@@ -48,7 +45,7 @@ let run_pipeline ?journal_dir ?(resume = false) () =
                (* private memo: runs stay independent of each other and of
                   the process-global memo *)
                oracle_cache = Some (Trim.Oracle.Cache.create ()) }
-    ~jobs:1 d
+    d
 
 let counter name = Obs.Metrics.counter Obs.Metrics.global name
 
@@ -85,7 +82,7 @@ let print () =
   Buffer.add_string b
     (Common.header
        (Printf.sprintf
-          "Durability: kill/resume sweep (%s, K = %d, jobs pinned to 1)"
+          "Durability: kill/resume sweep (%s, K = %d)"
           app sweep_k));
   Buffer.add_string b
     (Printf.sprintf "  %-11s %-7s %-9s %s\n" "kill_after" "killed" "replayed"

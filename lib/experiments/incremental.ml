@@ -42,17 +42,13 @@ type row = {
 
 (* Returns the report plus the run's fresh oracle executions — misses of
    its own private memo (the report's [caches] field counts the global
-   memo, which private-memo runs never touch). Pinned to jobs = 1 like the
-   durability experiment: DD *query* counters are jobs-invariant, but a
-   parallel search also executes speculative queries past the committed
-   prefix, which would make the fresh-execution columns jobs-dependent. *)
+   memo, which private-memo runs never touch). *)
 let run_pipeline ?baseline ?manifest_path name d =
   let cache = Trim.Oracle.Cache.create () in
   let r =
     Trim.Pipeline.run
       ~options:{ Trim.Pipeline.default_options with
                  k; baseline; manifest_path; oracle_cache = Some cache }
-      ~jobs:1
       { d with Platform.Deployment.name }
   in
   (r, Trim.Oracle.Cache.misses cache)

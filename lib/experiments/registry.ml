@@ -60,9 +60,6 @@ let all : entry list =
     { id = "abl-protection";
       description = "PyCG protection query-savings ablation";
       print = Ablations.print_protection; csv = None };
-    { id = "abl-parallel";
-      description = "parallel DD measured multicore speedup ablation";
-      print = Ablations.print_parallel; csv = None };
     { id = "abl-continuous";
       description = "continuous debloating query-savings ablation";
       print = Ablations.print_continuous; csv = None };

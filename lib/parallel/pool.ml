@@ -262,8 +262,6 @@ let configure ~jobs =
         match !configured_pool with Some p -> shutdown p | None -> ())
   end
 
-let configured () = !configured_pool
-
 let jobs () = match !configured_pool with Some p -> p.size | None -> 1
 
 let map_default f xs =

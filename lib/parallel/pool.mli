@@ -74,17 +74,16 @@ val obs_wall_track : ?default:int -> unit -> int
 
 (** {1 The process-wide configured pool}
 
-    The CLI's [--jobs N] installs one shared pool here; layers that want
-    parallelism-by-default ([Pipeline.run], the experiment registry) read
-    it. Configure from the main domain only, before fanning out. *)
+    The CLI's [--jobs N] installs one shared pool here; the app-level
+    fan-outs (the experiment registry, [ltrim redebloat], the sharded
+    fleet) read it. Configure from the main domain only, before fanning
+    out. *)
 
 (** [configure ~jobs] replaces the configured pool: shuts the previous one
     down, installs a fresh [jobs]-domain pool ([jobs > 1]) or none
     ([jobs = 1]). Registers an [at_exit] teardown once.
     @raise Invalid_argument if [jobs < 1]. *)
 val configure : jobs:int -> unit
-
-val configured : unit -> t option
 
 (** Parallelism of the configured pool; [1] when none is installed. *)
 val jobs : unit -> int

@@ -19,7 +19,7 @@ let () =
    Process-wide on purpose: the CLI arms it from the environment before any
    pipeline work, and the journal (the only writer of durable records)
    reports each append from whatever thread orchestrates the DD search. The
-   counter is mutex-guarded because parallel pipeline groups journal
+   counter is mutex-guarded because apps fanned out on the pool journal
    concurrently. *)
 
 let kill_lock = Mutex.create ()

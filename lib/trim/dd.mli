@@ -1,5 +1,5 @@
-(** Delta Debugging — Algorithm 1 of the paper, with its §9 extensions
-    (parallel speculation and seeding) folded into one search.
+(** Delta Debugging — Algorithm 1 of the paper, with the §9 seeding
+    extension folded into the same search.
 
     Given a list of program components and an oracle over component subsets,
     [minimize] returns a 1-minimal subset that still satisfies the oracle:
@@ -22,15 +22,6 @@ type stats = {
   mutable ws_hits : int;
       (** seed confirmations that passed (0 or 1), skipping the
           coarse-granularity descent entirely *)
-  mutable speculative : int;
-      (** surplus pool evaluations the commit walk never reached; total
-          oracle executions = [oracle_queries + speculative]. 0 without a
-          pool. *)
-  mutable rounds : int;
-      (** modelled critical path: each phase contributes
-          ⌈issued/workers⌉ batches, workers being the pool size (1 without
-          a pool); cache hits are free *)
-  mutable max_batch : int;       (** widest issued batch (≤ workers) *)
 }
 
 type 'a step = {
@@ -50,17 +41,8 @@ val complement : of_:'a list -> 'a list -> 'a list
     Unlike crash minimisation, the empty subset is a legal result: a
     singleton is tested against [[]] before being returned.
 
-    Each granularity phase is settled by a commit walk that replays the
-    sequential control flow, so the keep-set, [oracle_queries],
-    [cache_hits] and [iterations] are the same with or without [pool] and
-    under any scheduling. [on_step] observes every issued query in commit
-    order, with or without a pool — the Figure-6 walkthrough of
-    [examples/quickstart.ml].
-
-    With [pool] of size > 1 (§9 parallel DD), each phase's candidates are
-    first evaluated concurrently on the pool; the surplus is counted in
-    [speculative]. Otherwise candidates are evaluated lazily as the walk
-    reaches them.
+    [on_step] observes every issued query in order — the Figure-6
+    walkthrough of [examples/quickstart.ml].
 
     With [journal], every verdict is recorded durably before the search can
     observe it, and a resumed run (a journal opened with [resume] on the
@@ -77,7 +59,6 @@ val complement : of_:'a list -> 'a list -> 'a list
     {!Debloater.journal_run_digest} does). *)
 val minimize :
   ?on_step:('a step -> unit) ->
-  ?pool:Parallel.Pool.t ->
   ?journal:Journal.t ->
   ?seed:'a list ->
   oracle:('a list -> bool) ->

@@ -68,11 +68,12 @@ let with_restricted d ~file ~keep =
   with_rewritten d ~file (fun prog -> Attrs.restrict prog ~keep)
 
 (* DD has no virtual timeline — its spans run on the host wall clock
-   (Obs.Span.wall_ms, shared with the pipeline). Sequentially they share
-   the pipeline phases' lane (see Pipeline.obs_track) so dd:<module> nests
-   inside phase:debloat and oracle:query inside dd:<module>; under the
-   parallel pool each worker domain records on its own private track
-   instead, so concurrent spans stay well-nested per (domain, track). *)
+   (Obs.Span.wall_ms, shared with the pipeline). On the main domain they
+   share the pipeline phases' lane (see Pipeline.obs_track) so dd:<module>
+   nests inside phase:debloat and oracle:query inside dd:<module>; a
+   pipeline running inside an app fan-out worker records on that worker's
+   private track instead, so concurrent apps' spans stay well-nested per
+   (domain, track). *)
 let wall_ms = Obs.Span.wall_ms
 
 let obs_track () = Parallel.Pool.obs_wall_track ~default:1 ()
@@ -115,11 +116,10 @@ let traced_oracle ~module_name ~(cache : Oracle.Cache.t) dd_oracle subset =
    One journal file per module search, named after the module inside the
    run's journal directory. The run digest binds the file to everything
    the verdict stream depends on: the *base* deployment image this module
-   is searched against (which differs between sequential and parallel
-   pipeline folds — hence resume requires the same --jobs), the module,
-   its candidate/protected split, and the engine tag. A journal
-   whose digest mismatches is discarded, never replayed: revision safety
-   over resume speed. *)
+   is searched against (the input app with every earlier-ranked module
+   already trimmed), the module, its candidate/protected split, and the
+   engine tag. A journal whose digest mismatches is discarded, never
+   replayed: revision safety over resume speed. *)
 
 let sanitize_module_name m =
   String.map
@@ -207,7 +207,7 @@ let result_of_stats ~module_name ~file ~all_attrs ~final_keep ~protected_list
    at a time. Profiling [d] rather than the input app matters: earlier
    trims delete code that read later modules' names. *)
 let debloat_module ?(on_step = fun (_ : string Dd.step) -> ())
-    ?(oracle_cache = Oracle.Cache.global) ?pool ?journal ?seed
+    ?(oracle_cache = Oracle.Cache.global) ?journal ?seed
     ~(oracle : Platform.Deployment.t -> bool) ~(protected : String_set.t)
     (d : Platform.Deployment.t) ~module_name : Platform.Deployment.t * module_result
   =
@@ -246,7 +246,7 @@ let debloat_module ?(on_step = fun (_ : string Dd.step) -> ())
         (fun () ->
            obs_dd_span ~module_name (fun () ->
                with_memo_stats oracle_cache (fun () ->
-                   Dd.minimize ~on_step ?pool ?journal:jnl ?seed:dd_seed
+                   Dd.minimize ~on_step ?journal:jnl ?seed:dd_seed
                      ~oracle:dd_oracle candidates)))
     in
     let final_keep = protected_list @ kept in
@@ -254,28 +254,6 @@ let debloat_module ?(on_step = fun (_ : string Dd.step) -> ())
     ( d',
       result_of_stats ~module_name ~file ~all_attrs ~final_keep
         ~protected_list ~seeded:(seed <> None) stats )
-
-(* Re-apply a finished module search to [d]: rebuild the keep-set the
-   search arrived at (everything the module has minus [removed_attrs]) and
-   rewrite the file on a fresh overlay. Each search restricts only its own
-   module's __init__, so folding results over the input app in ranking
-   order reconstructs — file for file — the deployment the sequential
-   module-by-module pipeline builds; this is the merge step of
-   Pipeline.run's inter-module parallel mode. Results for non-file-backed
-   modules ([dm_file = "<none>"]) are no-ops. *)
-let apply_result (d : Platform.Deployment.t) (r : module_result) =
-  if not (Minipy.Vfs.exists d.Platform.Deployment.vfs r.dm_file) then d
-  else begin
-    let prog =
-      Minipy.Parse_cache.parse_vfs d.Platform.Deployment.vfs r.dm_file
-    in
-    let keep =
-      List.filter
-        (fun a -> not (List.mem a r.removed_attrs))
-        (Attrs.attrs_of_program prog)
-    in
-    with_restricted d ~file:r.dm_file ~keep
-  end
 
 (* --- statement-granularity variant (§6.1 ablation) ------------------------ *)
 
@@ -344,14 +322,10 @@ let debloat_module_statements ?(oracle_cache = Oracle.Cache.global)
    an unequal digest localizes re-search to the changed module.
 
    The digest deliberately excludes files outside the module's top-level
-   library subtree. That is the same library-separability invariant the
-   parallel pipeline's per-root grouping rests on (see
-   Pipeline.debloat_parallel): a query for module [a.b] overlays only files
-   under [site-packages/a], so edits elsewhere cannot change its verdicts.
-   It also makes the digest identical between the sequential fold (where
-   earlier-ranked foreign modules are already trimmed in [d]) and the
-   parallel per-root group fold (where they are not) — hence warm runs are
-   [--jobs]-invariant. A module whose file does not live under
+   library subtree: no generated workload library imports another, and a
+   query for module [a.b] overlays only files under [site-packages/a], so
+   edits elsewhere, and earlier trims of other libraries, cannot change
+   its verdicts. A module whose file does not live under
    [site-packages/<root>] falls back to the whole image digest:
    conservative, never wrong. *)
 
@@ -420,10 +394,9 @@ type search_kind =
    all). Digest changed → warm-start DD with the recorded keep-set as seed
    (one confirming query; full ddmin on failure). No entry → fresh search.
    Always returns the search digest so the caller can record a new
-   manifest. The fresh path honors [pool]/[journal] exactly like
-   [debloat_module]; replayed and seeded searches are sequential (a replay
-   has nothing to parallelize, a seeded search is expected to be tiny). *)
-let debloat_module_incremental ?(oracle_cache = Oracle.Cache.global) ?pool
+   manifest. Only the fresh path is journaled, exactly like
+   [debloat_module]. *)
+let debloat_module_incremental ?(oracle_cache = Oracle.Cache.global)
     ?journal ~(oracle : Platform.Deployment.t -> bool)
     ~(protected : String_set.t) ~(baseline : Manifest.module_entry option)
     (d : Platform.Deployment.t) ~module_name :
@@ -474,7 +447,7 @@ let debloat_module_incremental ?(oracle_cache = Oracle.Cache.global) ?pool
        (d', r, Seeded r.seed_hit, digest)
      | None ->
        let d', r =
-         debloat_module ~oracle_cache ?pool ?journal ~oracle ~protected d
+         debloat_module ~oracle_cache ?journal ~oracle ~protected d
            ~module_name
        in
        (d', r, Fresh, digest))

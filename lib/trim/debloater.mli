@@ -47,18 +47,11 @@ val with_restricted :
 
 (** Debloat one module. The result is an overlay sharing no mutable state
     with the input deployment. Builtin (non-file-backed) modules are a
-    no-op.
-
-    With [?pool] (of size > 1) the DD search speculates its oracle batches
-    concurrently; keep-set and query/cache-hit counts are identical to the
-    pool-less search by {!Dd.minimize}'s committed-prefix contract.
-    [on_step] fires for every issued query in commit order, with or without
-    a pool.
+    no-op. [on_step] fires for every issued query, in order.
 
     With [?seed] (§9 continuous pipeline) DD first tests a previous run's
     keep-set with one confirming query and, on a pass, searches inside it;
-    [seed_hit] reports the outcome. The pipelines pass no pool with a
-    seed, so seeded searches never speculate.
+    [seed_hit] reports the outcome.
 
     Without [?seed], the search is seeded with a profile: [d]'s test cases
     run once in fresh interpreters with the read recorder on
@@ -74,13 +67,11 @@ val with_restricted :
     compatible existing journal is replayed first, so a killed search
     continues where it crashed with bit-identical results. The journal's
     run digest covers the base deployment image this module is searched
-    against and the seed, so resume requires the same pipeline job layout
-    ([--jobs]) as the killed run; anything else safely discards the
-    journal. *)
+    against and the seed; a journal written against any other image or
+    seed is safely discarded. *)
 val debloat_module :
   ?on_step:(string Dd.step -> unit) ->
   ?oracle_cache:Oracle.Cache.t ->
-  ?pool:Parallel.Pool.t ->
   ?journal:Journal.spec ->
   ?seed:string list ->
   oracle:(Platform.Deployment.t -> bool) ->
@@ -103,14 +94,6 @@ val journal_run_digest :
   protected_list:string list ->
   candidates:string list ->
   string
-
-(** [apply_result d r] re-applies a finished module search to [d]: rewrites
-    [r.dm_file] on a fresh overlay keeping everything except
-    [r.removed_attrs]. Folding module results over the input app in ranking
-    order rebuilds the sequential pipeline's output deployment — the merge
-    step of [Pipeline.run ~jobs]. No-op for builtin modules. *)
-val apply_result :
-  Platform.Deployment.t -> module_result -> Platform.Deployment.t
 
 (** {1 Variants} *)
 
@@ -135,12 +118,11 @@ val debloat_module_statements :
     keep-set can be applied without any oracle query.
 
     Files outside the module's [site-packages/<root>] subtree are
-    deliberately excluded — the library-separability invariant the
-    parallel pipeline's per-root grouping already rests on — which also
-    makes the digest identical between the sequential fold and the
-    parallel group fold, keeping warm runs [--jobs]-invariant. A module
-    whose file lives outside its subtree falls back to the whole image
-    digest (conservative, never wrong). *)
+    deliberately excluded: no generated workload library imports another,
+    so edits to other libraries, and their trims earlier in the same run,
+    cannot change this search. A module whose file lives outside its
+    subtree falls back to the whole image digest (conservative, never
+    wrong). *)
 val module_search_digest :
   Platform.Deployment.t ->
   module_name:string ->
@@ -163,12 +145,10 @@ type search_kind =
     keep-set with zero oracle traffic; a stale entry warm-starts DD with
     the recorded keep-set as seed (one confirming query, full ddmin on
     failure); no entry runs a fresh, profile-seeded search. Returns the
-    current search digest for the caller's new manifest. [pool]/[journal]
-    apply to the fresh path only; replayed and seeded searches are
-    sequential. *)
+    current search digest for the caller's new manifest. [journal]
+    applies to the fresh path only. *)
 val debloat_module_incremental :
   ?oracle_cache:Oracle.Cache.t ->
-  ?pool:Parallel.Pool.t ->
   ?journal:Journal.spec ->
   oracle:(Platform.Deployment.t -> bool) ->
   protected:String_set.t ->

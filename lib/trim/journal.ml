@@ -2,7 +2,7 @@
 
    One {!Durable_log} per module search. The header binds the file to a run
    digest (base image digest + module + candidate list + engine tag), so a
-   stale journal from a different revision or job layout is discarded
+   stale journal from a different revision or options is discarded
    instead of replayed. The records are
 
      o|<seq>|<subset key>|<T or F>|<md5>        (one oracle verdict)
@@ -21,8 +21,8 @@ let magic = "ltrim-journal/1"
 let mkdir_p = Durable_log.mkdir_p
 let write_file_atomic = Durable_log.write_file_atomic
 
-(* Global registry counters; guarded by a module-level mutex because
-   parallel pipeline groups journal concurrently and counters are plain
+(* Global registry counters; guarded by a module-level mutex because apps
+   fanned out on the pool journal concurrently and counters are plain
    mutable ints. *)
 let counters_lock = Mutex.create ()
 let c_appended = Obs.Metrics.counter Obs.Metrics.global "trim.journal.appended"

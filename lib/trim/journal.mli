@@ -5,11 +5,10 @@
     The file is a {!Durable_log}; its crash model and lock apply. Records
     are flushed before control returns to DD. Reopening with [resume]
     replays the valid prefix into a lookup table, drops any invalid
-    suffix, and lets {!Dd.minimize} (with or without a pool) answer
-    queries from the table — reproducing
-    the uninterrupted run's keep-set and counters bit for bit. A header
-    run-digest binds the file to one search (base image, module, candidate
-    list, engine tag, job layout); a mismatched header discards the journal
+    suffix, and lets {!Dd.minimize} answer queries from the table —
+    reproducing the uninterrupted run's keep-set and counters bit for bit.
+    A header run-digest binds the file to one search (base image, module,
+    candidate list, engine tag); a mismatched header discards the journal
     rather than replaying stale verdicts.
 
     Metrics (in [Obs.Metrics.global]): [trim.journal.appended],

@@ -38,11 +38,11 @@ type outcome = {
   o_lazy : Lazy_loader.report option;    (* when the family lazified *)
 }
 
-let run ?options ?jobs variant (d : Platform.Deployment.t) : outcome =
+let run ?options variant (d : Platform.Deployment.t) : outcome =
   match variant with
   | Off -> { o_variant = Off; o_deployment = d; o_dd = None; o_lazy = None }
   | Dd ->
-    let r = Pipeline.run ?options ?jobs d in
+    let r = Pipeline.run ?options d in
     { o_variant = Dd;
       o_deployment = r.Pipeline.optimized;
       o_dd = Some r;
@@ -54,7 +54,7 @@ let run ?options ?jobs variant (d : Platform.Deployment.t) : outcome =
       o_dd = None;
       o_lazy = Some lz }
   | Combined ->
-    let r = Pipeline.run ?options ?jobs d in
+    let r = Pipeline.run ?options d in
     let lz = Lazy_loader.optimize r.Pipeline.optimized in
     { o_variant = Combined;
       o_deployment = lz.Lazy_loader.lz_optimized;

@@ -23,8 +23,7 @@ type outcome = {
   o_lazy : Lazy_loader.report option;
 }
 
-(** Optimize [d] with the given family. [options]/[jobs] flow to
-    {!Pipeline.run} for the families that run DD. *)
+(** Optimize [d] with the given family. [options] flow to {!Pipeline.run}
+    for the families that run DD. *)
 val run :
-  ?options:Pipeline.options -> ?jobs:int -> variant ->
-  Platform.Deployment.t -> outcome
+  ?options:Pipeline.options -> variant -> Platform.Deployment.t -> outcome

@@ -20,7 +20,7 @@ type options = {
   resume : bool;                  (* replay compatible journals first *)
   oracle_cache : Oracle.Cache.t option;   (* private memo; default global *)
   (* incremental re-debloating (both off by default — with no baseline and
-     no manifest to write, stage 3 runs the exact historical code path) *)
+     no manifest to write, stage 3 computes no search digests) *)
   baseline : Manifest.t option;           (* previous run's manifest *)
   manifest_path : string option;          (* write this run's manifest here *)
 }
@@ -122,129 +122,33 @@ let journal_spec options (app : Platform.Deployment.t) =
     Durable_log.mkdir_p jdir;
     Some { Journal.journal_dir = jdir; journal_resume = resume }
 
-(* Stage 3 of [run], parallel mode.
+(* Stage 3's one step: debloat [module_name] in [d], the input app with
+   every earlier-ranked module already trimmed. With [incremental] the
+   search also computes its digest and consults the [baseline] manifest
+   (replay, warm start or fresh); otherwise it is a fresh search and skips
+   the digest, which no one would read. *)
+let debloat_step ~options ~analysis ~oracle ~journal ~incremental ~baseline d
+    module_name =
+  let oracle_cache = options.oracle_cache in
+  let protected = Static_analyzer.protected_attrs analysis ~module_name in
+  if incremental then
+    let entry =
+      Option.bind baseline (fun m -> Manifest.find_module m module_name)
+    in
+    let d', r, kind, digest =
+      Debloater.debloat_module_incremental ?oracle_cache ?journal ~oracle
+        ~protected ~baseline:entry d ~module_name
+    in
+    (d', (r, kind, digest))
+  else
+    let d', r =
+      Debloater.debloat_module ?oracle_cache ?journal ~oracle ~protected d
+        ~module_name
+    in
+    (d', (r, Debloater.Fresh, ""))
 
-   Modules of one library are NOT independent — debloating a parent package
-   can drop the import that was the only reason a child's attribute had to
-   survive, so the child's search must see the parent's trim exactly as the
-   sequential fold provides it. Distinct top-level libraries ARE
-   independent: no generated workload library imports another, and the
-   oracle's observable output separates per library, so one library's trim
-   never changes another's verdicts.
-
-   Hence: group the ranked modules by top-level package, keep the
-   sequential fold inside each group (in rank order), and debloat the
-   groups concurrently against the *input* app. Every per-module search
-   then answers its oracle queries exactly as in the sequential run —
-   keep-sets, query counts and cache hits included — and folding the
-   results back over the app in global ranking order rebuilds the
-   sequential deployment file for file (each search rewrites only its own
-   module's __init__). That is the bit-identical-CSV guarantee. Each group
-   task additionally fans its DD oracle batches out on the same pool
-   (nested submission is safe). *)
-let group_by_root ranked : (string * string list) list =
-  let root m =
-    match String.index_opt m '.' with Some i -> String.sub m 0 i | None -> m
-  in
-  List.fold_left
-    (fun acc m ->
-       let r = root m in
-       match List.assoc_opt r acc with
-       | Some ms -> (r, m :: ms) :: List.remove_assoc r acc
-       | None -> (r, [ m ]) :: acc)
-    [] ranked
-  |> List.rev_map (fun (r, ms) -> (r, List.rev ms))
-
-(* Run [f] on the configured pool when its size matches [jobs], else on a
-   transient pool shut down afterwards. *)
-let with_group_pool ~jobs f =
-  let pool, transient =
-    match Parallel.Pool.configured () with
-    | Some p when Parallel.Pool.size p = jobs -> (p, false)
-    | _ -> (Parallel.Pool.create ~domains:jobs, true)
-  in
-  Fun.protect
-    ~finally:(fun () -> if transient then Parallel.Pool.shutdown pool)
-    (fun () -> f pool)
-
-(* Fan per-root groups out on the pool, each group folded sequentially
-   against the input [app] by [step pool d module_name]; merge the
-   [Debloater.module_result]s (projected by [result_of]) back in global
-   ranking order and rebuild the output deployment. *)
-let debloat_grouped ~options ~jobs ~result_of ~step
-    (app : Platform.Deployment.t) ranked =
-  with_group_pool ~jobs (fun pool ->
-      let group_results =
-        Parallel.Pool.map pool
-          (fun (_root, modules) ->
-             let _, results =
-               List.fold_left
-                 (fun (d, acc) module_name ->
-                    let d', r = step pool d module_name in
-                    (d', r :: acc))
-                 (app, []) modules
-             in
-             List.rev results)
-          (group_by_root ranked)
-      in
-      (* back to global ranking order, as the sequential fold reports *)
-      let by_module = Hashtbl.create 32 in
-      List.iter
-        (List.iter (fun r ->
-             Hashtbl.replace by_module (result_of r).Debloater.dm_module r))
-        group_results;
-      let entries = List.map (fun m -> Hashtbl.find by_module m) ranked in
-      let module_results = List.map result_of entries in
-      if options.log then
-        List.iter
-          (fun r -> Log.info (fun m -> m "%a" Debloater.pp_module_result r))
-          module_results;
-      let optimized =
-        List.fold_left Debloater.apply_result app module_results
-      in
-      (optimized, entries))
-
-let debloat_parallel ?oracle_cache ?journal ~options ~analysis ~jobs ~oracle
-    (app : Platform.Deployment.t) ranked =
-  let optimized, results =
-    debloat_grouped ~options ~jobs ~result_of:Fun.id
-      ~step:(fun pool d module_name ->
-          let protected =
-            Static_analyzer.protected_attrs analysis ~module_name
-          in
-          Debloater.debloat_module ?oracle_cache ?journal ~pool ~oracle
-            ~protected d ~module_name)
-      app ranked
-  in
-  (optimized, results)
-
-(* Incremental parallel mode: identical grouping, but each module first
-   diffs its search digest against the baseline manifest. The digest hashes
-   only the module's own library subtree plus the oracle configuration
-   (see Debloater.module_search_digest), so it is the same value the
-   sequential fold computes — replay/seed decisions, counters and keep-sets
-   are [--jobs]-invariant. *)
-let debloat_parallel_incremental ?oracle_cache ?journal ~options ~analysis
-    ~jobs ~oracle ~baseline (app : Platform.Deployment.t) ranked =
-  debloat_grouped ~options ~jobs
-    ~result_of:(fun (r, _kind, _digest) -> r)
-    ~step:(fun pool d module_name ->
-        let protected =
-          Static_analyzer.protected_attrs analysis ~module_name
-        in
-        let entry =
-          Option.bind baseline (fun m -> Manifest.find_module m module_name)
-        in
-        let d', r, kind, digest =
-          Debloater.debloat_module_incremental ?oracle_cache ?journal ~pool
-            ~oracle ~protected ~baseline:entry d ~module_name
-        in
-        (d', (r, kind, digest)))
-    app ranked
-
-let run ?(options = default_options) ?jobs (app : Platform.Deployment.t) :
-  report =
-  let jobs = match jobs with Some j -> j | None -> Parallel.Pool.jobs () in
+let run ?(options = default_options) ?(jobs = 1)
+    (app : Platform.Deployment.t) : report =
   if jobs < 1 then invalid_arg "Pipeline.run: jobs < 1";
   (* A baseline for a different app is operator error; ignore it rather
      than let [find_module] silently miss every entry. *)
@@ -255,9 +159,8 @@ let run ?(options = default_options) ?jobs (app : Platform.Deployment.t) :
       Some m
     | _ -> None
   in
-  (* the incremental stage-3 path runs only when asked for: with neither a
-     baseline nor a manifest to write, the historical code path runs
-     untouched (and byte-identical) *)
+  (* search digests are computed only when a baseline or a manifest reads
+     them *)
   let incremental = baseline <> None || options.manifest_path <> None in
   let wall_start = Unix.gettimeofday () in
   let (analysis, profile, ranked, optimized, entries), caches =
@@ -282,79 +185,31 @@ let run ?(options = default_options) ?jobs (app : Platform.Deployment.t) :
         if options.log then
           Log.info (fun m -> m "profiler ranked top-%d: %s" options.k
                        (String.concat ", " ranked));
-        (* Stage 3: DD-based debloating, module by module. The oracle's
-           reference observation comes from the *input* app and stays fixed;
-           sequentially each module is debloated against the deployment
-           produced so far, so later modules see earlier trims (the paper
-           debloats the top-K sequentially). With [jobs > 1] the modules
-           are searched concurrently and merged in ranking order — same
-           output, see [debloat_parallel]. *)
+        (* Stage 3: DD-based debloating, module by module in rank order
+           (Algorithm 1 per module, §5.3). The oracle's reference
+           observation comes from the *input* app and stays fixed; each
+           module is debloated against the deployment produced so far, so
+           later modules see earlier trims. *)
         let optimized, entries =
           obs_phase "phase:debloat" (fun () ->
               let journal = journal_spec options app in
               let oracle, _expected =
                 Oracle.for_reference ?cache:options.oracle_cache app
               in
-              match (incremental, jobs > 1) with
-              | false, true ->
-                let optimized, module_results =
-                  debloat_parallel ?oracle_cache:options.oracle_cache
-                    ?journal ~options ~analysis ~jobs ~oracle app ranked
-                in
-                ( optimized,
-                  List.map (fun r -> (r, Debloater.Fresh, "")) module_results
-                )
-              | false, false ->
-                let optimized, module_results =
-                  List.fold_left
-                    (fun (d, results) module_name ->
-                       let protected =
-                         Static_analyzer.protected_attrs analysis ~module_name
-                       in
-                       let d', r =
-                         Debloater.debloat_module
-                           ?oracle_cache:options.oracle_cache ?journal
-                           ~oracle ~protected d ~module_name
-                       in
-                       if options.log then
-                         Log.info
-                           (fun m -> m "%a" Debloater.pp_module_result r);
-                       (d', r :: results))
-                    (app, []) ranked
-                in
-                ( optimized,
-                  List.rev_map (fun r -> (r, Debloater.Fresh, "")) module_results
-                )
-              | true, true ->
-                let optimized, entries =
-                  debloat_parallel_incremental
-                    ?oracle_cache:options.oracle_cache ?journal ~options
-                    ~analysis ~jobs ~oracle ~baseline app ranked
-                in
-                (optimized, entries)
-              | true, false ->
-                let optimized, entries =
-                  List.fold_left
-                    (fun (d, entries) module_name ->
-                       let protected =
-                         Static_analyzer.protected_attrs analysis ~module_name
-                       in
-                       let entry =
-                         Option.bind baseline (fun m ->
-                             Manifest.find_module m module_name)
-                       in
-                       let d', r, kind, digest =
-                         Debloater.debloat_module_incremental
-                           ?oracle_cache:options.oracle_cache ?journal ~oracle
-                           ~protected ~baseline:entry d ~module_name
-                       in
-                       if options.log then
-                         Log.info
-                           (fun m -> m "%a" Debloater.pp_module_result r);
-                       (d', (r, kind, digest) :: entries))
-                    (app, []) ranked
-                in
-                (optimized, List.rev entries))
+              let step =
+                debloat_step ~options ~analysis ~oracle ~journal ~incremental
+                  ~baseline
+              in
+              let optimized, entries =
+                List.fold_left
+                  (fun (d, entries) module_name ->
+                     let d', ((r, _, _) as entry) = step d module_name in
+                     if options.log then
+                       Log.info (fun m -> m "%a" Debloater.pp_module_result r);
+                     (d', entry :: entries))
+                  (app, []) ranked
+              in
+              (optimized, List.rev entries))
         in
         (analysis, profile, ranked, optimized, entries)))
   in

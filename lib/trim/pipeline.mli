@@ -15,8 +15,8 @@ type options = {
           process-wide {!Journal.configure}d directory, if any *)
   resume : bool;
       (** replay compatible existing journals before querying the oracle —
-          a killed run resumed with the same options and job layout
-          reproduces the uninterrupted run bit for bit *)
+          a killed run resumed with the same options reproduces the
+          uninterrupted run bit for bit *)
   oracle_cache : Oracle.Cache.t option;
       (** private observation memo; [None] = the global memo *)
   baseline : Manifest.t option;
@@ -25,7 +25,7 @@ type options = {
           recorded keep-set with zero oracle queries, changed modules
           warm-start DD from the recorded keep-set, unknown modules run
           fresh. A manifest for a different app is ignored. Warm keep-sets
-          are bit-identical to a cold run's at any [jobs] *)
+          are bit-identical to a cold run's *)
   manifest_path : string option;
       (** write this run's manifest here (atomically, after the run) *)
 }
@@ -70,16 +70,17 @@ val src : Logs.src
 
 val pp_cache_stats : Format.formatter -> cache_stats -> unit
 
-(** Run the pipeline. [jobs] (default: the configured pool's parallelism,
-    see [Parallel.Pool.configure]; 1 when none) sets the debloat stage's
-    parallelism: with [jobs > 1] the ranked modules are searched
-    concurrently — each search also fanning its DD oracle batches out on
-    the pool — and merged back in ranking order. The optimized deployment,
-    module results, and every query/cache-hit count are identical at any
-    [jobs]; only wall-clock fields differ. Per-module observation-memo
-    deltas ([oracle_cache_hits]/[misses]) are approximate under [jobs > 1]
-    (concurrent searches share the memo); the aggregate {!cache_stats} stay
-    exact.
+(** Run the pipeline. Stage 3 debloats the top-K modules one after another
+    in rank order (Algorithm 1 per module, §5.3), each against the
+    deployment the earlier modules left. Parallelism lives a level up: the
+    experiment runner and [ltrim redebloat] fan whole apps out over the
+    configured pool. Pipelines running concurrently share the global
+    caches, so the deltas in {!cache_stats}, and on the global memo the
+    per-module [oracle_cache_hits]/[misses], include each other's traffic.
+
+    [jobs] does nothing but reject values below 1. It stays only because
+    [e2ebench/trim_wl.ml] still passes [~jobs:1]; it goes once that
+    caller drops it.
     @raise Invalid_argument if [jobs < 1]. *)
 val run : ?options:options -> ?jobs:int -> Platform.Deployment.t -> report
 

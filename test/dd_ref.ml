@@ -1,25 +1,20 @@
 (* Reference Delta Debugging for the equivalence properties: the plain
    sequential ddmin (Algorithm 1) that [Trim.Dd.minimize], the library's
-   one search, must reproduce with or without a pool and with or without a
-   seed. It shares nothing with the engine beyond [partitions] and
-   [complement]: one subset cache, every candidate evaluated the moment
-   the search reaches it, first pass wins.
+   one search, must reproduce with or without a seed. It shares nothing
+   with the engine beyond [partitions] and [complement]: one subset cache,
+   every candidate evaluated the moment the search reaches it, first pass
+   wins.
 
-   [workers] only feeds the critical-path model the engine reports — each
-   granularity phase contributes ⌈issued/workers⌉ rounds — and [seed]
-   replays the continuous pipeline's warm start as two separate searches:
-   one confirming query on the seed, then ddmin over the seed (pass) or
-   over every item (fail), each with a fresh cache. [speculative] is
-   always 0 here; the tests check the engine's figure against its oracle
-   execution count instead. *)
+   [seed] replays the continuous pipeline's warm start as two separate
+   searches: one confirming query on the seed, then ddmin over the seed
+   (pass) or over every item (fail), each with a fresh cache. *)
 
 open Trim
 
-let ddmin ~workers ~on_step ~(stats : Dd.stats) ~oracle items =
+let ddmin ~on_step ~(stats : Dd.stats) ~oracle items =
   let arr = Array.of_list items in
   let to_items idxs = List.map (fun i -> arr.(i)) idxs in
   let cache : (int list, bool) Hashtbl.t = Hashtbl.create 64 in
-  let issued = ref 0 in
   let test idxs =
     match Hashtbl.find_opt cache idxs with
     | Some r ->
@@ -27,22 +22,13 @@ let ddmin ~workers ~on_step ~(stats : Dd.stats) ~oracle items =
       r
     | None ->
       stats.Dd.oracle_queries <- stats.Dd.oracle_queries + 1;
-      incr issued;
       let subset = to_items idxs in
       let r = oracle subset in
       Hashtbl.replace cache idxs r;
       on_step subset r;
       r
   in
-  let phase candidates =
-    issued := 0;
-    let winner = List.find_opt test candidates in
-    if !issued > 0 then begin
-      stats.Dd.rounds <- stats.Dd.rounds + ((!issued + workers - 1) / workers);
-      stats.Dd.max_batch <- max stats.Dd.max_batch (min !issued workers)
-    end;
-    winner
-  in
+  let phase candidates = List.find_opt test candidates in
   let rec loop current n =
     stats.Dd.iterations <- stats.Dd.iterations + 1;
     let len = List.length current in
@@ -64,13 +50,13 @@ let ddmin ~workers ~on_step ~(stats : Dd.stats) ~oracle items =
   if items = [] then []
   else to_items (loop (List.init (Array.length arr) Fun.id) 2)
 
-let minimize ?(workers = 1) ?(on_step = fun _ _ -> ()) ?seed ~oracle items =
+let minimize ?(on_step = fun _ _ -> ()) ?seed ~oracle items =
   let stats =
     { Dd.oracle_queries = 0; cache_hits = 0; iterations = 0;
       oracle_cache_hits = 0; oracle_cache_misses = 0; ws_queries = 0;
-      ws_hits = 0; speculative = 0; rounds = 0; max_batch = 0 }
+      ws_hits = 0 }
   in
-  let search = ddmin ~workers ~on_step ~stats ~oracle in
+  let search = ddmin ~on_step ~stats ~oracle in
   let kept =
     match seed with
     | None -> search items
@@ -83,8 +69,6 @@ let minimize ?(workers = 1) ?(on_step = fun _ _ -> ()) ?seed ~oracle items =
         on_step seed passed;
         stats.Dd.oracle_queries <- 1;
         stats.Dd.ws_queries <- 1;
-        stats.Dd.rounds <- 1;
-        stats.Dd.max_batch <- 1;
         if passed then begin
           stats.Dd.ws_hits <- 1;
           search seed
@@ -93,17 +77,3 @@ let minimize ?(workers = 1) ?(on_step = fun _ _ -> ()) ?seed ~oracle items =
       end
   in
   (kept, stats)
-
-(* Pools shared by every DD property, created on first use and shut down
-   at exit — not once per QCheck case. *)
-let pools : (int, Parallel.Pool.t) Hashtbl.t = Hashtbl.create 4
-
-let pool domains =
-  match Hashtbl.find_opt pools domains with
-  | Some p -> p
-  | None ->
-    let p = Parallel.Pool.create ~domains in
-    if Hashtbl.length pools = 0 then
-      at_exit (fun () -> Hashtbl.iter (fun _ p -> Parallel.Pool.shutdown p) pools);
-    Hashtbl.replace pools domains p;
-    p

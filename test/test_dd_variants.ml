@@ -1,39 +1,10 @@
-(* §9 extensions: parallel DD, seeded DD, continuous pipeline, and the
+(* §9 extensions: seeded DD and the continuous pipeline, plus the
    statement-granularity ablation. *)
 
 open Trim
 module SS = Callgraph.Pycg.String_set
 
 let needs needed subset = List.for_all (fun x -> List.mem x subset) needed
-
-let parallel =
-  [ Alcotest.test_case "parallel result equals sequential" `Quick (fun () ->
-        let pool = Dd_ref.pool 4 in
-        List.iter
-          (fun needed ->
-             let items = List.init 40 Fun.id in
-             let seq, _ = Dd.minimize ~oracle:(needs needed) items in
-             let par, _ = Dd.minimize ~pool ~oracle:(needs needed) items in
-             Alcotest.(check (list int)) "same" seq par)
-          [ []; [ 0 ]; [ 7; 23 ]; [ 1; 2; 3 ]; List.init 40 Fun.id ]);
-    Alcotest.test_case "rounds shrink with more workers" `Quick (fun () ->
-        let items = List.init 64 Fun.id in
-        let oracle = needs [ 5; 33; 60 ] in
-        let _, s1 = Dd.minimize ~oracle items in
-        let _, s4 = Dd.minimize ~pool:(Dd_ref.pool 4) ~oracle items in
-        Alcotest.(check bool)
-          (Printf.sprintf "rounds %d (pool of 4) < %d (no pool)" s4.Dd.rounds
-             s1.Dd.rounds)
-          true
-          (s4.Dd.rounds < s1.Dd.rounds);
-        Alcotest.(check int) "no pool: rounds = queries" s1.Dd.oracle_queries
-          s1.Dd.rounds);
-    Alcotest.test_case "batch width bounded by workers" `Quick (fun () ->
-        let items = List.init 32 Fun.id in
-        let _, s =
-          Dd.minimize ~pool:(Dd_ref.pool 4) ~oracle:(needs [ 3 ]) items
-        in
-        Alcotest.(check bool) "max batch <= 4" true (s.Dd.max_batch <= 4)) ]
 
 let seeded =
   [ Alcotest.test_case "good seed cuts queries" `Quick (fun () ->
@@ -225,7 +196,6 @@ let granularity =
           stmt_r.Debloater.attrs_after) ]
 
 let suite =
-  [ ("dd_variants.parallel", parallel);
-    ("dd_variants.seeded", seeded);
+  [ ("dd_variants.seeded", seeded);
     ("dd_variants.continuous", continuous);
     ("dd_variants.granularity", granularity) ]

@@ -3,7 +3,7 @@
    processes), the DD verdict journal (torn tails, corruption, digest
    mismatches) and the crash/resume bit-identity property — a run killed
    after any journal record and resumed reproduces the uninterrupted
-   search's keep-set and every counter, sequentially and on a pool. *)
+   search's keep-set and every counter. *)
 
 let digest = "test-run-digest"
 
@@ -531,66 +531,170 @@ let gen_case =
           return (n, List.sort_uniq compare important, kill_n)))
 
 
-(* Kill/resume on the one DD engine, without a pool or on a shared pool of
-   [domains] (pools are created once, not per case): the resumed run's
-   keep-set and every counter — [speculative] and [rounds] included — must
-   equal the uninterrupted run's. *)
-let prop_resume domains =
-  QCheck.Test.make ~count:(if domains = 0 then 60 else 30)
-    ~name:
-      (if domains = 0 then "kill/resume == uninterrupted (minimize)"
-       else
-         Printf.sprintf "kill/resume == uninterrupted (minimize, pool of %d)"
-           domains)
+(* Kill/resume on the one DD engine: the resumed run's keep-set and every
+   counter must equal the uninterrupted run's. *)
+let prop_resume =
+  QCheck.Test.make ~count:60 ~name:"kill/resume == uninterrupted (minimize)"
     gen_case
     (fun (n, important, kill_n) ->
        let items = List.init n Fun.id in
        let oracle = oracle_of important in
-       let pool = if domains = 0 then None else Some (Dd_ref.pool domains) in
-       let keep0, s0 = Trim.Dd.minimize ?pool ~oracle items in
+       let keep0, s0 = Trim.Dd.minimize ~oracle items in
        let path = Filename.concat (fresh_dir ()) "dd.journal" in
        let _killed, (keep1, s1) =
          kill_then_resume ~kill_n path
-           ~run:(fun j -> Trim.Dd.minimize ?pool ~journal:j ~oracle items)
+           ~run:(fun j -> Trim.Dd.minimize ~journal:j ~oracle items)
        in
        keep0 = keep1 && s0 = s1)
 
+(* A journaled pipeline run of a multi-library app resumes from its own
+   journals without one fresh verdict: each module's journal digest covers
+   the image it was searched against, with every earlier-ranked module
+   (of its own library and of others) already trimmed, and the one
+   rank-order fold rebuilds exactly that image. *)
+let test_pipeline_resume_multi_library () =
+  let app = Workloads.Suite.deployment_of "image-resize" in
+  let journal_dir = Some (fresh_dir ()) in
+  let run resume =
+    Trim.Pipeline.run
+      ~options:{ Trim.Pipeline.default_options with
+                 k = 20; journal_dir; resume;
+                 oracle_cache = Some (Trim.Oracle.Cache.create ()) }
+      app
+  in
+  let appended =
+    Obs.Metrics.counter Obs.Metrics.global "trim.journal.appended"
+  in
+  let first = run false in
+  let roots =
+    List.sort_uniq compare
+      (List.map
+         (fun m -> List.hd (String.split_on_char '.' m))
+         first.Trim.Pipeline.ranked)
+  in
+  Alcotest.(check bool) "top-K spans several libraries" true
+    (List.length roots > 1);
+  let before = Obs.Metrics.value appended in
+  let resumed = run true in
+  Alcotest.(check int) "no fresh verdict on resume" 0
+    (Obs.Metrics.value appended - before);
+  let digest (r : Trim.Pipeline.report) =
+    Platform.Deployment.image_digest r.Trim.Pipeline.optimized
+  in
+  Alcotest.(check string) "same optimized image" (digest first)
+    (digest resumed);
+  let removed (r : Trim.Pipeline.report) =
+    List.map
+      (fun (m : Trim.Debloater.module_result) ->
+         (m.Trim.Debloater.dm_module, m.Trim.Debloater.removed_attrs))
+      r.Trim.Pipeline.module_results
+  in
+  Alcotest.(check (list (pair string (list string)))) "same keep-sets"
+    (removed first) (removed resumed)
+
+(* Journaled pipelines fanned out on a pool of 2 (experiments --jobs 2
+   --journal) resume at one domain without one fresh verdict: a module's
+   journal does not depend on the domain or the order its app ran in. *)
+let test_pool_journals_resume_sequentially () =
+  let apps = [ ("image-resize", 20); ("markdown", 3); ("resnet", 5) ] in
+  let cases =
+    List.map
+      (fun (name, k) ->
+         (Workloads.Suite.deployment_of name, k, Some (fresh_dir ())))
+      apps
+  in
+  let run resume (app, k, journal_dir) =
+    Trim.Pipeline.run
+      ~options:{ Trim.Pipeline.default_options with
+                 k; journal_dir; resume;
+                 oracle_cache = Some (Trim.Oracle.Cache.create ()) }
+      app
+  in
+  let appended =
+    Obs.Metrics.counter Obs.Metrics.global "trim.journal.appended"
+  in
+  let start = Obs.Metrics.value appended in
+  let first =
+    Parallel.Pool.with_pool ~domains:2 (fun p ->
+        Parallel.Pool.map p (run false) cases)
+  in
+  let before = Obs.Metrics.value appended in
+  Alcotest.(check bool) "the pooled pass wrote verdicts" true
+    (before > start);
+  let resumed = List.map (run true) cases in
+  Alcotest.(check int) "no fresh verdict on resume" 0
+    (Obs.Metrics.value appended - before);
+  List.iter2
+    (fun (name, _) ((a : Trim.Pipeline.report), (b : Trim.Pipeline.report)) ->
+       Alcotest.(check string) (name ^ ": same optimized image")
+         (Platform.Deployment.image_digest a.Trim.Pipeline.optimized)
+         (Platform.Deployment.image_digest b.Trim.Pipeline.optimized))
+    apps (List.combine first resumed)
+
+(* Journaled DD searches running side by side on a pool of 4, each on its
+   own journal, replay in full on a second pooled pass: same keep-sets and
+   not one fresh oracle execution. *)
+let test_pool_searches_replay () =
+  let searches =
+    List.init 8 (fun i ->
+        let n = 6 + (2 * i) in
+        ( List.init n Fun.id,
+          oracle_of (List.filter (fun x -> (x + i) mod 5 = 0) (List.init n Fun.id)),
+          Filename.concat (fresh_dir ()) "search.journal" ))
+  in
+  let fresh = Atomic.make 0 in
+  let pass ~resume =
+    Parallel.Pool.with_pool ~domains:4 (fun p ->
+        Parallel.Pool.map p
+          (fun (items, oracle, path) ->
+             let counting subset = Atomic.incr fresh; oracle subset in
+             fst
+               (with_journal ~resume path (fun j ->
+                    Trim.Dd.minimize ~journal:j ~oracle:counting items)))
+          searches)
+  in
+  let first = pass ~resume:false in
+  Alcotest.(check bool) "the first pass queried the oracle" true
+    (Atomic.get fresh > 0);
+  Atomic.set fresh 0;
+  let replayed = pass ~resume:true in
+  Alcotest.(check (list (list int))) "same keep-sets" first replayed;
+  Alcotest.(check int) "no fresh oracle executions on replay" 0
+    (Atomic.get fresh)
+
 (* A resumed-without-crash journal replays everything: zero fresh queries
-   reach the oracle on the second run, with or without a pool or a seed
-   (passing or failing). *)
+   reach the oracle on the second run, with or without a seed (passing or
+   failing). *)
 let test_full_replay_hits_no_oracle () =
   let items = List.init 12 Fun.id in
   let oracle = oracle_of [ 2; 7 ] in
   List.iter
-    (fun (pool, seed) ->
+    (fun seed ->
        let path = Filename.concat (fresh_dir ()) "full.journal" in
        let keep0, _ =
          with_journal path (fun j ->
-             Trim.Dd.minimize ?pool ~journal:j ?seed ~oracle items)
+             Trim.Dd.minimize ~journal:j ?seed ~oracle items)
        in
        let fresh = Atomic.make 0 in
        let counting subset = Atomic.incr fresh; oracle subset in
        let keep1, _ =
          with_journal ~resume:true path (fun j ->
-             Trim.Dd.minimize ?pool ~journal:j ?seed ~oracle:counting items)
+             Trim.Dd.minimize ~journal:j ?seed ~oracle:counting items)
        in
        Alcotest.(check (list int)) "same keep-set" keep0 keep1;
        Alcotest.(check int) "no fresh oracle executions on full replay" 0
          (Atomic.get fresh))
-    [ (None, None);
-      (Some (Dd_ref.pool 2), None);
-      (None, Some [ 2; 4; 7 ]);
-      (None, Some [ 2; 4 ]) ]
+    [ None; Some [ 2; 4; 7 ]; Some [ 2; 4 ] ]
 
 (* A seeded, journaled search killed at every kill point — the seed's
    confirmation included — resumes to the uninterrupted run's keep-set and
-   counters, for a passing and a failing seed, with or without a pool. *)
+   counters, for a passing and a failing seed. *)
 let test_seeded_every_kill_point () =
   let items = List.init 12 Fun.id in
   let oracle = oracle_of [ 2; 7; 9 ] in
   List.iter
-    (fun (seed, pool) ->
-       let run j = Trim.Dd.minimize ?pool ~journal:j ~seed ~oracle items in
+    (fun seed ->
+       let run j = Trim.Dd.minimize ~journal:j ~seed ~oracle items in
        let path0 = Filename.concat (fresh_dir ()) "seeded.journal" in
        let keep0, s0 = with_journal path0 run in
        let records = with_journal ~resume:true path0 Trim.Journal.records in
@@ -602,7 +706,7 @@ let test_seeded_every_kill_point () =
          Alcotest.(check (list int)) (case ^ ": keep-set") keep0 keep1;
          Alcotest.(check bool) (case ^ ": counters") true (s0 = s1)
        done)
-    [ ([ 2; 5; 7; 9 ], None); ([ 2; 5; 7 ], None); ([ 2; 5; 7; 9 ], Some (Dd_ref.pool 2)) ]
+    [ [ 2; 5; 7; 9 ]; [ 2; 5; 7 ] ]
 
 (* The run digest covers the seed: a journal written under one seed is
    never replayed under another, or unseeded. *)
@@ -659,4 +763,13 @@ let suite =
     ( "durability.resume",
       List.map
         (QCheck_alcotest.to_alcotest ~long:false)
-        [ prop_resume 0; prop_resume 2; prop_resume 4 ] ) ]
+        [ prop_resume ]
+      @ [ Alcotest.test_case "multi-library pipeline resumes with no fresh \
+                              verdict" `Slow
+            test_pipeline_resume_multi_library;
+          Alcotest.test_case "pipelines journaled on a pool of 2 resume at \
+                              one domain" `Slow
+            test_pool_journals_resume_sequentially;
+          Alcotest.test_case "journaled searches on a pool of 4 replay with \
+                              no fresh query" `Quick
+            test_pool_searches_replay ] ) ]

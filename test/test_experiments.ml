@@ -24,7 +24,25 @@ let registry =
           (fun id ->
              Alcotest.(check bool) (id ^ " findable") true
                (Experiments.Registry.find id <> None))
-          ids) ]
+          ids);
+    Alcotest.test_case "table2 rows identical at jobs 1 and 2" `Slow
+      (fun () ->
+        (* Common.map_apps fans the rows out on the configured pool; the
+           memo is reset so each run computes its pipelines afresh. *)
+        let rows jobs =
+          Parallel.Pool.configure ~jobs;
+          Experiments.Common.reset_cache ();
+          Experiments.Table2.run ()
+        in
+        let one, two =
+          Fun.protect
+            ~finally:(fun () -> Parallel.Pool.configure ~jobs:1)
+            (fun () ->
+               let one = rows 1 in
+               (one, rows 2))
+        in
+        Alcotest.(check int) "row count" (List.length one) (List.length two);
+        Alcotest.(check bool) "same rows" true (compare one two = 0)) ]
 
 let claims =
   [ Alcotest.test_case "fig1: init is billed and a large bill share" `Slow

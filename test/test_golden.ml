@@ -401,7 +401,7 @@ let fixture_tests =
             let cache = Trim.Oracle.Cache.create () in
             Trim.Oracle.Cache.attach_store cache (Some store);
             let r =
-              Trim.Pipeline.run ~jobs:1
+              Trim.Pipeline.run
                 ~options:{ Trim.Pipeline.default_options with
                            k = 3; baseline = Some manifest;
                            oracle_cache = Some cache }
@@ -434,7 +434,7 @@ let fixture_tests =
                (Trim.Durable_log.read_file (Filename.concat src f)))
           (Sys.readdir src);
         let run ?journal_dir () =
-          Trim.Pipeline.run ~jobs:1
+          Trim.Pipeline.run
             ~options:{ Trim.Pipeline.default_options with
                        k = 3; journal_dir; resume = true;
                        oracle_cache = Some (Trim.Oracle.Cache.create ()) }

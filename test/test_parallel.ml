@@ -1,7 +1,6 @@
-(* The domain work pool and the determinism contracts built on top of it:
-   pooled DD ≡ the reference ddmin (keep-sets AND counters), the parallel
-   pipeline ≡ the sequential pipeline, and the shared caches under
-   multi-domain hammering. *)
+(* The domain work pool the app-level fan-out runs on, the one DD engine ≡
+   the reference ddmin (keep-sets AND counters), and the shared caches
+   under multi-domain hammering. *)
 
 open Trim
 module Pool = Parallel.Pool
@@ -127,62 +126,59 @@ let needs needed subset = List.for_all (fun x -> List.mem x subset) needed
 
 (* A non-monotone oracle: the required subset always passes (so the full
    input passes), but hash noise makes scattered other subsets pass too —
-   exactly the regime where a speculative evaluation that leaked into the
-   committed state would change the search. *)
+   exactly the regime where a search that tested its candidates in another
+   order would arrive at another keep-set. *)
 let noisy_oracle ~required ~salt subset =
   needs required subset || Hashtbl.hash (salt, subset) land 7 = 0
 
 let pp_stats ppf (s : Dd.stats) =
   Fmt.pf ppf
-    "queries=%d hits=%d iterations=%d memo=%d/%d ws=%d/%d spec=%d rounds=%d \
-     max_batch=%d"
+    "queries=%d hits=%d iterations=%d memo=%d/%d ws=%d/%d"
     s.Dd.oracle_queries s.Dd.cache_hits s.Dd.iterations s.Dd.oracle_cache_hits
-    s.Dd.oracle_cache_misses s.Dd.ws_hits s.Dd.ws_queries s.Dd.speculative
-    s.Dd.rounds s.Dd.max_batch
+    s.Dd.oracle_cache_misses s.Dd.ws_hits s.Dd.ws_queries
 
 let stats_t = Alcotest.testable pp_stats ( = )
 
-(* Run the engine (on [pool] when given) and the reference ddmin on the
-   same input: keep-set, every counter and the [on_step] sequence must
-   agree. [speculative] has no reference figure; instead the engine's
-   oracle executions must equal issued + speculative, and without a pool
-   it must not speculate at all. *)
-let check_equiv ?pool ?seed ~oracle items =
-  let workers = match pool with Some p -> Pool.size p | None -> 1 in
-  let label =
-    Printf.sprintf "workers=%d%s" workers
-      (if seed = None then "" else " seeded")
+(* One engine search: keep-set, counters, oracle executions and the
+   [on_step] sequence. Pure, so it may run in any domain. *)
+let run_engine ?seed ~oracle items =
+  let execs = ref 0 in
+  let steps = ref [] in
+  let keep, stats =
+    Dd.minimize ?seed
+      ~on_step:(fun st ->
+          steps := (st.Dd.step_candidate, st.Dd.step_passed) :: !steps)
+      ~oracle:(fun subset -> incr execs; oracle subset)
+      items
   in
+  (keep, stats, !execs, List.rev !steps)
+
+(* Check an engine search against the reference ddmin on the same input:
+   keep-set, every counter and the [on_step] sequence must agree, and the
+   engine executes the oracle exactly once per issued query. Checks run
+   in the calling domain (Alcotest's output is not domain-safe). *)
+let check_against_ref ?seed ~oracle items (keep, stats, execs, steps) =
+  let label = if seed = None then "plain" else "seeded" in
   let ref_steps = ref [] in
   let ref_keep, ref_stats =
-    Dd_ref.minimize ~workers ?seed
+    Dd_ref.minimize ?seed
       ~on_step:(fun c v -> ref_steps := (c, v) :: !ref_steps)
       ~oracle items
   in
-  let execs = Atomic.make 0 in
-  let steps = ref [] in
-  let keep, stats =
-    Dd.minimize ?pool ?seed
-      ~on_step:(fun st ->
-          steps := (st.Dd.step_candidate, st.Dd.step_passed) :: !steps)
-      ~oracle:(fun subset -> Atomic.incr execs; oracle subset)
-      items
-  in
   Alcotest.(check (list int)) (label ^ ": keep-set") ref_keep keep;
-  Alcotest.check stats_t (label ^ ": counters") ref_stats
-    { stats with Dd.speculative = 0 };
-  Alcotest.(check int) (label ^ ": executions = issued + speculative")
-    (Atomic.get execs)
-    (stats.Dd.oracle_queries + stats.Dd.speculative);
-  if pool = None then
-    Alcotest.(check int) (label ^ ": no speculation") 0 stats.Dd.speculative;
+  Alcotest.check stats_t (label ^ ": counters") ref_stats stats;
+  Alcotest.(check int) (label ^ ": executions = issued") execs
+    stats.Dd.oracle_queries;
   Alcotest.(check (list (pair (list int) bool)))
-    (label ^ ": on_step in commit order")
-    (List.rev !ref_steps) (List.rev !steps)
+    (label ^ ": on_step in order")
+    (List.rev !ref_steps) steps
+
+let check_equiv ?seed ~oracle items =
+  check_against_ref ?seed ~oracle items (run_engine ?seed ~oracle items)
 
 let dd_equiv_prop =
   QCheck.Test.make ~count:60
-    ~name:"one DD engine ≡ reference ddmin (no pool, pools of 2 and 4, seeded)"
+    ~name:"one DD engine ≡ reference ddmin (plain and seeded)"
     QCheck.(
       quad
         (list_of_size Gen.(0 -- 25) (int_bound 12))
@@ -199,18 +195,17 @@ let dd_equiv_prop =
             (List.map (fun i -> List.nth items (i mod n)) req_idx)
       in
       let oracle = noisy_oracle ~required ~salt in
-      List.iter
-        (fun pool ->
-          check_equiv ?pool ~oracle items;
-          check_equiv ?pool ~seed ~oracle items)
-        [ None; Some (Dd_ref.pool 2); Some (Dd_ref.pool 4) ];
+      check_equiv ~oracle items;
+      check_equiv ~seed ~oracle items;
       true)
 
-let dd_pool_cases =
-  [ Alcotest.test_case "pooled DD matches the reference at 1/2/4/8 domains"
-      `Quick (fun () ->
-        (* Real concurrent oracle evaluation, including duplicate elements,
-           at every domain count the ablation reports. *)
+(* The app-level fan-out runs whole DD searches in several domains at once:
+   each search, run as a pool task beside the others (duplicate elements
+   and seeds included), must still match the reference at every domain
+   count. *)
+let dd_concurrent_cases =
+  [ Alcotest.test_case "concurrent DD searches match the reference at \
+                        1/2/4/8 domains" `Quick (fun () ->
         let scenarios =
           [ (List.init 40 Fun.id, [ 7; 23 ], 1);
             (List.init 30 (fun i -> i mod 5), [ 2; 4 ], 2);
@@ -218,16 +213,27 @@ let dd_pool_cases =
             (List.init 24 Fun.id, [], 4);
             (List.init 16 Fun.id, List.init 16 Fun.id, 5) ]
         in
+        let searches =
+          List.concat_map
+            (fun (items, required, salt) ->
+              let oracle = noisy_oracle ~required ~salt in
+              [ (None, oracle, items);
+                (Some (required @ [ 3; 3 ]), oracle, items) ])
+            scenarios
+        in
         List.iter
           (fun domains ->
-            Pool.with_pool ~domains (fun pool ->
-                List.iter
-                  (fun (items, required, salt) ->
-                    let oracle = noisy_oracle ~required ~salt in
-                    check_equiv ~pool ~oracle items;
-                    check_equiv ~pool ~seed:(required @ [ 3; 3 ]) ~oracle
-                      items)
-                  scenarios))
+            let results =
+              Pool.with_pool ~domains (fun pool ->
+                  Pool.map pool
+                    (fun (seed, oracle, items) ->
+                      run_engine ?seed ~oracle items)
+                    searches)
+            in
+            List.iter2
+              (fun (seed, oracle, items) r ->
+                check_against_ref ?seed ~oracle items r)
+              searches results)
           [ 1; 2; 4; 8 ]) ]
 
 (* --- shared caches under 8 domains ----------------------------------------- *)
@@ -299,7 +305,7 @@ let stress_cases =
         Alcotest.(check int) "one memo entry per test case" tests
           (Oracle.Cache.size cache)) ]
 
-(* --- parallel pipeline ≡ sequential pipeline -------------------------------- *)
+(* --- pipelines under the app-level fan-out ---------------------------------- *)
 
 let view (r : Pipeline.report) =
   ( List.map
@@ -310,23 +316,44 @@ let view (r : Pipeline.report) =
     r.Pipeline.total_oracle_queries,
     Platform.Deployment.image_digest r.Pipeline.optimized )
 
+let view_t =
+  Alcotest.(
+    triple (list (pair string (pair (list string) int))) int string)
+
 let pipeline_cases =
-  [ Alcotest.test_case "jobs=4 report matches jobs=1" `Slow (fun () ->
-        (* Multi-library app with parent and child modules in the top-K, so
-           the library-grouped fan-out (and its merge order) is exercised. *)
-        let run jobs =
-          Pipeline.run
-            ~options:{ Pipeline.default_options with k = 20 }
-            ~jobs
-            (Workloads.Suite.deployment_of "image-resize")
+  [ Alcotest.test_case "apps fanned out on 4 domains match sequential runs"
+      `Slow (fun () ->
+        (* One multi-library app with parent and child modules in its
+           top-K, and two more apps running beside it. *)
+        let apps = [ ("image-resize", 20); ("markdown", 3); ("resnet", 5) ] in
+        let run (name, k) =
+          view
+            (Pipeline.run
+               ~options:{ Pipeline.default_options with k }
+               (Workloads.Suite.deployment_of name))
         in
-        let seq, _, dseq = view (run 1) in
-        let par, total_par, dpar = view (run 4) in
-        let _, total_seq, _ = view (run 1) in
-        Alcotest.(check (list (pair string (pair (list string) int))))
-          "per-module removals and query counts" seq par;
-        Alcotest.(check int) "total oracle queries" total_seq total_par;
-        Alcotest.(check string) "optimized image digest" dseq dpar);
+        let seq = List.map run apps in
+        let par = Pool.with_pool ~domains:4 (fun p -> Pool.map p run apps) in
+        List.iter2
+          (fun (name, _) (s, p) -> Alcotest.check view_t name s p)
+          apps (List.combine seq par));
+    Alcotest.test_case "configured pool: jobs reads back, map_default keeps \
+                        order" `Quick (fun () ->
+        let xs = List.init 23 Fun.id in
+        Fun.protect ~finally:(fun () -> Pool.configure ~jobs:1) (fun () ->
+            Pool.configure ~jobs:3;
+            Alcotest.(check int) "jobs 3" 3 (Pool.jobs ());
+            Alcotest.(check (list int)) "order at jobs 3"
+              (List.map (fun x -> x * 7) xs)
+              (Pool.map_default (fun x -> x * 7) xs);
+            Pool.configure ~jobs:1;
+            Alcotest.(check int) "jobs 1" 1 (Pool.jobs ());
+            Alcotest.(check (list bool)) "inline on the caller at jobs 1"
+              (List.map (fun _ -> true) xs)
+              (Pool.map_default (fun _ -> Pool.current_worker () = None) xs);
+            Alcotest.check_raises "jobs 0"
+              (Invalid_argument "Parallel.Pool.configure: jobs < 1") (fun () ->
+                Pool.configure ~jobs:0)));
     Alcotest.test_case "jobs below 1 is rejected" `Quick (fun () ->
         Alcotest.check_raises "invalid_arg"
           (Invalid_argument "Pipeline.run: jobs < 1") (fun () ->
@@ -337,7 +364,7 @@ let pipeline_cases =
 let suite =
   [ ("parallel.pool", pool_cases);
     ( "parallel.dd_equiv",
-      QCheck_alcotest.to_alcotest ~long:false dd_equiv_prop :: dd_pool_cases
-    );
+      QCheck_alcotest.to_alcotest ~long:false dd_equiv_prop
+      :: dd_concurrent_cases );
     ("parallel.cache_stress", stress_cases);
     ("parallel.pipeline", pipeline_cases) ]

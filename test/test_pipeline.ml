@@ -119,7 +119,7 @@ let profile_seed =
         List.iter
           (fun name ->
              let app = Workloads.Suite.deployment_of name in
-             let r = Pipeline.run ~jobs:1 app in
+             let r = Pipeline.run app in
              List.iter
                (fun (m : Debloater.module_result) ->
                   Alcotest.(check bool)
@@ -134,7 +134,7 @@ let profile_seed =
           (fun name ->
              let app = Workloads.Suite.deployment_of name in
              let c =
-               Pipeline.run_continuous ~previous:(Pipeline.run ~jobs:1 app) app
+               Pipeline.run_continuous ~previous:(Pipeline.run app) app
              in
              Alcotest.(check bool)
                (Printf.sprintf "%s: %d hits <= %d seeded" name
