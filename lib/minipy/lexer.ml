@@ -2,12 +2,17 @@
 
    Follows the CPython tokenizer structure: a stack of indentation levels
    producing Indent/Dedent tokens, implicit line joining inside brackets,
-   '#' comments, and '\'-continued lines. *)
+   '#' comments, and '\'-continued lines.
+
+   The scanner is pull-based ([next] yields one token at a time) and reads
+   the source with a bounds check and [String.unsafe_get]: nothing is
+   allocated per character, only per token. *)
 
 exception Error of string * Loc.t
 
 type state = {
   src : string;
+  len : int;
   file : string;
   mutable pos : int;          (* byte offset *)
   mutable line : int;
@@ -20,19 +25,20 @@ type state = {
 }
 
 let make ~file src =
-  { src; file; pos = 0; line = 1; bol = 0; indents = [ 0 ]; paren_depth = 0;
-    pending = []; at_line_start = true; emitted_eof = false }
+  { src; len = String.length src; file; pos = 0; line = 1; bol = 0;
+    indents = [ 0 ]; paren_depth = 0; pending = []; at_line_start = true;
+    emitted_eof = false }
 
 let loc st = Loc.make ~file:st.file ~line:st.line ~col:(st.pos - st.bol)
 
 let error st msg = raise (Error (msg, loc st))
 
-let peek st = if st.pos < String.length st.src then Some st.src.[st.pos] else None
+(* Only call after checking [i < st.len]. *)
+let char_at st i = String.unsafe_get st.src i
 
-let peek2 st =
-  if st.pos + 1 < String.length st.src then Some st.src.[st.pos + 1] else None
-
-let advance st = st.pos <- st.pos + 1
+(* [char_at] at [i], or ['\000'] past the end: only for lookahead tests that
+   accept no NUL byte. *)
+let char_or_nul st i = if i < st.len then char_at st i else '\000'
 
 let newline st =
   st.line <- st.line + 1;
@@ -42,45 +48,49 @@ let is_digit c = c >= '0' && c <= '9'
 let is_name_start c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
 let is_name_char c = is_name_start c || is_digit c
 
+(* Advance to the next '\n' (not consumed) or the end of input. *)
+let skip_comment st =
+  while st.pos < st.len && char_at st st.pos <> '\n' do
+    st.pos <- st.pos + 1
+  done
+
 (* Skip spaces and comments within a logical line (not indentation). *)
 let rec skip_trivia st =
-  match peek st with
-  | Some (' ' | '\t') -> advance st; skip_trivia st
-  | Some '#' ->
-    let rec to_eol () =
-      match peek st with
-      | Some '\n' | None -> ()
-      | Some _ -> advance st; to_eol ()
-    in
-    to_eol (); skip_trivia st
-  | Some '\\' when peek2 st = Some '\n' ->
-    advance st; advance st; newline st; skip_trivia st
-  | _ -> ()
+  if st.pos < st.len then
+    match char_at st st.pos with
+    | ' ' | '\t' -> st.pos <- st.pos + 1; skip_trivia st
+    | '#' -> skip_comment st; skip_trivia st
+    | '\\' when char_or_nul st (st.pos + 1) = '\n' ->
+      st.pos <- st.pos + 2; newline st; skip_trivia st
+    | _ -> ()
+
+let skip_digits st =
+  while st.pos < st.len && is_digit (char_at st st.pos) do
+    st.pos <- st.pos + 1
+  done
 
 let lex_number st =
   let start = st.pos in
-  let rec digits () =
-    match peek st with Some c when is_digit c -> advance st; digits () | _ -> ()
-  in
-  digits ();
+  skip_digits st;
   let is_float =
-    match peek st with
-    | Some '.' when (match peek2 st with Some c -> is_digit c | None -> false) ->
-      advance st; digits (); true
-    | Some '.' when not (match peek2 st with Some c -> is_name_start c | None -> false) ->
-      (* "1." literal *)
-      advance st; digits (); true
-    | _ -> false
+    if char_or_nul st st.pos = '.'
+    && not (is_name_start (char_or_nul st (st.pos + 1)))
+    then begin
+      (* "1.5", or the "1." literal *)
+      st.pos <- st.pos + 1; skip_digits st; true
+    end
+    else false
   in
   let is_float =
-    match peek st with
-    | Some ('e' | 'E') ->
+    match char_or_nul st st.pos with
+    | 'e' | 'E' ->
       let save = st.pos in
-      advance st;
-      (match peek st with Some ('+' | '-') -> advance st | _ -> ());
-      (match peek st with
-       | Some c when is_digit c -> digits (); true
-       | _ -> st.pos <- save; is_float)
+      st.pos <- st.pos + 1;
+      (match char_or_nul st st.pos with
+       | '+' | '-' -> st.pos <- st.pos + 1
+       | _ -> ());
+      if is_digit (char_or_nul st st.pos) then begin skip_digits st; true end
+      else begin st.pos <- save; is_float end
     | _ -> is_float
   in
   let text = String.sub st.src start (st.pos - start) in
@@ -90,93 +100,127 @@ let lex_number st =
     | Some i -> Token.Int i
     | None -> error st (Fmt.str "invalid integer literal %S" text)
 
-let lex_string st quote =
-  advance st;
-  (* triple-quoted? *)
-  let triple = peek st = Some quote && peek2 st = Some quote in
-  if triple then begin advance st; advance st end;
+(* The general string scanner: escapes, triple quotes, continued lines.
+   [st.pos] is just past the opening quote(s). *)
+let lex_string_general st quote triple =
   let buf = Buffer.create 16 in
   let rec go () =
-    match peek st with
-    | None -> error st "unterminated string literal"
-    | Some '\\' ->
-      advance st;
-      (match peek st with
-       | None -> error st "unterminated string literal"
-       | Some c ->
-         advance st;
-         let decoded =
-           match c with
-           | 'n' -> '\n' | 't' -> '\t' | 'r' -> '\r'
-           | '\\' -> '\\' | '\'' -> '\'' | '"' -> '"' | '0' -> '\000'
-           | '\n' -> newline st; '\255' (* marker: skip *)
-           | other -> Buffer.add_char buf '\\'; other
-         in
-         if decoded <> '\255' then Buffer.add_char buf decoded;
-         go ())
-    | Some c when c = quote ->
+    if st.pos >= st.len then error st "unterminated string literal";
+    match char_at st st.pos with
+    | '\\' ->
+      st.pos <- st.pos + 1;
+      if st.pos >= st.len then error st "unterminated string literal";
+      let c = char_at st st.pos in
+      st.pos <- st.pos + 1;
+      (match c with
+       | 'n' -> Buffer.add_char buf '\n'
+       | 't' -> Buffer.add_char buf '\t'
+       | 'r' -> Buffer.add_char buf '\r'
+       | '\\' | '\'' | '"' -> Buffer.add_char buf c
+       | '0' -> Buffer.add_char buf '\000'
+       | '\n' -> newline st
+       (* an unknown escape keeps its backslash, except that a '\255'
+          byte after the backslash is dropped *)
+       | '\255' -> Buffer.add_char buf '\\'
+       | other -> Buffer.add_char buf '\\'; Buffer.add_char buf other);
+      go ()
+    | c when c = quote ->
       if triple then begin
-        if peek2 st = Some quote
-           && (st.pos + 2 < String.length st.src && st.src.[st.pos + 2] = quote)
-        then begin advance st; advance st; advance st end
-        else begin advance st; Buffer.add_char buf c; go () end
+        if char_or_nul st (st.pos + 1) = quote
+        && char_or_nul st (st.pos + 2) = quote
+        then st.pos <- st.pos + 3
+        else begin st.pos <- st.pos + 1; Buffer.add_char buf c; go () end
       end
-      else advance st
-    | Some '\n' when not triple -> error st "newline in string literal"
-    | Some '\n' ->
-      advance st; newline st; Buffer.add_char buf '\n'; go ()
-    | Some c -> advance st; Buffer.add_char buf c; go ()
+      else st.pos <- st.pos + 1
+    | '\n' when not triple -> error st "newline in string literal"
+    | '\n' ->
+      st.pos <- st.pos + 1; newline st; Buffer.add_char buf '\n'; go ()
+    | c -> st.pos <- st.pos + 1; Buffer.add_char buf c; go ()
   in
   go ();
   Token.Str (Buffer.contents buf)
 
-let two_char_ops =
-  [ "=="; "!="; "<="; ">="; "**"; "//"; "->"; "+="; "-="; "*="; "/="; "%=" ]
+let lex_string st quote =
+  st.pos <- st.pos + 1;
+  let triple =
+    char_or_nul st st.pos = quote && char_or_nul st (st.pos + 1) = quote
+  in
+  if triple then begin
+    st.pos <- st.pos + 2;
+    lex_string_general st quote true
+  end
+  else begin
+    (* fast path: a one-line string with no escape is a substring *)
+    let start = st.pos in
+    let i = ref start in
+    while
+      !i < st.len
+      && (let c = char_at st !i in c <> quote && c <> '\\' && c <> '\n')
+    do incr i done;
+    if !i < st.len && char_at st !i = quote then begin
+      st.pos <- !i + 1;
+      Token.Str (String.sub st.src start (!i - start))
+    end
+    else lex_string_general st quote false
+  end
+
+(* Constant tokens are static data: matching returns them without
+   allocating. *)
+let two_char_op c c2 =
+  match c, c2 with
+  | '=', '=' -> Some (Token.Op "==") | '!', '=' -> Some (Token.Op "!=")
+  | '<', '=' -> Some (Token.Op "<=") | '>', '=' -> Some (Token.Op ">=")
+  | '*', '*' -> Some (Token.Op "**") | '/', '/' -> Some (Token.Op "//")
+  | '-', '>' -> Some (Token.Op "->") | '+', '=' -> Some (Token.Op "+=")
+  | '-', '=' -> Some (Token.Op "-=") | '*', '=' -> Some (Token.Op "*=")
+  | '/', '=' -> Some (Token.Op "/=") | '%', '=' -> Some (Token.Op "%=")
+  | _ -> None
 
 let one_char_ops = "+-*/%<>=.,:()[]{}@;"
 
+let one_char_op =
+  Array.init 256 (fun i ->
+      let c = Char.chr i in
+      if String.contains one_char_ops c then Some (Token.Op (String.make 1 c))
+      else None)
+
 let lex_operator st =
-  let c = match peek st with Some c -> c | None -> assert false in
-  let pair =
-    match peek2 st with
-    | Some c2 -> Printf.sprintf "%c%c" c c2
-    | None -> ""
-  in
-  if List.mem pair two_char_ops then begin
-    advance st; advance st; Token.Op pair
-  end
-  else if String.contains one_char_ops c then begin
-    (match c with
-     | '(' | '[' | '{' -> st.paren_depth <- st.paren_depth + 1
-     | ')' | ']' | '}' -> st.paren_depth <- max 0 (st.paren_depth - 1)
-     | _ -> ());
-    advance st; Token.Op (String.make 1 c)
-  end
-  else error st (Fmt.str "unexpected character %C" c)
+  let c = char_at st st.pos in
+  match two_char_op c (char_or_nul st (st.pos + 1)) with
+  | Some tok -> st.pos <- st.pos + 2; tok
+  | None ->
+    match Array.unsafe_get one_char_op (Char.code c) with
+    | Some tok ->
+      (match c with
+       | '(' | '[' | '{' -> st.paren_depth <- st.paren_depth + 1
+       | ')' | ']' | '}' -> st.paren_depth <- max 0 (st.paren_depth - 1)
+       | _ -> ());
+      st.pos <- st.pos + 1;
+      tok
+    | None -> error st (Fmt.str "unexpected character %C" c)
 
 (* Measure indentation at line start; handle blank lines and comments by
-   consuming them entirely. Returns [Some width] if the line has content. *)
+   consuming them entirely. Returns the width if the line has content, or
+   -1 at the end of input. *)
 let rec measure_indent st =
-  let start = st.pos in
   let rec spaces n =
-    match peek st with
-    | Some ' ' -> advance st; spaces (n + 1)
-    | Some '\t' -> advance st; spaces (n + 8 - (n mod 8))
-    | _ -> n
+    if st.pos >= st.len then n
+    else
+      match char_at st st.pos with
+      | ' ' -> st.pos <- st.pos + 1; spaces (n + 1)
+      | '\t' -> st.pos <- st.pos + 1; spaces (n + 8 - (n mod 8))
+      | _ -> n
   in
   let width = spaces 0 in
-  match peek st with
-  | Some '\n' -> advance st; newline st; measure_indent st
-  | Some '#' ->
-    let rec to_eol () =
-      match peek st with
-      | Some '\n' -> advance st; newline st
-      | None -> ()
-      | Some _ -> advance st; to_eol ()
-    in
-    to_eol (); measure_indent st
-  | None -> ignore start; None
-  | Some _ -> Some width
+  if st.pos >= st.len then -1
+  else
+    match char_at st st.pos with
+    | '\n' -> st.pos <- st.pos + 1; newline st; measure_indent st
+    | '#' ->
+      skip_comment st;
+      if st.pos < st.len then begin st.pos <- st.pos + 1; newline st end;
+      measure_indent st
+    | _ -> width
 
 let rec next st : Token.t * Loc.t =
   match st.pending with
@@ -188,8 +232,8 @@ let rec next st : Token.t * Loc.t =
 
 and handle_line_start st =
   st.at_line_start <- false;
-  match measure_indent st with
-  | None ->
+  let width = measure_indent st in
+  if width < 0 then begin
     (* EOF: close all open indents *)
     let l = loc st in
     let dedents =
@@ -199,10 +243,11 @@ and handle_line_start st =
     in
     st.indents <- [ 0 ];
     st.emitted_eof <- true;
-    (match dedents with
-     | [] -> (Token.Eof, l)
-     | d :: rest -> st.pending <- rest @ [ (Token.Eof, l) ]; d)
-  | Some width ->
+    match dedents with
+    | [] -> (Token.Eof, l)
+    | d :: rest -> st.pending <- rest @ [ (Token.Eof, l) ]; d
+  end
+  else
     let current = match st.indents with lvl :: _ -> lvl | [] -> 0 in
     if width > current then begin
       st.indents <- width :: st.indents;
@@ -227,41 +272,37 @@ and handle_line_start st =
 and lex_token st =
   skip_trivia st;
   let l = loc st in
-  match peek st with
-  | None ->
+  if st.pos >= st.len then begin
     st.at_line_start <- true;
     if st.paren_depth > 0 then error st "unclosed bracket at end of file";
     (* emit a final Newline then let line-start logic close indents *)
     (Token.Newline, l)
-  | Some '\n' ->
-    advance st; newline st;
-    if st.paren_depth > 0 then lex_token st
-    else begin
-      st.at_line_start <- true;
-      (Token.Newline, l)
-    end
-  | Some c when is_digit c -> (lex_number st, l)
-  | Some ('"' | '\'') as q ->
-    let quote = match q with Some q -> q | None -> assert false in
-    (lex_string st quote, l)
-  | Some c when is_name_start c ->
-    let start = st.pos in
-    let rec go () =
-      match peek st with
-      | Some c when is_name_char c -> advance st; go ()
-      | _ -> ()
-    in
-    go ();
-    let text = String.sub st.src start (st.pos - start) in
-    if Token.is_keyword text then (Token.Keyword text, l) else (Token.Name text, l)
-  | Some _ -> (lex_operator st, l)
+  end
+  else
+    match char_at st st.pos with
+    | '\n' ->
+      st.pos <- st.pos + 1; newline st;
+      if st.paren_depth > 0 then lex_token st
+      else begin
+        st.at_line_start <- true;
+        (Token.Newline, l)
+      end
+    | c when is_digit c -> (lex_number st, l)
+    | ('"' | '\'') as quote -> (lex_string st quote, l)
+    | c when is_name_start c ->
+      let start = st.pos in
+      while st.pos < st.len && is_name_char (char_at st st.pos) do
+        st.pos <- st.pos + 1
+      done;
+      let text = String.sub st.src start (st.pos - start) in
+      if Token.is_keyword text then (Token.Keyword text, l) else (Token.Name text, l)
+    | _ -> (lex_operator st, l)
 
-(* Tokenize a whole source string. The stream always ends with Eof; a Newline
-   precedes the Eof when the file does not end in one. *)
 let tokenize ~file src =
   let st = make ~file src in
   let rec go acc =
-    let ((tok, _) as t) = next st in
-    if tok = Token.Eof then List.rev (t :: acc) else go (t :: acc)
+    match next st with
+    | (Token.Eof, _) as t -> List.rev (t :: acc)
+    | t -> go (t :: acc)
   in
   go []

@@ -5,7 +5,17 @@
 
 exception Error of string * Loc.t
 
-(** Tokenize a whole source string. The stream always ends with [Eof]; a
-    [Newline] precedes it when the file does not end in one; all open
-    indentation levels are closed with [Dedent]s. *)
+(** A scan in progress over one source string. *)
+type state
+
+val make : file:string -> string -> state
+
+(** The next token and its location. The stream always ends with [Eof],
+    which [next] then keeps returning; a [Newline] precedes it when the
+    file does not end in one; all open indentation levels are closed with
+    [Dedent]s. Once [next] has raised [Error], the state must not be used
+    again. *)
+val next : state -> Token.t * Loc.t
+
+(** The whole stream of {!next}, up to and including the first [Eof]. *)
 val tokenize : file:string -> string -> (Token.t * Loc.t) list

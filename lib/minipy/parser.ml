@@ -6,32 +6,66 @@
 
 exception Error of string * Loc.t
 
+(* Tokens are pulled from the lexer on demand: [tok]/[loc] is the current
+   token, and [ahead] holds at most one token of lookahead. Once [tok] is
+   [Eof] the parser stays on it. *)
 type state = {
-  toks : (Token.t * Loc.t) array;
-  mutable idx : int;
+  lex : Lexer.state;
+  mutable tok : Token.t;
+  mutable loc : Loc.t;
+  mutable ahead : (Token.t * Loc.t) option;
 }
 
-let make toks = { toks = Array.of_list toks; idx = 0 }
+let make lex =
+  let tok, loc = Lexer.next lex in
+  { lex; tok; loc; ahead = None }
 
-let current st = fst st.toks.(st.idx)
-let current_loc st = snd st.toks.(st.idx)
-let advance st = if st.idx < Array.length st.toks - 1 then st.idx <- st.idx + 1
+let current st = st.tok
+let current_loc st = st.loc
+
+let advance st =
+  match st.tok with
+  | Token.Eof -> ()
+  | _ ->
+    let tok, loc =
+      match st.ahead with
+      | Some t -> st.ahead <- None; t
+      | None -> Lexer.next st.lex
+    in
+    st.tok <- tok;
+    st.loc <- loc
+
+(* The token after the current one (never called on [Eof]). *)
+let peek_next st =
+  match st.ahead with
+  | Some (tok, _) -> tok
+  | None ->
+    let ((tok, _) as t) = Lexer.next st.lex in
+    st.ahead <- Some t;
+    tok
 
 let error st msg =
   raise (Error (Fmt.str "%s (found %a)" msg Token.pp (current st), current_loc st))
 
-let eat st tok =
-  if Token.equal (current st) tok then advance st
-  else error st (Fmt.str "expected %a" Token.pp tok)
-
-let eat_op st op = eat st (Token.Op op)
-let eat_kw st kw = eat st (Token.Keyword kw)
-
+(* Tokens are compared by pattern, so no [Token.t] is built to look for an
+   operator or keyword. *)
 let accept st tok =
   if Token.equal (current st) tok then begin advance st; true end else false
 
-let accept_op st op = accept st (Token.Op op)
-let accept_kw st kw = accept st (Token.Keyword kw)
+let is_op st op =
+  match current st with Token.Op o -> String.equal o op | _ -> false
+
+let accept_op st op = if is_op st op then begin advance st; true end else false
+
+let accept_kw st kw =
+  match current st with
+  | Token.Keyword k when String.equal k kw -> advance st; true
+  | _ -> false
+
+let expected st tok = error st (Fmt.str "expected %a" Token.pp tok)
+let eat st tok = if not (accept st tok) then expected st tok
+let eat_op st op = if not (accept_op st op) then expected st (Token.Op op)
+let eat_kw st kw = if not (accept_kw st kw) then expected st (Token.Keyword kw)
 
 let expect_name st =
   match current st with
@@ -40,7 +74,9 @@ let expect_name st =
 
 (* Skip blank logical lines (stray newlines between statements). *)
 let rec skip_newlines st =
-  if Token.equal (current st) Token.Newline then begin advance st; skip_newlines st end
+  match current st with
+  | Token.Newline -> advance st; skip_newlines st
+  | _ -> ()
 
 (* --- expressions ------------------------------------------------------- *)
 
@@ -63,7 +99,7 @@ let rec parse_expr st : Ast.expr =
   | _ -> parse_ternary st
 
 and parse_name_list st =
-  if Token.equal (current st) (Token.Op ":") then []
+  if is_op st ":" then []
   else
     let rec go acc =
       let n = expect_name st in
@@ -214,11 +250,11 @@ and parse_trailers st e =
 and parse_call_args st =
   let args = ref [] and kwargs = ref [] in
   let rec go () =
-    if Token.equal (current st) (Token.Op ")") then advance st
+    if is_op st ")" then advance st
     else begin
       (match current st with
        | Token.Name n
-         when Token.equal (fst st.toks.(st.idx + 1)) (Token.Op "=") ->
+         when Token.equal (peek_next st) (Token.Op "=") ->
          advance st; advance st;
          kwargs := (n, parse_expr st) :: !kwargs
        | _ -> args := parse_expr st :: !args);
@@ -243,10 +279,10 @@ and parse_atom st =
     if accept_op st ")" then Ast.e ~loc (Ast.TupleLit [])
     else begin
       let first = parse_expr st in
-      if Token.equal (current st) (Token.Op ",") then begin
+      if is_op st "," then begin
         let items = ref [ first ] in
         while accept_op st "," do
-          if not (Token.equal (current st) (Token.Op ")")) then
+          if not (is_op st ")") then
             items := parse_expr st :: !items
         done;
         eat_op st ")";
@@ -321,7 +357,7 @@ and parse_atom st =
 and parse_comp_target st : Ast.target =
   let first = parse_postfix st in
   let tgt_expr =
-    if Token.equal (current st) (Token.Op ",") then begin
+    if is_op st "," then begin
       let items = ref [ first ] in
       while accept_op st "," do
         items := parse_postfix st :: !items
@@ -344,7 +380,7 @@ and target_of_expr_local (e : Ast.expr) : Ast.target =
 (* testlist: expr (',' expr)* — an unparenthesized tuple. *)
 and parse_testlist st =
   let first = parse_expr st in
-  if Token.equal (current st) (Token.Op ",") then begin
+  if is_op st "," then begin
     let items = ref [ first ] in
     while accept_op st "," do
       match current st with
@@ -546,7 +582,7 @@ and parse_for st =
      comparison level (postfix expressions separated by commas) *)
   let first = parse_postfix st in
   let tgt_expr =
-    if Token.equal (current st) (Token.Op ",") then begin
+    if is_op st "," then begin
       let items = ref [ first ] in
       while accept_op st "," do
         items := parse_postfix st :: !items
@@ -625,13 +661,30 @@ and parse_try st =
 
 (* --- entry points ------------------------------------------------------ *)
 
-let parse ~file src : Ast.program =
-  let toks = Lexer.tokenize ~file src in
-  let st = make toks in
-  parse_program st
+(* Pull every remaining token: a lexer error anywhere in the source wins
+   over any error the parser raised before reaching it. *)
+let rec drain st =
+  match current st with
+  | Token.Eof -> ()
+  | _ -> advance st; drain st
+
+let run ~file src f =
+  let st = make (Lexer.make ~file src) in
+  match f st with
+  | v -> v
+  | exception (Lexer.Error _ as e) -> raise e
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    drain st;
+    Printexc.raise_with_backtrace e bt
+
+let parse ~file src : Ast.program = run ~file src parse_program
 
 let parse_expression ~file src : Ast.expr =
-  let toks = Lexer.tokenize ~file src in
-  let st = make toks in
-  let e = parse_expr st in
-  e
+  run ~file src (fun st ->
+      let e = parse_expr st in
+      ignore (accept st Token.Newline);
+      (match current st with
+       | Token.Eof -> ()
+       | _ -> error st "expected end of expression");
+      e)

@@ -5,20 +5,19 @@ type t =
   | Float of float
   | Str of string
   | Name of string
-  | Keyword of string   (* one of [keywords] below *)
+  | Keyword of string   (* a name [is_keyword] accepts *)
   | Op of string        (* operators and punctuation *)
   | Newline
   | Indent
   | Dedent
   | Eof
 
-let keywords =
-  [ "def"; "class"; "return"; "if"; "elif"; "else"; "while"; "for"; "in";
-    "import"; "from"; "as"; "pass"; "break"; "continue"; "raise"; "try";
-    "except"; "finally"; "and"; "or"; "not"; "True"; "False"; "None";
-    "lambda"; "global"; "del"; "assert"; "with" ]
-
-let is_keyword s = List.mem s keywords
+let is_keyword = function
+  | "def" | "class" | "return" | "if" | "elif" | "else" | "while" | "for"
+  | "in" | "import" | "from" | "as" | "pass" | "break" | "continue" | "raise"
+  | "try" | "except" | "finally" | "and" | "or" | "not" | "True" | "False"
+  | "None" | "lambda" | "global" | "del" | "assert" | "with" -> true
+  | _ -> false
 
 let pp ppf = function
   | Int i -> Fmt.pf ppf "INT(%d)" i
@@ -34,4 +33,11 @@ let pp ppf = function
 
 let to_string t = Fmt.str "%a" pp t
 
-let equal (a : t) (b : t) = a = b
+let equal a b =
+  match a, b with
+  | Int x, Int y -> Int.equal x y
+  | Float x, Float y -> x = y (* IEEE: nan differs from itself *)
+  | Str x, Str y | Name x, Name y | Keyword x, Keyword y | Op x, Op y ->
+    String.equal x y
+  | Newline, Newline | Indent, Indent | Dedent, Dedent | Eof, Eof -> true
+  | _ -> false

@@ -5,14 +5,13 @@ type t =
   | Float of float
   | Str of string
   | Name of string
-  | Keyword of string  (** one of [keywords] *)
+  | Keyword of string  (** a name [is_keyword] accepts *)
   | Op of string       (** operators and punctuation *)
   | Newline
   | Indent
   | Dedent
   | Eof
 
-val keywords : string list
 val is_keyword : string -> bool
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

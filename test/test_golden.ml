@@ -470,8 +470,47 @@ let fixture_tests =
         Alcotest.(check string) "Backend" "treewalk"
           (Backend.to_string (Backend.current ()))) ]
 
+(* --- the front end ----------------------------------------------------------- *)
+
+let front_end_tests =
+  [ Alcotest.test_case "every corpus file parses to the pinned ASTs" `Quick
+      (fun () ->
+        (* (path, AST) for the 259 source files of the 21 apps' images,
+           locations included; [No_sharing] makes the digest depend on the
+           trees' structure only *)
+        let asts =
+          List.map
+            (fun (path, src) -> (path, Parser.parse ~file:path src))
+            (Lazy.force Test_lexer.corpus)
+        in
+        Alcotest.(check int) "files" 259 (List.length asts);
+        Alcotest.(check string) "md5" "f45d51f149c0bb1dace2b508655bd39c"
+          (Digest.to_hex
+             (Digest.string (Marshal.to_string asts [ Marshal.No_sharing ]))));
+    Alcotest.test_case "a lexer error anywhere wins over an earlier parse error"
+      `Quick (fun () ->
+        List.iter
+          (fun (src, msg, line, col) ->
+             let check what parse =
+               match parse ~file:"<p>" src with
+               | _ -> Alcotest.failf "%s %S: expected a lexer error" what src
+               | exception Parser.Error (m, _) ->
+                 Alcotest.failf "%s %S: parse error %S won" what src m
+               | exception Lexer.Error (m, l) ->
+                 Alcotest.(check (triple string int int))
+                   (what ^ " " ^ String.escaped src) (msg, line, col)
+                   (m, l.Loc.line, l.Loc.col)
+             in
+             check "parse" (fun ~file s -> ignore (Parser.parse ~file s));
+             check "parse_expression" (fun ~file s ->
+                 ignore (Parser.parse_expression ~file s)))
+          [ ("def (:\nx = $", "unexpected character '$'", 2, 4);
+            ("x = (1,\n2\n", "unclosed bracket at end of file", 3, 0);
+            ("1 2\nif a:\n    b\n  c\n", "inconsistent dedent", 4, 2) ]) ]
+
 let suite =
-  [ ("golden.crafted", crafted_tests);
+  [ ("golden.front_end", front_end_tests);
+    ("golden.crafted", crafted_tests);
     ("golden.imports", import_tests);
     ("golden.generated", generated_tests);
     ("golden.platform", sim_tests);

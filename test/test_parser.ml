@@ -95,6 +95,26 @@ let error_cases =
     fails "stray indent keywordless" "return return";
     fails "bad from import" "from import x" ]
 
+(* [parse_expression] takes the whole input: one expression, optionally
+   followed by a newline. *)
+let expression_inputs =
+  let expr_fails src =
+    Alcotest.test_case ("trailing tokens: " ^ String.escaped src) `Quick
+      (fun () ->
+        match Parser.parse_expression ~file:"<e>" src with
+        | _ -> Alcotest.fail "expected parse error"
+        | exception Parser.Error _ -> ())
+  in
+  [ expr_fails "x = 3";
+    expr_fails "1 2";
+    expr_fails "f(1))";
+    Alcotest.test_case "expression alone or before a newline" `Quick (fun () ->
+        List.iter
+          (fun src ->
+             Alcotest.(check string) (String.escaped src) "f(1, x=2)"
+               (Pretty.expr_to_string (Parser.parse_expression ~file:"<e>" src)))
+          [ "f(1, x=2)"; "f(1, x=2)\n"; "f(1,\n  x=2)\n\n" ]) ]
+
 let locations =
   [ Alcotest.test_case "statement locations recorded" `Quick (fun () ->
         match parse "x = 1\ny = 2\n" with
@@ -107,4 +127,5 @@ let suite =
   [ ("parser.statements", statements);
     ("parser.expressions", expressions);
     ("parser.errors", error_cases);
+    ("parser.expression_input", expression_inputs);
     ("parser.locations", locations) ]
