@@ -49,23 +49,6 @@ let jobs_arg =
                  app's pipeline runs sequentially. Committed results are \
                  bit-identical at any N; only wall-clock columns change.")
 
-let shards_arg =
-  Arg.(value & opt int 0
-       & info [ "shards" ] ~docv:"N"
-           ~doc:"Shards for the sharded fleet engine (multi-tenant fleet \
-                 runs and the trace-replay experiment). Default 0 follows \
-                 $(b,--jobs). Results are bit-identical at any N; only \
-                 wall-clock changes.")
-
-(* Install the process-wide shard default the sharded fleet engine reads.
-   0 keeps the engine following the configured pool size. *)
-let setup_shards shards =
-  if shards < 0 then begin
-    Printf.eprintf "--shards must be >= 0 (got %d)\n" shards;
-    exit 2
-  end;
-  Fleet.Sharded.default_shards := shards
-
 let optimizer_conv =
   let parse s =
     match Trim.Optimizer.of_string s with
@@ -112,14 +95,6 @@ let memo_dir_arg =
                  execution would produce, so results are byte-identical \
                  with or without the store.")
 
-let memo_cap_arg =
-  Arg.(value & opt (some int) None
-       & info [ "memo-cap" ] ~docv:"N"
-           ~doc:"Bound the in-memory oracle memo at N entries (FIFO \
-                 eviction, counted in oracle.memo.evicted). Default \
-                 unbounded. With $(b,--memo-dir), evicted entries re-load \
-                 from the store instead of re-executing.")
-
 let baseline_arg =
   Arg.(value & opt (some string) None
        & info [ "baseline" ] ~docv:"MANIFEST"
@@ -144,17 +119,24 @@ let fail_locked path =
   Printf.eprintf "ltrim: %s is locked by another process\n%!" path;
   exit 1
 
-(* Install the persistent memo under the global observation cache, plus the
-   optional in-memory bound. Call before any work, like [setup_jobs]. *)
-let setup_memo memo_dir memo_cap =
-  (match memo_cap with
-   | Some n when n < 1 ->
-     Printf.eprintf "--memo-cap must be >= 1 (got %d)\n" n;
-     exit 2
-   | cap -> Trim.Oracle.Cache.set_capacity Trim.Oracle.Cache.global cap);
+(* Create a directory flag's DIR (and its parents) before any work, so a
+   DIR that names a regular file is a usage error, not a backtrace. *)
+let ensure_dir dir =
+  try Trim.Durable_log.mkdir_p dir with
+  | Invalid_argument _ ->
+    Printf.eprintf "ltrim: %s is not a directory\n%!" dir;
+    exit 2
+  | Unix.Unix_error (e, _, _) ->
+    Printf.eprintf "ltrim: cannot create %s: %s\n%!" dir (Unix.error_message e);
+    exit 2
+
+(* Install the persistent memo under the global observation cache. Call
+   before any work, like [setup_jobs]. *)
+let setup_memo memo_dir =
   match memo_dir with
   | None -> ()
   | Some dir ->
+    ensure_dir dir;
     let store =
       try Trim.Memo_store.open_ ~dir
       with Trim.Durable_log.Locked path -> fail_locked path
@@ -171,10 +153,6 @@ let load_baseline = function
        Printf.eprintf
          "baseline %s is missing or invalid; running cold\n%!" path;
        None)
-
-(* Install the process-wide optimizer family. Call before any work, like
-   [setup_jobs]. *)
-let setup_optimizer optimizer = Trim.Optimizer.configure optimizer
 
 (* Install the process-wide pool the experiment registry, redebloat and
    the sharded fleet fan out on. Call before any work; the pool is torn
@@ -289,9 +267,9 @@ let profile_cmd =
 
 let debloat_cmd =
   let run app k scoring verbose trace optimizer journal resume memo_dir
-      memo_cap baseline_path manifest_path =
-    setup_optimizer optimizer;
-    setup_memo memo_dir memo_cap;
+      baseline_path manifest_path =
+    Option.iter ensure_dir journal;
+    setup_memo memo_dir;
     with_chaos @@ fun () ->
     with_trace trace @@ fun () ->
     setup_logs verbose;
@@ -347,7 +325,7 @@ let debloat_cmd =
              family (λ-trim DD debloating by default).")
     Term.(const run $ app_arg $ k_arg $ scoring_arg $ verbose_flag
           $ trace_arg $ optimizer_arg $ journal_arg $ resume_flag
-          $ memo_dir_arg $ memo_cap_arg $ baseline_arg $ manifest_arg)
+          $ memo_dir_arg $ baseline_arg $ manifest_arg)
 
 (* --- invoke -------------------------------------------------------------- *)
 
@@ -367,7 +345,6 @@ let invoke_cmd =
     print_string r.Platform.Lambda_sim.stdout
   in
   let run app trimmed trace optimizer =
-    setup_optimizer optimizer;
     with_trace trace @@ fun () ->
     let spec = Workloads.Suite.spec_of app in
     let d = Workloads.Suite.deployment_of app in
@@ -501,16 +478,32 @@ let fleet_cmd =
   let run app rate duration policy keep_alive max_idle capacity max_pending
       timeout fb_rate seed init_failure_rate crash_rate error_rate churn_rate
       retries retry_base retry_cap request_timeout breaker_threshold
-      breaker_window breaker_cooldown hedge_delay tenants shards jobs trace =
+      breaker_window breaker_cooldown hedge_delay tenants jobs trace =
     setup_jobs jobs;
-    setup_shards shards;
     with_trace trace @@ fun () ->
-    if rate <= 0.0 then begin
-      Printf.eprintf "--rate must be positive (got %g)\n" rate;
+    if not (Float.is_finite rate && rate > 0.0) then begin
+      Printf.eprintf "--rate must be finite and positive (got %g)\n" rate;
       exit 2
     end;
-    if duration < 0.0 then begin
-      Printf.eprintf "--duration must be non-negative (got %g)\n" duration;
+    if not (Float.is_finite duration && duration >= 0.0) then begin
+      Printf.eprintf "--duration must be finite and non-negative (got %g)\n"
+        duration;
+      exit 2
+    end;
+    if not (Float.is_finite keep_alive && keep_alive >= 0.0) then begin
+      Printf.eprintf "--keep-alive must be finite and non-negative (got %g)\n"
+        keep_alive;
+      exit 2
+    end;
+    List.iter
+      (fun (name, n) ->
+         if n < 0 then begin
+           Printf.eprintf "--%s must be non-negative (got %d)\n" name n;
+           exit 2
+         end)
+      [ ("max-idle", max_idle); ("max-pending", max_pending) ];
+    if not (timeout >= 0.0) then begin
+      Printf.eprintf "--timeout must be non-negative (got %g)\n" timeout;
       exit 2
     end;
     List.iter
@@ -704,7 +697,7 @@ let fleet_cmd =
           $ crash_arg $ error_arg $ churn_arg $ retries_arg $ retry_base_arg
           $ retry_cap_arg $ request_timeout_arg $ breaker_threshold_arg
           $ breaker_window_arg $ breaker_cooldown_arg $ hedge_delay_arg
-          $ tenants_arg $ shards_arg $ jobs_arg $ trace_arg)
+          $ tenants_arg $ jobs_arg $ trace_arg)
 
 (* --- calibrate ------------------------------------------------------------ *)
 
@@ -779,31 +772,21 @@ let experiments_cmd =
              ~doc:"Write machine-readable rows to DIR/<id>.csv (experiments \
                    with structured data only).")
   in
-  let run only out csv shards jobs trace optimizer journal resume
-      memo_dir memo_cap =
+  let run only out csv jobs trace journal resume memo_dir =
     (* committed experiments that exercise the oracle memo create private
        caches; attaching a store to the global memo only accelerates
        wall-clock, so committed CSVs stay byte-identical either way *)
-    setup_memo memo_dir memo_cap;
-    (* committed experiments pin their own optimizer families (the lazy
-       experiment runs all of them side by side), so the process-wide knob
-       is inert here by construction — the CI smoke step byte-diffs
-       `--optimizer none` output against the committed CSVs to prove it *)
-    setup_optimizer optimizer;
+    setup_memo memo_dir;
     setup_jobs jobs;
-    setup_shards shards;
+    Option.iter ensure_dir out;
+    Option.iter ensure_dir csv;
+    Option.iter ensure_dir journal;
     (* experiments build their pipelines internally; the process-wide spec
        is how --journal/--resume reach those runs *)
     Trim.Journal.configure ~dir:journal ~resume;
     with_chaos @@ fun () ->
     with_trace trace @@ fun () ->
     let entries = if only = [] then Experiments.Registry.all else only in
-    let ensure_dir = function
-      | Some dir when not (Sys.file_exists dir) -> Unix.mkdir dir 0o755
-      | _ -> ()
-    in
-    ensure_dir out;
-    ensure_dir csv;
     let write dir name contents =
       (* atomic: a crash mid-export never leaves a torn result file *)
       Trim.Durable_log.write_file_atomic ~path:(Filename.concat dir name)
@@ -842,9 +825,8 @@ let experiments_cmd =
   Cmd.v
     (Cmd.info "experiments"
        ~doc:"Regenerate the paper's tables and figures on the simulator.")
-    Term.(const run $ only_arg $ out_arg $ csv_arg $ shards_arg $ jobs_arg
-          $ trace_arg $ optimizer_arg $ journal_arg
-          $ resume_flag $ memo_dir_arg $ memo_cap_arg)
+    Term.(const run $ only_arg $ out_arg $ csv_arg $ jobs_arg $ trace_arg
+          $ journal_arg $ resume_flag $ memo_dir_arg)
 
 (* --- redebloat ------------------------------------------------------------ *)
 
@@ -864,13 +846,13 @@ let redebloat_cmd =
              ~doc:"Manifest directory: <DIR>/<app>.manifest is read as the \
                    baseline (when present) and rewritten after each run.")
   in
-  let run apps state k scoring verbose jobs trace memo_dir memo_cap =
+  let run apps state k scoring verbose jobs trace memo_dir =
     setup_jobs jobs;
-    setup_memo memo_dir memo_cap;
+    ensure_dir state;
+    setup_memo memo_dir;
     with_trace trace @@ fun () ->
     setup_logs verbose;
     let apps = if apps = [] then Workloads.Suite.names else apps in
-    Trim.Durable_log.mkdir_p state;
     let method_ = Trim.Scoring.method_of_string scoring in
     let job app =
       let path = Filename.concat state (app ^ ".manifest") in
@@ -914,8 +896,7 @@ let redebloat_cmd =
              kept under $(b,--state), fanning the apps out over the worker \
              pool.")
     Term.(const run $ apps_arg $ state_arg $ k_arg $ scoring_arg
-          $ verbose_flag $ jobs_arg $ trace_arg $ memo_dir_arg
-          $ memo_cap_arg)
+          $ verbose_flag $ jobs_arg $ trace_arg $ memo_dir_arg)
 
 let main =
   Cmd.group

@@ -2,8 +2,7 @@
 
    - attribute vs statement granularity (the §6.1 design argument);
    - PyCG protection on/off (the §5.1 claim that excluding definitely-
-     accessed attributes "speeds up the debloating phase");
-   - continuous debloating (§9): oracle queries on re-run with seeds. *)
+     accessed attributes "speeds up the debloating phase"). *)
 
 module SS = Callgraph.Pycg.String_set
 
@@ -105,35 +104,6 @@ let print_protection () =
             (Common.pct
                ~before:(float_of_int without.Trim.Debloater.oracle_queries)
                ~after:(float_of_int with_pycg.Trim.Debloater.oracle_queries))))
-    apps_small;
-  Buffer.contents b
-
-(* --- continuous pipeline -------------------------------------------------- *)
-
-let print_continuous () =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b
-    (Common.header
-       "Ablation: continuous debloating (§9) — fresh vs seeded re-run");
-  Buffer.add_string b
-    (Printf.sprintf "  %-18s %12s %12s %10s %10s\n" "" "fresh" "continuous"
-       "saved" "seed hits");
-  List.iter
-    (fun app ->
-       let d = Workloads.Suite.deployment_of app in
-       let options = { Trim.Pipeline.default_options with k = 8 } in
-       let first = Trim.Pipeline.run ~options d in
-       let second = Trim.Pipeline.run_continuous ~options ~previous:first d in
-       Buffer.add_string b
-         (Printf.sprintf "  %-18s %12d %12d %9.0f%% %6d/%d\n" app
-            first.Trim.Pipeline.total_oracle_queries
-            second.Trim.Pipeline.base.Trim.Pipeline.total_oracle_queries
-            (Common.pct
-               ~before:(float_of_int first.Trim.Pipeline.total_oracle_queries)
-               ~after:
-                 (float_of_int
-                    second.Trim.Pipeline.base.Trim.Pipeline.total_oracle_queries))
-            second.Trim.Pipeline.seed_hits second.Trim.Pipeline.seeded_modules))
     apps_small;
   Buffer.contents b
 

@@ -60,9 +60,6 @@ let all : entry list =
     { id = "abl-protection";
       description = "PyCG protection query-savings ablation";
       print = Ablations.print_protection; csv = None };
-    { id = "abl-continuous";
-      description = "continuous debloating query-savings ablation";
-      print = Ablations.print_continuous; csv = None };
     { id = "abl-bursts";
       description = "bursty scale-out cost ablation (concurrent pool)";
       print = Ablations.print_bursts; csv = None };

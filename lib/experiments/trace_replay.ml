@@ -12,9 +12,9 @@
 
    Determinism: specs, traces, and per-app fault draws are pure functions
    of [seed]; the sharded reduction folds per-app accumulators in global
-   app order. The CSV is therefore byte-identical at any --shards/--jobs
-   combination — CI diffs it. Aggregate throughput is printed (wall clock,
-   not part of the CSV). *)
+   app order. The CSV is therefore byte-identical at any shard count (one
+   per --jobs worker) — CI diffs it. Aggregate throughput is printed
+   (wall clock, not part of the CSV). *)
 
 let seed = 2025
 let default_n_functions = 1600

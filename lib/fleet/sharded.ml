@@ -11,8 +11,8 @@
    - The reduction folds per-app accumulators in global (app list) order,
      not per-shard completion order. Integer counters and sketch buckets
      merge commutatively anyway; the canonical fold order is what makes
-     the float sums (cost, residency) bit-identical at any [--shards] and
-     [--jobs] combination.
+     the float sums (cost, residency) bit-identical at any shard count and
+     pool size.
 
    Shards are coarse work units (contiguous blocks of the app list), so a
    1M-request replay schedules a handful of pool tasks, not thousands. *)
@@ -34,13 +34,11 @@ type group = {
   g_summary : Report.summary;
 }
 
-let default_shards = ref 0
-
 let shard_count ?shards () =
   match shards with
   | Some s when s >= 1 -> s
   | Some s -> invalid_arg (Printf.sprintf "Sharded.run: shards = %d" s)
-  | None -> if !default_shards >= 1 then !default_shards else Parallel.Pool.jobs ()
+  | None -> Parallel.Pool.jobs ()
 
 (* fleet.sharded.* instruments are incremented from worker domains, so all
    updates go through one lock (Obs.Metrics is not internally locked) *)

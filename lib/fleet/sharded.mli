@@ -8,7 +8,7 @@
     global app order — never per-shard completion order. Shard assignment
     decides only where an app runs, so the merged report is bit-identical
     at any shard count and any pool size. This is what CI byte-diffs for
-    the trace-replay CSV at [--shards 1|4] x [--jobs 1|4]. *)
+    the trace-replay CSV at [--jobs 1] vs [--jobs 4] (1 shard vs 4). *)
 
 (** One (label, router config) pair replayed over an app's trace. Variants
     of one app share the materialized trace. *)
@@ -32,11 +32,8 @@ type group = {
   g_summary : Report.summary;
 }
 
-(** Process-wide default shard count, settable by the CLI's [--shards].
-    [0] (the initial value) follows [Parallel.Pool.jobs ()]. *)
-val default_shards : int ref
-
-(** Effective shard count: [?shards] if given, else the default above.
+(** Effective shard count: [?shards] if given, else
+    [Parallel.Pool.jobs ()].
     @raise Invalid_argument on a non-positive explicit count. *)
 val shard_count : ?shards:int -> unit -> int
 

@@ -21,6 +21,16 @@ let duration_s t =
 (* --- generators (all deterministic given the seed) ---------------------- *)
 
 let poisson ~seed ~rate_per_s ~duration_s ~name =
+  (* a zero, negative, infinite or NaN rate, or an infinite or NaN horizon,
+     would never end the loop below *)
+  if not (Float.is_finite rate_per_s && rate_per_s > 0.0) then
+    invalid_arg
+      (Printf.sprintf "Trace.poisson: rate_per_s = %g is not finite and > 0"
+         rate_per_s);
+  if not (Float.is_finite duration_s && duration_s >= 0.0) then
+    invalid_arg
+      (Printf.sprintf "Trace.poisson: duration_s = %g is not finite and >= 0"
+         duration_s);
   let rng = Random.State.make [| seed |] in
   let rec go acc now =
     (* exponential inter-arrival times *)

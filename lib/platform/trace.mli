@@ -12,7 +12,9 @@ val make : name:string -> float list -> t
 val length : t -> int
 val duration_s : t -> float
 
-(** Poisson arrivals with exponential inter-arrival times. *)
+(** Poisson arrivals with exponential inter-arrival times.
+    @raise Invalid_argument unless [rate_per_s] is finite and positive and
+    [duration_s] is finite and non-negative. *)
 val poisson :
   seed:int -> rate_per_s:float -> duration_s:float -> name:string -> t
 

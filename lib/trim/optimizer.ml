@@ -1,6 +1,5 @@
-(* Optimizer-family selection: the process-wide `--optimizer` knob and the
-   dispatcher that turns a deployment into its optimized form. The knob is
-   an atomic set once at CLI startup, so worker domains read it safely. *)
+(* Optimizer-family selection: the `--optimizer` families and the
+   dispatcher that turns a deployment into its optimized form. *)
 
 type variant =
   | Dd        (* λ-trim DD attribute debloating (the default family) *)
@@ -22,14 +21,6 @@ let of_string = function
   | _ -> None
 
 let all = [ Dd; Lazy; Combined; Off ]
-
-(* Set once at CLI startup, read wherever a command needs the selected
-   family. Atomic so worker domains read it safely. *)
-let state = Atomic.make Dd
-
-let configure v = Atomic.set state v
-
-let current () = Atomic.get state
 
 type outcome = {
   o_variant : variant;

@@ -12,10 +12,6 @@ val to_string : variant -> string
 val of_string : string -> variant option
 val all : variant list
 
-(** Process-wide selection, set once at CLI startup (default [Dd]). *)
-val configure : variant -> unit
-val current : unit -> variant
-
 type outcome = {
   o_variant : variant;
   o_deployment : Platform.Deployment.t;  (** what gets deployed *)

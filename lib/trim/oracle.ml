@@ -27,43 +27,28 @@ module Cache = struct
      Obs.Metrics.global as oracle.memo.hits/misses) so trace exports see the
      same numbers the cache-stats line prints.
 
-     Two optional extensions, both off by default so historical behavior is
-     byte-identical:
-
-     - [backing]: a persistent Memo_store underneath the table. Misses
-       consult the store and promote hits into memory (counted as a hit
-       plus <prefix>.store_hits); fresh observations write through
-       durably. Keys are content-addressed, so store answers are exactly
-       what a fresh execution would produce.
-
-     - [capacity]: a bound on the in-memory table for long multi-app runs.
-       Insertion-order (FIFO) eviction via [order]; evictions count in
-       <prefix>.evicted. An evicted key backed by a store is re-promoted
-       on its next miss, so with a store attached the bound trades memory
-       for re-reads, never for re-executions. *)
+     [backing], off by default, is a persistent Memo_store underneath the
+     table. Misses consult the store and promote hits into memory (counted
+     as a hit plus <prefix>.store_hits); fresh observations write through
+     durably. Keys are content-addressed, so store answers are exactly
+     what a fresh execution would produce. *)
   type t = {
     store : (string, string) Hashtbl.t;  (* per-test key -> canonical output *)
-    order : string Queue.t;              (* in-memory insertion order *)
     lock : Mutex.t;
     c_hits : Obs.Metrics.counter;
     c_misses : Obs.Metrics.counter;
     c_store_hits : Obs.Metrics.counter;
-    c_evicted : Obs.Metrics.counter;
     mutable enabled : bool;
-    mutable capacity : int option;
     mutable backing : Memo_store.t option;
   }
 
   let make ~registry ~prefix ~enabled =
     { store = Hashtbl.create 1024;
-      order = Queue.create ();
       lock = Mutex.create ();
       c_hits = Obs.Metrics.counter registry (prefix ^ ".hits");
       c_misses = Obs.Metrics.counter registry (prefix ^ ".misses");
       c_store_hits = Obs.Metrics.counter registry (prefix ^ ".store_hits");
-      c_evicted = Obs.Metrics.counter registry (prefix ^ ".evicted");
       enabled;
-      capacity = None;
       backing = None }
 
   let create ?(enabled = true) ?registry ?(prefix = "oracle.memo") () =
@@ -89,17 +74,7 @@ module Cache = struct
 
   let store_hits t = locked t (fun () -> Obs.Metrics.value t.c_store_hits)
 
-  let evicted t = locked t (fun () -> Obs.Metrics.value t.c_evicted)
-
   let size t = locked t (fun () -> Hashtbl.length t.store)
-
-  let set_capacity t cap =
-    (match cap with
-     | Some n when n < 1 -> invalid_arg "Oracle.Cache.set_capacity: cap < 1"
-     | _ -> ());
-    locked t (fun () -> t.capacity <- cap)
-
-  let capacity t = locked t (fun () -> t.capacity)
 
   let attach_store t backing = locked t (fun () -> t.backing <- backing)
 
@@ -108,28 +83,9 @@ module Cache = struct
   let clear t =
     locked t (fun () ->
         Hashtbl.reset t.store;
-        Queue.clear t.order;
         List.iter
           (fun c -> Obs.Metrics.incr ~by:(-Obs.Metrics.value c) c)
-          [ t.c_hits; t.c_misses; t.c_store_hits; t.c_evicted ])
-
-  (* Insert under the lock, enforcing the capacity bound. The order queue
-     only ever holds keys present in the table (eviction is the only
-     removal apart from [clear]), so popping is always productive. *)
-  let insert_locked t key out =
-    if Hashtbl.mem t.store key then Hashtbl.replace t.store key out
-    else begin
-      (match t.capacity with
-       | Some cap ->
-         while Hashtbl.length t.store >= cap && not (Queue.is_empty t.order) do
-           let victim = Queue.pop t.order in
-           Hashtbl.remove t.store victim;
-           Obs.Metrics.incr t.c_evicted
-         done
-       | None -> ());
-      Hashtbl.replace t.store key out;
-      Queue.push key t.order
-    end
+          [ t.c_hits; t.c_misses; t.c_store_hits ])
 
   let find t key =
     locked t (fun () ->
@@ -146,7 +102,7 @@ module Cache = struct
                | Some out ->
                  Obs.Metrics.incr t.c_hits;
                  Obs.Metrics.incr t.c_store_hits;
-                 insert_locked t key out;
+                 Hashtbl.replace t.store key out;
                  Some out
                | None -> None)
           in
@@ -158,7 +114,7 @@ module Cache = struct
 
   let store t key out =
     locked t (fun () ->
-        insert_locked t key out;
+        Hashtbl.replace t.store key out;
         match t.backing with
         | Some ms -> Memo_store.add ms ~key out
         | None -> ())

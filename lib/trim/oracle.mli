@@ -41,22 +41,9 @@ module Cache : sig
       {!hits}); [<prefix>.store_hits]. *)
   val store_hits : t -> int
 
-  (** In-memory entries dropped by the capacity bound;
-      [<prefix>.evicted]. *)
-  val evicted : t -> int
-
   (** Number of memoized (image, test case) observations and read
       profiles ({!module_reads}) held in memory. *)
   val size : t -> int
-
-  (** Bound the in-memory table. [None] (the default) is unbounded; with
-      [Some cap], inserting into a full table evicts the oldest in-memory
-      entries (FIFO). An attached persistent store is unaffected by
-      eviction — evicted keys re-promote from it on their next miss.
-      @raise Invalid_argument if [cap < 1]. *)
-  val set_capacity : t -> int option -> unit
-
-  val capacity : t -> int option
 
   (** Attach (or with [None] detach) a persistent {!Memo_store} beneath
       this cache: misses consult the store and promote hits into memory
@@ -66,7 +53,7 @@ module Cache : sig
 
   val backing : t -> Memo_store.t option
 
-  (** Drop all in-memory entries and reset the hit/miss/store-hit/evicted
+  (** Drop all in-memory entries and reset the hit/miss/store-hit
       counters. The attached persistent store (if any) keeps its
       contents. *)
   val clear : t -> unit

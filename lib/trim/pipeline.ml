@@ -293,112 +293,3 @@ let representative_module (r : report) : Debloater.module_result option =
          if m.Debloater.attrs_before > b.Debloater.attrs_before then Some m
          else best)
     None r.module_results
-
-(* --- continuous debloating (§9) -------------------------------------------
-
-   After a function update, re-debloating from scratch repeats almost all
-   oracle queries. The continuous pipeline reuses the previous run's per-
-   module keep-sets as DD seeds: when the update did not change what a module
-   must provide, the seed passes its single confirmation query and DD only
-   re-verifies minimality inside it. The oracle memo compounds the effect:
-   any candidate image the previous run already observed is answered without
-   re-interpreting. *)
-
-type continuous_report = {
-  base : report;
-  seed_hits : int;          (* modules whose previous keep-set still passed *)
-  seeded_modules : int;
-}
-
-let run_continuous ?(options = default_options)
-    ~(previous : report) (app : Platform.Deployment.t) : continuous_report =
-  let wall_start = Unix.gettimeofday () in
-  let ( (analysis, profile, ranked, optimized, module_results, seed_hits,
-         seeded),
-        caches ) =
-    with_cache_stats (fun () ->
-        obs_phase "pipeline:run_continuous" (fun () ->
-        let analysis =
-          obs_phase "phase:static_analysis" (fun () ->
-              Static_analyzer.analyze app)
-        in
-        let profile, ranked =
-          obs_phase "phase:profile" (fun () ->
-              let profile = Profiler.profile app in
-              let top = Scoring.top_k options.scoring profile ~k:options.k in
-              (profile, List.map (fun mp -> mp.Profiler.mp_name) top))
-        in
-        let oracle, _expected =
-          Oracle.for_reference ?cache:options.oracle_cache app
-        in
-        (* previous keep-set per module: everything it did NOT remove *)
-        let seed_for module_name =
-          match
-            List.find_opt
-              (fun m -> String.equal m.Debloater.dm_module module_name)
-              previous.module_results
-          with
-          | Some m ->
-            let removed = m.Debloater.removed_attrs in
-            (* read the module as deployed now and drop previously-removed
-               attrs *)
-            (match
-               Minipy.Importer.init_file_of app.Platform.Deployment.vfs
-                 module_name
-             with
-             | None -> []
-             | Some file ->
-               let prog =
-                 Minipy.Parse_cache.parse_vfs app.Platform.Deployment.vfs file
-               in
-               List.filter
-                 (fun a -> not (List.mem a removed))
-                 (Attrs.attrs_of_program prog))
-          | None -> []
-        in
-        let optimized, module_results, seed_hits, seeded =
-          obs_phase "phase:debloat" (fun () ->
-              List.fold_left
-                (fun (d, results, hits, seeded) module_name ->
-                   let protected =
-                     Static_analyzer.protected_attrs analysis ~module_name
-                   in
-                   (* an empty previous keep-set counts as no seed *)
-                   let seed =
-                     match seed_for module_name with
-                     | [] -> None
-                     | seed_keep -> Some seed_keep
-                   in
-                   let d', r =
-                     Debloater.debloat_module
-                       ?oracle_cache:options.oracle_cache ~oracle ~protected
-                       ?seed d ~module_name
-                   in
-                   ( d', r :: results,
-                     hits + Bool.to_int r.Debloater.seed_hit,
-                     seeded + Bool.to_int (seed <> None) ))
-                (app, [], 0, 0) ranked)
-        in
-        (analysis, profile, ranked, optimized, List.rev module_results,
-         seed_hits, seeded)))
-  in
-  { base =
-      { app_name = app.Platform.Deployment.name;
-        original = app;
-        optimized;
-        analysis;
-        profile;
-        ranked;
-        module_results;
-        debloat_wall_s = Unix.gettimeofday () -. wall_start;
-        total_oracle_queries =
-          List.fold_left (fun acc r -> acc + r.Debloater.oracle_queries) 0
-            module_results;
-        caches;
-        quarantined_tests = 0;
-        manifest = None;
-        replayed_modules = [];
-        warm_seeded = seeded;
-        warm_seed_hits = seed_hits };
-    seed_hits;
-    seeded_modules = seeded }

@@ -89,19 +89,3 @@ val attrs_removed : report -> int
 
 (** The module with the most attributes — Table 3's representative. *)
 val representative_module : report -> Debloater.module_result option
-
-(** {1 Continuous debloating (§9)} *)
-
-type continuous_report = {
-  base : report;
-  seed_hits : int;       (** modules whose previous keep-set still passed *)
-  seeded_modules : int;  (** modules that had a seed available *)
-}
-
-(** Re-debloat an updated application, seeding each module's DD with the
-    keep-set from [previous]. Far fewer oracle queries when little changed. *)
-val run_continuous :
-  ?options:options ->
-  previous:report ->
-  Platform.Deployment.t ->
-  continuous_report

@@ -1,5 +1,5 @@
-(* §9 extensions: seeded DD and the continuous pipeline, plus the
-   statement-granularity ablation. *)
+(* §9 extension: seeded DD, plus the statement-granularity ablation. The
+   continuous pipeline's warm start is tested in test_incremental.ml. *)
 
 open Trim
 module SS = Callgraph.Pycg.String_set
@@ -67,67 +67,6 @@ let seeded =
           (plain.Dd.oracle_queries + 1) st.Dd.oracle_queries;
         Alcotest.(check int) "re-test is no cache hit" plain.Dd.cache_hits
           st.Dd.cache_hits) ]
-
-let continuous =
-  [ Alcotest.test_case "re-run after no change: pinned queries and seed hits"
-      `Quick (fun () ->
-        let app = Workloads.Suite.tiny_app () in
-        let first = Pipeline.run ~options:{ Pipeline.default_options with k = 4 } app in
-        let second =
-          Pipeline.run_continuous
-            ~options:{ Pipeline.default_options with k = 4 }
-            ~previous:first app
-        in
-        (* the cold run is profile-seeded, so it is no longer the expensive
-           baseline: the warm start saves nothing on tiny_app *)
-        Alcotest.(check int) "cold queries" 20 first.Pipeline.total_oracle_queries;
-        Alcotest.(check int) "continuous queries" 20
-          second.Pipeline.base.Pipeline.total_oracle_queries;
-        Alcotest.(check int) "seeded modules" 2 second.Pipeline.seeded_modules;
-        Alcotest.(check int) "seed hits" 2 second.Pipeline.seed_hits;
-        let oracle, _ = Oracle.for_reference app in
-        Alcotest.(check bool) "still passes" true
-          (oracle second.Pipeline.base.Pipeline.optimized));
-    Alcotest.test_case "a private oracle cache keeps the global memo out"
-      `Quick (fun () ->
-        let app = Workloads.Suite.tiny_app () in
-        let options =
-          { Pipeline.default_options with
-            k = 4; oracle_cache = Some (Oracle.Cache.create ()) }
-        in
-        let first = Pipeline.run ~options app in
-        let g = Oracle.Cache.global in
-        let h0 = Oracle.Cache.hits g and m0 = Oracle.Cache.misses g in
-        let second =
-          Pipeline.run_continuous
-            ~options:{ options with oracle_cache = Some (Oracle.Cache.create ()) }
-            ~previous:first app
-        in
-        Alcotest.(check (pair int int)) "global memo untouched" (h0, m0)
-          (Oracle.Cache.hits g, Oracle.Cache.misses g);
-        Alcotest.(check int) "same queries as with the global memo" 20
-          second.Pipeline.base.Pipeline.total_oracle_queries);
-    Alcotest.test_case "handler update: result still correct" `Quick (fun () ->
-        let app = Workloads.Suite.tiny_app () in
-        let first = Pipeline.run ~options:{ Pipeline.default_options with k = 4 } app in
-        (* the update makes the handler use one more function (f1 -> f0 chain
-           extended); previous keep-set still covers it *)
-        let updated = Platform.Deployment.copy app in
-        let src = Platform.Deployment.handler_source updated in
-        let src' =
-          Str.global_replace
-            (Str.regexp_string "  result = tinylib.run_task(acc)")
-            "  acc = tinylib.f0(acc)\n  result = tinylib.run_task(acc)" src
-        in
-        Minipy.Vfs.add_file updated.Platform.Deployment.vfs "handler.py" src';
-        let second =
-          Pipeline.run_continuous
-            ~options:{ Pipeline.default_options with k = 4 }
-            ~previous:first updated
-        in
-        let oracle, _ = Oracle.for_reference updated in
-        Alcotest.(check bool) "correct after update" true
-          (oracle second.Pipeline.base.Pipeline.optimized)) ]
 
 let granularity =
   [ Alcotest.test_case "statement DD passes the oracle" `Quick (fun () ->
@@ -197,5 +136,4 @@ let granularity =
 
 let suite =
   [ ("dd_variants.seeded", seeded);
-    ("dd_variants.continuous", continuous);
     ("dd_variants.granularity", granularity) ]

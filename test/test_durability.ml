@@ -439,6 +439,31 @@ let prop_manifest_byte_change =
          text;
        true)
 
+(* --- directories ------------------------------------------------------------ *)
+
+(* Directory flags create their DIR with [mkdir_p]: missing parents are
+   made, and a DIR that names a regular file is refused, never replaced. *)
+let test_mkdir_p_parents () =
+  let dir = Filename.concat (fresh_dir ()) "a/b/c" in
+  Trim.Durable_log.mkdir_p dir;
+  Alcotest.(check bool) "nested directory made" true
+    (Sys.file_exists dir && Sys.is_directory dir);
+  Trim.Durable_log.mkdir_p dir;
+  Alcotest.(check bool) "a second call is a no-op" true (Sys.is_directory dir)
+
+let test_mkdir_p_regular_file () =
+  let file = Filename.concat (fresh_dir ()) "plain" in
+  write_file file "keep me";
+  let refuses path =
+    match Trim.Durable_log.mkdir_p path with
+    | () -> false
+    | exception Invalid_argument _ -> true
+  in
+  Alcotest.(check bool) "the file itself" true (refuses file);
+  Alcotest.(check bool) "a path below the file" true
+    (refuses (Filename.concat file "sub"));
+  Alcotest.(check string) "file untouched" "keep me" (read_file file)
+
 (* --- two writing processes ------------------------------------------------ *)
 
 (* Run test/lock_probe.exe in a process of its own; its exit status and
@@ -759,7 +784,11 @@ let suite =
         Alcotest.test_case "a second process cannot open a held memo store"
           `Quick test_memo_two_writers;
         Alcotest.test_case "a second process cannot open a held journal"
-          `Quick test_journal_two_writers ] );
+          `Quick test_journal_two_writers;
+        Alcotest.test_case "mkdir_p makes missing parents" `Quick
+          test_mkdir_p_parents;
+        Alcotest.test_case "mkdir_p refuses a regular file" `Quick
+          test_mkdir_p_regular_file ] );
     ( "durability.resume",
       List.map
         (QCheck_alcotest.to_alcotest ~long:false)

@@ -1,5 +1,5 @@
 (* Incremental re-debloating: the persistent observation memo (torn tails,
-   escaping, capacity/eviction, store promotion), the run manifest, the
+   escaping, store promotion), the run manifest, the
    DD warm-start counters, and the headline warm == cold keep-set
    equivalence at any job count. *)
 
@@ -131,7 +131,7 @@ let qcheck_escape =
       String.for_all (fun c -> c <> '|' && c <> '\n' && c <> '\r') e
       && Memo_store.unescape e = Some s)
 
-(* --- cache capacity, eviction, store promotion ---------------------------- *)
+(* --- store promotion ------------------------------------------------------- *)
 
 let tiny = Workloads.Suite.tiny_app ()
 
@@ -146,44 +146,20 @@ let tiny_b =
 let tests_per_observe = List.length tiny.Platform.Deployment.test_cases
 
 let cache_tests =
-  [ Alcotest.test_case "capacity bound evicts FIFO" `Quick (fun () ->
+  [ Alcotest.test_case "memo keeps every observation" `Quick (fun () ->
+        (* the in-memory memo has no bound: two apps' observations stay
+           resident side by side, and re-observing either one is all hits *)
         let c = Oracle.Cache.create () in
-        Oracle.Cache.set_capacity c (Some tests_per_observe);
         ignore (Oracle.observe ~cache:c tiny);
-        Alcotest.(check int) "full" tests_per_observe (Oracle.Cache.size c);
         ignore (Oracle.observe ~cache:c tiny_b);
-        Alcotest.(check int) "still bounded" tests_per_observe
+        Alcotest.(check int) "both apps resident" (2 * tests_per_observe)
           (Oracle.Cache.size c);
-        Alcotest.(check int) "evictions counted" tests_per_observe
-          (Oracle.Cache.evicted c);
-        (* the evicted entries are gone: re-observing misses again *)
-        let misses = Oracle.Cache.misses c in
+        let hits = Oracle.Cache.hits c and misses = Oracle.Cache.misses c in
         ignore (Oracle.observe ~cache:c tiny);
-        Alcotest.(check int) "evicted keys miss"
-          (misses + tests_per_observe) (Oracle.Cache.misses c);
-        Alcotest.(check (option int)) "capacity readable"
-          (Some tests_per_observe) (Oracle.Cache.capacity c));
-    Alcotest.test_case "capacity < 1 rejected" `Quick (fun () ->
-        let c = Oracle.Cache.create () in
-        Alcotest.check_raises "zero"
-          (Invalid_argument "Oracle.Cache.set_capacity: cap < 1")
-          (fun () -> Oracle.Cache.set_capacity c (Some 0)));
-    Alcotest.test_case "evicted keys re-promote from the store" `Quick
-      (fun () ->
-        let dir = fresh_dir () in
-        let store = Memo_store.open_ ~dir in
-        Fun.protect ~finally:(fun () -> Memo_store.close store) (fun () ->
-            let c = Oracle.Cache.create () in
-            Oracle.Cache.attach_store c (Some store);
-            Oracle.Cache.set_capacity c (Some tests_per_observe);
-            ignore (Oracle.observe ~cache:c tiny);
-            ignore (Oracle.observe ~cache:c tiny_b);   (* evicts tiny's *)
-            let hits = Oracle.Cache.hits c in
-            ignore (Oracle.observe ~cache:c tiny);
-            Alcotest.(check int) "hits despite eviction"
-              (hits + tests_per_observe) (Oracle.Cache.hits c);
-            Alcotest.(check int) "served by the store" tests_per_observe
-              (Oracle.Cache.store_hits c)));
+        ignore (Oracle.observe ~cache:c tiny_b);
+        Alcotest.(check int) "no new misses" misses (Oracle.Cache.misses c);
+        Alcotest.(check int) "every re-observation hits"
+          (hits + (2 * tests_per_observe)) (Oracle.Cache.hits c));
     Alcotest.test_case "store survives a cache clear" `Quick (fun () ->
         let dir = fresh_dir () in
         let store = Memo_store.open_ ~dir in
@@ -373,6 +349,39 @@ let pipeline_tests =
         Alcotest.(check bool) "strictly fewer queries warm" true
           (warm.Pipeline.total_oracle_queries
            < cold.Pipeline.total_oracle_queries));
+    Alcotest.test_case "a private oracle cache keeps the global memo out"
+      `Slow (fun () ->
+        let path = Filename.concat (fresh_dir ()) "tiny.manifest" in
+        ignore (run ~manifest_path:path tiny);
+        let baseline = Manifest.load ~path in
+        let g = Oracle.Cache.global in
+        let h0 = Oracle.Cache.hits g and m0 = Oracle.Cache.misses g in
+        let warm = run ?baseline tiny_b in
+        Alcotest.(check (pair int int)) "global memo untouched" (h0, m0)
+          (Oracle.Cache.hits g, Oracle.Cache.misses g);
+        Alcotest.(check bool) "a warm start queried the oracle" true
+          (warm.Pipeline.warm_seeded > 0
+           && warm.Pipeline.total_oracle_queries > 0));
+    Alcotest.test_case "handler update: warm result still correct" `Slow
+      (fun () ->
+        let path = Filename.concat (fresh_dir ()) "tiny.manifest" in
+        ignore (run ~manifest_path:path tiny);
+        let baseline = Manifest.load ~path in
+        (* the update makes the handler call one more library function;
+           the baseline's keep-sets predate it *)
+        let updated = Platform.Deployment.copy tiny in
+        let src = Platform.Deployment.handler_source updated in
+        let src' =
+          Str.global_replace
+            (Str.regexp_string "  result = tinylib.run_task(acc)")
+            "  acc = tinylib.f0(acc)\n  result = tinylib.run_task(acc)" src
+        in
+        Alcotest.(check bool) "handler edited" true (src <> src');
+        Minipy.Vfs.add_file updated.Platform.Deployment.vfs "handler.py" src';
+        let warm = run ?baseline updated in
+        let oracle, _ = Oracle.for_reference updated in
+        Alcotest.(check bool) "correct after update" true
+          (oracle warm.Pipeline.optimized));
     Alcotest.test_case "foreign baseline is ignored" `Slow (fun () ->
         let path = Filename.concat (fresh_dir ()) "tiny.manifest" in
         ignore (run ~manifest_path:path tiny);
@@ -391,7 +400,7 @@ let suite =
   [ ("incremental: memo store", store_tests);
     ("incremental: memo store properties",
      List.map QCheck_alcotest.to_alcotest [ qcheck_truncate; qcheck_escape ]);
-    ("incremental: cache capacity and store", cache_tests);
+    ("incremental: cache and store", cache_tests);
     ("incremental: search digest", digest_tests);
     ("incremental: manifest", manifest_tests);
     ("incremental: DD warm start", dd_tests);

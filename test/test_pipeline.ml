@@ -128,20 +128,56 @@ let profile_seed =
                r.Pipeline.module_results)
           Workloads.Suite.names);
     Alcotest.test_case "seed hits count only caller seeds" `Slow (fun () ->
-        (* run_continuous passes no seed for modules whose previous
-           keep-set was empty; their profile seeds must not count *)
-        List.iter
-          (fun name ->
-             let app = Workloads.Suite.deployment_of name in
-             let c =
-               Pipeline.run_continuous ~previous:(Pipeline.run app) app
-             in
-             Alcotest.(check bool)
-               (Printf.sprintf "%s: %d hits <= %d seeded" name
-                  c.Pipeline.seed_hits c.Pipeline.seeded_modules)
-               true
-               (c.Pipeline.seed_hits <= c.Pipeline.seeded_modules))
-          Workloads.Suite.names) ]
+        (* a baseline whose entries are all stale warm-starts every
+           file-backed module from its recorded keep-set; the profile seeds
+           of the cold run pass but must not count as seed hits *)
+        let path = Filename.temp_file "ltrim-seed-hits" ".manifest" in
+        Fun.protect ~finally:(fun () -> Sys.remove path) (fun () ->
+            List.iter
+              (fun name ->
+                 let app = Workloads.Suite.deployment_of name in
+                 let cold =
+                   Pipeline.run
+                     ~options:{ Pipeline.default_options with
+                                manifest_path = Some path }
+                     app
+                 in
+                 Alcotest.(check bool) (name ^ ": cold run has no seed hits")
+                   false
+                   (List.exists
+                      (fun (m : Debloater.module_result) -> m.Debloater.seed_hit)
+                      cold.Pipeline.module_results);
+                 let stale =
+                   Option.map
+                     (fun m ->
+                        { m with
+                          Manifest.mf_modules =
+                            List.map
+                              (fun e -> { e with Manifest.me_digest = "stale" })
+                              m.Manifest.mf_modules })
+                     (Manifest.load ~path)
+                 in
+                 let warm =
+                   Pipeline.run
+                     ~options:{ Pipeline.default_options with baseline = stale }
+                     app
+                 in
+                 let file_backed =
+                   List.length
+                     (List.filter
+                        (fun (m : Debloater.module_result) ->
+                           m.Debloater.dm_file <> "<none>")
+                        warm.Pipeline.module_results)
+                 in
+                 Alcotest.(check int)
+                   (name ^ ": every file-backed module seeded")
+                   file_backed warm.Pipeline.warm_seeded;
+                 Alcotest.(check bool)
+                   (Printf.sprintf "%s: %d hits <= %d seeded" name
+                      warm.Pipeline.warm_seed_hits warm.Pipeline.warm_seeded)
+                   true
+                   (warm.Pipeline.warm_seed_hits <= warm.Pipeline.warm_seeded))
+              Workloads.Suite.names)) ]
 
 let suite =
   [ ("pipeline.tiny", cases);

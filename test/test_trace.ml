@@ -13,6 +13,24 @@ let generators =
         let t2 = Trace.poisson ~seed:7 ~rate_per_s:0.5 ~duration_s:100.0 ~name:"b" in
         Alcotest.(check (list (float 1e-12))) "same arrivals"
           t1.Trace.arrivals_s t2.Trace.arrivals_s);
+    Alcotest.test_case "poisson rejects rates and horizons it cannot finish"
+      `Quick (fun () ->
+        let rejects ~rate_per_s ~duration_s =
+          match Trace.poisson ~seed:1 ~rate_per_s ~duration_s ~name:"bad" with
+          | _ -> false
+          | exception Invalid_argument _ -> true
+        in
+        List.iter
+          (fun (rate_per_s, duration_s) ->
+             Alcotest.(check bool)
+               (Printf.sprintf "rate %g, duration %g" rate_per_s duration_s)
+               true (rejects ~rate_per_s ~duration_s))
+          [ (Float.nan, 10.0); (Float.infinity, 10.0); (0.0, 10.0);
+            (-1.0, 10.0); (1.0, Float.nan); (1.0, Float.infinity);
+            (1.0, -1.0) ];
+        Alcotest.(check int) "zero horizon is empty" 0
+          (Trace.length
+             (Trace.poisson ~seed:1 ~rate_per_s:1.0 ~duration_s:0.0 ~name:"z")));
     Alcotest.test_case "arrivals sorted" `Quick (fun () ->
         let t = Trace.bursty ~seed:3 ~burst_size:5 ~burst_rate_per_s:10.0
             ~idle_gap_s:60.0 ~bursts:4 ~name:"b"
