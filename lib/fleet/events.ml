@@ -11,7 +11,16 @@
    Two backends share the exact same pop order:
 
    - [Heap]: array-backed binary min-heap, O(log n) per op at any schedule
-     shape. The production backend.
+     shape. The production backend, laid out as a struct of arrays so the
+     router's hot loop allocates nothing per event: times in a
+     [Float.Array] (unboxed), (rank, seq) packed into one int
+     ([rank lsl seq_bits lor seq], which orders exactly as the pair does),
+     and each entry's payload slot in an int array. Payloads sit still in
+     their slots while those three arrays sift, so a push or take writes
+     one pointer (and pays one write barrier), not one per heap level.
+     Vacated payload slots hold one filler payload — the first one ever
+     pushed — so a drained heap pins at most that one payload, never the
+     ones it popped.
    - [Calendar]: a calendar queue (Brown 1988) — [n_buckets] time slots of
      [width] seconds each, events bucketed by [floor(time / width)] modulo
      the bucket count and kept key-sorted within a bucket. Pop scans forward
@@ -20,123 +29,181 @@
      nothing (events a whole wrap ahead, clamped slots) an authoritative
      min-scan over all bucket heads takes over, so ordering never depends
      on the slot arithmetic being exact. Kept as an independent reference
-     implementation: [test_fleet_stream]'s heap ≡ calendar QCheck
-     properties pin the heap's pop order against it.
+     implementation — it compares (rank, seq) unpacked — and
+     [test_fleet_stream]'s heap ≡ calendar QCheck properties pin the heap's
+     pop order against it.
 
    Slot membership is decided by [slot_of] alone (never by recomputing
    boundaries as [slot * width], which can disagree with float division by
    an ulp), so the scan accepts a bucket head exactly when its own slot has
-   been reached — the property that makes the two backends bit-identical. *)
+   been reached — the property that makes the two backends bit-identical.
 
-type 'a entry = {
-  e_time : float;
-  e_rank : int;
-  e_seq : int;
-  mutable e_payload : 'a;
-      (* mutable only so the heap can recycle one filler entry; a live
-         entry's payload is never mutated *)
-}
+   A NaN time is rejected at push: it compares false against everything,
+   so it would silently break the heap invariant and unsort even the finite
+   keys popped after it. *)
 
 type kind =
   | Heap
   | Calendar of { width : float; n_buckets : int }
 
-let precedes a b =
-  a.e_time < b.e_time
-  || (a.e_time = b.e_time
-      && (a.e_rank < b.e_rank || (a.e_rank = b.e_rank && a.e_seq < b.e_seq)))
+(* (rank, seq) packing: seq in the low [seq_bits], rank above it. Both
+   ranges are checked at push, so [rank * 2^seq_bits + seq] never overflows
+   and integer order on the packed key is lexicographic (rank, seq) order,
+   negative ranks included. The ranges need 63-bit ints (ranks in
+   [-2^22, 2^22), as events.mli states); a narrower target fails here at
+   module initialisation instead of ordering events wrongly. *)
+let () =
+  if Sys.int_size < 63 then
+    failwith "Events: the (rank, seq) packing needs 63-bit native ints"
+
+let seq_bits = 40
+let seq_limit = 1 lsl seq_bits
+let rank_limit = 1 lsl (Sys.int_size - 1 - seq_bits)
+
+let check_push ~time ~rank ~seq =
+  if Float.is_nan time then invalid_arg "Events.push: time is NaN";
+  if rank < -rank_limit || rank >= rank_limit then
+    invalid_arg
+      (Printf.sprintf "Events.push: rank %d outside [-2^%d, 2^%d)" rank
+         (Sys.int_size - 1 - seq_bits) (Sys.int_size - 1 - seq_bits));
+  if seq < 0 || seq >= seq_limit then
+    invalid_arg (Printf.sprintf "Events.push: seq %d out of range" seq)
 
 (* --- binary heap backend ------------------------------------------------- *)
 
 type 'a heap_q = {
-  mutable heap : 'a entry array;  (* heap.(0 .. hsize-1) is a valid min-heap *)
+  mutable times : Float.Array.t;
+  mutable keys : int array;     (* rank lsl seq_bits lor seq *)
+  mutable slots : int array;    (* where each entry's payload is *)
+      (* times, keys and slots 0 .. hsize-1 are a valid min-heap over
+         (time, key); sifting moves only these unboxed arrays *)
+  mutable payloads : 'a array;  (* by slot; a free slot holds [filler] *)
+  mutable free : int array;     (* free slots: free.(0 .. cap - hsize - 1) *)
   mutable hsize : int;
   mutable hseq : int;
-  mutable filler : 'a entry option;
-      (* single shared sentinel for vacated and fresh slots: without it,
-         pop's vacated slot heap.(hsize) would pin the moved entry (and its
-         payload) until overwritten — a drained queue kept every payload
-         reachable. The filler recycles in place, so a drained queue pins at
-         most the most recently popped payload. *)
+  mutable filler : 'a option;   (* the first payload pushed *)
+  h_last : Float.Array.t;       (* [| time of the last [take] |] *)
 }
 
-let heap_create () = { heap = [||]; hsize = 0; hseq = 0; filler = None }
+let heap_create () =
+  { times = Float.Array.create 0; keys = [||]; slots = [||]; payloads = [||];
+    free = [||]; hsize = 0; hseq = 0; filler = None;
+    h_last = Float.Array.make 1 nan }
 
-let filler_of q (entry : 'a entry) =
-  match q.filler with
-  | Some f -> f
-  | None ->
-    let f =
-      { e_time = neg_infinity; e_rank = 0; e_seq = -1;
-        e_payload = entry.e_payload }
-    in
-    q.filler <- Some f;
-    f
-
-let heap_ensure_capacity q entry =
-  let cap = Array.length q.heap in
-  if q.hsize >= cap then begin
-    let grown = Array.make (max 16 (2 * cap)) (filler_of q entry) in
-    Array.blit q.heap 0 grown 0 q.hsize;
-    q.heap <- grown
-  end
-
-let heap_push q ~time ~rank ~seq payload =
-  let entry =
-    { e_time = time; e_rank = rank; e_seq = seq; e_payload = payload }
+(* Called when full: every slot is taken, so the new ones are all free. *)
+let heap_grow q payload =
+  let cap = Array.length q.keys in
+  let filler =
+    match q.filler with
+    | Some f -> f
+    | None ->
+      q.filler <- Some payload;
+      payload
   in
-  heap_ensure_capacity q entry;
-  (* sift up *)
+  let ncap = max 16 (2 * cap) in
+  let times = Float.Array.make ncap 0.0 in
+  Float.Array.blit q.times 0 times 0 cap;
+  let keys = Array.make ncap 0 and slots = Array.make ncap 0 in
+  Array.blit q.keys 0 keys 0 cap;
+  Array.blit q.slots 0 slots 0 cap;
+  let payloads = Array.make ncap filler in
+  Array.blit q.payloads 0 payloads 0 cap;
+  q.times <- times;
+  q.keys <- keys;
+  q.slots <- slots;
+  q.payloads <- payloads;
+  q.free <- Array.init ncap (fun j -> if j < ncap - cap then cap + j else 0)
+
+(* Sift up with a hole: parents move down until the new entry's place is
+   found, then it is written once. Keys are unique (seq is), so the order
+   is strict and total and any valid heap pops the same sequence. *)
+let heap_push q ~time ~key payload =
+  if q.hsize >= Array.length q.keys then heap_grow q payload;
+  let times = q.times and keys = q.keys and slots = q.slots in
+  let slot = q.free.(Array.length keys - q.hsize - 1) in
+  q.payloads.(slot) <- payload;
   let i = ref q.hsize in
   q.hsize <- q.hsize + 1;
-  q.heap.(!i) <- entry;
-  while
-    !i > 0
-    &&
+  let continue = ref true in
+  while !continue && !i > 0 do
     let parent = (!i - 1) / 2 in
-    precedes q.heap.(!i) q.heap.(parent)
-  do
-    let parent = (!i - 1) / 2 in
-    let tmp = q.heap.(parent) in
-    q.heap.(parent) <- q.heap.(!i);
-    q.heap.(!i) <- tmp;
-    i := parent
-  done
-
-let heap_pop q =
-  if q.hsize = 0 then None
-  else begin
-    let top = q.heap.(0) in
-    q.hsize <- q.hsize - 1;
-    let filler = filler_of q top in
-    filler.e_payload <- top.e_payload;
-    if q.hsize > 0 then begin
-      q.heap.(0) <- q.heap.(q.hsize);
-      q.heap.(q.hsize) <- filler;
-      (* sift down *)
-      let i = ref 0 in
-      let continue = ref true in
-      while !continue do
-        let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-        let smallest = ref !i in
-        if l < q.hsize && precedes q.heap.(l) q.heap.(!smallest) then
-          smallest := l;
-        if r < q.hsize && precedes q.heap.(r) q.heap.(!smallest) then
-          smallest := r;
-        if !smallest = !i then continue := false
-        else begin
-          let tmp = q.heap.(!smallest) in
-          q.heap.(!smallest) <- q.heap.(!i);
-          q.heap.(!i) <- tmp;
-          i := !smallest
-        end
-      done
+    let pt = Float.Array.unsafe_get times parent in
+    if time < pt || (time = pt && key < Array.unsafe_get keys parent) then begin
+      Float.Array.unsafe_set times !i pt;
+      Array.unsafe_set keys !i (Array.unsafe_get keys parent);
+      Array.unsafe_set slots !i (Array.unsafe_get slots parent);
+      i := parent
     end
-    else q.heap.(0) <- filler;
-    Some (top.e_time, top.e_payload)
-  end
+    else continue := false
+  done;
+  Float.Array.unsafe_set times !i time;
+  Array.unsafe_set keys !i key;
+  Array.unsafe_set slots !i slot
+
+(* Remove the root: its payload slot gets the filler and goes back on the
+   free stack, and the last entry is sifted down from the root's hole. *)
+let heap_take q =
+  if q.hsize = 0 then invalid_arg "Events.take: empty queue";
+  let times = q.times and keys = q.keys and slots = q.slots in
+  let top_slot = Array.unsafe_get slots 0 in
+  let top = q.payloads.(top_slot) in
+  (match q.filler with
+   | Some f -> q.payloads.(top_slot) <- f
+   | None -> assert false);
+  Float.Array.unsafe_set q.h_last 0 (Float.Array.unsafe_get times 0);
+  let n = q.hsize - 1 in
+  q.hsize <- n;
+  q.free.(Array.length keys - n - 1) <- top_slot;
+  if n > 0 then begin
+    let t = Float.Array.unsafe_get times n in
+    let k = Array.unsafe_get keys n in
+    let x = Array.unsafe_get slots n in
+    let i = ref 0 in
+    let continue = ref true in
+    while !continue do
+      let l = (2 * !i) + 1 in
+      if l >= n then continue := false
+      else begin
+        (* the smaller child *)
+        let r = l + 1 in
+        let c =
+          if r < n
+          && (let rt = Float.Array.unsafe_get times r
+              and lt = Float.Array.unsafe_get times l in
+              rt < lt
+              || (rt = lt && Array.unsafe_get keys r < Array.unsafe_get keys l))
+          then r
+          else l
+        in
+        let ct = Float.Array.unsafe_get times c in
+        if ct < t || (ct = t && Array.unsafe_get keys c < k) then begin
+          Float.Array.unsafe_set times !i ct;
+          Array.unsafe_set keys !i (Array.unsafe_get keys c);
+          Array.unsafe_set slots !i (Array.unsafe_get slots c);
+          i := c
+        end
+        else continue := false
+      end
+    done;
+    Float.Array.unsafe_set times !i t;
+    Array.unsafe_set keys !i k;
+    Array.unsafe_set slots !i x
+  end;
+  top
 
 (* --- calendar queue backend ---------------------------------------------- *)
+
+type 'a entry = {
+  e_time : float;
+  e_rank : int;
+  e_seq : int;
+  e_payload : 'a;
+}
+
+let precedes a b =
+  a.e_time < b.e_time
+  || (a.e_time = b.e_time
+      && (a.e_rank < b.e_rank || (a.e_rank = b.e_rank && a.e_seq < b.e_seq)))
 
 type 'a cal_q = {
   width : float;
@@ -146,6 +213,7 @@ type 'a cal_q = {
   mutable cseq : int;
   mutable cur_slot : int;
       (* invariant: no queued event's slot precedes cur_slot *)
+  c_last : Float.Array.t;               (* [| time of the last [take] |] *)
 }
 
 (* capped so slot * anything stays far from int overflow; times past the
@@ -168,7 +236,8 @@ let cal_create ~width ~n_buckets =
     buckets = Array.make !n [];
     csize = 0;
     cseq = 0;
-    cur_slot = 0 }
+    cur_slot = 0;
+    c_last = Float.Array.make 1 nan }
 
 let rec sorted_insert e = function
   | [] -> [ e ]
@@ -202,44 +271,43 @@ let cal_min_scan cal =
     cal.buckets;
   (!best, !best_e)
 
-let cal_take cal ~slot ~bucket =
+let cal_remove cal ~slot ~bucket =
   match cal.buckets.(bucket) with
   | [] -> assert false
   | e :: rest ->
     cal.buckets.(bucket) <- rest;
     cal.csize <- cal.csize - 1;
     cal.cur_slot <- slot;
-    Some (e.e_time, e.e_payload)
+    Float.Array.set cal.c_last 0 e.e_time;
+    e.e_payload
 
-let cal_pop cal =
-  if cal.csize = 0 then None
-  else begin
-    let n = cal.mask + 1 in
-    let rec scan slot remaining =
-      if remaining = 0 then begin
-        (* a full wrap found nothing: every queued event is at least one
-           wrap ahead (or slot-clamped); fall back to the authoritative
-           min over bucket heads *)
-        let bucket, e = cal_min_scan cal in
-        match e with
-        | None -> assert false
-        | Some e -> cal_take cal ~slot:(slot_of cal e.e_time) ~bucket
-      end
-      else
-        let b = slot land cal.mask in
-        match cal.buckets.(b) with
-        | e :: _ when slot_of cal e.e_time <= slot ->
-          cal_take cal ~slot ~bucket:b
-        | _ ->
-          (* nothing queued at or before [slot] (this bucket's head, the
-             minimum of every slot mapping here, is past it) — persist the
-             progress so sparse stretches are swept once per run, not once
-             per pop *)
-          cal.cur_slot <- slot + 1;
-          scan (slot + 1) (remaining - 1)
-    in
-    scan cal.cur_slot n
-  end
+let cal_take cal =
+  if cal.csize = 0 then invalid_arg "Events.take: empty queue";
+  let n = cal.mask + 1 in
+  let rec scan slot remaining =
+    if remaining = 0 then begin
+      (* a full wrap found nothing: every queued event is at least one
+         wrap ahead (or slot-clamped); fall back to the authoritative
+         min over bucket heads *)
+      let bucket, e = cal_min_scan cal in
+      match e with
+      | None -> assert false
+      | Some e -> cal_remove cal ~slot:(slot_of cal e.e_time) ~bucket
+    end
+    else
+      let b = slot land cal.mask in
+      match cal.buckets.(b) with
+      | e :: _ when slot_of cal e.e_time <= slot ->
+        cal_remove cal ~slot ~bucket:b
+      | _ ->
+        (* nothing queued at or before [slot] (this bucket's head, the
+           minimum of every slot mapping here, is past it) — persist the
+           progress so sparse stretches are swept once per run, not once
+           per pop *)
+        cal.cur_slot <- slot + 1;
+        scan (slot + 1) (remaining - 1)
+  in
+  scan cal.cur_slot n
 
 (* --- unified front -------------------------------------------------------- *)
 
@@ -263,15 +331,25 @@ let reserve = function
     seq
 
 let push_reserved q ~time ~rank ~seq payload =
+  check_push ~time ~rank ~seq;
   match q with
-  | H h -> heap_push h ~time ~rank ~seq payload
+  | H h -> heap_push h ~time ~key:((rank lsl seq_bits) lor seq) payload
   | C c -> cal_push c ~time ~rank ~seq payload
 
-let push q ~time ?(rank = 0) payload =
-  let seq = reserve q in
-  push_reserved q ~time ~rank ~seq payload
+let push q ~time ~rank payload =
+  push_reserved q ~time ~rank ~seq:(reserve q) payload
 
-let pop = function H q -> heap_pop q | C c -> cal_pop c
+let take = function H q -> heap_take q | C c -> cal_take c
+
+let last_time = function
+  | H q -> Float.Array.get q.h_last 0
+  | C c -> Float.Array.get c.c_last 0
+
+let pop q =
+  if length q = 0 then None
+  else
+    let x = take q in
+    Some (last_time q, x)
 
 let drain q =
   let rec go acc = match pop q with

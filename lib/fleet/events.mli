@@ -25,10 +25,13 @@ val create : ?kind:kind -> unit -> 'a t
 
 val length : 'a t -> int
 
-(** [push q ~time ?rank x] schedules [x] at virtual time [time]. Among
-    events with equal time, lower [rank] pops first (default [0]); equal
-    (time, rank) pairs pop in insertion order. *)
-val push : 'a t -> time:float -> ?rank:int -> 'a -> unit
+(** [push q ~time ~rank x] schedules [x] at virtual time [time]. Among
+    events with equal time, lower [rank] pops first; equal (time, rank)
+    pairs pop in insertion order. [time] may be infinite but not NaN, and
+    [rank] must lie in [[-2^22, 2^22)]; anything else raises
+    [Invalid_argument]. Pushing onto the heap backend allocates nothing
+    once its arrays have grown to the queue's peak length. *)
+val push : 'a t -> time:float -> rank:int -> 'a -> unit
 
 (** Take the insertion sequence number the next [push] would get, without
     pushing anything. *)
@@ -37,12 +40,22 @@ val reserve : 'a t -> int
 (** [push_reserved q ~time ~rank ~seq x] schedules [x] with a sequence
     number obtained from [reserve]: it pops exactly where it would have,
     had it been [push]ed at reservation time. Push each reserved number at
-    most once. *)
+    most once. Raises [Invalid_argument] as {!push} does. *)
 val push_reserved : 'a t -> time:float -> rank:int -> seq:int -> 'a -> unit
 
-(** Remove and return the earliest event as [(time, payload)]. A drained
-    queue retains no popped payload except, for the heap backend, the most
-    recently popped one (a single recycled filler slot). *)
+(** Remove the earliest event and return its payload; its time is then
+    {!last_time}. Unlike {!pop} it builds no tuple or option, so this is
+    the event loop's pop. Raises [Invalid_argument] on an empty queue. A
+    drained queue retains no popped payload, except that the heap backend
+    keeps the first payload ever pushed as the filler of its vacated
+    slots. *)
+val take : 'a t -> 'a
+
+(** The time of the event the last {!take} removed ([nan] before the
+    first). *)
+val last_time : 'a t -> float
+
+(** [take] and [last_time] as one [(time, payload)], [None] when empty. *)
 val pop : 'a t -> (float * 'a) option
 
 (** Pop everything, earliest first (testing convenience). *)

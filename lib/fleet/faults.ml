@@ -94,7 +94,6 @@ let jitter c ~req ~retry =
 
 (* --- legacy §7 draws ------------------------------------------------------ *)
 
-let fallback_flags ~seed ~rate ~n =
+let fallback_flags ~seed ~rate =
   let rng = Random.State.make [| seed |] in
-  let flags = Array.init n (fun _ -> Random.State.float rng 1.0 < rate) in
-  fun i -> flags.(i)
+  fun () -> Random.State.float rng 1.0 < rate

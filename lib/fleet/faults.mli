@@ -61,5 +61,6 @@ val jitter : config -> req:int -> retry:int -> float
 
 (** The §7 removal-hit coin flips, exactly as the pre-fault router drew
     them: a [Random.State] seeded with [seed], one [float] draw per
-    request in arrival order. Returns a lookup by request index. *)
-val fallback_flags : seed:int -> rate:float -> n:int -> int -> bool
+    request in arrival order. Each call of the returned function is the
+    next request's flip. *)
+val fallback_flags : seed:int -> rate:float -> unit -> bool

@@ -14,29 +14,60 @@ let policy_name = function
     Printf.sprintf "lru-%gs-cap%d" keep_alive_s max_idle
   | Adaptive { percentile; _ } -> Printf.sprintf "adaptive-p%g" percentile
 
+(* The CLI checks its own flags; this is the check every library caller
+   gets too. [min_s > max_s] stays legal: the clamp then answers [max_s]
+   ([ltrim fleet --policy adaptive --keep-alive 30] builds one). *)
+let validate policy =
+  let duration name v =
+    if not (v >= 0.0) then
+      invalid_arg
+        (Printf.sprintf "Pool: %s must be >= 0 or infinity (got %g)" name v)
+  in
+  match policy with
+  | Fixed_ttl { keep_alive_s } -> duration "keep_alive_s" keep_alive_s
+  | Lru { keep_alive_s; max_idle } ->
+    duration "keep_alive_s" keep_alive_s;
+    if max_idle < 0 then
+      invalid_arg (Printf.sprintf "Pool: max_idle must be >= 0 (got %d)" max_idle)
+  | Adaptive { min_s; max_s; percentile } ->
+    duration "min_s" min_s;
+    duration "max_s" max_s;
+    if not (percentile >= 0.0 && percentile <= 100.0) then
+      invalid_arg
+        (Printf.sprintf "Pool: percentile must be in [0, 100] (got %g)"
+           percentile)
+
 type state = Idle | Busy
 
-type instance = {
-  id : int;
+(* All-float, so OCaml stores it flat: updating a field writes a double in
+   place instead of allocating a box and paying the write barrier. *)
+type times = {
   born_s : float;
-  mutable state : state;
   mutable busy_until : float;
   mutable idle_since : float;
   mutable expires_at : float;
-  mutable idle_seq : int;
-  mutable timer_seq : int;
   mutable timer_at : float;
   mutable pending_s : float;
       (* deferred lazy-init work this instance has not resolved yet
          (ARCHITECTURE §14); 0 for eager deployments *)
 }
 
+type instance = {
+  id : int;
+  mutable state : state;
+  mutable idle_seq : int;
+  mutable timer_seq : int;
+  times : times;
+}
+
 (* Idle-gap histogram for the adaptive policy: 1 s buckets, capped at one
    hour (gaps beyond that land in the last bucket — by then the clamp to
-   [max_s] dominates anyway). *)
+   [max_s] dominates anyway). The buckets are allocated on the first
+   observation, so a pool that never observes (fixed-TTL, LRU) allocates
+   none. *)
 module Histogram = struct
   type t = {
-    buckets : int array;
+    mutable buckets : int array;  (* empty until the first observation *)
     mutable total : int;
     mutable cursor : int;  (* the bucket the last query answered *)
     mutable upto : int;    (* observations in buckets 0 .. cursor *)
@@ -44,11 +75,11 @@ module Histogram = struct
 
   let bucket_count = 3600
 
-  let create () =
-    { buckets = Array.make bucket_count 0; total = 0; cursor = 0; upto = 0 }
+  let create () = { buckets = [||]; total = 0; cursor = 0; upto = 0 }
 
   let observe h gap_s =
     let i = min (bucket_count - 1) (max 0 (int_of_float gap_s)) in
+    if h.total = 0 then h.buckets <- Array.make bucket_count 0;
     h.buckets.(i) <- h.buckets.(i) + 1;
     h.total <- h.total + 1;
     if i <= h.cursor then h.upto <- h.upto + 1
@@ -85,20 +116,24 @@ type t = {
   mutable peak : int;
   mutable evicted : int;
   mutable resident : float;
-  hist : Histogram.t;
+  hist : Histogram.t;  (* read and filled by [Adaptive] only *)
   mutable observations : int;
   mutable preloaded : float;
       (* total seconds of pending lazy-init work resolved during keep-alive
          idle time (see [preload_idle]) *)
-  mutable idle_mru : (instance * float) list;
-      (* warm-selection fast path for Fixed_ttl/Adaptive: one (instance,
-         idle_since stamp) entry per idle period, most recent first.
-         Release times are nondecreasing, so pushing keeps the list sorted
-         by (idle_since desc, id asc) — the head valid entry is exactly
-         what the O(live) [pick] scan would choose. Entries go stale in
-         place (re-acquired, evicted, expired) and are dropped lazily on
-         pop. Unused by [Lru], whose eviction scan needs the full table
-         anyway. *)
+  mutable mru : instance array;
+  mutable mru_since : Float.Array.t;
+  mutable mru_len : int;
+      (* warm-selection fast path for Fixed_ttl/Adaptive: a stack of
+         (instance, idle_since stamp) entries, one per idle period, the
+         most recent on top (index [mru_len - 1]). Release times are
+         nondecreasing, so pushing keeps it sorted by (idle_since desc,
+         id asc) from the top — the top valid entry is exactly what the
+         O(live) [pick] scan would choose. Entries go stale in place
+         (re-acquired, evicted, expired) and are dropped lazily on pop.
+         Slots above the top keep whatever they last held until
+         overwritten. Unused by [Lru], whose eviction scan needs the full
+         table anyway. *)
 }
 
 let create policy =
@@ -111,7 +146,9 @@ let create policy =
     hist = Histogram.create ();
     observations = 0;
     preloaded = 0.0;
-    idle_mru = [] }
+    mru = [||];
+    mru_since = Float.Array.create 0;
+    mru_len = 0 }
 
 let live_count t = Hashtbl.length t.live
 let peak_live t = t.peak
@@ -149,37 +186,53 @@ let pick t ~pred ~better =
            else best)
     None
 
-(* Insert an idle entry keeping the (idle_since desc, id asc) order: the
-   new stamp is >= every stamped entry, so it belongs at the front, behind
-   any same-stamp entries with smaller ids (the leading run is almost
+(* Push an idle entry keeping the (idle_since desc, id asc) order from the
+   top: the new stamp is >= every stamped entry, so it belongs on top,
+   under any same-stamp entries with smaller ids (that run is almost
    always empty — equal release instants are rare). *)
 let push_idle t inst =
-  let stamp = inst.idle_since in
-  let rec ins = function
-    | ((h, hs) :: rest) as l ->
-      if hs = stamp && h.id < inst.id then (h, hs) :: ins rest
-      else (inst, stamp) :: l
-    | [] -> [ (inst, stamp) ]
-  in
-  t.idle_mru <- ins t.idle_mru
+  let stamp = inst.times.idle_since in
+  let len = t.mru_len in
+  if len = Array.length t.mru then begin
+    let cap = max 16 (2 * len) in
+    let mru = Array.make cap inst in
+    Array.blit t.mru 0 mru 0 len;
+    let since = Float.Array.make cap 0.0 in
+    Float.Array.blit t.mru_since 0 since 0 len;
+    t.mru <- mru;
+    t.mru_since <- since
+  end;
+  let j = ref len in
+  while
+    !j > 0
+    && Float.Array.get t.mru_since (!j - 1) = stamp
+    && t.mru.(!j - 1).id < inst.id
+  do
+    t.mru.(!j) <- t.mru.(!j - 1);
+    Float.Array.set t.mru_since !j (Float.Array.get t.mru_since (!j - 1));
+    decr j
+  done;
+  t.mru.(!j) <- inst;
+  Float.Array.set t.mru_since !j stamp;
+  t.mru_len <- len + 1
 
-(* Head valid entry of the MRU list. A stale entry — re-acquired (stamp
+(* Top valid entry of the MRU stack. A stale entry — re-acquired (stamp
    mismatch or busy), evicted ([evict] poisons [expires_at]), or expired
    ([now] is nondecreasing, so it can never become valid again) — is
    dropped for good. *)
 let rec pop_idle t ~now =
-  match t.idle_mru with
-  | [] -> None
-  | (inst, stamp) :: rest ->
-    if inst.state = Idle && inst.idle_since = stamp && inst.expires_at >= now
-    then begin
-      t.idle_mru <- rest;
-      Some inst
-    end
-    else begin
-      t.idle_mru <- rest;
-      pop_idle t ~now
-    end
+  if t.mru_len = 0 then None
+  else begin
+    let top = t.mru_len - 1 in
+    t.mru_len <- top;
+    let inst = t.mru.(top) in
+    let c = inst.times in
+    if inst.state = Idle
+    && c.idle_since = Float.Array.get t.mru_since top
+    && c.expires_at >= now
+    then Some inst
+    else pop_idle t ~now
+  end
 
 let acquire t ~now =
   let warm =
@@ -187,32 +240,33 @@ let acquire t ~now =
     | Fixed_ttl _ | Adaptive _ -> pop_idle t ~now
     | Lru _ ->
       pick t
-        ~pred:(fun i -> i.state = Idle && i.expires_at >= now)
-        ~better:(fun a b -> a.idle_since > b.idle_since)  (* MRU *)
+        ~pred:(fun i -> i.state = Idle && i.times.expires_at >= now)
+        ~better:(fun a b -> a.times.idle_since > b.times.idle_since)  (* MRU *)
   in
-  match warm with
-  | None -> None
-  | Some inst ->
-    (match t.policy with
-     | Adaptive _ ->
-       Histogram.observe t.hist (now -. inst.idle_since);
-       t.observations <- t.observations + 1
-     | Fixed_ttl _ | Lru _ -> ());
-    inst.state <- Busy;
-    Some inst
+  (match warm with
+   | None -> ()
+   | Some inst ->
+     (match t.policy with
+      | Adaptive _ ->
+        Histogram.observe t.hist (now -. inst.times.idle_since);
+        t.observations <- t.observations + 1
+      | Fixed_ttl _ | Lru _ -> ());
+     inst.state <- Busy);
+  warm
 
 let spawn t ~now =
   let inst =
     { id = t.next_id;
-      born_s = now;
       state = Busy;
-      busy_until = now;
-      idle_since = now;
-      expires_at = infinity;
       idle_seq = -1;
       timer_seq = -1;
-      timer_at = infinity;
-      pending_s = 0.0 }
+      times =
+        { born_s = now;
+          busy_until = now;
+          idle_since = now;
+          expires_at = infinity;
+          timer_at = infinity;
+          pending_s = 0.0 } }
   in
   t.next_id <- t.next_id + 1;
   Hashtbl.replace t.live inst.id inst;
@@ -223,9 +277,9 @@ let evict t inst ~now =
   Hashtbl.remove t.live inst.id;
   (* ids are never reused, so poisoning the expiry is enough to invalidate
      any idle_mru entry still pointing here *)
-  inst.expires_at <- neg_infinity;
+  inst.times.expires_at <- neg_infinity;
   t.evicted <- t.evicted + 1;
-  t.resident <- t.resident +. (now -. inst.born_s)
+  t.resident <- t.resident +. (now -. inst.times.born_s)
 
 (* Keep-alive timers, at most one outstanding per instance. An idle
    period's expiry is keyed (expires_at, expiry rank, idle_seq): [release]
@@ -241,12 +295,13 @@ let evict t inst ~now =
 
 let arm inst =
   inst.timer_seq <- inst.idle_seq;
-  inst.timer_at <- inst.expires_at
+  inst.times.timer_at <- inst.times.expires_at
 
 let release t inst ~now ~reserve =
+  let c = inst.times in
   inst.state <- Idle;
-  inst.idle_since <- now;
-  inst.expires_at <- now +. current_keep_alive_s t;
+  c.idle_since <- now;
+  c.expires_at <- now +. current_keep_alive_s t;
   (match t.policy with
    | Lru { max_idle; _ } ->
      let idle_count =
@@ -256,16 +311,17 @@ let release t inst ~now ~reserve =
        match
          pick t
            ~pred:(fun i -> i.state = Idle)
-           ~better:(fun a b -> a.idle_since < b.idle_since)  (* LRU *)
+           ~better:(fun a b -> a.times.idle_since < b.times.idle_since)
+           (* LRU *)
        with
        | Some victim -> evict t victim ~now
        | None -> ()
      end
    | Fixed_ttl _ | Adaptive _ -> push_idle t inst);
-  if inst.expires_at = infinity then false
+  if c.expires_at = infinity then false
   else begin
     inst.idle_seq <- reserve ();
-    let covered = inst.timer_seq >= 0 && inst.timer_at <= inst.expires_at in
+    let covered = inst.timer_seq >= 0 && c.timer_at <= c.expires_at in
     if not covered then arm inst;
     not covered
   end
@@ -278,7 +334,8 @@ let fire t inst ~seq ~now =
     inst.timer_seq <- -1;
     (* [evict] sets [expires_at] to neg_infinity, and an infinite
        keep-alive never expires *)
-    if inst.state = Busy || not (Float.is_finite inst.expires_at) then false
+    if inst.state = Busy || not (Float.is_finite inst.times.expires_at) then
+      false
     else if inst.idle_seq = seq then begin
       evict t inst ~now;
       false
@@ -291,11 +348,11 @@ let fire t inst ~seq ~now =
 
 (* --- lazy-init pending ledger (ARCHITECTURE §14) ------------------------ *)
 
-let set_pending inst s = inst.pending_s <- s
-let pending_s inst = inst.pending_s
+let set_pending inst s = inst.times.pending_s <- s
+let pending_s inst = inst.times.pending_s
 
 let consume_pending inst s =
-  inst.pending_s <- Float.max 0.0 (inst.pending_s -. s)
+  inst.times.pending_s <- Float.max 0.0 (inst.times.pending_s -. s)
 
 (* Profile-driven preloading: a warm instance spends its keep-alive idle
    gap resolving pending stubs in the manifest's preload order, so the
@@ -303,10 +360,11 @@ let consume_pending inst s =
    at warm-acquire time, when the just-ended idle gap [now - idle_since] is
    known. *)
 let preload_idle t inst ~now =
-  let gap = Float.max 0.0 (now -. inst.idle_since) in
-  let resolved = Float.min gap inst.pending_s in
+  let c = inst.times in
+  let gap = Float.max 0.0 (now -. c.idle_since) in
+  let resolved = Float.min gap c.pending_s in
   if resolved > 0.0 then begin
-    inst.pending_s <- inst.pending_s -. resolved;
+    c.pending_s <- c.pending_s -. resolved;
     t.preloaded <- t.preloaded +. resolved
   end
 
@@ -316,9 +374,10 @@ let drain t =
   let survivors = fold_live t (fun acc i -> i :: acc) [] in
   List.iter
     (fun (i : instance) ->
+       let c = i.times in
        let until =
-         if i.state = Busy then Float.max i.busy_until i.born_s
-         else i.expires_at
+         if i.state = Busy then Float.max c.busy_until c.born_s
+         else c.expires_at
        in
        evict t i ~now:until)
     survivors

@@ -25,22 +25,34 @@ type policy =
 
 val policy_name : policy -> string
 
+(** Raises [Invalid_argument] on a NaN or negative keep-alive, [min_s],
+    [max_s] or [max_idle], or a percentile outside [[0, 100]]. Infinite
+    keep-alives are legal, and so is [min_s > max_s] (the TTL is then
+    [max_s]). *)
+val validate : policy -> unit
+
 type state = Idle | Busy
 
-type instance = {
-  id : int;
+(** An instance's clock, all floats so it is stored flat (an update
+    allocates nothing). *)
+type times = {
   born_s : float;
-  mutable state : state;
   mutable busy_until : float;
   mutable idle_since : float;
   mutable expires_at : float;
-  mutable idle_seq : int;
-      (** event-queue seq reserved by the last finite-expiry {!release} *)
-  mutable timer_seq : int;  (** the outstanding keep-alive timer; [-1]: none *)
-  mutable timer_at : float;  (** when that timer is due *)
+  mutable timer_at : float;  (** when the outstanding timer is due *)
   mutable pending_s : float;
       (** deferred lazy-init work not yet resolved on this instance
           (ARCHITECTURE §14); 0 for eager deployments *)
+}
+
+type instance = {
+  id : int;
+  mutable state : state;
+  mutable idle_seq : int;
+      (** event-queue seq reserved by the last finite-expiry {!release} *)
+  mutable timer_seq : int;  (** the outstanding keep-alive timer; [-1]: none *)
+  times : times;
 }
 
 type t
@@ -93,7 +105,8 @@ val current_keep_alive_s : t -> float
 (** The adaptive policy's idle-gap histogram (1 s buckets, the last one
     absorbing every longer gap). [percentile h p] is the upper edge of the
     first bucket whose cumulative count reaches the [p]-th percentile
-    observation: [0] when empty, [bucket_count] when none does. *)
+    observation: [0] when empty, [bucket_count] when none does. [create]
+    allocates no buckets; the first [observe] allocates all of them. *)
 module Histogram : sig
   type t
 

@@ -59,6 +59,13 @@ let served (r : Router.record) =
    cost/sum fields are bit-reproducible at any shard layout. *)
 
 module Stream = struct
+  (* All-float, so stored flat: [observe] updates it without allocating. *)
+  type floats = {
+    mutable cost : float;
+    mutable first_arrival : float;
+    mutable last_finish : float;
+  }
+
   type t = {
     pricing : Platform.Pricing.t;
     memory_mb : float;
@@ -78,9 +85,7 @@ module Stream = struct
     mutable fb_invocations : int;
     lat : Sketch.t;
     waits : Sketch.t;
-    mutable cost : float;
-    mutable first_arrival : float;
-    mutable last_finish : float;
+    fl : floats;
     (* engine totals absorbed after each run; [peak] is the sum of per-app
        peaks when streams merge (apps have independent pools) *)
     mutable peak : int;
@@ -101,53 +106,53 @@ module Stream = struct
       rejected = 0; timed_out = 0; failed = 0; shed = 0;
       attempts = 0; retried = 0; hedged = 0; fb_invocations = 0;
       lat = Sketch.create (); waits = Sketch.create ();
-      cost = 0.0;
-      first_arrival = infinity; last_finish = neg_infinity;
+      fl = { cost = 0.0; first_arrival = infinity; last_finish = neg_infinity };
       peak = 0; resident_s = 0.0; evictions = 0; apps = 0; events = 0 }
 
+  let count_primary t = function
+    | Router.Cold -> t.cold <- t.cold + 1
+    | Router.Warm -> t.warm <- t.warm + 1
+
+  let count_original t kind =
+    t.fb_invocations <- t.fb_invocations + 1;
+    match kind with
+    | Router.Cold -> t.fb_cold <- t.fb_cold + 1
+    | Router.Warm -> ()
+
   let observe t (r : Router.record) =
+    let fl = t.fl in
     t.requests <- t.requests + 1;
     t.attempts <- t.attempts + r.Router.attempts;
     if r.Router.attempts > 1 then t.retried <- t.retried + 1;
     if r.Router.hedged then t.hedged <- t.hedged + 1;
-    if r.Router.arrival_s < t.first_arrival then
-      t.first_arrival <- r.Router.arrival_s;
-    let count_primary = function
-      | Router.Cold -> t.cold <- t.cold + 1
-      | Router.Warm -> t.warm <- t.warm + 1
-    in
-    let count_original kind =
-      t.fb_invocations <- t.fb_invocations + 1;
-      match kind with
-      | Router.Cold -> t.fb_cold <- t.fb_cold + 1
-      | Router.Warm -> ()
-    in
+    if r.Router.arrival_s < fl.first_arrival then
+      fl.first_arrival <- r.Router.arrival_s;
     (match r.Router.outcome with
-     | Router.Served kind -> count_primary kind
+     | Router.Served kind -> count_primary t kind
      | Router.Fallback_served { trimmed; original } ->
-       count_primary trimmed;
+       count_primary t trimmed;
        t.fallbacks <- t.fallbacks + 1;
-       count_original original
+       count_original t original
      | Router.Shed kind ->
        t.shed <- t.shed + 1;
-       count_original kind
+       count_original t kind
      | Router.Rejected -> t.rejected <- t.rejected + 1
      | Router.Timed_out -> t.timed_out <- t.timed_out + 1
      | Router.Failed _ -> t.failed <- t.failed + 1);
     if served r then begin
       Sketch.add t.lat (r.Router.e2e_s *. 1000.0);
       Sketch.add t.waits (r.Router.wait_s *. 1000.0);
-      if r.Router.finish_s > t.last_finish then
-        t.last_finish <- r.Router.finish_s
+      if r.Router.finish_s > fl.last_finish then
+        fl.last_finish <- r.Router.finish_s
     end;
     if r.Router.billed_ms > 0.0 then
-      t.cost <-
-        t.cost
+      fl.cost <-
+        fl.cost
         +. Platform.Pricing.invocation_cost t.pricing
              ~duration_ms:r.Router.billed_ms ~memory_mb:t.memory_mb;
     if r.Router.fb_billed_ms > 0.0 then
-      t.cost <-
-        t.cost
+      fl.cost <-
+        fl.cost
         +. Platform.Pricing.invocation_cost t.pricing
              ~duration_ms:r.Router.fb_billed_ms ~memory_mb:t.fb_memory_mb
 
@@ -175,11 +180,12 @@ module Stream = struct
     into.fb_invocations <- into.fb_invocations + src.fb_invocations;
     Sketch.merge_into ~into:into.lat src.lat;
     Sketch.merge_into ~into:into.waits src.waits;
-    into.cost <- into.cost +. src.cost;
-    if src.first_arrival < into.first_arrival then
-      into.first_arrival <- src.first_arrival;
-    if src.last_finish > into.last_finish then
-      into.last_finish <- src.last_finish;
+    let ifl = into.fl and sfl = src.fl in
+    ifl.cost <- ifl.cost +. sfl.cost;
+    if sfl.first_arrival < ifl.first_arrival then
+      ifl.first_arrival <- sfl.first_arrival;
+    if sfl.last_finish > ifl.last_finish then
+      ifl.last_finish <- sfl.last_finish;
     into.peak <- into.peak + src.peak;
     into.resident_s <- into.resident_s +. src.resident_s;
     into.evictions <- into.evictions + src.evictions;
@@ -192,7 +198,7 @@ module Stream = struct
   let summary ~label t : summary =
     let served = t.cold + t.warm + t.shed in
     let primary_starts = t.cold + t.warm in
-    let window = t.last_finish -. t.first_arrival in
+    let window = t.fl.last_finish -. t.fl.first_arrival in
     { label;
       requests = t.requests;
       served;
@@ -216,7 +222,7 @@ module Stream = struct
       peak_instances = t.peak;
       resident_instance_s = t.resident_s;
       evictions = t.evictions;
-      cost_usd = t.cost;
+      cost_usd = t.fl.cost;
       attempts = t.attempts;
       retried = t.retried;
       hedged = t.hedged;

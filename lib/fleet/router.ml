@@ -123,12 +123,21 @@ type status = Waiting | Running | Retrying | Done
 
 type breaker_role = Sample | Probe_req | Unsampled
 
+(* All-float, so stored flat: the per-attempt updates write doubles in
+   place instead of allocating boxes behind the write barrier. *)
+type req_times = {
+  mutable start : float;
+  mutable acc_billed_ms : float;
+  mutable touch_s : float;      (* stub-forcing time of the live attempt *)
+}
+
 type req = {
   idx : int;
   arrival : float;
+      (* boxed, as the trace list holds it: read, never written, and
+         emitted as is in the request's record *)
   needs_fb : bool;
   mutable status : status;
-  mutable start : float;
   mutable kind : start_kind option;
   mutable attempt : int;        (* current attempt index, 0-based *)
   mutable attempts : int;       (* service attempts started (incl. hedge) *)
@@ -137,11 +146,38 @@ type req = {
   mutable hedge_inflight : bool;
   mutable shed : bool;          (* breaker routed this straight to original *)
   mutable role : breaker_role;
-  mutable acc_billed_ms : float;
-  mutable touch_s : float;      (* stub-forcing time of the live attempt *)
   mutable lane : int;           (* trace lane while the request is live *)
   mutable span : Obs.Span.h;    (* open request span (none when untraced) *)
+  times : req_times;
 }
+
+(* Constant constructors are preallocated: these hand out the shared
+   [Some Cold] / [Served Cold] blocks instead of allocating one per
+   request. *)
+let some_kind = function Cold -> Some Cold | Warm -> Some Warm
+let served_as = function Cold -> Served Cold | Warm -> Served Warm
+
+(* A start's service time and Eq.-1 billed duration, inlined so that
+   their results stay unboxed. *)
+let[@inline] service_s p = function
+  | Cold -> p.instance_init_s +. p.func_init_s +. p.exec_s
+  | Warm -> p.exec_s
+
+let[@inline] billed_ms p = function
+  | Cold -> 1000.0 *. (p.func_init_s +. p.exec_s)
+  | Warm -> 1000.0 *. p.exec_s
+
+(* Profile times are durations: a NaN or negative one would run events
+   backwards or price nonsense. *)
+let validate_profile name p =
+  let check field v =
+    if not (v >= 0.0) then
+      invalid_arg
+        (Printf.sprintf "Router: %s.%s must be >= 0 (got %g)" name field v)
+  in
+  check "exec_s" p.exec_s;
+  check "func_init_s" p.func_init_s;
+  check "instance_init_s" p.instance_init_s
 
 type event =
   | Complete of req * Pool.instance
@@ -205,6 +241,13 @@ let queue_kind_for (_ : Platform.Trace.t) = Events.Heap
 let run_with ~(emit : record -> unit) cfg (trace : Platform.Trace.t) : totals =
   Faults.validate cfg.faults;
   Resilience.validate cfg.resilience;
+  Pool.validate cfg.policy;
+  validate_profile "profile" cfg.profile;
+  Option.iter
+    (fun fb ->
+       Pool.validate fb.fb_policy;
+       validate_profile "fb_profile" fb.fb_profile)
+    cfg.fallback;
   let sink = Obs.Span.installed () in
   let traced = Obs.Span.enabled sink in
   let run_base =
@@ -248,7 +291,8 @@ let run_with ~(emit : record -> unit) cfg (trace : Platform.Trace.t) : totals =
   let arm pool inst =
     let seq = inst.Pool.idle_seq in
     let ev = Expire (pool, inst, seq) in
-    Events.push_reserved q ~time:inst.Pool.expires_at ~rank:(rank ev) ~seq ev
+    Events.push_reserved q ~time:inst.Pool.times.Pool.expires_at ~rank:(rank ev)
+      ~seq ev
   in
   let pool = Pool.create cfg.policy in
   let fb_pool =
@@ -260,10 +304,8 @@ let run_with ~(emit : record -> unit) cfg (trace : Platform.Trace.t) : totals =
      sequential coin flip, part of the request's fault plan) *)
   let draws =
     match cfg.fallback with
-    | None -> fun _ -> false
-    | Some fb ->
-      Faults.fallback_flags ~seed:fb.fb_seed ~rate:fb.fb_rate
-        ~n:(Platform.Trace.length trace)
+    | None -> fun () -> false
+    | Some fb -> Faults.fallback_flags ~seed:fb.fb_seed ~rate:fb.fb_rate
   in
   let breaker =
     match cfg.resilience.Resilience.breaker, cfg.fallback with
@@ -273,56 +315,47 @@ let run_with ~(emit : record -> unit) cfg (trace : Platform.Trace.t) : totals =
       invalid_arg "Router: a circuit breaker requires a configured fallback"
     | None, _ -> None
   in
-  (* arrivals are fed lazily, one cursor step per popped arrival: the
-     trace is sorted, so the queue only ever holds the in-flight events
-     plus the single next arrival — not the whole trace. Arrival rank 1
+  (* arrivals are fed lazily, one step down the trace's (sorted) list per
+     popped arrival, so the queue only ever holds the in-flight events plus
+     the single next arrival — not the whole trace. Arrival rank 1
      preserves the pre-push tie order (see [rank]). *)
-  let arrivals = Array.of_list trace.Platform.Trace.arrivals_s in
-  let next_arrival = ref 0 in
+  let rest_arrivals = ref trace.Platform.Trace.arrivals_s in
+  let next_idx = ref 0 in
   let feed_arrival () =
-    if !next_arrival < Array.length arrivals then begin
-      let idx = !next_arrival in
-      incr next_arrival;
-      let arrival = arrivals.(idx) in
+    match !rest_arrivals with
+    | [] -> ()
+    | arrival :: rest ->
+      rest_arrivals := rest;
+      let idx = !next_idx in
+      incr next_idx;
       let r =
-        { idx; arrival; needs_fb = draws idx; status = Waiting;
-          start = arrival; kind = None; attempt = 0; attempts = 0;
-          retries = 0; hedged = false; hedge_inflight = false; shed = false;
-          role = Unsampled; acc_billed_ms = 0.0; touch_s = 0.0; lane = 0;
-          span = Obs.Span.none }
+        { idx; arrival; needs_fb = draws (); status = Waiting; kind = None;
+          attempt = 0; attempts = 0; retries = 0; hedged = false;
+          hedge_inflight = false; shed = false; role = Unsampled; lane = 0;
+          span = Obs.Span.none;
+          times = { start = arrival; acc_billed_ms = 0.0; touch_s = 0.0 } }
       in
       push ~time:arrival (Arrival r)
-    end
   in
   feed_arrival ();
   let pending : req Queue.t = Queue.create () in
   let pending_count = ref 0 in
   let events_processed = ref 0 in
-  let billed_ms profile kind =
-    1000.0
-    *. (match kind with
-        | Cold -> profile.func_init_s +. profile.exec_s
-        | Warm -> profile.exec_s)
-  in
-  let service_s profile kind =
-    match kind with
-    | Cold -> profile.instance_init_s +. profile.func_init_s +. profile.exec_s
-    | Warm -> profile.exec_s
-  in
   (* the single place record invariants are enforced *)
   let finalize (r : req) ~start ~finish ~outcome ~billed ~fb_billed =
+    let arrival = r.arrival in
     assert (billed >= 0.0);
     assert (fb_billed >= 0.0);
     assert (finish >= start);
-    assert (start >= r.arrival);
+    assert (start >= arrival);
     r.status <- Done;
     emit
       { req = r.idx;
-        arrival_s = r.arrival;
+        arrival_s = arrival;
         start_s = start;
         finish_s = finish;
-        wait_s = start -. r.arrival;
-        e2e_s = finish -. r.arrival;
+        wait_s = start -. arrival;
+        e2e_s = finish -. arrival;
         outcome;
         billed_ms = billed;
         fb_billed_ms = fb_billed;
@@ -342,8 +375,8 @@ let run_with ~(emit : record -> unit) cfg (trace : Platform.Trace.t) : totals =
   in
   let serve (r : req) inst ~now ~kind =
     r.status <- Running;
-    r.start <- now;
-    r.kind <- Some kind;
+    r.times.start <- now;
+    r.kind <- some_kind kind;
     r.attempts <- r.attempts + 1;
     let attempt = r.attempt in
     (* lazy deployments (ARCHITECTURE §14): settle the instance's
@@ -362,15 +395,15 @@ let run_with ~(emit : record -> unit) cfg (trace : Platform.Trace.t) : totals =
          | Warm -> if lz.lz_preload then Pool.preload_idle pool inst ~now);
         Float.min (Pool.pending_s inst) lz.lz_first_touch_s
     in
-    r.touch_s <- 0.0;
+    r.times.touch_s <- 0.0;
     match
       Faults.attempt_fault cfg.faults ~cold:(kind = Cold) ~req:r.idx ~attempt
     with
     | Faults.No_fault ->
       Pool.consume_pending inst touch;
-      r.touch_s <- touch;
+      r.times.touch_s <- touch;
       let finish = now +. service_s cfg.profile kind +. touch in
-      inst.Pool.busy_until <- finish;
+      inst.Pool.times.Pool.busy_until <- finish;
       attempt_span inst ~kind ~start_s:now ~end_s:finish ~r ~result:"ok";
       push ~time:finish (Complete (r, inst))
     | Faults.Init_failure ->
@@ -379,7 +412,7 @@ let run_with ~(emit : record -> unit) cfg (trace : Platform.Trace.t) : totals =
       let t_fail =
         now +. cfg.profile.instance_init_s +. cfg.profile.func_init_s
       in
-      inst.Pool.busy_until <- t_fail;
+      inst.Pool.times.Pool.busy_until <- t_fail;
       attempt_span inst ~kind ~start_s:now ~end_s:t_fail
         ~r ~result:(failure_name Init_failed);
       push ~time:t_fail
@@ -400,7 +433,7 @@ let run_with ~(emit : record -> unit) cfg (trace : Platform.Trace.t) : totals =
         | Warm -> 0.0
       in
       let t_crash = now +. init_s +. (after_fraction *. cfg.profile.exec_s) in
-      inst.Pool.busy_until <- t_crash;
+      inst.Pool.times.Pool.busy_until <- t_crash;
       let billed =
         (match kind with
          | Cold -> 1000.0 *. cfg.profile.func_init_s
@@ -414,7 +447,7 @@ let run_with ~(emit : record -> unit) cfg (trace : Platform.Trace.t) : totals =
       (* runs to completion, billed in full, but returns an error *)
       Pool.consume_pending inst touch;
       let finish = now +. service_s cfg.profile kind +. touch in
-      inst.Pool.busy_until <- finish;
+      inst.Pool.times.Pool.busy_until <- finish;
       attempt_span inst ~kind ~start_s:now ~end_s:finish
         ~r ~result:(failure_name Errored);
       push ~time:finish
@@ -476,7 +509,7 @@ let run_with ~(emit : record -> unit) cfg (trace : Platform.Trace.t) : totals =
       else begin
         resolve_probe_failure r ~now;
         finalize r ~start:now ~finish:now ~outcome:Rejected
-          ~billed:r.acc_billed_ms ~fb_billed:0.0
+          ~billed:r.times.acc_billed_ms ~fb_billed:0.0
       end
   in
   let dispatch (r : req) ~now =
@@ -497,7 +530,7 @@ let run_with ~(emit : record -> unit) cfg (trace : Platform.Trace.t) : totals =
          r.role <- Unsampled;
          r.shed <- true;
          r.status <- Running;
-         r.start <- now;
+         r.times.start <- now;
          push ~time:(now +. fb.fb_setup_s) (Fb_arrival r))
   in
   (* releasing an instance back to its pool, unless churn reclaims it *)
@@ -515,8 +548,8 @@ let run_with ~(emit : record -> unit) cfg (trace : Platform.Trace.t) : totals =
   let fail_or_retry (r : req) ~now ~failure =
     let give_up () =
       resolve_probe_failure r ~now;
-      finalize r ~start:r.start ~finish:now ~outcome:(Failed failure)
-        ~billed:r.acc_billed_ms ~fb_billed:0.0
+      finalize r ~start:r.times.start ~finish:now ~outcome:(Failed failure)
+        ~billed:r.times.acc_billed_ms ~fb_billed:0.0
     in
     match cfg.resilience.Resilience.retry with
     | Some rp when r.retries < rp.Resilience.max_retries ->
@@ -525,7 +558,8 @@ let run_with ~(emit : record -> unit) cfg (trace : Platform.Trace.t) : totals =
         Resilience.backoff_s rp ~retry_index:r.retries ~jitter_u
       in
       let t = now +. wait in
-      if t -. r.arrival > cfg.resilience.Resilience.request_timeout_s then
+      if t -. r.arrival > cfg.resilience.Resilience.request_timeout_s
+      then
         give_up ()
       else begin
         r.retries <- r.retries + 1;
@@ -535,9 +569,9 @@ let run_with ~(emit : record -> unit) cfg (trace : Platform.Trace.t) : totals =
     | _ -> give_up ()
   in
   let rec loop () =
-    match Events.pop q with
-    | None -> ()
-    | Some (now, ev) ->
+    if Events.length q > 0 then begin
+      let ev = Events.take q in
+      let now = Events.last_time q in
       incr events_processed;
       (match ev with
        | Arrival r ->
@@ -553,24 +587,25 @@ let run_with ~(emit : record -> unit) cfg (trace : Platform.Trace.t) : totals =
          dispatch r ~now
        | Complete (r, inst) ->
          release_primary r inst ~now;
-         r.acc_billed_ms <-
-           r.acc_billed_ms
-           +. billed_ms cfg.profile (Option.get r.kind)
-           +. (1000.0 *. r.touch_s);
+         let kind = Option.get r.kind in
+         let rt = r.times in
+         rt.acc_billed_ms <-
+           rt.acc_billed_ms
+           +. billed_ms cfg.profile kind
+           +. (1000.0 *. rt.touch_s);
          breaker_record r ~now ~failed:r.needs_fb;
          (match cfg.fallback with
           | Some fb when r.needs_fb ->
             push ~time:(now +. fb.fb_setup_s) (Fb_arrival r)
           | _ ->
-            let kind = Option.get r.kind in
-            finalize r ~start:r.start ~finish:now ~outcome:(Served kind)
-              ~billed:r.acc_billed_ms ~fb_billed:0.0);
+            finalize r ~start:rt.start ~finish:now ~outcome:(served_as kind)
+              ~billed:rt.acc_billed_ms ~fb_billed:0.0);
          drain_pending ~now
        | Fault_hit (r, attempt, inst, failure, billed) ->
          (match failure with
           | Errored -> release_primary r inst ~now
           | Init_failed | Crashed -> Pool.reclaim pool inst ~now);
-         r.acc_billed_ms <- r.acc_billed_ms +. billed;
+         r.times.acc_billed_ms <- r.times.acc_billed_ms +. billed;
          (* act only if this is still the request's live attempt (a hedge
             may already have taken over) *)
          if r.attempt = attempt && r.status = Running then begin
@@ -608,7 +643,7 @@ let run_with ~(emit : record -> unit) cfg (trace : Platform.Trace.t) : totals =
            | None -> (Cold, Pool.spawn fbp ~now)
          in
          let finish = now +. service_s fb.fb_profile kind in
-         inst.Pool.busy_until <- finish;
+         inst.Pool.times.Pool.busy_until <- finish;
          attempt_span ~fb:true inst ~kind ~start_s:now ~end_s:finish ~r
            ~result:"ok";
          push ~time:finish (Fb_complete (r, inst, kind))
@@ -620,13 +655,13 @@ let run_with ~(emit : record -> unit) cfg (trace : Platform.Trace.t) : totals =
          else release_and_schedule fbp inst ~now;
          let fb_billed = billed_ms fb.fb_profile fb_kind in
          if r.shed then
-           finalize r ~start:r.start ~finish:now ~outcome:(Shed fb_kind)
-             ~billed:r.acc_billed_ms ~fb_billed
+           finalize r ~start:r.times.start ~finish:now ~outcome:(Shed fb_kind)
+             ~billed:r.times.acc_billed_ms ~fb_billed
          else
            let trimmed = Option.get r.kind in
-           finalize r ~start:r.start ~finish:now
+           finalize r ~start:r.times.start ~finish:now
              ~outcome:(Fallback_served { trimmed; original = fb_kind })
-             ~billed:r.acc_billed_ms ~fb_billed
+             ~billed:r.times.acc_billed_ms ~fb_billed
        | Timeout (r, attempt) ->
          (* the attempt tag rejects stale timers: a request served and
             later re-queued by a retry must not inherit the old deadline *)
@@ -634,7 +669,7 @@ let run_with ~(emit : record -> unit) cfg (trace : Platform.Trace.t) : totals =
            decr pending_count;
            resolve_probe_failure r ~now;
            finalize r ~start:now ~finish:now ~outcome:Timed_out
-             ~billed:r.acc_billed_ms ~fb_billed:0.0
+             ~billed:r.times.acc_billed_ms ~fb_billed:0.0
          end
        | Expire (p, inst, seq) ->
          (* A timer never drains the pending queue. Between handlers no
@@ -646,6 +681,7 @@ let run_with ~(emit : record -> unit) cfg (trace : Platform.Trace.t) : totals =
             drained nothing, stale or not. *)
          if Pool.fire p inst ~seq ~now then arm p inst);
       loop ()
+    end
   in
   loop ();
   (* the queue drained, so every instance has been released and expired;

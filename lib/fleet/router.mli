@@ -143,7 +143,9 @@ val queue_kind_for : Platform.Trace.t -> Events.kind
     the sharded fleet engine drives; [Report.Stream.observe] is the usual
     consumer.
 
-    Raises [Invalid_argument] if the fault or resilience config is out of
+    Raises [Invalid_argument] if the fault or resilience config, a pool
+    policy ({!Pool.validate}, the fallback's too) or a profile time
+    (NaN or negative [exec_s], [func_init_s], [instance_init_s]) is out of
     range, or if a breaker is configured without a fallback. *)
 val run_with :
   emit:(record -> unit) ->

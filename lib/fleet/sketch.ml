@@ -20,20 +20,23 @@ let log_gamma = log gamma
 let n_buckets =
   2 + int_of_float (Float.ceil (log (max_value /. min_value) /. log_gamma))
 
-type t = {
-  counts : int array;
-  mutable n : int;
+(* All-float, so stored flat: [add] updates it without allocating. *)
+type moments = {
   mutable sum : float;
   mutable mn : float;
   mutable mx : float;
 }
 
+type t = {
+  counts : int array;
+  mutable n : int;
+  m : moments;
+}
+
 let create () =
   { counts = Array.make n_buckets 0;
     n = 0;
-    sum = 0.0;
-    mn = infinity;
-    mx = neg_infinity }
+    m = { sum = 0.0; mn = infinity; mx = neg_infinity } }
 
 let bucket_of v =
   if v < min_value then 0
@@ -58,37 +61,39 @@ let add t v =
     let b = bucket_of v in
     t.counts.(b) <- t.counts.(b) + 1;
     t.n <- t.n + 1;
-    t.sum <- t.sum +. v;
-    if v < t.mn then t.mn <- v;
-    if v > t.mx then t.mx <- v
+    let m = t.m in
+    m.sum <- m.sum +. v;
+    if v < m.mn then m.mn <- v;
+    if v > m.mx then m.mx <- v
   end
 
 let count t = t.n
-let sum t = t.sum
-let mean t = if t.n = 0 then 0.0 else t.sum /. float_of_int t.n
-let min_seen t = if t.n = 0 then 0.0 else t.mn
-let max_seen t = if t.n = 0 then 0.0 else t.mx
+let sum t = t.m.sum
+let mean t = if t.n = 0 then 0.0 else t.m.sum /. float_of_int t.n
+let min_seen t = if t.n = 0 then 0.0 else t.m.mn
+let max_seen t = if t.n = 0 then 0.0 else t.m.mx
 
 let merge_into ~into src =
   Array.iteri (fun i c -> into.counts.(i) <- into.counts.(i) + c) src.counts;
   into.n <- into.n + src.n;
-  into.sum <- into.sum +. src.sum;
-  if src.mn < into.mn then into.mn <- src.mn;
-  if src.mx > into.mx then into.mx <- src.mx
+  let im = into.m and sm = src.m in
+  im.sum <- im.sum +. sm.sum;
+  if sm.mn < im.mn then im.mn <- sm.mn;
+  if sm.mx > im.mx then im.mx <- sm.mx
 
 let representative t i =
   if i = 0 then 0.0
-  else if i = n_buckets - 1 then t.mx
+  else if i = n_buckets - 1 then t.m.mx
   else
     let lo = min_value *. (gamma ** float_of_int (i - 1)) in
     let r = lo *. sqrt gamma in
     (* never report outside the observed range *)
-    Float.min t.mx (Float.max t.mn r)
+    Float.min t.m.mx (Float.max t.m.mn r)
 
 (* value of the k-th order statistic (0-based), by bucket walk *)
 let value_at t k =
   let rec go i cum =
-    if i >= n_buckets then t.mx
+    if i >= n_buckets then t.m.mx
     else
       let cum = cum + t.counts.(i) in
       if cum > k then representative t i else go (i + 1) cum

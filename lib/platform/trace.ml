@@ -10,8 +10,18 @@ type t = {
   arrivals_s : float list;   (* sorted arrival times, seconds *)
 }
 
+(* Every generator below already emits sorted arrivals, so the sort is
+   skipped when the input is in [compare] order: [List.sort] is stable, so
+   it would return the same list. *)
+let rec is_sorted = function
+  | a :: (b :: _ as rest) -> compare (a : float) b <= 0 && is_sorted rest
+  | [ _ ] | [] -> true
+
 let make ~name arrivals_s =
-  { trace_name = name; arrivals_s = List.sort compare arrivals_s }
+  { trace_name = name;
+    arrivals_s =
+      (if is_sorted arrivals_s then arrivals_s
+       else List.sort compare arrivals_s) }
 
 let length t = List.length t.arrivals_s
 

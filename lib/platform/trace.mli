@@ -8,6 +8,8 @@ type t = {
   arrivals_s : float list;  (** sorted arrival times, seconds *)
 }
 
+(** [make ~name l] sorts [l] with [List.sort compare]. A list already in
+    that order is kept as it is, without the sort's copy. *)
 val make : name:string -> float list -> t
 val length : t -> int
 val duration_s : t -> float

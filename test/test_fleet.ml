@@ -33,14 +33,14 @@ let run_kinds cfg trace =
 let events =
   [ Alcotest.test_case "pops in time order" `Quick (fun () ->
         let q = Events.create () in
-        List.iter (fun t -> Events.push q ~time:t (int_of_float t))
+        List.iter (fun t -> Events.push q ~time:t ~rank:0 (int_of_float t))
           [ 5.0; 1.0; 9.0; 3.0; 7.0; 0.5; 2.0 ];
         let popped = List.map fst (Events.drain q) in
         Alcotest.(check (list (float 1e-12))) "sorted"
           (List.sort compare popped) popped);
     Alcotest.test_case "equal times pop FIFO" `Quick (fun () ->
         let q = Events.create () in
-        List.iter (fun x -> Events.push q ~time:1.0 x) [ 1; 2; 3; 4; 5 ];
+        List.iter (fun x -> Events.push q ~time:1.0 ~rank:0 x) [ 1; 2; 3; 4; 5 ];
         Alcotest.(check (list int)) "insertion order" [ 1; 2; 3; 4; 5 ]
           (List.map snd (Events.drain q)));
     Alcotest.test_case "rank breaks ties before sequence" `Quick (fun () ->
@@ -55,7 +55,7 @@ let events =
     Alcotest.test_case "interleaved push/pop keeps heap valid" `Quick (fun () ->
         let q = Events.create () in
         for i = 0 to 999 do
-          Events.push q ~time:(float_of_int ((i * 7919) mod 1000)) i
+          Events.push q ~time:(float_of_int ((i * 7919) mod 1000)) ~rank:0 i
         done;
         let rec drain_some n =
           if n > 0 then begin
@@ -65,12 +65,34 @@ let events =
         in
         drain_some 500;
         for i = 0 to 99 do
-          Events.push q ~time:(float_of_int (i * 3)) (i + 1000)
+          Events.push q ~time:(float_of_int (i * 3)) ~rank:0 (i + 1000)
         done;
         let times = List.map fst (Events.drain q) in
         Alcotest.(check (list (float 1e-12))) "still sorted"
           (List.sort compare times) times;
-        Alcotest.(check int) "empty" 0 (Events.length q)) ]
+        Alcotest.(check int) "empty" 0 (Events.length q));
+    Alcotest.test_case "NaN times are rejected, infinities are legal" `Quick
+      (fun () ->
+        List.iter
+          (fun (name, kind) ->
+             let q = Events.create ~kind () in
+             let pushed = ref [] in
+             List.iter
+               (fun t ->
+                  match Events.push q ~time:t ~rank:0 t with
+                  | () -> pushed := t :: !pushed
+                  | exception Invalid_argument _ ->
+                    Alcotest.(check bool) (name ^ ": only NaN rejected") true
+                      (Float.is_nan t))
+               [ 3.0; Float.nan; 2.0; Float.infinity; 1.0; Float.neg_infinity;
+                 0.5 ];
+             Alcotest.(check (list (float 0.0))) (name ^ ": finite keys sorted")
+               [ Float.neg_infinity; 0.5; 1.0; 2.0; 3.0; Float.infinity ]
+               (List.map fst (Events.drain q));
+             Alcotest.(check int) (name ^ ": NaN never queued") 6
+               (List.length !pushed))
+          [ ("heap", Events.Heap);
+            ("calendar", Events.Calendar { width = 1.0; n_buckets = 8 }) ]) ]
 
 (* --- eviction policies --------------------------------------------------- *)
 
@@ -608,8 +630,75 @@ let characterization =
             (Printf.sprintf "%d events < 1200" events)
             true (events < 1200)) ]
 
+(* --- config validation ------------------------------------------------------ *)
+
+let rejects cfg trace =
+  match Router.run cfg trace with
+  | _ -> false
+  | exception Invalid_argument _ -> true
+
+let validation =
+  let trace = Platform.Trace.periodic ~period_s:10.0 ~count:20 ~name:"v" in
+  let profile = no_init ~exec_s:1.0 () in
+  let fallback fb_policy fb_profile =
+    { Router.fb_rate = 0.5; fb_seed = 1; fb_profile; fb_policy;
+      fb_setup_s = 0.0 }
+  in
+  let ttl = Pool.Fixed_ttl { keep_alive_s = 60.0 } in
+  [ Alcotest.test_case "out-of-range pool policies are rejected" `Quick
+      (fun () ->
+        List.iter
+          (fun pol ->
+             Alcotest.(check bool) (Pool.policy_name pol) true
+               (rejects (config ~profile pol) trace))
+          [ Pool.Fixed_ttl { keep_alive_s = Float.nan };
+            Pool.Fixed_ttl { keep_alive_s = -5.0 };
+            Pool.Fixed_ttl { keep_alive_s = Float.neg_infinity };
+            Pool.Lru { keep_alive_s = Float.nan; max_idle = 4 };
+            Pool.Lru { keep_alive_s = 60.0; max_idle = -1 };
+            Pool.Adaptive { min_s = Float.nan; max_s = 900.0; percentile = 99.0 };
+            Pool.Adaptive { min_s = -1.0; max_s = 900.0; percentile = 99.0 };
+            Pool.Adaptive { min_s = 60.0; max_s = Float.nan; percentile = 99.0 };
+            Pool.Adaptive { min_s = 60.0; max_s = -1.0; percentile = 99.0 };
+            Pool.Adaptive { min_s = 60.0; max_s = 900.0; percentile = 100.5 };
+            Pool.Adaptive { min_s = 60.0; max_s = 900.0; percentile = -1.0 };
+            Pool.Adaptive
+              { min_s = 60.0; max_s = 900.0; percentile = Float.nan } ]);
+    Alcotest.test_case "the fallback's policy and both profiles are checked"
+      `Quick (fun () ->
+        let bad_ttl = Pool.Fixed_ttl { keep_alive_s = -5.0 } in
+        Alcotest.(check bool) "fb_policy" true
+          (rejects
+             (config ~profile ~fallback:(fallback bad_ttl profile) ttl)
+             trace);
+        List.iter
+          (fun (name, p) ->
+             Alcotest.(check bool) ("profile " ^ name) true
+               (rejects (config ~profile:p ttl) trace);
+             Alcotest.(check bool) ("fb_profile " ^ name) true
+               (rejects (config ~profile ~fallback:(fallback ttl p) ttl) trace))
+          [ ("exec_s nan", { profile with Router.exec_s = Float.nan });
+            ("exec_s < 0", { profile with Router.exec_s = -1.0 });
+            ("func_init_s < 0", { profile with Router.func_init_s = -0.1 });
+            ("instance_init_s nan",
+             { profile with Router.instance_init_s = Float.nan }) ]);
+    Alcotest.test_case "infinite keep-alives and min_s > max_s stay legal"
+      `Quick (fun () ->
+        List.iter
+          (fun pol ->
+             let res = Router.run (config ~profile pol) trace in
+             Alcotest.(check int) (Pool.policy_name pol) 20
+               (List.length res.Router.records))
+          [ Pool.Fixed_ttl { keep_alive_s = Float.infinity };
+            Pool.Lru { keep_alive_s = Float.infinity; max_idle = 0 };
+            Pool.Adaptive
+              { min_s = 60.0; max_s = Float.infinity; percentile = 100.0 };
+            (* what [ltrim fleet --policy adaptive --keep-alive 30] builds *)
+            Pool.Adaptive { min_s = 60.0; max_s = 30.0; percentile = 99.0 } ]) ]
+
 let suite =
-  [ ("fleet.events", events); ("fleet.policies", policies);
+  [ ("fleet.events", events); ("fleet.validation", validation);
+    ("fleet.policies", policies);
     ("fleet.histogram", histogram); ("fleet.queueing", queueing);
     ("fleet.fallback", fallback); ("fleet.replay_parity", replay_parity);
     ("fleet.report", report);

@@ -1,7 +1,7 @@
 (* Streaming fleet engine: event-queue ordering properties (QCheck, heap
-   and calendar backends), the heap pop space-leak regression, sketch
-   accuracy bounds, stream ≡ record-mode equivalence, and the sharded
-   engine's shard-count invariance. *)
+   and calendar backends), the heap pop space-leak regression, the hot
+   path's allocation bounds, sketch accuracy bounds, stream ≡ record-mode
+   equivalence, and the sharded engine's shard-count invariance. *)
 
 open Fleet
 
@@ -49,6 +49,87 @@ let random_calendar (w8, nb) =
 
 let kinds_arb = QCheck.(pair schedule_arb (pair small_nat small_nat))
 
+(* Interleavings of pushes and takes, each take read back through
+   [last_time]. Times come from the coarse grid plus the infinities. *)
+type op = Push of float * int | Take
+
+let ops_arb =
+  let time =
+    QCheck.Gen.(
+      frequency
+        [ (8, map (fun i -> float_of_int i /. 8.0) (int_bound 64));
+          (1, oneofl [ Float.infinity; Float.neg_infinity ]) ])
+  in
+  let op =
+    QCheck.Gen.(
+      frequency
+        [ (3, map2 (fun t r -> Push (t, r)) time (int_bound 4));
+          (2, return Take) ])
+  in
+  QCheck.make
+    QCheck.Gen.(pair (list_size (int_bound 300) op) (pair small_nat small_nat))
+    ~print:(fun (ops, _) ->
+        String.concat " "
+          (List.map
+             (function
+               | Push (t, r) -> Printf.sprintf "push(%g,%d)" t r
+               | Take -> "take")
+             ops))
+
+(* Every (time, payload) taken, then the drained rest: payload [i] is the
+   [i]-th op. *)
+let run_ops kind ops =
+  let q = Events.create ~kind () in
+  let out = ref [] in
+  List.iteri
+    (fun i op ->
+       match op with
+       | Push (time, rank) -> Events.push q ~time ~rank i
+       | Take ->
+         if Events.length q > 0 then begin
+           let x = Events.take q in
+           out := (Events.last_time q, x) :: !out
+         end)
+    ops;
+  List.rev_append !out (Events.drain q)
+
+(* The same on a plain list: take is the minimum by (time, rank, push
+   order). *)
+let model_run ops =
+  let before (t1, r1, i1) (t2, r2, i2) =
+    t1 < t2 || (t1 = t2 && (r1 < r2 || (r1 = r2 && i1 < i2)))
+  in
+  let take_min l =
+    let m =
+      List.fold_left
+        (fun acc e -> match acc with
+           | Some b when before b e -> acc
+           | _ -> Some e)
+        None l
+    in
+    match m with
+    | None -> None
+    | Some m -> Some (m, List.filter (fun e -> e != m) l)
+  in
+  let rec drain acc l =
+    match take_min l with
+    | None -> List.rev acc
+    | Some ((t, _, i), rest) -> drain ((t, i) :: acc) rest
+  in
+  let pending, out =
+    List.fold_left
+      (fun (pending, out) (i, op) ->
+         match op with
+         | Push (t, r) -> ((t, r, i) :: pending, out)
+         | Take ->
+           (match take_min pending with
+            | None -> (pending, out)
+            | Some ((t, _, j), rest) -> (rest, (t, j) :: out)))
+      ([], [])
+      (List.mapi (fun i op -> (i, op)) ops)
+  in
+  List.rev_append out (drain [] pending)
+
 let queue_properties =
   [ QCheck.Test.make ~count:200 ~name:"pop sorted by (time, rank, seq)"
       schedule_arb (fun schedule ->
@@ -92,7 +173,14 @@ let queue_properties =
              schedule;
            List.rev_append !out (Events.drain q)
          in
-         run Events.Heap = run (random_calendar wnb)) ]
+         run Events.Heap = run (random_calendar wnb));
+    QCheck.Test.make ~count:300
+      ~name:"take, last_time ≡ a sorted model, both backends"
+      ops_arb
+      (fun (ops, wnb) ->
+         let expect = model_run ops in
+         run_ops Events.Heap ops = expect
+         && run_ops (random_calendar wnb) ops = expect) ]
 
 let qcheck_suite =
   List.map
@@ -110,21 +198,25 @@ let leak =
         for i = 0 to n - 1 do
           let payload = ref i in
           Weak.set weak i (Some payload);
-          Events.push q ~time:(float_of_int ((i * 7919) mod 100)) payload
+          Events.push q ~time:(float_of_int ((i * 7919) mod 100)) ~rank:0 payload
         done;
-        let rec drain () =
-          match Events.pop q with None -> () | Some _ -> drain ()
-        in
-        drain ();
+        while Events.length q > 0 do
+          ignore (Events.take q)
+        done;
         Gc.full_major ();
-        let live = ref 0 in
-        for i = 0 to n - 1 do
-          if Weak.check weak i then incr live
+        (* vacated slots hold the filler, the first payload pushed; no
+           other payload may survive the drain *)
+        let live = ref [] in
+        for i = n - 1 downto 0 do
+          if Weak.check weak i then live := i :: !live
         done;
-        (* the single recycled filler slot may pin the last popped payload *)
         Alcotest.(check bool)
-          (Printf.sprintf "%d payloads still reachable" !live)
-          true (!live <= 1));
+          (Printf.sprintf "payloads still reachable: [%s]"
+             (String.concat "; " (List.map string_of_int !live)))
+          true (List.for_all (fun i -> i = 0) !live);
+        (* the queue stays usable after the drain *)
+        Events.push q ~time:1.0 ~rank:0 (ref (-1));
+        Alcotest.(check int) "refilled" (-1) !(Events.take q));
     Alcotest.test_case "drained calendar retains nothing" `Quick (fun () ->
         let n = 200 in
         let weak = Weak.create n in
@@ -136,7 +228,7 @@ let leak =
         for i = 0 to n - 1 do
           let payload = ref i in
           Weak.set weak i (Some payload);
-          Events.push q ~time:(float_of_int ((i * 7919) mod 100)) payload
+          Events.push q ~time:(float_of_int ((i * 7919) mod 100)) ~rank:0 payload
         done;
         let rec drain () =
           match Events.pop q with None -> () | Some _ -> drain ()
@@ -148,6 +240,69 @@ let leak =
           if Weak.check weak i then incr live
         done;
         Alcotest.(check int) "no payload reachable" 0 !live) ]
+
+(* --- hot-path allocation ---------------------------------------------------
+
+   The streaming replay's minor words per routed request, pinned at 1.25x
+   what the flat float records, the struct-of-arrays event heap and the
+   preallocated constructors brought them to: 65.1, 68.5, 69.3 and 72.7
+   with OCaml 5.1.1, native code without flambda, default dune profile
+   (118-128 before them). Boxed floats in mixed records, per-event option
+   tuples and per-call closures push them back over. How many floats get
+   boxed depends on the backend and the compiler, so the case runs on
+   native code only; flambda would only lower the counts, while a
+   coverage-instrumented build is outside what the bound promises. A pool
+   used to allocate a 3,600-bucket histogram up front (3,693 words
+   reachable from a fresh one; 96 now), which holds on every backend. *)
+
+let alloc_cases () =
+  let profile =
+    { Router.exec_s = 0.12; func_init_s = 0.6; instance_init_s = 0.25;
+      memory_mb = 512.0 }
+  in
+  let fallback =
+    Scenario.fallback ~rate:0.05 ~seed:3
+      ~original:{ profile with Router.func_init_s = 1.2 } ()
+  in
+  let fixed = Pool.Fixed_ttl { keep_alive_s = 600.0 } in
+  let adaptive =
+    Pool.Adaptive { min_s = 60.0; max_s = 900.0; percentile = 99.0 }
+  in
+  let cfg ?fallback policy =
+    { (Router.default_config ~profile policy) with Router.fallback }
+  in
+  [ ("fixed-ttl", cfg fixed, 81.4);
+    ("fixed-ttl + fallback", cfg ~fallback fixed, 85.7);
+    ("adaptive", cfg adaptive, 86.6);
+    ("adaptive + fallback", cfg ~fallback adaptive, 90.9) ]
+
+let alloc =
+  [ Alcotest.test_case "streamed routing stays under its words per request"
+      `Quick (fun () ->
+        if Sys.backend_type <> Sys.Native then Alcotest.skip ();
+        let trace =
+          Platform.Trace.poisson ~seed:29 ~rate_per_s:4.0 ~duration_s:2500.0
+            ~name:"alloc"
+        in
+        let n = float_of_int (Platform.Trace.length trace) in
+        List.iter
+          (fun (name, cfg, bound) ->
+             let w0 = Gc.minor_words () in
+             ignore (Sys.opaque_identity (Report.run_stream cfg trace));
+             let per_req = (Gc.minor_words () -. w0) /. n in
+             Printf.printf "%s: %.2f words per request\n" name per_req;
+             if per_req > bound then
+               Alcotest.failf "%s: %.1f minor words per request > %.1f" name
+                 per_req bound)
+          (alloc_cases ()));
+    Alcotest.test_case "a fresh fixed-TTL pool is small" `Quick (fun () ->
+        let words =
+          Obj.reachable_words
+            (Obj.repr (Pool.create (Pool.Fixed_ttl { keep_alive_s = 600.0 })))
+        in
+        Printf.printf "Pool.create reaches %d words\n" words;
+        if words >= 1000 then
+          Alcotest.failf "Pool.create reaches %d words (bound 1000)" words) ]
 
 (* --- sketch accuracy ------------------------------------------------------- *)
 
@@ -477,6 +632,7 @@ let sharded =
 let suite =
   [ ("fleet-stream: event-queue properties", qcheck_suite);
     ("fleet-stream: heap space leak", leak);
+    ("fleet-stream: hot-path allocation", alloc);
     ("fleet-stream: sketch accuracy", sketch);
     ("fleet-stream: stream = summarize", stream_equiv);
     ("fleet-stream: sharded determinism", sharded) ]

@@ -263,7 +263,41 @@ let nan_policy =
         Alcotest.(check int) "three drops counted" (before + 3)
           (Obs.Metrics.value c)) ]
 
+(* [Trace.make] sorts by [compare], skipping the sort on sorted input.
+   Lists mix duplicates, ±0.0, ±infinity and NaNs (two sign bits), and are
+   compared bit for bit, so the order of equal-comparing elements counts. *)
+let make_properties =
+  let arrival =
+    QCheck.Gen.(
+      frequency
+        [ (3, map float_of_int (int_range (-4) 4));
+          (2, oneofl [ 0.0; -0.0; Float.infinity; Float.neg_infinity;
+                       Float.nan; -.Float.nan ]);
+          (1, float) ])
+  in
+  let arrivals =
+    QCheck.make
+      QCheck.Gen.(list_size (int_bound 40) arrival)
+      ~print:QCheck.Print.(list float)
+  in
+  let bits_equal a b =
+    List.equal
+      (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+      a b
+  in
+  List.map
+    (QCheck_alcotest.to_alcotest ~verbose:false)
+    [ QCheck.Test.make ~count:500 ~name:"make sorts exactly as List.sort"
+        arrivals (fun l ->
+            bits_equal (Trace.make ~name:"m" l).Trace.arrivals_s
+              (List.sort compare l));
+      QCheck.Test.make ~count:500 ~name:"sorted input comes back unchanged"
+        arrivals (fun l ->
+            let sorted = List.sort compare l in
+            (Trace.make ~name:"m" sorted).Trace.arrivals_s == sorted) ]
+
 let suite =
-  [ ("trace.generators", generators); ("trace.replay", replay);
+  [ ("trace.make", make_properties);
+    ("trace.generators", generators); ("trace.replay", replay);
     ("trace.concurrent", concurrent); ("trace.azure", azure);
     ("trace.metrics", metrics); ("trace.nan_policy", nan_policy) ]
