@@ -31,9 +31,23 @@ let k_arg =
   Arg.(value & opt int 20 & info [ "k" ] ~docv:"K"
          ~doc:"Number of top-ranked modules to debloat (default 20).")
 
+let check_k k =
+  if k < 1 then begin
+    Printf.eprintf "-k must be >= 1 (got %d)\n" k;
+    exit 2
+  end
+
+(* Scoring methods parse like app names: an unknown one is a usage error
+   that lists the methods. *)
 let scoring_arg =
+  let methods =
+    List.map
+      (fun m -> (Trim.Scoring.method_name m, m))
+      Trim.Scoring.[ Combined; Time; Memory; Random 42 ]
+  in
   let doc = "Scoring method: combined, time, memory, or random." in
-  Arg.(value & opt string "combined" & info [ "s"; "scoring" ] ~docv:"METHOD" ~doc)
+  Arg.(value & opt (enum methods) Trim.Scoring.Combined
+       & info [ "s"; "scoring" ] ~docv:"METHOD" ~doc)
 
 let trace_arg =
   Arg.(value & opt (some string) None
@@ -243,8 +257,7 @@ let analyze_cmd =
 (* --- profile ------------------------------------------------------------- *)
 
 let profile_cmd =
-  let run app scoring =
-    let method_ = Trim.Scoring.method_of_string scoring in
+  let run app method_ =
     let d = Workloads.Suite.deployment_of app in
     let p = Trim.Profiler.profile d in
     Printf.printf "Function Initialization: T = %.2f ms, M = %.2f MB\n\n"
@@ -266,14 +279,14 @@ let profile_cmd =
 (* --- debloat ------------------------------------------------------------- *)
 
 let debloat_cmd =
-  let run app k scoring verbose trace optimizer journal resume memo_dir
+  let run app k method_ verbose trace optimizer journal resume memo_dir
       baseline_path manifest_path =
+    check_k k;
     Option.iter ensure_dir journal;
     setup_memo memo_dir;
     with_chaos @@ fun () ->
     with_trace trace @@ fun () ->
     setup_logs verbose;
-    let method_ = Trim.Scoring.method_of_string scoring in
     let baseline = load_baseline baseline_path in
     let d = Workloads.Suite.deployment_of app in
     let o =
@@ -389,7 +402,8 @@ let fleet_cmd =
   in
   let capacity_arg =
     Arg.(value & opt int 0 & info [ "capacity" ] ~docv:"N"
-           ~doc:"Concurrency cap on live instances (default unbounded).")
+           ~doc:"Concurrency cap on live instances; 0 means unbounded \
+                 (default 0).")
   in
   let max_pending_arg =
     Arg.(value & opt int 1024 & info [ "max-pending" ] ~docv:"N"
@@ -406,79 +420,17 @@ let fleet_cmd =
   in
   let seed_arg =
     Arg.(value & opt int 2025 & info [ "seed" ] ~docv:"SEED"
-           ~doc:"Trace, fallback-draw, and fault-plan seed (default 2025).")
-  in
-  (* fault-injection flag group *)
-  let init_failure_arg =
-    Arg.(value & opt float 0.0 & info [ "init-failure-rate" ] ~docv:"FRACTION"
-           ~doc:"Probability a cold start's Function Initialization fails \
-                 (default 0).")
-  in
-  let crash_arg =
-    Arg.(value & opt float 0.0 & info [ "crash-rate" ] ~docv:"FRACTION"
-           ~doc:"Probability an invocation crashes mid-execution (default 0).")
-  in
-  let error_arg =
-    Arg.(value & opt float 0.0 & info [ "error-rate" ] ~docv:"FRACTION"
-           ~doc:"Probability an invocation completes with a transient error \
-                 (default 0).")
-  in
-  let churn_arg =
-    Arg.(value & opt float 0.0 & info [ "churn-rate" ] ~docv:"FRACTION"
-           ~doc:"Probability the platform reclaims an instance immediately \
-                 on release instead of keeping it warm (default 0).")
-  in
-  (* resilience flag group *)
-  let retries_arg =
-    Arg.(value & opt int 0 & info [ "retries" ] ~docv:"N"
-           ~doc:"Retry budget per request; 0 disables retries (default 0).")
-  in
-  let retry_base_arg =
-    Arg.(value & opt float 0.2 & info [ "retry-base" ] ~docv:"SECONDS"
-           ~doc:"Base exponential backoff before a retry (default 0.2); \
-                 full jitter is always applied.")
-  in
-  let retry_cap_arg =
-    Arg.(value & opt float 10.0 & info [ "retry-cap" ] ~docv:"SECONDS"
-           ~doc:"Backoff ceiling (default 10).")
-  in
-  let request_timeout_arg =
-    Arg.(value & opt float infinity
-         & info [ "request-timeout" ] ~docv:"SECONDS"
-             ~doc:"End-to-end budget: a retry past this deadline is \
-                   abandoned (default unlimited).")
-  in
-  let breaker_threshold_arg =
-    Arg.(value & opt float 0.0 & info [ "breaker-threshold" ] ~docv:"FRACTION"
-           ~doc:"Arm the fallback circuit breaker at this windowed \
-                 removal-error rate; 0 disables it (default 0). Requires \
-                 a positive --fb-rate.")
-  in
-  let breaker_window_arg =
-    Arg.(value & opt int 50 & info [ "breaker-window" ] ~docv:"N"
-           ~doc:"Breaker sliding sample window (default 50).")
-  in
-  let breaker_cooldown_arg =
-    Arg.(value & opt float 30.0 & info [ "breaker-cooldown" ] ~docv:"SECONDS"
-           ~doc:"Open duration before the breaker half-opens (default 30).")
-  in
-  let hedge_delay_arg =
-    Arg.(value & opt (some float) None & info [ "hedge-delay" ] ~docv:"SECONDS"
-           ~doc:"Enable cold-start hedging: a failing cold start's recovery \
-                 is dispatched this long after the cold start began \
-                 (default off).")
+           ~doc:"Trace and fallback-draw seed (default 2025).")
   in
   let tenants_arg =
     Arg.(value & opt int 1 & info [ "tenants" ] ~docv:"N"
            ~doc:"Replicate the app as N independent tenants (per-tenant \
-                 trace/fault/fallback seeds) and route them through the \
-                 sharded fleet engine, merging per-variant reports \
-                 (default 1 = classic single-tenant run).")
+                 trace/fallback seeds) and route them through the sharded \
+                 fleet engine, merging per-variant reports (default 1 = \
+                 classic single-tenant run).")
   in
   let run app rate duration policy keep_alive max_idle capacity max_pending
-      timeout fb_rate seed init_failure_rate crash_rate error_rate churn_rate
-      retries retry_base retry_cap request_timeout breaker_threshold
-      breaker_window breaker_cooldown hedge_delay tenants jobs trace =
+      timeout fb_rate seed tenants jobs trace =
     setup_jobs jobs;
     with_trace trace @@ fun () ->
     if not (Float.is_finite rate && rate > 0.0) then begin
@@ -501,62 +453,16 @@ let fleet_cmd =
            Printf.eprintf "--%s must be non-negative (got %d)\n" name n;
            exit 2
          end)
-      [ ("max-idle", max_idle); ("max-pending", max_pending) ];
+      [ ("max-idle", max_idle); ("capacity", capacity);
+        ("max-pending", max_pending) ];
     if not (timeout >= 0.0) then begin
       Printf.eprintf "--timeout must be non-negative (got %g)\n" timeout;
       exit 2
     end;
-    List.iter
-      (fun (name, r) ->
-         if not (r >= 0.0 && r <= 1.0) then begin
-           Printf.eprintf "--%s must be in [0, 1] (got %g)\n" name r;
-           exit 2
-         end)
-      [ ("init-failure-rate", init_failure_rate); ("crash-rate", crash_rate);
-        ("error-rate", error_rate); ("churn-rate", churn_rate);
-        ("fb-rate", fb_rate) ];
-    if retries < 0 then begin
-      Printf.eprintf "--retries must be non-negative (got %d)\n" retries;
+    if not (fb_rate >= 0.0 && fb_rate <= 1.0) then begin
+      Printf.eprintf "--fb-rate must be in [0, 1] (got %g)\n" fb_rate;
       exit 2
     end;
-    if retry_base < 0.0 || retry_cap < retry_base then begin
-      Printf.eprintf
-        "--retry-base must be non-negative and --retry-cap >= --retry-base \
-         (got %g, %g)\n"
-        retry_base retry_cap;
-      exit 2
-    end;
-    if request_timeout <= 0.0 then begin
-      Printf.eprintf "--request-timeout must be positive (got %g)\n"
-        request_timeout;
-      exit 2
-    end;
-    if not (breaker_threshold >= 0.0 && breaker_threshold <= 1.0) then begin
-      Printf.eprintf "--breaker-threshold must be in [0, 1] (got %g)\n"
-        breaker_threshold;
-      exit 2
-    end;
-    if breaker_threshold > 0.0 && fb_rate <= 0.0 then begin
-      Printf.eprintf
-        "--breaker-threshold requires a fallback pool to shed to \
-         (positive --fb-rate)\n";
-      exit 2
-    end;
-    if breaker_window <= 0 then begin
-      Printf.eprintf "--breaker-window must be positive (got %d)\n"
-        breaker_window;
-      exit 2
-    end;
-    if breaker_cooldown < 0.0 then begin
-      Printf.eprintf "--breaker-cooldown must be non-negative (got %g)\n"
-        breaker_cooldown;
-      exit 2
-    end;
-    (match hedge_delay with
-     | Some d when d < 0.0 ->
-       Printf.eprintf "--hedge-delay must be non-negative (got %g)\n" d;
-       exit 2
-     | _ -> ());
     if tenants < 1 then begin
       Printf.eprintf "--tenants must be >= 1 (got %d)\n" tenants;
       exit 2
@@ -578,87 +484,46 @@ let fleet_cmd =
     let trimmed =
       Fleet.Scenario.profile_of_deployment report.Trim.Pipeline.optimized
     in
-    let faults =
-      { Fleet.Faults.seed = seed + 2;
-        init_failure_rate = init_failure_rate;
-        crash_rate;
-        transient_error_rate = error_rate;
-        churn_rate }
-    in
-    let resilience =
-      { Fleet.Resilience.retry =
-          (if retries > 0 then
-             Some
-               { Fleet.Resilience.max_retries = retries;
-                 base_backoff_s = retry_base;
-                 max_backoff_s = retry_cap;
-                 full_jitter = true }
-           else None);
-        request_timeout_s = request_timeout;
-        breaker =
-          (if breaker_threshold > 0.0 then
-             Some
-               { Fleet.Resilience.Breaker.error_threshold = breaker_threshold;
-                 window = breaker_window;
-                 min_samples = min breaker_window 10;
-                 cooldown_s = breaker_cooldown }
-           else None);
-        hedge =
-          Option.map
-            (fun d -> { Fleet.Resilience.hedge_delay_s = d })
-            hedge_delay }
-    in
-    let base = Fleet.Router.default_config ~profile:original pol in
-    let base =
-      { base with
+    let original_cfg =
+      { (Fleet.Router.default_config ~profile:original pol) with
         Fleet.Router.max_instances =
-          (if capacity <= 0 then max_int else capacity);
+          (if capacity = 0 then max_int else capacity);
         max_pending;
-        pending_timeout_s = timeout;
-        faults;
-        (* the original image has no fallback pool, so the breaker only
-           arms on the trimmed deployment below *)
-        resilience = { resilience with Fleet.Resilience.breaker = None } }
+        pending_timeout_s = timeout }
     in
-    let fb_cfg =
-      { base with
-        Fleet.Router.profile = trimmed;
-        resilience;
-        fallback =
-          (if fb_rate > 0.0 then
-             Some
-               (Fleet.Scenario.fallback ~rate:fb_rate ~seed:(seed + 1)
-                  ~original ())
-           else None) }
+    (* A tenant's (original, trimmed) configs; only the trimmed
+       deployment's fallback draw depends on the tenant seed. *)
+    let configs tseed =
+      ( original_cfg,
+        { original_cfg with
+          Fleet.Router.profile = trimmed;
+          fallback =
+            (if fb_rate > 0.0 then
+               Some
+                 (Fleet.Scenario.fallback ~rate:fb_rate
+                    ~seed:(tseed + 1) ~original ())
+             else None) } )
+    in
+    let print_rows rows =
+      print_endline Fleet.Report.table_header;
+      List.iter (fun s -> print_endline (Fleet.Report.table_row s)) rows
     in
     if tenants > 1 then begin
-      (* multi-tenant sharded path: tenant i replays the same app on its
-         own trace/fault/fallback seed stream; tenant 0 reproduces the
-         single-tenant seeds exactly *)
+      (* tenant i replays the app on its own seed stream; tenant 0 is the
+         single-tenant run *)
       let apps =
         List.init tenants (fun i ->
             let tseed = seed + (7919 * i) in
-            let t_faults = { faults with Fleet.Faults.seed = tseed + 2 } in
-            let t_base = { base with Fleet.Router.faults = t_faults } in
-            let t_fb =
-              { fb_cfg with
-                Fleet.Router.faults = t_faults;
-                fallback =
-                  (if fb_rate > 0.0 then
-                     Some
-                       (Fleet.Scenario.fallback ~rate:fb_rate
-                          ~seed:(tseed + 1) ~original ())
-                   else None) }
-            in
+            let original_cfg, trimmed_cfg = configs tseed in
             { Fleet.Sharded.app_id = i;
               app_trace =
                 (fun () ->
-                   Platform.Trace.poisson ~seed:tseed ~rate_per_s:rate
-                     ~duration_s:duration
+                   Platform.Trace.poisson ~seed:tseed
+                     ~rate_per_s:rate ~duration_s:duration
                      ~name:(Printf.sprintf "tenant-%d" i));
               app_variants =
-                [ { Fleet.Sharded.v_group = "original"; v_cfg = t_base };
-                  { Fleet.Sharded.v_group = "trimmed"; v_cfg = t_fb } ] })
+                [ { Fleet.Sharded.v_group = "original"; v_cfg = original_cfg };
+                  { Fleet.Sharded.v_group = "trimmed"; v_cfg = trimmed_cfg } ] })
       in
       let groups = Fleet.Sharded.run apps in
       Printf.printf
@@ -666,11 +531,9 @@ let fleet_cmd =
          policy %s, %d shard(s)\n\n"
         app tenants rate duration seed (Fleet.Pool.policy_name pol)
         (Fleet.Sharded.shard_count ());
-      print_endline Fleet.Report.table_header;
-      List.iter
-        (fun (g : Fleet.Sharded.group) ->
-           print_endline (Fleet.Report.table_row g.Fleet.Sharded.g_summary))
-        groups
+      print_rows
+        (List.map (fun (g : Fleet.Sharded.group) -> g.Fleet.Sharded.g_summary)
+           groups)
     end else begin
       let trace =
         Platform.Trace.poisson ~seed ~rate_per_s:rate ~duration_s:duration
@@ -679,12 +542,13 @@ let fleet_cmd =
       let simulate label cfg =
         Fleet.Report.summarize ~label cfg (Fleet.Router.run cfg trace)
       in
+      let original_cfg, trimmed_cfg = configs seed in
       Printf.printf
         "Fleet: %s, poisson %g req/s for %g s (seed %d), policy %s\n\n" app
         rate duration seed (Fleet.Pool.policy_name pol);
-      print_endline Fleet.Report.table_header;
-      print_endline (Fleet.Report.table_row (simulate "original" base));
-      print_endline (Fleet.Report.table_row (simulate "trimmed" fb_cfg))
+      (* bound first so the original runs (and traces) before the trimmed *)
+      let original_row = simulate "original" original_cfg in
+      print_rows [ original_row; simulate "trimmed" trimmed_cfg ]
     end
   in
   Cmd.v
@@ -693,11 +557,8 @@ let fleet_cmd =
              original vs lambda-trim-optimized.")
     Term.(const run $ app_arg $ rate_arg $ duration_arg $ policy_arg
           $ keep_alive_arg $ max_idle_arg $ capacity_arg $ max_pending_arg
-          $ timeout_arg $ fb_rate_arg $ seed_arg $ init_failure_arg
-          $ crash_arg $ error_arg $ churn_arg $ retries_arg $ retry_base_arg
-          $ retry_cap_arg $ request_timeout_arg $ breaker_threshold_arg
-          $ breaker_window_arg $ breaker_cooldown_arg $ hedge_delay_arg
-          $ tenants_arg $ jobs_arg $ trace_arg)
+          $ timeout_arg $ fb_rate_arg $ seed_arg $ tenants_arg $ jobs_arg
+          $ trace_arg)
 
 (* --- calibrate ------------------------------------------------------------ *)
 
@@ -846,14 +707,14 @@ let redebloat_cmd =
              ~doc:"Manifest directory: <DIR>/<app>.manifest is read as the \
                    baseline (when present) and rewritten after each run.")
   in
-  let run apps state k scoring verbose jobs trace memo_dir =
+  let run apps state k method_ verbose jobs trace memo_dir =
+    check_k k;
     setup_jobs jobs;
     ensure_dir state;
     setup_memo memo_dir;
     with_trace trace @@ fun () ->
     setup_logs verbose;
     let apps = if apps = [] then Workloads.Suite.names else apps in
-    let method_ = Trim.Scoring.method_of_string scoring in
     let job app =
       let path = Filename.concat state (app ^ ".manifest") in
       let baseline = Trim.Manifest.load ~path in

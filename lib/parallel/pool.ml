@@ -233,17 +233,6 @@ let map t f xs =
          (function Done v -> v | Pending | Failed _ -> assert false)
          results)
 
-let map_batches t ~batch f xs =
-  if batch < 1 then invalid_arg "Parallel.Pool.map_batches: batch < 1";
-  let rec chunk acc cur k = function
-    | [] -> List.rev (if cur = [] then acc else List.rev cur :: acc)
-    | x :: rest ->
-      if k = batch then chunk (List.rev cur :: acc) [ x ] 1 rest
-      else chunk acc (x :: cur) (k + 1) rest
-  in
-  let chunks = chunk [] [] 0 xs in
-  List.concat (map t (List.map f) chunks)
-
 (* --- the process-wide configured pool ------------------------------------- *)
 
 (* Written only from the main domain (CLI startup, test setup) before any

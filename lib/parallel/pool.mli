@@ -7,8 +7,8 @@
     [n = 1] degrades to purely sequential execution through the same code
     path — no worker domains, no cross-domain communication.
 
-    Determinism contract: {!map} and {!map_batches} always combine results
-    in submission order. Scheduling decides only {e when} each task runs,
+    Determinism contract: {!map} always combines results in submission
+    order. Scheduling decides only {e when} each task runs,
     never what the combined value is, so callers that are themselves
     deterministic produce scheduling-independent output.
 
@@ -43,12 +43,6 @@ val size : t -> int
     returns the results in the order of [xs]. See the determinism and
     exception contracts above. *)
 val map : t -> ('a -> 'b) -> 'a list -> 'b list
-
-(** [map_batches t ~batch f xs] chunks [xs] into groups of at most [batch]
-    elements, maps each chunk as one task (amortising per-task overhead for
-    cheap [f]), and returns the flattened results in order.
-    @raise Invalid_argument if [batch < 1]. *)
-val map_batches : t -> batch:int -> ('a -> 'b) -> 'a list -> 'b list
 
 (** Graceful teardown: lets queued tasks drain, then joins the workers.
     Idempotent. Submitting to a shut-down pool raises [Invalid_argument].

@@ -16,13 +16,6 @@ let method_name = function
   | Combined -> "combined"
   | Random _ -> "random"
 
-let method_of_string = function
-  | "time" -> Time
-  | "memory" -> Memory
-  | "combined" -> Combined
-  | "random" -> Random 42
-  | s -> invalid_arg ("Scoring.method_of_string: " ^ s)
-
 let marginal_monetary_cost ~total_ms ~total_mb ~t ~m =
   (total_ms *. total_mb) -. ((total_ms -. t) *. (total_mb -. m))
 

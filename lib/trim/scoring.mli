@@ -9,10 +9,6 @@ type method_ = Time | Memory | Combined | Random of int  (** PRNG seed *)
 
 val method_name : method_ -> string
 
-(** Inverse of [method_name]; ["random"] maps to [Random 42].
-    @raise Invalid_argument on unknown names. *)
-val method_of_string : string -> method_
-
 (** Eq. 2. [total_ms]/[total_mb] are the whole Function Initialization phase
     (T, M); [t]/[m] the module's inclusive marginals. *)
 val marginal_monetary_cost :

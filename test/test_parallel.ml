@@ -101,15 +101,6 @@ let pool_cases =
                 [ 0; 1; 2 ]
             in
             Alcotest.(check (list int)) "nested sums" [ 10; 60; 110 ] r));
-    Alcotest.test_case "map_batches flattens in order" `Quick (fun () ->
-        Pool.with_pool ~domains:3 (fun p ->
-            let xs = List.init 11 Fun.id in
-            Alcotest.(check (list int)) "batch of 4"
-              (List.map (fun x -> x + 1) xs)
-              (Pool.map_batches p ~batch:4 (fun x -> x + 1) xs);
-            Alcotest.(check (list int)) "batch wider than the list"
-              (List.map (fun x -> x + 1) xs)
-              (Pool.map_batches p ~batch:100 (fun x -> x + 1) xs)));
     Alcotest.test_case "shutdown is idempotent; with_pool returns the value"
       `Quick (fun () ->
         let p = Pool.create ~domains:3 in

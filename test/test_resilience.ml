@@ -42,39 +42,50 @@ let record_eq (a : Router.record) (b : Router.record) =
   && a.Router.billed_ms = b.Router.billed_ms
   && a.Router.fb_billed_ms = b.Router.fb_billed_ms
 
+let qcheck_alcotest t = QCheck_alcotest.to_alcotest t
+
+let policies =
+  [| policy;
+     Pool.Lru { keep_alive_s = 300.0; max_idle = 2 };
+     Pool.Adaptive { min_s = 60.0; max_s = 600.0; percentile = 99.0 } |]
+
+let fb_rates = [| None; Some 0.01; Some 0.3 |]
+
 let bitcompat =
-  [ Alcotest.test_case "zero-fault + retries = fault-free run" `Quick
-      (fun () ->
-         (* enabling resilience with all fault rates at zero must not
-            perturb a single record *)
-         let t = trace ~seed:3 ~rate_per_s:2.0 ~duration_s:900.0 in
-         let zero_faults = { Faults.seed = 5; init_failure_rate = 0.0;
-                             crash_rate = 0.0; transient_error_rate = 0.0;
-                             churn_rate = 0.0 } in
-         let plain = Router.run (config ~fallback:(fb ~rate:0.05) ()) t in
-         let armed =
-           Router.run
-             (config ~fallback:(fb ~rate:0.05) ~faults:zero_faults
-                ~resilience:retry3 ())
-             t
-         in
-         Alcotest.(check int) "same count"
-           (List.length plain.Router.records)
-           (List.length armed.Router.records);
-         List.iter2
-           (fun a b ->
-              Alcotest.(check bool)
-                (Printf.sprintf "record %d identical" a.Router.req)
-                true (record_eq a b))
-           plain.Router.records armed.Router.records;
-         Alcotest.(check int) "same peak" plain.Router.peak_instances
-           armed.Router.peak_instances;
-         Alcotest.(check (float 1e-9)) "same residency"
-           plain.Router.resident_instance_s armed.Router.resident_instance_s) ]
+  [ qcheck_alcotest
+      (QCheck.Test.make ~count:20 ~name:"zero-fault + retries = fault-free run"
+         QCheck.(triple (int_bound 1_000_000) (int_bound 2) (int_bound 2))
+         (fun (fault_seed, p, f) ->
+            (* enabling resilience with all fault rates at zero must not
+               perturb a single record, whatever the fault seed *)
+            let t = trace ~seed:3 ~rate_per_s:2.0 ~duration_s:900.0 in
+            let zero_faults = { Faults.none with Faults.seed = fault_seed } in
+            let fallback = Option.map (fun rate -> fb ~rate) fb_rates.(f) in
+            let cfg = { (config ?fallback ()) with Router.policy = policies.(p) } in
+            let plain = Router.run cfg t in
+            let armed =
+              Router.run
+                { cfg with Router.faults = zero_faults; resilience = retry3 } t
+            in
+            List.length plain.Router.records = List.length armed.Router.records
+            && List.for_all2 record_eq plain.Router.records armed.Router.records
+            && plain.Router.peak_instances = armed.Router.peak_instances
+            && plain.Router.resident_instance_s
+               = armed.Router.resident_instance_s));
+    qcheck_alcotest
+      (QCheck.Test.make ~count:100 ~name:"zero rates draw no fault at any seed"
+         QCheck.(quad (int_bound 1_000_000) (int_bound 100_000) (int_bound 4)
+                   bool)
+         (fun (seed, req, attempt, cold) ->
+            (* the plan itself, below the router: a zero-rate config at any
+               seed is [none] and never fires a fault or a churn *)
+            let zero = { Faults.none with Faults.seed } in
+            Faults.is_none zero
+            && Faults.attempt_fault zero ~cold ~req ~attempt = Faults.No_fault
+            && (not (Faults.churned zero ~fb:false ~req ~attempt))
+            && not (Faults.churned zero ~fb:true ~req ~attempt))) ]
 
 (* --- retry budget ---------------------------------------------------------- *)
-
-let qcheck_alcotest t = QCheck_alcotest.to_alcotest t
 
 let retry_budget =
   [ qcheck_alcotest

@@ -61,11 +61,12 @@ let ranking =
         Alcotest.(check (list string)) "same seed same order"
           (names (Scoring.rank (Scoring.Random 7) r))
           (names (Scoring.rank (Scoring.Random 7) r)));
-    Alcotest.test_case "method_of_string round-trips" `Quick (fun () ->
-        List.iter
-          (fun m ->
-             Alcotest.(check string) "name" m
-               (Scoring.method_name (Scoring.method_of_string m)))
-          [ "time"; "memory"; "combined"; "random" ]) ]
+    Alcotest.test_case "method names are distinct" `Quick (fun () ->
+        (* the CLI parses -s/--scoring against these names *)
+        Alcotest.(check (list string)) "names"
+          [ "combined"; "memory"; "random"; "time" ]
+          (List.sort_uniq compare
+             (List.map Scoring.method_name
+                Scoring.[ Combined; Time; Memory; Random 42 ]))) ]
 
 let suite = [ ("scoring.eq2", eq2); ("scoring.ranking", ranking) ]
