@@ -388,9 +388,13 @@ let fleet_cmd =
     Arg.(value & opt float 1800.0 & info [ "d"; "duration" ] ~docv:"SECONDS"
            ~doc:"Trace duration in seconds (default 1800).")
   in
+  (* an unknown policy is a usage error that lists the policies *)
   let policy_arg =
-    Arg.(value & opt string "fixed" & info [ "p"; "policy" ] ~docv:"POLICY"
-           ~doc:"Eviction policy: fixed, lru, or adaptive.")
+    let policies =
+      [ ("fixed", `Fixed); ("lru", `Lru); ("adaptive", `Adaptive) ]
+    in
+    Arg.(value & opt (enum policies) `Fixed & info [ "p"; "policy" ]
+           ~docv:"POLICY" ~doc:"Eviction policy: fixed, lru, or adaptive.")
   in
   let keep_alive_arg =
     Arg.(value & opt float 600.0 & info [ "keep-alive" ] ~docv:"SECONDS"
@@ -469,14 +473,11 @@ let fleet_cmd =
     end;
     let pol =
       match policy with
-      | "fixed" -> Fleet.Pool.Fixed_ttl { keep_alive_s = keep_alive }
-      | "lru" -> Fleet.Pool.Lru { keep_alive_s = keep_alive; max_idle }
-      | "adaptive" ->
+      | `Fixed -> Fleet.Pool.Fixed_ttl { keep_alive_s = keep_alive }
+      | `Lru -> Fleet.Pool.Lru { keep_alive_s = keep_alive; max_idle }
+      | `Adaptive ->
         Fleet.Pool.Adaptive
           { min_s = 60.0; max_s = keep_alive; percentile = 99.0 }
-      | p ->
-        Printf.eprintf "unknown policy %S (fixed, lru, adaptive)\n" p;
-        exit 2
     in
     let d = Workloads.Suite.deployment_of app in
     let report = Trim.Pipeline.run d in

@@ -111,8 +111,39 @@ let print_protection () =
 
    §1 motivates λ-trim with bursty scale-out workloads: every overflow
    request in a burst pays a full cold start in parallel, so Function
-   Initialization is multiplied by the burst width. This experiment replays
-   a bursty day through the concurrent pool model and prices both variants. *)
+   Initialization is multiplied by the burst width. This experiment routes
+   a bursty day through the fleet router (an unbounded fixed-TTL pool) and
+   prices both variants. *)
+
+(* (app, original summary, trimmed summary) per app: one router run per
+   variant over the same bursty day, on an unbounded pool with a 900 s
+   fixed TTL. Instance init stays 0: the ablation's model charges only
+   Function Initialization as cold latency. *)
+let burst_rows () =
+  let trace =
+    Platform.Trace.bursty ~seed:17 ~burst_size:40 ~burst_rate_per_s:20.0
+      ~idle_gap_s:3600.0 ~bursts:24 ~name:"burst-day"
+  in
+  let summary label (r : Platform.Lambda_sim.record) =
+    let profile =
+      { Fleet.Router.exec_s = r.Platform.Lambda_sim.exec_ms /. 1000.0;
+        func_init_s = r.Platform.Lambda_sim.init_ms /. 1000.0;
+        instance_init_s = 0.0;
+        memory_mb = r.Platform.Lambda_sim.peak_memory_mb }
+    in
+    let cfg =
+      Fleet.Router.default_config ~profile
+        (Fleet.Pool.Fixed_ttl { keep_alive_s = 900.0 })
+    in
+    Fleet.Report.summarize ~label cfg (Fleet.Router.run cfg trace)
+  in
+  List.map
+    (fun app ->
+       let t = Common.trimmed app in
+       ( app,
+         summary "original" t.Common.original_m.Common.cold,
+         summary "trimmed" t.Common.trimmed_m.Common.cold ))
+    [ "resnet"; "skimage"; "lightgbm"; "spacy"; "huggingface"; "ffmpeg" ]
 
 let print_bursts () =
   let b = Buffer.create 1024 in
@@ -124,44 +155,15 @@ let print_bursts () =
     (Printf.sprintf "  %-18s %6s %6s %6s %14s %8s\n" "" "cold" "warm" "peak"
        "bill o->t ($)" "saving");
   List.iter
-    (fun app ->
-       let t = Common.trimmed app in
-       let orig = t.Common.original_m.Common.cold in
-       let trim = t.Common.trimmed_m.Common.cold in
-       let open Platform.Lambda_sim in
-       let trace =
-         Platform.Trace.bursty ~seed:17 ~burst_size:40 ~burst_rate_per_s:20.0
-           ~idle_gap_s:3600.0 ~bursts:24 ~name:"burst-day"
-       in
-       let bill (r : record) =
-         let replay =
-           Platform.Trace.replay_concurrent
-             ~exec_s:(r.exec_ms /. 1000.0)
-             ~cold_extra_s:(r.init_ms /. 1000.0)
-             trace ~keep_alive_s:900.0
-         in
-         let cold_cost =
-           Platform.Pricing.invocation_cost Platform.Pricing.aws
-             ~duration_ms:(r.init_ms +. r.exec_ms)
-             ~memory_mb:r.peak_memory_mb
-         in
-         let warm_cost =
-           Platform.Pricing.invocation_cost Platform.Pricing.aws
-             ~duration_ms:r.exec_ms ~memory_mb:r.peak_memory_mb
-         in
-         ( (float_of_int replay.Platform.Trace.c_cold_starts *. cold_cost)
-           +. (float_of_int replay.Platform.Trace.c_warm_starts *. warm_cost),
-           replay )
-       in
-       let orig_bill, replay = bill orig in
-       let trim_bill, _ = bill trim in
+    (fun (app, (o : Fleet.Report.summary), (t : Fleet.Report.summary)) ->
        Buffer.add_string b
          (Printf.sprintf "  %-18s %6d %6d %6d %6.4f->%6.4f %7.1f%%\n" app
-            replay.Platform.Trace.c_cold_starts
-            replay.Platform.Trace.c_warm_starts
-            replay.Platform.Trace.c_peak_instances orig_bill trim_bill
-            (Common.pct ~before:orig_bill ~after:trim_bill)))
-    [ "resnet"; "skimage"; "lightgbm"; "spacy"; "huggingface"; "ffmpeg" ];
+            o.Fleet.Report.cold o.Fleet.Report.warm
+            o.Fleet.Report.peak_instances o.Fleet.Report.cost_usd
+            t.Fleet.Report.cost_usd
+            (Common.pct ~before:o.Fleet.Report.cost_usd
+               ~after:t.Fleet.Report.cost_usd)))
+    (burst_rows ());
   Buffer.add_string b
     "  Bursts multiply Function Initialization by the burst width; trimming\n\
     \  the init phase also shrinks the concurrent cold-start pool.\n";

@@ -46,10 +46,6 @@ let all : entry list =
       description =
         "availability/amplification/cost under faults x resilience policy";
       print = Resilience_exp.print; csv = Some Resilience_exp.csv };
-    { id = "durability";
-      description =
-        "crash/resume journal sweep: kill after record N, resume, compare";
-      print = Durability.print; csv = Some Durability.csv };
     { id = "incremental";
       description =
         "incremental re-debloating: warm vs cold over a synthetic history";

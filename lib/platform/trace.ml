@@ -105,48 +105,3 @@ let replay ?(exec_s = 0.0) t ~keep_alive_s : replay =
 let cold_fraction r =
   let total = r.cold_starts + r.warm_starts in
   if total = 0 then 0.0 else float_of_int r.cold_starts /. float_of_int total
-
-(* --- concurrent replay ----------------------------------------------------
-
-   The single-instance replay above matches the paper's serial invocations;
-   real bursts overlap, and each overflow request forces a parallel cold
-   start (§1's "scale-out architectures that lead to very bursty
-   workloads"). The pool model: a request is warm iff some instance is both
-   idle (its previous request finished) and within keep-alive; otherwise a
-   new instance cold-starts. *)
-
-type concurrent_replay = {
-  c_cold_starts : int;
-  c_warm_starts : int;
-  c_peak_instances : int;
-}
-
-let replay_concurrent ?(exec_s = 0.0) ?(cold_extra_s = 0.0) t ~keep_alive_s :
-  concurrent_replay =
-  (* each live instance: (busy_until, expires_at) *)
-  let instances : (float * float) list ref = ref [] in
-  let cold = ref 0 and warm = ref 0 and peak = ref 0 in
-  List.iter
-    (fun arrival ->
-       (* drop expired instances *)
-       instances :=
-         List.filter (fun (_, expires) -> expires >= arrival) !instances;
-       (* find an idle warm instance *)
-       let rec pick acc = function
-         | [] -> None
-         | (busy_until, _) :: rest when busy_until <= arrival ->
-           Some (acc @ rest)
-         | inst :: rest -> pick (inst :: acc) rest
-       in
-       (match pick [] !instances with
-        | Some others ->
-          incr warm;
-          let completion = arrival +. exec_s in
-          instances := (completion, completion +. keep_alive_s) :: others
-        | None ->
-          incr cold;
-          let completion = arrival +. cold_extra_s +. exec_s in
-          instances := (completion, completion +. keep_alive_s) :: !instances);
-       peak := max !peak (List.length !instances))
-    t.arrivals_s;
-  { c_cold_starts = !cold; c_warm_starts = !warm; c_peak_instances = !peak }

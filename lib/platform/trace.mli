@@ -44,23 +44,3 @@ type replay = {
 val replay : ?exec_s:float -> t -> keep_alive_s:float -> replay
 
 val cold_fraction : replay -> float
-
-(** {1 Concurrent replay} *)
-
-type concurrent_replay = {
-  c_cold_starts : int;
-  c_warm_starts : int;
-  c_peak_instances : int;  (** maximum simultaneous live instances *)
-}
-
-(** Pool model: a request is warm iff some instance is idle and within
-    keep-alive; overlapping requests force parallel cold starts — the bursty
-    scale-out behaviour §1 identifies as a cold-start driver. [cold_extra_s]
-    is the additional initialization latency a cold start pays before
-    executing. *)
-val replay_concurrent :
-  ?exec_s:float ->
-  ?cold_extra_s:float ->
-  t ->
-  keep_alive_s:float ->
-  concurrent_replay

@@ -733,6 +733,67 @@ let test_seeded_every_kill_point () =
        done)
     [ [ 2; 5; 7; 9 ]; [ 2; 5; 7 ] ]
 
+(* Everything DD-level that must survive a crash: the optimized image, the
+   total query count, and each module's removed attributes and search
+   counters. Memo hit/miss deltas are left out: a resumed run answers
+   replayed queries before they reach the observation memo. *)
+let pipeline_fingerprint (r : Trim.Pipeline.report) =
+  let modules =
+    List.map
+      (fun (m : Trim.Debloater.module_result) ->
+         Printf.sprintf "%s:%s:%d:%d:%d" m.Trim.Debloater.dm_module
+           (String.concat "+" m.Trim.Debloater.removed_attrs)
+           m.Trim.Debloater.oracle_queries m.Trim.Debloater.cache_hits
+           m.Trim.Debloater.dd_iterations)
+      r.Trim.Pipeline.module_results
+  in
+  String.concat "|"
+    (Minipy.Vfs.image_digest r.Trim.Pipeline.optimized.Platform.Deployment.vfs
+     :: string_of_int r.Trim.Pipeline.total_oracle_queries :: modules)
+
+(* A journaled pipeline run (markdown, K = 3) killed after every record n
+   in 1..R+3, R the uninterrupted run's record count, and resumed,
+   reproduces the uninterrupted run; the kill fires iff n <= R, and the
+   resumed run appends only the R - n records the killed one never made
+   durable. Each run has a private oracle memo, so no run answers from
+   another's verdicts. *)
+let test_pipeline_every_kill_point () =
+  let app = Workloads.Suite.deployment_of "markdown" in
+  let run ~journal_dir ~resume =
+    Trim.Pipeline.run
+      ~options:{ Trim.Pipeline.default_options with
+                 k = 3; journal_dir = Some journal_dir; resume;
+                 oracle_cache = Some (Trim.Oracle.Cache.create ()) }
+      app
+  in
+  let appended =
+    Obs.Metrics.counter Obs.Metrics.global "trim.journal.appended"
+  in
+  let before = Obs.Metrics.value appended in
+  let baseline =
+    pipeline_fingerprint (run ~journal_dir:(fresh_dir ()) ~resume:false)
+  in
+  let records = Obs.Metrics.value appended - before in
+  Alcotest.(check bool) "the run journals records" true (records > 0);
+  for n = 1 to records + 3 do
+    let journal_dir = fresh_dir () in
+    Trim.Chaos.arm_kill_after n;
+    let killed =
+      Fun.protect ~finally:Trim.Chaos.disarm (fun () ->
+          try
+            ignore (run ~journal_dir ~resume:false);
+            false
+          with Trim.Chaos.Killed _ -> true)
+    in
+    let start = Obs.Metrics.value appended in
+    let resumed = pipeline_fingerprint (run ~journal_dir ~resume:true) in
+    let case = Printf.sprintf "kill after %d/%d" n records in
+    Alcotest.(check bool) (case ^ ": killed") (n <= records) killed;
+    Alcotest.(check string) (case ^ ": fingerprint") baseline resumed;
+    Alcotest.(check int) (case ^ ": records appended on resume")
+      (max 0 (records - n)) (Obs.Metrics.value appended - start)
+  done
+
 (* The run digest covers the seed: a journal written under one seed is
    never replayed under another, or unseeded. *)
 let test_digest_covers_seed () =
@@ -768,6 +829,8 @@ let suite =
           test_full_replay_hits_no_oracle;
         Alcotest.test_case "seeded search resumes from every kill point"
           `Quick test_seeded_every_kill_point;
+        Alcotest.test_case "pipeline resumes from every kill point" `Quick
+          test_pipeline_every_kill_point;
         Alcotest.test_case "run digest covers the seed" `Quick
           test_digest_covers_seed;
         Alcotest.test_case "chaos corrupt_last_record skips blank lines"

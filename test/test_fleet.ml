@@ -1,6 +1,7 @@
 (* Fleet simulator: event-queue ordering, eviction policies, the adaptive
    idle-gap histogram, bounded queue, fallback re-invocation, parity with
-   the analytic single-instance replay, and pinned whole-run output. *)
+   the analytic single-instance replay, the unbounded concurrent pool, and
+   pinned whole-run output. *)
 
 open Fleet
 
@@ -446,6 +447,77 @@ let replay_parity =
         Alcotest.(check int) "same event count" r1.Router.events_processed
           r2.Router.events_processed) ]
 
+(* --- concurrent pool ------------------------------------------------------ *)
+
+let concurrent =
+  (* An unbounded fixed-TTL pool: a request is warm iff some instance is
+     idle and within keep-alive, so overlapping requests force parallel
+     cold starts (§1's bursty scale-out). [init_s] is the Function
+     Initialization a cold start pays before executing — the model the
+     abl-bursts ablation prices. *)
+  let pool_run ?(exec_s = 0.0) ?(init_s = 0.0) trace ~keep_alive_s =
+    let cfg =
+      config
+        ~profile:{ Router.exec_s; func_init_s = init_s;
+                   instance_init_s = 0.0; memory_mb = 256.0 }
+        (Pool.Fixed_ttl { keep_alive_s })
+    in
+    Report.summarize ~label:trace.Platform.Trace.trace_name cfg
+      (Router.run cfg trace)
+  in
+  [ Alcotest.test_case "serial trace matches single-instance replay" `Quick
+      (fun () ->
+        let t =
+          Platform.Trace.periodic ~period_s:100.0 ~count:20 ~name:"serial"
+        in
+        let simple = Platform.Trace.replay t ~keep_alive_s:900.0 in
+        let s = pool_run t ~keep_alive_s:900.0 in
+        Alcotest.(check int) "cold" simple.Platform.Trace.cold_starts
+          s.Report.cold;
+        Alcotest.(check int) "warm" simple.Platform.Trace.warm_starts
+          s.Report.warm;
+        Alcotest.(check int) "one instance" 1 s.Report.peak_instances);
+    Alcotest.test_case "overlapping burst forces parallel cold starts" `Quick
+      (fun () ->
+        (* 5 requests in the same instant, each takes 10 s *)
+        let t =
+          Platform.Trace.make ~name:"burst" [ 0.0; 0.01; 0.02; 0.03; 0.04 ]
+        in
+        let s = pool_run ~exec_s:10.0 t ~keep_alive_s:900.0 in
+        Alcotest.(check int) "all cold" 5 s.Report.cold;
+        Alcotest.(check int) "peak pool" 5 s.Report.peak_instances);
+    Alcotest.test_case "burst followed by burst reuses the pool" `Quick
+      (fun () ->
+        let t =
+          Platform.Trace.make ~name:"two-bursts"
+            [ 0.0; 0.1; 0.2; 100.0; 100.1; 100.2 ]
+        in
+        let s = pool_run ~exec_s:1.0 t ~keep_alive_s:900.0 in
+        Alcotest.(check int) "3 cold then 3 warm" 3 s.Report.cold;
+        Alcotest.(check int) "warm" 3 s.Report.warm);
+    Alcotest.test_case "a long cold init keeps the instance busy" `Quick
+      (fun () ->
+        (* with a long cold start, a request arriving during init cannot
+           reuse the initializing instance *)
+        let t = Platform.Trace.make ~name:"init-overlap" [ 0.0; 1.0 ] in
+        let fast = pool_run ~exec_s:0.1 ~init_s:0.0 t ~keep_alive_s:900.0 in
+        let slow = pool_run ~exec_s:0.1 ~init_s:5.0 t ~keep_alive_s:900.0 in
+        Alcotest.(check int) "fast: second is warm" 1 fast.Report.cold;
+        Alcotest.(check int) "slow: second is cold too" 2 slow.Report.cold);
+    Alcotest.test_case "accounts for every arrival" `Quick (fun () ->
+        let t =
+          Platform.Trace.poisson ~seed:5 ~rate_per_s:0.5 ~duration_s:2000.0
+            ~name:"p"
+        in
+        let s = pool_run ~exec_s:3.0 t ~keep_alive_s:300.0 in
+        Alcotest.(check int) "total" (Platform.Trace.length t)
+          (s.Report.cold + s.Report.warm));
+    Alcotest.test_case "zero-length trace routes to zeros" `Quick (fun () ->
+        let t = Platform.Trace.make ~name:"empty" [] in
+        let s = pool_run ~exec_s:3.0 t ~keep_alive_s:900.0 in
+        Alcotest.(check int) "cold" 0 s.Report.cold;
+        Alcotest.(check int) "peak" 0 s.Report.peak_instances) ]
+
 (* --- report -------------------------------------------------------------- *)
 
 let report =
@@ -701,5 +773,5 @@ let suite =
     ("fleet.policies", policies);
     ("fleet.histogram", histogram); ("fleet.queueing", queueing);
     ("fleet.fallback", fallback); ("fleet.replay_parity", replay_parity);
-    ("fleet.report", report);
+    ("fleet.concurrent", concurrent); ("fleet.report", report);
     ("fleet.characterization", characterization) ]

@@ -111,10 +111,7 @@ let replay =
         Alcotest.(check (float 1e-12)) "resident" 0.0 r.Trace.resident_s;
         Alcotest.(check (float 1e-12)) "cold fraction total" 0.0
           (Trace.cold_fraction r);
-        Alcotest.(check (float 1e-12)) "duration" 0.0 (Trace.duration_s t);
-        let c = Trace.replay_concurrent ~exec_s:3.0 t ~keep_alive_s:900.0 in
-        Alcotest.(check int) "concurrent cold" 0 c.Trace.c_cold_starts;
-        Alcotest.(check int) "concurrent peak" 0 c.Trace.c_peak_instances) ]
+        Alcotest.(check (float 1e-12)) "duration" 0.0 (Trace.duration_s t)) ]
 
 let azure =
   [ Alcotest.test_case "generates requested function count" `Quick (fun () ->
@@ -187,54 +184,6 @@ let metrics =
     Alcotest.test_case "speedup" `Quick (fun () ->
         Alcotest.(check (float 1e-9)) "2x" 2.0 (Metrics.speedup ~before:10.0 ~after:5.0)) ]
 
-
-
-let concurrent =
-  [ Alcotest.test_case "serial trace matches single-instance replay" `Quick
-      (fun () ->
-        let t = Trace.periodic ~period_s:100.0 ~count:20 ~name:"serial" in
-        let simple = Trace.replay t ~keep_alive_s:900.0 in
-        let conc = Trace.replay_concurrent t ~keep_alive_s:900.0 in
-        Alcotest.(check int) "cold" simple.Trace.cold_starts
-          conc.Trace.c_cold_starts;
-        Alcotest.(check int) "warm" simple.Trace.warm_starts
-          conc.Trace.c_warm_starts;
-        Alcotest.(check int) "one instance" 1 conc.Trace.c_peak_instances);
-    Alcotest.test_case "overlapping burst forces parallel cold starts" `Quick
-      (fun () ->
-        (* 5 requests in the same instant, each takes 10 s *)
-        let t = Trace.make ~name:"burst" [ 0.0; 0.01; 0.02; 0.03; 0.04 ] in
-        let conc = Trace.replay_concurrent ~exec_s:10.0 t ~keep_alive_s:900.0 in
-        Alcotest.(check int) "all cold" 5 conc.Trace.c_cold_starts;
-        Alcotest.(check int) "peak pool" 5 conc.Trace.c_peak_instances);
-    Alcotest.test_case "burst followed by burst reuses the pool" `Quick
-      (fun () ->
-        let t =
-          Trace.make ~name:"two-bursts"
-            [ 0.0; 0.1; 0.2; 100.0; 100.1; 100.2 ]
-        in
-        let conc = Trace.replay_concurrent ~exec_s:1.0 t ~keep_alive_s:900.0 in
-        Alcotest.(check int) "3 cold then 3 warm" 3 conc.Trace.c_cold_starts;
-        Alcotest.(check int) "warm" 3 conc.Trace.c_warm_starts);
-    Alcotest.test_case "cold_extra_s keeps instances busy longer" `Quick
-      (fun () ->
-        (* with a long cold start, a request arriving during init cannot
-           reuse the initializing instance *)
-        let t = Trace.make ~name:"init-overlap" [ 0.0; 1.0 ] in
-        let fast = Trace.replay_concurrent ~exec_s:0.1 ~cold_extra_s:0.0 t
-            ~keep_alive_s:900.0
-        in
-        let slow = Trace.replay_concurrent ~exec_s:0.1 ~cold_extra_s:5.0 t
-            ~keep_alive_s:900.0
-        in
-        Alcotest.(check int) "fast: second is warm" 1 fast.Trace.c_cold_starts;
-        Alcotest.(check int) "slow: second is cold too" 2 slow.Trace.c_cold_starts);
-    Alcotest.test_case "accounts for every arrival" `Quick (fun () ->
-        let t = Trace.poisson ~seed:5 ~rate_per_s:0.5 ~duration_s:2000.0 ~name:"p" in
-        let conc = Trace.replay_concurrent ~exec_s:3.0 t ~keep_alive_s:300.0 in
-        Alcotest.(check int) "total" (Trace.length t)
-          (conc.Trace.c_cold_starts + conc.Trace.c_warm_starts)) ]
-
 (* NaNs in a latency list must be dropped and counted, not silently
    rank-poison the order statistics (the polymorphic-compare sort used to
    scatter them through the sorted array). *)
@@ -299,5 +248,5 @@ let make_properties =
 let suite =
   [ ("trace.make", make_properties);
     ("trace.generators", generators); ("trace.replay", replay);
-    ("trace.concurrent", concurrent); ("trace.azure", azure);
+    ("trace.azure", azure);
     ("trace.metrics", metrics); ("trace.nan_policy", nan_policy) ]
