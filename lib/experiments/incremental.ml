@@ -7,9 +7,9 @@
    accumulate, so every revision sees the full history. Each revision then
    re-debloats all three apps twice: cold (no baseline) and warm (baseline =
    that app's previous manifest, chained across revisions). The headline
-   ratio is fresh oracle executions cold/warm — the ISSUE's >= 10x target —
-   and `identical` asserts the warm output image and per-module keep-sets
-   are bit-identical to the cold run's.
+   ratio is fresh oracle executions cold/warm, and `identical` asserts the
+   warm output image and per-module keep-sets are bit-identical to the
+   cold run's.
 
    Every run uses a private observation memo, so cold runs never feed warm
    runs (and vice versa); manifests round-trip through disk via
@@ -40,18 +40,17 @@ type row = {
   warm_wall_s : float;
 }
 
-(* Returns the report plus the run's fresh oracle executions — misses of
-   its own private memo (the report's [caches] field counts the global
-   memo, which private-memo runs never touch). *)
+(* One run on a private memo of its own; the report's oracle misses are
+   then exactly the run's fresh oracle executions. *)
 let run_pipeline ?baseline ?manifest_path name d =
-  let cache = Trim.Oracle.Cache.create () in
-  let r =
-    Trim.Pipeline.run
-      ~options:{ Trim.Pipeline.default_options with
-                 k; baseline; manifest_path; oracle_cache = Some cache }
-      { d with Platform.Deployment.name }
-  in
-  (r, Trim.Oracle.Cache.misses cache)
+  Trim.Pipeline.run
+    ~options:{ Trim.Pipeline.default_options with
+               k; baseline; manifest_path;
+               oracle_cache = Some (Trim.Oracle.Cache.create ()) }
+    { d with Platform.Deployment.name }
+
+let fresh (r : Trim.Pipeline.report) =
+  r.Trim.Pipeline.caches.Trim.Pipeline.oracle_misses
 
 (* The image plus every module keep-set: what warm must reproduce bit for
    bit. Query counters are deliberately excluded — differing is the point. *)
@@ -101,7 +100,7 @@ let rows =
             let d = Workloads.Suite.deployment_of app in
             let path = Filename.concat root (app ^ ".manifest") in
             (* priming run (revision 0): cold, writes the first manifest *)
-            let r, _ = run_pipeline ~manifest_path:path app d in
+            let r = run_pipeline ~manifest_path:path app d in
             let target_module, target_file = edit_target r in
             (app, { current = d; target_module; target_file;
                     manifest_path = path }))
@@ -114,10 +113,10 @@ let rows =
           st.current <- edit st.current ~file:st.target_file ~revision;
           List.map
             (fun (app, st) ->
-               let cold, cold_fresh = run_pipeline app st.current in
+               let cold = run_pipeline app st.current in
                let baseline = Trim.Manifest.load ~path:st.manifest_path in
                assert (baseline <> None);
-               let warm, warm_fresh =
+               let warm =
                  run_pipeline ?baseline ~manifest_path:st.manifest_path app
                    st.current
                in
@@ -132,7 +131,7 @@ let rows =
                  seed_hits = warm.Trim.Pipeline.warm_seed_hits;
                  cold_queries = cold.Trim.Pipeline.total_oracle_queries;
                  warm_queries = warm.Trim.Pipeline.total_oracle_queries;
-                 cold_fresh; warm_fresh;
+                 cold_fresh = fresh cold; warm_fresh = fresh warm;
                  identical =
                    String.equal (fingerprint cold) (fingerprint warm);
                  cold_wall_s = cold.Trim.Pipeline.debloat_wall_s;

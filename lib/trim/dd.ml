@@ -21,11 +21,6 @@ type stats = {
   mutable oracle_queries : int;     (* distinct subsets actually tested *)
   mutable cache_hits : int;
   mutable iterations : int;         (* granularity rounds *)
-  (* observation-memo traffic underneath the subset cache: queries answered
-     by Oracle.Cache instead of fresh interpreters. Filled in by the
-     debloater (DD itself only sees an opaque subset oracle). *)
-  mutable oracle_cache_hits : int;
-  mutable oracle_cache_misses : int;
   (* seeding pre-step: confirming queries spent testing a previous
      keep-set, and how many of them passed (a hit skips the whole
      coarse-granularity descent) *)
@@ -70,13 +65,6 @@ let journaled_query ~journal ~oracle ~key subset =
        Journal.append j ~key verdict;
        verdict)
 
-let journal_keepset ~journal result =
-  match journal with
-  | None -> ()
-  | Some j ->
-    Journal.append_keepset j
-      (String.concat "," (List.map string_of_int result))
-
 (* The one search. Algorithm 1 runs as a sequence of *phases* — the
    candidates one granularity step tests, first pass wins. A subset cache
    answers candidates the search already tested ([cache_hits]); every other
@@ -99,9 +87,8 @@ let journal_keepset ~journal result =
 let minimize ?(on_step = fun (_ : 'a step) -> ()) ?journal ?seed ~oracle
     items =
   let stats =
-    { oracle_queries = 0; cache_hits = 0; iterations = 0;
-      oracle_cache_hits = 0; oracle_cache_misses = 0;
-      ws_queries = 0; ws_hits = 0 }
+    { oracle_queries = 0; cache_hits = 0; iterations = 0; ws_queries = 0;
+      ws_hits = 0 }
   in
   let issue subset verdict =
     stats.oracle_queries <- stats.oracle_queries + 1;
@@ -167,9 +154,9 @@ let minimize ?(on_step = fun (_ : 'a step) -> ()) ?journal ?seed ~oracle
            else loop current (min (2 * n) len))
     end
   in
-  let all_idxs = List.init (Array.length arr) Fun.id in
-  let result = if universe = [] then [] else loop all_idxs 2 in
-  journal_keepset ~journal result;
+  let result =
+    if universe = [] then [] else loop (List.init (Array.length arr) Fun.id) 2
+  in
   (to_items result, stats)
 
 (* Check 1-minimality of [subset] under [oracle]: the subset passes and no

@@ -12,10 +12,6 @@ type stats = {
           seed's confirming query *)
   mutable cache_hits : int;      (** repeated subsets answered from cache *)
   mutable iterations : int;      (** granularity rounds of the main loop *)
-  mutable oracle_cache_hits : int;
-      (** queries answered by the observation memo ({!Oracle.Cache}) instead
-          of fresh interpreters; filled in by the debloater *)
-  mutable oracle_cache_misses : int;
   mutable ws_queries : int;
       (** seed confirmation queries (0 or 1): the pre-step testing a
           previous keep-set before searching *)

@@ -12,9 +12,13 @@
 
    Candidate images are Vfs overlays (base + one rewritten file), so building
    one is O(1) instead of O(image files); the oracle memoizes observations by
-   image digest, and the per-module [Dd.stats] record the memo's hit/miss
-   traffic for this module's search ([oracle_cache] names the memo those
-   queries went through — pass the same cache the oracle closure uses). *)
+   image digest, and each [module_result] records the memo's hit/miss
+   traffic during this module's search ([oracle_cache] names the memo those
+   queries went through — pass the same cache the oracle closure uses).
+
+   Every entry point below splits the module once ([split]) and runs its
+   one search through [search]; they differ only in the components DD
+   sees (attributes or statements) and where the seed comes from. *)
 
 module String_set = Callgraph.Pycg.String_set
 
@@ -30,9 +34,9 @@ type module_result = {
   dd_iterations : int;
   oracle_cache_hits : int;       (* observation-memo hits during this search *)
   oracle_cache_misses : int;
-  seed_hit : bool;               (* the caller's seed passed its confirming
-                                    query *)
-  seed_missed : bool;            (* a seed, the caller's or the profile,
+  seed_hit : bool;               (* a manifest keep-set seed passed its
+                                    confirming query *)
+  seed_missed : bool;            (* a seed, the manifest's or the profile,
                                     failed its confirming query *)
 }
 
@@ -49,6 +53,37 @@ let empty_result module_name =
     oracle_queries = 0; cache_hits = 0; dd_iterations = 0;
     oracle_cache_hits = 0; oracle_cache_misses = 0; seed_hit = false;
     seed_missed = false }
+
+(* A file-backed module as DD sees it: its file, parsed program, every
+   attribute (first-occurrence order) and their PyCG protected/candidate
+   partition. [None] for a builtin module: nothing to debloat. *)
+type split = {
+  file : string;
+  prog : Minipy.Ast.program;
+  all_attrs : string list;
+  protected_list : string list;
+  candidates : string list;
+}
+
+let split (d : Platform.Deployment.t) ~protected ~module_name =
+  Minipy.Importer.init_file_of d.Platform.Deployment.vfs module_name
+  |> Option.map (fun file ->
+      let prog = Minipy.Parse_cache.parse_vfs d.Platform.Deployment.vfs file in
+      let all_attrs = Attrs.attrs_of_program prog in
+      let protected_list, candidates =
+        List.partition (fun a -> String_set.mem a protected) all_attrs
+      in
+      { file; prog; all_attrs; protected_list; candidates })
+
+(* [r] completed with the attribute counts of a search that left [keep] of
+   [s]'s attributes. *)
+let report s ~keep r =
+  { r with
+    dm_file = s.file;
+    attrs_before = List.length s.all_attrs;
+    attrs_after = List.length keep;
+    removed_attrs = List.filter (fun a -> not (List.mem a keep)) s.all_attrs;
+    protected = s.protected_list }
 
 (* Rewrite [file] inside a copy-on-write overlay of [d] with [restrict]
    applied to its AST — the per-iteration rewrite of §6.3, "a single
@@ -131,14 +166,6 @@ let sanitize_module_name m =
 
 let journal_run_digest ?seed (d : Platform.Deployment.t) ~module_name ~file
     ~protected_list ~candidates =
-  (* optimizer variant / stub configuration: a --resume of a lazy run must
-     never replay eager-run verdicts. Eager images keep the historical
-     digest, so existing journals stay resumable. *)
-  let variant_tag =
-    match Minipy.Interp.lazy_config_of_vfs d.Platform.Deployment.vfs with
-    | "eager" -> []
-    | lazy_cfg -> [ lazy_cfg ]
-  in
   (* the seed decides which subsets the search tests; unseeded searches
      keep the historical digest *)
   let seed_part = match seed with None -> [] | Some s -> "\x02" :: s in
@@ -147,13 +174,12 @@ let journal_run_digest ?seed (d : Platform.Deployment.t) ~module_name ~file
        (String.concat "\x00"
           ("ltrim-dd/1"
            :: Minipy.Interp.engine_tag
-           :: (variant_tag
+           :: (Oracle.variant_key_part d
                @ Platform.Deployment.image_digest d
                  :: module_name :: file
                  :: (protected_list @ ("\x01" :: candidates) @ seed_part)))))
 
-let open_journal (spec : Journal.spec option) ?seed d ~module_name ~file
-    ~protected_list ~candidates =
+let open_journal (spec : Journal.spec option) ?seed d ~module_name s =
   match spec with
   | None -> None
   | Some { Journal.journal_dir; journal_resume } ->
@@ -161,7 +187,8 @@ let open_journal (spec : Journal.spec option) ?seed d ~module_name ~file
       Filename.concat journal_dir (sanitize_module_name module_name ^ ".journal")
     in
     let run_digest =
-      journal_run_digest ?seed d ~module_name ~file ~protected_list ~candidates
+      journal_run_digest ?seed d ~module_name ~file:s.file
+        ~protected_list:s.protected_list ~candidates:s.candidates
     in
     Some
       (Obs.Span.with_span (Obs.Span.installed ()) ~domain:Obs.Span.domain_wall
@@ -169,96 +196,78 @@ let open_journal (spec : Journal.spec option) ?seed d ~module_name ~file
          ~clock:wall_ms (fun () ->
              Journal.open_ ~resume:journal_resume ~path ~run_digest ()))
 
-(* Record the observation-memo traffic of [f ()] into [stats]. *)
-let with_memo_stats (cache : Oracle.Cache.t) (f : unit -> 'a * Dd.stats) :
-  'a * Dd.stats =
-  let h0 = Oracle.Cache.hits cache and m0 = Oracle.Cache.misses cache in
-  let result, stats = f () in
-  stats.Dd.oracle_cache_hits <- Oracle.Cache.hits cache - h0;
-  stats.Dd.oracle_cache_misses <- Oracle.Cache.misses cache - m0;
-  (result, stats)
+(* --- the one search ------------------------------------------------------- *)
 
-let result_of_stats ~module_name ~file ~all_attrs ~final_keep ~protected_list
-    ~seeded (stats : Dd.stats) =
-  { dm_module = module_name;
-    dm_file = file;
-    attrs_before = List.length all_attrs;
-    attrs_after = List.length final_keep;
-    removed_attrs =
-      List.filter (fun a -> not (List.mem a final_keep)) all_attrs;
-    protected = protected_list;
-    oracle_queries = stats.Dd.oracle_queries;
-    cache_hits = stats.Dd.cache_hits;
-    dd_iterations = stats.Dd.iterations;
-    oracle_cache_hits = stats.Dd.oracle_cache_hits;
-    oracle_cache_misses = stats.Dd.oracle_cache_misses;
-    seed_hit = seeded && stats.Dd.ws_hits > 0;
-    seed_missed = stats.Dd.ws_queries > stats.Dd.ws_hits }
+(* Run Algorithm 1 over [candidates] inside the dd:<module> span, every
+   query of [query] traced, then close [journal]. The result carries DD's
+   counters and the observation-memo traffic of the search in
+   [oracle_cache]; [seeded] says [seed] came from a manifest, whose outcome
+   [seed_hit] reports (a profile seed's it does not). *)
+let search ?on_step ?journal ?seed ~seeded ~oracle_cache ~module_name query
+    candidates =
+  let oracle = traced_oracle ~module_name ~cache:oracle_cache query in
+  let h0 = Oracle.Cache.hits oracle_cache
+  and m0 = Oracle.Cache.misses oracle_cache in
+  let kept, stats =
+    Fun.protect
+      ~finally:(fun () -> Option.iter Journal.close journal)
+      (fun () ->
+         obs_dd_span ~module_name (fun () ->
+             Dd.minimize ?on_step ?journal ?seed ~oracle candidates))
+  in
+  ( kept,
+    { (empty_result module_name) with
+      oracle_queries = stats.Dd.oracle_queries;
+      cache_hits = stats.Dd.cache_hits;
+      dd_iterations = stats.Dd.iterations;
+      oracle_cache_hits = Oracle.Cache.hits oracle_cache - h0;
+      oracle_cache_misses = Oracle.Cache.misses oracle_cache - m0;
+      seed_hit = seeded && stats.Dd.ws_hits > 0;
+      seed_missed = stats.Dd.ws_queries > stats.Dd.ws_hits } )
 
-(* Debloat one module of [d]; returns the updated deployment (an overlay
-   sharing no *mutable* state with the input) and the per-module report.
-   [oracle] judges candidate deployments; [protected] attributes are never
-   offered to DD. [seed] primes DD with a previous run's keep-set (§9
-   continuous pipeline): when the application changed little, the seed
+(* Attribute-granularity DD over [s]: O(subset) = oracle passes when the
+   module keeps protected ∪ subset. [seed] is a previous run's keep-set
+   (§9 continuous pipeline): when the application changed little, it
    passes its one confirming query and DD only re-verifies 1-minimality
    inside it. Without one, the seed is the profile of [d]: the candidates
    its test cases read. Most top-K attributes are dead, and a passing
    profile seed skips the queries that would prove them dead one partition
    at a time. Profiling [d] rather than the input app matters: earlier
    trims delete code that read later modules' names. *)
-let debloat_module ?(on_step = fun (_ : string Dd.step) -> ())
-    ?(oracle_cache = Oracle.Cache.global) ?journal ?seed
+let debloat_attrs ?on_step ?journal ?seed ~oracle_cache ~oracle d
+    ~module_name s =
+  let dd_seed =
+    match seed, s.candidates with
+    | Some _, _ | None, [] -> seed
+    | None, _ ->
+      let reads = Oracle.module_reads ~cache:oracle_cache d ~module_name in
+      Some (List.filter (fun a -> List.mem a reads) s.candidates)
+  in
+  let journal = open_journal journal ?seed:dd_seed d ~module_name s in
+  let query subset =
+    oracle (with_restricted d ~file:s.file ~keep:(s.protected_list @ subset))
+  in
+  let kept, r =
+    search ?on_step ?journal ?seed:dd_seed ~seeded:(seed <> None)
+      ~oracle_cache ~module_name query s.candidates
+  in
+  let keep = s.protected_list @ kept in
+  (with_restricted d ~file:s.file ~keep, report s ~keep r)
+
+(* Debloat one module of [d]; returns the updated deployment (an overlay
+   sharing no *mutable* state with the input) and the per-module report.
+   [oracle] judges candidate deployments; [protected] attributes are never
+   offered to DD. The search is profile-seeded (see [debloat_attrs]). *)
+let debloat_module ?on_step ?(oracle_cache = Oracle.Cache.global) ?journal
     ~(oracle : Platform.Deployment.t -> bool) ~(protected : String_set.t)
     (d : Platform.Deployment.t) ~module_name : Platform.Deployment.t * module_result
   =
-  match Minipy.Importer.init_file_of d.Platform.Deployment.vfs module_name with
-  | None ->
-    (* not file-backed (builtin) — nothing to debloat *)
-    (d, empty_result module_name)
-  | Some file ->
-    let prog = Minipy.Parse_cache.parse_vfs d.Platform.Deployment.vfs file in
-    let all_attrs = Attrs.attrs_of_program prog in
-    let protected_list =
-      List.filter (fun a -> String_set.mem a protected) all_attrs
-    in
-    let candidates =
-      List.filter (fun a -> not (String_set.mem a protected)) all_attrs
-    in
-    (* O(subset) = oracle passes when the module keeps protected ∪ subset *)
-    let dd_oracle subset =
-      oracle (with_restricted d ~file ~keep:(protected_list @ subset))
-    in
-    let dd_oracle = traced_oracle ~module_name ~cache:oracle_cache dd_oracle in
-    let dd_seed =
-      match seed, candidates with
-      | Some _, _ | None, [] -> seed
-      | None, _ ->
-        let reads = Oracle.module_reads ~cache:oracle_cache d ~module_name in
-        Some (List.filter (fun a -> List.mem a reads) candidates)
-    in
-    let jnl =
-      open_journal journal ?seed:dd_seed d ~module_name ~file ~protected_list
-        ~candidates
-    in
-    let kept, stats =
-      Fun.protect
-        ~finally:(fun () -> Option.iter Journal.close jnl)
-        (fun () ->
-           obs_dd_span ~module_name (fun () ->
-               with_memo_stats oracle_cache (fun () ->
-                   Dd.minimize ~on_step ?journal:jnl ?seed:dd_seed
-                     ~oracle:dd_oracle candidates)))
-    in
-    let final_keep = protected_list @ kept in
-    let d' = with_restricted d ~file ~keep:final_keep in
-    ( d',
-      result_of_stats ~module_name ~file ~all_attrs ~final_keep
-        ~protected_list ~seeded:(seed <> None) stats )
+  match split d ~protected ~module_name with
+  | None -> (d, empty_result module_name)
+  | Some s ->
+    debloat_attrs ?on_step ?journal ~oracle_cache ~oracle d ~module_name s
 
 (* --- statement-granularity variant (§6.1 ablation) ------------------------ *)
-
-let with_restricted_statements d ~file ~keep =
-  with_rewritten d ~file (fun prog -> Attrs.restrict_statements prog ~keep)
 
 (* DD over whole statements instead of attributes. Statements binding a
    PyCG-protected name are excluded from the candidate list. *)
@@ -266,49 +275,31 @@ let debloat_module_statements ?(oracle_cache = Oracle.Cache.global)
     ~(oracle : Platform.Deployment.t -> bool)
     ~(protected : String_set.t) (d : Platform.Deployment.t) ~module_name :
   Platform.Deployment.t * module_result =
-  match Minipy.Importer.init_file_of d.Platform.Deployment.vfs module_name with
+  match split d ~protected ~module_name with
   | None -> (d, empty_result module_name)
-  | Some file ->
-    let prog = Minipy.Parse_cache.parse_vfs d.Platform.Deployment.vfs file in
-    let prog_arr = Array.of_list prog in
-    let components = Attrs.statement_components prog in
+  | Some s ->
+    let stmts = Array.of_list s.prog in
     let stmt_protected i =
       List.exists (fun n -> String_set.mem n protected)
-        (Attrs.bound_names prog_arr.(i))
+        (Attrs.bound_names stmts.(i))
     in
-    let always_keep = List.filter stmt_protected components in
-    let candidates = List.filter (fun i -> not (stmt_protected i)) components in
-    let dd_oracle subset =
-      oracle (with_restricted_statements d ~file ~keep:(always_keep @ subset))
+    let always_keep, candidates =
+      List.partition stmt_protected (Attrs.statement_components s.prog)
     in
-    let dd_oracle = traced_oracle ~module_name ~cache:oracle_cache dd_oracle in
-    let kept, stats =
-      obs_dd_span ~module_name (fun () ->
-          with_memo_stats oracle_cache (fun () ->
-              Dd.minimize ~oracle:dd_oracle candidates))
+    let restrict subset =
+      with_rewritten d ~file:s.file (fun prog ->
+          Attrs.restrict_statements prog ~keep:(always_keep @ subset))
     in
-    let final_keep = always_keep @ kept in
-    let d' = with_restricted_statements d ~file ~keep:final_keep in
-    let all_attrs = Attrs.attrs_of_program prog in
-    let surviving =
-      Attrs.attrs_of_program (Attrs.restrict_statements prog ~keep:final_keep)
+    let kept, r =
+      search ~seeded:false ~oracle_cache ~module_name
+        (fun subset -> oracle (restrict subset)) candidates
     in
-    ( d',
-      { dm_module = module_name;
-        dm_file = file;
-        attrs_before = List.length all_attrs;
-        attrs_after = List.length surviving;
-        removed_attrs =
-          List.filter (fun a -> not (List.mem a surviving)) all_attrs;
-        protected =
-          List.filter (fun a -> String_set.mem a protected) all_attrs;
-        oracle_queries = stats.Dd.oracle_queries;
-        cache_hits = stats.Dd.cache_hits;
-        dd_iterations = stats.Dd.iterations;
-        oracle_cache_hits = stats.Dd.oracle_cache_hits;
-        oracle_cache_misses = stats.Dd.oracle_cache_misses;
-        seed_hit = false;
-        seed_missed = false } )
+    (* the attributes the kept statements still bind *)
+    let bound =
+      List.concat_map (fun i -> Attrs.bound_names stmts.(i)) (always_keep @ kept)
+    in
+    ( restrict kept,
+      report s ~keep:(List.filter (fun a -> List.mem a bound) s.all_attrs) r )
 
 (* --- incremental re-debloating (digest-diffed searches) -------------------
 
@@ -360,15 +351,10 @@ let module_search_digest (d : Platform.Deployment.t) ~module_name ~file
            tc.Platform.Deployment.tc_context ])
       d.Platform.Deployment.test_cases
   in
-  let variant_tag =
-    match Minipy.Interp.lazy_config_of_vfs vfs with
-    | "eager" -> []
-    | lazy_cfg -> [ lazy_cfg ]
-  in
   let parts =
     List.concat
       [ [ "ltrim-module/1"; Minipy.Interp.engine_tag ];
-        variant_tag;
+        Oracle.variant_key_part d;
         [ module_name;
           file;
           d.Platform.Deployment.handler_file;
@@ -401,53 +387,33 @@ let debloat_module_incremental ?(oracle_cache = Oracle.Cache.global)
     ~(protected : String_set.t) ~(baseline : Manifest.module_entry option)
     (d : Platform.Deployment.t) ~module_name :
   Platform.Deployment.t * module_result * search_kind * string =
-  match Minipy.Importer.init_file_of d.Platform.Deployment.vfs module_name with
+  match split d ~protected ~module_name with
   | None -> (d, empty_result module_name, Fresh, builtin_digest)
-  | Some file ->
-    let prog = Minipy.Parse_cache.parse_vfs d.Platform.Deployment.vfs file in
-    let all_attrs = Attrs.attrs_of_program prog in
-    let protected_list =
-      List.filter (fun a -> String_set.mem a protected) all_attrs
-    in
-    let candidates =
-      List.filter (fun a -> not (String_set.mem a protected)) all_attrs
-    in
+  | Some s ->
     let digest =
-      module_search_digest d ~module_name ~file ~protected_list ~candidates
+      module_search_digest d ~module_name ~file:s.file
+        ~protected_list:s.protected_list ~candidates:s.candidates
     in
     (match baseline with
-     | Some e when String.equal e.Manifest.me_digest digest ->
-       (* unchanged reachable image: the recorded search replays exactly *)
-       let removed =
-         List.filter
-           (fun a -> List.mem a e.Manifest.me_removed)
-           all_attrs
-       in
-       let keep = List.filter (fun a -> not (List.mem a removed)) all_attrs in
-       let d' = with_restricted d ~file ~keep in
-       ( d',
-         { (empty_result module_name) with
-           dm_file = file;
-           attrs_before = List.length all_attrs;
-           attrs_after = List.length keep;
-           removed_attrs = removed;
-           protected = protected_list },
-         Replayed,
-         digest )
-     | Some e ->
-       let seed_keep =
-         List.filter
-           (fun a -> not (List.mem a e.Manifest.me_removed))
-           all_attrs
-       in
-       let d', r =
-         debloat_module ~oracle_cache ~oracle ~protected ~seed:seed_keep d
-           ~module_name
-       in
-       (d', r, Seeded r.seed_hit, digest)
      | None ->
        let d', r =
-         debloat_module ~oracle_cache ?journal ~oracle ~protected d
-           ~module_name
+         debloat_attrs ?journal ~oracle_cache ~oracle d ~module_name s
        in
-       (d', r, Fresh, digest))
+       (d', r, Fresh, digest)
+     | Some e ->
+       let recorded =
+         List.filter
+           (fun a -> not (List.mem a e.Manifest.me_removed))
+           s.all_attrs
+       in
+       if String.equal e.Manifest.me_digest digest then
+         (* unchanged reachable image: the recorded search replays exactly *)
+         ( with_restricted d ~file:s.file ~keep:recorded,
+           report s ~keep:recorded (empty_result module_name),
+           Replayed,
+           digest )
+       else
+         let d', r =
+           debloat_attrs ~seed:recorded ~oracle_cache ~oracle d ~module_name s
+         in
+         (d', r, Seeded r.seed_hit, digest))

@@ -5,8 +5,7 @@
 
     Each [?oracle_cache] below names the observation memo the [oracle]
     closure consults (default {!Oracle.Cache.global}); it is sampled around
-    the DD search to fill the memo hit/miss counters of {!Dd.stats} and
-    {!module_result}. *)
+    the DD search to fill the memo hit/miss counters of {!module_result}. *)
 
 module String_set = Callgraph.Pycg.String_set
 
@@ -24,11 +23,12 @@ type module_result = {
       (** oracle queries answered by the observation memo *)
   oracle_cache_misses : int;
   seed_hit : bool;
-      (** a caller-supplied seed (a previous keep-set or a manifest entry)
-          passed its confirming query ({!Dd.stats.ws_hits}); [false] when
-          the caller passed no seed, profile seeds included *)
+      (** a manifest entry's keep-set, the seed of a warm start
+          ({!debloat_module_incremental}), passed its confirming query
+          ({!Dd.stats.ws_hits}); [false] for every other search, profile
+          seeds included *)
   seed_missed : bool;
-      (** a seed — the caller's or the profile — failed its confirming
+      (** a seed — the manifest's or the profile — failed its confirming
           query, which was then one query spent for nothing *)
 }
 
@@ -49,13 +49,9 @@ val with_restricted :
     with the input deployment. Builtin (non-file-backed) modules are a
     no-op. [on_step] fires for every issued query, in order.
 
-    With [?seed] (§9 continuous pipeline) DD first tests a previous run's
-    keep-set with one confirming query and, on a pass, searches inside it;
-    [seed_hit] reports the outcome.
-
-    Without [?seed], the search is seeded with a profile: [d]'s test cases
-    run once in fresh interpreters with the read recorder on
-    ({!Oracle.module_reads}), and the candidates they read form the seed.
+    The search is seeded with a profile: [d]'s test cases run once in
+    fresh interpreters with the read recorder on ({!Oracle.module_reads}),
+    and the candidates they read form the seed.
     A passing profile seed costs one query and the search stays inside it;
     a failing one costs one query and the full search runs. Either way the
     result is 1-minimal. Profile seeds never set [seed_hit]. A module with
@@ -67,13 +63,12 @@ val with_restricted :
     compatible existing journal is replayed first, so a killed search
     continues where it crashed with bit-identical results. The journal's
     run digest covers the base deployment image this module is searched
-    against and the seed; a journal written against any other image or
-    seed is safely discarded. *)
+    against and the profile seed; a journal written against any other
+    image or seed is safely discarded. *)
 val debloat_module :
   ?on_step:(string Dd.step -> unit) ->
   ?oracle_cache:Oracle.Cache.t ->
   ?journal:Journal.spec ->
-  ?seed:string list ->
   oracle:(Platform.Deployment.t -> bool) ->
   protected:String_set.t ->
   Platform.Deployment.t ->

@@ -3,21 +3,23 @@
    One {!Durable_log} per module search. The header binds the file to a run
    digest (base image digest + module + candidate list + engine tag), so a
    stale journal from a different revision or options is discarded
-   instead of replayed. The records are
+   instead of replayed. Each record is one oracle verdict,
 
-     o|<seq>|<subset key>|<T or F>|<md5>        (one oracle verdict)
-     k|<seq>|<final keep-set key>|<md5>         (completion mark)
+     o|<seq>|<subset key>|<T or F>|<md5>
 
-   each flushed before control returns to DD. A resumed DD run answers its
-   queries from the replay table in place of the oracle, reproducing the
-   uninterrupted run's keep-set and counters bit for bit. After each flush
-   the chaos harness is notified, which is how the simulated
-   kill-after-record-N lands exactly on a durable boundary. *)
+   flushed before control returns to DD. Journals written before the
+   format dropped its completion mark may end in a
+   k|<seq>|<final keep-set key>|<md5> record; replay accepts and ignores
+   it, so those files still resume with nothing truncated. A resumed DD
+   run answers its queries from the replay table in place of the oracle,
+   reproducing the uninterrupted run's keep-set and counters bit for bit.
+   After each flush the chaos harness is notified, which is how the
+   simulated kill-after-record-N lands exactly on a durable boundary. *)
 
 let magic = "ltrim-journal/1"
 
-(* Aliases of {!Durable_log}'s file helpers, kept for e2ebench/ and
-   bench/, which read them here. *)
+(* Aliases of {!Durable_log}'s file helpers, kept for e2ebench/, which
+   reads them here. *)
 let mkdir_p = Durable_log.mkdir_p
 let write_file_atomic = Durable_log.write_file_atomic
 
@@ -37,7 +39,6 @@ let count ?by c =
 type t = {
   log : Durable_log.t;
   replay : (string, bool) Hashtbl.t;
-  mutable keepset : string option;    (* completion mark, when present *)
   mutable replayed_served : int;      (* replay-table answers handed out *)
   lock : Mutex.t;
 }
@@ -47,7 +48,7 @@ type t = {
    the table; without it, or when the header does not match this run, the
    file starts fresh. *)
 let open_ ?(resume = false) ~path ~run_digest () =
-  let replay = Hashtbl.create 256 and keepset = ref None in
+  let replay = Hashtbl.create 256 in
   let log =
     (* DD keys are index lists ("3,7,19"), so the message never fires in
        practice *)
@@ -59,14 +60,11 @@ let open_ ?(resume = false) ~path ~run_digest () =
           | "o", [ key; ("T" | "F" as v) ] ->
             Hashtbl.replace replay key (String.equal v "T");
             true
-          | "k", [ keys ] ->
-            keepset := Some keys;
-            true
+          | "k", [ _ ] -> true    (* legacy completion mark *)
           | _ -> false)
   in
   count ~by:(Durable_log.truncated log) c_truncated;
-  { log; replay; keepset = !keepset; replayed_served = 0;
-    lock = Mutex.create () }
+  { log; replay; replayed_served = 0; lock = Mutex.create () }
 
 let locked t f =
   Mutex.lock t.lock;
@@ -82,29 +80,14 @@ let find t key =
         Some v
       | None -> None)
 
-(* Called with [t.lock] held; the flush is the durability boundary. *)
-let append_record t kind fields =
-  Durable_log.append t.log kind fields;
-  count c_appended;
-  (* the record is durable; a chaos kill lands exactly here *)
-  Chaos.note_journal_append ()
-
-(* Record one oracle verdict. Durable (flushed) before returning. *)
+(* Record one oracle verdict. The flush is the durability boundary: the
+   record is on disk before this returns. *)
 let append t ~key verdict =
   locked t (fun () ->
-      append_record t "o" [ key; (if verdict then "T" else "F") ])
-
-(* Record the final keep-set — the completion mark. Idempotent on resume:
-   a replayed identical mark is not re-appended. *)
-let append_keepset t keys =
-  locked t (fun () ->
-      match t.keepset with
-      | Some k when String.equal k keys -> ()
-      | _ ->
-        append_record t "k" [ keys ];
-        t.keepset <- Some keys)
-
-let final_keepset t = locked t (fun () -> t.keepset)
+      Durable_log.append t.log "o" [ key; (if verdict then "T" else "F") ];
+      count c_appended;
+      (* the record is durable; a chaos kill lands exactly here *)
+      Chaos.note_journal_append ())
 
 let replayed t = locked t (fun () -> t.replayed_served)
 

@@ -1,6 +1,7 @@
 (** Durable DD decision journal: an append-only, per-record-checksummed log
-    of (subset key → oracle verdict) plus a final keep-set completion mark,
-    one file per module search.
+    of (subset key → oracle verdict) records, one file per module search.
+    A [k] completion mark left by older journals is accepted on replay and
+    ignored.
 
     The file is a {!Durable_log}; its crash model and lock apply. Records
     are flushed before control returns to DD. Reopening with [resume]
@@ -31,13 +32,6 @@ val find : t -> string -> bool option
     @raise Invalid_argument if [key] contains ['|'] or a newline. *)
 val append : t -> key:string -> bool -> unit
 
-(** Append the final keep-set completion mark. Idempotent when the journal
-    already carries an identical mark (the resume-of-a-finished-run case). *)
-val append_keepset : t -> string -> unit
-
-(** The completion mark, when present. *)
-val final_keepset : t -> string option
-
 (** Replay-table answers served since [open_]. *)
 val replayed : t -> int
 
@@ -50,7 +44,7 @@ val records : t -> int
 val close : t -> unit
 
 (** {!Durable_log.mkdir_p} and {!Durable_log.write_file_atomic}, kept
-    for e2ebench/ and bench/, which read them here. *)
+    for e2ebench/, which reads them here. *)
 
 val mkdir_p : string -> unit
 val write_file_atomic : path:string -> string -> unit

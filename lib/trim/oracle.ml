@@ -153,6 +153,15 @@ let run_test_case ?params ?on_read (d : Platform.Deployment.t)
   | exception Minipy.Interp.Timeout _ -> "CRASH:timeout"
   | exception Stack_overflow -> "CRASH:stack-overflow"
 
+(* The optimizer variant / stub configuration's part of every key that
+   must separate a lazy image from its eager twin (memo, journal run and
+   module search digests): nothing for an eager image, so eager keys stay
+   the historical ones, otherwise the image's lazy-config tag. *)
+let variant_key_part (d : Platform.Deployment.t) =
+  match Minipy.Interp.lazy_config_of_vfs d.Platform.Deployment.vfs with
+  | "eager" -> []
+  | lazy_cfg -> [ lazy_cfg ]
+
 (* Memo key: everything the canonical output can depend on — the effective
    image, the entry point, and the test case's inputs — plus the engine tag,
    which keys have always carried (a constant now; keeping it keeps stored
@@ -162,17 +171,8 @@ let run_test_case ?params ?on_read (d : Platform.Deployment.t)
    key. *)
 let test_key ?params ~image_digest (d : Platform.Deployment.t)
     (tc : Platform.Deployment.test_case) =
-  (* optimizer variant / stub configuration: a lazy image must never share
-     verdicts with its eager twin, even if digests collide. Eager images
-     keep the historical key (like default-param runs below). *)
-  let lazy_cfg =
-    Minipy.Interp.lazy_config_of_vfs d.Platform.Deployment.vfs
-  in
-  let variant_tag =
-    if String.equal lazy_cfg "eager" then [] else [ lazy_cfg ]
-  in
   let base =
-    variant_tag
+    variant_key_part d
     @ [ Minipy.Interp.engine_tag;
       image_digest;
       d.Platform.Deployment.handler_file;

@@ -63,6 +63,12 @@ end
     then [CALLS:] when external calls were made. *)
 val canonical_of_record : Platform.Lambda_sim.record -> string
 
+(** The optimizer variant's part of a memo key, journal run digest or
+    module search digest: [[]] for an eager image (its keys stay the
+    historical ones), otherwise [[Minipy.Interp.lazy_config_of_vfs]] of
+    the image, so a lazy image never shares a key with its eager twin. *)
+val variant_key_part : Platform.Deployment.t -> string list
+
 (** Observe a deployment across its test cases, consulting [cache] (default
     {!Cache.global}) per (image digest, test case). Init-time crashes
     appear as [INITERR:<class>]; interpreter timeouts as [CRASH:timeout].

@@ -69,10 +69,11 @@ let pp_cache_stats ppf c =
   Fmt.pf ppf "parse cache %d hits / %d misses, oracle memo %d hits / %d misses"
     c.parse_hits c.parse_misses c.oracle_hits c.oracle_misses
 
-(* Snapshot the global caches around [f] so the report shows this run's own
-   traffic even when the caches are shared across runs. *)
-let with_cache_stats f =
-  let pc = Minipy.Parse_cache.global and oc = Oracle.Cache.global in
+(* Snapshot the parse cache and the run's observation memo [oc] around [f]
+   so the report shows this run's own traffic even when the caches are
+   shared across runs. *)
+let with_cache_stats oc f =
+  let pc = Minipy.Parse_cache.global in
   let ph0 = Minipy.Parse_cache.hits pc
   and pm0 = Minipy.Parse_cache.misses pc
   and oh0 = Oracle.Cache.hits oc
@@ -162,9 +163,10 @@ let run ?(options = default_options) ?(jobs = 1)
   (* search digests are computed only when a baseline or a manifest reads
      them *)
   let incremental = baseline <> None || options.manifest_path <> None in
+  let memo = Option.value options.oracle_cache ~default:Oracle.Cache.global in
   let wall_start = Unix.gettimeofday () in
   let (analysis, profile, ranked, optimized, entries), caches =
-    with_cache_stats (fun () ->
+    with_cache_stats memo (fun () ->
         obs_phase "pipeline:run" (fun () ->
         (* Stage 1: static analysis *)
         let analysis =

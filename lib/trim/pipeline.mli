@@ -32,9 +32,10 @@ type options = {
 
 val default_options : options
 
-(** Traffic through the caching substrate during one run: parse-cache and
-    oracle-memo hit/miss deltas (the caches are global; these are this run's
-    own counts). Read-through caches — wall-clock only, no virtual
+(** Traffic through the caching substrate during one run: hit/miss deltas
+    of the global parse cache and of the run's observation memo (the
+    [oracle_cache] option, else the global memo), so these are this run's
+    own counts. Read-through caches — wall-clock only, no virtual
     measurement depends on them. *)
 type cache_stats = {
   parse_hits : int;

@@ -52,8 +52,7 @@ let ddmin ~on_step ~(stats : Dd.stats) ~oracle items =
 
 let minimize ?(on_step = fun _ _ -> ()) ?seed ~oracle items =
   let stats =
-    { Dd.oracle_queries = 0; cache_hits = 0; iterations = 0;
-      oracle_cache_hits = 0; oracle_cache_misses = 0; ws_queries = 0;
+    { Dd.oracle_queries = 0; cache_hits = 0; iterations = 0; ws_queries = 0;
       ws_hits = 0 }
   in
   let search = ddmin ~on_step ~stats ~oracle in

@@ -315,7 +315,30 @@ let oracle_cases =
         Alcotest.(check (list string)) "cold = fresh" expected cold;
         Alcotest.(check (list string)) "warm = fresh" expected warm;
         Alcotest.(check (list string)) "keyed by module" []
-          (Trim.Oracle.module_reads ~cache:c tiny ~module_name:"nosuch")) ]
+          (Trim.Oracle.module_reads ~cache:c tiny ~module_name:"nosuch"));
+    Alcotest.test_case "a pipeline report counts its private memo" `Quick
+      (fun () ->
+        let c = Trim.Oracle.Cache.create () in
+        let run () =
+          (Trim.Pipeline.run
+             ~options:{ Trim.Pipeline.default_options with
+                        k = 3; oracle_cache = Some c }
+             (Workloads.Suite.deployment_of "markdown"))
+            .Trim.Pipeline.caches
+        in
+        let cold = run () in
+        Alcotest.(check bool) "cold run misses" true
+          (cold.Trim.Pipeline.oracle_misses > 0);
+        Alcotest.(check (pair int int)) "cold run = the memo's counts"
+          (Trim.Oracle.Cache.hits c, Trim.Oracle.Cache.misses c)
+          (cold.Trim.Pipeline.oracle_hits, cold.Trim.Pipeline.oracle_misses);
+        let h0 = Trim.Oracle.Cache.hits c in
+        let warm = run () in
+        Alcotest.(check (pair int int)) "warm run = the memo's deltas"
+          (Trim.Oracle.Cache.hits c - h0, 0)
+          (warm.Trim.Pipeline.oracle_hits, warm.Trim.Pipeline.oracle_misses);
+        Alcotest.(check bool) "warm run hits" true
+          (warm.Trim.Pipeline.oracle_hits > 0)) ]
 
 (* --- measurement neutrality ----------------------------------------------- *)
 

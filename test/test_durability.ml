@@ -38,8 +38,7 @@ let test_roundtrip () =
   let path = Filename.concat (fresh_dir ()) "m.journal" in
   with_journal path (fun j ->
       Trim.Journal.append j ~key:"0,1,2" true;
-      Trim.Journal.append j ~key:"0,1" false;
-      Trim.Journal.append_keepset j "0,2");
+      Trim.Journal.append j ~key:"0,1" false);
   with_journal ~resume:true path (fun j ->
       Alcotest.(check (option bool)) "verdict replayed" (Some true)
         (Trim.Journal.find j "0,1,2");
@@ -47,13 +46,9 @@ let test_roundtrip () =
         (Trim.Journal.find j "0,1");
       Alcotest.(check (option bool)) "unknown key" None
         (Trim.Journal.find j "9");
-      Alcotest.(check (option string)) "keep-set mark" (Some "0,2")
-        (Trim.Journal.final_keepset j);
       Alcotest.(check int) "replay-table answers served" 2
         (Trim.Journal.replayed j);
-      Alcotest.(check int) "nothing truncated" 0 (Trim.Journal.truncated j);
-      (* idempotent completion mark: resume of a finished run *)
-      Trim.Journal.append_keepset j "0,2")
+      Alcotest.(check int) "nothing truncated" 0 (Trim.Journal.truncated j))
 
 let test_no_resume_resets () =
   let path = Filename.concat (fresh_dir ()) "m.journal" in
@@ -810,6 +805,36 @@ let test_digest_covers_seed () =
   Alcotest.(check int) "pairwise distinct" 4
     (List.length (List.sort_uniq compare digests))
 
+(* A journal holds verdicts and nothing else: a fresh journaled search
+   writes one [o|] record per fresh oracle query after its header, and no
+   completion mark. *)
+let test_journal_holds_only_verdicts () =
+  let tiny = Workloads.Suite.tiny_app () in
+  let cache = Trim.Oracle.Cache.create () in
+  let oracle, _ = Trim.Oracle.for_reference ~cache tiny in
+  let journal_dir = fresh_dir () in
+  let _, r =
+    Trim.Debloater.debloat_module ~oracle_cache:cache
+      ~journal:{ Trim.Journal.journal_dir; journal_resume = false }
+      ~oracle ~protected:Trim.Debloater.String_set.empty tiny
+      ~module_name:"tinylib"
+  in
+  let records =
+    match
+      String.split_on_char '\n'
+        (read_file (Filename.concat journal_dir "tinylib.journal"))
+    with
+    | _header :: records -> List.filter (( <> ) "") records
+    | [] -> []
+  in
+  Alcotest.(check int) "one record per issued query"
+    r.Trim.Debloater.oracle_queries (List.length records);
+  List.iter
+    (fun line ->
+       Alcotest.(check string) ("verdict record: " ^ line) "o|"
+         (String.sub line 0 2))
+    records
+
 let suite =
   [ ( "durability.journal",
       [ Alcotest.test_case "append/replay round trip" `Quick test_roundtrip;
@@ -831,6 +856,8 @@ let suite =
           `Quick test_seeded_every_kill_point;
         Alcotest.test_case "pipeline resumes from every kill point" `Quick
           test_pipeline_every_kill_point;
+        Alcotest.test_case "a fresh journal holds only verdict records"
+          `Quick test_journal_holds_only_verdicts;
         Alcotest.test_case "run digest covers the seed" `Quick
           test_digest_covers_seed;
         Alcotest.test_case "chaos corrupt_last_record skips blank lines"
