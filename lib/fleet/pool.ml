@@ -77,7 +77,7 @@ module Histogram = struct
 
   let create () = { buckets = [||]; total = 0; cursor = 0; upto = 0 }
 
-  let observe h gap_s =
+  let[@inline] observe h gap_s =
     let i = min (bucket_count - 1) (max 0 (int_of_float gap_s)) in
     if h.total = 0 then h.buckets <- Array.make bucket_count 0;
     h.buckets.(i) <- h.buckets.(i) + 1;
@@ -89,7 +89,7 @@ module Histogram = struct
      answer instead of rescanning from bucket 0: the pool asks for one fixed
      percentile after every few observations, so successive answers sit
      close together and the walk is O(1) amortised. *)
-  let percentile h p =
+  let[@inline] percentile h p =
     if h.total = 0 then 0.0
     else begin
       let threshold =
@@ -109,6 +109,10 @@ module Histogram = struct
     end
 end
 
+(* Single float field, so stored flat: the cached TTL is read and written
+   without a box. *)
+type keep_alive = { mutable ka_s : float }
+
 type t = {
   policy : policy;
   live : (int, instance) Hashtbl.t;
@@ -118,6 +122,10 @@ type t = {
   mutable resident : float;
   hist : Histogram.t;  (* read and filled by [Adaptive] only *)
   mutable observations : int;
+  ka : keep_alive;
+  mutable ka_stale : bool;
+      (* [Adaptive] only: [ka] is recomputed on the first release after an
+         observation, and answers every release until the next one *)
   mutable preloaded : float;
       (* total seconds of pending lazy-init work resolved during keep-alive
          idle time (see [preload_idle]) *)
@@ -145,6 +153,8 @@ let create policy =
     resident = 0.0;
     hist = Histogram.create ();
     observations = 0;
+    ka = { ka_s = 0.0 };
+    ka_stale = true;
     preloaded = 0.0;
     mru = [||];
     mru_since = Float.Array.create 0;
@@ -158,14 +168,21 @@ let resident_s t = t.resident
 (* Warm-up threshold before the adaptive histogram is trusted. *)
 let min_observations = 10
 
-let current_keep_alive_s t =
+let refresh_keep_alive t ~min_s ~max_s ~percentile =
+  t.ka.ka_s <-
+    (if t.observations < min_observations then max_s
+     else
+       let p = Histogram.percentile t.hist percentile in
+       Float.min max_s (Float.max min_s (p *. 1.1)));
+  t.ka_stale <- false
+
+(* Inlined, so [release] reads the cached TTL unboxed. *)
+let[@inline] current_keep_alive_s t =
   match t.policy with
   | Fixed_ttl { keep_alive_s } | Lru { keep_alive_s; _ } -> keep_alive_s
   | Adaptive { min_s; max_s; percentile } ->
-    if t.observations < min_observations then max_s
-    else
-      let p = Histogram.percentile t.hist percentile in
-      Float.min max_s (Float.max min_s (p *. 1.1))
+    if t.ka_stale then refresh_keep_alive t ~min_s ~max_s ~percentile;
+    t.ka.ka_s
 
 let fold_live t f init =
   Hashtbl.fold (fun _ inst acc -> f acc inst) t.live init
@@ -249,7 +266,8 @@ let acquire t ~now =
      (match t.policy with
       | Adaptive _ ->
         Histogram.observe t.hist (now -. inst.times.idle_since);
-        t.observations <- t.observations + 1
+        t.observations <- t.observations + 1;
+        t.ka_stale <- true
       | Fixed_ttl _ | Lru _ -> ());
      inst.state <- Busy);
   warm

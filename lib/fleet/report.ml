@@ -264,9 +264,9 @@ let summarize ?pricing ~label cfg (res : Router.result) : summary =
 
 (* One app, streamed end to end: the router emits each record into the
    accumulator and nothing per-request survives the call. *)
-let run_stream ?pricing cfg trace =
+let run_stream ?pricing ?track_ns cfg trace =
   let st = Stream.create ?pricing cfg in
-  let totals = Router.run_with ~emit:(Stream.observe st) cfg trace in
+  let totals = Router.run_with ?track_ns ~emit:(Stream.observe st) cfg trace in
   Stream.absorb_totals st totals;
   st
 

@@ -87,9 +87,11 @@ module Stream : sig
 end
 
 (** Run one trace in streaming mode: records are observed as emitted and
-    never retained. Engine totals are already absorbed. *)
+    never retained. Engine totals are already absorbed. [track_ns] is
+    {!Router.run_with}'s. *)
 val run_stream :
   ?pricing:Platform.Pricing.t ->
+  ?track_ns:int ->
   Router.config ->
   Platform.Trace.t ->
   Stream.t

@@ -134,8 +134,9 @@ type req_times = {
 type req = {
   idx : int;
   arrival : float;
-      (* boxed, as the trace list holds it: read, never written, and
-         emitted as is in the request's record *)
+      (* boxed once, when the request is read off the trace's flat array:
+         the arrival push and the emitted record both share that box,
+         where a flat copy in [times] would be boxed for each *)
   needs_fb : bool;
   mutable status : status;
   mutable kind : start_kind option;
@@ -227,7 +228,9 @@ let outcome_label = function
    Every [run] gets its own track namespace (a disjoint [run_base] stride):
    two runs in one process replay overlapping simulation-time ranges with
    colliding lane/instance numbering, so sharing tracks would interleave
-   their spans. *)
+   their spans. The caller may name the namespace ([?track_ns]); otherwise
+   it is the next [Obs.Span.fresh_track], which depends on the order runs
+   start in. *)
 let run_stride = 1_000_000
 
 (* --- the simulation ------------------------------------------------------ *)
@@ -238,7 +241,8 @@ let run_stride = 1_000_000
    population too small for a calendar queue to pay off. *)
 let queue_kind_for (_ : Platform.Trace.t) = Events.Heap
 
-let run_with ~(emit : record -> unit) cfg (trace : Platform.Trace.t) : totals =
+let run_with ?track_ns ~(emit : record -> unit) cfg (trace : Platform.Trace.t)
+    : totals =
   Faults.validate cfg.faults;
   Resilience.validate cfg.resilience;
   Pool.validate cfg.policy;
@@ -251,7 +255,12 @@ let run_with ~(emit : record -> unit) cfg (trace : Platform.Trace.t) : totals =
   let sink = Obs.Span.installed () in
   let traced = Obs.Span.enabled sink in
   let run_base =
-    if traced then run_stride * Obs.Span.fresh_track sink else 0
+    if not traced then 0
+    else
+      run_stride
+      * (match track_ns with
+         | Some ns -> ns
+         | None -> Obs.Span.fresh_track sink)
   in
   let free_lanes = ref [] in
   let next_lane = ref 0 in
@@ -315,19 +324,17 @@ let run_with ~(emit : record -> unit) cfg (trace : Platform.Trace.t) : totals =
       invalid_arg "Router: a circuit breaker requires a configured fallback"
     | None, _ -> None
   in
-  (* arrivals are fed lazily, one step down the trace's (sorted) list per
-     popped arrival, so the queue only ever holds the in-flight events plus
-     the single next arrival — not the whole trace. Arrival rank 1
+  (* arrivals are fed lazily, one index down the trace's (sorted) array
+     per popped arrival, so the queue only ever holds the in-flight events
+     plus the single next arrival — not the whole trace. Arrival rank 1
      preserves the pre-push tie order (see [rank]). *)
-  let rest_arrivals = ref trace.Platform.Trace.arrivals_s in
+  let arrivals = trace.Platform.Trace.arrivals_s in
   let next_idx = ref 0 in
   let feed_arrival () =
-    match !rest_arrivals with
-    | [] -> ()
-    | arrival :: rest ->
-      rest_arrivals := rest;
-      let idx = !next_idx in
-      incr next_idx;
+    let idx = !next_idx in
+    if idx < Float.Array.length arrivals then begin
+      next_idx := idx + 1;
+      let arrival = Float.Array.get arrivals idx in
       let r =
         { idx; arrival; needs_fb = draws (); status = Waiting; kind = None;
           attempt = 0; attempts = 0; retries = 0; hedged = false;
@@ -335,7 +342,8 @@ let run_with ~(emit : record -> unit) cfg (trace : Platform.Trace.t) : totals =
           span = Obs.Span.none;
           times = { start = arrival; acc_billed_ms = 0.0; touch_s = 0.0 } }
       in
-      push ~time:arrival (Arrival r)
+      push ~time:r.arrival (Arrival r)
+    end
   in
   feed_arrival ();
   let pending : req Queue.t = Queue.create () in

@@ -146,8 +146,14 @@ val queue_kind_for : Platform.Trace.t -> Events.kind
     Raises [Invalid_argument] if the fault or resilience config, a pool
     policy ({!Pool.validate}, the fallback's too) or a profile time
     (NaN or negative [exec_s], [func_init_s], [instance_init_s]) is out of
-    range, or if a breaker is configured without a fallback. *)
+    range, or if a breaker is configured without a fallback.
+
+    When a tracer is installed, the run's spans go on the tracks of
+    namespace [track_ns], a block of track ids no other namespace shares;
+    by default the next [Obs.Span.fresh_track]. A caller that names its
+    own keeps them distinct from each other and from the fresh ones. *)
 val run_with :
+  ?track_ns:int ->
   emit:(record -> unit) ->
   config ->
   Platform.Trace.t ->

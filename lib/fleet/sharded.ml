@@ -74,10 +74,19 @@ let partition ~shards apps =
   in
   go 0 0 apps []
 
+(* A traced run's track namespace comes from its app id and variant index
+   alone, so the fleet spans land on the same tracks at any shard count
+   and job count; [slots] is the largest variant count of the run's apps.
+   The namespaces start past any that [Obs.Span.fresh_track] hands out to
+   unsharded runs of the same process. *)
+let sharded_tracks = 1 lsl 24
+
+let track_ns ~slots app_id variant = sharded_tracks + (app_id * slots) + variant
+
 (* run one shard: every app materializes its trace once and replays it
    under each variant; results carry the app's global position so the
    reducer can fold them in canonical order *)
-let run_shard ?pricing ~shard_idx (start, block) =
+let run_shard ?pricing ~slots ~shard_idx (start, block) =
   let t0 = Obs.Span.wall_ms () in
   let sink = Obs.Span.installed () in
   let traced = Obs.Span.enabled sink in
@@ -97,10 +106,10 @@ let run_shard ?pricing ~shard_idx (start, block) =
          let trace = app.app_trace () in
          requests := !requests + Platform.Trace.length trace;
          let streams =
-           List.map
-             (fun v ->
-                let st = Report.run_stream ?pricing v.v_cfg trace in
-                (v.v_group, st))
+           List.mapi
+             (fun i v ->
+                let track_ns = track_ns ~slots app.app_id i in
+                (v.v_group, Report.run_stream ?pricing ~track_ns v.v_cfg trace))
              app.app_variants
          in
          List.iter
@@ -132,9 +141,13 @@ let run ?pricing ?shards (apps : app list) : group list =
     Obs.Metrics.incr m_runs;
     Mutex.unlock m_lock;
     let parts = partition ~shards apps in
+    let slots =
+      List.fold_left (fun m a -> max m (List.length a.app_variants)) 0 apps
+    in
     let results =
       Parallel.Pool.map_default
-        (fun (i, start, block) -> run_shard ?pricing ~shard_idx:i (start, block))
+        (fun (i, start, block) ->
+           run_shard ?pricing ~slots ~shard_idx:i (start, block))
         parts
     in
     (* canonical fold: per-app accumulators in global app order, so the

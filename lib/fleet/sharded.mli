@@ -19,6 +19,8 @@ type variant = {
 
 type app = {
   app_id : int;
+      (** names the app's trace tracks when tracing is on: non-negative,
+          and distinct across one [run]'s apps *)
   app_trace : unit -> Platform.Trace.t;
       (** called inside the owning shard; must be deterministic *)
   app_variants : variant list;
@@ -41,5 +43,7 @@ val shard_count : ?shards:int -> unit -> int
     the order groups first appear in app order. Work is split into
     contiguous app blocks, one per shard, mapped over the configured pool.
     Feeds the [fleet.sharded.*] metrics family and, when tracing is on,
-    one wall-clock span per shard. *)
+    one wall-clock span per shard. Each run's fleet spans go on tracks
+    named by its app id and variant index, so they are the same at any
+    shard count. *)
 val run : ?pricing:Platform.Pricing.t -> ?shards:int -> app list -> group list

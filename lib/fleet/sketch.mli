@@ -1,9 +1,10 @@
-(** Fixed-size streaming quantile/moment sketch for the fleet's streaming
+(** Streaming quantile/moment sketch for the fleet's streaming
     aggregation mode.
 
-    Log-spaced buckets (growth factor 1.1, ~250 ints covering 1e-3..1e8)
-    give quantiles with relative error at most {!rel_error} (≈ 4.9%) plus
-    an absolute floor of {!abs_error} for values under 1e-3; count, sum,
+    Log-spaced buckets (growth factor 1.1, 268 of them covering
+    1e-3..1e8, stored only over the span the sketch has observed) give
+    quantiles with relative error at most {!rel_error} (≈ 4.9%) plus an
+    absolute floor of {!abs_error} for values under 1e-3; count, sum,
     mean, min and max are exact. Merging adds integer bucket counts, so the
     merged quantiles are independent of merge order; the float [sum] is the
     only merge-order-sensitive field (merge in a canonical order when

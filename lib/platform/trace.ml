@@ -7,28 +7,63 @@
 
 type t = {
   trace_name : string;
-  arrivals_s : float list;   (* sorted arrival times, seconds *)
+  arrivals_s : Float.Array.t;   (* sorted arrival times, seconds *)
 }
 
-(* Every generator below already emits sorted arrivals, so the sort is
-   skipped when the input is in [compare] order: [List.sort] is stable, so
-   it would return the same list. *)
-let rec is_sorted = function
-  | a :: (b :: _ as rest) -> compare (a : float) b <= 0 && is_sorted rest
-  | [ _ ] | [] -> true
+(* In [compare] order already? Then a stable sort would return it
+   unchanged, so it is skipped. The generators below emit nondecreasing
+   times for any valid parameters. *)
+let is_sorted a =
+  let rec go i =
+    i >= Float.Array.length a
+    || (compare (Float.Array.get a (i - 1)) (Float.Array.get a i) <= 0
+        && go (i + 1))
+  in
+  go 1
 
-let make ~name arrivals_s =
-  { trace_name = name;
-    arrivals_s =
-      (if is_sorted arrivals_s then arrivals_s
-       else List.sort compare arrivals_s) }
+(* Takes ownership of [a]. [Float.Array.stable_sort] orders exactly as
+   [List.sort compare] does: both are stable, so they agree even on the
+   elements [compare] calls equal (0.0 and -0.0, NaNs). *)
+let of_array ~name a =
+  if not (is_sorted a) then Float.Array.stable_sort compare a;
+  { trace_name = name; arrivals_s = a }
 
-let length t = List.length t.arrivals_s
+let make ~name arrivals_s = of_array ~name (Float.Array.of_list arrivals_s)
+
+let length t = Float.Array.length t.arrivals_s
 
 let duration_s t =
-  match List.rev t.arrivals_s with last :: _ -> last | [] -> 0.0
+  let n = length t in
+  if n = 0 then 0.0 else Float.Array.get t.arrivals_s (n - 1)
 
 (* --- generators (all deterministic given the seed) ---------------------- *)
+
+(* The generators append to a flat buffer that doubles when full and is
+   trimmed to length at the end. *)
+type buf = {
+  mutable a : Float.Array.t;
+  mutable len : int;
+}
+
+let create_buf cap = { a = Float.Array.create (max 16 cap); len = 0 }
+
+let[@inline] append b v =
+  if b.len = Float.Array.length b.a then begin
+    let a = Float.Array.create (2 * b.len) in
+    Float.Array.blit b.a 0 a 0 b.len;
+    b.a <- a
+  end;
+  Float.Array.unsafe_set b.a b.len v;
+  b.len <- b.len + 1
+
+let contents ~name b =
+  of_array ~name
+    (if b.len = Float.Array.length b.a then b.a
+     else Float.Array.sub b.a 0 b.len)
+
+(* exponential inter-arrival time *)
+let[@inline] exp_gap rng rate_per_s =
+  -.log (1.0 -. Random.State.float rng 1.0) /. rate_per_s
 
 let poisson ~seed ~rate_per_s ~duration_s ~name =
   (* a zero, negative, infinite or NaN rate, or an infinite or NaN horizon,
@@ -42,37 +77,35 @@ let poisson ~seed ~rate_per_s ~duration_s ~name =
       (Printf.sprintf "Trace.poisson: duration_s = %g is not finite and >= 0"
          duration_s);
   let rng = Random.State.make [| seed |] in
-  let rec go acc now =
-    (* exponential inter-arrival times *)
-    let gap = -.log (1.0 -. Random.State.float rng 1.0) /. rate_per_s in
-    let now = now +. gap in
-    if now > duration_s then List.rev acc else go (now :: acc) now
-  in
-  make ~name (go [] 0.0)
+  (* sized for the expected count plus four standard deviations, so the
+     buffer almost never doubles *)
+  let expected = Float.min 1e6 (rate_per_s *. duration_s) in
+  let b = create_buf (int_of_float (expected +. (4.0 *. sqrt expected))) in
+  let now = ref 0.0 and more = ref true in
+  while !more do
+    now := !now +. exp_gap rng rate_per_s;
+    if !now > duration_s then more := false else append b !now
+  done;
+  contents ~name b
 
 (* Bursty on/off arrivals: bursts of [burst_size] requests at [burst_rate],
    separated by idle gaps of mean [idle_gap_s] — the scale-out pattern §1
    cites as a cold-start driver. *)
 let bursty ~seed ~burst_size ~burst_rate_per_s ~idle_gap_s ~bursts ~name =
   let rng = Random.State.make [| seed |] in
-  let rec gen_bursts acc now b =
-    if b >= bursts then List.rev acc
-    else
-      let rec gen_burst acc now i =
-        if i >= burst_size then (acc, now)
-        else
-          let gap = -.log (1.0 -. Random.State.float rng 1.0) /. burst_rate_per_s in
-          let now = now +. gap in
-          gen_burst (now :: acc) now (i + 1)
-      in
-      let acc, now = gen_burst acc now 0 in
-      let idle = idle_gap_s *. (0.5 +. Random.State.float rng 1.0) in
-      gen_bursts acc (now +. idle) (b + 1)
-  in
-  make ~name (gen_bursts [] 0.0 0)
+  let b = create_buf (max 0 bursts * max 0 burst_size) in
+  let now = ref 0.0 in
+  for _ = 1 to bursts do
+    for _ = 1 to burst_size do
+      now := !now +. exp_gap rng burst_rate_per_s;
+      append b !now
+    done;
+    now := !now +. (idle_gap_s *. (0.5 +. Random.State.float rng 1.0))
+  done;
+  contents ~name b
 
 let periodic ~period_s ~count ~name =
-  make ~name (List.init count (fun i -> float_of_int i *. period_s))
+  of_array ~name (Float.Array.init count (fun i -> float_of_int i *. period_s))
 
 (* --- analytic replay ----------------------------------------------------- *)
 
@@ -87,20 +120,22 @@ type replay = {
 (* [exec_s] approximates the per-request busy time used to extend the
    keep-alive timer from request completion. *)
 let replay ?(exec_s = 0.0) t ~keep_alive_s : replay =
-  let rec go cold warm resident expires = function
-    | [] -> { cold_starts = cold; warm_starts = warm; resident_s = resident }
-    | arrival :: rest ->
-      let is_warm = arrival <= expires in
-      let completion = arrival +. exec_s in
-      let new_expires = completion +. keep_alive_s in
-      let resident =
-        if is_warm then resident +. (new_expires -. expires)
-        else resident +. (new_expires -. arrival)
-      in
-      if is_warm then go cold (warm + 1) resident new_expires rest
-      else go (cold + 1) warm resident new_expires rest
-  in
-  go 0 0 0.0 neg_infinity t.arrivals_s
+  let cold = ref 0 and warm = ref 0 in
+  let resident = ref 0.0 and expires = ref neg_infinity in
+  for i = 0 to length t - 1 do
+    let arrival = Float.Array.get t.arrivals_s i in
+    let new_expires = arrival +. exec_s +. keep_alive_s in
+    if arrival <= !expires then begin
+      incr warm;
+      resident := !resident +. (new_expires -. !expires)
+    end
+    else begin
+      incr cold;
+      resident := !resident +. (new_expires -. arrival)
+    end;
+    expires := new_expires
+  done;
+  { cold_starts = !cold; warm_starts = !warm; resident_s = !resident }
 
 let cold_fraction r =
   let total = r.cold_starts + r.warm_starts in

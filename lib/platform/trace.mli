@@ -5,13 +5,18 @@
 
 type t = {
   trace_name : string;
-  arrivals_s : float list;  (** sorted arrival times, seconds *)
+  arrivals_s : Float.Array.t;
+      (** sorted arrival times, seconds, stored flat (one word each) *)
 }
 
-(** [make ~name l] sorts [l] with [List.sort compare]. A list already in
-    that order is kept as it is, without the sort's copy. *)
+(** [make ~name l] holds [l] in the order [List.sort compare l] gives, bit
+    for bit. A list already in that order is copied without a sort. *)
 val make : name:string -> float list -> t
+
+(** Number of arrivals, O(1). *)
 val length : t -> int
+
+(** The last arrival time ([0] for an empty trace), O(1). *)
 val duration_s : t -> float
 
 (** Poisson arrivals with exponential inter-arrival times.

@@ -2,6 +2,8 @@
 
 open Platform
 
+let arrivals t = Float.Array.to_list t.Trace.arrivals_s
+
 let generators =
   [ Alcotest.test_case "poisson rate approximately honoured" `Quick (fun () ->
         let t = Trace.poisson ~seed:1 ~rate_per_s:1.0 ~duration_s:2000.0 ~name:"p" in
@@ -12,7 +14,7 @@ let generators =
         let t1 = Trace.poisson ~seed:7 ~rate_per_s:0.5 ~duration_s:100.0 ~name:"a" in
         let t2 = Trace.poisson ~seed:7 ~rate_per_s:0.5 ~duration_s:100.0 ~name:"b" in
         Alcotest.(check (list (float 1e-12))) "same arrivals"
-          t1.Trace.arrivals_s t2.Trace.arrivals_s);
+          (arrivals t1) (arrivals t2));
     Alcotest.test_case "poisson rejects rates and horizons it cannot finish"
       `Quick (fun () ->
         let rejects ~rate_per_s ~duration_s =
@@ -36,7 +38,7 @@ let generators =
             ~idle_gap_s:60.0 ~bursts:4 ~name:"b"
         in
         Alcotest.(check (list (float 1e-12))) "sorted"
-          (List.sort compare t.Trace.arrivals_s) t.Trace.arrivals_s);
+          (List.sort compare (arrivals t)) (arrivals t));
     Alcotest.test_case "bursty produces expected count" `Quick (fun () ->
         let t = Trace.bursty ~seed:3 ~burst_size:5 ~burst_rate_per_s:10.0
             ~idle_gap_s:60.0 ~bursts:4 ~name:"b"
@@ -45,15 +47,15 @@ let generators =
     Alcotest.test_case "periodic spacing" `Quick (fun () ->
         let t = Trace.periodic ~period_s:10.0 ~count:5 ~name:"p" in
         Alcotest.(check (list (float 1e-12))) "times"
-          [ 0.0; 10.0; 20.0; 30.0; 40.0 ] t.Trace.arrivals_s);
+          [ 0.0; 10.0; 20.0; 30.0; 40.0 ] (arrivals t));
     Alcotest.test_case "bursty deterministic per seed" `Quick (fun () ->
         let gen seed = Trace.bursty ~seed ~burst_size:8 ~burst_rate_per_s:5.0
             ~idle_gap_s:120.0 ~bursts:6 ~name:"b"
         in
         Alcotest.(check (list (float 1e-12))) "same arrivals"
-          (gen 42).Trace.arrivals_s (gen 42).Trace.arrivals_s;
+          (arrivals (gen 42)) (arrivals (gen 42));
         Alcotest.(check bool) "different seeds differ" true
-          ((gen 42).Trace.arrivals_s <> (gen 43).Trace.arrivals_s)) ]
+          (arrivals (gen 42) <> arrivals (gen 43))) ]
 
 let replay =
   [ Alcotest.test_case "dense trace mostly warm" `Quick (fun () ->
@@ -224,7 +226,7 @@ let make_properties =
                        Float.nan; -.Float.nan ]);
           (1, float) ])
   in
-  let arrivals =
+  let lists =
     QCheck.make
       QCheck.Gen.(list_size (int_bound 40) arrival)
       ~print:QCheck.Print.(list float)
@@ -237,13 +239,14 @@ let make_properties =
   List.map
     (QCheck_alcotest.to_alcotest ~verbose:false)
     [ QCheck.Test.make ~count:500 ~name:"make sorts exactly as List.sort"
-        arrivals (fun l ->
-            bits_equal (Trace.make ~name:"m" l).Trace.arrivals_s
+        lists (fun l ->
+            bits_equal (arrivals (Trace.make ~name:"m" l))
               (List.sort compare l));
-      QCheck.Test.make ~count:500 ~name:"sorted input comes back unchanged"
-        arrivals (fun l ->
+      QCheck.Test.make ~count:500
+        ~name:"sorted input comes out bit-identical without a sort"
+        lists (fun l ->
             let sorted = List.sort compare l in
-            (Trace.make ~name:"m" sorted).Trace.arrivals_s == sorted) ]
+            bits_equal (arrivals (Trace.make ~name:"m" sorted)) sorted) ]
 
 let suite =
   [ ("trace.make", make_properties);
