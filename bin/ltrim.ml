@@ -12,6 +12,9 @@
 
 open Cmdliner
 
+(* Print a usage error on stderr and exit 2. *)
+let usage_error fmt = Printf.kfprintf (fun _ -> exit 2) stderr fmt
+
 let setup_logs verbose =
   Logs.set_reporter (Logs_fmt.reporter ());
   Logs.set_level (Some (if verbose then Logs.Info else Logs.Warning))
@@ -31,11 +34,7 @@ let k_arg =
   Arg.(value & opt int 20 & info [ "k" ] ~docv:"K"
          ~doc:"Number of top-ranked modules to debloat (default 20).")
 
-let check_k k =
-  if k < 1 then begin
-    Printf.eprintf "-k must be >= 1 (got %d)\n" k;
-    exit 2
-  end
+let check_k k = if k < 1 then usage_error "-k must be >= 1 (got %d)\n" k
 
 (* Scoring methods parse like app names: an unknown one is a usage error
    that lists the methods. *)
@@ -137,12 +136,9 @@ let fail_locked path =
    DIR that names a regular file is a usage error, not a backtrace. *)
 let ensure_dir dir =
   try Trim.Durable_log.mkdir_p dir with
-  | Invalid_argument _ ->
-    Printf.eprintf "ltrim: %s is not a directory\n%!" dir;
-    exit 2
+  | Invalid_argument _ -> usage_error "ltrim: %s is not a directory\n%!" dir
   | Unix.Unix_error (e, _, _) ->
-    Printf.eprintf "ltrim: cannot create %s: %s\n%!" dir (Unix.error_message e);
-    exit 2
+    usage_error "ltrim: cannot create %s: %s\n%!" dir (Unix.error_message e)
 
 (* Install the persistent memo under the global observation cache. Call
    before any work, like [setup_jobs]. *)
@@ -172,10 +168,7 @@ let load_baseline = function
    the sharded fleet fan out on. Call before any work; the pool is torn
    down at exit. *)
 let setup_jobs jobs =
-  if jobs < 1 then begin
-    Printf.eprintf "--jobs must be >= 1 (got %d)\n" jobs;
-    exit 2
-  end;
+  if jobs < 1 then usage_error "--jobs must be >= 1 (got %d)\n" jobs;
   Parallel.Pool.configure ~jobs
 
 (* Arm the chaos harness from LTRIM_CHAOS_KILL_AFTER and turn a chaos kill
@@ -184,9 +177,7 @@ let setup_jobs jobs =
    a killed run still exports its partial trace. *)
 let with_chaos f =
   (try Trim.Chaos.arm_from_env () with
-   | Invalid_argument msg ->
-     Printf.eprintf "%s\n" msg;
-     exit 2);
+   | Invalid_argument msg -> usage_error "%s\n" msg);
   try f () with
   | Trim.Chaos.Killed { killed_after } ->
     Printf.eprintf
@@ -196,7 +187,8 @@ let with_chaos f =
   | Trim.Durable_log.Locked path -> fail_locked path
 
 (* Install a recording tracer around [f] and export it on the way out —
-   also on failure, so a crashed run still leaves its partial trace. *)
+   also on failure, so a crashed run still leaves its partial trace — then
+   print the wall-clock self time by layer. *)
 let with_trace trace f =
   match trace with
   | None -> f ()
@@ -208,9 +200,10 @@ let with_trace trace f =
           Obs.Span.install Obs.Span.null;
           Obs.Export.to_file ~path
             (Obs.Export.chrome_json ~metrics:Obs.Metrics.global sink);
-          Printf.eprintf "trace: %d spans written to %s\n%!"
+          Printf.eprintf "trace: %d spans written to %s\n%s%!"
             (List.length (Obs.Span.spans sink))
-            path)
+            path
+            (Obs.Export.layer_table ~known:Trim.Pipeline.layers sink))
       f
 
 (* --- list ---------------------------------------------------------------- *)
@@ -292,7 +285,7 @@ let debloat_cmd =
     let o =
       Trim.Optimizer.run
         ~options:{ Trim.Pipeline.default_options with
-                   k; scoring = method_; log = verbose;
+                   k; scoring = method_;
                    journal_dir = journal; resume;
                    baseline; manifest_path }
         optimizer d
@@ -366,9 +359,7 @@ let invoke_cmd =
         (Trim.Optimizer.run optimizer d).Trim.Optimizer.o_deployment
       else d
     in
-    let event =
-      match spec.Workloads.Apps.tests with (_, e) :: _ -> e | [] -> "{}"
-    in
+    let event = Experiments.Common.first_event spec in
     let sim = Platform.Lambda_sim.create d in
     let cold, warm = Platform.Lambda_sim.measure_cold_and_warm ~event sim in
     List.iter print_record [ cold; warm ]
@@ -437,40 +428,24 @@ let fleet_cmd =
       timeout fb_rate seed tenants jobs trace =
     setup_jobs jobs;
     with_trace trace @@ fun () ->
-    if not (Float.is_finite rate && rate > 0.0) then begin
-      Printf.eprintf "--rate must be finite and positive (got %g)\n" rate;
-      exit 2
-    end;
-    if not (Float.is_finite duration && duration >= 0.0) then begin
-      Printf.eprintf "--duration must be finite and non-negative (got %g)\n"
-        duration;
-      exit 2
-    end;
-    if not (Float.is_finite keep_alive && keep_alive >= 0.0) then begin
-      Printf.eprintf "--keep-alive must be finite and non-negative (got %g)\n"
-        keep_alive;
-      exit 2
-    end;
+    if not (Float.is_finite rate && rate > 0.0) then
+      usage_error "--rate must be finite and positive (got %g)\n" rate;
+    List.iter
+      (fun (name, x) ->
+         if not (Float.is_finite x && x >= 0.0) then
+           usage_error "--%s must be finite and non-negative (got %g)\n" name x)
+      [ ("duration", duration); ("keep-alive", keep_alive) ];
     List.iter
       (fun (name, n) ->
-         if n < 0 then begin
-           Printf.eprintf "--%s must be non-negative (got %d)\n" name n;
-           exit 2
-         end)
+         if n < 0 then
+           usage_error "--%s must be non-negative (got %d)\n" name n)
       [ ("max-idle", max_idle); ("capacity", capacity);
         ("max-pending", max_pending) ];
-    if not (timeout >= 0.0) then begin
-      Printf.eprintf "--timeout must be non-negative (got %g)\n" timeout;
-      exit 2
-    end;
-    if not (fb_rate >= 0.0 && fb_rate <= 1.0) then begin
-      Printf.eprintf "--fb-rate must be in [0, 1] (got %g)\n" fb_rate;
-      exit 2
-    end;
-    if tenants < 1 then begin
-      Printf.eprintf "--tenants must be >= 1 (got %d)\n" tenants;
-      exit 2
-    end;
+    if not (timeout >= 0.0) then
+      usage_error "--timeout must be non-negative (got %g)\n" timeout;
+    if not (fb_rate >= 0.0 && fb_rate <= 1.0) then
+      usage_error "--fb-rate must be in [0, 1] (got %g)\n" fb_rate;
+    if tenants < 1 then usage_error "--tenants must be >= 1 (got %d)\n" tenants;
     let pol =
       match policy with
       | `Fixed -> Fleet.Pool.Fixed_ttl { keep_alive_s = keep_alive }
@@ -576,9 +551,7 @@ let calibrate_cmd =
          let sim =
            Platform.Lambda_sim.create ~params:Experiments.Common.table1_params d
          in
-         let event =
-           match spec.Workloads.Apps.tests with (_, e) :: _ -> e | [] -> "{}"
-         in
+         let event = Experiments.Common.first_event spec in
          let cold, _ = Platform.Lambda_sim.measure_cold_and_warm ~event sim in
          let p = spec.Workloads.Apps.paper in
          let size = Platform.Deployment.image_mb d in
@@ -723,7 +696,7 @@ let redebloat_cmd =
       let r =
         Trim.Pipeline.run
           ~options:{ Trim.Pipeline.default_options with
-                     k; scoring = method_; log = verbose;
+                     k; scoring = method_;
                      baseline; manifest_path = Some path }
           d
       in

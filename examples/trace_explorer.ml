@@ -24,48 +24,19 @@ let () =
     (List.length spans)
     (Obs.Span.well_nested spans);
 
-  (* span tree per (clock, track): indent by containment depth *)
-  let by_lane = Hashtbl.create 16 in
+  (* span tree per (clock, track): the lane walk's pre-order and depths *)
   List.iter
-    (fun (s : Obs.Span.span) ->
-       let k = (s.sp_domain, s.sp_track) in
-       Hashtbl.replace by_lane k
-         (s :: (Option.value ~default:[] (Hashtbl.find_opt by_lane k))))
-    spans;
-  let lanes =
-    Hashtbl.fold (fun k v acc -> (k, List.rev v) :: acc) by_lane []
-    |> List.sort compare
-  in
-  List.iter
-    (fun ((domain, track), lane_spans) ->
-       Printf.printf "-- %s / track %d --\n" (Obs.Span.domain_name domain)
-         track;
-       (* pre-order for a well-nested lane: by start time, longer spans
-          first on ties (some spans are emitted retroactively, so begin
-          sequence alone is not tree order); depth = open ancestors *)
-       let lane_spans =
-         List.stable_sort
-           (fun (a : Obs.Span.span) (b : Obs.Span.span) ->
-              match Float.compare a.sp_start_ms b.sp_start_ms with
-              | 0 -> Float.compare b.sp_dur_ms a.sp_dur_ms
-              | c -> c)
-           lane_spans
-       in
-       let ends = ref [] in
+    (fun (lane : Obs.Span.lane) ->
+       Printf.printf "-- %s / track %d --\n" (Obs.Span.domain_name lane.l_domain)
+         lane.l_track;
        List.iter
-         (fun (s : Obs.Span.span) ->
-            ends :=
-              List.filter (fun e -> e > s.Obs.Span.sp_start_ms +. 1e-9) !ends;
-            let depth = List.length !ends in
-            Printf.printf "%s%-40s %10.3f ms  @%.3f\n"
-              (String.make (2 * depth) ' ')
-              s.Obs.Span.sp_name
-              (Float.max 0.0 s.Obs.Span.sp_dur_ms)
-              s.Obs.Span.sp_start_ms;
-            if s.Obs.Span.sp_kind = Obs.Span.Complete then
-              ends := (s.Obs.Span.sp_start_ms +. s.Obs.Span.sp_dur_ms) :: !ends)
-         lane_spans)
-    lanes;
+         (fun { Obs.Span.n_span = s; n_depth; n_self_ms } ->
+            Printf.printf "%s%-40s %10.3f ms (self %.3f)  @%.3f\n"
+              (String.make (2 * n_depth) ' ')
+              s.Obs.Span.sp_name s.Obs.Span.sp_dur_ms n_self_ms
+              s.Obs.Span.sp_start_ms)
+         lane.l_nodes)
+    (Obs.Span.walk spans);
 
   Obs.Export.to_file ~path:"trace_explorer.json"
     (Obs.Export.chrome_json ~metrics:Obs.Metrics.global sink);

@@ -8,6 +8,22 @@ module SS = Callgraph.Pycg.String_set
 
 let apps_small = [ "dna-visualization"; "lightgbm"; "markdown"; "shapely-numpy" ]
 
+(* [app]'s primary module as DD sees it: the app's spec, deployment and
+   oracle, its first library's name and that module's PyCG-protected
+   attributes. *)
+let primary_module app =
+  let spec = Workloads.Apps.find app in
+  let d = Workloads.Codegen.deployment spec in
+  let oracle, _ = Trim.Oracle.for_reference d in
+  let analysis = Trim.Static_analyzer.analyze d in
+  let module_name =
+    match spec.Workloads.Apps.libs with
+    | l :: _ -> l.Workloads.Libspec.l_name
+    | [] -> invalid_arg "app without libraries"
+  in
+  ( spec, d, oracle, module_name,
+    Trim.Static_analyzer.protected_attrs analysis ~module_name )
+
 (* --- granularity ---------------------------------------------------------- *)
 
 type granularity_row = {
@@ -20,16 +36,7 @@ type granularity_row = {
 }
 
 let granularity_row app =
-  let spec = Workloads.Apps.find app in
-  let d = Workloads.Codegen.deployment spec in
-  let oracle, _ = Trim.Oracle.for_reference d in
-  let analysis = Trim.Static_analyzer.analyze d in
-  let module_name =
-    match spec.Workloads.Apps.libs with
-    | l :: _ -> l.Workloads.Libspec.l_name
-    | [] -> invalid_arg "app without libraries"
-  in
-  let protected = Trim.Static_analyzer.protected_attrs analysis ~module_name in
+  let spec, d, oracle, module_name, protected = primary_module app in
   let d_attr, r_attr =
     Trim.Debloater.debloat_module ~oracle ~protected d ~module_name
   in
@@ -78,18 +85,7 @@ let print_protection () =
        "without" "saved");
   List.iter
     (fun app ->
-       let spec = Workloads.Apps.find app in
-       let d = Workloads.Codegen.deployment spec in
-       let oracle, _ = Trim.Oracle.for_reference d in
-       let analysis = Trim.Static_analyzer.analyze d in
-       let module_name =
-         match spec.Workloads.Apps.libs with
-         | l :: _ -> l.Workloads.Libspec.l_name
-         | [] -> assert false
-       in
-       let protected =
-         Trim.Static_analyzer.protected_attrs analysis ~module_name
-       in
+       let _, d, oracle, module_name, protected = primary_module app in
        let _, with_pycg =
          Trim.Debloater.debloat_module ~oracle ~protected d ~module_name
        in

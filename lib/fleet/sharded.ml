@@ -40,17 +40,6 @@ let shard_count ?shards () =
   | Some s -> invalid_arg (Printf.sprintf "Sharded.run: shards = %d" s)
   | None -> Parallel.Pool.jobs ()
 
-(* fleet.sharded.* instruments are incremented from worker domains, so all
-   updates go through one lock (Obs.Metrics is not internally locked) *)
-let m_lock = Mutex.create ()
-let m_runs = Obs.Metrics.counter Obs.Metrics.global "fleet.sharded.runs"
-let m_apps = Obs.Metrics.counter Obs.Metrics.global "fleet.sharded.apps"
-let m_requests = Obs.Metrics.counter Obs.Metrics.global "fleet.sharded.requests"
-let m_events = Obs.Metrics.counter Obs.Metrics.global "fleet.sharded.events"
-
-let m_shard_wall =
-  Obs.Metrics.histogram Obs.Metrics.global "fleet.sharded.shard_wall_ms"
-
 (* split [apps] into [shards] contiguous blocks (sizes differing by at most
    one), each tagged with the global index of its first app *)
 let partition ~shards apps =
@@ -87,59 +76,39 @@ let track_ns ~slots app_id variant = sharded_tracks + (app_id * slots) + variant
    under each variant; results carry the app's global position so the
    reducer can fold them in canonical order *)
 let run_shard ?pricing ~slots ~shard_idx (start, block) =
-  let t0 = Obs.Span.wall_ms () in
-  let sink = Obs.Span.installed () in
-  let traced = Obs.Span.enabled sink in
-  let sp =
-    if traced then
-      Obs.Span.begin_ sink ~domain:Obs.Span.domain_wall
-        ~track:(Parallel.Pool.obs_wall_track ())
-        ~cat:"fleet"
-        ~name:(Printf.sprintf "shard:%d" shard_idx)
-        ~ts_ms:t0
-    else Obs.Span.none
-  in
-  let requests = ref 0 and events = ref 0 in
-  let out =
+  let requests = ref 0 in
+  let run () =
     List.mapi
       (fun off app ->
          let trace = app.app_trace () in
          requests := !requests + Platform.Trace.length trace;
-         let streams =
+         ( start + off,
            List.mapi
              (fun i v ->
                 let track_ns = track_ns ~slots app.app_id i in
                 (v.v_group, Report.run_stream ?pricing ~track_ns v.v_cfg trace))
-             app.app_variants
-         in
-         List.iter
-           (fun (_, st) -> events := !events + Report.Stream.events st)
-           streams;
-         (start + off, streams))
+             app.app_variants ))
       block
   in
-  let t1 = Obs.Span.wall_ms () in
-  Mutex.lock m_lock;
-  Obs.Metrics.incr m_apps ~by:(List.length block);
-  Obs.Metrics.incr m_requests ~by:!requests;
-  Obs.Metrics.incr m_events ~by:!events;
-  Obs.Metrics.observe m_shard_wall (t1 -. t0);
-  Mutex.unlock m_lock;
-  if traced then
-    Obs.Span.end_ sp
-      ~attrs:
-        [ ("apps", string_of_int (List.length block));
-          ("requests", string_of_int !requests) ]
-      ~ts_ms:t1;
-  out
+  (* the span's name and attributes are built only when tracing *)
+  if not (Obs.Span.enabled (Obs.Span.installed ())) then run ()
+  else
+    Obs.Span.wall ~cat:"fleet" ~name:(Printf.sprintf "shard:%d" shard_idx)
+      ~attrs:(fun out ->
+          let events acc (_, st) = acc + Report.Stream.events st in
+          [ ("apps", string_of_int (List.length block));
+            ("requests", string_of_int !requests);
+            ( "events",
+              string_of_int
+                (List.fold_left
+                   (fun acc (_, streams) -> List.fold_left events acc streams)
+                   0 out) ) ])
+      run
 
 let run ?pricing ?shards (apps : app list) : group list =
   if apps = [] then []
   else begin
     let shards = min (shard_count ?shards ()) (List.length apps) in
-    Mutex.lock m_lock;
-    Obs.Metrics.incr m_runs;
-    Mutex.unlock m_lock;
     let parts = partition ~shards apps in
     let slots =
       List.fold_left (fun m a -> max m (List.length a.app_variants)) 0 apps

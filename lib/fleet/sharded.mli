@@ -42,8 +42,8 @@ val shard_count : ?shards:int -> unit -> int
 (** Replay every app under each of its variants and merge per group, in
     the order groups first appear in app order. Work is split into
     contiguous app blocks, one per shard, mapped over the configured pool.
-    Feeds the [fleet.sharded.*] metrics family and, when tracing is on,
-    one wall-clock span per shard. Each run's fleet spans go on tracks
+    When tracing is on, each shard is one wall-clock span carrying its
+    app, request and event counts. Each run's fleet spans go on tracks
     named by its app id and variant index, so they are the same at any
     shard count. *)
 val run : ?pricing:Platform.Pricing.t -> ?shards:int -> app list -> group list

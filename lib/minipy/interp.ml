@@ -279,15 +279,7 @@ let bind_args (f : func) args kwargs (locals : namespace) =
        else if not (Hashtbl.mem locals k) then Hashtbl.replace locals k v)
     kwargs
 
-(* --- iteration helper --------------------------------------------------- *)
-
-let iter_values v : value list =
-  match v with
-  | Vlist l -> Array.to_list l.items
-  | Vtuple a -> Array.to_list a
-  | Vstr s -> List.init (String.length s) (fun i -> Vstr (String.make 1 s.[i]))
-  | Vdict d -> List.map fst d.pairs
-  | _ -> py_error "TypeError" "'%s' object is not iterable" (type_name v)
+let iter_values = Builtins.iterable_values
 
 (* --- attribute access on builtin types ---------------------------------- *)
 
@@ -1000,58 +992,77 @@ and import_one t (parts : string list) : module_obj =
         (* one span per executed module import, on the virtual clock (§5.2's
            loader hook, as a trace); cached imports return above and cost
            nothing, so they emit nothing *)
-        let sp =
-          Obs.Span.begin_ t.obs_sink ~domain:Obs.Span.domain_virtual
-            ~track:t.obs_track ~cat:"minipy" ~name:("import:" ^ name)
-            ~ts_ms:(t.obs_offset_ms +. t.vtime_ms)
-        in
+        let sp = module_span t "import:" name in
         charge_time t import_resolve_ms;
         (* the virtual import-resolve charge above is fixed, so a parse-cache
            hit changes no measurement — only host wall-clock *)
-        let prog =
-          try Parse_cache.parse_vfs ~cache:t.parse_cache t.vfs file
-          with
-          | Parser.Error (msg, loc) ->
-            py_error "SyntaxError" "%s at %s" msg (Loc.to_string loc)
-          | Lexer.Error (msg, loc) ->
-            py_error "SyntaxError" "%s at %s" msg (Loc.to_string loc)
-        in
-        let mattrs = Hashtbl.create 16 in
-        Hashtbl.replace mattrs "__name__" (Vstr name);
-        Hashtbl.replace mattrs "__file__" (Vstr file);
-        let m = { mname = name; mfile = file; mattrs } in
-        charge_alloc t (Vmodule m);
-        Hashtbl.replace t.modules name m;
-        t.import_stack <- name :: t.import_stack;
-        let hooks = t.import_hooks in
-        List.iter (fun h -> h.on_before name) hooks;
-        let finish () =
-          t.import_stack <- List.tl t.import_stack;
-          List.iter (fun h -> h.on_after name) hooks;
-          Obs.Span.end_ sp
-            ~attrs:[ ("file", file) ]
-            ~ts_ms:(t.obs_offset_ms +. t.vtime_ms)
-        in
-        (try
-           exec_block t (module_env m) prog;
-           finish ()
-         with e ->
-           finish ();
-           Hashtbl.remove t.modules name;
-           raise e);
+        let prog = parse_module t file in
+        let m = new_module t parts file in
+        run_body t m sp prog;
         (* bind into parent package's namespace: a.b becomes attr b of a *)
-        (match List.rev parts with
-         | _ :: (_ :: _ as rev_parent) ->
-           let parent = Ast.dotted_to_string (List.rev rev_parent) in
-           (match Hashtbl.find_opt t.modules parent with
-            | Some pm ->
-              Hashtbl.replace pm.mattrs
-                (List.nth parts (List.length parts - 1))
-                (Vmodule m)
-            | None -> ())
-         | _ -> ());
+        bind_in_parent t parts m;
         m
     end
+
+(* The virtual-clock span of running module [name]'s body; its name is
+   built only when tracing. *)
+and module_span t kind name =
+  if not (Obs.Span.enabled t.obs_sink) then Obs.Span.none
+  else
+    Obs.Span.begin_ t.obs_sink ~domain:Obs.Span.domain_virtual
+      ~track:t.obs_track ~cat:"minipy" ~name:(kind ^ name)
+      ~ts_ms:(t.obs_offset_ms +. t.vtime_ms)
+
+and parse_module t file =
+  try Parse_cache.parse_vfs ~cache:t.parse_cache t.vfs file with
+  | Parser.Error (msg, loc) | Lexer.Error (msg, loc) ->
+    py_error "SyntaxError" "%s at %s" msg (Loc.to_string loc)
+
+(* Allocate and register the module object for [parts], read from [file]. *)
+and new_module t parts file =
+  let name = Ast.dotted_to_string parts in
+  let mattrs = Hashtbl.create 16 in
+  Hashtbl.replace mattrs "__name__" (Vstr name);
+  Hashtbl.replace mattrs "__file__" (Vstr file);
+  let m = { mname = name; mfile = file; mattrs } in
+  charge_alloc t (Vmodule m);
+  Hashtbl.replace t.modules name m;
+  m
+
+and bind_in_parent t parts m =
+  match List.rev parts with
+  | leaf :: (_ :: _ as rev_parent) ->
+    let parent = Ast.dotted_to_string (List.rev rev_parent) in
+    (match Hashtbl.find_opt t.modules parent with
+     | Some pm -> Hashtbl.replace pm.mattrs leaf (Vmodule m)
+     | None -> ())
+  | _ -> ()
+
+(* Run [m]'s parsed body under the import hooks, then close its span [sp];
+   a body that raises unregisters [m]. [forcing] marks a lazy stub's
+   replay (see [force_body]). *)
+and run_body ?(forcing = false) t m sp prog =
+  let name = m.mname in
+  t.import_stack <- name :: t.import_stack;
+  let hooks = t.import_hooks in
+  List.iter (fun h -> h.on_before name) hooks;
+  if forcing then t.lazy_forcing <- t.lazy_forcing + 1;
+  let finish () =
+    if forcing then t.lazy_forcing <- t.lazy_forcing - 1;
+    t.import_stack <- List.tl t.import_stack;
+    List.iter (fun h -> h.on_after name) hooks;
+    if Obs.Span.enabled t.obs_sink then
+      Obs.Span.end_ sp
+        ~attrs:[ ("file", m.mfile) ]
+        ~ts_ms:(t.obs_offset_ms +. t.vtime_ms)
+  in
+  try
+    exec_block t (module_env m) prog;
+    finish ()
+  with e ->
+    finish ();
+    Hashtbl.remove t.modules name;
+    raise e
 
 and import_submodule t (m : module_obj) name : value option =
   let parts = String.split_on_char '.' m.mname @ [ name ] in
@@ -1103,23 +1114,12 @@ and make_stub t parts name : module_obj =
     | Importer.Package file | Importer.Module file -> file
     | Importer.Not_found -> assert false  (* guarded by [lazy_importable] *)
   in
-  let mattrs = Hashtbl.create 16 in
-  Hashtbl.replace mattrs "__name__" (Vstr name);
-  Hashtbl.replace mattrs "__file__" (Vstr file);
-  let m = { mname = name; mfile = file; mattrs } in
   (* the module shell is allocated now; the loader fee and body ticks move
      to force time, so a fully-forced run charges the same multiset of
      time/bytes/steps as its eager twin *)
-  charge_alloc t (Vmodule m);
-  Hashtbl.replace t.modules name m;
+  let m = new_module t parts file in
   Hashtbl.replace t.lazy_pending name ();
-  (match List.rev parts with
-   | leaf :: (_ :: _ as rev_parent) ->
-     let parent = Ast.dotted_to_string (List.rev rev_parent) in
-     (match Hashtbl.find_opt t.modules parent with
-      | Some pm -> Hashtbl.replace pm.mattrs leaf (Vmodule m)
-      | None -> ())
-   | _ -> ());
+  bind_in_parent t parts m;
   m
 
 (* Run a pending stub's body; a no-op on initialized modules. Ancestors
@@ -1141,40 +1141,11 @@ and force_module t (m : module_obj) =
 
 and force_body t (m : module_obj) =
   Hashtbl.remove t.lazy_pending m.mname;
-  let name = m.mname and file = m.mfile in
-  let sp =
-    Obs.Span.begin_ t.obs_sink ~domain:Obs.Span.domain_virtual
-      ~track:t.obs_track ~cat:"minipy" ~name:("lazy-force:" ^ name)
-      ~ts_ms:(t.obs_offset_ms +. t.vtime_ms)
-  in
+  let name = m.mname in
+  let sp = module_span t "lazy-force:" name in
   (* the deferred loader fee eager mode charged at the import statement *)
   charge_time t import_resolve_ms;
-  let prog =
-    try Parse_cache.parse_vfs ~cache:t.parse_cache t.vfs file with
-    | Parser.Error (msg, loc) ->
-      py_error "SyntaxError" "%s at %s" msg (Loc.to_string loc)
-    | Lexer.Error (msg, loc) ->
-      py_error "SyntaxError" "%s at %s" msg (Loc.to_string loc)
-  in
-  t.import_stack <- name :: t.import_stack;
-  let hooks = t.import_hooks in
-  List.iter (fun h -> h.on_before name) hooks;
-  t.lazy_forcing <- t.lazy_forcing + 1;
-  let finish () =
-    t.lazy_forcing <- t.lazy_forcing - 1;
-    t.import_stack <- List.tl t.import_stack;
-    List.iter (fun h -> h.on_after name) hooks;
-    Obs.Span.end_ sp
-      ~attrs:[ ("file", file) ]
-      ~ts_ms:(t.obs_offset_ms +. t.vtime_ms)
-  in
-  (try
-     exec_block t (module_env m) prog;
-     finish ()
-   with e ->
-     finish ();
-     Hashtbl.remove t.modules name;
-     raise e);
+  run_body ~forcing:true t m sp (parse_module t m.mfile);
   (* eager mode binds a child into its parent *after* the parent body runs,
      so a body-level name shadowed by a submodule must end up bound to the
      module — re-assert every registered direct child *)

@@ -52,9 +52,7 @@ let set_enabled t flag = t.enabled <- flag
 
 let enabled t = t.enabled
 
-let locked t f =
-  Mutex.lock t.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
+let locked t f = Mutex.protect t.lock f
 
 let hits t = locked t (fun () -> Obs.Metrics.value t.c_hits)
 

@@ -366,15 +366,15 @@ and parse_comp_target st : Ast.target =
     end
     else first
   in
-  target_of_expr_local tgt_expr
+  target_of_expr tgt_expr
 
-and target_of_expr_local (e : Ast.expr) : Ast.target =
+and target_of_expr (e : Ast.expr) : Ast.target =
   match e.Ast.desc with
   | Ast.Name n -> Ast.Tname n
   | Ast.Attr (base, a) -> Ast.Tattr (base, a)
   | Ast.Subscript (base, k) -> Ast.Tsubscript (base, k)
   | Ast.TupleLit items | Ast.ListLit items ->
-    Ast.Ttuple (List.map target_of_expr_local items)
+    Ast.Ttuple (List.map target_of_expr items)
   | _ -> raise (Error ("invalid assignment target", e.Ast.eloc))
 
 (* testlist: expr (',' expr)* — an unparenthesized tuple. *)
@@ -392,15 +392,6 @@ and parse_testlist st =
   else first
 
 (* --- statements -------------------------------------------------------- *)
-
-let rec target_of_expr st (e : Ast.expr) : Ast.target =
-  match e.Ast.desc with
-  | Ast.Name n -> Ast.Tname n
-  | Ast.Attr (base, a) -> Ast.Tattr (base, a)
-  | Ast.Subscript (base, k) -> Ast.Tsubscript (base, k)
-  | Ast.TupleLit items | Ast.ListLit items ->
-    Ast.Ttuple (List.map (target_of_expr st) items)
-  | _ -> raise (Error ("invalid assignment target", e.Ast.eloc))
 
 let parse_dotted st =
   let rec go acc =
@@ -479,7 +470,7 @@ and parse_small_stmt st : Ast.stmt =
   | Token.Keyword "del" ->
     advance st;
     let e = parse_expr st in
-    Ast.s ~loc (Ast.Del (target_of_expr st e))
+    Ast.s ~loc (Ast.Del (target_of_expr e))
   | Token.Keyword "assert" ->
     advance st;
     let cond = parse_expr st in
@@ -516,12 +507,12 @@ and parse_small_stmt st : Ast.stmt =
     (match current st with
      | Token.Op "=" ->
        advance st;
-       let target = target_of_expr st e in
+       let target = target_of_expr e in
        let value = parse_testlist st in
        Ast.s ~loc (Ast.Assign (target, value))
      | Token.Op (("+=" | "-=" | "*=" | "/=" | "%=") as op) ->
        advance st;
-       let target = target_of_expr st e in
+       let target = target_of_expr e in
        let value = parse_testlist st in
        let bop = binop_of_op (String.sub op 0 1) in
        Ast.s ~loc (Ast.AugAssign (target, bop, value))
@@ -578,20 +569,8 @@ and parse_while st =
 and parse_for st =
   let loc = current_loc st in
   eat_kw st "for";
-  (* the target must stop before the `in` keyword, so parse below the
-     comparison level (postfix expressions separated by commas) *)
-  let first = parse_postfix st in
-  let tgt_expr =
-    if is_op st "," then begin
-      let items = ref [ first ] in
-      while accept_op st "," do
-        items := parse_postfix st :: !items
-      done;
-      Ast.e ~loc:first.Ast.eloc (Ast.TupleLit (List.rev !items))
-    end
-    else first
-  in
-  let target = target_of_expr st tgt_expr in
+  (* the target must stop before the `in` keyword *)
+  let target = parse_comp_target st in
   eat_kw st "in";
   let iter = parse_testlist st in
   let body = parse_block st in

@@ -1,5 +1,5 @@
-(* Exporters: Chrome trace-event JSON (chrome://tracing / Perfetto) and flat
-   CSV summaries.
+(* Exporters: Chrome trace-event JSON (chrome://tracing / Perfetto), flat
+   CSV summaries, and the wall-clock layer table.
 
    The JSON is hand-rolled (the substrate is dependency-free); all floats
    are printed with fixed precision so identical runs export identical
@@ -110,29 +110,35 @@ let chrome_json ?metrics sink =
 
 (* --- flat CSV summaries --------------------------------------------------- *)
 
-(* Per (domain, cat, name): span count and duration aggregate. *)
+(* Per (domain, cat, name): span count and duration aggregate. [total_ms]
+   counts a span's nested time again in every enclosing row; [self_ms]
+   (from the lane walk) counts each instant of a lane once. *)
 let summary_csv sink =
-  let spans = Span.spans sink in
   let tbl = Hashtbl.create 64 in
   List.iter
-    (fun (s : Span.span) ->
-       let k = (s.sp_domain, s.sp_cat, s.sp_name) in
-       let count, total, mx =
-         Option.value ~default:(0, 0.0, 0.0) (Hashtbl.find_opt tbl k)
-       in
-       let d = Float.max 0.0 s.sp_dur_ms in
-       Hashtbl.replace tbl k (count + 1, total +. d, Float.max mx d))
-    spans;
+    (fun (lane : Span.lane) ->
+       List.iter
+         (fun { Span.n_span = s; n_self_ms; _ } ->
+            let k = (s.sp_domain, s.sp_cat, s.sp_name) in
+            let count, total, self, mx =
+              Option.value ~default:(0, 0.0, 0.0, 0.0) (Hashtbl.find_opt tbl k)
+            in
+            let d = Float.max 0.0 s.sp_dur_ms in
+            Hashtbl.replace tbl k
+              (count + 1, total +. d, self +. n_self_ms, Float.max mx d))
+         lane.l_nodes)
+    (Span.walk (Span.spans sink));
   let rows =
     Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
     |> List.sort compare
-    |> List.map (fun ((domain, cat, name), (count, total, mx)) ->
-        Printf.sprintf "%s,%s,%s,%d,%.6f,%.6f,%.6f\n"
+    |> List.map (fun ((domain, cat, name), (count, total, self, mx)) ->
+        Printf.sprintf "%s,%s,%s,%d,%.6f,%.6f,%.6f,%.6f\n"
           (Span.domain_name domain) cat name count total
           (total /. float_of_int count)
-          mx)
+          mx self)
   in
-  "clock,cat,name,count,total_ms,mean_ms,max_ms\n" ^ String.concat "" rows
+  "clock,cat,name,count,total_ms,mean_ms,max_ms,self_ms\n"
+  ^ String.concat "" rows
 
 let metrics_csv registry =
   let rows =
@@ -155,16 +161,65 @@ let metrics_csv registry =
   in
   "name,kind,count_or_value,sum,min,max\n" ^ String.concat "" (List.rev rows)
 
-(* Write-temp-then-rename in the destination directory: a crash mid-export
-   never leaves a torn trace on disk. (Same idiom as Trim.Journal's atomic
-   writes — duplicated here because obs sits below trim.) *)
+(* A wall-clock span's layer: its ["layer"] attribute when it has one (an
+   oracle query learns only as it ends whether it ran fresh interpreters),
+   else its category. *)
+let layer (s : Span.span) =
+  match List.assoc_opt "layer" s.sp_attrs with Some l -> l | None -> s.sp_cat
+
+let layers ?(known = []) sink =
+  let tbl = Hashtbl.create 16 in
+  List.iter
+    (fun (lane : Span.lane) ->
+       if lane.l_domain = Span.domain_wall then
+         List.iter
+           (fun { Span.n_span = s; n_self_ms; _ } ->
+              let l = layer s in
+              Hashtbl.replace tbl l
+                (n_self_ms
+                 +. Option.value ~default:0.0 (Hashtbl.find_opt tbl l)))
+           lane.l_nodes)
+    (Span.walk (Span.spans sink));
+  if Hashtbl.length tbl = 0 then []
+  else
+    let known = if List.exists (Hashtbl.mem tbl) known then known else [] in
+    let row l = (l, Option.value ~default:0.0 (Hashtbl.find_opt tbl l)) in
+    let others =
+      Hashtbl.fold
+        (fun l ms acc -> if List.mem l known then acc else (l, ms) :: acc)
+        tbl []
+      |> List.sort (fun (la, a) (lb, b) ->
+          match Float.compare b a with 0 -> compare la lb | c -> c)
+    in
+    List.map row known @ others
+
+let layer_table ?known sink =
+  match layers ?known sink with
+  | [] -> ""
+  | rows ->
+    let total = List.fold_left (fun acc (_, ms) -> acc +. ms) 0.0 rows in
+    let line (l, ms) =
+      Printf.sprintf "  %-18s %12.3f ms %6.1f%%\n" l ms
+        (if total > 0.0 then 100.0 *. ms /. total else 0.0)
+    in
+    "wall-clock self time by layer:\n"
+    ^ String.concat "" (List.map line rows)
+    ^ Printf.sprintf "  %-18s %12.3f ms\n" "total" total
+
+(* Write-temp-then-rename in the destination directory: a crash mid-write
+   never leaves a torn file on disk. Trim's durable files are written
+   through this one function too. *)
 let to_file ~path contents =
   let dir = Filename.dirname path in
-  let tmp = Filename.temp_file ~temp_dir:dir ".obs-export" ".tmp" in
+  let tmp = Filename.temp_file ~temp_dir:dir ".ltrim" ".tmp" in
   (try
      let oc = open_out_bin tmp in
-     Fun.protect ~finally:(fun () -> close_out oc) (fun () ->
-         output_string oc contents)
+     try
+       output_string oc contents;
+       close_out oc
+     with e ->
+       close_out_noerr oc;
+       raise e
    with e ->
      (try Sys.remove tmp with Sys_error _ -> ());
      raise e);

@@ -1,19 +1,19 @@
-(* Virtual-clock span tracing.
+(* Span tracing on explicit timelines.
 
-   The substrate never reads a clock itself: every [begin_]/[end_]/[instant]
-   takes an explicit timestamp, so each layer records against its natural
-   timeline — the interpreter's virtual clock, the fleet simulator's event
-   time, or host wall-clock for the debloating pipeline (which has no virtual
-   timeline of its own). Timelines that cannot be compared live in separate
-   *domains* (exported as Chrome trace pids); within a domain, spans are laid
-   out on *tracks* (tids) and must be well-nested per track.
+   Every [begin_]/[end_]/[instant] takes an explicit timestamp, so each
+   layer records against its natural timeline — the interpreter's virtual
+   clock, the fleet simulator's event time, or host wall-clock for the
+   debloating pipeline (which has no virtual timeline of its own; [wall]
+   reads [wall_ms] for it). Timelines that cannot be compared live in
+   separate *domains* (exported as Chrome trace pids); within a domain,
+   spans are laid out on *tracks* (tids) and must be well-nested per track.
 
    The null sink makes disabled tracing measurement-neutral by construction:
-   [begin_] returns the preallocated [none] handle without allocating, and
-   every other operation is a single pattern match. Virtual measurements
-   could not be perturbed either way (the clock and byte ledger are charged
-   at fixed points), but allocation-freedom keeps host-side benchmarks honest
-   too. *)
+   [begin_] returns the preallocated [none] handle, [wall] calls its
+   body directly, and every other operation is a single pattern match.
+   Virtual measurements could not be perturbed either way (the clock and
+   byte ledger are charged at fixed points), but allocation-freedom keeps
+   host-side benchmarks honest too. *)
 
 type attr = string * string
 
@@ -49,9 +49,7 @@ type state = {
 
 type sink = Null | Active of state
 
-let with_lock st f =
-  Mutex.lock st.st_lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock st.st_lock) f
+let with_lock st f = Mutex.protect st.st_lock f
 
 let null = Null
 
@@ -132,6 +130,8 @@ let installed () = !current
 
 type h = No_span | Open of state * span
 
+let ignore_v _ = []
+
 let none = No_span
 
 let begin_ t ~domain ~track ~cat ~name ~ts_ms =
@@ -191,51 +191,110 @@ let instant ?(attrs = []) t ~domain ~track ~cat ~name ~ts_ms =
         if st.keep then st.spans <- sp :: st.spans;
         st.on_complete sp)
 
+(* [f] inside a span of the active sink [t], timed by [clock]; [attrs]
+   sees [f]'s result (an exception ends the span without them). *)
+let around t ~domain ~track ~cat ~name ~clock ~attrs f =
+  let h = begin_ t ~domain ~track ~cat ~name ~ts_ms:(clock ()) in
+  match f () with
+  | v -> end_ ~attrs:(attrs v) h ~ts_ms:(clock ()); v
+  | exception e -> end_ h ~ts_ms:(clock ()); raise e
+
 let with_span t ~domain ~track ~cat ~name ~clock f =
   match t with
   | Null -> f ()
-  | Active _ ->
-    let h = begin_ t ~domain ~track ~cat ~name ~ts_ms:(clock ()) in
-    Fun.protect ~finally:(fun () -> end_ h ~ts_ms:(clock ())) f
+  | Active _ -> around t ~domain ~track ~cat ~name ~clock ~attrs:ignore_v f
 
-(* --- invariant checking (tests, CI) --------------------------------------- *)
+(* --- wall-clock lanes -------------------------------------------------------
 
-(* Complete spans on the same (domain, track) must pairwise nest or be
-   disjoint; instants are points and always fine. Returns the first offending
-   pair, if any. *)
-let nesting_violation all =
-  let completes =
-    List.filter (fun s -> s.sp_kind = Complete && s.sp_dur_ms >= 0.0) all
+   The one rule for which track a [domain_wall] span lands on: the lane of
+   the domain executing it. The main domain (and any domain that claims
+   none) records on lane 1; a parallel-pool worker claims a private lane
+   when it starts, from one atomic counter starting well above the
+   handful of static track ids the instrumentation uses. A domain runs one
+   thing at a time — a pool's submitter runs queued tasks inside its own
+   [map] call — so every wall-clock lane nests by construction at any
+   worker count. *)
+
+let next_wall_lane = Atomic.make 16
+
+let wall_lane : int Domain.DLS.key = Domain.DLS.new_key (fun () -> 1)
+
+let claim_wall_lane () =
+  Domain.DLS.set wall_lane (Atomic.fetch_and_add next_wall_lane 1)
+
+let wall ?(attrs = ignore_v) ~cat ~name f =
+  match !current with
+  | Null -> f ()
+  | Active _ as t ->
+    around t ~domain:domain_wall ~track:(Domain.DLS.get wall_lane) ~cat ~name
+      ~clock:wall_ms ~attrs f
+
+(* --- the lane walk ---------------------------------------------------------
+
+   One pre-order walk per (domain, track) answers every question asked of
+   a recorded lane: its tree (each span's depth), each span's self time
+   (its duration minus its children's), and whether it nests at all.
+   Spans are ordered by start, longer first on a tied start, then in begin
+   order (some spans are emitted retroactively, so begin order alone is
+   not tree order). A stack holds the open ancestors: a span closes every
+   ancestor that ended at or before its start, and the innermost one left
+   must contain it, or the lane is not well-nested. Instants are points:
+   they get a depth but never parent anything. *)
+
+type node = { n_span : span; n_depth : int; mutable n_self_ms : float }
+
+type lane = {
+  l_domain : int;
+  l_track : int;
+  l_nodes : node list;
+  l_overlap : (span * span) option;
+}
+
+let end_ms s = s.sp_start_ms +. s.sp_dur_ms
+
+let walk_lane spans =
+  let overlap = ref None and stack = ref [] in
+  let visit s =
+    let rec close = function
+      | p :: up when end_ms p.n_span <= s.sp_start_ms -> close up
+      | open_ -> open_
+    in
+    stack := close !stack;
+    let n_depth =
+      match !stack with
+      | [] -> 0
+      | p :: _ ->
+        p.n_self_ms <- p.n_self_ms -. s.sp_dur_ms;
+        if !overlap = None && end_ms s > end_ms p.n_span then
+          overlap := Some (p.n_span, s);
+        p.n_depth + 1
+    in
+    let n = { n_span = s; n_depth; n_self_ms = s.sp_dur_ms } in
+    if s.sp_kind = Complete then stack := n :: !stack;
+    n
   in
-  let by_track = Hashtbl.create 16 in
+  let by_start a b =
+    match Float.compare a.sp_start_ms b.sp_start_ms with
+    | 0 -> Float.compare b.sp_dur_ms a.sp_dur_ms
+    | c -> c
+  in
+  let nodes = List.map visit (List.stable_sort by_start spans) in
+  (nodes, !overlap)
+
+let walk all =
+  let by_lane = Hashtbl.create 16 in
   List.iter
     (fun s ->
        let k = (s.sp_domain, s.sp_track) in
-       Hashtbl.replace by_track k
-         (s :: (Option.value ~default:[] (Hashtbl.find_opt by_track k))))
-    completes;
-  let bad = ref None in
-  Hashtbl.iter
-    (fun _ spans ->
-       if !bad = None then
-         let arr = Array.of_list spans in
-         let n = Array.length arr in
-         for i = 0 to n - 1 do
-           for j = i + 1 to n - 1 do
-             if !bad = None then begin
-               let a = arr.(i) and b = arr.(j) in
-               let a_end = a.sp_start_ms +. a.sp_dur_ms in
-               let b_end = b.sp_start_ms +. b.sp_dur_ms in
-               let nested =
-                 (b.sp_start_ms >= a.sp_start_ms && b_end <= a_end)
-                 || (a.sp_start_ms >= b.sp_start_ms && a_end <= b_end)
-               in
-               let disjoint = b.sp_start_ms >= a_end || a.sp_start_ms >= b_end in
-               if not (nested || disjoint) then bad := Some (a, b)
-             end
-           done
-         done)
-    by_track;
-  !bad
+       Hashtbl.replace by_lane k
+         (s :: Option.value ~default:[] (Hashtbl.find_opt by_lane k)))
+    all;
+  Hashtbl.fold (fun k spans acc -> (k, List.rev spans) :: acc) by_lane []
+  |> List.sort (fun (a, _) (b, _) -> compare a b)
+  |> List.map (fun ((l_domain, l_track), spans) ->
+      let l_nodes, l_overlap = walk_lane spans in
+      { l_domain; l_track; l_nodes; l_overlap })
+
+let nesting_violation all = List.find_map (fun l -> l.l_overlap) (walk all)
 
 let well_nested all = nesting_violation all = None

@@ -1,16 +1,17 @@
-(** Virtual-clock span tracing.
+(** Span tracing on explicit timelines.
 
-    The substrate never reads a clock: every operation takes an explicit
-    timestamp, so each layer records against its natural timeline. Timelines
-    that cannot be compared live in separate {e domains} (exported as Chrome
-    trace pids): the interpreter/platform virtual clock, host wall-clock
-    (the debloating pipeline has no virtual timeline), and fleet simulation
-    time. Within a domain, spans are laid out on {e tracks} (tids) and must
-    be well-nested per track — {!well_nested} checks the invariant.
+    Every operation but {!wall} takes an explicit timestamp, so each layer
+    records against its natural timeline. Timelines that cannot be
+    compared live in separate {e domains} (exported as Chrome trace pids):
+    the interpreter/platform virtual clock, host wall-clock (the debloating
+    pipeline has no virtual timeline), and fleet simulation time. Within a
+    domain, spans are laid out on {e tracks} (tids) and must be well-nested
+    per track — {!well_nested} checks the invariant.
 
     Disabled tracing is measurement-neutral by construction: with the
-    {!null} sink, {!begin_} returns the preallocated {!none} handle without
-    allocating and every other operation is a single pattern match. *)
+    {!null} sink, {!begin_} returns the preallocated {!none} handle,
+    {!wall} calls its body directly, and every other operation is a single
+    pattern match. *)
 
 type attr = string * string
 
@@ -117,6 +118,52 @@ val with_span :
   clock:(unit -> float) ->
   (unit -> 'a) ->
   'a
+
+(** {1 Wall-clock lanes}
+
+    The one rule for where a {!domain_wall} span goes: on the lane of the
+    domain executing it. The main domain records on lane 1; a domain that
+    has called {!claim_wall_lane} (every parallel-pool worker does, when it
+    starts) records on its own. A domain runs one thing at a time, so each
+    lane nests by construction at any worker count. *)
+
+(** Give the calling domain a private wall-clock lane (16, 17, … in claim
+    order). *)
+val claim_wall_lane : unit -> unit
+
+(** [wall ~cat ~name f] wraps [f] in a {!domain_wall} span on the calling
+    domain's lane, timed by {!wall_ms}; [attrs] sees [f]'s result (an
+    exception ends the span without them). On the null sink, calls [f]
+    directly: no clock read, no lane lookup. *)
+val wall :
+  ?attrs:('a -> attr list) -> cat:string -> name:string -> (unit -> 'a) -> 'a
+
+(** {1 The lane walk}
+
+    One pre-order walk per (domain, track): spans ordered by start, longer
+    first on a tied start, then in begin order; each span's parent is the
+    innermost earlier span that has not ended by its start. Instants get a
+    depth but never parent anything. *)
+
+type node = private {
+  n_span : span;
+  n_depth : int;  (** open ancestors on the lane *)
+  mutable n_self_ms : float;
+      (** duration minus the children's; on a well-nested lane these sum
+          to the root spans' durations *)
+}
+
+type lane = {
+  l_domain : int;
+  l_track : int;
+  l_nodes : node list;  (** pre-order *)
+  l_overlap : (span * span) option;
+      (** the first (parent, span) pair that neither nests nor is
+          disjoint; depths and self times mean nothing on such a lane *)
+}
+
+(** Every (domain, track) lane of [spans], in (domain, track) order. *)
+val walk : span list -> lane list
 
 (** {1 Invariant checking (tests, CI)} *)
 

@@ -46,72 +46,31 @@ let m_steals = Obs.Metrics.counter Obs.Metrics.global "parallel.pool.steals"
 let m_waits = Obs.Metrics.counter Obs.Metrics.global "parallel.pool.waits"
 let m_jobs = Obs.Metrics.counter Obs.Metrics.global "parallel.pool.jobs"
 
-let busy_histograms : (int, Obs.Metrics.histogram) Hashtbl.t = Hashtbl.create 8
-
-let record_task ~slot ~busy_ms =
-  Mutex.lock metrics_lock;
-  Obs.Metrics.incr m_tasks;
-  if slot > 0 then Obs.Metrics.incr m_steals;
-  let h =
-    match Hashtbl.find_opt busy_histograms slot with
-    | Some h -> h
-    | None ->
-      let h =
-        Obs.Metrics.histogram Obs.Metrics.global
-          (Printf.sprintf "parallel.pool.busy_ms.w%d" slot)
-      in
-      Hashtbl.replace busy_histograms slot h;
-      h
-  in
-  Obs.Metrics.observe h busy_ms;
-  Mutex.unlock metrics_lock
-
-let record_wait () =
-  Mutex.lock metrics_lock;
-  Obs.Metrics.incr m_waits;
-  Mutex.unlock metrics_lock
-
-let record_job () =
-  Mutex.lock metrics_lock;
-  Obs.Metrics.incr m_jobs;
-  Mutex.unlock metrics_lock
+let count c = Mutex.protect metrics_lock (fun () -> Obs.Metrics.incr c)
 
 (* --- worker identity ------------------------------------------------------ *)
 
-(* Worker slots are process-wide (a domain serves exactly one pool), and so
-   are the wall-clock span tracks: track ids must never collide across
-   pools or with the sequential pipeline's lane, so they come from one
-   atomic counter starting well above the handful of static track ids the
-   instrumentation uses. *)
+(* Worker slots are process-wide: a domain serves exactly one pool. *)
 
 let next_slot = Atomic.make 1
-let next_wall_track = Atomic.make 16
 
-let identity : (int * int) option Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> None)
+let identity : int option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 
-let current_worker () =
-  match Domain.DLS.get identity with Some (slot, _) -> Some slot | None -> None
-
-let obs_wall_track ?(default = 1) () =
-  match Domain.DLS.get identity with
-  | Some (_, track) -> track
-  | None -> default
+let current_worker () = Domain.DLS.get identity
 
 (* --- task execution ------------------------------------------------------- *)
 
-(* Run one queued task closure, timing the executing domain's busy span.
-   Task closures never raise (they capture exceptions into their result
-   slot), so no protection is needed around [task ()]. *)
+(* Run one queued task closure. Task closures never raise (they capture
+   exceptions into their result slot), so no protection is needed around
+   [task ()]. *)
 let run_task task =
-  let slot = match current_worker () with Some s -> s | None -> 0 in
-  let t0 = Unix.gettimeofday () in
   task ();
-  record_task ~slot ~busy_ms:((Unix.gettimeofday () -. t0) *. 1000.0)
+  count m_tasks;
+  if current_worker () <> None then count m_steals
 
 let worker_body t slot () =
-  Domain.DLS.set identity
-    (Some (slot, Atomic.fetch_and_add next_wall_track 1));
+  Domain.DLS.set identity (Some slot);
+  Obs.Span.claim_wall_lane ();
   let rec loop () =
     Mutex.lock t.lock;
     let rec next () =
@@ -120,7 +79,7 @@ let worker_body t slot () =
       | None ->
         if t.closing then None
         else begin
-          record_wait ();
+          count m_waits;
           Condition.wait t.cond t.lock;
           next ()
         end
@@ -179,7 +138,7 @@ let map t f xs =
     let n = Array.length arr in
     let results = Array.make n Pending in
     let job = { remaining = n } in
-    record_job ();
+    count m_jobs;
     let task_for i () =
       (results.(i) <-
          (match f arr.(i) with
@@ -211,7 +170,7 @@ let map t f xs =
           Mutex.lock t.lock;
           help ()
         | None ->
-          record_wait ();
+          count m_waits;
           Condition.wait t.cond t.lock;
           help ()
     in

@@ -24,11 +24,10 @@
     Observability: the pool feeds a [parallel.pool.*] metrics family in
     [Obs.Metrics.global] — [tasks] (executed), [steals] (tasks executed by
     a worker domain rather than the submitting one), [waits] (times a
-    domain blocked for lack of runnable work), [jobs] (map calls), and
-    per-slot busy-time histograms [busy_ms.w<slot>] (slot 0 is the
-    submitting/caller domain). Each worker domain also reserves a private
-    wall-clock track id for spans (see {!obs_wall_track}), keeping traces
-    well-nested per track under concurrency. *)
+    domain blocked for lack of runnable work) and [jobs] (map calls). Each
+    worker domain claims a private wall-clock span lane when it starts
+    ({!Obs.Span.claim_wall_lane}), so the spans of concurrently running
+    tasks never share a track, and a trace shows each worker's busy time. *)
 
 type t
 
@@ -54,17 +53,14 @@ val with_pool : domains:int -> (t -> 'a) -> 'a
 
 (** {1 Worker identity}
 
-    Each worker domain gets a pool-wide slot in [1 .. size-1] and a
-    process-wide private wall-clock span track. The submitting domain (or
-    any non-worker domain) is slot [None] / the default track. *)
+    Each worker domain gets a pool-wide slot in [1 .. size-1] and its own
+    wall-clock span lane. Any other domain, such as the main one, has no
+    slot and records on the main lane. A task records on the lane of the
+    domain that runs it, which for a submitter helping to drain its own
+    job is the submitter's. *)
 
 (** The executing domain's worker slot, if it is a pool worker. *)
 val current_worker : unit -> int option
-
-(** The wall-clock ([Obs.Span.domain_wall]) track this domain must record
-    spans on: a private per-worker track inside a pool worker, [default]
-    otherwise. Keeps concurrent spans well-nested per (domain, track). *)
-val obs_wall_track : ?default:int -> unit -> int
 
 (** {1 The process-wide configured pool}
 

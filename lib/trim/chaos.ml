@@ -28,22 +28,16 @@ let kill_recorded = ref 0
 
 let arm_kill_after n =
   if n < 1 then invalid_arg "Chaos.arm_kill_after: n must be >= 1";
-  Mutex.lock kill_lock;
-  kill_remaining := Some n;
-  kill_recorded := 0;
-  Mutex.unlock kill_lock
+  Mutex.protect kill_lock (fun () ->
+      kill_remaining := Some n;
+      kill_recorded := 0)
 
 let disarm () =
-  Mutex.lock kill_lock;
-  kill_remaining := None;
-  kill_recorded := 0;
-  Mutex.unlock kill_lock
+  Mutex.protect kill_lock (fun () ->
+      kill_remaining := None;
+      kill_recorded := 0)
 
-let armed () =
-  Mutex.lock kill_lock;
-  let r = !kill_remaining in
-  Mutex.unlock kill_lock;
-  r
+let armed () = Mutex.protect kill_lock (fun () -> !kill_remaining)
 
 (* Called by the journal after each record is flushed. The record that
    exhausts the budget is already durable when [Killed] propagates — the

@@ -102,48 +102,26 @@ let with_restricted d ~file ~keep =
   let keep = Attrs.String_set.of_list keep in
   with_rewritten d ~file (fun prog -> Attrs.restrict prog ~keep)
 
-(* DD has no virtual timeline — its spans run on the host wall clock
-   (Obs.Span.wall_ms, shared with the pipeline). On the main domain they
-   share the pipeline phases' lane (see Pipeline.obs_track) so dd:<module>
-   nests inside phase:debloat and oracle:query inside dd:<module>; a
-   pipeline running inside an app fan-out worker records on that worker's
-   private track instead, so concurrent apps' spans stay well-nested per
-   (domain, track). *)
-let wall_ms = Obs.Span.wall_ms
-
-let obs_track () = Parallel.Pool.obs_wall_track ~default:1 ()
-
-let obs_dd_span ~module_name f =
-  Obs.Span.with_span (Obs.Span.installed ()) ~domain:Obs.Span.domain_wall
-    ~track:(obs_track ()) ~cat:"dd" ~name:("dd:" ^ module_name)
-    ~clock:wall_ms f
-
-(* Wrap a DD oracle so every query is a span carrying its verdict, the
-   candidate size, and the observation-memo traffic it generated. Off the
-   tracer this is the bare oracle call. *)
-let traced_oracle ~module_name ~(cache : Oracle.Cache.t) dd_oracle subset =
-  let sink = Obs.Span.installed () in
-  if not (Obs.Span.enabled sink) then dd_oracle subset
+(* Wrap a DD oracle so every query is a wall-clock span carrying its
+   verdict, the candidate size, the observation-memo traffic it generated
+   (read on its own domain, so exact at any --jobs), and its layer: a
+   query that missed the memo ran fresh interpreters ("oracle.exec"), any
+   other was answered from memory ("oracle.hit"). Off the tracer this is
+   the bare oracle call. *)
+let traced_oracle ~module_name dd_oracle subset =
+  if not (Obs.Span.enabled (Obs.Span.installed ())) then dd_oracle subset
   else begin
-    let sp =
-      Obs.Span.begin_ sink ~domain:Obs.Span.domain_wall ~track:(obs_track ())
-        ~cat:"oracle" ~name:"oracle:query" ~ts_ms:(wall_ms ())
-    in
-    let h0 = Oracle.Cache.hits cache and m0 = Oracle.Cache.misses cache in
-    match dd_oracle subset with
-    | pass ->
-      Obs.Span.end_ sp
-        ~attrs:
+    let h0, m0 = Oracle.Cache.domain_traffic () in
+    Obs.Span.wall ~cat:"oracle" ~name:"oracle:query"
+      ~attrs:(fun pass ->
+          let h1, m1 = Oracle.Cache.domain_traffic () in
           [ ("module", module_name);
             ("subset_size", string_of_int (List.length subset));
             ("pass", string_of_bool pass);
-            ("memo_hits", string_of_int (Oracle.Cache.hits cache - h0));
-            ("memo_misses", string_of_int (Oracle.Cache.misses cache - m0)) ]
-        ~ts_ms:(wall_ms ());
-      pass
-    | exception e ->
-      Obs.Span.end_ sp ~ts_ms:(wall_ms ());
-      raise e
+            ("memo_hits", string_of_int (h1 - h0));
+            ("memo_misses", string_of_int (m1 - m0));
+            ("layer", if m1 > m0 then "oracle.exec" else "oracle.hit") ])
+      (fun () -> dd_oracle subset)
   end
 
 (* --- journal wiring --------------------------------------------------------
@@ -191,10 +169,8 @@ let open_journal (spec : Journal.spec option) ?seed d ~module_name s =
         ~protected_list:s.protected_list ~candidates:s.candidates
     in
     Some
-      (Obs.Span.with_span (Obs.Span.installed ()) ~domain:Obs.Span.domain_wall
-         ~track:(obs_track ()) ~cat:"journal" ~name:("journal:" ^ module_name)
-         ~clock:wall_ms (fun () ->
-             Journal.open_ ~resume:journal_resume ~path ~run_digest ()))
+      (Obs.Span.wall ~cat:"journal" ~name:("journal:" ^ module_name)
+         (fun () -> Journal.open_ ~resume:journal_resume ~path ~run_digest ()))
 
 (* --- the one search ------------------------------------------------------- *)
 
@@ -205,14 +181,14 @@ let open_journal (spec : Journal.spec option) ?seed d ~module_name s =
    [seed_hit] reports (a profile seed's it does not). *)
 let search ?on_step ?journal ?seed ~seeded ~oracle_cache ~module_name query
     candidates =
-  let oracle = traced_oracle ~module_name ~cache:oracle_cache query in
+  let oracle = traced_oracle ~module_name query in
   let h0 = Oracle.Cache.hits oracle_cache
   and m0 = Oracle.Cache.misses oracle_cache in
   let kept, stats =
     Fun.protect
       ~finally:(fun () -> Option.iter Journal.close journal)
       (fun () ->
-         obs_dd_span ~module_name (fun () ->
+         Obs.Span.wall ~cat:"dd" ~name:("dd:" ^ module_name) (fun () ->
              Dd.minimize ?on_step ?journal ?seed ~oracle candidates))
   in
   ( kept,
@@ -240,7 +216,10 @@ let debloat_attrs ?on_step ?journal ?seed ~oracle_cache ~oracle d
     match seed, s.candidates with
     | Some _, _ | None, [] -> seed
     | None, _ ->
-      let reads = Oracle.module_reads ~cache:oracle_cache d ~module_name in
+      let reads =
+        Obs.Span.wall ~cat:"profile.reads" ~name:"profile:reads"
+          (fun () -> Oracle.module_reads ~cache:oracle_cache d ~module_name)
+      in
       Some (List.filter (fun a -> List.mem a reads) s.candidates)
   in
   let journal = open_journal journal ?seed:dd_seed d ~module_name s in

@@ -18,18 +18,8 @@ let rec mkdir_p dir =
          dir)
 
 let write_file_atomic ~path contents =
-  let dir = Filename.dirname path in
-  mkdir_p dir;
-  let tmp = Filename.temp_file ~temp_dir:dir ".ltrim" ".tmp" in
-  let oc = open_out_bin tmp in
-  (try
-     output_string oc contents;
-     close_out oc
-   with e ->
-     close_out_noerr oc;
-     (try Sys.remove tmp with Sys_error _ -> ());
-     raise e);
-  Sys.rename tmp path
+  mkdir_p (Filename.dirname path);
+  Obs.Export.to_file ~path contents
 
 let read_file path =
   let ic = open_in_bin path in

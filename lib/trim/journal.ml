@@ -31,10 +31,7 @@ let c_appended = Obs.Metrics.counter Obs.Metrics.global "trim.journal.appended"
 let c_replayed = Obs.Metrics.counter Obs.Metrics.global "trim.journal.replayed"
 let c_truncated = Obs.Metrics.counter Obs.Metrics.global "trim.journal.truncated"
 
-let count ?by c =
-  Mutex.lock counters_lock;
-  Obs.Metrics.incr ?by c;
-  Mutex.unlock counters_lock
+let count ?by c = Mutex.protect counters_lock (fun () -> Obs.Metrics.incr ?by c)
 
 type t = {
   log : Durable_log.t;
@@ -66,9 +63,7 @@ let open_ ?(resume = false) ~path ~run_digest () =
   count ~by:(Durable_log.truncated log) c_truncated;
   { log; replay; replayed_served = 0; lock = Mutex.create () }
 
-let locked t f =
-  Mutex.lock t.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
+let locked t f = Mutex.protect t.lock f
 
 (* Replayed verdict for [key], if the journal recorded one. *)
 let find t key =
@@ -111,15 +106,8 @@ let conf = ref (None : spec option)
 let conf_lock = Mutex.create ()
 
 let configure ~dir ~resume =
-  Mutex.lock conf_lock;
-  conf :=
-    (match dir with
-     | Some d -> Some { journal_dir = d; journal_resume = resume }
-     | None -> None);
-  Mutex.unlock conf_lock
+  Mutex.protect conf_lock (fun () ->
+      conf :=
+        Option.map (fun d -> { journal_dir = d; journal_resume = resume }) dir)
 
-let configured () =
-  Mutex.lock conf_lock;
-  let c = !conf in
-  Mutex.unlock conf_lock;
-  c
+let configured () = Mutex.protect conf_lock (fun () -> !conf)

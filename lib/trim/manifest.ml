@@ -108,7 +108,9 @@ let parse text =
      | _ -> None)
   | _ -> None
 
-let save ~path m = Durable_log.write_file_atomic ~path (render m)
+let save ~path m =
+  Obs.Span.wall ~cat:"manifest" ~name:"manifest:save" (fun () ->
+      Durable_log.write_file_atomic ~path (render m))
 
 let load ~path =
   if Sys.file_exists path then parse (Durable_log.read_file path) else None

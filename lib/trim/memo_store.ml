@@ -97,9 +97,7 @@ let open_ ~dir =
   Obs.Metrics.incr ~by:(Durable_log.truncated log) c_truncated;
   t
 
-let locked t f =
-  Mutex.lock t.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
+let locked t f = Mutex.protect t.lock f
 
 let find t key = locked t (fun () -> Hashtbl.find_opt t.table key)
 
@@ -109,7 +107,8 @@ let find t key = locked t (fun () -> Hashtbl.find_opt t.table key)
 let add t ~key value =
   locked t (fun () ->
       if not (Hashtbl.mem t.table key) then begin
-        Durable_log.append t.log "o" [ key; escape value ];
+        Obs.Span.wall ~cat:"memo_store" ~name:"memo_store:append" (fun () ->
+            Durable_log.append t.log "o" [ key; escape value ]);
         Hashtbl.replace t.table key value;
         t.appended_records <- t.appended_records + 1;
         Obs.Metrics.incr c_appended

@@ -64,9 +64,23 @@ module Cache = struct
 
   let enabled t = t.enabled
 
-  let locked t f =
-    Mutex.lock t.lock;
-    Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
+  let locked t f = Mutex.protect t.lock f
+
+  (* Hits and misses of every memo on the calling domain, tallied only
+     while a tracer is installed. A domain answers one oracle query at a
+     time, so a traced query reads its own traffic from how these move,
+     whatever other domains' pipelines do meanwhile. *)
+  let on_domain = Domain.DLS.new_key (fun () -> [| 0; 0 |])
+
+  let count t i =
+    Obs.Metrics.incr (if i = 0 then t.c_hits else t.c_misses);
+    if Obs.Span.enabled (Obs.Span.installed ()) then
+      let a = Domain.DLS.get on_domain in
+      a.(i) <- a.(i) + 1
+
+  let domain_traffic () =
+    let a = Domain.DLS.get on_domain in
+    (a.(0), a.(1))
 
   let hits t = locked t (fun () -> Obs.Metrics.value t.c_hits)
 
@@ -91,7 +105,7 @@ module Cache = struct
     locked t (fun () ->
         match Hashtbl.find_opt t.store key with
         | Some out ->
-          Obs.Metrics.incr t.c_hits;
+          count t 0;
           Some out
         | None ->
           let promoted =
@@ -100,7 +114,7 @@ module Cache = struct
             | Some ms ->
               (match Memo_store.find ms key with
                | Some out ->
-                 Obs.Metrics.incr t.c_hits;
+                 count t 0;
                  Obs.Metrics.incr t.c_store_hits;
                  Hashtbl.replace t.store key out;
                  Some out
@@ -109,7 +123,7 @@ module Cache = struct
           (match promoted with
            | Some _ -> promoted
            | None ->
-             Obs.Metrics.incr t.c_misses;
+             count t 1;
              None))
 
   let store t key out =

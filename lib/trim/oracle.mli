@@ -37,6 +37,12 @@ module Cache : sig
   val hits : t -> int
   val misses : t -> int
 
+  (** [(hits, misses)] of every memo on the calling domain, counted only
+      while a tracer is installed ([Obs.Span.installed]). Unlike {!hits}
+      and {!misses}, which pipelines on other domains move too, their
+      change across one oracle query is that query's own traffic. *)
+  val domain_traffic : unit -> int * int
+
   (** Hits answered by the attached persistent store (a subset of
       {!hits}); [<prefix>.store_hits]. *)
   val store_hits : t -> int

@@ -13,7 +13,6 @@
 type options = {
   k : int;                        (* modules to debloat (§8.4: default 20) *)
   scoring : Scoring.method_;
-  log : bool;
   (* durability (off by default — the defaults keep every committed CSV
      byte-identical to the unjournaled pipeline) *)
   journal_dir : string option;    (* record DD verdicts under this dir *)
@@ -28,7 +27,6 @@ type options = {
 let default_options =
   { k = 20;
     scoring = Scoring.Combined;
-    log = false;
     journal_dir = None;
     resume = false;
     oracle_cache = None;
@@ -85,18 +83,15 @@ let with_cache_stats oc f =
       oracle_hits = Oracle.Cache.hits oc - oh0;
       oracle_misses = Oracle.Cache.misses oc - om0 } )
 
-(* Pipeline stages have no virtual timeline, so their spans live on the
-   host wall clock (Obs.Span.wall_ms — the process-epoch-relative clock
-   every wall-clock span must share). The stages are sequential, so every
-   wall-clock span in a process (pipeline phases, per-module DD, oracle
-   queries) shares one lane and nests by construction. *)
-let wall_ms = Obs.Span.wall_ms
-
-let obs_track = 1
-
-let obs_phase name f =
-  Obs.Span.with_span (Obs.Span.installed ()) ~domain:Obs.Span.domain_wall
-    ~track:obs_track ~cat:"pipeline" ~name ~clock:wall_ms f
+(* Pipeline stages have no virtual timeline, so their spans are
+   wall-clock spans ([Obs.Span.wall]) on the lane of the domain running the
+   pipeline. Each category names the layer the span's self time counts
+   toward in the `--trace` layer table; these are the layers every run
+   has, in pipeline order (the oracle's queries split by their "layer"
+   attribute, see [Debloater]). *)
+let layers =
+  [ "static_analysis"; "profile"; "oracle.reference"; "profile.reads";
+    "oracle.exec"; "oracle.hit"; "dd"; "pipeline" ]
 
 (* Journal spec for this run: explicit options win, else the process-wide
    configuration the CLI installs (how `ltrim experiments --journal` reaches
@@ -148,6 +143,28 @@ let debloat_step ~options ~analysis ~oracle ~journal ~incremental ~baseline d
     in
     (d', (r, Debloater.Fresh, ""))
 
+(* This run's manifest: every ranked module's search digest and outcome. *)
+let manifest_of ~options ~app ~optimized ~ranked entries =
+  { Manifest.mf_app = app.Platform.Deployment.name;
+    mf_backend = Minipy.Interp.engine_tag;
+    mf_variant = Minipy.Interp.lazy_config_of_vfs app.Platform.Deployment.vfs;
+    mf_scoring = Scoring.method_name options.scoring;
+    mf_k = options.k;
+    mf_input_digest = Platform.Deployment.image_digest app;
+    mf_output_digest = Platform.Deployment.image_digest optimized;
+    mf_ranked = ranked;
+    mf_modules =
+      List.map2
+        (fun m ((r : Debloater.module_result), _, digest) ->
+           { Manifest.me_module = m;
+             me_file = r.Debloater.dm_file;
+             me_digest = digest;
+             me_removed = r.Debloater.removed_attrs;
+             me_queries = r.Debloater.oracle_queries;
+             me_cache_hits = r.Debloater.cache_hits;
+             me_iterations = r.Debloater.dd_iterations })
+        ranked entries }
+
 let run ?(options = default_options) ?(jobs = 1)
     (app : Platform.Deployment.t) : report =
   if jobs < 1 then invalid_arg "Pipeline.run: jobs < 1";
@@ -165,38 +182,38 @@ let run ?(options = default_options) ?(jobs = 1)
   let incremental = baseline <> None || options.manifest_path <> None in
   let memo = Option.value options.oracle_cache ~default:Oracle.Cache.global in
   let wall_start = Unix.gettimeofday () in
-  let (analysis, profile, ranked, optimized, entries), caches =
+  let (analysis, profile, ranked, optimized, entries, manifest), caches =
     with_cache_stats memo (fun () ->
-        obs_phase "pipeline:run" (fun () ->
+        Obs.Span.wall ~cat:"pipeline" ~name:"pipeline:run" (fun () ->
         (* Stage 1: static analysis *)
         let analysis =
-          obs_phase "phase:static_analysis" (fun () ->
-              Static_analyzer.analyze app)
+          Obs.Span.wall ~cat:"static_analysis" ~name:"phase:static_analysis"
+            (fun () -> Static_analyzer.analyze app)
         in
-        if options.log then
-          Log.info (fun m ->
-              m "static analysis: %d imported roots"
-                (List.length analysis.Static_analyzer.imported_roots));
+        Log.info (fun m ->
+            m "static analysis: %d imported roots"
+              (List.length analysis.Static_analyzer.imported_roots));
         (* Stage 2: profiling + top-K ranking by marginal monetary cost *)
         let profile, ranked =
-          obs_phase "phase:profile" (fun () ->
+          Obs.Span.wall ~cat:"profile" ~name:"phase:profile" (fun () ->
               let profile = Profiler.profile app in
               let top = Scoring.top_k options.scoring profile ~k:options.k in
               (profile, List.map (fun mp -> mp.Profiler.mp_name) top))
         in
-        if options.log then
-          Log.info (fun m -> m "profiler ranked top-%d: %s" options.k
-                       (String.concat ", " ranked));
+        Log.info (fun m -> m "profiler ranked top-%d: %s" options.k
+                     (String.concat ", " ranked));
         (* Stage 3: DD-based debloating, module by module in rank order
            (Algorithm 1 per module, §5.3). The oracle's reference
            observation comes from the *input* app and stays fixed; each
            module is debloated against the deployment produced so far, so
            later modules see earlier trims. *)
         let optimized, entries =
-          obs_phase "phase:debloat" (fun () ->
+          Obs.Span.wall ~cat:"dd" ~name:"phase:debloat" (fun () ->
               let journal = journal_spec options app in
               let oracle, _expected =
-                Oracle.for_reference ?cache:options.oracle_cache app
+                Obs.Span.wall ~cat:"oracle.reference" ~name:"oracle:reference"
+                  (fun () ->
+                     Oracle.for_reference ?cache:options.oracle_cache app)
               in
               let step =
                 debloat_step ~options ~analysis ~oracle ~journal ~incremental
@@ -206,14 +223,20 @@ let run ?(options = default_options) ?(jobs = 1)
                 List.fold_left
                   (fun (d, entries) module_name ->
                      let d', ((r, _, _) as entry) = step d module_name in
-                     if options.log then
-                       Log.info (fun m -> m "%a" Debloater.pp_module_result r);
+                     Log.info (fun m -> m "%a" Debloater.pp_module_result r);
                      (d', entry :: entries))
                   (app, []) ranked
               in
               (optimized, List.rev entries))
         in
-        (analysis, profile, ranked, optimized, entries)))
+        let manifest =
+          if not incremental then None
+          else Some (manifest_of ~options ~app ~optimized ~ranked entries)
+        in
+        (match (options.manifest_path, manifest) with
+         | Some path, Some m -> Manifest.save ~path m
+         | _ -> ());
+        (analysis, profile, ranked, optimized, entries, manifest)))
   in
   let module_results = List.map (fun (r, _, _) -> r) entries in
   let replayed_modules =
@@ -232,34 +255,6 @@ let run ?(options = default_options) ?(jobs = 1)
          | _ -> (s, h))
       (0, 0) entries
   in
-  let manifest =
-    if not incremental then None
-    else
-      Some
-        { Manifest.mf_app = app.Platform.Deployment.name;
-          mf_backend = Minipy.Interp.engine_tag;
-          mf_variant =
-            Minipy.Interp.lazy_config_of_vfs app.Platform.Deployment.vfs;
-          mf_scoring = Scoring.method_name options.scoring;
-          mf_k = options.k;
-          mf_input_digest = Platform.Deployment.image_digest app;
-          mf_output_digest = Platform.Deployment.image_digest optimized;
-          mf_ranked = ranked;
-          mf_modules =
-            List.map2
-              (fun m ((r : Debloater.module_result), _, digest) ->
-                 { Manifest.me_module = m;
-                   me_file = r.Debloater.dm_file;
-                   me_digest = digest;
-                   me_removed = r.Debloater.removed_attrs;
-                   me_queries = r.Debloater.oracle_queries;
-                   me_cache_hits = r.Debloater.cache_hits;
-                   me_iterations = r.Debloater.dd_iterations })
-              ranked entries }
-  in
-  (match (options.manifest_path, manifest) with
-   | Some path, Some m -> Manifest.save ~path m
-   | _ -> ());
   { app_name = app.Platform.Deployment.name;
     original = app;
     optimized;

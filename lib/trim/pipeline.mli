@@ -8,7 +8,6 @@
 type options = {
   k : int;                   (** modules to debloat; §8.4's default is 20 *)
   scoring : Scoring.method_;
-  log : bool;                (** emit progress through [Logs] *)
   journal_dir : string option;
       (** record every DD verdict in per-module journals under this
           directory (see {!Journal}); [None] falls back to the
@@ -68,6 +67,14 @@ type report = {
 }
 
 val src : Logs.src
+
+(** The wall-clock layers every traced run reports, in pipeline order:
+    [static_analysis], [profile], [oracle.reference], [profile.reads] (the
+    profile-seed read runs), [oracle.exec] / [oracle.hit] (DD queries that
+    ran fresh interpreters / were answered by the memo), [dd] (DD
+    bookkeeping) and [pipeline] (the rest of [pipeline:run]). [journal],
+    [manifest] and [memo_store] spans appear when those are in use. *)
+val layers : string list
 
 val pp_cache_stats : Format.formatter -> cache_stats -> unit
 

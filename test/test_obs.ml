@@ -59,7 +59,28 @@ let spans_suite =
         Alcotest.(check bool) "straddling pair rejected" false
           (Obs.Span.well_nested (Obs.Span.spans bad));
         Alcotest.(check bool) "violation is reported" true
-          (Obs.Span.nesting_violation (Obs.Span.spans bad) <> None)) ]
+          (Obs.Span.nesting_violation (Obs.Span.spans bad) <> None));
+    Alcotest.test_case "the walk gives depths and self times" `Quick
+      (fun () ->
+        let sink = Obs.Span.recorder () in
+        emit sink ~track:1 ~name:"outer" ~start_ms:0.0 ~end_ms:10.0;
+        emit sink ~track:1 ~name:"a" ~start_ms:2.0 ~end_ms:8.0;
+        emit sink ~track:1 ~name:"a.1" ~start_ms:3.0 ~end_ms:4.0;
+        emit sink ~track:1 ~name:"b" ~start_ms:8.0 ~end_ms:9.0;
+        emit sink ~track:1 ~name:"next" ~start_ms:10.0 ~end_ms:12.0;
+        let nodes =
+          List.concat_map
+            (fun (l : Obs.Span.lane) -> l.l_nodes)
+            (Obs.Span.walk (Obs.Span.spans sink))
+        in
+        Alcotest.(check (list (triple string int (float 1e-12))))
+          "pre-order (name, depth, self ms)"
+          [ ("outer", 0, 3.0); ("a", 1, 5.0); ("a.1", 2, 1.0);
+            ("b", 1, 1.0); ("next", 0, 2.0) ]
+          (List.map
+             (fun (n : Obs.Span.node) ->
+                (n.n_span.Obs.Span.sp_name, n.n_depth, n.n_self_ms))
+             nodes)) ]
 
 (* --- null-sink neutrality ------------------------------------------------- *)
 
@@ -85,7 +106,31 @@ let null_suite =
             ~clock:(fun () -> Alcotest.fail "clock read on null sink")
             (fun () -> 42)
         in
-        Alcotest.(check int) "passthrough" 42 r) ]
+        Alcotest.(check int) "passthrough" 42 r);
+    Alcotest.test_case "wall on the null sink only runs its body" `Quick
+      (fun () ->
+        Obs.Span.install Obs.Span.null;
+        let r =
+          Obs.Span.wall ~cat:"t" ~name:"x"
+            ~attrs:(fun _ -> Alcotest.fail "attrs built on the null sink")
+            (fun () -> 42)
+        in
+        Alcotest.(check int) "passthrough" 42 r);
+    Alcotest.test_case "wall on the null sink allocates nothing" `Quick
+      (fun () ->
+        (* A clock read boxes the float it returns, and a span is a record:
+           a null-sink [wall] that read the clock or opened a span would
+           allocate. *)
+        Obs.Span.install Obs.Span.null;
+        let body () = 1 in
+        let sum = ref 0 in
+        let before = Gc.minor_words () in
+        for _ = 1 to 1000 do
+          sum := !sum + Obs.Span.wall ~cat:"t" ~name:"x" body
+        done;
+        let words = Gc.minor_words () -. before in
+        Alcotest.(check int) "passthrough" 1000 !sum;
+        Alcotest.(check (float 0.0)) "minor words" 0.0 words) ]
 
 (* --- metrics registry ----------------------------------------------------- *)
 
@@ -188,15 +233,50 @@ let export_suite =
              (golden_sink ())));
     Alcotest.test_case "summary CSV golden" `Quick (fun () ->
         Alcotest.(check string) "bytes"
-          ("clock,cat,name,count,total_ms,mean_ms,max_ms\n"
-           ^ "virtual-clock,minipy,import:json,1,2.500000,2.500000,2.500000\n"
-           ^ "fleet-sim,fleet,retry,1,0.000000,0.000000,0.000000\n")
+          ("clock,cat,name,count,total_ms,mean_ms,max_ms,self_ms\n"
+           ^ "virtual-clock,minipy,import:json,1,2.500000,2.500000,2.500000,\
+              2.500000\n"
+           ^ "fleet-sim,fleet,retry,1,0.000000,0.000000,0.000000,0.000000\n")
           (Obs.Export.summary_csv (golden_sink ())));
     Alcotest.test_case "metrics CSV golden" `Quick (fun () ->
         Alcotest.(check string) "bytes"
           ("name,kind,count_or_value,sum,min,max\n" ^ "a.hits,counter,3,,,\n"
            ^ "b.depth,gauge,2.5,,,\n" ^ "c.lat,histogram,2,4,1,3\n")
           (Obs.Export.metrics_csv (golden_registry ())));
+    Alcotest.test_case "layer table: known rows first, sums to the roots"
+      `Quick (fun () ->
+        let sink = Obs.Span.recorder () in
+        let span ?(attrs = []) ~cat ~start_ms ~end_ms () =
+          Obs.Span.end_ ~attrs ~ts_ms:end_ms
+            (Obs.Span.begin_ sink ~domain:Obs.Span.domain_wall ~track:1 ~cat
+               ~name:cat ~ts_ms:start_ms)
+        in
+        span ~cat:"run" ~start_ms:0.0 ~end_ms:10.0 ();
+        span ~cat:"oracle" ~attrs:[ ("layer", "exec") ] ~start_ms:1.0
+          ~end_ms:5.0 ();
+        span ~cat:"store" ~start_ms:2.0 ~end_ms:3.0 ();
+        span ~cat:"oracle" ~attrs:[ ("layer", "hit") ] ~start_ms:6.0
+          ~end_ms:6.5 ();
+        (* another clock's spans are not wall-clock time *)
+        emit sink ~track:1 ~name:"virtual" ~start_ms:0.0 ~end_ms:99.0;
+        Alcotest.(check (list (pair string (float 1e-12)))) "rows"
+          [ ("hit", 0.5); ("absent", 0.0); ("run", 5.5); ("exec", 3.0);
+            ("store", 1.0) ]
+          (Obs.Export.layers ~known:[ "hit"; "absent" ] sink);
+        Alcotest.(check string) "table"
+          "wall-clock self time by layer:\n\
+          \  hit                       0.500 ms    5.0%\n\
+          \  absent                    0.000 ms    0.0%\n\
+          \  run                       5.500 ms   55.0%\n\
+          \  exec                      3.000 ms   30.0%\n\
+          \  store                     1.000 ms   10.0%\n\
+          \  total                    10.000 ms\n"
+          (Obs.Export.layer_table ~known:[ "hit"; "absent" ] sink);
+        Alcotest.(check (list string)) "no known layer seen, no known rows"
+          [ "run"; "exec"; "store"; "hit" ]
+          (List.map fst (Obs.Export.layers ~known:[ "absent" ] sink));
+        Alcotest.(check string) "no wall-clock span, no table" ""
+          (Obs.Export.layer_table ~known:[ "hit" ] (golden_sink ())));
     Alcotest.test_case "JSON string escaping" `Quick (fun () ->
         let sink = Obs.Span.recorder () in
         Obs.Span.instant sink ~domain:1 ~track:1 ~cat:"t"
@@ -398,11 +478,210 @@ let neutrality_suite =
         Alcotest.(check bool) "trace well-nested" true
           (Obs.Span.well_nested spans)) ]
 
+(* --- the lane walk against the pairwise reference (property) ------------ *)
+
+(* A random span set: per forest, a well-nested tree of spans (children
+   split their parent's range, so starts tie with the parent's), then
+   maybe one stray span that may straddle it, and instants; all on two
+   tracks of one domain. Times step by 0.1 ms so ends carry float
+   rounding. *)
+let gen_spans =
+  let open QCheck.Gen in
+  let rec tree lo hi depth =
+    if depth = 0 then return []
+    else
+      int_range lo hi >>= fun a ->
+      int_range a hi >>= fun b ->
+      let mid = (a + b) / 2 in
+      pair (tree a mid (depth - 1)) (tree mid b (depth - 1))
+      >|= fun (l, r) -> (a, b) :: (l @ r)
+  in
+  let interval = int_range 0 40 >>= fun a -> int_range a 40 >|= fun b -> (a, b) in
+  let span kind (a, b) = int_range 1 2 >|= fun track -> (kind, track, a, b) in
+  triple
+    (list_size (int_range 0 3) (int_range 1 4 >>= tree 0 40))
+    (opt interval)
+    (list_size (int_range 0 3) (int_range 0 40))
+  >>= fun (forest, stray, points) ->
+  let complete = List.concat forest @ Option.to_list stray in
+  flatten_l
+    (List.map (span `Complete) complete
+     @ List.map (fun p -> span `Instant (p, p)) points)
+  >>= shuffle_l
+
+let record spans =
+  let sink = Obs.Span.recorder () in
+  List.iter
+    (fun (kind, track, a, b) ->
+       let ms i = float_of_int i *. 0.1 in
+       match kind with
+       | `Complete ->
+         Obs.Span.end_ ~ts_ms:(ms b)
+           (Obs.Span.begin_ sink ~domain:Obs.Span.domain_wall ~track ~cat:"t"
+              ~name:"s" ~ts_ms:(ms a))
+       | `Instant ->
+         Obs.Span.instant sink ~domain:Obs.Span.domain_wall ~track ~cat:"t"
+           ~name:"i" ~ts_ms:(ms a))
+    spans;
+  Obs.Span.spans sink
+
+let arb_spans =
+  QCheck.make gen_spans ~print:(fun l ->
+      String.concat "; "
+        (List.map
+           (fun (k, t, a, b) ->
+              Printf.sprintf "%s t%d [%d,%d]"
+                (if k = `Complete then "X" else "i") t a b)
+           l))
+
+let walk_suite =
+  [ QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:500
+         ~name:"the walk and the pairwise reference agree on nesting"
+         arb_spans (fun l ->
+             let spans = record l in
+             Obs.Span.well_nested spans = Span_ref.well_nested spans));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:500
+         ~name:"self times are >= 0 and sum to the roots per lane"
+         arb_spans (fun l ->
+             let spans = record l in
+             QCheck.assume (Obs.Span.well_nested spans);
+             List.for_all
+               (fun (lane : Obs.Span.lane) ->
+                  let self, roots =
+                    List.fold_left
+                      (fun (self, roots) (n : Obs.Span.node) ->
+                         ( self +. n.n_self_ms,
+                           if n.n_depth = 0 then
+                             roots +. n.n_span.Obs.Span.sp_dur_ms
+                           else roots ))
+                      (0.0, 0.0) lane.l_nodes
+                  in
+                  List.for_all
+                    (fun (n : Obs.Span.node) -> n.n_self_ms >= -1e-9)
+                    lane.l_nodes
+                  && Float.abs (self -. roots) <= 1e-9)
+               (Obs.Span.walk spans))) ]
+
+(* --- wall-clock lanes ----------------------------------------------------- *)
+
+(* [f] on each of two tasks of a 2-domain pool, started together: each
+   task waits for the other, so the main domain runs one while the worker
+   runs the other. *)
+let on_both_domains f =
+  let started = Atomic.make 0 in
+  Parallel.Pool.with_pool ~domains:2 (fun pool ->
+      Parallel.Pool.map pool
+        (fun i ->
+           Atomic.incr started;
+           while Atomic.get started < 2 do Domain.cpu_relax () done;
+           f i)
+        [ 0; 1 ])
+
+let wall_lanes spans =
+  List.filter_map
+    (fun (s : Obs.Span.span) ->
+       if s.sp_domain = Obs.Span.domain_wall then Some s.sp_track else None)
+    spans
+  |> List.sort_uniq compare
+
+let lane_suite =
+  [ Alcotest.test_case "wall spans land on the running domain's lane" `Quick
+      (fun () ->
+        with_recorder (fun sink ->
+            let on_worker =
+              on_both_domains (fun _ ->
+                  Obs.Span.wall ~cat:"t" ~name:"task" (fun () -> ());
+                  Parallel.Pool.current_worker () <> None)
+            in
+            Alcotest.(check (list bool)) "one task per domain" [ false; true ]
+              (List.sort compare on_worker);
+            match wall_lanes (Obs.Span.spans sink) with
+            | [ 1; w ] -> Alcotest.(check bool) "worker lane" true (w >= 16)
+            | l ->
+              Alcotest.failf "lanes %s"
+                (String.concat "," (List.map string_of_int l))));
+    Alcotest.test_case "concurrent pipelines nest on every wall-clock lane"
+      `Quick (fun () ->
+        with_recorder (fun sink ->
+            (* one memo shared by both, as the global one is *)
+            let cache = Trim.Oracle.Cache.create () in
+            ignore
+              (on_both_domains (fun i ->
+                   Trim.Pipeline.run
+                     ~options:
+                       { Trim.Pipeline.default_options with
+                         k = 2;
+                         oracle_cache = Some cache }
+                     (Workloads.Suite.tiny_app
+                        ~name:(Printf.sprintf "tiny-%d" i) ())));
+            let spans = Obs.Span.spans sink in
+            Alcotest.(check int) "two lanes" 2
+              (List.length (wall_lanes spans));
+            Alcotest.(check bool) "well-nested" true
+              (Obs.Span.well_nested spans);
+            (* a query observes one candidate: one memo lookup per test
+               case, however the other pipeline's lookups interleave *)
+            let tests =
+              List.length
+                (Workloads.Suite.tiny_app ()).Platform.Deployment.test_cases
+            in
+            let queries =
+              List.filter
+                (fun (s : Obs.Span.span) -> s.sp_name = "oracle:query")
+                spans
+            in
+            Alcotest.(check bool) "queries traced" true (queries <> []);
+            List.iter
+              (fun (s : Obs.Span.span) ->
+                 let n k = int_of_string (List.assoc k s.sp_attrs) in
+                 Alcotest.(check int) "lookups of one query" tests
+                   (n "memo_hits" + n "memo_misses"))
+              queries));
+    Alcotest.test_case "a traced debloat's layer table sums to pipeline:run"
+      `Quick (fun () ->
+        (* a fresh directory: a warm store would append nothing *)
+        let dir = Filename.temp_dir "ltrim-test-layers" "" in
+        let store = Trim.Memo_store.open_ ~dir in
+        let cache = Trim.Oracle.Cache.create () in
+        Trim.Oracle.Cache.attach_store cache (Some store);
+        let sink =
+          Fun.protect
+            ~finally:(fun () -> Trim.Memo_store.close store)
+            (fun () ->
+               with_recorder (fun sink ->
+                   ignore
+                     (Trim.Pipeline.run
+                        ~options:
+                          { Trim.Pipeline.default_options with
+                            k = 2;
+                            oracle_cache = Some cache;
+                            manifest_path =
+                              Some (Filename.concat dir "tiny.manifest") }
+                        (Workloads.Suite.tiny_app ()));
+                   sink))
+        in
+        let rows = Obs.Export.layers ~known:Trim.Pipeline.layers sink in
+        Alcotest.(check (list string)) "rows"
+          (List.sort compare (Trim.Pipeline.layers @ [ "manifest"; "memo_store" ]))
+          (List.sort compare (List.map fst rows));
+        let run =
+          List.find
+            (fun (s : Obs.Span.span) -> s.sp_name = "pipeline:run")
+            (Obs.Span.spans sink)
+        in
+        Alcotest.(check (float 1e-6)) "rows sum to pipeline:run"
+          run.sp_dur_ms
+          (List.fold_left (fun acc (_, ms) -> acc +. ms) 0.0 rows)) ]
+
 let suite =
   [ ("obs.span", spans_suite);
     ("obs.null", null_suite);
     ("obs.metrics", metrics_suite);
     ("obs.export", export_suite);
     ("obs.properties", qcheck_suite);
+    ("obs.walk", walk_suite);
+    ("obs.lanes", lane_suite);
     ("obs.lambda_sim", sim_regression_suite);
     ("obs.neutrality", neutrality_suite) ]
