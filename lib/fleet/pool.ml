@@ -1,7 +1,7 @@
 (* Instance pool: lifecycle, warm selection, and the three eviction
-   policies. Selection scans the live table — fleets are tens to a few
-   thousand instances, so O(n) scans with deterministic id tie-breaks beat
-   the bookkeeping cost of an indexed structure at this scale. *)
+   policies. Every policy selects from one idle stack ordered by release
+   time: the warm pick comes off its top, [Lru]'s eviction victim off its
+   bottom, both with deterministic id tie-breaks. *)
 
 type policy =
   | Fixed_ttl of { keep_alive_s : float }
@@ -119,6 +119,7 @@ type t = {
   mutable next_id : int;
   mutable peak : int;
   mutable evicted : int;
+  mutable idle : int;  (* live instances in state [Idle] *)
   mutable resident : float;
   hist : Histogram.t;  (* read and filled by [Adaptive] only *)
   mutable observations : int;
@@ -132,16 +133,17 @@ type t = {
   mutable mru : instance array;
   mutable mru_since : Float.Array.t;
   mutable mru_len : int;
-      (* warm-selection fast path for Fixed_ttl/Adaptive: a stack of
-         (instance, idle_since stamp) entries, one per idle period, the
-         most recent on top (index [mru_len - 1]). Release times are
-         nondecreasing, so pushing keeps it sorted by (idle_since desc,
-         id asc) from the top — the top valid entry is exactly what the
-         O(live) [pick] scan would choose. Entries go stale in place
-         (re-acquired, evicted, expired) and are dropped lazily on pop.
-         Slots above the top keep whatever they last held until
-         overwritten. Unused by [Lru], whose eviction scan needs the full
-         table anyway. *)
+  mutable mru_bot : int;
+      (* the idle stack: (instance, idle_since stamp) entries in
+         [mru_bot, mru_len), one per idle period, the most recent on top
+         (index [mru_len - 1]). Release times are nondecreasing, so pushing
+         keeps it sorted by (idle_since desc, id asc) from the top: the top
+         valid entry is the MRU instance, and the valid entry with the
+         smallest id in the bottom stamp run is the LRU one. Entries go
+         stale in place (re-acquired, evicted) and are dropped lazily, off
+         the top by [pop_idle] and off the bottom by [lru_victim]. Slots
+         outside the range keep whatever they last held until
+         overwritten. *)
 }
 
 let create policy =
@@ -150,6 +152,7 @@ let create policy =
     next_id = 0;
     peak = 0;
     evicted = 0;
+    idle = 0;
     resident = 0.0;
     hist = Histogram.create ();
     observations = 0;
@@ -158,7 +161,8 @@ let create policy =
     preloaded = 0.0;
     mru = [||];
     mru_since = Float.Array.create 0;
-    mru_len = 0 }
+    mru_len = 0;
+    mru_bot = 0 }
 
 let live_count t = Hashtbl.length t.live
 let peak_live t = t.peak
@@ -184,44 +188,43 @@ let[@inline] current_keep_alive_s t =
     if t.ka_stale then refresh_keep_alive t ~min_s ~max_s ~percentile;
     t.ka.ka_s
 
-let fold_live t f init =
-  Hashtbl.fold (fun _ inst acc -> f acc inst) t.live init
-
-(* Deterministic arg-best over live instances: [better a b] decides whether
-   [a] beats [b]; exact ties fall back to the smaller id. *)
-let pick t ~pred ~better =
-  fold_live t
-    (fun best inst ->
-       if not (pred inst) then best
-       else
-         match best with
-         | None -> Some inst
-         | Some b ->
-           if better inst b then Some inst
-           else if better b inst then best
-           else if inst.id < b.id then Some inst
-           else best)
-    None
+(* An entry that still stands for its instance's idle period: idle since
+   the entry's stamp (not re-acquired) and not evicted ([evict] poisons
+   [expires_at]; ids are never reused, so an entry cannot resurrect). *)
+let[@inline] valid t j =
+  let inst = t.mru.(j) in
+  inst.state = Idle
+  && inst.times.idle_since = Float.Array.get t.mru_since j
+  && inst.times.expires_at > neg_infinity
 
 (* Push an idle entry keeping the (idle_since desc, id asc) order from the
    top: the new stamp is >= every stamped entry, so it belongs on top,
    under any same-stamp entries with smaller ids (that run is almost
-   always empty — equal release instants are rare). *)
+   always empty — equal release instants are rare). A full buffer first
+   slides the live range down over the dropped bottom, and doubles only if
+   that frees less than half of it. *)
 let push_idle t inst =
   let stamp = inst.times.idle_since in
-  let len = t.mru_len in
-  if len = Array.length t.mru then begin
-    let cap = max 16 (2 * len) in
-    let mru = Array.make cap inst in
-    Array.blit t.mru 0 mru 0 len;
-    let since = Float.Array.make cap 0.0 in
-    Float.Array.blit t.mru_since 0 since 0 len;
+  if t.mru_len = Array.length t.mru then begin
+    let n = t.mru_len - t.mru_bot in
+    let cap = Array.length t.mru in
+    let mru, since =
+      if 2 * n < cap then (t.mru, t.mru_since)
+      else
+        let cap = max 16 (2 * cap) in
+        (Array.make cap inst, Float.Array.make cap 0.0)
+    in
+    Array.blit t.mru t.mru_bot mru 0 n;
+    Float.Array.blit t.mru_since t.mru_bot since 0 n;
     t.mru <- mru;
-    t.mru_since <- since
+    t.mru_since <- since;
+    t.mru_bot <- 0;
+    t.mru_len <- n
   end;
+  let len = t.mru_len in
   let j = ref len in
   while
-    !j > 0
+    !j > t.mru_bot
     && Float.Array.get t.mru_since (!j - 1) = stamp
     && t.mru.(!j - 1).id < inst.id
   do
@@ -233,33 +236,55 @@ let push_idle t inst =
   Float.Array.set t.mru_since !j stamp;
   t.mru_len <- len + 1
 
-(* Top valid entry of the MRU stack. A stale entry — re-acquired (stamp
-   mismatch or busy), evicted ([evict] poisons [expires_at]), or expired
-   ([now] is nondecreasing, so it can never become valid again) — is
-   dropped for good. *)
+(* Top valid entry of the idle stack whose keep-alive covers [now]; stale
+   entries above it are dropped for good. An expired valid entry ([now] is
+   nondecreasing, so it never revives) is dropped too, except under [Lru]:
+   there it is still idle, so still an eviction candidate, and with a
+   fixed TTL every entry below it has expired as well. *)
 let rec pop_idle t ~now =
-  if t.mru_len = 0 then None
+  if t.mru_len = t.mru_bot then None
   else begin
     let top = t.mru_len - 1 in
-    t.mru_len <- top;
-    let inst = t.mru.(top) in
-    let c = inst.times in
-    if inst.state = Idle
-    && c.idle_since = Float.Array.get t.mru_since top
-    && c.expires_at >= now
-    then Some inst
-    else pop_idle t ~now
+    if not (valid t top) then begin
+      t.mru_len <- top;
+      pop_idle t ~now
+    end
+    else begin
+      let inst = t.mru.(top) in
+      if inst.times.expires_at >= now then begin
+        t.mru_len <- top;
+        Some inst
+      end
+      else
+        match t.policy with
+        | Lru _ -> None
+        | Fixed_ttl _ | Adaptive _ ->
+          t.mru_len <- top;
+          pop_idle t ~now
+    end
+  end
+
+(* The longest-idle instance (min idle_since, tie -> min id): the smallest
+   id among the valid entries of the bottom stamp run. Stale entries below
+   that run are dropped for good. *)
+let lru_victim t =
+  while t.mru_bot < t.mru_len && not (valid t t.mru_bot) do
+    t.mru_bot <- t.mru_bot + 1
+  done;
+  if t.mru_bot = t.mru_len then None
+  else begin
+    let stamp = Float.Array.get t.mru_since t.mru_bot in
+    let best = ref t.mru.(t.mru_bot) in
+    let j = ref (t.mru_bot + 1) in
+    while !j < t.mru_len && Float.Array.get t.mru_since !j = stamp do
+      if valid t !j && t.mru.(!j).id < !best.id then best := t.mru.(!j);
+      incr j
+    done;
+    Some !best
   end
 
 let acquire t ~now =
-  let warm =
-    match t.policy with
-    | Fixed_ttl _ | Adaptive _ -> pop_idle t ~now
-    | Lru _ ->
-      pick t
-        ~pred:(fun i -> i.state = Idle && i.times.expires_at >= now)
-        ~better:(fun a b -> a.times.idle_since > b.times.idle_since)  (* MRU *)
-  in
+  let warm = pop_idle t ~now in
   (match warm with
    | None -> ()
    | Some inst ->
@@ -269,6 +294,7 @@ let acquire t ~now =
         t.observations <- t.observations + 1;
         t.ka_stale <- true
       | Fixed_ttl _ | Lru _ -> ());
+     t.idle <- t.idle - 1;
      inst.state <- Busy);
   warm
 
@@ -293,8 +319,9 @@ let spawn t ~now =
 
 let evict t inst ~now =
   Hashtbl.remove t.live inst.id;
+  if inst.state = Idle then t.idle <- t.idle - 1;
   (* ids are never reused, so poisoning the expiry is enough to invalidate
-     any idle_mru entry still pointing here *)
+     any idle-stack entry still pointing here *)
   inst.times.expires_at <- neg_infinity;
   t.evicted <- t.evicted + 1;
   t.resident <- t.resident +. (now -. inst.times.born_s)
@@ -320,22 +347,12 @@ let release t inst ~now ~reserve =
   inst.state <- Idle;
   c.idle_since <- now;
   c.expires_at <- now +. current_keep_alive_s t;
+  t.idle <- t.idle + 1;
+  push_idle t inst;
   (match t.policy with
-   | Lru { max_idle; _ } ->
-     let idle_count =
-       fold_live t (fun n i -> if i.state = Idle then n + 1 else n) 0
-     in
-     if idle_count > max_idle then begin
-       match
-         pick t
-           ~pred:(fun i -> i.state = Idle)
-           ~better:(fun a b -> a.times.idle_since < b.times.idle_since)
-           (* LRU *)
-       with
-       | Some victim -> evict t victim ~now
-       | None -> ()
-     end
-   | Fixed_ttl _ | Adaptive _ -> push_idle t inst);
+   | Lru { max_idle; _ } when t.idle > max_idle ->
+     Option.iter (fun victim -> evict t victim ~now) (lru_victim t)
+   | Lru _ | Fixed_ttl _ | Adaptive _ -> ());
   if c.expires_at = infinity then false
   else begin
     inst.idle_seq <- reserve ();
@@ -389,7 +406,7 @@ let preload_idle t inst ~now =
 let preloaded_s t = t.preloaded
 
 let drain t =
-  let survivors = fold_live t (fun acc i -> i :: acc) [] in
+  let survivors = Hashtbl.fold (fun _ i acc -> i :: acc) t.live [] in
   List.iter
     (fun (i : instance) ->
        let c = i.times in

@@ -59,16 +59,21 @@ type t
 
 val create : policy -> t
 
-(** The MRU idle instance whose keep-alive covers [now], marked [Busy];
-    [None] if every instance is busy or expired. *)
+(** The MRU idle instance whose keep-alive covers [now] (latest
+    [idle_since], ties to the smaller id), marked [Busy]; [None] if every
+    instance is busy or expired. It comes off the top of the pool's idle
+    stack in amortised O(1). [now] must not decrease between calls. *)
 val acquire : t -> now:float -> instance option
 
 (** Cold-start a fresh instance at [now], already [Busy]. *)
 val spawn : t -> now:float -> instance
 
 (** Request completion: the instance turns [Idle] until its policy expiry
-    [expires_at]. Under [Lru] this may immediately evict the longest-idle
-    instance. Under [Adaptive] an acquire-after-release records the observed
+    [expires_at] and goes on top of the idle stack, so [now] must not
+    decrease between releases. Under [Lru], releasing one instance over
+    [max_idle] immediately evicts the longest-idle one (earliest
+    [idle_since], ties to the smaller id, expired or not), taken off the
+    bottom of the same stack. Under [Adaptive] an acquire-after-release records the observed
     idle gap. A finite expiry draws [idle_seq] from [reserve] (the caller's
     [Events.reserve]); the result is [true] iff the caller must push a
     keep-alive timer at [(expires_at, expiry rank, idle_seq)], because no

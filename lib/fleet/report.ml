@@ -6,9 +6,10 @@
    [Stream] is the one aggregation: it classifies outcomes, prices billed
    durations with Eq. 1, and derives every ratio of the summary.
    [summarize] (record mode) is that fold over the records a
-   [Router.result] holds, with p50/p95/p99 then read exactly off those
-   records by [Platform.Metrics], which is total on the empty list, so a
-   run where everything was rejected still summarizes. *)
+   [Router.result] holds, with p50/p95/p99 then read exactly off one sort
+   of the served latencies by [Platform.Metrics], which is total on the
+   empty array, so a run where everything was rejected still
+   summarizes. *)
 
 type summary = {
   label : string;
@@ -52,7 +53,8 @@ let served (r : Router.record) =
 (* --- streaming aggregation ------------------------------------------------
 
    [Stream] folds each record away the moment the router emits it: integer
-   counters, running sums, and two fixed-size [Sketch]es (latency, wait).
+   counters, running sums, and a range-grown latency [Sketch] (the waits
+   only ever report their mean, so they keep a running sum).
    Only its p50/p95/p99 are approximate (bounded by [Sketch.rel_error]).
    Merging accumulators adds integer bucket counts (exact,
    order-independent) — merge in a canonical order anyway so the float
@@ -62,6 +64,7 @@ module Stream = struct
   (* All-float, so stored flat: [observe] updates it without allocating. *)
   type floats = {
     mutable cost : float;
+    mutable wait_sum : float;  (* served requests' waits, ms *)
     mutable first_arrival : float;
     mutable last_finish : float;
   }
@@ -84,7 +87,6 @@ module Stream = struct
     mutable hedged : int;
     mutable fb_invocations : int;
     lat : Sketch.t;
-    waits : Sketch.t;
     fl : floats;
     (* engine totals absorbed after each run; [peak] is the sum of per-app
        peaks when streams merge (apps have independent pools) *)
@@ -105,8 +107,10 @@ module Stream = struct
       requests = 0; cold = 0; warm = 0; fallbacks = 0; fb_cold = 0;
       rejected = 0; timed_out = 0; failed = 0; shed = 0;
       attempts = 0; retried = 0; hedged = 0; fb_invocations = 0;
-      lat = Sketch.create (); waits = Sketch.create ();
-      fl = { cost = 0.0; first_arrival = infinity; last_finish = neg_infinity };
+      lat = Sketch.create ();
+      fl =
+        { cost = 0.0; wait_sum = 0.0; first_arrival = infinity;
+          last_finish = neg_infinity };
       peak = 0; resident_s = 0.0; evictions = 0; apps = 0; events = 0 }
 
   let count_primary t = function
@@ -141,7 +145,7 @@ module Stream = struct
      | Router.Failed _ -> t.failed <- t.failed + 1);
     if served r then begin
       Sketch.add t.lat (r.Router.e2e_s *. 1000.0);
-      Sketch.add t.waits (r.Router.wait_s *. 1000.0);
+      fl.wait_sum <- fl.wait_sum +. Float.max 0.0 (r.Router.wait_s *. 1000.0);
       if r.Router.finish_s > fl.last_finish then
         fl.last_finish <- r.Router.finish_s
     end;
@@ -179,9 +183,9 @@ module Stream = struct
     into.hedged <- into.hedged + src.hedged;
     into.fb_invocations <- into.fb_invocations + src.fb_invocations;
     Sketch.merge_into ~into:into.lat src.lat;
-    Sketch.merge_into ~into:into.waits src.waits;
     let ifl = into.fl and sfl = src.fl in
     ifl.cost <- ifl.cost +. sfl.cost;
+    ifl.wait_sum <- ifl.wait_sum +. sfl.wait_sum;
     if sfl.first_arrival < ifl.first_arrival then
       ifl.first_arrival <- sfl.first_arrival;
     if sfl.last_finish > ifl.last_finish then
@@ -218,7 +222,8 @@ module Stream = struct
       p95_ms = Sketch.quantile t.lat ~p:95.0;
       p99_ms = Sketch.quantile t.lat ~p:99.0;
       max_ms = Sketch.max_seen t.lat;
-      mean_wait_ms = Sketch.mean t.waits;
+      mean_wait_ms =
+        (if served = 0 then 0.0 else t.fl.wait_sum /. float_of_int served);
       peak_instances = t.peak;
       resident_instance_s = t.resident_s;
       evictions = t.evictions;
@@ -252,15 +257,21 @@ let summarize ?pricing ~label cfg (res : Router.result) : summary =
       fb_peak = res.Router.fb_peak_instances;
       fb_resident_s = res.Router.fb_resident_instance_s;
       total_events = res.Router.events_processed };
-  let lat =
-    List.filter_map
-      (fun r -> if served r then Some (r.Router.e2e_s *. 1000.0) else None)
-      res.Router.records
-  in
-  { (Stream.summary ~label st) with
-    p50_ms = Platform.Metrics.median lat;
-    p95_ms = Platform.Metrics.p95 lat;
-    p99_ms = Platform.Metrics.p99 lat }
+  let s = Stream.summary ~label st in
+  let lat = Float.Array.create s.served in
+  let i = ref 0 in
+  List.iter
+    (fun r ->
+       if served r then begin
+         Float.Array.set lat !i (r.Router.e2e_s *. 1000.0);
+         incr i
+       end)
+    res.Router.records;
+  let lat = Platform.Metrics.sort_samples lat in
+  { s with
+    p50_ms = Platform.Metrics.percentile_sorted 50.0 lat;
+    p95_ms = Platform.Metrics.percentile_sorted 95.0 lat;
+    p99_ms = Platform.Metrics.percentile_sorted 99.0 lat }
 
 (* One app, streamed end to end: the router emits each record into the
    accumulator and nothing per-request survives the call. *)

@@ -228,15 +228,16 @@ let invoke ?(event = "{}") ?(context = Deployment.default_context) t ~now_s () =
          (base_ms +. instance_init_ms +. trans_ms)
          init_ms
      | Warm -> ());
-    phase "phase:function_exec" exec_base_ms exec_ms
+    phase "phase:function_exec" exec_base_ms exec_ms;
+    (* built only when traced: an untraced invoke formats no attributes *)
+    Obs.Span.end_ inv_sp
+      ~attrs:
+        [ ("kind", start_kind_name kind);
+          ("billed_ms", Printf.sprintf "%.3f" billed_ms);
+          ("cost_usd", Printf.sprintf "%.9f" cost);
+          ("memory_mb", Printf.sprintf "%.2f" peak_memory_mb) ]
+      ~ts_ms:end_ms
   end;
-  Obs.Span.end_ inv_sp
-    ~attrs:
-      [ ("kind", start_kind_name kind);
-        ("billed_ms", Printf.sprintf "%.3f" billed_ms);
-        ("cost_usd", Printf.sprintf "%.9f" cost);
-        ("memory_mb", Printf.sprintf "%.2f" peak_memory_mb) ]
-    ~ts_ms:end_ms;
   record
 
 (* Force the platform to discard the warm instance — the evaluation triggers

@@ -19,6 +19,17 @@ val percentile : float -> float list -> float
 
 val median : float list -> float
 
+(** Sort once, read many percentiles. [sort_samples a] drops [a]'s NaNs
+    (counted as above) and returns the rest in ascending order. It reuses
+    [a] as its buffer: the result may be [a] itself, and [a] is clobbered
+    either way. *)
+val sort_samples : Float.Array.t -> Float.Array.t
+
+(** [percentile_sorted p (sort_samples a)] is [percentile p] of [a]'s
+    elements, bit for bit: the rank rule both share. [0.0] on the empty
+    array. *)
+val percentile_sorted : float -> Float.Array.t -> float
+
 (** [percentile 95.0] / [percentile 99.0] — the fleet report's tail-latency
     summaries. *)
 val p95 : float list -> float

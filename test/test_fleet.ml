@@ -248,6 +248,169 @@ let histogram =
                   = scan_percentile buckets !total p)
               ops)) ]
 
+(* --- idle stack against the live-table scans (Pool_ref) ------------------
+
+   Random acquire/spawn/release/fire/reclaim sequences, with many tied
+   instants, through [Pool] and [Pool_ref]: the same instance on every
+   acquire, the same [Lru] victim and the same timer push on every
+   release, the same re-arm on every fire, and bit-identical counts and
+   residency at the end. Acquires may run past due timers (the router
+   never does), so an expired instance can still sit idle. *)
+
+type pool_op =
+  | P_acquire
+  | P_spawn
+  | P_release of int
+  | P_fire
+  | P_reclaim of int
+
+let pool_ops_gen =
+  QCheck.Gen.(
+    let op =
+      frequency
+        [ (4, return P_acquire); (3, return P_spawn);
+          (5, map (fun k -> P_release k) nat); (2, return P_fire);
+          (1, map (fun k -> P_reclaim k) nat) ]
+    in
+    let dt = oneofl [ 0.0; 0.0; 0.0; 0.5; 1.0; 2.0; 5.0 ] in
+    let keep_alive = oneofl [ 0.0; 0.5; 1.0; 3.0; 10.0; infinity ] in
+    let policy =
+      frequency
+        [ (1, map (fun ka -> Pool.Fixed_ttl { keep_alive_s = ka }) keep_alive);
+          (3,
+           map2
+             (fun ka cap -> Pool.Lru { keep_alive_s = ka; max_idle = cap })
+             keep_alive (int_bound 4)) ]
+    in
+    pair policy (list_size (int_bound 120) (pair dt op)))
+
+let pool_ops_arb =
+  QCheck.make
+    ~print:(fun (pol, ops) ->
+        Pool.policy_name pol ^ ": "
+        ^ String.concat "; "
+            (List.map
+               (fun (dt, op) ->
+                  Printf.sprintf "+%g %s" dt
+                    (match op with
+                     | P_acquire -> "acquire"
+                     | P_spawn -> "spawn"
+                     | P_release k -> Printf.sprintf "release %d" k
+                     | P_fire -> "fire"
+                     | P_reclaim k -> Printf.sprintf "reclaim %d" k))
+               ops))
+    pool_ops_gen
+
+let pool_matches_ref (policy, ops) =
+  let fail fmt = QCheck.Test.fail_reportf fmt in
+  let keep_alive_s, max_idle =
+    match policy with
+    | Pool.Fixed_ttl { keep_alive_s } -> (keep_alive_s, None)
+    | Pool.Lru { keep_alive_s; max_idle } -> (keep_alive_s, Some max_idle)
+    | Pool.Adaptive _ -> assert false
+  in
+  let pool = Pool.create policy
+  and rf = Pool_ref.create ~keep_alive_s ~max_idle in
+  let seq_a = ref 0 and seq_b = ref 0 in
+  let reserve r () = incr r; !r in
+  let insts = ref [||] in  (* (library, reference) by id *)
+  let busy = ref [] and timers = ref [] and clock = ref 0.0 in
+  let evicted (i : Pool.instance) =
+    i.Pool.times.Pool.expires_at = neg_infinity
+  in
+  let serve (a : Pool.instance) (b : Pool_ref.inst) =
+    a.Pool.times.Pool.busy_until <- !clock +. 0.25;
+    b.Pool_ref.busy_until <- !clock +. 0.25;
+    busy := a.Pool.id :: !busy
+  in
+  (* a pushed timer: both sides must name the same key *)
+  let push_timer (a : Pool.instance) (b : Pool_ref.inst) =
+    if a.Pool.times.Pool.expires_at <> b.Pool_ref.expires_at
+    || a.Pool.idle_seq <> b.Pool_ref.idle_seq
+    then fail "timer key differs for instance %d" a.Pool.id;
+    timers := (b.Pool_ref.expires_at, b.Pool_ref.idle_seq, a.Pool.id) :: !timers
+  in
+  List.iter
+    (fun (dt, op) ->
+       clock := !clock +. dt;
+       let now = !clock in
+       (match op with
+        | P_acquire -> (
+            match (Pool.acquire pool ~now, Pool_ref.acquire rf ~now) with
+            | None, None -> ()
+            | Some a, Some b when a.Pool.id = b.Pool_ref.id -> serve a b
+            | a, b ->
+              let id = Option.fold ~none:(-1) ~some:(fun i -> i.Pool.id)
+              and id_ref =
+                Option.fold ~none:(-1) ~some:(fun i -> i.Pool_ref.id)
+              in
+              fail "acquire at %g: instance %d, reference %d" now (id a)
+                (id_ref b))
+        | P_spawn ->
+          let a = Pool.spawn pool ~now and b = Pool_ref.spawn rf ~now in
+          insts := Array.append !insts [| (a, b) |];
+          serve a b
+        | P_release k when !busy <> [] ->
+          let id = List.nth !busy (k mod List.length !busy) in
+          busy := List.filter (( <> ) id) !busy;
+          let a, b = !insts.(id) in
+          let before = Array.map (fun (i, _) -> evicted i) !insts in
+          let push_a = Pool.release pool a ~now ~reserve:(reserve seq_a) in
+          let push_b, victim_b =
+            Pool_ref.release rf b ~now ~reserve:(reserve seq_b)
+          in
+          let victim_a = ref None in
+          Array.iteri
+            (fun j (i, _) ->
+               if evicted i && not before.(j) then victim_a := Some j)
+            !insts;
+          if !victim_a <> victim_b then
+            fail "release of %d at %g: victim %d, reference %d" id now
+              (Option.value ~default:(-1) !victim_a)
+              (Option.value ~default:(-1) victim_b);
+          if push_a <> push_b then
+            fail "release of %d at %g: push differs" id now;
+          if push_a then push_timer a b
+        | P_release _ -> ()
+        | P_fire -> (
+            match List.sort compare !timers with
+            | [] -> ()
+            | (at, seq, id) :: rest ->
+              timers := rest;
+              clock := Float.max now at;
+              let now = !clock in
+              let a, b = !insts.(id) in
+              let re_a = Pool.fire pool a ~seq ~now
+              and re_b = Pool_ref.fire rf b ~seq ~now in
+              if re_a <> re_b then
+                fail "fire of %d (seq %d): re-arm differs" id seq;
+              if re_a then push_timer a b)
+        | P_reclaim k when Array.length !insts > 0 ->
+          let id = k mod Array.length !insts in
+          let a, b = !insts.(id) in
+          Pool.reclaim pool a ~now;
+          Pool_ref.reclaim rf b ~now;
+          busy := List.filter (( <> ) id) !busy
+        | P_reclaim _ -> ());
+       if Pool.live_count pool <> Pool_ref.live_count rf
+       || Pool.evictions pool <> rf.Pool_ref.evicted
+       then fail "after the op at %g: live or evictions differ" now)
+    ops;
+  Pool.drain pool;
+  Pool_ref.drain rf;
+  let bits = Int64.bits_of_float in
+  Pool.evictions pool = rf.Pool_ref.evicted
+  && Pool.live_count pool = Pool_ref.live_count rf
+  && Pool.peak_live pool = rf.Pool_ref.peak
+  && bits (Pool.resident_s pool) = bits rf.Pool_ref.resident
+  || fail "after drain: evictions %d/%d, resident %h/%h" (Pool.evictions pool)
+       rf.Pool_ref.evicted (Pool.resident_s pool) rf.Pool_ref.resident
+
+let pool_ref =
+  [ QCheck_alcotest.to_alcotest ~verbose:false
+      (QCheck.Test.make ~count:500 ~name:"idle stack = live-table scans"
+         pool_ops_arb pool_matches_ref) ]
+
 (* --- bounded queue and timeouts ------------------------------------------ *)
 
 let queueing =
@@ -771,7 +934,8 @@ let validation =
 let suite =
   [ ("fleet.events", events); ("fleet.validation", validation);
     ("fleet.policies", policies);
-    ("fleet.histogram", histogram); ("fleet.queueing", queueing);
+    ("fleet.histogram", histogram); ("fleet.pool_ref", pool_ref);
+    ("fleet.queueing", queueing);
     ("fleet.fallback", fallback); ("fleet.replay_parity", replay_parity);
     ("fleet.concurrent", concurrent); ("fleet.report", report);
     ("fleet.characterization", characterization) ]

@@ -304,6 +304,49 @@ let trace_keepalive_monotone =
        in
        warm 60.0 <= warm 300.0 && warm 300.0 <= warm 1800.0)
 
+(* --- percentiles off one sort ------------------------------------------- *)
+
+(* [sort_samples] + [percentile_sorted] against the list reference
+   ([Metrics_ref]): bit-identical answers at several ranks off one sort,
+   on lists with duplicates, NaNs, infinities and both zeros, empty and
+   singleton ones included, and the same NaN count in
+   [platform.metrics.nan_dropped]. *)
+let percentile_one_sort =
+  let sample =
+    Gen.frequency
+      [ (4, Gen.map float_of_int (Gen.int_range (-3) 3));
+        (3, Gen.float_range (-1e3) 1e3);
+        (2, Gen.oneofl [ Float.nan; infinity; neg_infinity; 0.0; -0.0 ]);
+        (1, Gen.float) ]
+  in
+  let ps =
+    Gen.map
+      (fun r -> [ 0.0; 50.0; 95.0; 99.0; 100.0; r ])
+      (Gen.float_range 0.0 100.0)
+  in
+  let nan_dropped =
+    Obs.Metrics.counter Obs.Metrics.global "platform.metrics.nan_dropped"
+  in
+  QCheck2.Test.make ~name:"sort-once percentiles = list reference" ~count:500
+    ~print:(fun (xs, ps) ->
+        Printf.sprintf "[%s] at [%s]"
+          (String.concat "; " (List.map (Printf.sprintf "%h") xs))
+          (String.concat "; " (List.map (Printf.sprintf "%g") ps)))
+    (Gen.pair (Gen.list_size (Gen.int_range 0 40) sample) ps)
+    (fun (xs, ps) ->
+       let before = Obs.Metrics.value nan_dropped in
+       let sorted = Platform.Metrics.sort_samples (Float.Array.of_list xs) in
+       let counted = Obs.Metrics.value nan_dropped - before in
+       let bits = Int64.bits_of_float in
+       List.for_all
+         (fun p ->
+            let expected, dropped = Metrics_ref.percentile p xs in
+            counted = dropped
+            && bits (Platform.Metrics.percentile_sorted p sorted)
+               = bits expected
+            && bits (Platform.Metrics.percentile p xs) = bits expected)
+         ps)
+
 let to_alcotest = List.map (QCheck_alcotest.to_alcotest ~long:false)
 
 let suite =
@@ -314,7 +357,8 @@ let suite =
        [ attrs_restrict_sound; attrs_restrict_idempotent; attrs_full_keep_identity ]);
     ("properties.pricing",
      to_alcotest [ pricing_monotone; billed_duration_props; eq2_monotone ]);
-    ("properties.trace", to_alcotest [ trace_replay_total; trace_keepalive_monotone ]) ]
+    ("properties.trace", to_alcotest [ trace_replay_total; trace_keepalive_monotone ]);
+    ("properties.metrics", to_alcotest [ percentile_one_sort ]) ]
 
 (* --- json properties ------------------------------------------------------ *)
 
