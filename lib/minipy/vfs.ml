@@ -18,11 +18,22 @@
    Every file content has a content digest, memoized per owning layer and
    invalidated by rewrites; [image_digest] combines them into a single
    content address for the whole image, which the oracle memo and the parse
-   cache use as keys. *)
+   cache use as keys. Each layer also memoizes its whole-image views (the
+   sorted (path, digest) list, the image size and the image digest), derived
+   from its parent's memos plus its own delta, so probing a DD candidate
+   costs O(image paths) once instead of a walk of the whole chain per call. *)
 
 type entry =
   | Source of string
   | Tombstone       (* overlay-level removal of a base file *)
+
+(* The effective image as one layer sees it: every source path in sorted
+   order with its content digest, and every phantom sorted by path. *)
+type view = {
+  v_paths : string array;
+  v_digests : string array;
+  v_phantoms : (string * int) list;
+}
 
 type t = {
   parent : t option;
@@ -34,46 +45,56 @@ type t = {
   (* path -> hex content digest, for entries owned by THIS layer only; a
      lookup that falls through to the parent also shares the parent's memo *)
   digests : (string, string) Hashtbl.t;
-  (* The digest memo is written lazily on reads, and parallel DD evaluates
+  (* whole-image memos of this layer, dropped by any mutation of it *)
+  mutable view : view option;
+  mutable bytes : int option;
+  mutable digest : string option;
+  (* The memos are written lazily on reads, and parallel DD evaluates
      candidate overlays that share one base layer from several domains at
-     once — so [digests] alone among the tables is mutex-guarded. The other
-     tables need no lock because of the structural invariant (see overlay):
-     a layer's [files]/[phantoms] are only mutated before any overlay of it
-     exists, after which all access is read-only. *)
-  dig_lock : Mutex.t;
+     once — so the memos alone are mutex-guarded. The other tables need no
+     lock because of the structural invariant (see overlay): a layer's
+     [files]/[phantoms] are only mutated before any overlay of it exists,
+     after which all access is read-only. *)
+  lock : Mutex.t;
 }
 
-let create () =
-  { parent = None;
-    files = Hashtbl.create 64;
+let make parent ~size =
+  { parent;
+    files = Hashtbl.create size;
     phantoms = Hashtbl.create 4;
-    digests = Hashtbl.create 64;
-    dig_lock = Mutex.create () }
+    digests = Hashtbl.create size;
+    view = None;
+    bytes = None;
+    digest = None;
+    lock = Mutex.create () }
 
-let overlay base =
-  { parent = Some base;
-    files = Hashtbl.create 8;
-    phantoms = Hashtbl.create 2;
-    digests = Hashtbl.create 8;
-    dig_lock = Mutex.create () }
+let create () = make None ~size:64
+
+let overlay base = make (Some base) ~size:8
 
 let is_overlay t = t.parent <> None
 
+(* A mutation of [t] (of [path], if any): drop what it invalidates. *)
+let invalidate t path =
+  Mutex.protect t.lock (fun () ->
+      Option.iter (Hashtbl.remove t.digests) path;
+      t.view <- None;
+      t.bytes <- None;
+      t.digest <- None)
+
 let add_file t path content =
   Hashtbl.replace t.files path (Source content);
-  Mutex.lock t.dig_lock;
-  Hashtbl.remove t.digests path;
-  Mutex.unlock t.dig_lock
+  invalidate t (Some path)
 
-let add_phantom t path ~bytes = Hashtbl.replace t.phantoms path bytes
+let add_phantom t path ~bytes =
+  Hashtbl.replace t.phantoms path bytes;
+  invalidate t None
 
 let remove_file t path =
   (match t.parent with
    | None -> Hashtbl.remove t.files path
    | Some _ -> Hashtbl.replace t.files path Tombstone);
-  Mutex.lock t.dig_lock;
-  Hashtbl.remove t.digests path;
-  Mutex.unlock t.dig_lock
+  invalidate t (Some path)
 
 let rec read t path =
   match Hashtbl.find_opt t.files path with
@@ -89,114 +110,179 @@ let read_exn t path =
 
 let exists t path = read t path <> None
 
-(* Effective (merged) views. Layers are applied root-first so that nearer
-   deltas shadow: a Source replaces, a Tombstone deletes. *)
-let layers t =
-  let rec go acc t =
-    let acc = t :: acc in
-    match t.parent with None -> acc | Some p -> go acc p
-  in
-  go [] t
-
-let effective_files t : (string, string) Hashtbl.t =
-  let tbl = Hashtbl.create 64 in
-  List.iter
-    (fun layer ->
-       Hashtbl.iter
-         (fun p e ->
-            match e with
-            | Source c -> Hashtbl.replace tbl p c
-            | Tombstone -> Hashtbl.remove tbl p)
-         layer.files)
-    (layers t);
-  tbl
-
-let effective_phantoms t : (string, int) Hashtbl.t =
-  let tbl = Hashtbl.create 8 in
-  List.iter
-    (fun layer -> Hashtbl.iter (Hashtbl.replace tbl) layer.phantoms)
-    (layers t);
-  tbl
-
-(* A deep copy sharing no mutable state: overlay chains are flattened into a
-   fresh root image. *)
-let copy t =
-  let t' = create () in
-  Hashtbl.iter (fun p c -> Hashtbl.replace t'.files p (Source c))
-    (effective_files t);
-  Hashtbl.iter (fun p b -> Hashtbl.replace t'.phantoms p b)
-    (effective_phantoms t);
-  t'
-
-let paths t =
-  Hashtbl.fold (fun p _ acc -> p :: acc) (effective_files t) []
-  |> List.sort compare
-
-let file_count t = Hashtbl.length (effective_files t)
-
-(* Total image size in bytes: source plus a per-file packaging overhead
-   standing in for bytecode caches and package metadata. *)
-let image_bytes t =
-  Hashtbl.fold (fun _ c acc -> acc + String.length c + 512)
-    (effective_files t) 0
-  + Hashtbl.fold (fun _ b acc -> acc + b) (effective_phantoms t) 0
-
-let image_mb t = float_of_int (image_bytes t) /. (1024.0 *. 1024.0)
-
-(* Paths under a directory prefix, e.g. files_under t "site-packages/torch". *)
-let files_under t prefix =
-  let prefix = if String.length prefix > 0 then prefix ^ "/" else prefix in
-  List.filter (fun p -> String.length p >= String.length prefix
-                        && String.sub p 0 (String.length prefix) = prefix)
-    (paths t)
-
 (* --- content addressing -------------------------------------------------- *)
 
 let rec file_digest t path =
   match Hashtbl.find_opt t.files path with
   | Some (Source c) ->
-    let memo =
-      Mutex.lock t.dig_lock;
-      let d = Hashtbl.find_opt t.digests path in
-      Mutex.unlock t.dig_lock;
-      d
-    in
-    (match memo with
+    (match Mutex.protect t.lock (fun () -> Hashtbl.find_opt t.digests path) with
      | Some d -> Some d
      | None ->
        (* hash outside the lock; a racing duplicate computes the same value *)
        let d = Digest.to_hex (Digest.string c) in
-       Mutex.lock t.dig_lock;
-       Hashtbl.replace t.digests path d;
-       Mutex.unlock t.dig_lock;
+       Mutex.protect t.lock (fun () -> Hashtbl.replace t.digests path d);
        Some d)
   | Some Tombstone -> None
   | None ->
     (match t.parent with Some p -> file_digest p path | None -> None)
 
-let image_digest t =
-  let files = effective_files t in
-  let file_paths =
-    Hashtbl.fold (fun p _ acc -> p :: acc) files [] |> List.sort compare
+(* A whole-image memo of [t]: [compute]d outside the lock on first use (a
+   racing duplicate computes the same value) and published under it. *)
+let memoized t get set compute =
+  match Mutex.protect t.lock (fun () -> get t) with
+  | Some v -> v
+  | None ->
+    let v = compute t in
+    Mutex.protect t.lock (fun () -> set t (Some v));
+    v
+
+let empty_view = { v_paths = [||]; v_digests = [||]; v_phantoms = [] }
+
+(* The parent's view merged with this layer's delta: a Source replaces or
+   adds its path, a Tombstone drops it. One pass over the parent's sorted
+   arrays, so an overlay costs O(image paths) however deep its chain. *)
+let rec view t =
+  memoized t (fun t -> t.view) (fun t v -> t.view <- v) @@ fun t ->
+  let base = match t.parent with Some p -> view p | None -> empty_view in
+  let delta =
+    Hashtbl.fold (fun p e acc -> (p, e) :: acc) t.files []
+    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
   in
-  let b = Buffer.create 1024 in
+  let n = Array.length base.v_paths in
+  let size = n + List.length delta in
+  let paths = Array.make size "" and digests = Array.make size "" in
+  let i = ref 0 and k = ref 0 in
+  let push p d =
+    paths.(!k) <- p;
+    digests.(!k) <- d;
+    incr k
+  in
+  (* copy the parent's entries sorting before [p] (all when [None]) *)
+  let copy_below p =
+    while
+      !i < n
+      && (match p with
+          | Some p -> String.compare base.v_paths.(!i) p < 0
+          | None -> true)
+    do
+      push base.v_paths.(!i) base.v_digests.(!i);
+      incr i
+    done
+  in
   List.iter
-    (fun p ->
-       Buffer.add_string b p;
-       Buffer.add_char b '\x00';
-       (match file_digest t p with
-        | Some d -> Buffer.add_string b d
-        | None -> assert false (* p came from the effective view *));
-       Buffer.add_char b '\x01')
-    file_paths;
-  let phantom_entries =
-    Hashtbl.fold (fun p bytes acc -> (p, bytes) :: acc) (effective_phantoms t) []
+    (fun (p, e) ->
+       copy_below (Some p);
+       if !i < n && String.equal base.v_paths.(!i) p then incr i;
+       match e with
+       | Source _ -> push p (Option.get (file_digest t p))
+       | Tombstone -> ())
+    delta;
+  copy_below None;
+  let own =
+    Hashtbl.fold (fun p b acc -> (p, b) :: acc) t.phantoms []
     |> List.sort compare
   in
+  { v_paths = Array.sub paths 0 !k;
+    v_digests = Array.sub digests 0 !k;
+    v_phantoms =
+      (if own = [] then base.v_phantoms
+       else
+         List.merge compare own
+           (List.filter
+              (fun (p, _) -> not (Hashtbl.mem t.phantoms p))
+              base.v_phantoms)) }
+
+(* Content address of the effective image: every (path, file digest) pair
+   in path order, then every phantom entry. *)
+let image_digest t =
+  memoized t (fun t -> t.digest) (fun t d -> t.digest <- d) @@ fun t ->
+  let v = view t in
+  let b = Buffer.create 1024 in
+  Array.iteri
+    (fun i p ->
+       Buffer.add_string b p;
+       Buffer.add_char b '\x00';
+       Buffer.add_string b v.v_digests.(i);
+       Buffer.add_char b '\x01')
+    v.v_paths;
   List.iter
     (fun (p, bytes) ->
        Buffer.add_char b '\x02';
        Buffer.add_string b p;
        Buffer.add_string b (string_of_int bytes))
-    phantom_entries;
+    v.v_phantoms;
   Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* --- effective views ------------------------------------------------------ *)
+
+(* A deep copy sharing no mutable state: overlay chains are flattened into a
+   fresh root image, which starts with the file digests already known. *)
+let copy t =
+  let v = view t in
+  let t' = create () in
+  Array.iteri
+    (fun i p ->
+       Hashtbl.replace t'.files p (Source (read_exn t p));
+       Hashtbl.replace t'.digests p v.v_digests.(i))
+    v.v_paths;
+  List.iter (fun (p, b) -> Hashtbl.replace t'.phantoms p b) v.v_phantoms;
+  t'
+
+let paths t = Array.to_list (view t).v_paths
+
+let file_count t = Array.length (view t).v_paths
+
+let rec phantom_bytes t path =
+  match Hashtbl.find_opt t.phantoms path with
+  | Some b -> Some b
+  | None -> Option.bind t.parent (fun p -> phantom_bytes p path)
+
+(* One source file's share of the image: its bytes plus a per-file
+   packaging overhead standing in for bytecode caches and package
+   metadata. *)
+let file_bytes c = String.length c + 512
+
+(* Total image size in bytes: the parent's total, less what this layer's
+   delta shadows, plus what it adds. *)
+let rec image_bytes t =
+  memoized t (fun t -> t.bytes) (fun t b -> t.bytes <- b) @@ fun t ->
+  let base, shadowed_file, shadowed_phantom =
+    match t.parent with
+    | None -> (0, (fun _ -> 0), fun _ -> 0)
+    | Some p ->
+      ( image_bytes p,
+        (fun path -> Option.fold ~none:0 ~some:file_bytes (read p path)),
+        fun path -> Option.value ~default:0 (phantom_bytes p path) )
+  in
+  let with_files =
+    Hashtbl.fold
+      (fun path e acc ->
+         acc - shadowed_file path
+         + match e with Source c -> file_bytes c | Tombstone -> 0)
+      t.files base
+  in
+  Hashtbl.fold
+    (fun path b acc -> acc - shadowed_phantom path + b)
+    t.phantoms with_files
+
+let image_mb t = float_of_int (image_bytes t) /. (1024.0 *. 1024.0)
+
+(* Paths under a directory prefix, e.g. files_under t "site-packages/torch":
+   a contiguous run of the sorted view, starting at the first path not
+   below the prefix. *)
+let files_under t prefix =
+  let prefix = if String.length prefix > 0 then prefix ^ "/" else prefix in
+  let v = (view t).v_paths in
+  let n = Array.length v in
+  let rec first lo hi =
+    if lo >= hi then lo
+    else
+      let mid = (lo + hi) / 2 in
+      if String.compare v.(mid) prefix < 0 then first (mid + 1) hi
+      else first lo mid
+  in
+  let rec take i =
+    if i < n && String.starts_with ~prefix v.(i) then v.(i) :: take (i + 1)
+    else []
+  in
+  take (first 0 n)

@@ -22,8 +22,10 @@ val create : unit -> t
 
     Domain safety: a frozen base (no further mutation — the invariant above)
     may be read, overlaid, and digested from many domains at once; the
-    lazily-written digest memo is mutex-guarded per layer. A single overlay
-    is still single-writer: only the domain that built it may mutate it. *)
+    lazily-written memos (file digests, and the sorted path view, size and
+    digest of the whole image) are mutex-guarded per layer. A single overlay
+    is still single-writer: only the domain that built it may mutate it, and
+    every mutation drops that layer's whole-image memos. *)
 val overlay : t -> t
 
 val is_overlay : t -> bool
@@ -47,7 +49,10 @@ val exists : t -> string -> bool
 (** A deep copy sharing no mutable state; overlay chains are flattened. *)
 val copy : t -> t
 
-(** Source paths, sorted (phantoms excluded). *)
+(** Source paths, sorted (phantoms excluded). This, {!file_count},
+    {!files_under}, {!image_bytes} and {!image_digest} read a per-layer
+    memo derived from the parent's, so repeated calls and overlays of one
+    base do not re-walk the chain. *)
 val paths : t -> string list
 
 val file_count : t -> int

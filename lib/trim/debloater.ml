@@ -5,8 +5,8 @@
      2. back up its __init__ file so every DD iteration starts clean;
      3. candidates = attributes − PyCG-protected − magic;
      4. run Algorithm 1: each query rewrites the file on a copy-on-write
-        overlay of the deployment and re-runs the oracle test cases in a
-        fresh interpreter.
+        overlay of the deployment and runs the oracle test cases, each in a
+        fresh interpreter, until the first mismatch.
 
    The output is a deployment whose image contains the 1-minimal module.
 
@@ -209,7 +209,10 @@ let search ?on_step ?journal ?seed ~seeded ~oracle_cache ~module_name query
    its test cases read. Most top-K attributes are dead, and a passing
    profile seed skips the queries that would prove them dead one partition
    at a time. Profiling [d] rather than the input app matters: earlier
-   trims delete code that read later modules' names. *)
+   trims delete code that read later modules' names. [d] is the previous
+   search's last passing candidate (or the reference), so the profile is
+   usually read off the oracle runs that passed it ([Oracle.module_reads]
+   answers from the reads the oracle kept). *)
 let debloat_attrs ?on_step ?journal ?seed ~oracle_cache ~oracle d
     ~module_name s =
   let dd_seed =

@@ -1,7 +1,8 @@
 (** The DD-based debloater (§5.3, §6.3): for each top-K module, enumerate its
     attributes, exclude PyCG-protected and magic ones, and run Algorithm 1 —
     every query rewrites the module on a copy-on-write overlay of the
-    deployment and re-runs the oracle test cases in a fresh interpreter.
+    deployment and runs the oracle test cases, each in a fresh interpreter,
+    until the first one that does not reproduce the reference.
 
     Each [?oracle_cache] below names the observation memo the [oracle]
     closure consults (default {!Oracle.Cache.global}); it is sampled around
@@ -49,14 +50,17 @@ val with_restricted :
     with the input deployment. Builtin (non-file-backed) modules are a
     no-op. [on_step] fires for every issued query, in order.
 
-    The search is seeded with a profile: [d]'s test cases run once in
-    fresh interpreters with the read recorder on ({!Oracle.module_reads}),
-    and the candidates they read form the seed.
+    The search is seeded with a profile: the candidates [d]'s test cases
+    read ({!Oracle.module_reads}). When [d] is the image of the last
+    passing query of the [oracle] (built by {!Oracle.for_reference} on
+    [oracle_cache]) on this domain — the previous module's result, or the
+    reference itself — the profile is read off those runs and costs no
+    execution; otherwise a warm memo answers it, or the test cases run once
+    more with the read recorder on.
     A passing profile seed costs one query and the search stays inside it;
     a failing one costs one query and the full search runs. Either way the
     result is 1-minimal. Profile seeds never set [seed_hit]. A module with
-    no candidates is not profiled. Profiles go through [oracle_cache]
-    ({!Oracle.module_reads}), so a warm memo answers them too.
+    no candidates is not profiled.
 
     With [?journal], the search records every verdict in
     [<journal_dir>/<module>.journal] and — when the spec says resume — a

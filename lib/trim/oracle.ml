@@ -20,6 +20,9 @@ type observation = {
   per_test : (string * string) list;  (* test-case name -> canonical output *)
 }
 
+(* Every attribute one run read, by module: module name -> attribute set. *)
+type reads = (string, (string, unit) Hashtbl.t) Hashtbl.t
+
 (* --- observation memo ----------------------------------------------------- *)
 
 module Cache = struct
@@ -40,10 +43,14 @@ module Cache = struct
     c_store_hits : Obs.Metrics.counter;
     mutable enabled : bool;
     mutable backing : Memo_store.t option;
+    kept : (int, (string * reads) list) Hashtbl.t;
+        (* domain -> the per-test reads of that domain's last passing fresh
+           query, by observation key (see [keep]) *)
   }
 
   let make ~registry ~prefix ~enabled =
     { store = Hashtbl.create 1024;
+      kept = Hashtbl.create 4;
       lock = Mutex.create ();
       c_hits = Obs.Metrics.counter registry (prefix ^ ".hits");
       c_misses = Obs.Metrics.counter registry (prefix ^ ".misses");
@@ -97,6 +104,7 @@ module Cache = struct
   let clear t =
     locked t (fun () ->
         Hashtbl.reset t.store;
+        Hashtbl.reset t.kept;
         List.iter
           (fun c -> Obs.Metrics.incr ~by:(-Obs.Metrics.value c) c)
           [ t.c_hits; t.c_misses; t.c_store_hits ])
@@ -132,6 +140,21 @@ module Cache = struct
         match t.backing with
         | Some ms -> Memo_store.add ms ~key out
         | None -> ())
+
+  (* The reads a run's fresh test cases recorded, kept for the profile of
+     the next module. A run lives on one domain, and DD's result is its
+     last passing configuration, so one slot per domain is enough: [keep]
+     replaces it, [reset] (a run's start) empties it. *)
+  let domain () = (Domain.self () :> int)
+
+  let keep t reads =
+    locked t (fun () -> Hashtbl.replace t.kept (domain ()) reads)
+
+  let reset t = locked t (fun () -> Hashtbl.remove t.kept (domain ()))
+
+  let kept t key =
+    locked t (fun () ->
+        Option.bind (Hashtbl.find_opt t.kept (domain ())) (List.assoc_opt key))
 end
 
 let canonical_of_record (r : Platform.Lambda_sim.record) =
@@ -166,6 +189,39 @@ let run_test_case ?params ?on_read (d : Platform.Deployment.t)
     Printf.sprintf "INITERR:%s" e.Minipy.Value.exc_class
   | exception Minipy.Interp.Timeout _ -> "CRASH:timeout"
   | exception Stack_overflow -> "CRASH:stack-overflow"
+
+(* [run_test_case] with every module's reads recorded. The recorder moves
+   no tick, step or heap byte, so the output is an unrecorded run's.
+   Consecutive reads mostly hit one module, whose table is found again by
+   its (physically shared) name. *)
+let run_recording ?params d tc : string * reads =
+  let reads = Hashtbl.create 8 in
+  let last_module = ref "" and last = ref (Hashtbl.create 0) in
+  let on_read m a =
+    if m != !last_module then begin
+      last_module := m;
+      last :=
+        (match Hashtbl.find_opt reads m with
+         | Some attrs -> attrs
+         | None ->
+           let attrs = Hashtbl.create 16 in
+           Hashtbl.add reads m attrs;
+           attrs)
+    end;
+    Hashtbl.replace !last a ()
+  in
+  let out = run_test_case ?params ~on_read d tc in
+  (out, reads)
+
+(* One module's read profile of a run: its attributes, sorted, space-joined
+   (the memoized form). *)
+let profile_of (reads : reads) ~module_name =
+  match Hashtbl.find_opt reads module_name with
+  | None -> ""
+  | Some attrs ->
+    Hashtbl.fold (fun a () acc -> a :: acc) attrs []
+    |> List.sort String.compare
+    |> String.concat " "
 
 (* The optimizer variant / stub configuration's part of every key that
    must separate a lazy image from its eager twin (memo, journal run and
@@ -204,8 +260,10 @@ let test_key ?params ~image_digest (d : Platform.Deployment.t)
   Digest.to_hex (Digest.string (String.concat "\x00" parts))
 
 (* [run] each test case of [d], answering from [cache] under [key] when it
-   is enabled and storing fresh answers. *)
-let memo_per_test cache (d : Platform.Deployment.t) ~key ~run =
+   is enabled and storing fresh answers. An answer [known] before the memo
+   is looked up is stored too, but counts as neither a hit nor a miss. *)
+let memo_per_test ?(known = fun ~image_digest:_ _ -> None) cache
+    (d : Platform.Deployment.t) ~key ~run =
   let tests = d.Platform.Deployment.test_cases in
   if not (Cache.enabled cache) then List.map run tests
   else begin
@@ -213,12 +271,17 @@ let memo_per_test cache (d : Platform.Deployment.t) ~key ~run =
     List.map
       (fun tc ->
          let key = key ~image_digest tc in
-         match Cache.find cache key with
-         | Some out -> out
-         | None ->
-           let out = run tc in
+         match known ~image_digest tc with
+         | Some out ->
            Cache.store cache key out;
-           out)
+           out
+         | None ->
+           (match Cache.find cache key with
+            | Some out -> out
+            | None ->
+              let out = run tc in
+              Cache.store cache key out;
+              out))
       tests
   end
 
@@ -242,10 +305,13 @@ let equivalent (a : observation) (b : observation) =
        (fun (n1, o1) (n2, o2) -> String.equal n1 n2 && String.equal o1 o2)
        a.per_test b.per_test
 
-(* The attributes of [module_name] that [d]'s test cases read, recorded
-   in fresh interpreters. A profile is as deterministic as an observation,
-   so it is memoized per (observation key, module) under a tag of its own;
-   a memo hit returns exactly what a fresh run would record. *)
+(* The attributes of [module_name] that [d]'s test cases read. A profile
+   is as deterministic as an observation, so it is memoized per
+   (observation key, module) under a tag of its own; a memo hit returns
+   exactly what a fresh run would record. Before the memo come the reads
+   kept from this domain's last passing fresh query ([Cache.keep]): when
+   [d] is that query's image, as the base of the module after a DD search
+   is, they are this very run's reads. *)
 let module_reads ?(cache = Cache.global) (d : Platform.Deployment.t)
     ~module_name =
   let key ~image_digest tc =
@@ -254,25 +320,74 @@ let module_reads ?(cache = Cache.global) (d : Platform.Deployment.t)
          (String.concat "\x00"
             [ "reads"; module_name; test_key ~image_digest d tc ]))
   in
-  let run tc =
-    let reads = ref [] in
-    let on_read m a =
-      if String.equal m module_name then reads := a :: !reads
-    in
-    ignore (run_test_case ~on_read d tc);
-    String.concat " " (List.sort_uniq String.compare !reads)
+  let known ~image_digest tc =
+    Cache.kept cache (test_key ~image_digest d tc)
+    |> Option.map (profile_of ~module_name)
   in
-  memo_per_test cache d ~key ~run
+  let run tc = profile_of (snd (run_recording d tc)) ~module_name in
+  memo_per_test ~known cache d ~key ~run
   |> List.concat_map (String.split_on_char ' ')
   |> List.filter (( <> ) "")
   |> List.sort_uniq String.compare
 
+(* [d]'s per-test outputs through [cache]: a memo answer, or a fresh run
+   that records every module's reads and stores its output. [fresh ()] is
+   what the fresh runs so far read, by observation key. *)
+let recording_outputs ~cache ?params (d : Platform.Deployment.t) =
+  if not (Cache.enabled cache) then
+    ((fun tc -> run_test_case ?params d tc), fun () -> [])
+  else begin
+    let image_digest = Platform.Deployment.image_digest d in
+    let fresh = ref [] in
+    ( (fun tc ->
+          let key = test_key ?params ~image_digest d tc in
+          match Cache.find cache key with
+          | Some out -> out
+          | None ->
+            let out, reads = run_recording ?params d tc in
+            Cache.store cache key out;
+            fresh := (key, reads) :: !fresh;
+            out),
+      fun () -> !fresh )
+  end
+
+(* Keep the reads of a passing run for [module_reads], if it ran fresh. *)
+let keep_reads cache fresh =
+  match fresh () with [] -> () | reads -> Cache.keep cache reads
+
 (* Build the oracle predicate for DD: candidate deployments pass iff they
    reproduce the reference observation. The reference runs once (or is
-   answered by the memo when an identical image was already observed). *)
+   answered by the memo when an identical image was already observed),
+   and starts the run's kept reads afresh. A candidate's test cases run in
+   order and the first mismatch decides: the verdict is
+   [equivalent (observe candidate) expected], but a failing query runs and
+   stores only the test cases up to its mismatch. *)
 let for_reference ?(cache = Cache.global) ?params
     (reference : Platform.Deployment.t) :
   (Platform.Deployment.t -> bool) * observation =
-  let expected = observe ~cache ?params reference in
-  ( (fun candidate -> equivalent (observe ~cache ?params candidate) expected),
-    expected )
+  Cache.reset cache;
+  let output, fresh = recording_outputs ~cache ?params reference in
+  let expected =
+    { per_test =
+        List.map
+          (fun (tc : Platform.Deployment.test_case) ->
+             (tc.Platform.Deployment.tc_name, output tc))
+          reference.Platform.Deployment.test_cases }
+  in
+  keep_reads cache fresh;
+  let passes (candidate : Platform.Deployment.t) =
+    let tests = candidate.Platform.Deployment.test_cases in
+    List.compare_lengths tests expected.per_test = 0
+    &&
+    let output, fresh = recording_outputs ~cache ?params candidate in
+    let pass =
+      List.for_all2
+        (fun (tc : Platform.Deployment.test_case) (name, want) ->
+           String.equal tc.Platform.Deployment.tc_name name
+           && String.equal (output tc) want)
+        tests expected.per_test
+    in
+    if pass then keep_reads cache fresh;
+    pass
+  in
+  (passes, expected)

@@ -59,9 +59,9 @@ module Cache : sig
 
   val backing : t -> Memo_store.t option
 
-  (** Drop all in-memory entries and reset the hit/miss/store-hit
-      counters. The attached persistent store (if any) keeps its
-      contents. *)
+  (** Drop all in-memory entries (kept reads included) and reset the
+      hit/miss/store-hit counters. The attached persistent store (if any)
+      keeps its contents. *)
   val clear : t -> unit
 end
 
@@ -88,18 +88,28 @@ val observe :
 val equivalent : observation -> observation -> bool
 
 (** [module_reads d ~module_name] returns the attributes of [module_name]
-    that [d]'s test cases read, sorted and deduplicated: each test case
-    runs in a fresh interpreter with the read recorder on
+    that [d]'s test cases read, sorted and deduplicated. Per test case the
+    answer comes from, in order: the reads kept from the calling domain's
+    last passing fresh query of a {!for_reference} predicate on [cache]
+    (when [d] is that query's image, as the base of the module after a DD
+    search is); the memo; a fresh interpreter with the read recorder on
     ({!Minipy.Interp.create}). Profiles are memoized in [cache] (default
     {!Cache.global}) per test case and module, under keys of their own
-    that never collide with an observation; a hit returns what a fresh
-    run would record, so the answer does not depend on cache state. A
-    disabled cache always re-runs. *)
+    that never collide with an observation, and a kept-reads answer is
+    stored there too but counts as neither a hit nor a miss. Every source
+    returns what a fresh run would record, so the answer does not depend
+    on cache state. A disabled cache always re-runs. *)
 val module_reads :
   ?cache:Cache.t -> Platform.Deployment.t -> module_name:string -> string list
 
 (** [for_reference d] runs [d] once and returns the DD oracle (candidates
-    pass iff they reproduce the reference observation) plus the reference. *)
+    pass iff they reproduce the reference observation) plus the reference.
+    The predicate's verdict is [equivalent (observe candidate) expected],
+    but it runs the candidate's test cases in order and stops at the first
+    mismatch, so a failing query runs and memoizes only the test cases up
+    to it. Fresh runs record every module's reads: the reference's, and
+    each passing query's, replace the domain's kept reads for
+    {!module_reads}; the call itself starts them afresh. *)
 val for_reference :
   ?cache:Cache.t ->
   ?params:Platform.Lambda_sim.params ->

@@ -547,3 +547,190 @@ let suite =
   suite
   @ [ ("properties.pipeline_fuzz",
        to_alcotest [ pipeline_fuzz; pipeline_fuzz_keeps_used ]) ]
+
+(* --- per-layer vfs memos against the chain-walking reference -------------- *)
+
+(* One edit of a layer chain: a rewrite, a removal (a tombstone on an
+   overlay), a phantom, a comparison of every whole-image answer (which
+   takes the digest the next edits must invalidate), or a new overlay on
+   top. Paths come from a small pool with shared and near-miss prefixes. *)
+type vfs_op =
+  | Write of int * int
+  | Remove of int
+  | Phantom of int * int
+  | Check
+  | Overlay
+
+let vfs_pool =
+  [| "handler.py"; "lib/__init__.py"; "lib/a.py"; "lib/sub/b.py";
+     "lib2/c.py"; "libx.py"; "lib/sub/deep/d.py" |]
+
+let vfs_prefixes = [ ""; "lib"; "lib/sub"; "lib2"; "libx"; "nosuch" ]
+
+let gen_vfs_op =
+  let path = Gen.int_bound (Array.length vfs_pool - 1) in
+  Gen.frequency
+    [ (5, Gen.map2 (fun p c -> Write (p, c)) path (Gen.int_bound 5));
+      (2, Gen.map (fun p -> Remove p) path);
+      (1, Gen.map2 (fun p b -> Phantom (p, b)) path (Gen.int_bound 4096));
+      (3, Gen.return Check);
+      (2, Gen.return Overlay) ]
+
+let vfs_answers_match v r =
+  Vfs.image_digest v = Vfs_ref.image_digest r
+  && Vfs.image_bytes v = Vfs_ref.image_bytes r
+  && Vfs.paths v = Vfs_ref.paths r
+  && Vfs.file_count v = Vfs_ref.file_count r
+  && List.for_all
+       (fun p -> Vfs.files_under v p = Vfs_ref.files_under r p)
+       vfs_prefixes
+  && Vfs.image_digest (Vfs.copy v) = Vfs_ref.image_digest r
+
+let vfs_layer_memos =
+  QCheck2.Test.make ~count:300
+    ~name:"per-layer image digest, size and listings equal the chain walk"
+    (Gen.list_size (Gen.int_range 1 40) gen_vfs_op)
+    (fun ops ->
+       let v = ref (Vfs.create ()) and r = ref (Vfs_ref.create ()) in
+       (* every frozen layer below the top, to re-check at the end *)
+       let below = ref [] in
+       let ok =
+         List.for_all
+           (fun op ->
+              match op with
+              | Write (p, c) ->
+                let content = Printf.sprintf "x = %d\n" c in
+                Vfs.add_file !v vfs_pool.(p) content;
+                Vfs_ref.add_file !r vfs_pool.(p) content;
+                true
+              | Remove p ->
+                Vfs.remove_file !v vfs_pool.(p);
+                Vfs_ref.remove_file !r vfs_pool.(p);
+                true
+              | Phantom (p, bytes) ->
+                Vfs.add_phantom !v (vfs_pool.(p) ^ ".so") ~bytes;
+                Vfs_ref.add_phantom !r (vfs_pool.(p) ^ ".so") ~bytes;
+                true
+              | Check -> vfs_answers_match !v !r
+              | Overlay ->
+                below := (!v, !r) :: !below;
+                v := Vfs.overlay !v;
+                r := Vfs_ref.overlay !r;
+                true)
+           ops
+       in
+       ok
+       && List.for_all (fun (v, r) -> vfs_answers_match v r)
+            ((!v, !r) :: !below))
+
+(* --- early exit and kept reads on generated libraries --------------------- *)
+
+(* A fuzz deployment with 1-3 test cases, and a random subset of its
+   library's attributes kept: DD's candidate shape. *)
+let gen_oracle_case =
+  Gen.triple gen_fuzz_case
+    (Gen.list_size (Gen.int_range 1 3) (Gen.int_range 0 40))
+    (Gen.pair (Gen.oneofl [ 0.2; 0.5; 0.8; 1.0 ])
+       (Gen.array_size (Gen.return 64) (Gen.float_bound_exclusive 1.0)))
+
+let oracle_case (c, xs, (p, coins)) =
+  let d = fuzz_deployment c in
+  let d =
+    { d with
+      Platform.Deployment.test_cases =
+        List.mapi
+          (fun i x ->
+             Platform.Deployment.test_case ~name:(Printf.sprintf "t%d" i)
+               (Printf.sprintf "{\"x\": %d}" x))
+          xs }
+  in
+  let file =
+    Option.get (Importer.init_file_of d.Platform.Deployment.vfs "fuzzlib")
+  in
+  let attrs =
+    Trim.Attrs.attrs_of_program
+      (Parse_cache.parse_vfs d.Platform.Deployment.vfs file)
+  in
+  let keep = List.filteri (fun j _ -> coins.(j mod 64) < p) attrs in
+  (d, Trim.Debloater.with_restricted d ~file ~keep)
+
+let lookups c = Trim.Oracle.Cache.hits c + Trim.Oracle.Cache.misses c
+
+let early_exit_verdict =
+  QCheck2.Test.make ~count:40
+    ~name:"early-exit verdict = equivalent (observe candidate) expected"
+    gen_oracle_case
+    (fun case ->
+       let d, candidate = oracle_case case in
+       let c = Trim.Oracle.Cache.create () in
+       let oracle, expected = Trim.Oracle.for_reference ~cache:c d in
+       let full =
+         Trim.Oracle.observe
+           ~cache:(Trim.Oracle.Cache.create ~enabled:false ())
+           candidate
+       in
+       let l0 = lookups c in
+       let verdict = oracle candidate in
+       (* the query stops at its first mismatch: its lookups are the test
+          cases up to and including it *)
+       let rec upto_mismatch n = function
+         | (_, o) :: rest, (_, o') :: rest' ->
+           if String.equal o o' then upto_mismatch (n + 1) (rest, rest')
+           else n + 1
+         | _ -> n
+       in
+       let off = Trim.Oracle.Cache.create ~enabled:false () in
+       let oracle_off, _ = Trim.Oracle.for_reference ~cache:off d in
+       verdict = Trim.Oracle.equivalent full expected
+       && lookups c - l0 = upto_mismatch 0 (full.per_test, expected.per_test)
+       && oracle_off candidate = verdict
+       && lookups off = 0)
+
+let module_names = [ "fuzzlib"; "fuzzlib._core"; "fuzzlib._api"; "nosuch" ]
+
+let kept_reads_profile =
+  QCheck2.Test.make ~count:40
+    ~name:"a profile from kept reads equals a fresh one on a private memo"
+    gen_oracle_case
+    (fun case ->
+       let d, candidate = oracle_case case in
+       let c = Trim.Oracle.Cache.create () in
+       let oracle, _ = Trim.Oracle.for_reference ~cache:c d in
+       (* the image whose reads this run kept last: the candidate when it
+          passed, else the reference *)
+       let last = if oracle candidate then candidate else d in
+       let fresh =
+         List.map
+           (fun module_name ->
+              Trim.Oracle.module_reads ~cache:(Trim.Oracle.Cache.create ())
+                last ~module_name)
+           module_names
+       in
+       let counts () =
+         (Trim.Oracle.Cache.hits c, Trim.Oracle.Cache.misses c)
+       in
+       let reads () =
+         List.map
+           (fun module_name ->
+              Trim.Oracle.module_reads ~cache:c last ~module_name)
+           module_names
+       in
+       (* answered from the kept reads: neither a hit nor a miss *)
+       let before = counts () in
+       let kept = reads () in
+       let uncounted = counts () = before in
+       (* a new run starts with nothing kept (its reference is a memo hit),
+          so the same profiles now come from the memo: all hits *)
+       ignore (Trim.Oracle.for_reference ~cache:c d);
+       let h0, m0 = counts () in
+       let memo = reads () in
+       let h1, m1 = counts () in
+       kept = fresh && uncounted && memo = fresh && m1 = m0
+       && h1 - h0
+          = List.length module_names
+            * List.length last.Platform.Deployment.test_cases)
+
+let suite =
+  suite
+  @ [ ("properties.vfs", to_alcotest [ vfs_layer_memos ]);
+      ("properties.oracle", to_alcotest [ early_exit_verdict; kept_reads_profile ]) ]
