@@ -5,10 +5,10 @@
 
    [Stream] is the one aggregation: it classifies outcomes, prices billed
    durations with Eq. 1, and derives every ratio of the summary.
-   [summarize] (record mode) is that fold over the records a
-   [Router.result] holds, with p50/p95/p99 then read exactly off one sort
-   of the served latencies by [Platform.Metrics], which is total on the
-   empty array, so a run where everything was rejected still
+   [summarize] (record mode) runs that classification and pricing over
+   the rows a [Router.result] holds, with p50/p95/p99 read exactly off one
+   sort of the served latencies by [Platform.Metrics], which is total on
+   the empty array, so a run where everything was rejected still
    summarizes. *)
 
 type summary = {
@@ -43,7 +43,7 @@ type summary = {
 }
 
 (* Served requests (primary, §7 fallback, or breaker-shed) are the latency
-   population, both for the stream's sketches and record mode's exact
+   population, both for the stream's sketch and record mode's exact
    percentiles. *)
 let served (r : Router.record) =
   match r.Router.outcome with
@@ -123,7 +123,10 @@ module Stream = struct
     | Router.Cold -> t.fb_cold <- t.fb_cold + 1
     | Router.Warm -> ()
 
-  let observe t (r : Router.record) =
+  (* Classify, count and price [r], and with [sketch] add its latency to
+     the stream's sketch. True when [r] was [served]. Both callers pass a
+     constant [sketch], so each inlined copy keeps one branch. *)
+  let[@inline] fold t (r : Router.record) ~sketch =
     let fl = t.fl in
     t.requests <- t.requests + 1;
     t.attempts <- t.attempts + r.Router.attempts;
@@ -143,8 +146,9 @@ module Stream = struct
      | Router.Rejected -> t.rejected <- t.rejected + 1
      | Router.Timed_out -> t.timed_out <- t.timed_out + 1
      | Router.Failed _ -> t.failed <- t.failed + 1);
-    if served r then begin
-      Sketch.add t.lat (r.Router.e2e_s *. 1000.0);
+    let served = served r in
+    if served then begin
+      if sketch then Sketch.add t.lat (r.Router.e2e_s *. 1000.0);
       fl.wait_sum <- fl.wait_sum +. Float.max 0.0 (r.Router.wait_s *. 1000.0);
       if r.Router.finish_s > fl.last_finish then
         fl.last_finish <- r.Router.finish_s
@@ -158,7 +162,10 @@ module Stream = struct
       fl.cost <-
         fl.cost
         +. Platform.Pricing.invocation_cost t.pricing
-             ~duration_ms:r.Router.fb_billed_ms ~memory_mb:t.fb_memory_mb
+             ~duration_ms:r.Router.fb_billed_ms ~memory_mb:t.fb_memory_mb;
+    served
+
+  let observe t r = ignore (fold t r ~sketch:true : bool)
 
   let absorb_totals t (tot : Router.totals) =
     t.peak <- t.peak + tot.Router.peak;
@@ -244,12 +251,29 @@ module Stream = struct
            /. float_of_int t.requests) }
 end
 
-(* Record mode: the stream fold over the kept records, in arrival order,
-   with the engine totals the result carries. The records are still in
-   hand, so the percentiles are exact rather than sketched. *)
+(* Record mode: the stream's [fold] over the run's rows, in arrival
+   order, with the engine totals the result carries. Every served latency
+   is still in hand, so the percentiles are exact: one sort of them, read
+   at three ranks. No sketch is filled; [mean_ms] and [max_ms] are the
+   clamped running sum and max the stream's sketch keeps, taken in the
+   same order, so they have its bits. *)
 let summarize ?pricing ~label cfg (res : Router.result) : summary =
   let st = Stream.create ?pricing cfg in
-  List.iter (Stream.observe st) res.Router.records;
+  let n = Router.length res in
+  let lat = Float.Array.create n in
+  let served = ref 0 in
+  let sum = ref 0.0 and mx = ref neg_infinity in
+  for i = 0 to n - 1 do
+    let r = Router.record res i in
+    if Stream.fold st r ~sketch:false then begin
+      let ms = r.Router.e2e_s *. 1000.0 in
+      Float.Array.set lat !served ms;
+      incr served;
+      let v = Float.max 0.0 ms in
+      sum := !sum +. v;
+      if v > !mx then mx := v
+    end
+  done;
   Stream.absorb_totals st
     { Router.peak = res.Router.peak_instances;
       resident_s = res.Router.resident_instance_s;
@@ -258,20 +282,17 @@ let summarize ?pricing ~label cfg (res : Router.result) : summary =
       fb_resident_s = res.Router.fb_resident_instance_s;
       total_events = res.Router.events_processed };
   let s = Stream.summary ~label st in
-  let lat = Float.Array.create s.served in
-  let i = ref 0 in
-  List.iter
-    (fun r ->
-       if served r then begin
-         Float.Array.set lat !i (r.Router.e2e_s *. 1000.0);
-         incr i
-       end)
-    res.Router.records;
-  let lat = Platform.Metrics.sort_samples lat in
+  let served = !served in
+  let lat =
+    Platform.Metrics.sort_samples
+      (if served = n then lat else Float.Array.sub lat 0 served)
+  in
   { s with
+    mean_ms = (if served = 0 then 0.0 else !sum /. float_of_int served);
     p50_ms = Platform.Metrics.percentile_sorted 50.0 lat;
     p95_ms = Platform.Metrics.percentile_sorted 95.0 lat;
-    p99_ms = Platform.Metrics.percentile_sorted 99.0 lat }
+    p99_ms = Platform.Metrics.percentile_sorted 99.0 lat;
+    max_ms = (if served = 0 then 0.0 else !mx) }
 
 (* One app, streamed end to end: the router emits each record into the
    accumulator and nothing per-request survives the call. *)

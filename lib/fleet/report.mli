@@ -2,8 +2,9 @@
     cold/warm mix, latency percentiles, concurrency, residency, total
     Eq.-1 cost, and the resilience picture — availability, goodput, and
     retry amplification under injected faults. {!Stream} is the one
-    aggregation; record-mode {!summarize} is the same fold over the
-    records a run kept, plus exact percentiles read off those records. *)
+    aggregation; record-mode {!summarize} runs the same classification
+    and pricing over the rows a run kept, with exact percentiles read off
+    those rows. *)
 
 type summary = {
   label : string;
@@ -40,11 +41,13 @@ type summary = {
           exactly 1 with no faults, retries, or fallback *)
 }
 
-(** Price and summarize a record-mode run: the {!Stream} fold over
-    [res.records] in arrival order, with the result's engine totals
-    absorbed, and p50/p95/p99 then read exactly off the served records'
-    e2e latencies by [Platform.Metrics]. Every other field is the stream's.
-    [pricing] defaults to AWS. *)
+(** Price and summarize a record-mode run. Each of [res]'s rows, in
+    arrival order, goes through {!Stream}'s classification and pricing,
+    and the result's engine totals are absorbed. No latency sketch is
+    filled: p50/p95/p99 are read exactly off one sort of the served
+    requests' e2e latencies by [Platform.Metrics], and [mean_ms]/[max_ms]
+    are the running sum and max a stream keeps, bit for bit. Every other
+    field is the stream's. [pricing] defaults to AWS. *)
 val summarize :
   ?pricing:Platform.Pricing.t ->
   label:string ->
@@ -54,13 +57,13 @@ val summarize :
 
 (** Streaming aggregation, the only code that classifies outcomes, prices
     billed durations, and derives the summary's ratios: fold records away
-    as the router emits them — integer counters, running sums, and two
-    fixed-size {!Sketch}es (latency, wait) instead of a per-request record
-    list. Only p50/p95/p99 are approximate, within [Sketch.rel_error]
-    (≈ 4.9% relative) of the exact percentiles {!summarize} reports.
-    Accumulators merge exactly (integer bucket counts); merge in a
-    canonical order so float sums are bit-reproducible at any shard
-    layout. *)
+    as the router emits them — integer counters, running sums (cost,
+    wait) and one range-grown latency {!Sketch} instead of a per-request
+    record list. Only p50/p95/p99 are approximate, within
+    [Sketch.rel_error] (≈ 4.9% relative) of the exact percentiles
+    {!summarize} reports. Accumulators merge exactly (integer bucket
+    counts); merge in a canonical order so float sums are
+    bit-reproducible at any shard layout. *)
 module Stream : sig
   type t
 

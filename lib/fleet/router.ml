@@ -107,8 +107,21 @@ type totals = {
   total_events : int;
 }
 
+(* Record mode's rows as flat columns, 6 words an arrival where a list of
+   boxed records took 27. [wait_s] and [e2e_s] are not stored: [record]
+   redoes [finalize]'s subtractions. [packed] is [-1] until the row is
+   written. *)
+type columns = {
+  arrivals : Float.Array.t;  (* the trace's, shared *)
+  start : Float.Array.t;
+  finish : Float.Array.t;
+  billed : Float.Array.t;
+  fb_billed : Float.Array.t;
+  packed : int array;
+}
+
 type result = {
-  records : record list;
+  columns : columns;
   peak_instances : int;
   resident_instance_s : float;
   evictions : int;
@@ -704,29 +717,88 @@ let run_with ?track_ns ~(emit : record -> unit) cfg (trace : Platform.Trace.t)
       (match fb_pool with Some p -> Pool.resident_s p | None -> 0.0);
     total_events = !events_processed }
 
+(* --- record mode ---------------------------------------------------------- *)
+
+(* The 13 outcomes, indexed by their packed code. *)
+let outcomes =
+  [| Served Cold; Served Warm;
+     Fallback_served { trimmed = Cold; original = Cold };
+     Fallback_served { trimmed = Cold; original = Warm };
+     Fallback_served { trimmed = Warm; original = Cold };
+     Fallback_served { trimmed = Warm; original = Warm };
+     Shed Cold; Shed Warm; Rejected; Timed_out;
+     Failed Init_failed; Failed Crashed; Failed Errored |]
+
+let kind_code = function Cold -> 0 | Warm -> 1
+
+let outcome_code = function
+  | Served k -> kind_code k
+  | Fallback_served { trimmed; original } ->
+    2 + (2 * kind_code trimmed) + kind_code original
+  | Shed k -> 6 + kind_code k
+  | Rejected -> 8
+  | Timed_out -> 9
+  | Failed Init_failed -> 10
+  | Failed Crashed -> 11
+  | Failed Errored -> 12
+
+let pack_row outcome ~attempts ~hedged =
+  outcome_code outcome lor (Bool.to_int hedged lsl 4) lor (attempts lsl 5)
+
+let unpack_row w = (outcomes.(w land 15), w lsr 5, w land 16 <> 0)
+
 (* Record mode: every arrival finalizes exactly once with [req] equal to
-   its trace index, so the records slot straight into a pre-sized array —
-   no accumulation list, no final sort. *)
+   its trace index, so each row goes straight into its slot of the
+   pre-sized columns — no accumulation list, no final sort. *)
 let run cfg (trace : Platform.Trace.t) : result =
   let n = Platform.Trace.length trace in
-  let dummy =
-    { req = -1; arrival_s = 0.0; start_s = 0.0; finish_s = 0.0; wait_s = 0.0;
-      e2e_s = 0.0; outcome = Rejected; billed_ms = 0.0; fb_billed_ms = 0.0;
-      attempts = 0; hedged = false }
+  let c =
+    { arrivals = trace.Platform.Trace.arrivals_s;
+      start = Float.Array.create n;
+      finish = Float.Array.create n;
+      billed = Float.Array.create n;
+      fb_billed = Float.Array.create n;
+      packed = Array.make n (-1) }
   in
-  let slots = Array.make (max 1 n) dummy in
   let emitted = ref 0 in
   let emit r =
-    assert (slots.(r.req) == dummy);
-    slots.(r.req) <- r;
+    let i = r.req in
+    assert (c.packed.(i) = -1);
+    Float.Array.set c.start i r.start_s;
+    Float.Array.set c.finish i r.finish_s;
+    Float.Array.set c.billed i r.billed_ms;
+    Float.Array.set c.fb_billed i r.fb_billed_ms;
+    c.packed.(i) <- pack_row r.outcome ~attempts:r.attempts ~hedged:r.hedged;
     incr emitted
   in
   let t = run_with ~emit cfg trace in
   assert (!emitted = n);
-  { records = (if n = 0 then [] else Array.to_list slots);
+  { columns = c;
     peak_instances = t.peak;
     resident_instance_s = t.resident_s;
     evictions = t.evicted;
     fb_peak_instances = t.fb_peak;
     fb_resident_instance_s = t.fb_resident_s;
     events_processed = t.total_events }
+
+let length res = Array.length res.columns.packed
+
+let record res i =
+  let c = res.columns in
+  let arrival = Float.Array.get c.arrivals i in
+  let start = Float.Array.get c.start i in
+  let finish = Float.Array.get c.finish i in
+  let w = c.packed.(i) in
+  { req = i;
+    arrival_s = arrival;
+    start_s = start;
+    finish_s = finish;
+    wait_s = start -. arrival;
+    e2e_s = finish -. arrival;
+    outcome = outcomes.(w land 15);
+    billed_ms = Float.Array.get c.billed i;
+    fb_billed_ms = Float.Array.get c.fb_billed i;
+    attempts = w lsr 5;
+    hedged = w land 16 <> 0 }
+
+let records res = List.init (length res) (record res)

@@ -122,8 +122,14 @@ type totals = {
   total_events : int;     (** events the loop processed *)
 }
 
+(** Record mode's rows, one per arrival, stored flat: four float columns
+    ([start_s], [finish_s], [billed_ms], [fb_billed_ms]), the trace's own
+    arrival array (shared, not copied) and one packed [int] per row (see
+    {!pack_row}). Read them back with {!record} and {!records}. *)
+type columns
+
 type result = {
-  records : record list;  (** one per arrival, in arrival order *)
+  columns : columns;
   peak_instances : int;
   resident_instance_s : float;
   evictions : int;        (** incl. crash/churn reclaims *)
@@ -159,7 +165,27 @@ val run_with :
   Platform.Trace.t ->
   totals
 
-(** Record mode: {!run_with} collecting records into a pre-sized array
-    indexed by arrival, returned in arrival order. Same validation
-    behaviour as {!run_with}. *)
+(** Record mode: {!run_with} writing each finalized request into the row
+    of its arrival index in the result's {!columns}, sized by the trace.
+    Every arrival fills its row exactly once. Same validation behaviour as
+    {!run_with}. *)
 val run : config -> Platform.Trace.t -> result
+
+(** Number of rows: the trace's arrivals. *)
+val length : result -> int
+
+(** [record res i] rebuilds arrival [i]'s record, bit for bit the one
+    {!run_with} emitted for it: [wait_s] and [e2e_s] are recomputed by the
+    same subtraction.
+    @raise Invalid_argument unless [0 <= i < length res]. *)
+val record : result -> int -> record
+
+(** Every row's record, in arrival order. *)
+val records : result -> record list
+
+(** A row's packed word: the outcome's code (one of 13) in the low 4
+    bits, [hedged] in bit 4, [attempts] above. [unpack_row (pack_row o
+    ~attempts ~hedged)] is [(o, attempts, hedged)] for [attempts >= 0]. *)
+val pack_row : outcome -> attempts:int -> hedged:bool -> int
+
+val unpack_row : int -> outcome * int * bool

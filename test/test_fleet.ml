@@ -27,7 +27,7 @@ let run_kinds cfg trace =
          (cold, warm + 1)
        | Router.Shed _ | Router.Rejected | Router.Timed_out
        | Router.Failed _ -> (cold, warm))
-    (0, 0) res.Router.records
+    (0, 0) (Router.records res)
 
 (* --- event queue --------------------------------------------------------- *)
 
@@ -424,7 +424,7 @@ let queueing =
         in
         let res = Router.run cfg t in
         let outcome i =
-          (List.nth res.Router.records i).Router.outcome
+          (List.nth (Router.records res) i).Router.outcome
         in
         Alcotest.(check bool) "r0 cold" true
           (outcome 0 = Router.Served Router.Cold);
@@ -433,7 +433,7 @@ let queueing =
         Alcotest.(check bool) "r2 warm after wait" true
           (outcome 2 = Router.Served Router.Warm);
         Alcotest.(check bool) "r3 rejected" true (outcome 3 = Router.Rejected);
-        let r1 = List.nth res.Router.records 1 in
+        let r1 = List.nth (Router.records res) 1 in
         Alcotest.(check (float 1e-9)) "r1 waited 9 s" 9.0 r1.Router.wait_s;
         Alcotest.(check (float 1e-9)) "r1 finished at 20" 20.0
           r1.Router.finish_s);
@@ -447,13 +447,13 @@ let queueing =
         let res = Router.run cfg t in
         let outcomes =
           List.map (fun (r : Router.record) -> r.Router.outcome)
-            res.Router.records
+            (Router.records res)
         in
         Alcotest.(check bool) "served, timed out, timed out" true
           (outcomes
            = [ Router.Served Router.Cold; Router.Timed_out; Router.Timed_out ]);
         (* a timeout frees its queue slot: the wait recorded is the timeout *)
-        let r1 = List.nth res.Router.records 1 in
+        let r1 = List.nth (Router.records res) 1 in
         Alcotest.(check (float 1e-9)) "gave up after 5 s" 5.0 r1.Router.wait_s);
     Alcotest.test_case "timeout slot is recycled" `Quick (fun () ->
         (* r1 times out at 6 before r3 arrives, so r3 takes the slot instead
@@ -467,7 +467,7 @@ let queueing =
         let res = Router.run cfg t in
         let outcomes =
           List.map (fun (r : Router.record) -> r.Router.outcome)
-            res.Router.records
+            (Router.records res)
         in
         Alcotest.(check bool) "cold, timed out, warm" true
           (outcomes
@@ -494,21 +494,21 @@ let fallback =
         in
         let res = Router.run cfg t in
         (match List.map (fun (r : Router.record) -> r.Router.outcome)
-                 res.Router.records
+                 (Router.records res)
          with
          | [ Router.Fallback_served { trimmed = Router.Cold;
                                       original = Router.Cold };
              Router.Fallback_served { trimmed = Router.Warm;
                                       original = Router.Warm } ] -> ()
          | _ -> Alcotest.fail "expected cold/cold then warm/warm fallbacks");
-        let r0 = List.nth res.Router.records 0 in
+        let r0 = List.nth (Router.records res) 0 in
         (* trimmed exec 1 + setup 0.05 + original cold 0.5+1+2 *)
         Alcotest.(check (float 1e-9)) "r0 e2e" 4.55 r0.Router.e2e_s;
         Alcotest.(check (float 1e-9)) "r0 primary billed ms" 1000.0
           r0.Router.billed_ms;
         Alcotest.(check (float 1e-9)) "r0 fallback billed ms" 3000.0
           r0.Router.fb_billed_ms;
-        let r1 = List.nth res.Router.records 1 in
+        let r1 = List.nth (Router.records res) 1 in
         Alcotest.(check (float 1e-9)) "r1 e2e warm" 3.05 r1.Router.e2e_s;
         Alcotest.(check (float 1e-9)) "r1 fallback billed ms" 2000.0
           r1.Router.fb_billed_ms;
@@ -528,7 +528,7 @@ let fallback =
              match r.Router.outcome with
              | Router.Fallback_served _ -> Alcotest.fail "unexpected fallback"
              | _ -> ())
-          res.Router.records) ]
+          (Router.records res)) ]
 
 (* --- parity with the analytic replay ------------------------------------- *)
 
@@ -606,7 +606,7 @@ let replay_parity =
         in
         let r1 = Router.run cfg t and r2 = Router.run cfg t in
         Alcotest.(check bool) "records identical" true
-          (r1.Router.records = r2.Router.records);
+          (Router.records r1 = Router.records r2);
         Alcotest.(check int) "same event count" r1.Router.events_processed
           r2.Router.events_processed) ]
 
@@ -753,7 +753,7 @@ let result_digest (res : Router.result) =
          r.Router.arrival_s r.Router.start_s r.Router.finish_s r.Router.wait_s
          r.Router.e2e_s (outcome_key r.Router.outcome) r.Router.billed_ms
          r.Router.fb_billed_ms r.Router.attempts r.Router.hedged)
-    res.Router.records;
+    (Router.records res);
   Printf.bprintf b "%d %h %d %d %h" res.Router.peak_instances
     res.Router.resident_instance_s res.Router.evictions
     res.Router.fb_peak_instances res.Router.fb_resident_instance_s;
@@ -923,7 +923,7 @@ let validation =
           (fun pol ->
              let res = Router.run (config ~profile pol) trace in
              Alcotest.(check int) (Pool.policy_name pol) 20
-               (List.length res.Router.records))
+               (List.length (Router.records res)))
           [ Pool.Fixed_ttl { keep_alive_s = Float.infinity };
             Pool.Lru { keep_alive_s = Float.infinity; max_idle = 0 };
             Pool.Adaptive

@@ -265,7 +265,10 @@ let leak =
    268-bucket arrays, and reaches 96 now that a sketch stores only the
    buckets it has filled. The 9,896-arrival trace below reached 49,485
    words as a boxed list (five words an arrival) and reaches 9,902
-   flat. *)
+   flat. A record-mode result of that trace reached 267,208 words while
+   it kept one boxed record per arrival (27 an arrival), and reaches
+   59,401 as flat columns that share the trace's arrivals (6 an
+   arrival). *)
 
 let alloc_cases () =
   let profile =
@@ -329,6 +332,20 @@ let alloc =
         if words > 120 then
           Alcotest.failf "Report.run_stream reaches %d words (bound 120)"
             words);
+    Alcotest.test_case "a record-mode result is six words per arrival"
+      `Quick (fun () ->
+        let trace =
+          Platform.Trace.poisson ~seed:29 ~rate_per_s:4.0 ~duration_s:2500.0
+            ~name:"columns"
+        in
+        let _, fixed_ttl, _ = List.hd (alloc_cases ()) in
+        let n = Platform.Trace.length trace in
+        let words =
+          Obj.reachable_words (Obj.repr (Router.run fixed_ttl trace))
+        in
+        Printf.printf "Router.run on %d arrivals reaches %d words\n" n words;
+        if words > 74_251 then
+          Alcotest.failf "Router.run reaches %d words (bound 74,251)" words);
     Alcotest.test_case "a Poisson trace is one word per arrival" `Quick
       (fun () ->
         let trace =
@@ -598,7 +615,7 @@ let stream_equiv =
                      Some (r.Router.e2e_s *. 1000.0)
                    | Router.Rejected | Router.Timed_out | Router.Failed _ ->
                      None)
-                res.Router.records
+                (Router.records res)
             in
             List.iter
               (fun (field, f, exact_p) ->
@@ -630,6 +647,207 @@ let stream_equiv =
             | "empty" -> holds "no requests" (exact.Report.requests = 0)
             | _ -> ())
           (equiv_cases ())) ]
+
+(* --- record columns ≡ the reference record mode ----------------------------
+
+   Random traces on a coarse grid (so arrivals tie, and with dyadic
+   profile times completions tie with them) under random configs: every keep-alive policy, faults, retries, hedging,
+   breaker shedding, the §7 fallback, lazy loading and rejecting caps. The
+   rows [Router.run] keeps as columns must rebuild [Record_ref]'s records,
+   and [Report.summarize] must give its summary, bit for bit. *)
+
+type record_case = {
+  ticks : int list;   (* arrivals, in grid steps *)
+  dyadic : bool;      (* a quarter-second grid and profile times on it, so
+                         events tie; otherwise a third of a second, and
+                         sums of times round *)
+  policy : int;       (* 0 Fixed_ttl, 1 Lru, 2 Adaptive *)
+  pending : int option;  (* capped at 2 instances with this pending bound *)
+  fault_pct : int;    (* 0: no faults *)
+  retry : bool;
+  hedge : bool;
+  fb_pct : int;       (* 0: no fallback *)
+  breaker : bool;     (* needs a fallback *)
+  lazy_load : int;    (* 0 eager, 1 lazy, 2 lazy with preloading *)
+  seed : int;
+}
+
+let record_case_gen =
+  QCheck.Gen.(
+    let+ ticks = list_size (int_bound 80) (int_bound 160)
+    and+ dyadic = bool
+    and+ policy = int_bound 2
+    and+ pending = opt (int_bound 6)
+    and+ fault_pct = oneofl [ 0; 0; 5; 20 ]
+    and+ retry = bool
+    and+ hedge = bool
+    and+ fb_pct = oneofl [ 0; 10; 40 ]
+    and+ breaker = bool
+    and+ lazy_load = int_bound 2
+    and+ seed = int_bound 1000 in
+    { ticks; dyadic; policy; pending; fault_pct; retry; hedge; fb_pct; breaker;
+      lazy_load; seed })
+
+let print_record_case c =
+  Printf.sprintf
+    "ticks=[%s] dyadic=%b policy=%d pending=%s faults=%d%% retry=%b \
+     hedge=%b fb=%d%% breaker=%b lazy=%d seed=%d"
+    (String.concat ";" (List.map string_of_int c.ticks))
+    c.dyadic c.policy
+    (match c.pending with Some p -> string_of_int p | None -> "uncapped")
+    c.fault_pct c.retry c.hedge c.fb_pct c.breaker c.lazy_load c.seed
+
+let record_case_config c =
+  let profile =
+    if c.dyadic then
+      { Router.exec_s = 1.0; func_init_s = 0.5; instance_init_s = 0.25;
+        memory_mb = 256.0 }
+    else
+      { Router.exec_s = 0.3; func_init_s = 0.7; instance_init_s = 0.1;
+        memory_mb = 256.0 }
+  in
+  let policy =
+    match c.policy with
+    | 0 -> Pool.Fixed_ttl { keep_alive_s = 3.0 }
+    | 1 -> Pool.Lru { keep_alive_s = 3.0; max_idle = 1 }
+    | _ -> Pool.Adaptive { min_s = 1.0; max_s = 10.0; percentile = 75.0 }
+  in
+  let fallback =
+    if c.fb_pct = 0 then None
+    else
+      Some
+        (Scenario.fallback ~rate:(float_of_int c.fb_pct /. 100.0)
+           ~seed:c.seed
+           ~original:{ profile with Router.func_init_s = 1.0 }
+           ~policy:(Pool.Fixed_ttl { keep_alive_s = 2.0 }) ())
+  in
+  let rate = float_of_int c.fault_pct /. 100.0 in
+  let base = Router.default_config ~profile policy in
+  { base with
+    Router.max_instances =
+      (if c.pending = None then base.Router.max_instances else 2);
+    max_pending = Option.value c.pending ~default:base.Router.max_pending;
+    pending_timeout_s = (if c.pending = None then 60.0 else 1.0);
+    fallback;
+    faults =
+      { Faults.seed = c.seed; init_failure_rate = rate;
+        crash_rate = rate /. 2.0; transient_error_rate = rate;
+        churn_rate = rate /. 2.0 };
+    resilience =
+      { Resilience.retry =
+          (if c.retry then Some Resilience.default_retry else None);
+        request_timeout_s = 30.0;
+        breaker =
+          (if c.breaker && fallback <> None then
+             Some
+               { Resilience.Breaker.error_threshold = 0.2; window = 8;
+                 min_samples = 3; cooldown_s = 4.0 }
+           else None);
+        hedge =
+          (if c.hedge then Some { Resilience.hedge_delay_s = 0.25 }
+           else None) };
+    lazy_load =
+      (if c.lazy_load = 0 then None
+       else
+         Some
+           { Router.lz_deferred_s = 1.5; lz_first_touch_s = 0.5;
+             lz_preload = c.lazy_load = 2 }) }
+
+(* A record's fields with every float as its bits. *)
+let record_bits (r : Router.record) =
+  ( r.Router.req,
+    List.map Int64.bits_of_float
+      [ r.Router.arrival_s; r.Router.start_s; r.Router.finish_s;
+        r.Router.wait_s; r.Router.e2e_s; r.Router.billed_ms;
+        r.Router.fb_billed_ms ],
+    r.Router.outcome,
+    r.Router.attempts,
+    r.Router.hedged )
+
+(* The summary field by field, every float as its bits. *)
+let summary_fields (s : Report.summary) =
+  let i = string_of_int and f = Printf.sprintf "%h" in
+  [ ("label", s.Report.label); ("requests", i s.Report.requests);
+    ("served", i s.Report.served); ("cold", i s.Report.cold);
+    ("warm", i s.Report.warm); ("fallbacks", i s.Report.fallbacks);
+    ("fb_cold", i s.Report.fb_cold); ("rejected", i s.Report.rejected);
+    ("timed_out", i s.Report.timed_out); ("failed", i s.Report.failed);
+    ("shed", i s.Report.shed); ("cold_fraction", f s.Report.cold_fraction);
+    ("mean_ms", f s.Report.mean_ms); ("p50_ms", f s.Report.p50_ms);
+    ("p95_ms", f s.Report.p95_ms); ("p99_ms", f s.Report.p99_ms);
+    ("max_ms", f s.Report.max_ms); ("mean_wait_ms", f s.Report.mean_wait_ms);
+    ("peak_instances", i s.Report.peak_instances);
+    ("resident_instance_s", f s.Report.resident_instance_s);
+    ("evictions", i s.Report.evictions); ("cost_usd", f s.Report.cost_usd);
+    ("attempts", i s.Report.attempts); ("retried", i s.Report.retried);
+    ("hedged", i s.Report.hedged); ("availability", f s.Report.availability);
+    ("goodput_per_s", f s.Report.goodput_per_s);
+    ("retry_amplification", f s.Report.retry_amplification) ]
+
+let record_columns_equiv =
+  QCheck.Test.make ~count:300
+    ~name:"record columns and summarize = the reference record mode"
+    (QCheck.make record_case_gen ~print:print_record_case) (fun c ->
+        let cfg = record_case_config c in
+        let trace =
+          Platform.Trace.make ~name:"cols"
+            (List.map
+               (fun t -> float_of_int t /. if c.dyadic then 4.0 else 3.0)
+               c.ticks)
+        in
+        let res = Router.run cfg trace in
+        let reference = Record_ref.run cfg trace in
+        let got = List.map record_bits (Router.records res)
+        and want = List.map record_bits (fst reference) in
+        if got <> want then QCheck.Test.fail_report "records differ";
+        List.iter2
+          (fun (field, a) (_, b) ->
+             if a <> b then
+               QCheck.Test.fail_reportf "summary %s: %s, reference %s" field a
+                 b)
+          (summary_fields (Report.summarize ~label:"cols" cfg res))
+          (summary_fields (Record_ref.summarize ~label:"cols" cfg reference));
+        true)
+
+let all_outcomes =
+  let kinds = [ Router.Cold; Router.Warm ] in
+  List.map (fun k -> Router.Served k) kinds
+  @ List.concat_map
+      (fun trimmed ->
+         List.map
+           (fun original -> Router.Fallback_served { trimmed; original })
+           kinds)
+      kinds
+  @ List.map (fun k -> Router.Shed k) kinds
+  @ [ Router.Rejected; Router.Timed_out ]
+  @ List.map
+      (fun f -> Router.Failed f)
+      [ Router.Init_failed; Router.Crashed; Router.Errored ]
+
+let record_columns =
+  [ Alcotest.test_case "all 13 outcomes round-trip through the packed word"
+      `Quick (fun () ->
+        Alcotest.(check int) "13 outcomes" 13 (List.length all_outcomes);
+        let words =
+          List.concat
+            (List.mapi
+               (fun i o ->
+                  List.map
+                    (fun (attempts, hedged) ->
+                       let w = Router.pack_row o ~attempts ~hedged in
+                       (* [-1] marks a row not yet written *)
+                       if w < 0 then Alcotest.failf "outcome %d: negative" i;
+                       if Router.unpack_row w <> (o, attempts, hedged) then
+                         Alcotest.failf
+                           "outcome %d, %d attempts, hedged %b: no round trip"
+                           i attempts hedged;
+                       w)
+                    [ (0, false); (1, true); (7, false); (1 lsl 40, true) ])
+               all_outcomes)
+        in
+        Alcotest.(check int) "distinct words" (List.length words)
+          (List.length (List.sort_uniq Int.compare words)));
+    QCheck_alcotest.to_alcotest ~verbose:false record_columns_equiv ]
 
 (* --- sharded determinism --------------------------------------------------- *)
 
@@ -746,4 +964,5 @@ let suite =
     ("fleet-stream: hot-path allocation", alloc);
     ("fleet-stream: sketch accuracy", sketch);
     ("fleet-stream: stream = summarize", stream_equiv);
+    ("fleet-stream: record columns", record_columns);
     ("fleet-stream: sharded determinism", sharded) ]

@@ -496,17 +496,17 @@ let fleet_tests =
         let explicit = { base with Router.lazy_load = None } in
         let a = Router.run base t and b = Router.run explicit t in
         Alcotest.(check (list (float 0.0))) "bit-identical e2e"
-          (e2e a.Router.records) (e2e b.Router.records);
+          (e2e (Router.records a)) (e2e (Router.records b));
         Alcotest.(check (float 0.0)) "no touch billed"
           (List.fold_left (fun acc (r : Router.record) ->
-               acc +. r.Router.billed_ms) 0.0 a.Router.records)
+               acc +. r.Router.billed_ms) 0.0 (Router.records a))
           (List.fold_left (fun acc (r : Router.record) ->
-               acc +. r.Router.billed_ms) 0.0 b.Router.records));
+               acc +. r.Router.billed_ms) 0.0 (Router.records b)));
     Alcotest.test_case "cold request forces first touch; billed" `Quick
       (fun () ->
         let t = Platform.Trace.periodic ~period_s:5.0 ~count:1 ~name:"c" in
         let r =
-          match (Router.run (lazy_cfg ()) t).Router.records with
+          match Router.records (Router.run (lazy_cfg ()) t) with
           | [ r ] -> r
           | _ -> Alcotest.fail "one arrival"
         in
@@ -523,12 +523,12 @@ let fleet_tests =
         let no_pre = Router.run (lazy_cfg ()) t in
         Alcotest.(check (list (float 1e-9))) "touch tail without preload"
           [ 0.3; 0.25; 0.2; 0.1 ]
-          (e2e no_pre.Router.records);
+          (e2e (Router.records no_pre));
         (* with preload the 4.75 s idle gap resolves everything pending *)
         let pre = Router.run (lazy_cfg ~preload:true ()) t in
         Alcotest.(check (list (float 1e-9))) "preload clears warm touches"
           [ 0.3; 0.1; 0.1; 0.1 ]
-          (e2e pre.Router.records));
+          (e2e (Router.records pre)));
     Alcotest.test_case "sharded groups bit-identical with preloading" `Quick
       (fun () ->
         let apps =

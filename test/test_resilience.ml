@@ -67,8 +67,10 @@ let bitcompat =
               Router.run
                 { cfg with Router.faults = zero_faults; resilience = retry3 } t
             in
-            List.length plain.Router.records = List.length armed.Router.records
-            && List.for_all2 record_eq plain.Router.records armed.Router.records
+            List.length (Router.records plain)
+            = List.length (Router.records armed)
+            && List.for_all2 record_eq (Router.records plain)
+                 (Router.records armed)
             && plain.Router.peak_instances = armed.Router.peak_instances
             && plain.Router.resident_instance_s
                = armed.Router.resident_instance_s));
@@ -111,7 +113,7 @@ let retry_budget =
                    1 + max_retries + (if r.Router.hedged then 1 else 0)
                  in
                  r.Router.attempts <= budget && r.Router.attempts >= 0)
-              res.Router.records));
+              (Router.records res)));
     qcheck_alcotest
       (QCheck.Test.make ~count:30 ~name:"no retries = at most one attempt"
          QCheck.(pair (int_bound 1000) (float_bound_inclusive 0.3))
@@ -124,7 +126,7 @@ let retry_budget =
             let res = Router.run (config ~faults ()) t in
             List.for_all
               (fun (r : Router.record) -> r.Router.attempts <= 1)
-              res.Router.records));
+              (Router.records res)));
     qcheck_alcotest
       (QCheck.Test.make ~count:30 ~name:"billed durations are non-negative"
          QCheck.(pair (int_bound 1000) (float_bound_inclusive 0.5))
@@ -142,7 +144,7 @@ let retry_budget =
             List.for_all
               (fun (r : Router.record) ->
                  r.Router.billed_ms >= 0.0 && r.Router.fb_billed_ms >= 0.0)
-              res.Router.records)) ]
+              (Router.records res))) ]
 
 (* --- backoff --------------------------------------------------------------- *)
 
@@ -263,7 +265,7 @@ let determinism =
         in
         let a = Router.run cfg t and b = Router.run cfg t in
         Alcotest.(check int) "same record count"
-          (List.length a.Router.records) (List.length b.Router.records);
+          (List.length (Router.records a)) (List.length (Router.records b));
         List.iter2
           (fun (x : Router.record) (y : Router.record) ->
              Alcotest.(check bool)
@@ -272,7 +274,7 @@ let determinism =
                (record_eq x y
                 && x.Router.attempts = y.Router.attempts
                 && x.Router.hedged = y.Router.hedged))
-          a.Router.records b.Router.records;
+          (Router.records a) (Router.records b);
         Alcotest.(check int) "same events" a.Router.events_processed
           b.Router.events_processed);
     Alcotest.test_case "faults hurt availability, retries amplify" `Quick
