@@ -140,27 +140,6 @@ let summary_csv sink =
   "clock,cat,name,count,total_ms,mean_ms,max_ms,self_ms\n"
   ^ String.concat "" rows
 
-let metrics_csv registry =
-  let rows =
-    Metrics.fold registry
-      (fun acc i ->
-         (match i with
-          | Metrics.Counter c ->
-            Printf.sprintf "%s,counter,%d,,,\n" (Metrics.counter_name c)
-              (Metrics.value c)
-          | Metrics.Gauge g ->
-            Printf.sprintf "%s,gauge,%.6g,,,\n" (Metrics.gauge_name g)
-              (Metrics.gauge_value g)
-          | Metrics.Histogram h ->
-            Printf.sprintf "%s,histogram,%d,%.6g,%.6g,%.6g\n"
-              (Metrics.histogram_name h) (Metrics.histogram_count h)
-              (Metrics.histogram_sum h) (Metrics.histogram_min h)
-              (Metrics.histogram_max h))
-         :: acc)
-      []
-  in
-  "name,kind,count_or_value,sum,min,max\n" ^ String.concat "" (List.rev rows)
-
 (* A wall-clock span's layer: its ["layer"] attribute when it has one (an
    oracle query learns only as it ends whether it ran fresh interpreters),
    else its category. *)

@@ -17,9 +17,6 @@ val chrome_json : ?metrics:Metrics.registry -> Span.sink -> string
     that clock's root spans. *)
 val summary_csv : Span.sink -> string
 
-(** Registry snapshot: [name,kind,count_or_value,sum,min,max]. *)
-val metrics_csv : Metrics.registry -> string
-
 (** Wall-clock self time by layer: when any span has a layer in [known],
     one row per name in [known] (zero when no span has it), in that order;
     then every other layer seen, largest first; [[]] when the sink holds

@@ -1,11 +1,11 @@
 (* Named counters / gauges / histograms.
 
-   A registry is the single aggregation point the scattered per-layer stat
-   records used to be: caches register their hit/miss counters here, DD its
-   query counters, the platform its invocation counts. Views that need a
-   per-run or per-call delta (Pipeline.report.caches, Dd.stats) snapshot
-   counter values before and after — the counter is the source, the record
-   is a view.
+   A registry is the single aggregation point for process statistics:
+   caches register their hit/miss counters here, the verdict journal, memo
+   store and worker pool their event counts. A count that must be one
+   run's own is not a delta of a shared counter, which concurrent runs
+   move too: the oracle memo gives each pipeline run a view with counters
+   of its own, and Dd.stats is a per-search record.
 
    Instruments are handed out once and then incremented directly (a field
    write), so hot paths never pay a hashtable lookup. The registry itself is
@@ -17,7 +17,7 @@ type counter = { c_name : string; mutable c_value : int }
 type gauge = { g_name : string; mutable g_value : float }
 
 (* Histograms keep moment summaries, not samples: count/sum/min/max is what
-   the flat CSV exporter reports, and it is O(1) per observation. *)
+   the trace export embeds, and it is O(1) per observation. *)
 type histogram = {
   h_name : string;
   mutable h_count : int;

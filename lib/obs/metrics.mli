@@ -1,10 +1,12 @@
 (** Named counters / gauges / histograms.
 
-    A registry is the single aggregation point for run statistics: caches
-    register their hit/miss counters here, DD its query counters, the
-    platform its invocation counts. Views that need a per-run delta
-    (Pipeline.report.caches, Dd.stats) snapshot counter values before and
-    after — the counter is the source, the record a view over it.
+    A registry is the single aggregation point for process statistics:
+    caches register their hit/miss counters here, the verdict journal, memo
+    store and worker pool their event counts. A count that must be one
+    run's own is not a delta of a shared counter, which concurrent runs
+    move too: the oracle memo gives each pipeline run a view with counters
+    of its own ([Trim.Oracle.Cache.view]), and [Dd.stats] is a per-search
+    record.
 
     Instruments are handed out once ({!counter} is get-or-create) and then
     incremented directly, so hot paths never pay a lookup. Not internally

@@ -32,19 +32,17 @@ type span = {
 }
 
 (* Sink contract: a completed span (or instant) is pushed exactly once, at
-   [end_]/[instant] time. [keep = false] sinks only observe the stream. *)
+   [end_]/[instant] time. *)
 type state = {
   mutable spans : span list;  (* completed, newest first *)
   mutable seq : int;
   mutable next_track : int;
-  keep : bool;
-  on_complete : span -> unit;
   st_lock : Mutex.t;
       (* Worker domains of the parallel pool record spans concurrently (each
          on its own track), so the shared sink state — seq counter, span
-         list, track allocator, custom callbacks — is mutex-guarded. Span
-         records themselves need no lock: a handle is owned by the domain
-         that opened it until [end_] publishes it under this lock. *)
+         list, track allocator — is mutex-guarded. Span records themselves
+         need no lock: a handle is owned by the domain that opened it until
+         [end_] publishes it under this lock. *)
 }
 
 type sink = Null | Active of state
@@ -54,14 +52,7 @@ let with_lock st f = Mutex.protect st.st_lock f
 let null = Null
 
 let recorder () =
-  Active
-    { spans = []; seq = 0; next_track = 0; keep = true; on_complete = ignore;
-      st_lock = Mutex.create () }
-
-let custom ~on_complete =
-  Active
-    { spans = []; seq = 0; next_track = 0; keep = false; on_complete;
-      st_lock = Mutex.create () }
+  Active { spans = []; seq = 0; next_track = 0; st_lock = Mutex.create () }
 
 let enabled = function Null -> false | Active _ -> true
 
@@ -167,9 +158,7 @@ let end_ ?(attrs = []) h ~ts_ms =
     (* defensive clamp: wall clocks are not guaranteed monotone *)
     sp.sp_dur_ms <- Float.max 0.0 (ts_ms -. sp.sp_start_ms);
     if attrs <> [] then sp.sp_attrs <- sp.sp_attrs @ attrs;
-    with_lock st (fun () ->
-        if st.keep then st.spans <- sp :: st.spans;
-        st.on_complete sp)
+    with_lock st (fun () -> st.spans <- sp :: st.spans)
 
 let instant ?(attrs = []) t ~domain ~track ~cat ~name ~ts_ms =
   match t with
@@ -188,8 +177,7 @@ let instant ?(attrs = []) t ~domain ~track ~cat ~name ~ts_ms =
             sp_kind = Instant;
             sp_seq = st.seq }
         in
-        if st.keep then st.spans <- sp :: st.spans;
-        st.on_complete sp)
+        st.spans <- sp :: st.spans)
 
 (* [f] inside a span of the active sink [t], timed by [clock]; [attrs]
    sees [f]'s result (an exception ends the span without them). *)

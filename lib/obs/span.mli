@@ -39,13 +39,9 @@ val null : sink
 (** A sink that accumulates completed spans (read them with {!spans}). *)
 val recorder : unit -> sink
 
-(** A pluggable sink: [on_complete] observes each completed span; nothing is
-    retained. *)
-val custom : on_complete:(span -> unit) -> sink
-
 val enabled : sink -> bool
 
-(** Completed spans in begin order ([[]] for null/custom sinks). *)
+(** Completed spans in begin order ([[]] for the null sink). *)
 val spans : sink -> span list
 
 (** Allocate a fresh track id (per sink, starting at 1; 0 on null). *)

@@ -14,7 +14,8 @@
    one is O(1) instead of O(image files); the oracle memoizes observations by
    image digest, and each [module_result] records the memo's hit/miss
    traffic during this module's search ([oracle_cache] names the memo those
-   queries went through — pass the same cache the oracle closure uses).
+   queries went through — pass the same cache the oracle closure uses; a
+   pipeline passes its run's own view, whose counts no other run moves).
 
    Every entry point below splits the module once ([split]) and runs its
    one search through [search]; they differ only in the components DD
@@ -104,17 +105,20 @@ let with_restricted d ~file ~keep =
 
 (* Wrap a DD oracle so every query is a wall-clock span carrying its
    verdict, the candidate size, the observation-memo traffic it generated
-   (read on its own domain, so exact at any --jobs), and its layer: a
-   query that missed the memo ran fresh interpreters ("oracle.exec"), any
-   other was answered from memory ("oracle.hit"). Off the tracer this is
-   the bare oracle call. *)
-let traced_oracle ~module_name dd_oracle subset =
+   (read off [oracle_cache], the run's own view in a pipeline, so exact at
+   any --jobs), and its layer: a query that missed the memo ran fresh
+   interpreters ("oracle.exec"), any other was answered from memory
+   ("oracle.hit"). Off the tracer this is the bare oracle call. *)
+let traced_oracle ~oracle_cache ~module_name dd_oracle subset =
   if not (Obs.Span.enabled (Obs.Span.installed ())) then dd_oracle subset
   else begin
-    let h0, m0 = Oracle.Cache.domain_traffic () in
+    let traffic () =
+      (Oracle.Cache.hits oracle_cache, Oracle.Cache.misses oracle_cache)
+    in
+    let h0, m0 = traffic () in
     Obs.Span.wall ~cat:"oracle" ~name:"oracle:query"
       ~attrs:(fun pass ->
-          let h1, m1 = Oracle.Cache.domain_traffic () in
+          let h1, m1 = traffic () in
           [ ("module", module_name);
             ("subset_size", string_of_int (List.length subset));
             ("pass", string_of_bool pass);
@@ -181,7 +185,7 @@ let open_journal (spec : Journal.spec option) ?seed d ~module_name s =
    [seed_hit] reports (a profile seed's it does not). *)
 let search ?on_step ?journal ?seed ~seeded ~oracle_cache ~module_name query
     candidates =
-  let oracle = traced_oracle ~module_name query in
+  let oracle = traced_oracle ~oracle_cache ~module_name query in
   let h0 = Oracle.Cache.hits oracle_cache
   and m0 = Oracle.Cache.misses oracle_cache in
   let kept, stats =

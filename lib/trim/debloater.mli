@@ -6,7 +6,9 @@
 
     Each [?oracle_cache] below names the observation memo the [oracle]
     closure consults (default {!Oracle.Cache.global}); it is sampled around
-    the DD search to fill the memo hit/miss counters of {!module_result}. *)
+    the DD search to fill the memo hit/miss counters of {!module_result}.
+    Only a handle no other search counts through (a pipeline's
+    {!Oracle.Cache.view}) makes those counts the search's own. *)
 
 module String_set = Callgraph.Pycg.String_set
 
@@ -53,7 +55,7 @@ val with_restricted :
     The search is seeded with a profile: the candidates [d]'s test cases
     read ({!Oracle.module_reads}). When [d] is the image of the last
     passing query of the [oracle] (built by {!Oracle.for_reference} on
-    [oracle_cache]) on this domain — the previous module's result, or the
+    [oracle_cache]) — the previous module's result, or the
     reference itself — the profile is read off those runs and costs no
     execution; otherwise a warm memo answers it, or the test cases run once
     more with the read recorder on.

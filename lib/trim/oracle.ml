@@ -26,68 +26,66 @@ type reads = (string, (string, unit) Hashtbl.t) Hashtbl.t
 (* --- observation memo ----------------------------------------------------- *)
 
 module Cache = struct
-  (* Hit/miss counts live in an Obs.Metrics registry (the global memo in
-     Obs.Metrics.global as oracle.memo.hits/misses) so trace exports see the
-     same numbers the cache-stats line prints.
+  (* The memo proper, shared by a root memo and every run view over it.
 
      [backing], off by default, is a persistent Memo_store underneath the
      table. Misses consult the store and promote hits into memory (counted
      as a hit plus <prefix>.store_hits); fresh observations write through
      durably. Keys are content-addressed, so store answers are exactly
      what a fresh execution would produce. *)
-  type t = {
-    store : (string, string) Hashtbl.t;  (* per-test key -> canonical output *)
+  type memo = {
+    table : (string, string) Hashtbl.t;  (* per-test key -> canonical output *)
     lock : Mutex.t;
+    mutable enabled : bool;
+    mutable backing : Memo_store.t option;
+  }
+
+  (* A root memo ([parent = None]) or a run's view of one, counting its own
+     lookups in an Obs.Metrics registry (the global memo's in
+     Obs.Metrics.global as oracle.memo.*, so trace exports see the numbers
+     the cache-stats line prints); a view's count in its parent too. *)
+  type t = {
+    memo : memo;
+    parent : t option;
     c_hits : Obs.Metrics.counter;
     c_misses : Obs.Metrics.counter;
     c_store_hits : Obs.Metrics.counter;
-    mutable enabled : bool;
-    mutable backing : Memo_store.t option;
-    kept : (int, (string * reads) list) Hashtbl.t;
-        (* domain -> the per-test reads of that domain's last passing fresh
-           query, by observation key (see [keep]) *)
+    mutable kept : (string * reads) list;  (* see [keep] *)
   }
 
-  let make ~registry ~prefix ~enabled =
-    { store = Hashtbl.create 1024;
-      kept = Hashtbl.create 4;
-      lock = Mutex.create ();
+  let make ?parent ~memo ~registry ~prefix () =
+    { memo;
+      parent;
       c_hits = Obs.Metrics.counter registry (prefix ^ ".hits");
       c_misses = Obs.Metrics.counter registry (prefix ^ ".misses");
       c_store_hits = Obs.Metrics.counter registry (prefix ^ ".store_hits");
-      enabled;
-      backing = None }
+      kept = [] }
 
-  let create ?(enabled = true) ?registry ?(prefix = "oracle.memo") () =
-    let registry =
-      match registry with Some r -> r | None -> Obs.Metrics.create ()
+  let create ?(enabled = true) ?(registry = Obs.Metrics.create ())
+      ?(prefix = "oracle.memo") () =
+    let memo =
+      { table = Hashtbl.create 1024; lock = Mutex.create (); enabled;
+        backing = None }
     in
-    make ~registry ~prefix ~enabled
+    make ~memo ~registry ~prefix ()
 
-  let global =
-    make ~registry:Obs.Metrics.global ~prefix:"oracle.memo" ~enabled:true
+  let global = create ~registry:Obs.Metrics.global ()
 
-  let set_enabled t flag = t.enabled <- flag
+  let view parent =
+    make ~parent ~memo:parent.memo ~registry:(Obs.Metrics.create ())
+      ~prefix:"oracle.memo" ()
 
-  let enabled t = t.enabled
+  let set_enabled t flag = t.memo.enabled <- flag
 
-  let locked t f = Mutex.protect t.lock f
+  let enabled t = t.memo.enabled
 
-  (* Hits and misses of every memo on the calling domain, tallied only
-     while a tracer is installed. A domain answers one oracle query at a
-     time, so a traced query reads its own traffic from how these move,
-     whatever other domains' pipelines do meanwhile. *)
-  let on_domain = Domain.DLS.new_key (fun () -> [| 0; 0 |])
+  let locked t f = Mutex.protect t.memo.lock f
 
-  let count t i =
-    Obs.Metrics.incr (if i = 0 then t.c_hits else t.c_misses);
-    if Obs.Span.enabled (Obs.Span.installed ()) then
-      let a = Domain.DLS.get on_domain in
-      a.(i) <- a.(i) + 1
-
-  let domain_traffic () =
-    let a = Domain.DLS.get on_domain in
-    (a.(0), a.(1))
+  (* One lookup's outcome, counted in [t] and every memo above it; called
+     under the memo's lock, which [t] and its parents share. *)
+  let rec count t counter =
+    Obs.Metrics.incr (counter t);
+    match t.parent with Some p -> count p counter | None -> ()
 
   let hits t = locked t (fun () -> Obs.Metrics.value t.c_hits)
 
@@ -95,66 +93,49 @@ module Cache = struct
 
   let store_hits t = locked t (fun () -> Obs.Metrics.value t.c_store_hits)
 
-  let size t = locked t (fun () -> Hashtbl.length t.store)
+  let size t = locked t (fun () -> Hashtbl.length t.memo.table)
 
-  let attach_store t backing = locked t (fun () -> t.backing <- backing)
-
-  let backing t = locked t (fun () -> t.backing)
+  let attach_store t backing = locked t (fun () -> t.memo.backing <- backing)
 
   let clear t =
     locked t (fun () ->
-        Hashtbl.reset t.store;
-        Hashtbl.reset t.kept;
+        Hashtbl.reset t.memo.table;
+        t.kept <- [];
         List.iter
           (fun c -> Obs.Metrics.incr ~by:(-Obs.Metrics.value c) c)
           [ t.c_hits; t.c_misses; t.c_store_hits ])
 
   let find t key =
     locked t (fun () ->
-        match Hashtbl.find_opt t.store key with
+        match Hashtbl.find_opt t.memo.table key with
         | Some out ->
-          count t 0;
+          count t (fun t -> t.c_hits);
           Some out
         | None ->
           let promoted =
-            match t.backing with
-            | None -> None
-            | Some ms ->
-              (match Memo_store.find ms key with
-               | Some out ->
-                 count t 0;
-                 Obs.Metrics.incr t.c_store_hits;
-                 Hashtbl.replace t.store key out;
-                 Some out
-               | None -> None)
+            Option.bind t.memo.backing (fun ms -> Memo_store.find ms key)
           in
           (match promoted with
-           | Some _ -> promoted
-           | None ->
-             count t 1;
-             None))
+           | Some out ->
+             count t (fun t -> t.c_hits);
+             count t (fun t -> t.c_store_hits);
+             Hashtbl.replace t.memo.table key out
+           | None -> count t (fun t -> t.c_misses));
+          promoted)
 
   let store t key out =
     locked t (fun () ->
-        Hashtbl.replace t.store key out;
-        match t.backing with
-        | Some ms -> Memo_store.add ms ~key out
-        | None -> ())
+        Hashtbl.replace t.memo.table key out;
+        Option.iter (fun ms -> Memo_store.add ms ~key out) t.memo.backing)
 
-  (* The reads a run's fresh test cases recorded, kept for the profile of
-     the next module. A run lives on one domain, and DD's result is its
-     last passing configuration, so one slot per domain is enough: [keep]
-     replaces it, [reset] (a run's start) empties it. *)
-  let domain () = (Domain.self () :> int)
+  (* The per-test reads of a run's last passing fresh query, by
+     observation key, kept for the profile of the next module. DD's result
+     is its last passing configuration, so one slot per run view is
+     enough; keys are content-addressed, so a slot only ever saves a fresh
+     run. [keep t []] (a run's start) empties it. *)
+  let keep t reads = locked t (fun () -> t.kept <- reads)
 
-  let keep t reads =
-    locked t (fun () -> Hashtbl.replace t.kept (domain ()) reads)
-
-  let reset t = locked t (fun () -> Hashtbl.remove t.kept (domain ()))
-
-  let kept t key =
-    locked t (fun () ->
-        Option.bind (Hashtbl.find_opt t.kept (domain ())) (List.assoc_opt key))
+  let kept t key = locked t (fun () -> List.assoc_opt key t.kept)
 end
 
 let canonical_of_record (r : Platform.Lambda_sim.record) =
@@ -309,9 +290,9 @@ let equivalent (a : observation) (b : observation) =
    is as deterministic as an observation, so it is memoized per
    (observation key, module) under a tag of its own; a memo hit returns
    exactly what a fresh run would record. Before the memo come the reads
-   kept from this domain's last passing fresh query ([Cache.keep]): when
-   [d] is that query's image, as the base of the module after a DD search
-   is, they are this very run's reads. *)
+   [cache] kept from its last passing fresh query ([Cache.keep]): when [d]
+   is that query's image, as the base of the module after a DD search is,
+   they are this very run's reads. *)
 let module_reads ?(cache = Cache.global) (d : Platform.Deployment.t)
     ~module_name =
   let key ~image_digest tc =
@@ -365,7 +346,7 @@ let keep_reads cache fresh =
 let for_reference ?(cache = Cache.global) ?params
     (reference : Platform.Deployment.t) :
   (Platform.Deployment.t -> bool) * observation =
-  Cache.reset cache;
+  Cache.keep cache [];
   let output, fresh = recording_outputs ~cache ?params reference in
   let expected =
     { per_test =

@@ -20,9 +20,10 @@ type observation = {
 module Cache : sig
   type t
 
-  (** Hit/miss counts live in an {!Obs.Metrics} registry (default: a fresh
-      private one) under [<prefix>.hits] / [<prefix>.misses]; the {!global}
-      memo registers as [oracle.memo.*] in [Obs.Metrics.global]. *)
+  (** A root memo. Hit/miss counts live in an {!Obs.Metrics} registry
+      (default: a fresh private one) under [<prefix>.hits] /
+      [<prefix>.misses]; the {!global} memo registers as [oracle.memo.*] in
+      [Obs.Metrics.global]. *)
   val create :
     ?enabled:bool -> ?registry:Obs.Metrics.registry -> ?prefix:string ->
     unit -> t
@@ -32,16 +33,18 @@ module Cache : sig
       and baseline comparisons reuse earlier answers. *)
   val global : t
 
+  (** [view parent] is one run's handle on [parent]'s memo: it shares the
+      entries, lock, persistent store and [enabled] flag, and owns its hit,
+      miss and store-hit counts and its kept reads ({!module_reads}). Every
+      lookup through it counts in the view and in [parent] (and so on up),
+      so a view's counts are its run's own traffic whatever other views of
+      the same memo do meanwhile. *)
+  val view : t -> t
+
   val set_enabled : t -> bool -> unit
   val enabled : t -> bool
   val hits : t -> int
   val misses : t -> int
-
-  (** [(hits, misses)] of every memo on the calling domain, counted only
-      while a tracer is installed ([Obs.Span.installed]). Unlike {!hits}
-      and {!misses}, which pipelines on other domains move too, their
-      change across one oracle query is that query's own traffic. *)
-  val domain_traffic : unit -> int * int
 
   (** Hits answered by the attached persistent store (a subset of
       {!hits}); [<prefix>.store_hits]. *)
@@ -57,17 +60,12 @@ module Cache : sig
       write through durably. Off by default. *)
   val attach_store : t -> Memo_store.t option -> unit
 
-  val backing : t -> Memo_store.t option
-
-  (** Drop all in-memory entries (kept reads included) and reset the
+  (** Drop all in-memory entries (every view of the memo sees them go)
+      and this handle's kept reads, and reset this handle's
       hit/miss/store-hit counters. The attached persistent store (if any)
       keeps its contents. *)
   val clear : t -> unit
 end
-
-(** Canonical output of one invocation record: stdout, then [RET:]/[ERR:],
-    then [CALLS:] when external calls were made. *)
-val canonical_of_record : Platform.Lambda_sim.record -> string
 
 (** The optimizer variant's part of a memo key, journal run digest or
     module search digest: [[]] for an eager image (its keys stay the
@@ -89,10 +87,10 @@ val equivalent : observation -> observation -> bool
 
 (** [module_reads d ~module_name] returns the attributes of [module_name]
     that [d]'s test cases read, sorted and deduplicated. Per test case the
-    answer comes from, in order: the reads kept from the calling domain's
-    last passing fresh query of a {!for_reference} predicate on [cache]
-    (when [d] is that query's image, as the base of the module after a DD
-    search is); the memo; a fresh interpreter with the read recorder on
+    answer comes from, in order: the reads [cache] kept from the last
+    passing fresh query of a {!for_reference} predicate on it (when [d] is
+    that query's image, as the base of the module after a DD search is);
+    the memo; a fresh interpreter with the read recorder on
     ({!Minipy.Interp.create}). Profiles are memoized in [cache] (default
     {!Cache.global}) per test case and module, under keys of their own
     that never collide with an observation, and a kept-reads answer is
@@ -108,7 +106,7 @@ val module_reads :
     but it runs the candidate's test cases in order and stops at the first
     mismatch, so a failing query runs and memoizes only the test cases up
     to it. Fresh runs record every module's reads: the reference's, and
-    each passing query's, replace the domain's kept reads for
+    each passing query's, replace [cache]'s kept reads for
     {!module_reads}; the call itself starts them afresh. *)
 val for_reference :
   ?cache:Cache.t ->

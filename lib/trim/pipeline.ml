@@ -67,21 +67,21 @@ let pp_cache_stats ppf c =
   Fmt.pf ppf "parse cache %d hits / %d misses, oracle memo %d hits / %d misses"
     c.parse_hits c.parse_misses c.oracle_hits c.oracle_misses
 
-(* Snapshot the parse cache and the run's observation memo [oc] around [f]
-   so the report shows this run's own traffic even when the caches are
-   shared across runs. *)
-let with_cache_stats oc f =
+(* [f]'s cache traffic: the oracle counts of the run's own memo view
+   [memo], and the global parse cache's counters around [f]. The parse
+   cache is shared and content-addressed, and every app parses the same
+   event context text, so no per-run split of it could be schedule-free:
+   concurrent runs move each other's parse counts. *)
+let with_cache_stats memo f =
   let pc = Minipy.Parse_cache.global in
   let ph0 = Minipy.Parse_cache.hits pc
-  and pm0 = Minipy.Parse_cache.misses pc
-  and oh0 = Oracle.Cache.hits oc
-  and om0 = Oracle.Cache.misses oc in
+  and pm0 = Minipy.Parse_cache.misses pc in
   let result = f () in
   ( result,
     { parse_hits = Minipy.Parse_cache.hits pc - ph0;
       parse_misses = Minipy.Parse_cache.misses pc - pm0;
-      oracle_hits = Oracle.Cache.hits oc - oh0;
-      oracle_misses = Oracle.Cache.misses oc - om0 } )
+      oracle_hits = Oracle.Cache.hits memo;
+      oracle_misses = Oracle.Cache.misses memo } )
 
 (* Pipeline stages have no virtual timeline, so their spans are
    wall-clock spans ([Obs.Span.wall]) on the lane of the domain running the
@@ -123,22 +123,21 @@ let journal_spec options (app : Platform.Deployment.t) =
    search also computes its digest and consults the [baseline] manifest
    (replay, warm start or fresh); otherwise it is a fresh search and skips
    the digest, which no one would read. *)
-let debloat_step ~options ~analysis ~oracle ~journal ~incremental ~baseline d
-    module_name =
-  let oracle_cache = options.oracle_cache in
+let debloat_step ~analysis ~oracle_cache ~oracle ~journal ~incremental
+    ~baseline d module_name =
   let protected = Static_analyzer.protected_attrs analysis ~module_name in
   if incremental then
     let entry =
       Option.bind baseline (fun m -> Manifest.find_module m module_name)
     in
     let d', r, kind, digest =
-      Debloater.debloat_module_incremental ?oracle_cache ?journal ~oracle
+      Debloater.debloat_module_incremental ~oracle_cache ?journal ~oracle
         ~protected ~baseline:entry d ~module_name
     in
     (d', (r, kind, digest))
   else
     let d', r =
-      Debloater.debloat_module ?oracle_cache ?journal ~oracle ~protected d
+      Debloater.debloat_module ~oracle_cache ?journal ~oracle ~protected d
         ~module_name
     in
     (d', (r, Debloater.Fresh, ""))
@@ -180,7 +179,11 @@ let run ?(options = default_options) ?(jobs = 1)
   (* search digests are computed only when a baseline or a manifest reads
      them *)
   let incremental = baseline <> None || options.manifest_path <> None in
-  let memo = Option.value options.oracle_cache ~default:Oracle.Cache.global in
+  (* the run's own view of its memo: every count below is this run's *)
+  let memo =
+    Oracle.Cache.view
+      (Option.value options.oracle_cache ~default:Oracle.Cache.global)
+  in
   let wall_start = Unix.gettimeofday () in
   let (analysis, profile, ranked, optimized, entries, manifest), caches =
     with_cache_stats memo (fun () ->
@@ -212,12 +215,11 @@ let run ?(options = default_options) ?(jobs = 1)
               let journal = journal_spec options app in
               let oracle, _expected =
                 Obs.Span.wall ~cat:"oracle.reference" ~name:"oracle:reference"
-                  (fun () ->
-                     Oracle.for_reference ?cache:options.oracle_cache app)
+                  (fun () -> Oracle.for_reference ~cache:memo app)
               in
               let step =
-                debloat_step ~options ~analysis ~oracle ~journal ~incremental
-                  ~baseline
+                debloat_step ~analysis ~oracle_cache:memo ~oracle ~journal
+                  ~incremental ~baseline
               in
               let optimized, entries =
                 List.fold_left

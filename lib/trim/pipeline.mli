@@ -31,10 +31,14 @@ type options = {
 
 val default_options : options
 
-(** Traffic through the caching substrate during one run: hit/miss deltas
-    of the global parse cache and of the run's observation memo (the
-    [oracle_cache] option, else the global memo), so these are this run's
-    own counts. Read-through caches — wall-clock only, no virtual
+(** Traffic through the caching substrate during one run. The oracle
+    counts are the run's own lookups in its observation memo (the
+    [oracle_cache] option, else the global memo), read off the run's
+    {!Oracle.Cache.view}, so they are exact whatever runs share the memo.
+    The parse counts are deltas of the global parse cache, which
+    concurrent runs move too: it is shared and content-addressed, and
+    every app parses the same event context text, so no per-run split of
+    it is schedule-free. Read-through caches — wall-clock only, no virtual
     measurement depends on them. *)
 type cache_stats = {
   parse_hits : int;
@@ -82,9 +86,7 @@ val pp_cache_stats : Format.formatter -> cache_stats -> unit
     in rank order (Algorithm 1 per module, §5.3), each against the
     deployment the earlier modules left. Parallelism lives a level up: the
     experiment runner and [ltrim redebloat] fan whole apps out over the
-    configured pool. Pipelines running concurrently share the global
-    caches, so the deltas in {!cache_stats}, and on the global memo the
-    per-module [oracle_cache_hits]/[misses], include each other's traffic.
+    configured pool.
 
     [jobs] does nothing but reject values below 1. It stays only because
     [e2ebench/trim_wl.ml] still passes [~jobs:1]; it goes once that

@@ -316,6 +316,50 @@ let oracle_cases =
         Alcotest.(check (list string)) "warm = fresh" expected warm;
         Alcotest.(check (list string)) "keyed by module" []
           (Trim.Oracle.module_reads ~cache:c tiny ~module_name:"nosuch"));
+    Alcotest.test_case "run views count their own traffic" `Quick (fun () ->
+        let tiny = Workloads.Suite.tiny_app () in
+        let tests = List.length tiny.Platform.Deployment.test_cases in
+        let root = Trim.Oracle.Cache.create () in
+        let a = Trim.Oracle.Cache.view root
+        and b = Trim.Oracle.Cache.view root in
+        let counts c = (Trim.Oracle.Cache.hits c, Trim.Oracle.Cache.misses c) in
+        ignore (Trim.Oracle.observe ~cache:a tiny);
+        ignore (Trim.Oracle.observe ~cache:b tiny);
+        ignore (Trim.Oracle.observe ~cache:a tiny);
+        Alcotest.(check (pair int int)) "view a" (tests, tests) (counts a);
+        Alcotest.(check (pair int int)) "view b: a's entries" (tests, 0)
+          (counts b);
+        Alcotest.(check (pair int int)) "root = a + b" (2 * tests, tests)
+          (counts root);
+        Trim.Oracle.Cache.clear root;
+        Alcotest.(check (pair int int)) "both views see the clear" (0, 0)
+          (Trim.Oracle.Cache.size a, Trim.Oracle.Cache.size b);
+        ignore (Trim.Oracle.observe ~cache:b tiny);
+        Alcotest.(check (pair int int)) "b misses after the clear"
+          (tests, tests) (counts b);
+        Alcotest.(check (pair int int)) "root counts from the clear"
+          (0, tests) (counts root));
+    Alcotest.test_case "a view never reads another view's kept reads" `Quick
+      (fun () ->
+        let tiny = Workloads.Suite.tiny_app () in
+        let tests = List.length tiny.Platform.Deployment.test_cases in
+        let root = Trim.Oracle.Cache.create () in
+        let a = Trim.Oracle.Cache.view root
+        and b = Trim.Oracle.Cache.view root in
+        let counts c = (Trim.Oracle.Cache.hits c, Trim.Oracle.Cache.misses c) in
+        let reads c =
+          Trim.Oracle.module_reads ~cache:c tiny ~module_name:"tinylib"
+        in
+        (* the reference runs fresh through a and keeps its reads there *)
+        ignore (Trim.Oracle.for_reference ~cache:a tiny);
+        let from_b = reads b in
+        Alcotest.(check (pair int int)) "b records a run per test case"
+          (0, tests) (counts b);
+        let a0 = counts a in
+        let from_a = reads a in
+        Alcotest.(check (pair int int)) "a answers from its kept reads" a0
+          (counts a);
+        Alcotest.(check (list string)) "same profile" from_b from_a);
     Alcotest.test_case "a pipeline report counts its private memo" `Quick
       (fun () ->
         let c = Trim.Oracle.Cache.create () in

@@ -238,11 +238,6 @@ let export_suite =
               2.500000\n"
            ^ "fleet-sim,fleet,retry,1,0.000000,0.000000,0.000000,0.000000\n")
           (Obs.Export.summary_csv (golden_sink ())));
-    Alcotest.test_case "metrics CSV golden" `Quick (fun () ->
-        Alcotest.(check string) "bytes"
-          ("name,kind,count_or_value,sum,min,max\n" ^ "a.hits,counter,3,,,\n"
-           ^ "b.depth,gauge,2.5,,,\n" ^ "c.lat,histogram,2,4,1,3\n")
-          (Obs.Export.metrics_csv (golden_registry ())));
     Alcotest.test_case "layer table: known rows first, sums to the roots"
       `Quick (fun () ->
         let sink = Obs.Span.recorder () in
@@ -604,48 +599,100 @@ let lane_suite =
                 (String.concat "," (List.map string_of_int l))));
     Alcotest.test_case "concurrent pipelines nest on every wall-clock lane"
       `Quick (fun () ->
-        with_recorder (fun sink ->
-            (* one memo shared by both, as the global one is *)
-            let cache = Trim.Oracle.Cache.create () in
-            ignore
-              (on_both_domains (fun i ->
-                   Trim.Pipeline.run
-                     ~options:
-                       { Trim.Pipeline.default_options with
-                         k = 2;
-                         oracle_cache = Some cache }
-                     (Workloads.Suite.tiny_app
-                        ~name:(Printf.sprintf "tiny-%d" i) ())));
-            let spans = Obs.Span.spans sink in
-            Alcotest.(check int) "two lanes" 2
-              (List.length (wall_lanes spans));
-            Alcotest.(check bool) "well-nested" true
-              (Obs.Span.well_nested spans);
-            (* a query observes one candidate, one memo lookup per test
-               case it runs, however the other pipeline's lookups
-               interleave: a passing query looks up every test case, a
-               failing one stops at its first mismatch *)
-            let tests =
-              List.length
-                (Workloads.Suite.tiny_app ()).Platform.Deployment.test_cases
-            in
-            let queries =
-              List.filter
-                (fun (s : Obs.Span.span) -> s.sp_name = "oracle:query")
-                spans
-            in
-            Alcotest.(check bool) "queries traced" true (queries <> []);
-            List.iter
-              (fun (s : Obs.Span.span) ->
-                 let n k = int_of_string (List.assoc k s.sp_attrs) in
-                 let lookups = n "memo_hits" + n "memo_misses" in
-                 if List.assoc "pass" s.sp_attrs = "true" then
-                   Alcotest.(check int) "lookups of a passing query" tests
-                     lookups
-                 else
-                   Alcotest.(check bool) "lookups of a failing query" true
-                     (lookups >= 1 && lookups <= tests))
-              queries));
+        (* two apps that share no memo key, each traced alone on a fresh
+           memo, then both at once on one fresh memo, shared as the global
+           one is *)
+        let apps = [| "resnet"; "markdown" |] in
+        let run cache i =
+          Trim.Pipeline.run
+            ~options:
+              { Trim.Pipeline.default_options with
+                k = 6;
+                oracle_cache = Some cache }
+            (Workloads.Suite.deployment_of apps.(i))
+        in
+        let traced f =
+          with_recorder (fun sink ->
+              let reports = f () in
+              (reports, Obs.Span.spans sink))
+        in
+        let alone, alone_spans =
+          traced (fun () ->
+              List.map (fun i -> run (Trim.Oracle.Cache.create ()) i) [ 0; 1 ])
+        in
+        let shared, spans =
+          traced (fun () -> on_both_domains (run (Trim.Oracle.Cache.create ())))
+        in
+        Alcotest.(check int) "two lanes" 2 (List.length (wall_lanes spans));
+        Alcotest.(check bool) "well-nested" true (Obs.Span.well_nested spans);
+        (match shared with
+         | [ a; b ] ->
+           Alcotest.(check (list string)) "no module in common" []
+             (List.filter (fun m -> List.mem m b.ranked) a.ranked)
+         | _ -> Alcotest.fail "two reports");
+        (* [r]'s oracle queries, by their attributes *)
+        let queries spans (r : Trim.Pipeline.report) =
+          List.filter_map
+            (fun (s : Obs.Span.span) ->
+               if s.sp_name = "oracle:query"
+               && List.mem (List.assoc "module" s.sp_attrs) r.ranked
+               then Some s.sp_attrs
+               else None)
+            spans
+        in
+        (* a query observes one candidate, one memo lookup per test case it
+           runs, however the other pipeline's lookups interleave: a passing
+           query looks up every test case, a failing one stops at its first
+           mismatch *)
+        List.iter
+          (fun (r : Trim.Pipeline.report) ->
+             let tests = List.length r.original.Platform.Deployment.test_cases in
+             let qs = queries spans r in
+             Alcotest.(check bool) "queries traced" true (qs <> []);
+             List.iter
+               (fun attrs ->
+                  let n k = int_of_string (List.assoc k attrs) in
+                  let lookups = n "memo_hits" + n "memo_misses" in
+                  if List.assoc "pass" attrs = "true" then
+                    Alcotest.(check int) "lookups of a passing query" tests
+                      lookups
+                  else
+                    Alcotest.(check bool) "lookups of a failing query" true
+                      (lookups >= 1 && lookups <= tests))
+               qs)
+          shared;
+        (* and each report, counts and query spans included, is the one its
+           app's lone run gives: only the host wall clock and the global
+           parse cache's counters, which every run moves, may differ *)
+        let module_counts (r : Trim.Pipeline.report) =
+          List.map
+            (fun (m : Trim.Debloater.module_result) ->
+               (m.dm_module, m.oracle_cache_hits, m.oracle_cache_misses))
+            r.module_results
+        in
+        let rest (r : Trim.Pipeline.report) =
+          ( (r.app_name, r.ranked, r.module_results, r.total_oracle_queries),
+            (Platform.Deployment.image_digest r.original,
+             Platform.Deployment.image_digest r.optimized,
+             r.analysis, r.profile),
+            (r.quarantined_tests, r.manifest, r.replayed_modules,
+             r.warm_seeded, r.warm_seed_hits) )
+        in
+        List.iter2
+          (fun (a : Trim.Pipeline.report) (b : Trim.Pipeline.report) ->
+             let app = a.app_name ^ ": " in
+             Alcotest.(check (list (list (pair string string))))
+               (app ^ "oracle:query spans") (queries alone_spans a)
+               (queries spans b);
+             Alcotest.(check (list (triple string int int)))
+               (app ^ "per-module memo hits/misses") (module_counts a)
+               (module_counts b);
+             Alcotest.(check (pair int int)) (app ^ "caches.oracle_hits/misses")
+               (a.caches.oracle_hits, a.caches.oracle_misses)
+               (b.caches.oracle_hits, b.caches.oracle_misses);
+             Alcotest.(check bool) (app ^ "every other field") true
+               (rest a = rest b))
+          alone shared);
     Alcotest.test_case "a traced debloat's layer table sums to pipeline:run"
       `Quick (fun () ->
         (* a fresh directory: a warm store would append nothing *)
