@@ -154,15 +154,26 @@ let setup_memo memo_dir =
     Trim.Oracle.Cache.attach_store Trim.Oracle.Cache.global (Some store);
     at_exit (fun () -> Trim.Memo_store.close store)
 
-let load_baseline = function
+(* A baseline manifest for [app]; one that is missing, invalid or written
+   for another app is reported and the run goes cold. *)
+let load_baseline ~app = function
   | None -> None
   | Some path ->
     (match Trim.Manifest.load ~path with
-     | Some m -> Some m
+     | Some m when String.equal m.Trim.Manifest.mf_app app -> Some m
+     | Some m ->
+       Printf.eprintf "baseline %s is for app %s; running cold\n%!" path
+         m.Trim.Manifest.mf_app;
+       None
      | None ->
        Printf.eprintf
          "baseline %s is missing or invalid; running cold\n%!" path;
        None)
+
+(* [--resume] replays journals, so it means nothing without [--journal]. *)
+let check_resume ~resume journal =
+  if resume && journal = None then
+    usage_error "ltrim: --resume needs --journal DIR\n%!"
 
 (* Install the process-wide pool the experiment registry, redebloat and
    the sharded fleet fan out on. Call before any work; the pool is torn
@@ -275,12 +286,13 @@ let debloat_cmd =
   let run app k method_ verbose trace optimizer journal resume memo_dir
       baseline_path manifest_path =
     check_k k;
+    check_resume ~resume journal;
     Option.iter ensure_dir journal;
     setup_memo memo_dir;
     with_chaos @@ fun () ->
     with_trace trace @@ fun () ->
     setup_logs verbose;
-    let baseline = load_baseline baseline_path in
+    let baseline = load_baseline ~app baseline_path in
     let d = Workloads.Suite.deployment_of app in
     let o =
       Trim.Optimizer.run
@@ -608,6 +620,7 @@ let experiments_cmd =
                    with structured data only).")
   in
   let run only out csv jobs trace journal resume memo_dir =
+    check_resume ~resume journal;
     (* committed experiments that exercise the oracle memo create private
        caches; attaching a store to the global memo only accelerates
        wall-clock, so committed CSVs stay byte-identical either way *)

@@ -10,9 +10,6 @@ type import = {
   is_from : bool;            (** [from x import …] *)
 }
 
-(** All imports in source order. *)
-val imports : Minipy.Ast.program -> import list
-
 (** Distinct top-level module roots — the profiler's candidates. The
     interpreter-provided [simrt] costing module is excluded. *)
 val root_modules : Minipy.Ast.program -> string list

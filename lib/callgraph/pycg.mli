@@ -1,7 +1,7 @@
 (** PyCG-style static analysis (Salis et al., ICSE'21), reduced to what
     λ-trim needs: which attributes of each imported module are definitely
-    accessed (exempt from DD), and which top-level functions are reachable
-    from an entry point (the FaaSLight baseline's retention analysis).
+    accessed (exempt from DD), and which names a program references (the
+    FaaSLight and Vulture baselines' dead-code question).
 
     Flow-insensitive and over-approximating — sound for λ-trim, since
     attributes marked accessed are merely kept, never removed. *)
@@ -19,28 +19,14 @@ type result = {
   ctx_is_package : bool;
 }
 
-val empty : result
-
 (** [analyze ?current_module ?is_package prog] — with a module context,
     relative [from … import]s resolve to absolute paths; without one they
     are skipped (conservatively unprotected). *)
 val analyze :
   ?current_module:string -> ?is_package:bool -> Minipy.Ast.program -> result
 
-(** Attributes definitely accessed on [modname] (dotted). *)
-val accessed_attrs : result -> string -> String_set.t
-
 (** Attribute names accessed on [root] or any of its submodules. *)
 val accessed_under : result -> string -> String_set.t
-
-(** {1 Application call graph} *)
-
-(** Top-level defs/classes → names they call or reference. *)
-val call_graph : Minipy.Ast.program -> (string * String_set.t) list
-
-(** Top-level definitions transitively reachable from [entry]; bare
-    references count (callbacks stay reachable). *)
-val reachable : Minipy.Ast.program -> entry:string -> String_set.t
 
 (** Every identifier referenced in expression position anywhere in the
     program (def/class bodies included) — the conservative "is this name

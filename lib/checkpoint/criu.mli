@@ -12,8 +12,6 @@ type params = {
   image_base_mb : float;     (** interpreter/runtime baseline pages *)
 }
 
-val default_params : params
-
 (** Size of the checkpoint taken right after Function Initialization. *)
 val checkpoint_size_mb :
   ?params:params -> post_init_memory_mb:float -> unit -> float

@@ -10,16 +10,11 @@ type pricing = {
   restore_price_per_gb : float;
 }
 
-(** AWS's published SnapStart rates. *)
-val aws_snapstart_pricing : pricing
-
 type costs = {
   invocation_cost : float;  (** normal compute cost over the window *)
   cache_cost : float;
   restore_cost : float;
 }
-
-val total : costs -> float
 
 (** Fraction of the total spent on SnapStart support (cache + restore). *)
 val snapstart_share : costs -> float

@@ -344,16 +344,3 @@ let take = function H q -> heap_take q | C c -> cal_take c
 let last_time = function
   | H q -> Float.Array.get q.h_last 0
   | C c -> Float.Array.get c.c_last 0
-
-let pop q =
-  if length q = 0 then None
-  else
-    let x = take q in
-    Some (last_time q, x)
-
-let drain q =
-  let rec go acc = match pop q with
-    | None -> List.rev acc
-    | Some ev -> go (ev :: acc)
-  in
-  go []

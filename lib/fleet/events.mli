@@ -44,19 +44,12 @@ val reserve : 'a t -> int
 val push_reserved : 'a t -> time:float -> rank:int -> seq:int -> 'a -> unit
 
 (** Remove the earliest event and return its payload; its time is then
-    {!last_time}. Unlike {!pop} it builds no tuple or option, so this is
-    the event loop's pop. Raises [Invalid_argument] on an empty queue. A
-    drained queue retains no popped payload, except that the heap backend
-    keeps the first payload ever pushed as the filler of its vacated
-    slots. *)
+    {!last_time}. It builds no tuple or option. Raises [Invalid_argument]
+    on an empty queue. A drained queue retains no popped payload, except
+    that the heap backend keeps the first payload ever pushed as the filler
+    of its vacated slots. *)
 val take : 'a t -> 'a
 
 (** The time of the event the last {!take} removed ([nan] before the
     first). *)
 val last_time : 'a t -> float
-
-(** [take] and [last_time] as one [(time, payload)], [None] when empty. *)
-val pop : 'a t -> (float * 'a) option
-
-(** Pop everything, earliest first (testing convenience). *)
-val drain : 'a t -> (float * 'a) list

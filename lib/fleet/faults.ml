@@ -40,12 +40,6 @@ type fault =
   | Crash of { after_fraction : float }
   | Transient_error
 
-let fault_name = function
-  | No_fault -> "none"
-  | Init_failure -> "init-failure"
-  | Crash _ -> "crash"
-  | Transient_error -> "transient-error"
-
 (* --- the hash ------------------------------------------------------------- *)
 
 let splitmix64 z =

@@ -29,9 +29,6 @@ type config = {
 (** All rates zero, seed 0: injects nothing. *)
 val none : config
 
-(** True iff every rate is zero (the fast path skips all draws). *)
-val is_none : config -> bool
-
 (** Raise [Invalid_argument] unless every rate is within [0, 1]. *)
 val validate : config -> unit
 
@@ -44,8 +41,6 @@ type fault =
   | Crash of { after_fraction : float }
       (** dies after this fraction of Function Execution *)
   | Transient_error
-
-val fault_name : fault -> string
 
 (** The planned fault for attempt [attempt] (0-based) of request [req],
     served cold or warm. *)

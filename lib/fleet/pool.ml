@@ -127,9 +127,6 @@ type t = {
   mutable ka_stale : bool;
       (* [Adaptive] only: [ka] is recomputed on the first release after an
          observation, and answers every release until the next one *)
-  mutable preloaded : float;
-      (* total seconds of pending lazy-init work resolved during keep-alive
-         idle time (see [preload_idle]) *)
   mutable mru : instance array;
   mutable mru_since : Float.Array.t;
   mutable mru_len : int;
@@ -158,7 +155,6 @@ let create policy =
     observations = 0;
     ka = { ka_s = 0.0 };
     ka_stale = true;
-    preloaded = 0.0;
     mru = [||];
     mru_since = Float.Array.create 0;
     mru_len = 0;
@@ -394,16 +390,11 @@ let consume_pending inst s =
    acquiring request finds (part of) the deferred work already done. Called
    at warm-acquire time, when the just-ended idle gap [now - idle_since] is
    known. *)
-let preload_idle t inst ~now =
+let preload_idle inst ~now =
   let c = inst.times in
   let gap = Float.max 0.0 (now -. c.idle_since) in
   let resolved = Float.min gap c.pending_s in
-  if resolved > 0.0 then begin
-    c.pending_s <- c.pending_s -. resolved;
-    t.preloaded <- t.preloaded +. resolved
-  end
-
-let preloaded_s t = t.preloaded
+  c.pending_s <- c.pending_s -. resolved
 
 let drain t =
   let survivors = Hashtbl.fold (fun _ i acc -> i :: acc) t.live [] in

@@ -104,9 +104,6 @@ val resident_s : t -> float
 
 val drain : t -> unit
 
-(** The TTL the policy would hand out right now (adaptive introspection). *)
-val current_keep_alive_s : t -> float
-
 (** The adaptive policy's idle-gap histogram (1 s buckets, the last one
     absorbing every longer gap). [percentile h p] is the upper edge of the
     first bucket whose cumulative count reaches the [p]-th percentile
@@ -136,8 +133,5 @@ val pending_s : instance -> float
 val consume_pending : instance -> float -> unit
 
 (** Resolve up to the just-ended idle gap [now - idle_since] worth of
-    pending work; call at warm-acquire time. Accounted in {!preloaded_s}. *)
-val preload_idle : t -> instance -> now:float -> unit
-
-(** Total seconds of deferred init resolved during idle time. *)
-val preloaded_s : t -> float
+    pending work; call at warm-acquire time. *)
+val preload_idle : instance -> now:float -> unit

@@ -55,7 +55,7 @@ let served (r : Router.record) =
    [Stream] folds each record away the moment the router emits it: integer
    counters, running sums, and a range-grown latency [Sketch] (the waits
    only ever report their mean, so they keep a running sum).
-   Only its p50/p95/p99 are approximate (bounded by [Sketch.rel_error]).
+   Only its p50/p95/p99 are approximate (within [sqrt 1.1 - 1] relative).
    Merging accumulators adds integer bucket counts (exact,
    order-independent) — merge in a canonical order anyway so the float
    cost/sum fields are bit-reproducible at any shard layout. *)

@@ -60,7 +60,7 @@ val summarize :
     as the router emits them — integer counters, running sums (cost,
     wait) and one range-grown latency {!Sketch} instead of a per-request
     record list. Only p50/p95/p99 are approximate, within
-    [Sketch.rel_error] (≈ 4.9% relative) of the exact percentiles
+    [sqrt 1.1 - 1] (≈ 4.9% relative) of the exact percentiles
     {!summarize} reports. Accumulators merge exactly (integer bucket
     counts); merge in a canonical order so float sums are
     bit-reproducible at any shard layout. *)

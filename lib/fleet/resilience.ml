@@ -32,9 +32,6 @@ module Breaker = struct
     cooldown_s : float;
   }
 
-  let default =
-    { error_threshold = 0.5; window = 20; min_samples = 10; cooldown_s = 30.0 }
-
   let validate c =
     if not (c.error_threshold > 0.0 && c.error_threshold <= 1.0) then
       invalid_arg

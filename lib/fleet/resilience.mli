@@ -47,11 +47,6 @@ module Breaker : sig
     cooldown_s : float;       (** open duration before half-opening *)
   }
 
-  (** Threshold 0.5 over a 20-sample window (min 10), 30 s cooldown. *)
-  val default : config
-
-  val validate : config -> unit
-
   type t
 
   (** [obs_track] is the fleet-domain trace track on which state

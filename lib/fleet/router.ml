@@ -413,7 +413,7 @@ let run_with ?track_ns ~(emit : record -> unit) cfg (trace : Platform.Trace.t)
       | Some lz ->
         (match kind with
          | Cold -> Pool.set_pending inst lz.lz_deferred_s
-         | Warm -> if lz.lz_preload then Pool.preload_idle pool inst ~now);
+         | Warm -> if lz.lz_preload then Pool.preload_idle inst ~now);
         Float.min (Pool.pending_s inst) lz.lz_first_touch_s
     in
     r.times.touch_s <- 0.0;
@@ -801,4 +801,3 @@ let record res i =
     attempts = w lsr 5;
     hedged = w land 16 <> 0 }
 
-let records res = List.init (length res) (record res)

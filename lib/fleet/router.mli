@@ -23,15 +23,11 @@
 
 type start_kind = Cold | Warm
 
-val start_kind_name : start_kind -> string
-
 (** How a request's last attempt died. *)
 type failure =
   | Init_failed  (** cold-start Function Initialization failed *)
   | Crashed      (** the instance crashed mid-execution *)
   | Errored      (** the invocation completed with a transient error *)
-
-val failure_name : failure -> string
 
 type outcome =
   | Served of start_kind
@@ -125,7 +121,7 @@ type totals = {
 (** Record mode's rows, one per arrival, stored flat: four float columns
     ([start_s], [finish_s], [billed_ms], [fb_billed_ms]), the trace's own
     arrival array (shared, not copied) and one packed [int] per row (see
-    {!pack_row}). Read them back with {!record} and {!records}. *)
+    {!pack_row}). Read them back with {!record}. *)
 type columns
 
 type result = {
@@ -179,9 +175,6 @@ val length : result -> int
     same subtraction.
     @raise Invalid_argument unless [0 <= i < length res]. *)
 val record : result -> int -> record
-
-(** Every row's record, in arrival order. *)
-val records : result -> record list
 
 (** A row's packed word: the outcome's code (one of 13) in the low 4
     bits, [hedged] in bit 4, [attempts] above. [unpack_row (pack_row o

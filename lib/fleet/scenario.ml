@@ -20,35 +20,6 @@ let profile_of_deployment ?params (d : Platform.Deployment.t) =
   let cold, _ = Platform.Lambda_sim.measure_cold_and_warm ~event sim in
   profile_of_record cold
 
-(* Derive the lazy fleet model (ARCHITECTURE §14) from measured records of
-   the eager and lazy twins of one deployment. The deployment profile uses
-   the lazy cold record's init (stubs only) and the lazy warm record's exec
-   (everything already forced); the deferred remainder is the init time the
-   stubs moved off the cold path, and the first touch is the extra exec
-   time the forcing request pays. *)
-let lazy_profile_of_records ~(eager_cold : Platform.Lambda_sim.record)
-    ~(lazy_cold : Platform.Lambda_sim.record)
-    ~(lazy_warm : Platform.Lambda_sim.record) ~preload :
-  Router.deployment_profile * Router.lazy_profile =
-  let profile =
-    { (profile_of_record lazy_cold) with
-      Router.exec_s = lazy_warm.Platform.Lambda_sim.exec_ms /. 1000.0 }
-  in
-  let lz =
-    { Router.lz_deferred_s =
-        Float.max 0.0
-          ((eager_cold.Platform.Lambda_sim.init_ms
-            -. lazy_cold.Platform.Lambda_sim.init_ms)
-           /. 1000.0);
-      lz_first_touch_s =
-        Float.max 0.0
-          ((lazy_cold.Platform.Lambda_sim.exec_ms
-            -. lazy_warm.Platform.Lambda_sim.exec_ms)
-           /. 1000.0);
-      lz_preload = preload }
-  in
-  (profile, lz)
-
 let fallback ~rate ~seed ~original
     ?(policy = Pool.Fixed_ttl { keep_alive_s = 600.0 }) () : Router.fallback =
   { Router.fb_rate = rate;

@@ -17,19 +17,6 @@ val profile_of_deployment :
   Platform.Deployment.t ->
   Router.deployment_profile
 
-(** Derive the lazy fleet model (ARCHITECTURE §14) from measured records of
-    a deployment's eager and lazy twins: the returned profile carries the
-    lazy cold init (stubs only) and lazy warm exec (all forced); the
-    [Router.lazy_profile] carries the deferred init remainder
-    ([eager_cold.init - lazy_cold.init]) and the forcing request's first
-    touch ([lazy_cold.exec - lazy_warm.exec]), both clamped at zero. *)
-val lazy_profile_of_records :
-  eager_cold:Platform.Lambda_sim.record ->
-  lazy_cold:Platform.Lambda_sim.record ->
-  lazy_warm:Platform.Lambda_sim.record ->
-  preload:bool ->
-  Router.deployment_profile * Router.lazy_profile
-
 (** [fallback ~rate ~seed ~original ?policy ()] — the §7 re-invocation
     setup: [rate] of requests hit removed code and re-invoke the [original]
     profile on its own pool ([policy] defaults to a 600 s fixed TTL), paying

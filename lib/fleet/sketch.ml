@@ -6,9 +6,9 @@
    estimate is clamped to the exact running max). A quantile answer is the
    geometric midpoint of the bucket holding the requested order statistic,
    so its relative error is bounded by [sqrt gamma - 1] (< 5% at gamma =
-   1.1) — see [rel_error]. Counts are ints, so merging two sketches is
-   exact and order-independent; only the running [sum] is float and needs a
-   canonical merge order for bit-reproducibility.
+   1.1). Counts are ints, so merging two sketches is exact and
+   order-independent; only the running [sum] is float and needs a canonical
+   merge order for bit-reproducibility.
 
    Only the span of buckets observed so far is stored: [counts.(i)] holds
    bucket [lo + i], and an empty sketch holds [[||]]. A value or a merged
@@ -101,10 +101,7 @@ let add t v =
     if v > m.mx then m.mx <- v
   end
 
-let count t = t.n
-let sum t = t.m.sum
 let mean t = if t.n = 0 then 0.0 else t.m.sum /. float_of_int t.n
-let min_seen t = if t.n = 0 then 0.0 else t.m.mn
 let max_seen t = if t.n = 0 then 0.0 else t.m.mx
 
 let merge_into ~into src =
@@ -157,6 +154,3 @@ let quantile t ~p =
       let frac = rank -. float_of_int lo in
       let vlo = value_at t lo and vhi = value_at t hi in
       vlo +. ((vhi -. vlo) *. frac)
-
-let rel_error = sqrt gamma -. 1.0
-let abs_error = min_value

@@ -3,11 +3,11 @@
 
     Log-spaced buckets (growth factor 1.1, 268 of them covering
     1e-3..1e8, stored only over the span the sketch has observed) give
-    quantiles with relative error at most {!rel_error} (≈ 4.9%) plus an
-    absolute floor of {!abs_error} for values under 1e-3; count, sum,
-    mean, min and max are exact. Merging adds integer bucket counts, so the
-    merged quantiles are independent of merge order; the float [sum] is the
-    only merge-order-sensitive field (merge in a canonical order when
+    quantiles with relative error at most [sqrt 1.1 - 1] (≈ 4.9%) plus an
+    absolute floor of 1e-3 for values under 1e-3; the mean and max are
+    exact. Merging adds integer bucket counts, so the merged quantiles are
+    independent of merge order; the float running sum under the mean is
+    the only merge-order-sensitive field (merge in a canonical order when
     bit-reproducibility matters). *)
 
 type t
@@ -22,22 +22,12 @@ val add : t -> float -> unit
 (** Fold [src] into [into]; [src] is unchanged. *)
 val merge_into : into:t -> t -> unit
 
-val count : t -> int
-val sum : t -> float
-
-(** Exact moments; all return 0 on an empty sketch. *)
+(** Exact moments; both return 0 on an empty sketch. *)
 val mean : t -> float
 
-val min_seen : t -> float
 val max_seen : t -> float
 
 (** [quantile t ~p] for [p] in [0, 100], interpolating between order
     statistics with the same rank rule as [Platform.Metrics.percentile].
-    Error bound: [rel_error * exact + abs_error]. *)
+    Error bound: [(sqrt 1.1 - 1) * exact + 1e-3]. *)
 val quantile : t -> p:float -> float
-
-(** Documented accuracy bounds: relative (sqrt gamma - 1) and the absolute
-    floor for sub-[1e-3] values. *)
-val rel_error : float
-
-val abs_error : float

@@ -128,16 +128,3 @@ val dotted_to_string : dotted -> string
 
 val e : ?loc:Loc.t -> expr_desc -> expr
 val s : ?loc:Loc.t -> stmt_desc -> stmt
-
-(** Structural equality ignoring locations — the round-trip property's
-    notion of "same program". *)
-
-val const_equal : const -> const -> bool
-val expr_equal : expr -> expr -> bool
-val exprs_equal : expr list -> expr list -> bool
-val target_equal : target -> target -> bool
-val stmt_equal : stmt -> stmt -> bool
-val param_equal : param -> param -> bool
-val handler_equal : handler -> handler -> bool
-val stmts_equal : stmt list -> stmt list -> bool
-val program_equal : program -> program -> bool

@@ -1,16 +1,11 @@
 (** Builtin functions and exception constructors installed into every
     interpreter: [print], [len], [range], conversions, aggregates, [sorted],
     container constructors, [enumerate]/[zip], [type]/[isinstance]/[hasattr],
-    and one constructor per exception class in {!exception_names} (raising
-    builds a [Vexc] matched by name in [except] clauses). *)
-
-(** Exception classes known to [except] matching; ["Exception"] catches all. *)
-val exception_names : string list
+    and one constructor per exception class (raising builds a [Vexc]
+    matched by name in [except] clauses, where ["Exception"] catches
+    all). *)
 
 val iterable_values : Value.value -> Value.value list
-
-(** @raise Value.Py_error ([TypeError]) on non-integers. *)
-val as_int : Value.value -> int
 
 (** Install the builtins into a namespace. [output] receives [print]ed text;
     [charge_time]/[charge_bytes] connect allocations to the interpreter's

@@ -40,8 +40,6 @@ let prefixes (parts : string list) : string list list =
   in
   go [] [] parts
 
-let dotted = Ast.dotted_to_string
-
 (* The site-packages path prefix owning a top-level module, if resolvable;
    used by the debloater to locate the file to rewrite. *)
 let init_file_of (vfs : Vfs.t) (module_name : string) : string option =

@@ -9,15 +9,11 @@ type resolution =
   | Module of string   (** vfs path of the module's [.py] file *)
   | Not_found
 
-val search_roots : string list
-
 val resolve : Vfs.t -> string list -> resolution
 
 (** All dotted prefixes: [a.b.c] gives [[a]; [a;b]; [a;b;c]] — the import
     order CPython (and this interpreter) uses. *)
 val prefixes : string list -> string list list
-
-val dotted : Ast.dotted -> string
 
 (** The file defining [module_name]'s namespace — the file the debloater
     rewrites — if the module is file-backed. *)

@@ -66,8 +66,6 @@ and env = {
   global_decls : (string, unit) Hashtbl.t;
 }
 
-val default_max_steps : int
-
 (** The engine name recorded in on-disk keys: the oracle memo key, the DD
     journal run digest and the run-manifest header. It is ["treewalk"], the
     name the tree-walker has always written, so existing files stay valid. *)
@@ -116,11 +114,6 @@ val parse_lazy_manifest : string -> string list * string list
     manifest, ["lazy:<digest>"] with one. Lazy and eager twins of an image
     must never share oracle verdicts. *)
 val lazy_config_of_vfs : Vfs.t -> string
-
-(** Run a pending stub's body (ancestors first); no-op on initialized
-    modules. Import hooks fire and the deferred loader fee plus body ticks
-    are charged here, at touch time. *)
-val force_module : t -> Value.module_obj -> unit
 
 (** The module-level environment (locals = globals = the namespace). *)
 val module_env : Value.module_obj -> env

@@ -297,12 +297,3 @@ and lex_token st =
       let text = String.sub st.src start (st.pos - start) in
       if Token.is_keyword text then (Token.Keyword text, l) else (Token.Name text, l)
     | _ -> (lex_operator st, l)
-
-let tokenize ~file src =
-  let st = make ~file src in
-  let rec go acc =
-    match next st with
-    | (Token.Eof, _) as t -> List.rev (t :: acc)
-    | t -> go (t :: acc)
-  in
-  go []

@@ -16,6 +16,3 @@ val make : file:string -> string -> state
     [Dedent]s. Once [next] has raised [Error], the state must not be used
     again. *)
 val next : state -> Token.t * Loc.t
-
-(** The whole stream of {!next}, up to and including the first [Eof]. *)
-val tokenize : file:string -> string -> (Token.t * Loc.t) list

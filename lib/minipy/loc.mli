@@ -8,5 +8,4 @@ type t = {
 
 val make : file:string -> line:int -> col:int -> t
 val dummy : t
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -658,12 +658,3 @@ let run ~file src f =
     Printexc.raise_with_backtrace e bt
 
 let parse ~file src : Ast.program = run ~file src parse_program
-
-let parse_expression ~file src : Ast.expr =
-  run ~file src (fun st ->
-      let e = parse_expr st in
-      ignore (accept st Token.Newline);
-      (match current st with
-       | Token.Eof -> ()
-       | _ -> error st "expected end of expression");
-      e)

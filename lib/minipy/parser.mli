@@ -13,8 +13,3 @@ exception Error of string * Loc.t
     [Error] the parser raises: on a parse error the rest of the source is
     lexed first. *)
 val parse : file:string -> string -> Ast.program
-
-(** Parse a single expression (test-case events are expression sources).
-    The expression must end the input, optionally followed by a newline;
-    trailing tokens raise [Error]. Errors take precedence as in {!parse}. *)
-val parse_expression : file:string -> string -> Ast.expr

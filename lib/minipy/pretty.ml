@@ -237,4 +237,3 @@ let program_to_string (p : program) =
   | _ ->
     String.concat "\n" (List.concat_map (stmt_lines ~depth:0) p) ^ "\n"
 
-let expr_to_string e = expr_str e

@@ -31,8 +31,6 @@ let pp ppf = function
   | Dedent -> Fmt.pf ppf "DEDENT"
   | Eof -> Fmt.pf ppf "EOF"
 
-let to_string t = Fmt.str "%a" pp t
-
 let equal a b =
   match a, b with
   | Int x, Int y -> Int.equal x y

@@ -14,5 +14,4 @@ type t =
 
 val is_keyword : string -> bool
 val pp : Format.formatter -> t -> unit
-val to_string : t -> string
 val equal : t -> t -> bool

@@ -83,9 +83,6 @@ val equal : value -> value -> bool
     @raise Py_error ([TypeError]) on incomparable types. *)
 val compare_values : value -> value -> int
 
-val compare_arrays : value array -> value array -> int
-val float_repr : float -> string
-
 (** [str()] — used by print. *)
 val to_display : value -> string
 

@@ -9,11 +9,11 @@
 
    - a *root* image ([parent = None]) owns every file;
    - an *overlay* ([parent = Some base]) is a copy-on-write view: reads fall
-     through to the base, writes and removals land in the overlay's own delta
-     table (removals as tombstones). Building a DD candidate is therefore
-     O(rewritten files) instead of O(image files). A base must not be mutated
-     while overlays of it are alive — the debloater and baselines obey this
-     by constructing images fully before the first overlay is taken.
+     through to the base, writes land in the overlay's own delta table.
+     Building a DD candidate is therefore O(rewritten files) instead of
+     O(image files). A base must not be mutated while overlays of it are
+     alive — the debloater and baselines obey this by constructing images
+     fully before the first overlay is taken.
 
    Every file content has a content digest, memoized per owning layer and
    invalidated by rewrites; [image_digest] combines them into a single
@@ -22,10 +22,6 @@
    sorted (path, digest) list, the image size and the image digest), derived
    from its parent's memos plus its own delta, so probing a DD candidate
    costs O(image paths) once instead of a walk of the whole chain per call. *)
-
-type entry =
-  | Source of string
-  | Tombstone       (* overlay-level removal of a base file *)
 
 (* The effective image as one layer sees it: every source path in sorted
    order with its content digest, and every phantom sorted by path. *)
@@ -37,7 +33,7 @@ type view = {
 
 type t = {
   parent : t option;
-  files : (string, entry) Hashtbl.t;
+  files : (string, string) Hashtbl.t;  (* path -> source text *)
   (* phantom entries: binary payloads (shared objects, model weights)
      represented by size only — they contribute to the image footprint but
      are never read as source *)
@@ -72,8 +68,6 @@ let create () = make None ~size:64
 
 let overlay base = make (Some base) ~size:8
 
-let is_overlay t = t.parent <> None
-
 (* A mutation of [t] (of [path], if any): drop what it invalidates. *)
 let invalidate t path =
   Mutex.protect t.lock (fun () ->
@@ -83,23 +77,16 @@ let invalidate t path =
       t.digest <- None)
 
 let add_file t path content =
-  Hashtbl.replace t.files path (Source content);
+  Hashtbl.replace t.files path content;
   invalidate t (Some path)
 
 let add_phantom t path ~bytes =
   Hashtbl.replace t.phantoms path bytes;
   invalidate t None
 
-let remove_file t path =
-  (match t.parent with
-   | None -> Hashtbl.remove t.files path
-   | Some _ -> Hashtbl.replace t.files path Tombstone);
-  invalidate t (Some path)
-
 let rec read t path =
   match Hashtbl.find_opt t.files path with
-  | Some (Source c) -> Some c
-  | Some Tombstone -> None
+  | Some c -> Some c
   | None ->
     (match t.parent with Some p -> read p path | None -> None)
 
@@ -114,7 +101,7 @@ let exists t path = read t path <> None
 
 let rec file_digest t path =
   match Hashtbl.find_opt t.files path with
-  | Some (Source c) ->
+  | Some c ->
     (match Mutex.protect t.lock (fun () -> Hashtbl.find_opt t.digests path) with
      | Some d -> Some d
      | None ->
@@ -122,7 +109,6 @@ let rec file_digest t path =
        let d = Digest.to_hex (Digest.string c) in
        Mutex.protect t.lock (fun () -> Hashtbl.replace t.digests path d);
        Some d)
-  | Some Tombstone -> None
   | None ->
     (match t.parent with Some p -> file_digest p path | None -> None)
 
@@ -138,15 +124,15 @@ let memoized t get set compute =
 
 let empty_view = { v_paths = [||]; v_digests = [||]; v_phantoms = [] }
 
-(* The parent's view merged with this layer's delta: a Source replaces or
-   adds its path, a Tombstone drops it. One pass over the parent's sorted
+(* The parent's view merged with this layer's delta: each of its files
+   replaces or adds its path. One pass over the parent's sorted
    arrays, so an overlay costs O(image paths) however deep its chain. *)
 let rec view t =
   memoized t (fun t -> t.view) (fun t v -> t.view <- v) @@ fun t ->
   let base = match t.parent with Some p -> view p | None -> empty_view in
   let delta =
-    Hashtbl.fold (fun p e acc -> (p, e) :: acc) t.files []
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+    Hashtbl.fold (fun p _ acc -> p :: acc) t.files []
+    |> List.sort String.compare
   in
   let n = Array.length base.v_paths in
   let size = n + List.length delta in
@@ -170,12 +156,10 @@ let rec view t =
     done
   in
   List.iter
-    (fun (p, e) ->
+    (fun p ->
        copy_below (Some p);
        if !i < n && String.equal base.v_paths.(!i) p then incr i;
-       match e with
-       | Source _ -> push p (Option.get (file_digest t p))
-       | Tombstone -> ())
+       push p (Option.get (file_digest t p)))
     delta;
   copy_below None;
   let own =
@@ -222,15 +206,13 @@ let copy t =
   let t' = create () in
   Array.iteri
     (fun i p ->
-       Hashtbl.replace t'.files p (Source (read_exn t p));
+       Hashtbl.replace t'.files p (read_exn t p);
        Hashtbl.replace t'.digests p v.v_digests.(i))
     v.v_paths;
   List.iter (fun (p, b) -> Hashtbl.replace t'.phantoms p b) v.v_phantoms;
   t'
 
 let paths t = Array.to_list (view t).v_paths
-
-let file_count t = Array.length (view t).v_paths
 
 let rec phantom_bytes t path =
   match Hashtbl.find_opt t.phantoms path with
@@ -256,9 +238,7 @@ let rec image_bytes t =
   in
   let with_files =
     Hashtbl.fold
-      (fun path e acc ->
-         acc - shadowed_file path
-         + match e with Source c -> file_bytes c | Tombstone -> 0)
+      (fun path c acc -> acc - shadowed_file path + file_bytes c)
       t.files base
   in
   Hashtbl.fold

@@ -8,16 +8,16 @@
 
     A value is either a {e root} image owning all of its files, or a
     copy-on-write {e overlay} of a base image: reads fall through to the
-    base, writes and removals stay in the overlay. File contents are
-    content-addressed: {!file_digest} and {!image_digest} provide stable
-    cache keys for the parse cache and the oracle memo. *)
+    base, writes stay in the overlay. File contents are content-addressed:
+    {!file_digest} and {!image_digest} provide stable cache keys for the
+    parse cache and the oracle memo. *)
 
 type t
 
 val create : unit -> t
 
 (** [overlay base] is a copy-on-write view of [base]: O(1) to build, reads
-    fall through, [add_file]/[remove_file] affect only the overlay. The base
+    fall through, [add_file]/[add_phantom] affect only the overlay. The base
     must not be mutated while the overlay is alive.
 
     Domain safety: a frozen base (no further mutation — the invariant above)
@@ -28,16 +28,11 @@ val create : unit -> t
     every mutation drops that layer's whole-image memos. *)
 val overlay : t -> t
 
-val is_overlay : t -> bool
-
 val add_file : t -> string -> string -> unit
 
 (** Register a binary payload (shared object, model weights) by size only:
     it contributes to the image footprint but is never read as source. *)
 val add_phantom : t -> string -> bytes:int -> unit
-
-(** On an overlay this writes a tombstone hiding the base file. *)
-val remove_file : t -> string -> unit
 
 val read : t -> string -> string option
 
@@ -49,17 +44,14 @@ val exists : t -> string -> bool
 (** A deep copy sharing no mutable state; overlay chains are flattened. *)
 val copy : t -> t
 
-(** Source paths, sorted (phantoms excluded). This, {!file_count},
-    {!files_under}, {!image_bytes} and {!image_digest} read a per-layer
-    memo derived from the parent's, so repeated calls and overlays of one
-    base do not re-walk the chain. *)
+(** Source paths, sorted (phantoms excluded). This, {!files_under},
+    {!image_mb} and {!image_digest} read a per-layer memo derived from the
+    parent's, so repeated calls and overlays of one base do not re-walk the
+    chain. *)
 val paths : t -> string list
 
-val file_count : t -> int
-
-(** Image size: source bytes plus per-file packaging overhead plus phantoms. *)
-val image_bytes : t -> int
-
+(** Image size in MiB: source bytes plus per-file packaging overhead plus
+    phantoms. *)
 val image_mb : t -> float
 
 (** Source paths under a directory prefix. *)

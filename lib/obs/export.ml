@@ -67,22 +67,10 @@ let process_meta domain =
 let metrics_json registry =
   let rows =
     Metrics.fold registry
-      (fun acc i ->
-         (match i with
-          | Metrics.Counter c ->
-            Printf.sprintf "\"%s\":%d"
-              (escape (Metrics.counter_name c))
-              (Metrics.value c)
-          | Metrics.Gauge g ->
-            Printf.sprintf "\"%s\":%.6g"
-              (escape (Metrics.gauge_name g))
-              (Metrics.gauge_value g)
-          | Metrics.Histogram h ->
-            Printf.sprintf
-              "\"%s\":{\"count\":%d,\"sum\":%.6g,\"min\":%.6g,\"max\":%.6g}"
-              (escape (Metrics.histogram_name h))
-              (Metrics.histogram_count h) (Metrics.histogram_sum h)
-              (Metrics.histogram_min h) (Metrics.histogram_max h))
+      (fun acc c ->
+         Printf.sprintf "\"%s\":%d"
+           (escape (Metrics.counter_name c))
+           (Metrics.value c)
          :: acc)
       []
   in

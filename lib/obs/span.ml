@@ -146,11 +146,6 @@ let begin_ t ~domain ~track ~cat ~name ~ts_ms =
           sp_kind = Complete;
           sp_seq = seq } )
 
-let add_attr h key value =
-  match h with
-  | No_span -> ()
-  | Open (_, sp) -> sp.sp_attrs <- sp.sp_attrs @ [ (key, value) ]
-
 let end_ ?(attrs = []) h ~ts_ms =
   match h with
   | No_span -> ()
@@ -179,19 +174,6 @@ let instant ?(attrs = []) t ~domain ~track ~cat ~name ~ts_ms =
         in
         st.spans <- sp :: st.spans)
 
-(* [f] inside a span of the active sink [t], timed by [clock]; [attrs]
-   sees [f]'s result (an exception ends the span without them). *)
-let around t ~domain ~track ~cat ~name ~clock ~attrs f =
-  let h = begin_ t ~domain ~track ~cat ~name ~ts_ms:(clock ()) in
-  match f () with
-  | v -> end_ ~attrs:(attrs v) h ~ts_ms:(clock ()); v
-  | exception e -> end_ h ~ts_ms:(clock ()); raise e
-
-let with_span t ~domain ~track ~cat ~name ~clock f =
-  match t with
-  | Null -> f ()
-  | Active _ -> around t ~domain ~track ~cat ~name ~clock ~attrs:ignore_v f
-
 (* --- wall-clock lanes -------------------------------------------------------
 
    The one rule for which track a [domain_wall] span lands on: the lane of
@@ -214,8 +196,13 @@ let wall ?(attrs = ignore_v) ~cat ~name f =
   match !current with
   | Null -> f ()
   | Active _ as t ->
-    around t ~domain:domain_wall ~track:(Domain.DLS.get wall_lane) ~cat ~name
-      ~clock:wall_ms ~attrs f
+    let h =
+      begin_ t ~domain:domain_wall ~track:(Domain.DLS.get wall_lane) ~cat
+        ~name ~ts_ms:(wall_ms ())
+    in
+    (match f () with
+     | v -> end_ ~attrs:(attrs v) h ~ts_ms:(wall_ms ()); v
+     | exception e -> end_ h ~ts_ms:(wall_ms ()); raise e)
 
 (* --- the lane walk ---------------------------------------------------------
 
@@ -283,6 +270,4 @@ let walk all =
       let l_nodes, l_overlap = walk_lane spans in
       { l_domain; l_track; l_nodes; l_overlap })
 
-let nesting_violation all = List.find_map (fun l -> l.l_overlap) (walk all)
-
-let well_nested all = nesting_violation all = None
+let well_nested all = List.for_all (fun l -> l.l_overlap = None) (walk all)

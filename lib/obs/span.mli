@@ -84,9 +84,6 @@ val begin_ :
   ts_ms:float ->
   h
 
-(** No-op on {!none}. Attributes are appended in call order. *)
-val add_attr : h -> string -> string -> unit
-
 (** Complete the span: duration is [ts_ms - start], clamped to 0 (wall
     clocks are not guaranteed monotone). *)
 val end_ : ?attrs:attr list -> h -> ts_ms:float -> unit
@@ -101,19 +98,6 @@ val instant :
   name:string ->
   ts_ms:float ->
   unit
-
-(** [with_span sink … ~clock f] wraps [f] in a span, reading [clock] at
-    entry and exit (exception-safe). On the null sink, calls [f] directly
-    without touching [clock]. *)
-val with_span :
-  sink ->
-  domain:int ->
-  track:int ->
-  cat:string ->
-  name:string ->
-  clock:(unit -> float) ->
-  (unit -> 'a) ->
-  'a
 
 (** {1 Wall-clock lanes}
 
@@ -163,8 +147,6 @@ val walk : span list -> lane list
 
 (** {1 Invariant checking (tests, CI)} *)
 
-(** First pair of completed spans on the same (domain, track) that neither
-    nest nor are disjoint, if any. *)
-val nesting_violation : span list -> (span * span) option
-
+(** No two completed spans on one (domain, track) straddle: each pair
+    nests or is disjoint. *)
 val well_nested : span list -> bool

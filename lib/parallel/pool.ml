@@ -109,8 +109,6 @@ let create ~domains =
         Domain.spawn (worker_body t slot));
   t
 
-let size t = t.size
-
 let shutdown t =
   Mutex.lock t.lock;
   if t.closing then Mutex.unlock t.lock
@@ -121,10 +119,6 @@ let shutdown t =
     Array.iter Domain.join t.workers;
     t.workers <- [||]
   end
-
-let with_pool ~domains f =
-  let t = create ~domains in
-  Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
 
 (* --- map ------------------------------------------------------------------ *)
 

@@ -27,16 +27,15 @@
     domain blocked for lack of runnable work) and [jobs] (map calls). Each
     worker domain claims a private wall-clock span lane when it starts
     ({!Obs.Span.claim_wall_lane}), so the spans of concurrently running
-    tasks never share a track, and a trace shows each worker's busy time. *)
+    tasks never share a track, and a trace shows each worker's busy time.
+    Any other domain, such as the main one, records on the main lane; a
+    submitter helping to drain its own job records there too. *)
 
 type t
 
 (** [create ~domains] spawns [domains - 1] workers.
     @raise Invalid_argument if [domains < 1]. *)
 val create : domains:int -> t
-
-(** Total parallelism (the [~domains] given to {!create}). *)
-val size : t -> int
 
 (** [map t f xs] applies [f] to every element of [xs] on the pool and
     returns the results in the order of [xs]. See the determinism and
@@ -47,20 +46,6 @@ val map : t -> ('a -> 'b) -> 'a list -> 'b list
     Idempotent. Submitting to a shut-down pool raises [Invalid_argument].
     Must not be called while a {!map} is in flight. *)
 val shutdown : t -> unit
-
-(** [with_pool ~domains f] = create, run [f pool], always shutdown. *)
-val with_pool : domains:int -> (t -> 'a) -> 'a
-
-(** {1 Worker identity}
-
-    Each worker domain gets a pool-wide slot in [1 .. size-1] and its own
-    wall-clock span lane. Any other domain, such as the main one, has no
-    slot and records on the main lane. A task records on the lane of the
-    domain that runs it, which for a submitter helping to drain its own
-    job is the submitter's. *)
-
-(** The executing domain's worker slot, if it is a pool worker. *)
-val current_worker : unit -> int option
 
 (** {1 The process-wide configured pool}
 

@@ -68,12 +68,11 @@ type t = {
                 (* read recorder handed to every interpreter this sim
                    creates (Minipy.Interp.create) *)
   mutable live : instance option;   (* single-concurrency pool *)
-  mutable records : record list;    (* newest first *)
 }
 
 let create ?(pricing = Pricing.aws) ?(params = default_params) ?(obs = true)
     ?on_read deployment =
-  { deployment; pricing; params; obs; on_read; live = None; records = [] }
+  { deployment; pricing; params; obs; on_read; live = None }
 
 let eval_expr interp src =
   (* test-case events repeat across thousands of oracle invocations; the
@@ -209,7 +208,6 @@ let invoke ?(event = "{}") ?(context = Deployment.default_context) t ~now_s () =
     { kind; instance_init_ms; transmission_ms = trans_ms; init_ms; exec_ms;
       e2e_ms; billed_ms; peak_memory_mb; cost; outcome; stdout; external_calls }
   in
-  t.records <- record :: t.records;
   if Obs.Span.enabled sink then begin
     (* phase boundaries are all known now; emit the Fig.-1 breakdown as
        immediate spans on this invocation's lane *)
@@ -243,8 +241,6 @@ let invoke ?(event = "{}") ?(context = Deployment.default_context) t ~now_s () =
 (* Force the platform to discard the warm instance — the evaluation triggers
    cold starts this way ("we update the function description field"). *)
 let evict t = t.live <- None
-
-let records t = List.rev t.records
 
 (* One cold start followed by one warm start; the basis for most figures. *)
 let measure_cold_and_warm ?event ?context t =

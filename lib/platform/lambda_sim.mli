@@ -55,7 +55,7 @@ type t = {
   on_read : (string -> string -> unit) option;
       (** read recorder of the sim's interpreters ({!Minipy.Interp.create}) *)
   mutable live : instance option;
-  mutable records : record list;
+      (** the warm instance; [None] forces the next invocation cold *)
 }
 
 (** [obs] (default [true]) records each invocation on the installed tracer:
@@ -75,12 +75,6 @@ val transmission_ms : t -> float
     spent and surface as [Error] outcomes; the failed instance is not kept
     warm. *)
 val invoke : ?event:string -> ?context:string -> t -> now_s:float -> unit -> record
-
-(** Discard the warm instance — how the evaluation forces cold starts. *)
-val evict : t -> unit
-
-(** All invocation records, oldest first. *)
-val records : t -> record list
 
 (** One forced cold start followed by one warm start. *)
 val measure_cold_and_warm :

@@ -1,4 +1,4 @@
-(* Summary statistics for experiment reporting: means, percentiles, CDFs. *)
+(* Summary statistics for experiment reporting: means and percentiles. *)
 
 (* NaN policy for the order statistics: polymorphic [compare] places NaN
    inconsistently (its comparisons all lie), so a single NaN used to poison
@@ -6,12 +6,6 @@
    counting each drop so a polluted data set is visible in the metrics
    export rather than silently shrunk. *)
 let nan_dropped = Obs.Metrics.counter Obs.Metrics.global "platform.metrics.nan_dropped"
-
-let drop_nans xs =
-  let kept = List.filter (fun x -> not (Float.is_nan x)) xs in
-  let dropped = List.length xs - List.length kept in
-  if dropped > 0 then Obs.Metrics.incr ~by:dropped nan_dropped;
-  kept
 
 let mean = function
   | [] -> 0.0
@@ -128,25 +122,6 @@ let percentile p xs =
   percentile_sorted p (sort_samples (Float.Array.of_list xs))
 
 let median xs = percentile 50.0 xs
-let p95 xs = percentile 95.0 xs
-let p99 xs = percentile 99.0 xs
-
-let stddev xs =
-  match xs with
-  | [] | [ _ ] -> 0.0
-  | _ ->
-    let m = mean xs in
-    let var =
-      List.fold_left (fun acc x -> acc +. ((x -. m) ** 2.0)) 0.0 xs
-      /. float_of_int (List.length xs - 1)
-    in
-    sqrt var
-
-(* CDF sample points: fraction of values <= x for each x in the sorted data. *)
-let cdf xs =
-  let sorted = List.sort Float.compare (drop_nans xs) in
-  let n = float_of_int (List.length sorted) in
-  List.mapi (fun i x -> (x, float_of_int (i + 1) /. n)) sorted
 
 (* Relative improvement of [after] over [before]: positive = better
    (smaller). Reported as a percentage, as in Figures 8-10. *)

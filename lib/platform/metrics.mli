@@ -1,14 +1,14 @@
 (** Summary statistics for experiment reporting.
 
-    Every function here is total: on the empty list, [mean], [percentile]
-    (and its [median]/[p95]/[p99] conveniences) and [stddev] return [0.0]
-    rather than raising, so report code can aggregate sparse buckets (e.g. a
-    fleet run where no request timed out) without guarding.
+    Every function here is total: on the empty list, [mean] and
+    [percentile] (and its [median] convenience) return [0.0] rather than
+    raising, so report code can aggregate sparse buckets (e.g. a fleet run
+    where no request timed out) without guarding.
 
-    NaN policy: the order statistics ([percentile]/[median]/[p95]/[p99] and
-    [cdf]) sort with [Float.compare] and drop NaN inputs, counting each drop
-    in the [platform.metrics.nan_dropped] counter of {!Obs.Metrics.global}
-    so polluted data is visible rather than rank-poisoning. *)
+    NaN policy: the order statistics ([percentile]/[median]) sort with
+    [Float.compare] and drop NaN inputs, counting each drop in the
+    [platform.metrics.nan_dropped] counter of {!Obs.Metrics.global} so
+    polluted data is visible rather than rank-poisoning. *)
 
 (** [0.0] on the empty list. *)
 val mean : float list -> float
@@ -29,18 +29,6 @@ val sort_samples : Float.Array.t -> Float.Array.t
     elements, bit for bit: the rank rule both share. [0.0] on the empty
     array. *)
 val percentile_sorted : float -> Float.Array.t -> float
-
-(** [percentile 95.0] / [percentile 99.0] — the fleet report's tail-latency
-    summaries. *)
-val p95 : float list -> float
-
-val p99 : float list -> float
-
-(** Sample standard deviation; [0.0] on the empty and singleton lists. *)
-val stddev : float list -> float
-
-(** CDF sample points: (value, fraction ≤ value) over the sorted data. *)
-val cdf : float list -> (float * float) list
 
 (** Relative improvement in percent; positive = [after] is smaller. *)
 val improvement_pct : before:float -> after:float -> float

@@ -77,7 +77,3 @@ let invocation_cost t ~duration_ms ~memory_mb =
   let billed_ms = billed_duration_ms t duration_ms in
   let mem_gb = configured_memory_mb t memory_mb /. 1024.0 in
   (mem_gb *. (billed_ms /. 1000.0) *. t.unit_price_per_gb_s) +. t.per_request_fee
-
-(* Cost of [n] identical invocations — Figure 2 prices 100 K. *)
-let cost_of_invocations t ~n ~duration_ms ~memory_mb =
-  float_of_int n *. invocation_cost t ~duration_ms ~memory_mb

@@ -30,13 +30,5 @@ val provider_name : provider -> string
     bills that tick count, not an extra one. *)
 val billed_duration_ms : t -> float -> float
 
-(** The memory configuration implied by a measured peak footprint: rounded up
-    to a whole MB, clamped to the provider's floor and ceiling. *)
-val configured_memory_mb : t -> float -> float
-
 (** Eq. 1 for one invocation, from the raw duration and peak footprint. *)
 val invocation_cost : t -> duration_ms:float -> memory_mb:float -> float
-
-(** [n] identical invocations — Figure 2 prices 100 K. *)
-val cost_of_invocations :
-  t -> n:int -> duration_ms:float -> memory_mb:float -> float

@@ -32,10 +32,6 @@ let make ~name arrivals_s = of_array ~name (Float.Array.of_list arrivals_s)
 
 let length t = Float.Array.length t.arrivals_s
 
-let duration_s t =
-  let n = length t in
-  if n = 0 then 0.0 else Float.Array.get t.arrivals_s (n - 1)
-
 (* --- generators (all deterministic given the seed) ---------------------- *)
 
 (* The generators append to a flat buffer that doubles when full and is
@@ -136,7 +132,3 @@ let replay ?(exec_s = 0.0) t ~keep_alive_s : replay =
     expires := new_expires
   done;
   { cold_starts = !cold; warm_starts = !warm; resident_s = !resident }
-
-let cold_fraction r =
-  let total = r.cold_starts + r.warm_starts in
-  if total = 0 then 0.0 else float_of_int r.cold_starts /. float_of_int total

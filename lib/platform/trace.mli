@@ -16,9 +16,6 @@ val make : name:string -> float list -> t
 (** Number of arrivals, O(1). *)
 val length : t -> int
 
-(** The last arrival time ([0] for an empty trace), O(1). *)
-val duration_s : t -> float
-
 (** Poisson arrivals with exponential inter-arrival times.
     @raise Invalid_argument unless [rate_per_s] is finite and positive and
     [duration_s] is finite and non-negative. *)
@@ -47,5 +44,3 @@ type replay = {
 (** [replay ?exec_s t ~keep_alive_s]: every arrival is classified cold/warm;
     [exec_s] extends the keep-alive timer from request completion. *)
 val replay : ?exec_s:float -> t -> keep_alive_s:float -> replay
-
-val cold_fraction : replay -> float

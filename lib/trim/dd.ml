@@ -158,16 +158,3 @@ let minimize ?(on_step = fun (_ : 'a step) -> ()) ?journal ?seed ~oracle
     if universe = [] then [] else loop (List.init (Array.length arr) Fun.id) 2
   in
   (to_items result, stats)
-
-(* Check 1-minimality of [subset] under [oracle]: the subset passes and no
-   single-element removal does. Exposed for tests and EXPERIMENTS.md.
-
-   Removal is positional: filtering on the element value would drop every
-   duplicate at once (and OCaml's [!=] on immediate ints compares like [=],
-   so [5; 5] minus one 5 came out as [] — testing a 2-element removal and
-   misreporting minimality). *)
-let is_one_minimal ~oracle subset =
-  oracle subset
-  && List.for_all
-       (fun i -> not (oracle (List.filteri (fun j _ -> j <> i) subset)))
-       (List.init (List.length subset) Fun.id)

@@ -25,13 +25,6 @@ type 'a step = {
   step_passed : bool;        (** the oracle's verdict *)
 }
 
-(** [partitions items n] splits [items] into at most [n] contiguous,
-    non-empty partitions of near-equal size, covering [items] exactly. *)
-val partitions : 'a list -> int -> 'a list list
-
-(** [complement ~of_ part] is [of_] without the elements of [part]. *)
-val complement : of_:'a list -> 'a list -> 'a list
-
 (** [minimize ~oracle items] runs Algorithm 1. Assumes [oracle items = true]
     (the full program passes its own test cases — §5's precondition).
     Unlike crash minimisation, the empty subset is a legal result: a
@@ -60,7 +53,3 @@ val minimize :
   oracle:('a list -> bool) ->
   'a list ->
   'a list * stats
-
-(** [is_one_minimal ~oracle subset]: [subset] passes and no single-element
-    removal does. The property tests check [minimize]'s output with this. *)
-val is_one_minimal : oracle:('a list -> bool) -> 'a list -> bool

@@ -172,7 +172,6 @@ let append t kind fields =
 
 let records t = t.next_seq
 let truncated t = t.truncated
-let path t = t.path
 
 let close t =
   match t.oc with

@@ -68,8 +68,6 @@ val records : t -> int
 (** Lines dropped after the valid prefix by {!open_}. *)
 val truncated : t -> int
 
-val path : t -> string
-
 (** Flush, close and release the lock. Idempotent. *)
 val close : t -> unit
 

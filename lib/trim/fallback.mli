@@ -6,12 +6,6 @@
     serverless instance and returns its response plus a notification telling
     the user to re-run λ-trim with the failing input added to the oracle. *)
 
-(** Wrapper setup cost added before invoking the fallback (~50 ms, §8.7). *)
-val setup_overhead_ms : float
-
-(** Does this exception class indicate a removed attribute? *)
-val is_removal_error : Minipy.Value.exc -> bool
-
 type result = {
   outcome : Platform.Lambda_sim.outcome;  (** what the client receives *)
   used_fallback : bool;

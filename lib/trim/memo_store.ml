@@ -122,6 +122,4 @@ let appended t = locked t (fun () -> t.appended_records)
 
 let truncated t = Durable_log.truncated t.log
 
-let path t = Durable_log.path t.log
-
 let close t = locked t (fun () -> Durable_log.close t.log)

@@ -52,9 +52,6 @@ val appended : t -> int
 (** Invalid trailing lines discarded by {!open_}. *)
 val truncated : t -> int
 
-(** Full path of the backing file. *)
-val path : t -> string
-
 (** Flush and close the file, releasing its lock. Reads keep working;
     further {!add}s raise. *)
 val close : t -> unit

@@ -20,8 +20,6 @@ let of_string = function
   | "none" | "off" -> Some Off
   | _ -> None
 
-let all = [ Dd; Lazy; Combined; Off ]
-
 type outcome = {
   o_variant : variant;
   o_deployment : Platform.Deployment.t;  (* what gets deployed *)

@@ -10,7 +10,6 @@ type variant = Dd | Lazy | Combined | Off
 val to_string : variant -> string
 
 val of_string : string -> variant option
-val all : variant list
 
 type outcome = {
   o_variant : variant;

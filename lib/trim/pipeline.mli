@@ -70,8 +70,6 @@ type report = {
   warm_seed_hits : int;  (** warm starts whose seed passed confirmation *)
 }
 
-val src : Logs.src
-
 (** The wall-clock layers every traced run reports, in pipeline order:
     [static_analysis], [profile], [oracle.reference], [profile.reads] (the
     profile-seed read runs), [oracle.exec] / [oracle.hit] (DD queries that

@@ -100,6 +100,3 @@ let profile (d : Platform.Deployment.t) : result =
    exactly as in the paper (Table 3 debloats e.g. lxml.html, wand.image). *)
 let candidates (r : result) : module_profile list =
   List.filter (fun mp -> not (String.equal mp.mp_name "simrt")) r.modules
-
-let find (r : result) name =
-  List.find_opt (fun mp -> String.equal mp.mp_name name) r.modules

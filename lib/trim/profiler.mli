@@ -27,5 +27,3 @@ val profile : Platform.Deployment.t -> result
 (** Measured modules that are debloating candidates (everything except the
     interpreter-provided simrt). *)
 val candidates : result -> module_profile list
-
-val find : result -> string -> module_profile option

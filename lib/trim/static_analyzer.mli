@@ -14,9 +14,6 @@ type t = {
 
 val analyze : Platform.Deployment.t -> t
 
-(** The vfs directory prefix of the package owning [module_name]'s root. *)
-val package_prefix : string -> string
-
 (** Attributes of [module_name] (dotted) that the application or {e another}
     package definitely accesses — DD must keep them. Accesses from files
     inside the module's own package do not count: a package's internal

@@ -2,12 +2,4 @@
     packages plus a generated handler module in the Figure-4 shape (imports
     and app-level setup above a [handler(event, context)] entry point). *)
 
-val handler_file : string
-val handler_name : string
-
-(** The generated handler source: imports, optional untrimmable setup cost,
-    a little dead code (for the Vulture baseline), library calls, the spec's
-    domain logic, SDK uploads, and a printed + returned result. *)
-val handler_source : Apps.spec -> string
-
 val deployment : Apps.spec -> Platform.Deployment.t

@@ -37,13 +37,9 @@ val spec :
   unit ->
   t
 
-(** Generated sources — exposed for tests and calibration checks. *)
-
-val core_source : t -> string
-val heavy_source : t -> index:int -> string
-val api_source : t -> count:int -> string
+(** Number of filler API functions ([api_0] … [api_{n-1}]) the package's
+    [_api] submodule defines. *)
 val filler_count : t -> int
-val init_source : t -> string
 
 (** Install the package under [site-packages/] in the given filesystem. *)
 val install : t -> Minipy.Vfs.t -> unit

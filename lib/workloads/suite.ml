@@ -4,8 +4,6 @@ let names = List.map (fun (s : Apps.spec) -> s.Apps.name) Apps.all
 
 let deployment_of name = Codegen.deployment (Apps.find name)
 
-let all_deployments () = List.map Codegen.deployment Apps.all
-
 let spec_of = Apps.find
 
 (* A reduced, fast application used across the unit tests: one small library,

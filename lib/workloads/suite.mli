@@ -2,7 +2,6 @@
 
 val names : string list
 val deployment_of : string -> Platform.Deployment.t
-val all_deployments : unit -> Platform.Deployment.t list
 val spec_of : string -> Apps.spec
 
 (** A reduced, fast application used across the unit tests: one small

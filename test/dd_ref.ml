@@ -1,15 +1,31 @@
 (* Reference Delta Debugging for the equivalence properties: the plain
    sequential ddmin (Algorithm 1) that [Trim.Dd.minimize], the library's
-   one search, must reproduce with or without a seed. It shares nothing
-   with the engine beyond [partitions] and [complement]: one subset cache,
-   every candidate evaluated the moment the search reaches it, first pass
-   wins.
+   one search, must reproduce with or without a seed. It shares no code
+   with the engine: one subset cache, every candidate evaluated the moment
+   the search reaches it, first pass wins. [is_one_minimal] is the
+   1-minimality oracle the DD properties check results with.
 
    [seed] replays the continuous pipeline's warm start as two separate
    searches: one confirming query on the seed, then ddmin over the seed
    (pass) or over every item (fail), each with a fresh cache. *)
 
 open Trim
+
+(* Split [items] into [n] contiguous partitions of near-equal size, empty
+   ones dropped. *)
+let partitions items n =
+  let len = List.length items in
+  let base = len / n and extra = len mod n in
+  let rec go i rest acc =
+    if i >= n then List.rev acc
+    else
+      let size = base + if i < extra then 1 else 0 in
+      let part = List.filteri (fun j _ -> j < size) rest in
+      go (i + 1) (List.filteri (fun j _ -> j >= size) rest) (part :: acc)
+  in
+  List.filter (fun p -> p <> []) (go 0 items [])
+
+let complement ~of_:all part = List.filter (fun x -> not (List.mem x part)) all
 
 let ddmin ~on_step ~(stats : Dd.stats) ~oracle items =
   let arr = Array.of_list items in
@@ -34,13 +50,13 @@ let ddmin ~on_step ~(stats : Dd.stats) ~oracle items =
     let len = List.length current in
     if len <= 1 then (if len = 1 && phase [ [] ] <> None then [] else current)
     else begin
-      let parts = Dd.partitions current n in
+      let parts = partitions current n in
       match phase parts with
       | Some winner -> loop winner 2
       | None ->
         let complements =
           if n = 2 then []
-          else List.map (fun p -> Dd.complement ~of_:current p) parts
+          else List.map (fun p -> complement ~of_:current p) parts
         in
         (match phase complements with
          | Some winner -> loop winner (max 2 (n - 1))
@@ -76,3 +92,16 @@ let minimize ?(on_step = fun _ _ -> ()) ?seed ~oracle items =
       end
   in
   (kept, stats)
+
+(* Check 1-minimality of [subset] under [oracle]: the subset passes and no
+   single-element removal does.
+
+   Removal is positional: filtering on the element value would drop every
+   duplicate at once (and OCaml's [!=] on immediate ints compares like [=],
+   so [5; 5] minus one 5 came out as [] — testing a 2-element removal and
+   misreporting minimality). *)
+let is_one_minimal ~oracle subset =
+  oracle subset
+  && List.for_all
+       (fun i -> not (oracle (List.filteri (fun j _ -> j <> i) subset)))
+       (List.init (List.length subset) Fun.id)

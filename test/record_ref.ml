@@ -10,6 +10,9 @@
 
 open Fleet
 
+(* Every row of a record-mode result, in arrival order. *)
+let records res = List.init (Router.length res) (Router.record res)
+
 let run cfg (trace : Platform.Trace.t) =
   let n = Platform.Trace.length trace in
   let slots = Array.make n None in

@@ -9,6 +9,11 @@ let min_value = 1e-3
 let max_value = 1e8
 let log_gamma = log gamma
 
+(* The documented accuracy of a quantile answer: relative [sqrt gamma - 1]
+   plus an absolute floor of [min_value] for sub-floor values. *)
+let rel_error = sqrt gamma -. 1.0
+let abs_error = min_value
+
 let n_buckets =
   2 + int_of_float (Float.ceil (log (max_value /. min_value) /. log_gamma))
 
@@ -41,10 +46,7 @@ let add t v =
     if v > t.mx then t.mx <- v
   end
 
-let count t = t.n
-let sum t = t.sum
 let mean t = if t.n = 0 then 0.0 else t.sum /. float_of_int t.n
-let min_seen t = if t.n = 0 then 0.0 else t.mn
 let max_seen t = if t.n = 0 then 0.0 else t.mx
 
 let merge_into ~into src =

@@ -89,7 +89,7 @@ let rewriting =
         let all = attrs fig7_module in
         let out = restrict fig7_module all in
         Alcotest.(check bool) "same program" true
-          (Minipy.Ast.program_equal (parse fig7_module) (parse out)));
+          (Ast_ref.program_equal (parse fig7_module) (parse out)));
     Alcotest.test_case "restricted module still parses and runs" `Quick (fun () ->
         let vfs = Minipy.Vfs.create () in
         Minipy.Vfs.add_file vfs "site-packages/m/__init__.py"

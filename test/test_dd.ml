@@ -42,7 +42,7 @@ let one_minimality =
   [ Alcotest.test_case "result is 1-minimal (monotone oracle)" `Quick (fun () ->
         let oracle = needs [ 2; 7; 11 ] in
         let result, _ = Dd.minimize ~oracle (List.init 16 Fun.id) in
-        Alcotest.(check bool) "1-minimal" true (Dd.is_one_minimal ~oracle result));
+        Alcotest.(check bool) "1-minimal" true (Dd_ref.is_one_minimal ~oracle result));
     Alcotest.test_case "result is 1-minimal (non-monotone oracle)" `Quick
       (fun () ->
         (* passes iff contains 3 AND (contains 5 XOR contains 6) — full set
@@ -52,24 +52,24 @@ let one_minimality =
         in
         let result, _ = Dd.minimize ~oracle (List.init 10 Fun.id) in
         Alcotest.(check bool) "passes" true (oracle result);
-        Alcotest.(check bool) "1-minimal" true (Dd.is_one_minimal ~oracle result)) ]
+        Alcotest.(check bool) "1-minimal" true (Dd_ref.is_one_minimal ~oracle result)) ]
 
 let mechanics =
   [ Alcotest.test_case "partitions cover and are disjoint" `Quick (fun () ->
         let items = List.init 11 Fun.id in
         List.iter
           (fun n ->
-             let parts = Dd.partitions items n in
+             let parts = Dd_ref.partitions items n in
              let flat = List.concat parts in
              Alcotest.(check (list int)) "cover" items (List.sort compare flat);
              Alcotest.(check bool) "count <= n" true (List.length parts <= n))
           [ 1; 2; 3; 4; 5; 11 ]);
     Alcotest.test_case "partition count for n > len collapses" `Quick (fun () ->
-        let parts = Dd.partitions [ 1; 2 ] 5 in
+        let parts = Dd_ref.partitions [ 1; 2 ] 5 in
         Alcotest.(check int) "two singleton parts" 2 (List.length parts));
     Alcotest.test_case "complement" `Quick (fun () ->
         Alcotest.(check (list int)) "complement" [ 1; 3 ]
-          (Dd.complement ~of_:[ 1; 2; 3; 4 ] [ 2; 4 ]));
+          (Dd_ref.complement ~of_:[ 1; 2; 3; 4 ] [ 2; 4 ]));
     Alcotest.test_case "oracle memoization avoids duplicate queries" `Quick
       (fun () ->
         let queries = ref [] in
@@ -111,9 +111,9 @@ let duplicates =
            the doubleton was wrongly judged minimal. *)
         let oracle subset = List.mem 5 subset in
         Alcotest.(check bool) "[5] is 1-minimal" true
-          (Dd.is_one_minimal ~oracle [ 5 ]);
+          (Dd_ref.is_one_minimal ~oracle [ 5 ]);
         Alcotest.(check bool) "[5; 5] is not 1-minimal" false
-          (Dd.is_one_minimal ~oracle [ 5; 5 ]));
+          (Dd_ref.is_one_minimal ~oracle [ 5; 5 ]));
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~count:500
          ~name:"mem-oracle: 1-minimal iff exactly the needed singleton"
@@ -121,7 +121,7 @@ let duplicates =
          QCheck.(pair (int_bound 3) (small_list (int_bound 3)))
          (fun (t, l) ->
             let oracle subset = List.mem t subset in
-            Dd.is_one_minimal ~oracle l = (l = [ t ]))) ]
+            Dd_ref.is_one_minimal ~oracle l = (l = [ t ]))) ]
 
 let suite =
   [ ("dd.minimize", minimize_cases);

@@ -635,7 +635,7 @@ let test_pool_journals_resume_sequentially () =
   in
   let start = Obs.Metrics.value appended in
   let first =
-    Parallel.Pool.with_pool ~domains:2 (fun p ->
+    Test_parallel.with_pool ~domains:2 (fun p ->
         Parallel.Pool.map p (run false) cases)
   in
   let before = Obs.Metrics.value appended in
@@ -664,7 +664,7 @@ let test_pool_searches_replay () =
   in
   let fresh = Atomic.make 0 in
   let pass ~resume =
-    Parallel.Pool.with_pool ~domains:4 (fun p ->
+    Test_parallel.with_pool ~domains:4 (fun p ->
         Parallel.Pool.map p
           (fun (items, oracle, path) ->
              let counting subset = Atomic.incr fresh; oracle subset in

@@ -4,6 +4,7 @@
    pinned whole-run output. *)
 
 open Fleet
+module Events = Test_fleet_stream.Events
 
 let no_init ?(exec_s = 0.0) ?(memory_mb = 256.0) () =
   { Router.exec_s; func_init_s = 0.0; instance_init_s = 0.0; memory_mb }
@@ -27,7 +28,7 @@ let run_kinds cfg trace =
          (cold, warm + 1)
        | Router.Shed _ | Router.Rejected | Router.Timed_out
        | Router.Failed _ -> (cold, warm))
-    (0, 0) (Router.records res)
+    (0, 0) (Record_ref.records res)
 
 (* --- event queue --------------------------------------------------------- *)
 
@@ -424,7 +425,7 @@ let queueing =
         in
         let res = Router.run cfg t in
         let outcome i =
-          (List.nth (Router.records res) i).Router.outcome
+          (List.nth (Record_ref.records res) i).Router.outcome
         in
         Alcotest.(check bool) "r0 cold" true
           (outcome 0 = Router.Served Router.Cold);
@@ -433,7 +434,7 @@ let queueing =
         Alcotest.(check bool) "r2 warm after wait" true
           (outcome 2 = Router.Served Router.Warm);
         Alcotest.(check bool) "r3 rejected" true (outcome 3 = Router.Rejected);
-        let r1 = List.nth (Router.records res) 1 in
+        let r1 = List.nth (Record_ref.records res) 1 in
         Alcotest.(check (float 1e-9)) "r1 waited 9 s" 9.0 r1.Router.wait_s;
         Alcotest.(check (float 1e-9)) "r1 finished at 20" 20.0
           r1.Router.finish_s);
@@ -447,13 +448,13 @@ let queueing =
         let res = Router.run cfg t in
         let outcomes =
           List.map (fun (r : Router.record) -> r.Router.outcome)
-            (Router.records res)
+            (Record_ref.records res)
         in
         Alcotest.(check bool) "served, timed out, timed out" true
           (outcomes
            = [ Router.Served Router.Cold; Router.Timed_out; Router.Timed_out ]);
         (* a timeout frees its queue slot: the wait recorded is the timeout *)
-        let r1 = List.nth (Router.records res) 1 in
+        let r1 = List.nth (Record_ref.records res) 1 in
         Alcotest.(check (float 1e-9)) "gave up after 5 s" 5.0 r1.Router.wait_s);
     Alcotest.test_case "timeout slot is recycled" `Quick (fun () ->
         (* r1 times out at 6 before r3 arrives, so r3 takes the slot instead
@@ -467,7 +468,7 @@ let queueing =
         let res = Router.run cfg t in
         let outcomes =
           List.map (fun (r : Router.record) -> r.Router.outcome)
-            (Router.records res)
+            (Record_ref.records res)
         in
         Alcotest.(check bool) "cold, timed out, warm" true
           (outcomes
@@ -494,21 +495,21 @@ let fallback =
         in
         let res = Router.run cfg t in
         (match List.map (fun (r : Router.record) -> r.Router.outcome)
-                 (Router.records res)
+                 (Record_ref.records res)
          with
          | [ Router.Fallback_served { trimmed = Router.Cold;
                                       original = Router.Cold };
              Router.Fallback_served { trimmed = Router.Warm;
                                       original = Router.Warm } ] -> ()
          | _ -> Alcotest.fail "expected cold/cold then warm/warm fallbacks");
-        let r0 = List.nth (Router.records res) 0 in
+        let r0 = List.nth (Record_ref.records res) 0 in
         (* trimmed exec 1 + setup 0.05 + original cold 0.5+1+2 *)
         Alcotest.(check (float 1e-9)) "r0 e2e" 4.55 r0.Router.e2e_s;
         Alcotest.(check (float 1e-9)) "r0 primary billed ms" 1000.0
           r0.Router.billed_ms;
         Alcotest.(check (float 1e-9)) "r0 fallback billed ms" 3000.0
           r0.Router.fb_billed_ms;
-        let r1 = List.nth (Router.records res) 1 in
+        let r1 = List.nth (Record_ref.records res) 1 in
         Alcotest.(check (float 1e-9)) "r1 e2e warm" 3.05 r1.Router.e2e_s;
         Alcotest.(check (float 1e-9)) "r1 fallback billed ms" 2000.0
           r1.Router.fb_billed_ms;
@@ -528,7 +529,7 @@ let fallback =
              match r.Router.outcome with
              | Router.Fallback_served _ -> Alcotest.fail "unexpected fallback"
              | _ -> ())
-          (Router.records res)) ]
+          (Record_ref.records res)) ]
 
 (* --- parity with the analytic replay ------------------------------------- *)
 
@@ -606,7 +607,7 @@ let replay_parity =
         in
         let r1 = Router.run cfg t and r2 = Router.run cfg t in
         Alcotest.(check bool) "records identical" true
-          (Router.records r1 = Router.records r2);
+          (Record_ref.records r1 = Record_ref.records r2);
         Alcotest.(check int) "same event count" r1.Router.events_processed
           r2.Router.events_processed) ]
 
@@ -736,14 +737,18 @@ let int_trace ~seed ~n ~span =
   Platform.Trace.make ~name:(Printf.sprintf "int-%d" seed)
     (List.init n (fun _ -> float_of_int (Random.State.int rng span)))
 
-let outcome_key = function
-  | Router.Served k -> "s" ^ Router.start_kind_name k
+let outcome_key =
+  let kind = function Router.Cold -> "cold" | Router.Warm -> "warm" in
+  function
+  | Router.Served k -> "s" ^ kind k
   | Router.Fallback_served { trimmed; original } ->
-    "f" ^ Router.start_kind_name trimmed ^ Router.start_kind_name original
-  | Router.Shed k -> "x" ^ Router.start_kind_name k
+    "f" ^ kind trimmed ^ kind original
+  | Router.Shed k -> "x" ^ kind k
   | Router.Rejected -> "rej"
   | Router.Timed_out -> "t/o"
-  | Router.Failed f -> "fail-" ^ Router.failure_name f
+  | Router.Failed Router.Init_failed -> "fail-init-failed"
+  | Router.Failed Router.Crashed -> "fail-crashed"
+  | Router.Failed Router.Errored -> "fail-errored"
 
 let result_digest (res : Router.result) =
   let b = Buffer.create 4096 in
@@ -753,7 +758,7 @@ let result_digest (res : Router.result) =
          r.Router.arrival_s r.Router.start_s r.Router.finish_s r.Router.wait_s
          r.Router.e2e_s (outcome_key r.Router.outcome) r.Router.billed_ms
          r.Router.fb_billed_ms r.Router.attempts r.Router.hedged)
-    (Router.records res);
+    (Record_ref.records res);
   Printf.bprintf b "%d %h %d %d %h" res.Router.peak_instances
     res.Router.resident_instance_s res.Router.evictions
     res.Router.fb_peak_instances res.Router.fb_resident_instance_s;
@@ -923,7 +928,7 @@ let validation =
           (fun pol ->
              let res = Router.run (config ~profile pol) trace in
              Alcotest.(check int) (Pool.policy_name pol) 20
-               (List.length (Router.records res)))
+               (List.length (Record_ref.records res)))
           [ Pool.Fixed_ttl { keep_alive_s = Float.infinity };
             Pool.Lru { keep_alive_s = Float.infinity; max_idle = 0 };
             Pool.Adaptive

@@ -501,9 +501,7 @@ let front_end_tests =
                    (what ^ " " ^ String.escaped src) (msg, line, col)
                    (m, l.Loc.line, l.Loc.col)
              in
-             check "parse" (fun ~file s -> ignore (Parser.parse ~file s));
-             check "parse_expression" (fun ~file s ->
-                 ignore (Parser.parse_expression ~file s)))
+             check "parse" (fun ~file s -> ignore (Parser.parse ~file s)))
           [ ("def (:\nx = $", "unexpected character '$'", 2, 4);
             ("x = (1,\n2\n", "unclosed bracket at end of file", 3, 0);
             ("1 2\nif a:\n    b\n  c\n", "inconsistent dedent", 4, 2) ]) ]

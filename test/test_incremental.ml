@@ -56,7 +56,7 @@ let store_tests =
           with_store dir (fun s ->
               Memo_store.add s ~key:"a" "1";
               Memo_store.add s ~key:"b" "2";
-              Memo_store.path s)
+              Filename.concat dir "observations.memo")
         in
         write_file path (read_file path ^ "o|2|c|3|deadbeef");
         with_store dir (fun s ->
@@ -98,7 +98,7 @@ let qcheck_truncate =
       let path =
         with_store dir (fun s ->
             List.iter2 (fun k v -> Memo_store.add s ~key:k v) keys values;
-            Memo_store.path s)
+            Filename.concat dir "observations.memo")
       in
       let contents = read_file path in
       let cut = int_of_float (frac *. float_of_int (String.length contents)) in
@@ -279,6 +279,75 @@ let manifest_tests =
             (Option.map (fun m -> m.Manifest.mf_app)
                (Manifest.load ~path:(path ^ ".nope")))) ]
 
+(* Fail-closed property: a manifest cut at any byte, or with any one byte
+   replaced, parses to nothing or to exactly the manifest that was
+   written — never to a different one. Manifests are random: dotted module
+   names, built-in entries ([me_file = "<none>"], the builtin digest),
+   empty and non-empty removed lists, counters of any size. *)
+let gen_manifest =
+  let open QCheck.Gen in
+  let ident =
+    string_size ~gen:(oneofl [ 'a'; 'k'; 'z'; '_'; '0'; '9' ]) (1 -- 5)
+  in
+  let dotted = map (String.concat ".") (list_size (1 -- 3) ident) in
+  let counter = oneof [ small_nat; nat; int_bound max_int ] in
+  let entry =
+    map
+      (fun ((me_module, builtin, digest), (me_removed, (q, ch, it))) ->
+         { Manifest.me_module;
+           me_file =
+             (if builtin then "<none>"
+              else
+                "site-packages/"
+                ^ String.map (function '.' -> '/' | c -> c) me_module
+                ^ ".py");
+           me_digest = (if builtin then Debloater.builtin_digest else digest);
+           me_removed; me_queries = q; me_cache_hits = ch; me_iterations = it })
+      (pair
+         (triple dotted bool
+            (string_size ~gen:(oneofl [ '0'; 'f'; '9' ]) (return 32)))
+         (pair (list_size (0 -- 4) ident) (triple counter counter counter)))
+  in
+  map
+    (fun ((mf_app, mf_variant, mf_scoring, mf_k), (modules, (din, dout))) ->
+       { Manifest.mf_app; mf_backend = "ast"; mf_variant; mf_scoring; mf_k;
+         mf_input_digest = din; mf_output_digest = dout;
+         mf_ranked = List.map (fun e -> e.Manifest.me_module) modules;
+         mf_modules = modules })
+    (pair
+       (quad ident (oneofl [ "eager"; "lazy:0f9" ]) ident counter)
+       (pair (list_size (0 -- 4) entry) (pair ident ident)))
+
+let qcheck_manifest_fail_closed =
+  QCheck.Test.make ~count:100
+    ~name:"manifest: any truncation or byte substitution fails closed"
+    QCheck.(pair (make ~print:Manifest.render gen_manifest) (int_bound 254))
+    (fun (m, d) ->
+       let text = Manifest.render m in
+       let closed what mutated =
+         match Manifest.parse mutated with
+         | None -> ()
+         | Some m' when m' = m -> ()
+         | Some _ -> QCheck.Test.fail_reportf "%s parses to another manifest" what
+       in
+       if Manifest.parse text <> Some m then
+         QCheck.Test.fail_reportf "render/parse does not round-trip";
+       for cut = 0 to String.length text - 1 do
+         closed (Printf.sprintf "cut at %d" cut) (String.sub text 0 cut)
+       done;
+       String.iteri
+         (fun q c ->
+            (* two different values per position: a low-bit flip and one
+               spread over the other 254 *)
+            List.iter
+              (fun v ->
+                 closed (Printf.sprintf "byte %d := %C" q v)
+                   (String.mapi (fun i x -> if i = q then v else x) text))
+              [ Char.chr (Char.code c lxor 1);
+                Char.chr ((Char.code c + 1 + ((d + q) mod 255)) mod 256) ])
+         text;
+       true)
+
 (* --- DD warm-start counters ----------------------------------------------- *)
 
 let dd_tests =
@@ -402,6 +471,7 @@ let suite =
      List.map QCheck_alcotest.to_alcotest [ qcheck_truncate; qcheck_escape ]);
     ("incremental: cache and store", cache_tests);
     ("incremental: search digest", digest_tests);
-    ("incremental: manifest", manifest_tests);
+    ("incremental: manifest",
+     manifest_tests @ [ QCheck_alcotest.to_alcotest qcheck_manifest_fail_closed ]);
     ("incremental: DD warm start", dd_tests);
     ("incremental: pipeline warm == cold", pipeline_tests) ]

@@ -45,7 +45,7 @@ let comprehensions =
         let src = "ys = [f(x) for x in data if x > 0]\nzs = xs[1:]\n" in
         let p1 = Parser.parse ~file:"<t>" src in
         let p2 = Parser.parse ~file:"<t>" (Pretty.program_to_string p1) in
-        Alcotest.(check bool) "equal" true (Ast.program_equal p1 p2)) ]
+        Alcotest.(check bool) "equal" true (Ast_ref.program_equal p1 p2)) ]
 
 let json_tests =
   [ check_out "dumps scalars"
@@ -176,7 +176,7 @@ let dict_comprehensions =
         let p2 =
           Minipy.Parser.parse ~file:"<t>" (Minipy.Pretty.program_to_string p1)
         in
-        Alcotest.(check bool) "equal" true (Minipy.Ast.program_equal p1 p2)) ]
+        Alcotest.(check bool) "equal" true (Ast_ref.program_equal p1 p2)) ]
 
 let string_methods =
   [ check_out "format positional"

@@ -96,7 +96,7 @@ let determinism =
           List.map (fun (name, d) -> (name, observe d, observe d)) apps
         in
         let pooled =
-          Parallel.Pool.with_pool ~domains:2 (fun pool ->
+          Test_parallel.with_pool ~domains:2 (fun pool ->
               Parallel.Pool.map pool (fun (_, d) -> observe d) apps)
         in
         let per_test = Alcotest.(list (pair string string)) in

@@ -5,24 +5,29 @@
 open Trim
 module Pool = Parallel.Pool
 
+(* [f] on a fresh [domains]-domain pool, always shut down after: the
+   suite builds many short-lived pools, and each must join its domains. *)
+let with_pool ~domains f =
+  let p = Pool.create ~domains in
+  Fun.protect ~finally:(fun () -> Pool.shutdown p) (fun () -> f p)
+
 (* --- pool mechanics -------------------------------------------------------- *)
 
 let pool_cases =
   [ Alcotest.test_case "map preserves submission order" `Quick (fun () ->
-        Pool.with_pool ~domains:4 (fun p ->
+        with_pool ~domains:4 (fun p ->
             let xs = List.init 100 Fun.id in
             Alcotest.(check (list int)) "squares in order"
               (List.map (fun x -> x * x) xs)
               (Pool.map p (fun x -> x * x) xs)));
     Alcotest.test_case "size-1 pool runs inline on the caller" `Quick
       (fun () ->
-        Pool.with_pool ~domains:1 (fun p ->
-            Alcotest.(check int) "size" 1 (Pool.size p);
+        with_pool ~domains:1 (fun p ->
             let saw_worker = ref false in
             let r =
               Pool.map p
                 (fun x ->
-                  if Pool.current_worker () <> None then saw_worker := true;
+                  if not (Domain.is_main_domain ()) then saw_worker := true;
                   x + 1)
                 [ 1; 2; 3 ]
             in
@@ -34,7 +39,7 @@ let pool_cases =
            has shown up (bounded, so a pathological scheduler cannot hang the
            suite). With 3 spawned workers plus the participating caller, a
            second domain must pick up one of the remaining tasks. *)
-        Pool.with_pool ~domains:4 (fun p ->
+        with_pool ~domains:4 (fun p ->
             let lock = Mutex.create () in
             let seen = ref [] in
             let distinct () =
@@ -64,13 +69,13 @@ let pool_cases =
           Obs.Metrics.counter Obs.Metrics.global "parallel.pool.tasks"
         in
         let before = Obs.Metrics.value tasks in
-        Pool.with_pool ~domains:2 (fun p ->
+        with_pool ~domains:2 (fun p ->
             ignore (Pool.map p (fun x -> x) (List.init 17 Fun.id)));
         Alcotest.(check int) "17 tasks recorded" 17
           (Obs.Metrics.value tasks - before));
     Alcotest.test_case "lowest-index exception wins; every task settles"
       `Quick (fun () ->
-        Pool.with_pool ~domains:4 (fun p ->
+        with_pool ~domains:4 (fun p ->
             let ran = Atomic.make 0 in
             let raised =
               try
@@ -92,7 +97,7 @@ let pool_cases =
             Alcotest.(check (list int)) "pool still usable" [ 0; 2; 4 ]
               (Pool.map p (fun x -> 2 * x) [ 0; 1; 2 ])));
     Alcotest.test_case "nested submission does not deadlock" `Quick (fun () ->
-        Pool.with_pool ~domains:2 (fun p ->
+        with_pool ~domains:2 (fun p ->
             let r =
               Pool.map p
                 (fun i ->
@@ -101,15 +106,12 @@ let pool_cases =
                 [ 0; 1; 2 ]
             in
             Alcotest.(check (list int)) "nested sums" [ 10; 60; 110 ] r));
-    Alcotest.test_case "shutdown is idempotent; with_pool returns the value"
-      `Quick (fun () ->
+    Alcotest.test_case "shutdown is idempotent" `Quick (fun () ->
         let p = Pool.create ~domains:3 in
         Alcotest.(check (list int)) "first map" [ 1; 2 ]
           (Pool.map p (fun x -> x + 1) [ 0; 1 ]);
         Pool.shutdown p;
-        Pool.shutdown p;
-        Alcotest.(check int) "with_pool result" 42
-          (Pool.with_pool ~domains:2 (fun _ -> 42))) ]
+        Pool.shutdown p) ]
 
 (* --- the one DD engine ≡ reference ddmin -------------------------------- *)
 
@@ -215,7 +217,7 @@ let dd_concurrent_cases =
         List.iter
           (fun domains ->
             let results =
-              Pool.with_pool ~domains (fun pool ->
+              with_pool ~domains (fun pool ->
                   Pool.map pool
                     (fun (seed, oracle, items) ->
                       run_engine ?seed ~oracle items)
@@ -239,7 +241,7 @@ let stress_cases =
                 Printf.sprintf "def f%d(x):\n    return x + %d\n" i i ))
         in
         let reps = 25 in
-        Pool.with_pool ~domains:8 (fun p ->
+        with_pool ~domains:8 (fun p ->
             ignore
               (Pool.map p
                  (fun _slot ->
@@ -267,7 +269,7 @@ let stress_cases =
         let tests = List.length d.Platform.Deployment.test_cases in
         let reps = 10 in
         let per_domain =
-          Pool.with_pool ~domains:8 (fun p ->
+          with_pool ~domains:8 (fun p ->
               Pool.map p
                 (fun _slot ->
                   let digests = ref [] in
@@ -324,7 +326,7 @@ let pipeline_cases =
                (Workloads.Suite.deployment_of name))
         in
         let seq = List.map run apps in
-        let par = Pool.with_pool ~domains:4 (fun p -> Pool.map p run apps) in
+        let par = with_pool ~domains:4 (fun p -> Pool.map p run apps) in
         List.iter2
           (fun (name, _) (s, p) -> Alcotest.check view_t name s p)
           apps (List.combine seq par));
@@ -341,7 +343,7 @@ let pipeline_cases =
             Alcotest.(check int) "jobs 1" 1 (Pool.jobs ());
             Alcotest.(check (list bool)) "inline on the caller at jobs 1"
               (List.map (fun _ -> true) xs)
-              (Pool.map_default (fun _ -> Pool.current_worker () = None) xs);
+              (Pool.map_default (fun _ -> Domain.is_main_domain ()) xs);
             Alcotest.check_raises "jobs 0"
               (Invalid_argument "Parallel.Pool.configure: jobs < 1") (fun () ->
                 Pool.configure ~jobs:0)));

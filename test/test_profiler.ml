@@ -2,6 +2,9 @@
 
 open Trim
 
+let find (r : Profiler.result) name =
+  List.find_opt (fun mp -> mp.Profiler.mp_name = name) r.Profiler.modules
+
 let tiny = Workloads.Suite.tiny_app ()
 
 let cases =
@@ -19,7 +22,7 @@ let cases =
         Alcotest.(check (option string)) "none" None r.Profiler.init_error);
     Alcotest.test_case "root inclusive covers submodules" `Quick (fun () ->
         let r = Profiler.profile tiny in
-        let find n = Option.get (Profiler.find r n) in
+        let find n = Option.get (find r n) in
         let root = find "tinylib" in
         let core = find "tinylib._core" in
         Alcotest.(check bool) "root incl >= core incl" true
@@ -28,7 +31,7 @@ let cases =
           (root.Profiler.mp_self_ms < root.Profiler.mp_incl_ms));
     Alcotest.test_case "totals cover the sum of root modules" `Quick (fun () ->
         let r = Profiler.profile tiny in
-        let root = Option.get (Profiler.find r "tinylib") in
+        let root = Option.get (find r "tinylib") in
         Alcotest.(check bool) "T >= root t" true
           (r.Profiler.total_ms >= root.Profiler.mp_incl_ms);
         Alcotest.(check bool) "M >= root m" true
@@ -37,7 +40,7 @@ let cases =
       (fun () ->
         (* tiny app: 70% of 100ms in 2 heavies -> ~35ms each *)
         let r = Profiler.profile tiny in
-        let h0 = Option.get (Profiler.find r "tinylib._heavy_0") in
+        let h0 = Option.get (find r "tinylib._heavy_0") in
         Alcotest.(check bool)
           (Printf.sprintf "h0 %.1fms in [25, 45]" h0.Profiler.mp_incl_ms)
           true

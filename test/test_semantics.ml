@@ -197,7 +197,7 @@ let chained_comparisons =
         let p2 =
           Parser.parse ~file:"<t>" (Pretty.program_to_string p1)
         in
-        Alcotest.(check bool) "equal" true (Ast.program_equal p1 p2)) ]
+        Alcotest.(check bool) "equal" true (Ast_ref.program_equal p1 p2)) ]
 
 let suite =
   [ ("semantics.scoping", scoping);

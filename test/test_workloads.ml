@@ -1,5 +1,12 @@
 (* Workload generation: the 21 Table-1 apps parse, run, and match their specs. *)
 
+(* A generated package's root [__init__] source, as installed. *)
+let init_source (spec : Workloads.Libspec.t) =
+  let vfs = Minipy.Vfs.create () in
+  Workloads.Libspec.install spec vfs;
+  Minipy.Vfs.read_exn vfs
+    ("site-packages/" ^ spec.Workloads.Libspec.l_name ^ "/__init__.py")
+
 let run_cold name =
   let d = Workloads.Suite.deployment_of name in
   let sim = Platform.Lambda_sim.create d in
@@ -59,7 +66,7 @@ let generation =
           Workloads.Libspec.spec ~name:"x" ~import_ms:10.0 ~alloc_mb:1.0
             ~image_mb:0.0 ~attrs:40 ()
         in
-        let src = Workloads.Libspec.init_source spec in
+        let src = init_source spec in
         let prog = Minipy.Parser.parse ~file:"<x>" src in
         let attrs = Trim.Attrs.attrs_of_program prog in
         Alcotest.(check bool)
@@ -129,7 +136,8 @@ let paper_fidelity =
         List.iter
           (fun (s : Workloads.Apps.spec) ->
              let src =
-               Workloads.Codegen.handler_source s
+               Platform.Deployment.handler_source
+                 (Workloads.Codegen.deployment s)
              in
              let prog = Minipy.Parser.parse ~file:"<h>" src in
              (* imports + setup above; exactly one handler def *)
@@ -152,7 +160,11 @@ let paper_fidelity =
           (fun (s : Workloads.Apps.spec) ->
              List.iter
                (fun (_, ev) ->
-                  ignore (Minipy.Parser.parse_expression ~file:"<e>" ev))
+                  (* as the simulator reads it: one expression statement *)
+                  match Minipy.Parser.parse ~file:"<e>" (ev ^ "\n") with
+                  | [ { Minipy.Ast.sdesc = Minipy.Ast.Expr_stmt _; _ } ] -> ()
+                  | _ -> Alcotest.failf "%s: event %S is not one expression"
+                           s.Workloads.Apps.name ev)
                s.Workloads.Apps.tests)
           Workloads.Apps.all);
     Alcotest.test_case "relative imports wire every generated package" `Quick
@@ -161,7 +173,7 @@ let paper_fidelity =
           Workloads.Libspec.spec ~name:"relcheck" ~import_ms:5.0 ~alloc_mb:1.0
             ~image_mb:0.0 ()
         in
-        let src = Workloads.Libspec.init_source spec in
+        let src = init_source spec in
         let prog = Minipy.Parser.parse ~file:"<i>" src in
         let relative =
           List.exists

@@ -4,13 +4,9 @@
    call. It models a layer chain of its own, so a property can apply the
    same edits to both and compare every answer. *)
 
-type entry =
-  | Source of string
-  | Tombstone
-
 type t = {
   parent : t option;
-  files : (string, entry) Hashtbl.t;
+  files : (string, string) Hashtbl.t;
   phantoms : (string, int) Hashtbl.t;
 }
 
@@ -20,14 +16,9 @@ let create () =
 let overlay base =
   { parent = Some base; files = Hashtbl.create 8; phantoms = Hashtbl.create 2 }
 
-let add_file t path content = Hashtbl.replace t.files path (Source content)
+let add_file t path content = Hashtbl.replace t.files path content
 
 let add_phantom t path ~bytes = Hashtbl.replace t.phantoms path bytes
-
-let remove_file t path =
-  match t.parent with
-  | None -> Hashtbl.remove t.files path
-  | Some _ -> Hashtbl.replace t.files path Tombstone
 
 let layers t =
   let rec go acc t =
@@ -40,12 +31,7 @@ let effective_files t : (string, string) Hashtbl.t =
   let tbl = Hashtbl.create 64 in
   List.iter
     (fun layer ->
-       Hashtbl.iter
-         (fun p e ->
-            match e with
-            | Source c -> Hashtbl.replace tbl p c
-            | Tombstone -> Hashtbl.remove tbl p)
-         layer.files)
+       Hashtbl.iter (Hashtbl.replace tbl) layer.files)
     (layers t);
   tbl
 
@@ -60,7 +46,6 @@ let paths t =
   Hashtbl.fold (fun p _ acc -> p :: acc) (effective_files t) []
   |> List.sort compare
 
-let file_count t = Hashtbl.length (effective_files t)
 
 let image_bytes t =
   Hashtbl.fold (fun _ c acc -> acc + String.length c + 512)
