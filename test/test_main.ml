@@ -11,4 +11,4 @@ let () =
      @ Test_baselines.suite @ Test_value.suite @ Test_experiments.suite @ Test_properties.suite
      @ Test_caching.suite @ Test_obs.suite @ Test_parallel.suite
      @ Test_golden.suite @ Test_durability.suite
-     @ Test_lazy.suite @ Test_incremental.suite)
+     @ Test_lazy.suite @ Test_incremental.suite @ Test_cli.suite)
